@@ -15,7 +15,10 @@ comments); explicit flags override file values, which override the preset.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -120,11 +123,79 @@ def _verify_graph(args: argparse.Namespace, graph_index: int):
     return spec, split
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    import os
+def _tanh_verifier_gnn(spec, k, rng):
+    return disc.verifier_gnn(spec, k, Nonlinearity.tanh(), full_band_filters=1, rng=rng)
 
+
+def _write_probe_file(rep, out_dir: str, g: int) -> str:
+    path = os.path.join(out_dir, f"cor2_probe_g{g}.csv")
+    with open(path, "w") as fh:
+        fh.write("draw,residual\n")
+        for i, r in enumerate(rep.probe_residuals):
+            fh.write(f"{i},{r:.17g}\n")
+    return path
+
+
+@dataclass(frozen=True)
+class VerifySuite:
+    """One `verify --theorem` suite: how to run it on a graph and report it."""
+
+    name: str                                    # verify_<name>.csv
+    build_gnn: Callable                          # (spec, k, rng) -> SingleLayerGnn
+    run: Callable                                # (spec, split, gnn, trials, rng) -> report
+    passed: Callable                             # report -> bool
+    summary: Callable                            # report -> line
+    write_extra: Callable | None = None          # (report, out dir, graph) -> path
+
+
+VERIFY_SUITES = {
+    "1": VerifySuite(
+        name="theorem1",
+        build_gnn=_tanh_verifier_gnn,
+        run=lambda spec, split, gnn, trials, rng: disc.verify_theorem1(
+            spec, split, gnn.bank, gnn.sigma, trials, rng),
+        passed=lambda rep: rep.counterexamples == 0,
+        summary=lambda rep: f"{rep.trials} trials, {rep.counterexamples} counterexamples",
+    ),
+    "2": VerifySuite(
+        name="theorem2",
+        build_gnn=_tanh_verifier_gnn,
+        run=lambda spec, split, gnn, trials, rng: disc.verify_theorem2_forward(
+            spec, split, gnn, trials, rng),
+        passed=lambda rep: rep.agreement_rate == 1.0,
+        summary=lambda rep: (f"agreement {rep.agreements}/{rep.trials}, "
+                             f"discriminated {rep.discriminated}, "
+                             f"worst margin {rep.worst_margin:.3e}"),
+    ),
+    "cor1": VerifySuite(
+        name="corollary1",
+        build_gnn=lambda spec, k, rng: disc.all_zero_high_gnn(
+            spec, k, Nonlinearity.tanh(), n_filters=2, rng=rng),
+        run=lambda spec, split, gnn, trials, rng: disc.verify_corollary1(
+            spec, split, gnn.bank, gnn.sigma, trials, rng),
+        passed=lambda rep: rep.verdict_mismatches == 0,
+        summary=lambda rep: f"{rep.trials} trials, {rep.verdict_mismatches} verdict mismatches",
+    ),
+    "cor2": VerifySuite(
+        name="corollary2",
+        build_gnn=_tanh_verifier_gnn,
+        run=lambda spec, split, gnn, trials, rng: disc.verify_corollary2(
+            spec, split, gnn, trials, rng),
+        passed=lambda rep: (rep.subset_violations == 0
+                            and rep.strictness_witnesses >= 1
+                            and rep.probe_above_threshold >= 0.95 * rep.probe_draws),
+        summary=lambda rep: (f"subset violations {rep.subset_violations}, "
+                             f"strictness witnesses {rep.strictness_witnesses}, "
+                             f"probe residual > 1e-6 on "
+                             f"{rep.probe_above_threshold}/{rep.probe_draws} draws"),
+        write_extra=_write_probe_file,
+    ),
+}
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
-    suites = ("1", "2", "cor1", "cor2") if args.theorem == "all" else (args.theorem,)
+    suites = VERIFY_SUITES.values() if args.theorem == "all" else [VERIFY_SUITES[args.theorem]]
     failed = False
 
     for suite in suites:
@@ -135,64 +206,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
             spec, split = _verify_graph(args, g)
             rng = np.random.default_rng(
                 np.random.SeedSequence((args.seed, g, 1)))
-
-            if suite == "1":
-                gnn = disc.verifier_gnn(spec, args.cutoff, Nonlinearity.tanh(),
-                                        full_band_filters=1, rng=rng)
-                rep = disc.verify_theorem1(spec, split, gnn.bank, gnn.sigma,
-                                           args.trials, rng)
-                ok = rep.counterexamples == 0
-                lines.append(f"graph {g}: {rep.trials} trials, "
-                             f"{rep.counterexamples} counterexamples")
-            elif suite == "2":
-                gnn = disc.verifier_gnn(spec, args.cutoff, Nonlinearity.tanh(),
-                                        full_band_filters=1, rng=rng)
-                rep = disc.verify_theorem2_forward(spec, split, gnn, args.trials, rng)
-                ok = rep.agreement_rate == 1.0
-                lines.append(f"graph {g}: agreement {rep.agreements}/{rep.trials}, "
-                             f"discriminated {rep.discriminated}, "
-                             f"worst margin {rep.worst_margin:.3e}")
-            elif suite == "cor1":
-                gnn = disc.all_zero_high_gnn(spec, args.cutoff, Nonlinearity.tanh(),
-                                             n_filters=2, rng=rng)
-                rep = disc.verify_corollary1(spec, split, gnn.bank, gnn.sigma,
-                                             args.trials, rng)
-                ok = rep.verdict_mismatches == 0
-                lines.append(f"graph {g}: {rep.trials} trials, "
-                             f"{rep.verdict_mismatches} verdict mismatches")
-            else:
-                gnn = disc.verifier_gnn(spec, args.cutoff, Nonlinearity.tanh(),
-                                        full_band_filters=1, rng=rng)
-                rep = disc.verify_corollary2(spec, split, gnn, args.trials, rng)
-                ok = (rep.subset_violations == 0
-                      and rep.strictness_witnesses >= 1
-                      and rep.probe_above_threshold >= 0.95 * rep.probe_draws)
-                lines.append(
-                    f"graph {g}: subset violations {rep.subset_violations}, "
-                    f"strictness witnesses {rep.strictness_witnesses}, "
-                    f"probe residual > 1e-6 on "
-                    f"{rep.probe_above_threshold}/{rep.probe_draws} draws")
-                probe_path = os.path.join(args.out, f"cor2_probe_g{g}.csv")
-                with open(probe_path, "w") as fh:
-                    fh.write("draw,residual\n")
-                    for i, r in enumerate(rep.probe_residuals):
-                        fh.write(f"{i},{r:.17g}\n")
-                extra_paths.append(probe_path)
-
+            gnn = suite.build_gnn(spec, args.cutoff, rng)
+            rep = suite.run(spec, split, gnn, args.trials, rng)
+            lines.append(f"graph {g}: {suite.summary(rep)}")
+            if suite.write_extra:
+                extra_paths.append(suite.write_extra(rep, args.out, g))
             base = len(rows)
-            rows.extend(
-                disc.TrialRow(base + r.trial, r.in_d_h, r.in_d_phi,
-                              r.residual_low_filter, r.residual_low_gnn,
-                              r.max_secant_deviation)
-                for r in rep.rows
-            )
-            failed = failed or not ok
+            rows.extend(replace(r, trial=base + r.trial) for r in rep.rows)
+            failed = failed or not suite.passed(rep)
 
-        name = {"1": "theorem1", "2": "theorem2",
-                "cor1": "corollary1", "cor2": "corollary2"}[suite]
-        csv_path = os.path.join(args.out, f"verify_{name}.csv")
+        csv_path = os.path.join(args.out, f"verify_{suite.name}.csv")
         disc.write_trial_csv(rows, csv_path)
-        print(f"== {name} ({args.graphs} graphs x {args.trials} trials) ==")
+        print(f"== {suite.name} ({args.graphs} graphs x {args.trials} trials) ==")
         for line in lines:
             print("  " + line)
         print(f"  trial log: {csv_path}"
@@ -215,8 +240,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
                                      int(rng.integers(0, 2 ** 62)))
         s = normalize_support(laplacian(g))
         sigma = Nonlinearity.tanh() if trial % 2 == 0 else Nonlinearity.leaky_rectifier(0.1)
+        if trial % 3 == 0:
+            sigma = Nonlinearity.identity()
         model = init_model(n_features, n_taps, sigma,
-                           use_nonlinearity=(trial % 3 != 0),
                            seed=int(rng.integers(0, 2 ** 62)))
         x = rng.standard_normal((5, n))
         y = np.sign(rng.standard_normal((5, n)))
@@ -291,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     run.set_defaults(func=cmd_run)
 
     verify = sub.add_parser("verify", help="randomized discriminability suites")
-    verify.add_argument("--theorem", choices=["1", "2", "cor1", "cor2", "all"],
+    verify.add_argument("--theorem", choices=[*VERIFY_SUITES, "all"],
                         default="all")
     verify.add_argument("--trials", type=int, default=200)
     verify.add_argument("--seed", type=int, default=0)

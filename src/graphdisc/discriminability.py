@@ -36,13 +36,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .filters import SpectralFilter, freq_response, zero_high_response
-from .gnn import Bank, Nonlinearity, SingleLayerGnn, bank_forward
+from .filters import SpectralFilter, zero_high_response
+from .gnn import Bank, Nonlinearity, SingleLayerGnn, bank_filters, bank_forward, spectral_gains
 from .spectral import Spectrum, SubspaceSplit
 
 SCALE_FLOOR = 1e-30
@@ -50,6 +50,9 @@ SECANT_EQUAL_POINTS = 1e-12   # |x_i - y_i| below this uses the derivative
 FIR_ZERO_HIGH_TOL = 1e-10
 DEFAULT_TOL = 1e-8
 DEFAULT_SECANT_TOL = 1e-9
+SECANT_GRID_POINTS = 8001
+REFINE_POINTS = 257           # each refinement narrows a bracket 256-fold
+REFINE_ROUNDS = 6             # 2**-48 of a grid cell: below 1e-14 for b > 1e-3
 
 
 @dataclass(frozen=True)
@@ -107,11 +110,77 @@ def _low_residuals(split: SubspaceSplit, features_x: np.ndarray,
     return np.linalg.norm(diff @ split.v_low, axis=1)
 
 
-def _bank_outputs(bank: Bank, s_or_spec, x: np.ndarray) -> np.ndarray:
-    """Filter the signal through whichever representation was supplied."""
-    if isinstance(s_or_spec, Spectrum):
-        return _filter_outputs(bank, s_or_spec, x)
-    return bank_forward(bank, s_or_spec, x)
+class _PairOutputs(NamedTuple):
+    """Filter outputs of a pair and their activations, each (F, n)."""
+
+    fx: np.ndarray
+    fy: np.ndarray
+    gx: np.ndarray
+    gy: np.ndarray
+
+
+def _pair_outputs(gnn: SingleLayerGnn, s_or_spec, x: np.ndarray,
+                  y: np.ndarray) -> _PairOutputs:
+    fx = bank_forward(gnn.bank, s_or_spec, x)
+    fy = bank_forward(gnn.bank, s_or_spec, y)
+    return _PairOutputs(fx, fy, gnn.sigma.eval(fx), gnn.sigma.eval(fy))
+
+
+def _bank_verdict(split: SubspaceSplit, fx: np.ndarray, fy: np.ndarray,
+                  x: np.ndarray, y: np.ndarray, tol: float) -> tuple[bool, float]:
+    """The pair_in_d_h verdict on filter outputs already computed."""
+    residuals = _low_residuals(split, fx, fy)
+    filtered_flag = bool(np.all(residuals <= tol * _pair_scale(x, y)))
+
+    direct_flag, _ = in_nul_vk(split, x - y, tol)
+    if direct_flag != filtered_flag:
+        raise NumericalError(
+            "direct and filtered nondiscriminability verdicts disagree "
+            f"(direct={direct_flag}, filtered={filtered_flag}); this indicates "
+            "a numerical bug or a bank that vanishes on a protected mode"
+        )
+    return filtered_flag, float(np.linalg.norm(residuals))
+
+
+def _pair_verdict(split: SubspaceSplit, out: _PairOutputs, x: np.ndarray,
+                  y: np.ndarray, tol: float) -> PairVerdict:
+    """The pair_in_d_phi verdict on filter outputs already computed."""
+    in_d_h_flag, residual_filter = _bank_verdict(split, out.fx, out.fy, x, y, tol)
+    residuals = _low_residuals(split, out.gx, out.gy)
+    return PairVerdict(
+        in_d_h=in_d_h_flag,
+        in_d_phi=bool(np.all(residuals <= tol * _pair_scale(x, y))),
+        residual_low_filter=residual_filter,
+        residual_low_gnn=float(np.linalg.norm(residuals)),
+        tolerance_used=tol,
+    )
+
+
+def _secants(sigma: Nonlinearity, out: _PairOutputs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node secants (F, n) and each filter's max deviation from their mean."""
+    diff = out.fx - out.fy
+    equal = np.abs(diff) < SECANT_EQUAL_POINTS
+    safe = np.where(equal, 1.0, diff)
+    secants = np.where(equal, sigma.derivative(out.fx), (out.gx - out.gy) / safe)
+    max_dev = np.max(np.abs(secants - secants.mean(axis=1, keepdims=True)), axis=1)
+    return secants, max_dev
+
+
+def _responds_high(f, high: np.ndarray) -> bool:
+    """Whether a filter's gains above the cutoff count as nonzero.
+
+    A spectral filter is held to exact zeros; an FIR filter can only be
+    numerically zero there, so it passes up to FIR_ZERO_HIGH_TOL.
+    """
+    if isinstance(f, SpectralFilter):
+        return bool(np.any(high != 0.0))
+    return bool(np.any(np.abs(high) > FIR_ZERO_HIGH_TOL))
+
+
+def _high_response_flags(bank: Bank, gains: list[np.ndarray], k: int) -> np.ndarray:
+    """Which filters respond above the index-k cutoff."""
+    return np.array([_responds_high(f, g[k:]) for f, g in zip(bank_filters(bank), gains)],
+                    dtype=bool)
 
 
 def pair_in_d_h(split: SubspaceSplit, bank: Bank, s_or_spec, x: np.ndarray,
@@ -125,21 +194,8 @@ def pair_in_d_h(split: SubspaceSplit, bank: Bank, s_or_spec, x: np.ndarray,
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    scale = _pair_scale(x, y)
-
-    fx = _bank_outputs(bank, s_or_spec, x)
-    fy = _bank_outputs(bank, s_or_spec, y)
-    residuals = _low_residuals(split, fx, fy)
-    filtered_flag = bool(np.all(residuals <= tol * scale))
-
-    direct_flag, _ = in_nul_vk(split, x - y, tol)
-    if direct_flag != filtered_flag:
-        raise NumericalError(
-            "direct and filtered nondiscriminability verdicts disagree "
-            f"(direct={direct_flag}, filtered={filtered_flag}); this indicates "
-            "a numerical bug or a bank that vanishes on a protected mode"
-        )
-    return filtered_flag, float(np.linalg.norm(residuals))
+    return _bank_verdict(split, bank_forward(bank, s_or_spec, x),
+                         bank_forward(bank, s_or_spec, y), x, y, tol)
 
 
 def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn, s_or_spec,
@@ -147,20 +203,7 @@ def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn, s_or_spec,
     """Full membership verdict for one pair under the GNN."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    scale = _pair_scale(x, y)
-
-    in_d_h_flag, residual_filter = pair_in_d_h(split, gnn.bank, s_or_spec, x, y, tol)
-    gx = gnn.sigma.eval(_bank_outputs(gnn.bank, s_or_spec, x))
-    gy = gnn.sigma.eval(_bank_outputs(gnn.bank, s_or_spec, y))
-    residuals = _low_residuals(split, gx, gy)
-    in_d_phi_flag = bool(np.all(residuals <= tol * scale))
-    return PairVerdict(
-        in_d_h=in_d_h_flag,
-        in_d_phi=in_d_phi_flag,
-        residual_low_filter=residual_filter,
-        residual_low_gnn=float(np.linalg.norm(residuals)),
-        tolerance_used=tol,
-    )
+    return _pair_verdict(split, _pair_outputs(gnn, s_or_spec, x, y), x, y, tol)
 
 
 def sample_pair_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
@@ -178,35 +221,6 @@ def sample_pair_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
     return x, y
 
 
-def _filter_outputs(bank: Bank, spec: Spectrum, x: np.ndarray) -> np.ndarray:
-    """Per-filter outputs through the eigenbasis, shape (F, n).
-
-    FIR filters are evaluated via their frequency response on the spectrum,
-    which matches the shift-domain path to working precision and keeps this
-    module independent of the support matrix. Mixed banks are fine; each
-    filter dispatches on its own type.
-    """
-    xt = x @ spec.eigenvectors
-    rows = []
-    for f in _bank_items(bank):
-        gains = f.response if isinstance(f, SpectralFilter) else \
-            freq_response(f, spec.eigenvalues)
-        rows.append((xt * gains) @ spec.eigenvectors.T)
-    return np.stack(rows)
-
-
-def _high_response_flags(bank: Bank, spec: Spectrum, k: int) -> np.ndarray:
-    """Which filters respond above the index-k cutoff."""
-    flags = []
-    for f in _bank_items(bank):
-        if isinstance(f, SpectralFilter):
-            flags.append(bool(np.any(f.response[k:] != 0.0)))
-        else:
-            flags.append(bool(np.any(np.abs(freq_response(f, spec.eigenvalues[k:]))
-                                     > FIR_ZERO_HIGH_TOL)))
-    return np.array(flags, dtype=bool)
-
-
 def secant_report(gnn: SingleLayerGnn, spec: Spectrum, x: np.ndarray,
                   y: np.ndarray, cutoff_k: int) -> SecantReport:
     """Secants of the nonlinearity between the two filter outputs, per node.
@@ -216,21 +230,12 @@ def secant_report(gnn: SingleLayerGnn, spec: Spectrum, x: np.ndarray,
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    fx = _filter_outputs(gnn.bank, spec, x)
-    fy = _filter_outputs(gnn.bank, spec, y)
-    diff = fx - fy
-    equal = np.abs(diff) < SECANT_EQUAL_POINTS
-    safe = np.where(equal, 1.0, diff)
-    secants = np.where(
-        equal,
-        gnn.sigma.derivative(fx),
-        (gnn.sigma.eval(fx) - gnn.sigma.eval(fy)) / safe,
-    )
-    max_dev = np.max(np.abs(secants - secants.mean(axis=1, keepdims=True)), axis=1)
+    secants, max_dev = _secants(gnn.sigma, _pair_outputs(gnn, spec, x, y))
     return SecantReport(
         secants=secants,
         max_deviation=max_dev,
-        high_response_nonzero=_high_response_flags(gnn.bank, spec, cutoff_k),
+        high_response_nonzero=_high_response_flags(
+            gnn.bank, spectral_gains(gnn.bank, spec), cutoff_k),
     )
 
 
@@ -285,14 +290,7 @@ def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectr
             "the lowest eigenvector must be entrywise positive for the "
             "all-positive construction (is the graph connected?)"
         )
-    gains_v1 = []
-    bank = gnn.bank
-    items = bank.filters if hasattr(bank, "filters") else bank
-    for f in items:
-        if isinstance(f, SpectralFilter):
-            gains_v1.append(float(f.response[0]))
-        else:
-            gains_v1.append(float(freq_response(f, spec.eigenvalues[0])))
+    gains_v1 = [float(g[0]) for g in spectral_gains(gnn.bank, spec)]
     if min(gains_v1) <= 1e-12:
         raise ConfigurationError(
             "every filter needs a positive gain on the lowest mode to "
@@ -300,8 +298,8 @@ def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectr
         )
 
     x0, y0 = sample_pair_in_d_h(split, rng, scale)
-    fx = _filter_outputs(bank, spec, x0)
-    fy = _filter_outputs(bank, spec, y0)
+    fx = bank_forward(gnn.bank, spec, x0)
+    fy = bank_forward(gnn.bank, spec, y0)
     v1_min = float(np.min(v1))
     shift = 0.0
     for gain, ax, ay in zip(gains_v1, fx, fy):
@@ -310,27 +308,19 @@ def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectr
     return x0 + shift * v1, y0 + shift * v1
 
 
-def _require_zero_high(f, spec: Spectrum, k: int, role: str) -> None:
-    """Check a filter is (exactly or numerically) zero above the cutoff."""
-    if isinstance(f, SpectralFilter):
-        if np.any(f.response[k:] != 0.0):
-            raise ConfigurationError(f"{role} must be exactly zero above the cutoff")
-    else:
-        high = np.abs(freq_response(f, spec.eigenvalues[k:]))
-        if np.any(high > FIR_ZERO_HIGH_TOL):
-            raise ConfigurationError(
-                f"{role} must vanish above the cutoff; max response there "
-                f"is {float(np.max(high)):.3e}"
-            )
+def _require_zero_high(f, gains: np.ndarray, k: int, role: str) -> None:
+    """Reject a filter that responds above the cutoff; warn if it is FIR."""
+    peak = float(np.max(np.abs(gains[k:])))
+    if _responds_high(f, gains[k:]):
+        raise ConfigurationError(
+            f"{role} must vanish above the cutoff; max response there is {peak:.3e}"
+        )
+    if not isinstance(f, SpectralFilter):
         warnings.warn(
             f"{role} is an FIR filter; its response above the cutoff is only "
-            f"numerically zero (max {float(np.max(high)):.3e})",
+            f"numerically zero (max {peak:.3e})",
             stacklevel=3,
         )
-
-
-def _bank_items(bank: Bank):
-    return bank.filters if hasattr(bank, "filters") else bank
 
 
 # ---------------------------------------------------------------------------
@@ -384,38 +374,63 @@ def _sample_pair_not_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
     raise NumericalError("could not sample a discriminable pair in 100 tries")
 
 
-def verify_theorem1(spec: Spectrum, split: SubspaceSplit, bank: Bank,
-                    sigma: Nonlinearity, trials: int, rng: np.random.Generator,
-                    tol: float = DEFAULT_TOL) -> Theorem1Report:
-    """Sample pairs the bank discriminates; count any the GNN does not.
-
-    Requires the first filter of the bank to vanish above the cutoff and a
-    strictly monotone Lipschitz nonlinearity. The expected counterexample
-    count is zero.
-    """
-    items = _bank_items(bank)
-    _require_zero_high(items[0], spec, split.k, "the first filter")
-    if not sigma.strictly_monotone:
-        raise ConfigurationError("the nonlinearity must be strictly monotone")
-    gnn = SingleLayerGnn(bank=bank, sigma=sigma)
-
-    rows = []
-    counterexamples = 0
+def _mixed_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
+                 tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """By trial % 3: a pair inside D_H, a pair outside it, an identical pair."""
+    pairs = []
     for trial in range(trials):
-        x, y = _sample_pair_not_in_d_h(split, rng, tol)
-        verdict = pair_in_d_phi(split, gnn, spec, x, y, tol)
-        srep = secant_report(gnn, spec, x, y, split.k)
-        if verdict.in_d_phi:
-            counterexamples += 1
+        mode = trial % 3
+        if mode == 0:
+            pairs.append(sample_pair_in_d_h(split, rng))
+        elif mode == 1:
+            pairs.append(_sample_pair_not_in_d_h(split, rng, tol))
+        else:
+            x = rng.standard_normal(split.n)
+            pairs.append((x, x.copy()))
+    return pairs
+
+
+def _run_trials(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
+                pairs: list[tuple[np.ndarray, np.ndarray]],
+                tol: float) -> tuple[list[TrialRow], list[np.ndarray]]:
+    """Filter, activate and judge each pair once.
+
+    Returns one TrialRow per pair and, per pair, each filter's max secant
+    deviation, shape (F,).
+    """
+    rows, deviations = [], []
+    for trial, (x, y) in enumerate(pairs):
+        out = _pair_outputs(gnn, spec, x, y)
+        verdict = _pair_verdict(split, out, x, y, tol)
+        max_dev = _secants(gnn.sigma, out)[1]
         rows.append(TrialRow(
             trial=trial,
             in_d_h=verdict.in_d_h,
             in_d_phi=verdict.in_d_phi,
             residual_low_filter=verdict.residual_low_filter,
             residual_low_gnn=verdict.residual_low_gnn,
-            max_secant_deviation=float(np.max(srep.max_deviation)),
+            max_secant_deviation=float(np.max(max_dev)),
         ))
-    return Theorem1Report(trials=trials, counterexamples=counterexamples, rows=rows)
+        deviations.append(max_dev)
+    return rows, deviations
+
+
+def verify_theorem1(spec: Spectrum, split: SubspaceSplit, bank: Bank,
+                    sigma: Nonlinearity, trials: int, rng: np.random.Generator,
+                    tol: float = DEFAULT_TOL) -> Theorem1Report:
+    """Sample pairs the bank discriminates; count any the GNN does not.
+
+    Requires the first filter of the bank to vanish above the cutoff; every
+    Nonlinearity kind is strictly monotone and 1-Lipschitz, as the theorem
+    asks. The expected counterexample count is zero.
+    """
+    _require_zero_high(bank_filters(bank)[0], spectral_gains(bank, spec)[0], split.k,
+                       "the first filter")
+    gnn = SingleLayerGnn(bank=bank, sigma=sigma)
+    pairs = [_sample_pair_not_in_d_h(split, rng, tol) for _ in range(trials)]
+    rows, _ = _run_trials(spec, split, gnn, pairs, tol)
+    return Theorem1Report(trials=trials, counterexamples=sum(r.in_d_phi for r in rows),
+                          rows=rows)
 
 
 def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
@@ -430,39 +445,28 @@ def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
     cutoff. Reports the agreement rate and the worst margin by which a
     trial cleared its decision thresholds.
     """
-    items = _bank_items(gnn.bank)
-    if len(items) < 2:
+    filters = bank_filters(gnn.bank)
+    if len(filters) < 2:
         raise ConfigurationError("the biconditional needs at least two filters")
-    _require_zero_high(items[0], spec, split.k, "the first filter")
+    gains = spectral_gains(gnn.bank, spec)
+    _require_zero_high(filters[0], gains[0], split.k, "the first filter")
+    high = _high_response_flags(gnn.bank, gains, split.k)
 
-    rows = []
+    pairs = [sample_pair_in_d_h(split, rng) for _ in range(trials)]
+    rows, deviations = _run_trials(spec, split, gnn, pairs, tol)
     agreements = 0
     discriminated = 0
     worst_margin = math.inf
-    for trial in range(trials):
-        x, y = sample_pair_in_d_h(split, rng)
-        verdict = pair_in_d_phi(split, gnn, spec, x, y, tol)
-        srep = secant_report(gnn, spec, x, y, split.k)
-        considered = srep.max_deviation[srep.high_response_nonzero]
-        constant = bool(np.all(considered <= tol_secant)) if considered.size else True
-        if verdict.in_d_phi == constant:
-            agreements += 1
-        if not verdict.in_d_phi:
-            discriminated += 1
+    for row, max_dev, (x, y) in zip(rows, deviations, pairs):
+        considered = max_dev[high]
+        constant = bool(np.all(considered <= tol_secant))
+        agreements += row.in_d_phi == constant
+        discriminated += not row.in_d_phi
 
-        scale = _pair_scale(x, y)
-        margin_phi = abs(verdict.residual_low_gnn / scale - tol)
+        margin_phi = abs(row.residual_low_gnn / _pair_scale(x, y) - tol)
         margin_sec = (float(np.min(np.abs(considered - tol_secant)))
                       if considered.size else math.inf)
         worst_margin = min(worst_margin, margin_phi, margin_sec)
-        rows.append(TrialRow(
-            trial=trial,
-            in_d_h=verdict.in_d_h,
-            in_d_phi=verdict.in_d_phi,
-            residual_low_filter=verdict.residual_low_filter,
-            residual_low_gnn=verdict.residual_low_gnn,
-            max_secant_deviation=float(np.max(srep.max_deviation)),
-        ))
     return Theorem2Report(
         trials=trials,
         agreements=agreements,
@@ -482,58 +486,52 @@ def verify_corollary1(spec: Spectrum, split: SubspaceSplit, bank: Bank,
     Trials alternate between pairs inside the bank-nondiscriminable set,
     generic pairs outside it, and identical pairs.
     """
-    items = _bank_items(bank)
-    for idx, f in enumerate(items):
-        _require_zero_high(f, spec, split.k, f"filter {idx}")
+    for idx, (f, gains) in enumerate(zip(bank_filters(bank), spectral_gains(bank, spec))):
+        _require_zero_high(f, gains, split.k, f"filter {idx}")
     gnn = SingleLayerGnn(bank=bank, sigma=sigma)
-
-    rows = []
-    mismatches = 0
-    for trial in range(trials):
-        mode = trial % 3
-        if mode == 0:
-            x, y = sample_pair_in_d_h(split, rng)
-        elif mode == 1:
-            x, y = _sample_pair_not_in_d_h(split, rng, tol)
-        else:
-            x = rng.standard_normal(split.n)
-            y = x.copy()
-        verdict = pair_in_d_phi(split, gnn, spec, x, y, tol)
-        srep = secant_report(gnn, spec, x, y, split.k)
-        if verdict.in_d_h != verdict.in_d_phi:
-            mismatches += 1
-        rows.append(TrialRow(
-            trial=trial,
-            in_d_h=verdict.in_d_h,
-            in_d_phi=verdict.in_d_phi,
-            residual_low_filter=verdict.residual_low_filter,
-            residual_low_gnn=verdict.residual_low_gnn,
-            max_secant_deviation=float(np.max(srep.max_deviation)),
-        ))
-    return Corollary1Report(trials=trials, verdict_mismatches=mismatches, rows=rows)
+    rows, _ = _run_trials(spec, split, gnn, _mixed_pairs(split, rng, trials, tol), tol)
+    return Corollary1Report(trials=trials,
+                            verdict_mismatches=sum(r.in_d_h != r.in_d_phi for r in rows),
+                            rows=rows)
 
 
-def _tanh_secant_offset(a: float, b: float) -> float | None:
-    """Nonzero e with tanh(a) - tanh(a - e) = b * e, or None if none exists.
+def _tanh_secant_offsets(a: np.ndarray, b: float) -> np.ndarray:
+    """Per entry of a, an offset e with tanh(a) - tanh(a - e) = b * e, else NaN.
 
-    a is a filter output at one node and b the prescribed secant. The
-    trivial root e = 0 is excluded; the search brackets sign changes of the
-    defect on a symmetric grid sized from |e| <= 2/b.
+    a holds the filter outputs at the nodes and b is the prescribed secant.
+    The search runs on the secant minus b, which, unlike the defect
+    tanh(a) - tanh(a - e) - b * e, has no trivial root at e = 0. As
+    tanh(a) - tanh(a - e) = tanh(e) sech(a)^2 / (1 - tanh(a) tanh(e)), the
+    secant minus b has the sign of
+    tanh(a) e - e / tanh(e) + sech(a)^2 / b, where e / tanh(e) is 1 at e = 0.
+    Every root has |e| < 2/b: the first sign change on a symmetric grid of
+    that extent is bracketed, and the bracket is narrowed by evaluating a
+    finer grid inside it, for all nodes at once.
     """
+    a = np.asarray(a, dtype=np.float64)[:, None]
+    tanh_a = np.tanh(a)
+    floor = -1.0 / (b * np.cosh(a) ** 2)
+    nodes = np.arange(a.shape[0])
+
+    def first_crossing(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per node, the first cell of e where the secant crosses b, and
+        whether there is one."""
+        value = tanh_a * e
+        value -= np.divide(e, np.tanh(e), out=np.ones(e.shape), where=e != 0.0)
+        above = value > floor
+        flips = above[:, :-1] != above[:, 1:]
+        cell = np.argmax(flips, axis=1)
+        return cell, flips[nodes, cell]
+
     extent = 2.0 / b + 1.0
-    grid = np.linspace(-extent, extent, 8001)
-    g = math.tanh(a) - np.tanh(a - grid) - b * grid
-    signs = np.sign(g)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    zero_cell = int(np.searchsorted(grid, 0.0)) - 1
-    for idx in flips:
-        if idx == zero_cell:
-            continue  # brackets the trivial root
-        lo, hi = grid[idx], grid[idx + 1]
-        root = brentq(lambda e: math.tanh(a) - math.tanh(a - e) - b * e, lo, hi)
-        if abs(root) > 1e-9:
-            return float(root)
-    return None
+    grid = np.linspace(-extent, extent, SECANT_GRID_POINTS)
+    cell, found = first_crossing(grid[None, :])
+    lo, hi = grid[cell], grid[cell + 1]
+    for _ in range(REFINE_ROUNDS):
+        e = np.linspace(lo, hi, REFINE_POINTS, axis=1)
+        cell, _ = first_crossing(e)
+        lo, hi = e[nodes, cell], e[nodes, cell + 1]
+    return np.where(found, 0.5 * (lo + hi), np.nan)
 
 
 def overdetermined_probe(spec: Spectrum, split: SubspaceSplit,
@@ -548,21 +546,16 @@ def overdetermined_probe(spec: Spectrum, split: SubspaceSplit,
     nonzero offset at all, which rules out a constant-secant signal even
     more directly.
     """
-    flags = _high_response_flags(gnn.bank, spec, split.k)
+    flags = _high_response_flags(gnn.bank, spectral_gains(gnn.bank, spec), split.k)
     if not np.any(flags):
         raise ConfigurationError("the probe needs a filter with nonzero high response")
     f_idx = int(np.argmax(flags))
 
     x = rng.standard_normal(split.n)
     b = float(rng.uniform(0.0, 1.0))
-    outputs = _filter_outputs(gnn.bank, spec, x)[f_idx]
-
-    targets = np.empty(split.n)
-    for i, a in enumerate(outputs):
-        root = _tanh_secant_offset(float(a), b)
-        if root is None:
-            return math.inf
-        targets[i] = root
+    targets = _tanh_secant_offsets(bank_forward(gnn.bank, spec, x)[f_idx], b)
+    if np.any(np.isnan(targets)):
+        return math.inf
 
     basis = split.v_high                              # (n, n-k)
     gram = basis.T @ basis
@@ -586,42 +579,16 @@ def verify_corollary2(spec: Spectrum, split: SubspaceSplit,
         raise ConfigurationError("the corollary needs more than one unprotected mode")
     if gnn.sigma.kind != "tanh":
         raise ConfigurationError("the corollary is specific to tanh")
-    if not np.any(_high_response_flags(gnn.bank, spec, split.k)):
+    if not np.any(_high_response_flags(gnn.bank, spectral_gains(gnn.bank, spec), split.k)):
         raise ConfigurationError("need at least one filter with nonzero high response")
 
-    rows = []
-    subset_violations = 0
-    witnesses = 0
-    for trial in range(trials):
-        mode = trial % 3
-        if mode == 2:
-            x = rng.standard_normal(split.n)
-            y = x.copy()
-        elif mode == 1:
-            x, y = _sample_pair_not_in_d_h(split, rng, tol)
-        else:
-            x, y = sample_pair_in_d_h(split, rng)
-        verdict = pair_in_d_phi(split, gnn, spec, x, y, tol)
-        srep = secant_report(gnn, spec, x, y, split.k)
-        if verdict.in_d_phi and not verdict.in_d_h:
-            subset_violations += 1
-        if verdict.in_d_h and not verdict.in_d_phi:
-            witnesses += 1
-        rows.append(TrialRow(
-            trial=trial,
-            in_d_h=verdict.in_d_h,
-            in_d_phi=verdict.in_d_phi,
-            residual_low_filter=verdict.residual_low_filter,
-            residual_low_gnn=verdict.residual_low_gnn,
-            max_secant_deviation=float(np.max(srep.max_deviation)),
-        ))
-
+    rows, _ = _run_trials(spec, split, gnn, _mixed_pairs(split, rng, trials, tol), tol)
     residuals = np.array([overdetermined_probe(spec, split, gnn, rng)
                           for _ in range(probe_draws)])
     return Corollary2Report(
         trials=trials,
-        subset_violations=subset_violations,
-        strictness_witnesses=witnesses,
+        subset_violations=sum(r.in_d_phi and not r.in_d_h for r in rows),
+        strictness_witnesses=sum(r.in_d_h and not r.in_d_phi for r in rows),
         probe_draws=probe_draws,
         probe_above_threshold=int(np.sum(residuals > 1e-6)),
         probe_residuals=residuals,

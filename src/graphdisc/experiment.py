@@ -215,8 +215,8 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
     histories = {}
     models = {}
     for name in MODEL_NAMES:
-        model = init_model(config.features, config.taps, Nonlinearity.tanh(),
-                           use_nonlinearity=(name == "gnn"), seed=init_seed)
+        sigma = Nonlinearity.tanh() if name == "gnn" else Nonlinearity.identity()
+        model = init_model(config.features, config.taps, sigma, seed=init_seed)
         if init_taps is not None:
             if init_taps.shape != model.taps.shape:
                 raise ShapeError(

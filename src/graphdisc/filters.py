@@ -174,19 +174,14 @@ def zero_high_response(spec: Spectrum, k: int, low_profile: np.ndarray) -> Spect
     return SpectralFilter(response=response)
 
 
-def save_bank(bank: FilterBank, path: str) -> None:
-    """Write a bank as text: `F K+1` then one tap line per filter."""
-    lines = [f"{bank.size} {bank.filters[0].taps.size}"]
-    for f in bank.filters:
-        lines.append(" ".join(f"{t:.17g}" for t in f.taps))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def bank_lines(bank: FilterBank) -> list[str]:
+    """The bank text format: `F K+1`, then one tap line per filter."""
+    return [f"{bank.size} {bank.filters[0].taps.size}"] + [
+        " ".join(f"{t:.17g}" for t in f.taps) for f in bank.filters]
 
 
-def load_bank(path: str) -> FilterBank:
-    """Inverse of save_bank."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
+def bank_from_lines(lines: list[str], path: str) -> tuple[FilterBank, int]:
+    """Parse the bank at the head of lines; returns it and the lines it used."""
     n_filters, n_taps = (int(t) for t in lines[0].split())
     filters = []
     for ln in lines[1:1 + n_filters]:
@@ -194,4 +189,26 @@ def load_bank(path: str) -> FilterBank:
         if taps.size != n_taps:
             raise ConfigurationError(f"expected {n_taps} taps per line in {path}")
         filters.append(FirFilter(taps))
-    return FilterBank(filters=tuple(filters))
+    return FilterBank(filters=tuple(filters)), 1 + n_filters
+
+
+def read_lines(path: str) -> list[str]:
+    """The nonblank lines of a text file."""
+    with open(path) as fh:
+        return [ln for ln in fh.read().split("\n") if ln.strip()]
+
+
+def write_lines(path: str, lines: list[str]) -> None:
+    """Write lines as text, each ending in a newline."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def save_bank(bank: FilterBank, path: str) -> None:
+    """Write a bank as text: `F K+1` then one tap line per filter."""
+    write_lines(path, bank_lines(bank))
+
+
+def load_bank(path: str) -> FilterBank:
+    """Inverse of save_bank."""
+    return bank_from_lines(read_lines(path), path)[0]

@@ -13,7 +13,16 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .filters import FilterBank, SpectralFilter, apply_fir, apply_spectral
+from .filters import (
+    FilterBank,
+    SpectralFilter,
+    apply_fir,
+    bank_from_lines,
+    bank_lines,
+    freq_response,
+    read_lines,
+    write_lines,
+)
 from .graphs import SupportMatrix, _frozen
 from .spectral import Spectrum
 
@@ -26,7 +35,8 @@ class Nonlinearity:
 
     kind is "tanh", "identity", or "leaky_rectifier"; slope only applies to
     the leaky rectifier and must lie in (0, 1) so the function stays
-    strictly monotone.
+    strictly monotone. The identity's eval returns its float64 input array
+    itself, not a copy.
     """
 
     kind: str
@@ -57,7 +67,7 @@ class Nonlinearity:
         if self.kind == "tanh":
             return np.tanh(t)
         if self.kind == "identity":
-            return t.copy() if t.ndim else t
+            return t
         return np.where(t >= 0.0, t, self.slope * t)
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
@@ -67,14 +77,6 @@ class Nonlinearity:
         if self.kind == "identity":
             return np.ones_like(t)
         return np.where(t >= 0.0, 1.0, self.slope)
-
-    @property
-    def lipschitz_constant(self) -> float:
-        return 1.0
-
-    @property
-    def strictly_monotone(self) -> bool:
-        return True
 
     def descriptor(self) -> str:
         if self.kind == "leaky_rectifier":
@@ -104,7 +106,7 @@ class SingleLayerGnn:
 
     @property
     def size(self) -> int:
-        return self.bank.size if isinstance(self.bank, FilterBank) else len(self.bank)
+        return len(bank_filters(self.bank))
 
 
 @dataclass(frozen=True)
@@ -120,16 +122,44 @@ class Readout:
         object.__setattr__(self, "weights", _frozen(weights))
 
 
+def bank_filters(bank: Bank) -> tuple:
+    """The filters of a bank, whether a FilterBank or a plain sequence."""
+    return bank.filters if isinstance(bank, FilterBank) else tuple(bank)
+
+
+def spectral_gains(bank: Bank, spec: Spectrum) -> list[np.ndarray]:
+    """Each filter's response on the eigenvalues of spec, one (n,) array each.
+
+    A SpectralFilter gives its prescribed gains and an FIR filter its
+    polynomial evaluated at the eigenvalues.
+    """
+    return [f.response if isinstance(f, SpectralFilter) else
+            freq_response(f, spec.eigenvalues) for f in bank_filters(bank)]
+
+
 def bank_forward(bank: Bank, s_or_spec, x: np.ndarray) -> np.ndarray:
-    """Stack of F filtered signals, shape (F, n); no nonlinearity."""
+    """Stack of F filtered signals, shape (F, n); no nonlinearity.
+
+    Through a SupportMatrix an FIR FilterBank is applied in the shift
+    domain. Through a Spectrum any mix of FIR and spectral filters is
+    applied in the eigenbasis, V diag(gains) V^T x per filter.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(bank, FilterBank):
-        if not isinstance(s_or_spec, SupportMatrix):
-            raise ConfigurationError("an FIR bank is applied through a SupportMatrix")
+    if isinstance(s_or_spec, SupportMatrix):
+        if not isinstance(bank, FilterBank):
+            raise ConfigurationError("a spectral bank is applied through a Spectrum")
         return np.stack([apply_fir(f, s_or_spec, x) for f in bank.filters])
     if not isinstance(s_or_spec, Spectrum):
-        raise ConfigurationError("a spectral bank is applied through a Spectrum")
-    return np.stack([apply_spectral(f, s_or_spec, x) for f in bank])
+        raise ConfigurationError("a bank is applied through a SupportMatrix or a Spectrum")
+    spec = s_or_spec
+    if x.shape[-1] != spec.n:
+        raise ShapeError(f"signal has length {x.shape[-1]}, basis is {spec.n}")
+    gains = spectral_gains(bank, spec)
+    if any(g.shape[0] != spec.n for g in gains):
+        raise ShapeError(f"a spectral response does not match the basis size {spec.n}")
+    xt = x @ spec.eigenvectors
+    # one product per filter: a single stacked matmul rounds differently
+    return np.stack([(xt * g) @ spec.eigenvectors.T for g in gains])
 
 
 def gnn_forward(gnn: SingleLayerGnn, s_or_spec, x: np.ndarray) -> np.ndarray:
@@ -149,28 +179,14 @@ def readout_apply(r: Readout, features: np.ndarray) -> np.ndarray:
 
 def save_model(bank: FilterBank, readout: Readout, sigma: Nonlinearity, path: str) -> None:
     """Bank text format plus one readout line and one sigma descriptor line."""
-    lines = [f"{bank.size} {bank.filters[0].taps.size}"]
-    for f in bank.filters:
-        lines.append(" ".join(f"{t:.17g}" for t in f.taps))
-    lines.append(" ".join(f"{w:.17g}" for w in readout.weights))
-    lines.append(sigma.descriptor())
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, bank_lines(bank)
+                + [" ".join(f"{w:.17g}" for w in readout.weights), sigma.descriptor()])
 
 
 def load_model(path: str) -> tuple[FilterBank, Readout, Nonlinearity]:
     """Inverse of save_model."""
-    from .filters import FirFilter
-
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
-    n_filters, n_taps = (int(t) for t in lines[0].split())
-    filters = tuple(
-        FirFilter(np.array([float(t) for t in ln.split()]))
-        for ln in lines[1:1 + n_filters]
-    )
-    if any(f.taps.size != n_taps for f in filters):
-        raise ConfigurationError(f"inconsistent tap counts in {path}")
-    readout = Readout(np.array([float(t) for t in lines[1 + n_filters].split()]))
-    sigma = Nonlinearity.from_descriptor(lines[2 + n_filters])
-    return FilterBank(filters=filters), readout, sigma
+    lines = read_lines(path)
+    bank, used = bank_from_lines(lines, path)
+    readout = Readout(np.array([float(t) for t in lines[used].split()]))
+    sigma = Nonlinearity.from_descriptor(lines[used + 1])
+    return bank, readout, sigma

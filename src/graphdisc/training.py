@@ -1,8 +1,8 @@
 """Loss, integral-Lipschitz regularization, analytic gradients, Adam.
 
-The trainable object is a bank of FIR taps plus a single-tap readout; with
-the nonlinearity enabled it is the single-layer GNN, without it the plain
-filter bank. Gradients are fully analytic: the readout gradient comes from
+The trainable object is a bank of FIR taps, an entrywise activation and a
+single-tap readout; with tanh it is the single-layer GNN, with the identity
+activation the plain filter bank. Gradients are fully analytic: the readout gradient comes from
 feature inner products, the tap gradients from cached shift powers, and the
 regularizer contributes a subgradient at the grid point where the
 integral-Lipschitz constant is attained.
@@ -31,11 +31,9 @@ class TrainableModel:
     taps: np.ndarray
     readout: np.ndarray
     sigma: Nonlinearity
-    use_nonlinearity: bool
 
     def copy(self) -> "TrainableModel":
-        return TrainableModel(self.taps.copy(), self.readout.copy(),
-                              self.sigma, self.use_nonlinearity)
+        return TrainableModel(self.taps.copy(), self.readout.copy(), self.sigma)
 
     def bank(self) -> FilterBank:
         return FilterBank(filters=tuple(FirFilter(row) for row in self.taps))
@@ -66,14 +64,13 @@ class AdamState:
 
 
 def init_model(n_features: int, n_taps: int, sigma: Nonlinearity,
-               use_nonlinearity: bool, seed: int) -> TrainableModel:
+               seed: int) -> TrainableModel:
     """Per-layer fan-in init: taps uniform on +-1/sqrt(K+1), readout on
     +-1/sqrt(F)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     taps = rng.uniform(-1.0, 1.0, size=(n_features, n_taps)) / np.sqrt(n_taps)
     readout = rng.uniform(-1.0, 1.0, size=n_features) / np.sqrt(n_features)
-    return TrainableModel(taps=taps, readout=readout, sigma=sigma,
-                          use_nonlinearity=use_nonlinearity)
+    return TrainableModel(taps=taps, readout=readout, sigma=sigma)
 
 
 def init_adam(params: list[np.ndarray], learning_rate: float,
@@ -163,7 +160,7 @@ def model_forward(model: TrainableModel, s: SupportMatrix,
     for k in range(1, n_taps):
         powers[k] = powers[k - 1] @ s.entries.T
     pre = np.einsum("fk,kbn->fbn", model.taps, powers)
-    features = model.sigma.eval(pre) if model.use_nonlinearity else pre
+    features = model.sigma.eval(pre)
     pred = np.einsum("f,fbn->bn", model.readout, features)
     return ForwardCache(powers, pre, features, pred)
 
@@ -187,11 +184,8 @@ def model_backward(model: TrainableModel, s: SupportMatrix, x: np.ndarray,
     mse, dpred = mse_loss(cache.pred, target)
 
     grad_readout = np.einsum("bn,fbn->f", dpred, cache.features)
-    dfeat = model.readout[:, None, None] * dpred[None, :, :]
-    if model.use_nonlinearity:
-        dpre = dfeat * model.sigma.derivative(cache.pre_activations)
-    else:
-        dpre = dfeat
+    dpre = model.readout[:, None, None] * dpred[None, :, :]
+    dpre *= model.sigma.derivative(cache.pre_activations)  # in place: one array fewer
     grad_taps = np.einsum("fbn,kbn->fk", dpre, cache.shift_powers)
 
     reg, reg_grad = il_regularizer(model.taps, lam_max, il_weight)

@@ -190,9 +190,10 @@ class TestCriterion6Gradients:
             s = normalize_support(laplacian(g))
             sigma = [Nonlinearity.tanh(), Nonlinearity.identity(),
                      Nonlinearity.leaky_rectifier(0.2)][trial % 3]
+            if trial % 4 == 0:
+                sigma = Nonlinearity.identity()
             model = init_model(int(rng.integers(1, 5)), int(rng.integers(1, 4)),
-                               sigma, use_nonlinearity=(trial % 4 != 0),
-                               seed=trial)
+                               sigma, seed=trial)
             x = rng.standard_normal((4, n))
             y = np.sign(rng.standard_normal((4, n)))
             il_weight = 0.01 if trial % 2 else 0.0

@@ -132,6 +132,13 @@ class TestVerifyCommand:
         assert (out / "cor2_probe_g0.csv").exists()
         assert "verification passed" in capsys.readouterr().out
 
+    def test_corollary2_seed_17_passes(self, tmp_path, capsys):
+        # the probe's root search once raised on this seed
+        code = main(["verify", "--theorem", "cor2", "--graphs", "1",
+                     "--trials", "200", "--seed", "17", "--out", str(tmp_path)])
+        assert code == 0
+        assert "verification passed" in capsys.readouterr().out
+
     def test_single_suite(self, tmp_path, capsys):
         out = tmp_path / "verify"
         code = main(["verify", "--theorem", "1", "--trials", "20",

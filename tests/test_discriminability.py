@@ -210,7 +210,7 @@ class TestSecantReport:
                 x, y = rng.standard_normal((2, N))
                 report = disc.secant_report(gnn, spec, x, y, K)
                 assert np.all(report.secants > 0.0)
-                assert np.all(report.secants <= sigma.lipschitz_constant + 1e-12)
+                assert np.all(report.secants <= 1.0 + 1e-12)
 
 
 class TestVerifyTheorem1:
@@ -363,16 +363,28 @@ class TestVerifyCorollary2:
 class TestTanhSecantOffset:
     def test_root_solves_equation(self):
         for a, b in ((0.3, 0.5), (-1.2, 0.2), (0.0, 0.7), (2.0, 0.1)):
-            root = disc._tanh_secant_offset(a, b)
-            assert root is not None
+            root = disc._tanh_secant_offsets(np.array([a]), b)[0]
+            assert not math.isnan(root)
             assert abs(root) > 1e-9
             assert math.tanh(a) - math.tanh(a - root) - b * root == pytest.approx(
                 0.0, abs=1e-10)
 
-    def test_unreachable_secant_returns_none(self):
+    def test_unreachable_secant_returns_nan(self):
         # at a = 2 the largest secant reachable with a nonzero offset stays
-        # well below 0.99
-        assert disc._tanh_secant_offset(2.0, 0.99) is None
+        # well below 0.99, while at a = 0.1 the secant 0.99 is reachable
+        roots = disc._tanh_secant_offsets(np.array([2.0, 0.1]), 0.99)
+        assert math.isnan(roots[0])
+        assert not math.isnan(roots[1])
+
+    def test_root_near_zero_offset(self):
+        # b just below the derivative 1 - tanh(a)^2 puts a genuine root
+        # close to e = 0, inside the grid cell around zero
+        a = 0.4
+        b = (1.0 - math.tanh(a) ** 2) * (1.0 - 1e-6)
+        root = disc._tanh_secant_offsets(np.array([a]), b)[0]
+        assert 0.0 < abs(root) < 1e-3
+        assert math.tanh(a) - math.tanh(a - root) - b * root == pytest.approx(
+            0.0, abs=1e-14)
 
 
 class TestTrialCsv:

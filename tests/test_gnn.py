@@ -43,13 +43,12 @@ class TestNonlinearity:
         for _ in range(20):
             u, v = rng.standard_normal((2, 15)) * 3
             lhs = np.linalg.norm(sigma.eval(u) - sigma.eval(v))
-            assert lhs <= sigma.lipschitz_constant * np.linalg.norm(u - v) + 1e-12
+            assert lhs <= np.linalg.norm(u - v) + 1e-12
 
     @pytest.mark.parametrize("sigma", ALL_SIGMAS, ids=lambda s: s.descriptor())
     def test_strictly_monotone(self, sigma):
         t = np.linspace(-4, 4, 101)
         assert np.all(np.diff(sigma.eval(t)) > 0)
-        assert sigma.strictly_monotone
 
     def test_entrywise(self):
         sigma = Nonlinearity.tanh()
@@ -91,6 +90,14 @@ class TestBankForward:
         out = bank_forward(FilterBank(filters=filters), support, x)
         for f, row in zip(filters, out):
             np.testing.assert_array_equal(row, apply_fir(f, support, x))
+
+    def test_fir_bank_through_spectrum_matches_support(self, support):
+        rng = np.random.default_rng(5)
+        bank = FilterBank(filters=tuple(FirFilter(rng.uniform(-1, 1, 4))
+                                        for _ in range(3)))
+        x = rng.standard_normal(10)
+        np.testing.assert_allclose(bank_forward(bank, eig_sym(support), x),
+                                   bank_forward(bank, support, x), atol=1e-10)
 
     def test_spectral_bank_requires_spectrum(self, support):
         sf = (SpectralFilter(np.ones(10)),)

@@ -141,7 +141,7 @@ class TestAdam:
 class TestModelBackward:
     def test_zero_readout_tap_gradients_are_regularizer_only(self, support):
         rng = np.random.default_rng(4)
-        model = init_model(3, 3, Nonlinearity.tanh(), True, seed=4)
+        model = init_model(3, 3, Nonlinearity.tanh(), seed=4)
         model.readout = np.zeros(3)
         x = rng.standard_normal((5, 12))
         y = np.sign(rng.standard_normal((5, 12)))
@@ -154,7 +154,7 @@ class TestModelBackward:
         # readout: pred = sum_f w_f x, so the gradient has a closed form
         rng = np.random.default_rng(5)
         model = TrainableModel(taps=np.ones((2, 1)), readout=rng.standard_normal(2),
-                               sigma=Nonlinearity.identity(), use_nonlinearity=True)
+                               sigma=Nonlinearity.identity())
         x = rng.standard_normal((6, 12))
         y = rng.standard_normal((6, 12))
         result = model_backward(model, support, x, y, il_weight=0.0)
@@ -174,8 +174,9 @@ class TestModelBackward:
         n_taps = int(rng.integers(1, 4))
         sigma = [Nonlinearity.tanh(), Nonlinearity.identity(),
                  Nonlinearity.leaky_rectifier(0.2)][trial % 3]
-        model = init_model(n_features, n_taps, sigma,
-                           use_nonlinearity=(trial % 4 != 0), seed=trial)
+        if trial % 4 == 0:
+            sigma = Nonlinearity.identity()
+        model = init_model(n_features, n_taps, sigma, seed=trial)
         x = rng.standard_normal((4, n))
         y = np.sign(rng.standard_normal((4, n)))
         il_weight = 0.01 if trial % 2 else 0.0
@@ -206,7 +207,7 @@ class TestTrain:
         return x, y
 
     def test_zero_epochs_returns_model_unchanged(self, support):
-        model = init_model(2, 2, Nonlinearity.tanh(), True, seed=6)
+        model = init_model(2, 2, Nonlinearity.tanh(), seed=6)
         taps_before = model.taps.copy()
         data = self.make_data(support, 20, 7)
         result = train(model, support, data, data,
@@ -219,7 +220,7 @@ class TestTrain:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((200, 12))
         y = x @ support.entries.T
-        model = init_model(2, 2, Nonlinearity.identity(), False, seed=9)
+        model = init_model(2, 2, Nonlinearity.identity(), seed=9)
         result = train(model, support, (x, y), (x[:40], y[:40]),
                        TrainConfig(epochs=5, batch_size=20, seed=1, il_weight=0.0))
         losses = [rec.train_loss for rec in result.history]
@@ -228,7 +229,7 @@ class TestTrain:
     def test_best_validation_selection(self, support):
         data = self.make_data(support, 100, 10)
         val = self.make_data(support, 30, 11)
-        model = init_model(3, 3, Nonlinearity.tanh(), True, seed=12)
+        model = init_model(3, 3, Nonlinearity.tanh(), seed=12)
         result = train(model, support, data, val,
                        TrainConfig(epochs=6, batch_size=10, seed=2))
         assert result.best_val_loss <= result.history[-1].val_loss + 1e-15
@@ -237,7 +238,7 @@ class TestTrain:
 
     def test_learning_rate_decays_per_epoch(self, support):
         data = self.make_data(support, 40, 13)
-        model = init_model(2, 2, Nonlinearity.tanh(), True, seed=14)
+        model = init_model(2, 2, Nonlinearity.tanh(), seed=14)
         result = train(model, support, data, data,
                        TrainConfig(epochs=4, batch_size=10,
                                    learning_rate=1e-3, decay=0.5, seed=3))
@@ -248,7 +249,7 @@ class TestTrain:
         data = self.make_data(support, 60, 15)
 
         def run():
-            model = init_model(2, 3, Nonlinearity.tanh(), True, seed=16)
+            model = init_model(2, 3, Nonlinearity.tanh(), seed=16)
             return train(model, support, data, data,
                          TrainConfig(epochs=3, batch_size=10, seed=4))
 
@@ -265,7 +266,7 @@ class TestTrain:
             data = self.make_data(support, 150, 20 + seed)
             constants = {}
             for weight in (0.0, 0.01):
-                model = init_model(4, 3, Nonlinearity.tanh(), True, seed=seed)
+                model = init_model(4, 3, Nonlinearity.tanh(), seed=seed)
                 result = train(model, support, data, data,
                                TrainConfig(epochs=8, batch_size=5, seed=seed,
                                            il_weight=weight))
@@ -276,7 +277,7 @@ class TestTrain:
 
 class TestForwardShapes:
     def test_forward_cache_shapes(self, support):
-        model = init_model(3, 2, Nonlinearity.tanh(), True, seed=17)
+        model = init_model(3, 2, Nonlinearity.tanh(), seed=17)
         x = np.zeros((7, 12))
         cache = model_forward(model, support, x)
         assert cache.shift_powers.shape == (2, 7, 12)
@@ -285,6 +286,6 @@ class TestForwardShapes:
         assert cache.pred.shape == (7, 12)
 
     def test_shape_error(self, support):
-        model = init_model(2, 2, Nonlinearity.tanh(), True, seed=18)
+        model = init_model(2, 2, Nonlinearity.tanh(), seed=18)
         with pytest.raises(ShapeError):
             model_forward(model, support, np.zeros((3, 11)))
