@@ -6,7 +6,6 @@ from .filters import (
     FirFilter,
     SpectralFilter,
     apply_fir,
-    apply_spectral,
     bank_il_constant,
     cutoff_frequency,
     freq_response,

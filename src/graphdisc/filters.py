@@ -111,16 +111,6 @@ def _derivative_taps(taps: np.ndarray) -> np.ndarray:
     return taps[1:] * np.arange(1, taps.size)
 
 
-def apply_spectral(sf: SpectralFilter, spec: Spectrum, x: np.ndarray) -> np.ndarray:
-    """V diag(response) V^T x."""
-    x = np.asarray(x, dtype=np.float64)
-    if sf.response.shape[0] != spec.n:
-        raise ShapeError(f"response has length {sf.response.shape[0]}, basis is {spec.n}")
-    if x.shape[-1] != spec.n:
-        raise ShapeError(f"signal has length {x.shape[-1]}, basis is {spec.n}")
-    return ((x @ spec.eigenvectors) * sf.response) @ spec.eigenvectors.T
-
-
 def response_grid(lam_max: float) -> np.ndarray:
     """The uniform evaluation grid on [0, lam_max]."""
     return np.linspace(0.0, lam_max, GRID_POINTS)
@@ -174,14 +164,18 @@ def zero_high_response(spec: Spectrum, k: int, low_profile: np.ndarray) -> Spect
     return SpectralFilter(response=response)
 
 
-def bank_lines(bank: FilterBank) -> list[str]:
-    """The bank text format: `F K+1`, then one tap line per filter."""
-    return [f"{bank.size} {bank.filters[0].taps.size}"] + [
-        " ".join(f"{t:.17g}" for t in f.taps) for f in bank.filters]
+def save_bank(bank: FilterBank, path: str) -> None:
+    """Write a bank as text: `F K+1` then one tap line per filter."""
+    lines = [f"{bank.size} {bank.filters[0].taps.size}"]
+    lines += [" ".join(f"{t:.17g}" for t in f.taps) for f in bank.filters]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def bank_from_lines(lines: list[str], path: str) -> tuple[FilterBank, int]:
-    """Parse the bank at the head of lines; returns it and the lines it used."""
+def read_bank_head(path: str) -> tuple[FilterBank, list[str]]:
+    """The bank at the head of a save_bank file and the nonblank lines after it."""
+    with open(path) as fh:
+        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
     n_filters, n_taps = (int(t) for t in lines[0].split())
     filters = []
     for ln in lines[1:1 + n_filters]:
@@ -189,26 +183,9 @@ def bank_from_lines(lines: list[str], path: str) -> tuple[FilterBank, int]:
         if taps.size != n_taps:
             raise ConfigurationError(f"expected {n_taps} taps per line in {path}")
         filters.append(FirFilter(taps))
-    return FilterBank(filters=tuple(filters)), 1 + n_filters
-
-
-def read_lines(path: str) -> list[str]:
-    """The nonblank lines of a text file."""
-    with open(path) as fh:
-        return [ln for ln in fh.read().split("\n") if ln.strip()]
-
-
-def write_lines(path: str, lines: list[str]) -> None:
-    """Write lines as text, each ending in a newline."""
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def save_bank(bank: FilterBank, path: str) -> None:
-    """Write a bank as text: `F K+1` then one tap line per filter."""
-    write_lines(path, bank_lines(bank))
+    return FilterBank(filters=tuple(filters)), lines[1 + n_filters:]
 
 
 def load_bank(path: str) -> FilterBank:
     """Inverse of save_bank."""
-    return bank_from_lines(read_lines(path), path)[0]
+    return read_bank_head(path)[0]

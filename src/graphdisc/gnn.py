@@ -17,11 +17,9 @@ from .filters import (
     FilterBank,
     SpectralFilter,
     apply_fir,
-    bank_from_lines,
-    bank_lines,
     freq_response,
-    read_lines,
-    write_lines,
+    read_bank_head,
+    save_bank,
 )
 from .graphs import SupportMatrix, _frozen
 from .spectral import Spectrum
@@ -179,14 +177,14 @@ def readout_apply(r: Readout, features: np.ndarray) -> np.ndarray:
 
 def save_model(bank: FilterBank, readout: Readout, sigma: Nonlinearity, path: str) -> None:
     """Bank text format plus one readout line and one sigma descriptor line."""
-    write_lines(path, bank_lines(bank)
-                + [" ".join(f"{w:.17g}" for w in readout.weights), sigma.descriptor()])
+    save_bank(bank, path)
+    with open(path, "a") as fh:
+        fh.write(" ".join(f"{w:.17g}" for w in readout.weights) + "\n")
+        fh.write(sigma.descriptor() + "\n")
 
 
 def load_model(path: str) -> tuple[FilterBank, Readout, Nonlinearity]:
     """Inverse of save_model."""
-    lines = read_lines(path)
-    bank, used = bank_from_lines(lines, path)
-    readout = Readout(np.array([float(t) for t in lines[used].split()]))
-    sigma = Nonlinearity.from_descriptor(lines[used + 1])
-    return bank, readout, sigma
+    bank, rest = read_bank_head(path)
+    readout = Readout(np.array([float(t) for t in rest[0].split()]))
+    return bank, readout, Nonlinearity.from_descriptor(rest[1])

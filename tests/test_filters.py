@@ -12,7 +12,6 @@ from graphdisc.filters import (
     FirFilter,
     SpectralFilter,
     apply_fir,
-    apply_spectral,
     bank_il_constant,
     cutoff_frequency,
     freq_response,
@@ -22,6 +21,7 @@ from graphdisc.filters import (
     save_bank,
     zero_high_response,
 )
+from graphdisc.gnn import bank_forward
 from graphdisc.graphs import SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym, split_subspace
 
@@ -133,6 +133,8 @@ class TestFreqResponse:
 
 
 class TestApplySpectral:
+    """One SpectralFilter applied through bank_forward."""
+
     @pytest.fixture()
     def spec(self, small_support):
         return eig_sym(small_support)
@@ -140,7 +142,7 @@ class TestApplySpectral:
     def test_all_ones_is_identity(self, spec):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(12)
-        out = apply_spectral(SpectralFilter(np.ones(12)), spec, x)
+        out = bank_forward([SpectralFilter(np.ones(12))], spec, x)[0]
         np.testing.assert_allclose(out, x, atol=1e-10)
 
     def test_matches_fir_path(self, small_support, spec):
@@ -148,7 +150,7 @@ class TestApplySpectral:
         f = FirFilter(rng.uniform(-1, 1, 4))
         x = rng.standard_normal(12)
         sf = SpectralFilter(freq_response(f, spec.eigenvalues))
-        np.testing.assert_allclose(apply_spectral(sf, spec, x),
+        np.testing.assert_allclose(bank_forward([sf], spec, x)[0],
                                    apply_fir(f, small_support, x), atol=1e-9)
 
     def test_rank_one_indicator(self, spec):
@@ -157,7 +159,7 @@ class TestApplySpectral:
         i = 4
         response = np.zeros(12)
         response[i] = 1.0
-        out = apply_spectral(SpectralFilter(response), spec, x)
+        out = bank_forward([SpectralFilter(response)], spec, x)[0]
         v = spec.eigenvectors[:, i]
         np.testing.assert_allclose(out, (v @ x) * v, atol=1e-12)
 
@@ -248,19 +250,19 @@ class TestZeroHighResponse:
 
     def test_kills_top_eigenvector(self, spec):
         sf = zero_high_response(spec, 4, np.ones(4))
-        out = apply_spectral(sf, spec, spec.eigenvectors[:, -1])
+        out = bank_forward([sf], spec, spec.eigenvectors[:, -1])[0]
         assert np.max(np.abs(out)) <= 1e-12
 
     def test_keeps_bottom_eigenvector(self, spec):
         sf = zero_high_response(spec, 4, np.ones(4))
         v1 = spec.eigenvectors[:, 0]
-        np.testing.assert_allclose(apply_spectral(sf, spec, v1), v1, atol=1e-10)
+        np.testing.assert_allclose(bank_forward([sf], spec, v1)[0], v1, atol=1e-10)
 
     def test_output_in_low_column_space(self, spec):
         sf = zero_high_response(spec, 4, np.ones(4))
         split = split_subspace(spec, 4)
         rng = np.random.default_rng(11)
-        out = apply_spectral(sf, spec, rng.standard_normal(12))
+        out = bank_forward([sf], spec, rng.standard_normal(12))[0]
         assert np.linalg.norm(split.v_high.T @ out) <= 1e-10
 
     def test_length_mismatch(self, spec):
