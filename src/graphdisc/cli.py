@@ -10,6 +10,10 @@ Subcommands:
 
 Configuration may come from a key-value text file (`key = value`, `#`
 comments); explicit flags override file values, which override the preset.
+
+An invalid input (a graphdisc.errors exception) prints one line,
+`graphdisc: error: <message>`, to stderr and exits 2; a failed verification
+or gradient check exits 1.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import discriminability as disc
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
 from .experiment import ExperimentConfig, emit_report, run_experiment
 from .filters import load_bank, save_bank
 from .gnn import Nonlinearity, Readout, load_model, save_model
@@ -53,12 +57,12 @@ def load_config_file(path: str) -> dict:
             if key not in CONFIG_KEYS:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
             field_type = ExperimentConfig.__dataclass_fields__[key].type
-            if field_type == "int":
-                values[key] = int(text)
-            elif field_type == "float":
-                values[key] = float(text)
-            else:
-                values[key] = text
+            parse = {"int": int, "float": float}.get(field_type, str)
+            try:
+                values[key] = parse(text)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: {key} expects {field_type}, got {text!r}") from None
     return values
 
 
@@ -194,6 +198,9 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, value in (("graphs", args.graphs), ("trials", args.trials)):
+        if value < 1:
+            raise ConfigurationError(f"--{flag} must be at least 1, got {value}")
     os.makedirs(args.out, exist_ok=True)
     suites = VERIFY_SUITES.values() if args.theorem == "all" else [VERIFY_SUITES[args.theorem]]
     failed = False
@@ -335,7 +342,11 @@ def main(argv: list[str] | None = None) -> int:
     grad.set_defaults(func=cmd_gradcheck)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigurationError, ShapeError, DegenerateInputError, NumericalError) as exc:
+        print(f"graphdisc: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

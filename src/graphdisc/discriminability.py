@@ -535,22 +535,18 @@ def _tanh_secant_offsets(a: np.ndarray, b: float) -> np.ndarray:
 
 
 def overdetermined_probe(spec: Spectrum, split: SubspaceSplit,
-                         gnn: SingleLayerGnn, rng: np.random.Generator) -> float:
+                         gnn: SingleLayerGnn, f_idx: int,
+                         rng: np.random.Generator) -> float:
     """Residual of the constant-secant system for one random draw.
 
     Draws a random signal and a random secant b in (0, 1), inverts the
-    per-node secant equation of tanh at the outputs of the first filter
-    that responds above the cutoff, and solves the resulting system (one
+    per-node secant equation of tanh at the outputs of filter f_idx, which
+    should respond above the cutoff, and solves the resulting system (one
     equation per node, one unknown per unprotected mode) by normal
     equations. Returns the residual norm, or inf when some node admits no
     nonzero offset at all, which rules out a constant-secant signal even
     more directly.
     """
-    flags = _high_response_flags(gnn.bank, spectral_gains(gnn.bank, spec), split.k)
-    if not np.any(flags):
-        raise ConfigurationError("the probe needs a filter with nonzero high response")
-    f_idx = int(np.argmax(flags))
-
     x = rng.standard_normal(split.n)
     b = float(rng.uniform(0.0, 1.0))
     targets = _tanh_secant_offsets(bank_forward(gnn.bank, spec, x)[f_idx], b)
@@ -579,11 +575,13 @@ def verify_corollary2(spec: Spectrum, split: SubspaceSplit,
         raise ConfigurationError("the corollary needs more than one unprotected mode")
     if gnn.sigma.kind != "tanh":
         raise ConfigurationError("the corollary is specific to tanh")
-    if not np.any(_high_response_flags(gnn.bank, spectral_gains(gnn.bank, spec), split.k)):
+    flags = _high_response_flags(gnn.bank, spectral_gains(gnn.bank, spec), split.k)
+    if not np.any(flags):
         raise ConfigurationError("need at least one filter with nonzero high response")
+    probed = int(np.argmax(flags))   # the first filter that responds above the cutoff
 
     rows, _ = _run_trials(spec, split, gnn, _mixed_pairs(split, rng, trials, tol), tol)
-    residuals = np.array([overdetermined_probe(spec, split, gnn, rng)
+    residuals = np.array([overdetermined_probe(spec, split, gnn, probed, rng)
                           for _ in range(probe_draws)])
     return Corollary2Report(
         trials=trials,

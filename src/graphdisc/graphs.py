@@ -51,7 +51,8 @@ class SupportMatrix:
     """Symmetric matrix that respects a sparsity pattern.
 
     entries[i, j] is zero wherever sparsity_mask[i, j] is False; the diagonal
-    is always permitted.
+    is always permitted. Raises ConfigurationError if an entry is not finite
+    or the asymmetry max |A - A^T| exceeds 1e-10.
     """
 
     n: int
@@ -59,7 +60,13 @@ class SupportMatrix:
     sparsity_mask: np.ndarray   # (n, n) bool
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
+        entries = _frozen(self.entries)
+        if not np.all(np.isfinite(entries)):
+            raise ConfigurationError("support matrix has a non-finite entry")
+        asym = float(np.max(np.abs(entries - entries.T))) if entries.size else 0.0
+        if asym > 1e-10:
+            raise ConfigurationError(f"matrix is not symmetric (max |A - A^T| = {asym:.3e})")
+        object.__setattr__(self, "entries", entries)
         mask = np.array(self.sparsity_mask, dtype=bool)
         mask.flags.writeable = False
         object.__setattr__(self, "sparsity_mask", mask)
@@ -118,12 +125,9 @@ def normalize_support(s: SupportMatrix) -> SupportMatrix:
     The result has operator norm 1. Raises DegenerateInputError for the
     all-zero matrix.
     """
-    from .spectral import eig_sym  # deferred: spectral depends on this module
-
     if not np.any(s.entries):
         raise DegenerateInputError("cannot normalize the all-zero matrix")
-    spec = eig_sym(s)
-    lam_max = float(np.max(np.abs(spec.eigenvalues)))
+    lam_max = float(np.max(np.abs(np.linalg.eigvalsh(s.entries))))
     return SupportMatrix(n=s.n, entries=s.entries / lam_max,
                          sparsity_mask=s.sparsity_mask)
 

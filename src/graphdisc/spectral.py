@@ -2,7 +2,7 @@
 
 Functions:
 
-eig_sym: full eigendecomposition of a symmetric support matrix (cyclic Jacobi)
+eig_sym: full eigendecomposition of a symmetric support matrix (LAPACK eigh)
 gft / igft: analysis and synthesis with the eigenvector basis
 split_subspace: partition the basis at a sorted index k
 project_subspace: orthogonal projection onto the low or high subspace
@@ -19,15 +19,12 @@ is positive. Both conventions make downstream coefficients reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
 from .graphs import SupportMatrix, _frozen
-
-_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -65,96 +62,16 @@ class SubspaceSplit:
         return self.v_low.shape[0]
 
 
-def _round_robin_schedule(n: int) -> list[list[tuple[int, int]]]:
-    """Partition all index pairs into rounds of mutually disjoint pairs.
-
-    Circle-method tournament schedule: every pair (p, q) appears exactly
-    once per full cycle of rounds, so one cycle is one cyclic Jacobi sweep.
-    """
-    m = n if n % 2 == 0 else n + 1  # dummy player for odd n
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a < n and b < n:
-                pairs.append((a, b) if a < b else (b, a))
-        rounds.append(pairs)
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
-def _jacobi_rotate_all(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps on a copy of `a`; returns (diagonal, rotations V).
-
-    Sweeps run until every off-diagonal magnitude is at most
-    1e-12 * max|a|, capped at _MAX_SWEEPS. Rotations within one tournament
-    round act on disjoint planes, so the round is applied as a single
-    orthogonal update.
-    """
-    n = a.shape[0]
-    A = a.copy()
-    V = np.eye(n)
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0 or n == 1:
-        return np.diag(A).copy(), V
-    thresh = 1e-12 * scale
-    schedule = _round_robin_schedule(n)
-
-    for _ in range(_MAX_SWEEPS):
-        off = A - np.diag(np.diag(A))
-        if np.max(np.abs(off)) <= thresh:
-            return np.diag(A).copy(), V
-        for pairs in schedule:
-            rotated = []
-            Q = np.eye(n)
-            for p, q in pairs:
-                apq = float(A[p, q])
-                if abs(apq) <= thresh:
-                    continue
-                theta = 0.5 * (float(A[q, q]) - float(A[p, p])) / apq
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                Q[p, p] = c
-                Q[q, q] = c
-                Q[p, q] = s
-                Q[q, p] = -s
-                rotated.append((p, q))
-            if not rotated:
-                continue
-            A = Q.T @ A @ Q
-            V = V @ Q
-            for p, q in rotated:
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-
-    off = A - np.diag(np.diag(A))
-    if np.max(np.abs(off)) <= thresh:
-        return np.diag(A).copy(), V
-    raise NumericalError(
-        f"Jacobi did not converge in {_MAX_SWEEPS} sweeps "
-        f"(residual {np.max(np.abs(off)):.3e}, threshold {thresh:.3e})"
-    )
-
-
 def eig_sym(s: SupportMatrix) -> Spectrum:
     """Eigendecomposition of a symmetric support matrix.
 
-    Raises ConfigurationError if the input asymmetry exceeds 1e-10 and
-    NumericalError if the Jacobi iteration fails to converge.
+    SupportMatrix guarantees finite, symmetric entries. Raises
+    NumericalError if LAPACK fails to converge.
     """
-    a = s.entries
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if asym > 1e-10:
-        raise ConfigurationError(f"matrix is not symmetric (max |A - A^T| = {asym:.3e})")
-    a = 0.5 * (a + a.T)
-
-    eigvals, eigvecs = _jacobi_rotate_all(a)
+    try:
+        eigvals, eigvecs = np.linalg.eigh(s.entries)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolve failed: {exc}") from exc
 
     # ascending |lambda|, ties by ascending signed value
     order = np.lexsort((eigvals, np.abs(eigvals)))

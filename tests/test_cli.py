@@ -149,6 +149,46 @@ class TestVerifyCommand:
         assert not (out / "verify_theorem2.csv").exists()
 
 
+    @pytest.mark.parametrize("flag, value", [("--graphs", "0"), ("--trials", "-3")])
+    def test_rejects_nonpositive_counts(self, tmp_path, capsys, flag, value):
+        code = main(["verify", "--theorem", "1", flag, value, "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "verification passed" not in captured.out
+        assert captured.err == f"graphdisc: error: {flag} must be at least 1, got {value}\n"
+
+
+class TestErrorExit:
+    def test_too_few_nodes(self, tmp_path, capsys):
+        code = main(["verify", "--nodes", "5", "--cutoff", "5", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "graphdisc: error: need n > k_neighbors, got n=5, k_neighbors=5\n"
+
+    def test_cutoff_out_of_range(self, tmp_path, capsys):
+        code = main(["verify", "--nodes", "5", "--neighbors", "2", "--cutoff", "5",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "graphdisc: error: split index must satisfy 0 < k < 5, got 5\n"
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("volume = 11\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"graphdisc: error: {path}:1: unknown key 'volume'\n"
+
+    def test_malformed_config_value(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("graphs = four\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"graphdisc: error: {path}:1: graphs expects int, got 'four'\n"
+
+
 class TestGradcheckCommand:
     def test_passes(self, capsys):
         assert main(["gradcheck", "--trials", "5", "--seed", "0"]) == 0

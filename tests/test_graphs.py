@@ -96,7 +96,24 @@ class TestLaplacian:
         assert np.max(np.abs(L.entries - L.entries.T)) <= 1e-14
 
 
+class TestSupportMatrix:
+    def test_rejects_nan_entry(self):
+        entries = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            SupportMatrix(n=2, entries=entries, sparsity_mask=np.ones((2, 2), dtype=bool))
+
+    def test_accepts_asymmetry_within_tolerance(self):
+        entries = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
+        s = SupportMatrix(n=2, entries=entries, sparsity_mask=np.ones((2, 2), dtype=bool))
+        assert s.entries[1, 0] == 0.5 + 1e-12
+
+
 class TestNormalizeSupport:
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ConfigurationError, match="not symmetric"):
+            normalize_support(SupportMatrix(n=2, entries=np.array([[0.0, 1.0], [0.5, 0.0]]),
+                                            sparsity_mask=np.ones((2, 2), dtype=bool)))
+
     def test_diagonal(self):
         s = SupportMatrix(n=2, entries=np.diag([2.0, 1.0]),
                           sparsity_mask=np.eye(2, dtype=bool))

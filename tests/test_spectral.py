@@ -1,11 +1,16 @@
-"""Jacobi eigendecomposition, GFT, subspace splits and projections."""
+"""Symmetric eigendecomposition, GFT, subspace splits and projections."""
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdisc.errors import ConfigurationError, DegenerateInputError, ShapeError
+import graphdisc.spectral
+from graphdisc.cli import main
+from graphdisc.errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
+from graphdisc.experiment import ExperimentConfig, run_replicate
 from graphdisc.graphs import SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym, gft, igft, project_subspace, split_subspace
 
@@ -97,12 +102,50 @@ class TestEigSym:
         with pytest.raises(ConfigurationError):
             eig_sym(support(m))
 
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NumericalError, match="did not converge"):
+            eig_sym(support(np.eye(3)))
+
     def test_normalized_laplacian_spectrum_ends(self):
         for seed in (0, 1, 2):
             g = generate_geometric_graph(30, 5, seed=seed)
             spec = eig_sym(normalize_support(laplacian(g)))
             assert abs(spec.eigenvalues[0]) <= 1e-8
             assert abs(spec.eigenvalues[-1] - 1.0) <= 1e-10
+
+
+class TestOneDecompositionPerGraph:
+    @pytest.fixture()
+    def eig_sym_calls(self, monkeypatch):
+        """Count eig_sym calls through every graphdisc module that holds it."""
+        calls = []
+        original = graphdisc.spectral.eig_sym
+
+        def counted(s):
+            calls.append(s.n)
+            return original(s)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("graphdisc") and getattr(module, "eig_sym", None) is original:
+                monkeypatch.setattr(module, "eig_sym", counted)
+        return calls
+
+    def test_run_replicate(self, eig_sym_calls):
+        config = ExperimentConfig(n=16, k=4, neighbors=4, features=2, taps=2,
+                                  subspace="high", train=8, val=4, test=4,
+                                  graphs=1, epochs=0, batch_size=4)
+        run_replicate(config, "high", 0)
+        assert eig_sym_calls == [16]
+
+    def test_verify_graphs(self, eig_sym_calls, tmp_path, capsys):
+        code = main(["verify", "--theorem", "1", "--graphs", "2", "--trials", "1",
+                     "--nodes", "12", "--cutoff", "3", "--out", str(tmp_path)])
+        assert code == 0
+        assert eig_sym_calls == [12, 12]
 
 
 class TestGft:
