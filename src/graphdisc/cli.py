@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import discriminability as disc
-from .errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
+from .errors import GRAPHDISC_ERRORS, ConfigurationError, read_text
 from .experiment import ExperimentConfig, emit_report, run_experiment
 from .filters import load_bank, save_bank
 from .gnn import Nonlinearity, Readout, load_model, save_model
@@ -46,23 +46,22 @@ CONFIG_KEYS = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
 def load_config_file(path: str) -> dict:
     """Parse `key = value` lines; `#` starts a comment."""
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected `key = value`")
-            key, text = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            field_type = ExperimentConfig.__dataclass_fields__[key].type
-            parse = {"int": int, "float": float}.get(field_type, str)
-            try:
-                values[key] = parse(text)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: {key} expects {field_type}, got {text!r}") from None
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected `key = value`")
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        field_type = ExperimentConfig.__dataclass_fields__[key].type
+        parse = {"int": int, "float": float}.get(field_type, str)
+        try:
+            values[key] = parse(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}:{lineno}: {key} expects {field_type}, got {text!r}") from None
     return values
 
 
@@ -344,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ShapeError, DegenerateInputError, NumericalError) as exc:
+    except GRAPHDISC_ERRORS as exc:
         print(f"graphdisc: error: {exc}", file=sys.stderr)
         return 2
 

@@ -161,7 +161,7 @@ def _secants(sigma: Nonlinearity, out: _PairOutputs) -> tuple[np.ndarray, np.nda
     diff = out.fx - out.fy
     equal = np.abs(diff) < SECANT_EQUAL_POINTS
     safe = np.where(equal, 1.0, diff)
-    secants = np.where(equal, sigma.derivative(out.fx), (out.gx - out.gy) / safe)
+    secants = np.where(equal, sigma.output_derivative(out.gx), (out.gx - out.gy) / safe)
     max_dev = np.max(np.abs(secants - secants.mean(axis=1, keepdims=True)), axis=1)
     return secants, max_dev
 

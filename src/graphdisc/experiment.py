@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, ShapeError
+from .errors import GRAPHDISC_ERRORS, ConfigurationError, DegenerateInputError, ShapeError
 from .filters import FirFilter, apply_fir, bank_il_constant
 from .gnn import Nonlinearity
 from .graphs import GeometricGraph, SupportMatrix, generate_geometric_graph, laplacian, normalize_support
@@ -78,6 +78,18 @@ class ExperimentConfig:
                      "test", "graphs", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
+        if self.neighbors >= self.n:
+            raise ConfigurationError(
+                f"need neighbors < n, got neighbors={self.neighbors}, n={self.n}")
+        # the comparisons are False for NaN, so NaN is rejected too
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigurationError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not 0.0 < self.decay <= 1.0:
+            raise ConfigurationError(f"decay must be in (0, 1], got {self.decay}")
+        if not 0.0 <= self.il_weight < np.inf:
+            raise ConfigurationError(
+                f"il_weight must be finite and nonnegative, got {self.il_weight}")
 
     def modes(self) -> tuple[str, ...]:
         return MODES if self.subspace == "all" else (self.subspace,)
@@ -258,7 +270,11 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
 
 
 def _replicate_star(args) -> ReplicateOutput:
-    return run_replicate(*args)
+    _config, mode, graph_index = args[:3]
+    try:
+        return run_replicate(*args)
+    except GRAPHDISC_ERRORS as exc:
+        raise type(exc)(f"replicate {mode} graph {graph_index}: {exc}") from exc
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
@@ -268,9 +284,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    keep_outputs: list[ReplicateOutput] | None = None) -> AggregateReport:
     """All replicates for every requested subspace, aggregated.
 
-    A failed replicate aborts the run with its index in the exception
-    message. `keep_outputs`, when given, receives every ReplicateOutput in
-    order (used by the CLI to save artifacts of the first replicate).
+    A replicate that raises a graphdisc.errors exception aborts the run
+    with an exception of the same type whose message starts with the
+    replicate's subspace and graph index. `keep_outputs`, when given,
+    receives every ReplicateOutput in order (used by the CLI to save
+    artifacts of the first replicate).
     """
     config.validate()
     if graph is not None and config.graphs != 1:
@@ -278,14 +296,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
 
     tasks = [(config, mode, g, graph, init_taps, init_readout)
              for mode in config.modes() for g in range(config.graphs)]
-    try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outputs = list(pool.map(_replicate_star, tasks))
-        else:
-            outputs = [_replicate_star(t) for t in tasks]
-    except Exception as exc:
-        raise RuntimeError(f"a replicate failed: {exc}") from exc
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outputs = list(pool.map(_replicate_star, tasks))
+    else:
+        outputs = [_replicate_star(t) for t in tasks]
 
     if keep_outputs is not None:
         keep_outputs.extend(outputs)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError, read_text
 from .graphs import SupportMatrix, _frozen
 from .spectral import Spectrum
 
@@ -174,8 +174,7 @@ def save_bank(bank: FilterBank, path: str) -> None:
 
 def read_bank_head(path: str) -> tuple[FilterBank, list[str]]:
     """The bank at the head of a save_bank file and the nonblank lines after it."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
+    lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
     n_filters, n_taps = (int(t) for t in lines[0].split())
     filters = []
     for ln in lines[1:1 + n_filters]:

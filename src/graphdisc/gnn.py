@@ -69,12 +69,28 @@ class Nonlinearity:
         return np.where(t >= 0.0, t, self.slope * t)
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
+        return self.output_derivative(self.eval(t))
+
+    def output_derivative(self, out: np.ndarray) -> np.ndarray:
+        """sigma' at the points where sigma returned out, read off out.
+
+        1 - out^2 for tanh, and 1 or the slope by the sign of out for the
+        leaky rectifier, so sigma is never evaluated again.
+        """
+        out = np.asarray(out, dtype=np.float64)
         if self.kind == "tanh":
-            return 1.0 - np.tanh(t) ** 2
+            deriv = np.square(out)
+            return np.subtract(1.0, deriv, out=deriv)
         if self.kind == "identity":
-            return np.ones_like(t)
-        return np.where(t >= 0.0, 1.0, self.slope)
+            return np.ones_like(out)
+        return np.where(out >= 0.0, 1.0, self.slope)
+
+    def backprop(self, grad: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Scale grad in place by sigma' where sigma returned out, and
+        return it; the identity leaves grad untouched."""
+        if self.kind != "identity":
+            grad *= self.output_derivative(out)
+        return grad
 
     def descriptor(self) -> str:
         if self.kind == "leaky_rectifier":

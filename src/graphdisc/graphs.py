@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, ShapeError
+from .errors import ConfigurationError, DegenerateInputError, ShapeError, read_text
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -155,8 +155,7 @@ def save_graph(g: GeometricGraph, path: str) -> None:
 
 def load_graph(path: str) -> GeometricGraph:
     """Inverse of save_graph."""
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
+    tokens = read_text(path).split("\n")
     header = tokens[0].split()
     n, k_neighbors, seed = int(header[0]), int(header[1]), int(header[2])
     positions = np.empty((n, 2))

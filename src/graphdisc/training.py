@@ -2,10 +2,25 @@
 
 The trainable object is a bank of FIR taps, an entrywise activation and a
 single-tap readout; with tanh it is the single-layer GNN, with the identity
-activation the plain filter bank. Gradients are fully analytic: the readout gradient comes from
-feature inner products, the tap gradients from cached shift powers, and the
-regularizer contributes a subgradient at the grid point where the
-integral-Lipschitz constant is attained.
+activation the plain filter bank.
+
+One training step on a batch x of shape (B, n):
+
+- shift powers S^k x, k = 0..K, written in place by K products with S;
+- forward: pre-activations sum_k h_k S^k x, the activation, and the
+  readout sum_f w_f sigma(.), each contraction one einsum;
+- backward: the readout gradient contracts the features with d(loss)/d(pred);
+  the tap gradient contracts d(loss)/d(pre-activation) with the cached
+  shift powers. sigma' is read off the cached activation
+  (Nonlinearity.backprop), so no activation is evaluated twice;
+- the regularizer's subgradient at the filter and grid point where the
+  integral-Lipschitz constant is attained. Its grid and power matrix are
+  built once per (lam_max, tap count);
+- one Adam update of a single vector holding taps and readout, with the
+  moments updated in place.
+
+train computes the validation set's shift powers once; training batches
+get fresh powers every step, which keeps memory at one batch.
 
 Everything here is deterministic given the seeds in TrainConfig: shuffling,
 initialization, and the optimizer never consult global state.
@@ -13,7 +28,8 @@ initialization, and the optimizer never consult global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -86,22 +102,35 @@ def init_adam(params: list[np.ndarray], learning_rate: float,
 
 def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray]) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns new parameters and state."""
+    """One bias-corrected Adam update; returns new parameters and the state.
+
+    The moments and the step count are updated in place, so the returned
+    state is `state` itself; the parameters are new arrays.
+    """
     if len(params) != len(grads):
         raise ShapeError("parameter and gradient lists differ in length")
-    t = state.t + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, replace(state, m=new_m, v=new_v, t=t)
+    state.t += 1
+    beta1, beta2 = state.beta1, state.beta2
+    bias1, bias2 = 1.0 - beta1 ** state.t, 1.0 - beta2 ** state.t
+    new_params = []
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        g2 = (1.0 - beta2) * g
+        g2 *= g
+        v += g2
+        step = m / bias1
+        step *= state.learning_rate
+        denom = v / bias2
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        step /= denom
+        new_params.append(p - step)
+    return new_params, state
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -111,8 +140,18 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     if pred.shape != target.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {target.shape}")
     diff = pred - target
-    loss = float(np.mean(diff ** 2))
+    # np.mean's sum and division, without its Python-level overhead
+    loss = float(np.add.reduce(np.square(diff), axis=None)) / diff.size
     return loss, 2.0 * diff / diff.size
+
+
+@lru_cache(maxsize=16)
+def _grid_powers(lam_max: float, n_taps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents 0..K and the read-only (K+1, G) matrix lambda^k on the grid."""
+    powers = np.arange(n_taps)
+    lam_pow = response_grid(lam_max)[None, :] ** powers[:, None]
+    powers.flags.writeable = lam_pow.flags.writeable = False
+    return powers, lam_pow
 
 
 def il_regularizer(taps: np.ndarray, lam_max: float,
@@ -124,21 +163,15 @@ def il_regularizer(taps: np.ndarray, lam_max: float,
     d/dh_k [lambda h'(lambda)] = k lambda^k.
     """
     taps = np.asarray(taps, dtype=np.float64)
-    n_taps = taps.shape[1]
-    grid = response_grid(lam_max)
-    powers = np.arange(n_taps)
+    powers, lam_pow = _grid_powers(float(lam_max), taps.shape[1])
     # lambda * h'(lambda) = sum_k k h_k lambda^k
-    lam_pow = grid[None, :] ** powers[:, None]          # (K+1, G)
     vals = (taps * powers) @ lam_pow                    # (F, G)
-    abs_vals = np.abs(vals)
-    flat_idx = int(np.argmax(abs_vals))
-    f_star, g_star = np.unravel_index(flat_idx, abs_vals.shape)
-    value = float(abs_vals[f_star, g_star])
+    f_star, g_star = divmod(int(np.argmax(np.abs(vals))), vals.shape[1])
+    peak = float(vals[f_star, g_star])
 
     grad = np.zeros_like(taps)
-    sign = np.sign(vals[f_star, g_star])
-    grad[f_star] = weight * sign * powers * grid[g_star] ** powers
-    return weight * value, grad
+    grad[f_star] = weight * np.sign(peak) * powers * lam_pow[:, g_star]
+    return weight * abs(peak), grad
 
 
 class ForwardCache(NamedTuple):
@@ -148,21 +181,33 @@ class ForwardCache(NamedTuple):
     pred: np.ndarray             # (B, n)
 
 
-def model_forward(model: TrainableModel, s: SupportMatrix,
-                  x: np.ndarray) -> ForwardCache:
-    """Batched forward pass; x has shape (B, n)."""
+def _shift_powers(s: SupportMatrix, x: np.ndarray, n_taps: int) -> np.ndarray:
+    """S^k x for k = 0..n_taps-1 and every signal of x (B, n): (K+1, B, n)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != s.n:
         raise ShapeError(f"signals have length {x.shape[1]}, support is {s.n}x{s.n}")
-    n_taps = model.taps.shape[1]
     powers = np.empty((n_taps,) + x.shape)
     powers[0] = x
     for k in range(1, n_taps):
-        powers[k] = powers[k - 1] @ s.entries.T
+        np.matmul(powers[k - 1], s.entries.T, out=powers[k])
+    return powers
+
+
+# The contractions stay einsums: BLAS (reshape + @) fuses multiply-adds and
+# sums in another order, which moves every trained result in the last bits.
+
+def _forward(model: TrainableModel, powers: np.ndarray) -> ForwardCache:
+    """Forward pass from the shift powers (K+1, B, n) of a batch."""
     pre = np.einsum("fk,kbn->fbn", model.taps, powers)
     features = model.sigma.eval(pre)
     pred = np.einsum("f,fbn->bn", model.readout, features)
     return ForwardCache(powers, pre, features, pred)
+
+
+def model_forward(model: TrainableModel, s: SupportMatrix,
+                  x: np.ndarray) -> ForwardCache:
+    """Batched forward pass; x has shape (B, n)."""
+    return _forward(model, _shift_powers(s, x, model.taps.shape[1]))
 
 
 def predict(model: TrainableModel, s: SupportMatrix, x: np.ndarray) -> np.ndarray:
@@ -184,8 +229,8 @@ def model_backward(model: TrainableModel, s: SupportMatrix, x: np.ndarray,
     mse, dpred = mse_loss(cache.pred, target)
 
     grad_readout = np.einsum("bn,fbn->f", dpred, cache.features)
-    dpre = model.readout[:, None, None] * dpred[None, :, :]
-    dpre *= model.sigma.derivative(cache.pre_activations)  # in place: one array fewer
+    dpre = np.einsum("f,bn->fbn", model.readout, dpred)   # the outer product
+    model.sigma.backprop(dpre, cache.features)
     grad_taps = np.einsum("fbn,kbn->fk", dpre, cache.shift_powers)
 
     reg, reg_grad = il_regularizer(model.taps, lam_max, il_weight)
@@ -226,11 +271,16 @@ def train(model: TrainableModel, s: SupportMatrix,
     x_val, y_val = val_set
     model = model.copy()
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
-    state = init_adam([model.taps, model.readout], config.learning_rate,
-                      config.decay)
+    # Adam steps one vector holding taps and readout: half the array calls
+    # of stepping them apart, with the same arithmetic per entry
+    n_tap_params = model.taps.size
+    params = np.concatenate([model.taps.ravel(), model.readout])
+    state = init_adam([params], config.learning_rate, config.decay)
+
+    val_powers = _shift_powers(s, x_val, model.taps.shape[1])
 
     def val_mse() -> float:
-        return mse_loss(predict(model, s, x_val), y_val)[0]
+        return mse_loss(_forward(model, val_powers).pred, y_val)[0]
 
     best = model.copy()
     best_val = val_mse()
@@ -243,10 +293,10 @@ def train(model: TrainableModel, s: SupportMatrix,
             idx = order[start:start + config.batch_size]
             result = model_backward(model, s, x_train[idx], y_train[idx],
                                     config.il_weight, lam_max)
-            (model.taps, model.readout), state = adam_step(
-                state, [model.taps, model.readout],
-                [result.grad_taps, result.grad_readout],
-            )
+            grads = np.concatenate([result.grad_taps.ravel(), result.grad_readout])
+            (params,), state = adam_step(state, [params], [grads])
+            model.taps = params[:n_tap_params].reshape(model.taps.shape)
+            model.readout = params[n_tap_params:]
             batch_losses.append(result.mse)
 
         epoch_val = val_mse()
@@ -260,6 +310,6 @@ def train(model: TrainableModel, s: SupportMatrix,
         if epoch_val < best_val:
             best_val = epoch_val
             best = model.copy()
-        state = replace(state, learning_rate=state.learning_rate * config.decay)
+        state.learning_rate *= config.decay
 
     return TrainResult(model=best, best_val_loss=best_val, history=history)

@@ -5,7 +5,7 @@ import pytest
 
 from graphdisc.cli import load_config_file, main
 from graphdisc.errors import ConfigurationError
-from graphdisc.filters import load_bank
+from graphdisc.filters import FilterBank, FirFilter, load_bank, save_bank
 from graphdisc.gnn import load_model
 from graphdisc.graphs import load_graph
 
@@ -187,6 +187,24 @@ class TestErrorExit:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"graphdisc: error: {path}:1: graphs expects int, got 'four'\n"
+
+    @pytest.mark.parametrize("flag", ["--config", "--load-graph", "--load-bank", "--load-model"])
+    def test_missing_file(self, tmp_path, capsys, flag):
+        path = tmp_path / "nope.txt"
+        code = main(["run", flag, str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"graphdisc: error: cannot read {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bank_of_wrong_shape(self, tmp_path, capsys, jobs):
+        path = tmp_path / "bank.txt"
+        save_bank(FilterBank((FirFilter([1.0, 0.0]), FirFilter([0.0, 1.0]))), str(path))
+        code = run_tiny(tmp_path / "out", "--load-bank", path, "--jobs", jobs)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("graphdisc: error: replicate high graph 0: "
+                       "warm-start taps shape (2, 2) != (32, 3)\n")
 
 
 class TestGradcheckCommand:

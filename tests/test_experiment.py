@@ -210,6 +210,35 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError):
             tiny_config(graphs=0).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("neighbors", 16),
+        ("neighbors", 20),
+        ("learning_rate", 0.0),
+        ("learning_rate", -1e-3),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("decay", 0.0),
+        ("decay", 1.5),
+        ("decay", float("nan")),
+        ("il_weight", -0.01),
+        ("il_weight", float("nan")),
+        ("il_weight", float("inf")),
+    ])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            tiny_config(**{field: value}).validate()
+
+    def test_accepts_range_edges(self):
+        tiny_config(neighbors=15, decay=1.0, il_weight=0.0, learning_rate=1e-12).validate()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_replicate_error_keeps_type_and_names_replicate(self, jobs):
+        with pytest.raises(ShapeError) as info:
+            run_experiment(tiny_config(graphs=1, subspace="low"), jobs=jobs,
+                           init_taps=np.zeros((2, 2)))
+        assert str(info.value) == (
+            "replicate low graph 0: warm-start taps shape (2, 2) != (4, 3)")
+
 
 class TestRunReplicate:
     def test_warm_start_taps(self):
@@ -217,6 +246,31 @@ class TestRunReplicate:
         taps = np.full((4, 3), 0.25)
         out = run_replicate(config, "high", 0, init_taps=taps)
         np.testing.assert_array_equal(out.models["gnn"].taps, taps)
+
+    def test_reproduces_recorded_trajectory(self):
+        """Test MSEs and every history value of a small replicate, pinned
+        exactly so that any change to the training arithmetic shows. They
+        were recorded on x86-64 with numpy 2.4 and OpenBLAS 0.3.31; another
+        numpy or BLAS build may round differently."""
+        out = run_replicate(tiny_config(graphs=1, epochs=3), "high", 0)
+        assert [m.test_mse for m in out.metrics] == [0.7410533543261196, 0.7485598843542125]
+        lr = [0.001, 0.0009000000000000001, 0.0008100000000000001]
+        expected = {
+            "filter_bank": [
+                (0, 0.7525055028581196, 0.7562438407401849, 1.2225307357514033, lr[0]),
+                (1, 0.7453498905258764, 0.7497791054624214, 1.2359653096466154, lr[1]),
+                (2, 0.7390107527508498, 0.744024828789722, 1.248075817821211, lr[2]),
+            ],
+            "gnn": [
+                (0, 0.7597277708757265, 0.7634423035731479, 1.2225302466568904, lr[0]),
+                (1, 0.7526644738153629, 0.7570513306996587, 1.235965541716032, lr[1]),
+                (2, 0.7464081574158106, 0.7513451395672102, 1.248088818642891, lr[2]),
+            ],
+        }
+        for name, rows in expected.items():
+            got = [(r.epoch, r.train_loss, r.val_loss, r.il_constant, r.learning_rate)
+                   for r in out.histories[name]]
+            assert got == rows
 
     def test_warm_start_shape_checked(self):
         config = tiny_config(graphs=1)

@@ -40,6 +40,44 @@ def two_pass_mse_oracle(pred, target):
     return total / count
 
 
+def fresh_grid_regularizer(taps, lam_max, weight):
+    """il_regularizer with its grid and power matrix rebuilt on every call."""
+    grid = np.linspace(0.0, lam_max, 257)
+    powers = np.arange(taps.shape[1])
+    vals = (taps * powers) @ (grid[None, :] ** powers[:, None])
+    abs_vals = np.abs(vals)
+    f, g = np.unravel_index(int(np.argmax(abs_vals)), abs_vals.shape)
+    grad = np.zeros_like(taps)
+    grad[f] = weight * np.sign(vals[f, g]) * powers * grid[g] ** powers
+    return weight * float(abs_vals[f, g]), grad
+
+
+def einsum_reference_backward(model, s, x, target, il_weight):
+    """The batch loss and gradients written out directly: shift powers by
+    repeated products, one einsum per contraction, and sigma' evaluated at
+    the pre-activations rather than read off the activation."""
+    powers = [x]
+    for _ in range(model.taps.shape[1] - 1):
+        powers.append(powers[-1] @ s.entries.T)
+    powers = np.stack(powers)
+    pre = np.einsum("fk,kbn->fbn", model.taps, powers)
+    features = model.sigma.eval(pre)
+    pred = np.einsum("f,fbn->bn", model.readout, features)
+    diff = pred - target
+    dpred = 2.0 * diff / diff.size
+    if model.sigma.kind == "tanh":
+        sigma_prime = 1.0 - np.tanh(pre) ** 2
+    elif model.sigma.kind == "identity":
+        sigma_prime = np.ones_like(pre)
+    else:
+        sigma_prime = np.where(pre >= 0.0, 1.0, model.sigma.slope)
+    dpre = model.readout[:, None, None] * dpred[None, :, :] * sigma_prime
+    grad_taps = np.einsum("fbn,kbn->fk", dpre, powers)
+    grad_taps = grad_taps + fresh_grid_regularizer(model.taps, 1.0, il_weight)[1]
+    grad_readout = np.einsum("bn,fbn->f", dpred, features)
+    return float(np.mean(diff ** 2)), grad_taps, grad_readout
+
+
 class TestMseLoss:
     def test_equal_inputs(self):
         x = np.ones((3, 4))
@@ -95,6 +133,20 @@ class TestIlRegularizer:
                            - il_regularizer(down, 1.0, weight)[0]) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-9)
 
+    def test_grid_follows_lam_max_and_tap_count(self):
+        # the grid and its power matrix are built once per (lam_max, taps);
+        # alternating them in one process must never reuse the wrong one
+        rng = np.random.default_rng(6)
+        values = {}
+        for lam_max, n_taps in [(1.0, 3), (2.0, 3), (1.0, 3), (2.0, 4), (0.5, 4), (1.0, 4)]:
+            taps = rng.uniform(-1, 1, (3, n_taps))
+            value, grad = il_regularizer(taps, lam_max, 0.05)
+            expected_value, expected_grad = fresh_grid_regularizer(taps, lam_max, 0.05)
+            assert value == expected_value
+            np.testing.assert_array_equal(grad, expected_grad)
+            values[lam_max] = il_regularizer(np.array([[0.0, 1.0]]), lam_max, 1.0)[0]
+        assert values == {1.0: 1.0, 2.0: 2.0, 0.5: 0.5}
+
 
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
@@ -124,6 +176,25 @@ class TestAdam:
             return params[0]
 
         np.testing.assert_array_equal(run(), run())
+
+    def test_moments_update_in_place(self):
+        params = [np.zeros(3), np.zeros(2)]
+        state = init_adam(params, 0.1, 0.9)
+        moments = [*state.m, *state.v]
+        new_params, returned = adam_step(state, params, [np.ones(3), np.ones(2)])
+        assert returned is state and state.t == 1
+        assert all(a is b for a, b in zip([*state.m, *state.v], moments))
+        np.testing.assert_allclose(state.m[0], 0.1)
+        np.testing.assert_array_equal(params[0], np.zeros(3))  # parameters are new arrays
+        assert new_params[0] is not params[0]
+
+    def test_shape_mismatch_leaves_state(self):
+        params = [np.zeros(3), np.zeros(2)]
+        state = init_adam(params, 0.1, 0.9)
+        with pytest.raises(ShapeError):
+            adam_step(state, params, [np.ones(3), np.ones(4)])
+        assert state.t == 0
+        np.testing.assert_array_equal(state.m[0], np.zeros(3))
 
     def test_shape_mismatch(self):
         params = [np.zeros(3)]
@@ -163,6 +234,21 @@ class TestModelBackward:
             np.sum(2 * (pred - y) / y.size * x) for _ in range(2)
         ])
         np.testing.assert_allclose(result.grad_readout, closed_form, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [Nonlinearity.tanh(), Nonlinearity.identity(),
+                                       Nonlinearity.leaky_rectifier(0.2)],
+                             ids=["tanh", "identity", "leaky_rectifier"])
+    def test_matches_einsum_reference(self, support, sigma):
+        rng = np.random.default_rng(7)
+        model = init_model(5, 3, sigma, seed=7)
+        x = rng.standard_normal((6, 12))
+        y = np.sign(rng.standard_normal((6, 12)))
+        result = model_backward(model, support, x, y, il_weight=0.01)
+        mse, grad_taps, grad_readout = einsum_reference_backward(model, support, x, y, 0.01)
+        # the same arithmetic, so equal rather than close
+        assert result.mse == mse
+        np.testing.assert_array_equal(result.grad_taps, grad_taps)
+        np.testing.assert_array_equal(result.grad_readout, grad_readout)
 
     @pytest.mark.parametrize("trial", range(20))
     def test_gradients_match_finite_differences(self, trial):
