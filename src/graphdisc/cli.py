@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import discriminability as disc
-from .errors import GRAPHDISC_ERRORS, ConfigurationError, read_text
+from .errors import GRAPHDISC_ERRORS, ConfigurationError, make_dir, read_text
 from .experiment import ExperimentConfig, emit_report, run_experiment
 from .filters import load_bank, save_bank
 from .gnn import Nonlinearity, Readout, load_model, save_model
@@ -97,6 +97,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     elif args.load_bank:
         init_taps = load_bank(args.load_bank).taps_matrix
 
+    make_dir(args.out)  # before training, so a bad --out fails at once
     outputs: list = []
     report = run_experiment(config, jobs=args.jobs, graph=graph,
                             init_taps=init_taps, init_readout=init_readout,
@@ -200,7 +201,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for flag, value in (("graphs", args.graphs), ("trials", args.trials)):
         if value < 1:
             raise ConfigurationError(f"--{flag} must be at least 1, got {value}")
-    os.makedirs(args.out, exist_ok=True)
+    make_dir(args.out)
     suites = VERIFY_SUITES.values() if args.theorem == "all" else [VERIFY_SUITES[args.theorem]]
     failed = False
 

@@ -1,4 +1,7 @@
-"""Shared exception types, and the file read that raises them."""
+"""Shared exception types, and the file operations that raise them."""
+
+import os
+from contextlib import contextmanager
 
 
 class ConfigurationError(ValueError):
@@ -31,3 +34,51 @@ def read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+
+
+class LineReader:
+    """The nonblank lines of a text file, read one at a time.
+
+    A line that is missing, or that the block reading it fails to parse
+    (IndexError or ValueError), raises ConfigurationError naming the path
+    and the line number.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._lines = [(i, ln.strip()) for i, ln in
+                       enumerate(read_text(path).split("\n"), start=1) if ln.strip()]
+        self._pos = 0
+
+    @property
+    def remaining(self) -> int:
+        return len(self._lines) - self._pos
+
+    @contextmanager
+    def line(self, what: str):
+        """Yield the tokens of the next line; `what` describes it in errors."""
+        if not self.remaining:
+            lineno = self._lines[-1][0] + 1 if self._lines else 1
+            raise ConfigurationError(f"{self.path}:{lineno}: expected {what}, "
+                                     "found the end of the file")
+        lineno, text = self._lines[self._pos]
+        self._pos += 1
+        try:
+            yield text.split()
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{self.path}:{lineno}: {exc}") from exc
+        except (IndexError, ValueError) as exc:
+            raise ConfigurationError(
+                f"{self.path}:{lineno}: expected {what}, got {text!r}") from exc
+
+
+def make_dir(path: str) -> None:
+    """Create the directory path and its parents if missing; a path that
+    cannot be a directory raises ConfigurationError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot use {path} as output directory: {exc.strerror or exc}") from exc

@@ -24,11 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GRAPHDISC_ERRORS, ConfigurationError, DegenerateInputError, ShapeError
+from .errors import GRAPHDISC_ERRORS, ConfigurationError, DegenerateInputError, ShapeError, make_dir
 from .filters import FirFilter, apply_fir, bank_il_constant
 from .gnn import Nonlinearity
 from .graphs import GeometricGraph, SupportMatrix, generate_geometric_graph, laplacian, normalize_support
-from .spectral import SubspaceSplit, eig_sym, split_subspace
+from .spectral import SubspaceSplit, eig_sym, project_subspace, split_subspace
 from .training import EpochRecord, TrainConfig, TrainableModel, init_model, mse_loss, predict, train
 
 MODES = ("low", "high", "full")
@@ -128,29 +128,25 @@ class Dataset(NamedTuple):
     test: tuple[np.ndarray, np.ndarray]
 
 
-def generate_input(split: SubspaceSplit, mode: str,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm Gaussian input confined to the requested subspace."""
+def generate_inputs(split: SubspaceSplit, mode: str, count: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """count unit-norm Gaussian inputs confined to the requested subspace:
+    one (count, n) draw, projected and normalized row by row."""
     if mode not in MODES:
         raise ConfigurationError(f"unknown input mode {mode!r}")
-    for attempt in range(2):
-        w = rng.standard_normal(split.n)
-        try:
-            if mode == "full":
-                norm = float(np.linalg.norm(w))
-                if norm < 1e-12:
-                    raise DegenerateInputError("degenerate full-spectrum draw")
-                return w / norm
-            basis = split.v_low if mode == "low" else split.v_high
-            out = (w @ basis) @ basis.T
-            norm = float(np.linalg.norm(out))
-            if norm < 1e-12:
-                raise DegenerateInputError(f"degenerate {mode} projection")
-            return out / norm
-        except DegenerateInputError:
-            if attempt == 1:
-                raise
-    raise DegenerateInputError("unreachable")
+    w = rng.standard_normal((count, split.n))
+    if mode != "full":
+        w = project_subspace(split, w, mode)
+    norms = np.linalg.norm(w, axis=1, keepdims=True)
+    if np.any(norms < 1e-12):
+        raise DegenerateInputError(f"degenerate {mode} input draw")
+    return w / norms
+
+
+def generate_input(split: SubspaceSplit, mode: str,
+                   rng: np.random.Generator) -> np.ndarray:
+    """One unit-norm Gaussian input confined to the requested subspace."""
+    return generate_inputs(split, mode, 1, rng)[0]
 
 
 def generate_target(s_norm: SupportMatrix, x: np.ndarray,
@@ -169,7 +165,7 @@ def build_dataset(s_norm: SupportMatrix, split: SubspaceSplit, mode: str,
     """Disjoint train/val/test sets with i.i.d. inputs and shared coefficients."""
     parts = []
     for count in counts:
-        x = np.stack([generate_input(split, mode, rng) for _ in range(count)])
+        x = generate_inputs(split, mode, count, rng)
         y = generate_target(s_norm, x, coeffs)
         parts.append((x, y))
     return Dataset(train=parts[0], val=parts[1], test=parts[2])
@@ -253,7 +249,7 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
             subspace=mode,
             model=name,
             test_mse=test_mse,
-            il_constant=bank_il_constant(result.model.bank(), 1.0),
+            il_constant=bank_il_constant(result.model.taps, 1.0),
             wall_time=elapsed,
         ))
         histories[name] = result.history
@@ -345,7 +341,7 @@ def emit_report(report: AggregateReport, out_dir: str) -> list[str]:
     Returns the list of written paths. Numbers are written with 17
     significant digits so a round-trip parse reproduces them exactly.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     written = []
 
     path = os.path.join(out_dir, "summary.csv")

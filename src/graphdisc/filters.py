@@ -16,10 +16,11 @@ value above which the response derivative stays below a given eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError, read_text
+from .errors import ConfigurationError, LineReader, ShapeError
 from .graphs import SupportMatrix, _frozen
 from .spectral import Spectrum
 
@@ -116,18 +117,33 @@ def response_grid(lam_max: float) -> np.ndarray:
     return np.linspace(0.0, lam_max, GRID_POINTS)
 
 
-def il_constant(f: FirFilter, lam_max: float) -> float:
-    """Integral-Lipschitz constant estimate max |lambda h'(lambda)| on the grid."""
+@lru_cache(maxsize=16)
+def _grid_powers(lam_max: float, n_taps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents 0..K and the read-only (K+1, G) matrix lambda^k on the grid."""
     if lam_max <= 0:
         raise ConfigurationError(f"lam_max must be positive, got {lam_max}")
-    grid = response_grid(lam_max)
-    deriv = FirFilter(_derivative_taps(f.taps))
-    return float(np.max(np.abs(grid * freq_response(deriv, grid))))
+    powers = np.arange(n_taps)
+    lam_pow = response_grid(lam_max)[None, :] ** powers[:, None]
+    powers.flags.writeable = lam_pow.flags.writeable = False
+    return powers, lam_pow
 
 
-def bank_il_constant(b: FilterBank, lam_max: float) -> float:
-    """Largest il_constant across the bank."""
-    return max(il_constant(f, lam_max) for f in b.filters)
+def _il_response(taps: np.ndarray, lam_max: float) -> np.ndarray:
+    """lambda h_f'(lambda) = sum_k k h_fk lambda^k on the grid, for each row
+    of the (F, K+1) taps: one (F, K+1) @ (K+1, G) product."""
+    powers, lam_pow = _grid_powers(float(lam_max), taps.shape[1])
+    return (taps * powers) @ lam_pow
+
+
+def il_constant(f: FirFilter, lam_max: float) -> float:
+    """Integral-Lipschitz constant estimate max |lambda h'(lambda)| on the grid."""
+    return bank_il_constant(f.taps[None, :], lam_max)
+
+
+def bank_il_constant(b: FilterBank | np.ndarray, lam_max: float) -> float:
+    """Largest il_constant across a bank or the rows of an (F, K+1) taps matrix."""
+    taps = b.taps_matrix if isinstance(b, FilterBank) else np.asarray(b, dtype=np.float64)
+    return float(np.max(np.abs(_il_response(taps, lam_max))))
 
 
 def cutoff_frequency(f: FirFilter, eps: float, lam_max: float) -> float:
@@ -172,17 +188,19 @@ def save_bank(bank: FilterBank, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_bank_head(path: str) -> tuple[FilterBank, list[str]]:
-    """The bank at the head of a save_bank file and the nonblank lines after it."""
-    lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
-    n_filters, n_taps = (int(t) for t in lines[0].split())
+def read_bank_head(path: str) -> tuple[FilterBank, LineReader]:
+    """The bank at the head of a save_bank file, and the reader of the
+    lines after it."""
+    lines = LineReader(path)
+    with lines.line("`F K+1`") as tokens:
+        n_filters, n_taps = (int(t) for t in tokens)
     filters = []
-    for ln in lines[1:1 + n_filters]:
-        taps = np.array([float(t) for t in ln.split()])
-        if taps.size != n_taps:
-            raise ConfigurationError(f"expected {n_taps} taps per line in {path}")
-        filters.append(FirFilter(taps))
-    return FilterBank(filters=tuple(filters)), lines[1 + n_filters:]
+    for _ in range(n_filters):
+        with lines.line(f"{n_taps} taps") as tokens:
+            if len(tokens) != n_taps:
+                raise ConfigurationError(f"expected {n_taps} taps, got {len(tokens)}")
+            filters.append(FirFilter(np.array([float(t) for t in tokens])))
+    return FilterBank(filters=tuple(filters)), lines
 
 
 def load_bank(path: str) -> FilterBank:

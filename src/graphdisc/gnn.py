@@ -60,26 +60,29 @@ class Nonlinearity:
     def leaky_rectifier(cls, slope: float) -> "Nonlinearity":
         return cls(kind="leaky_rectifier", slope=slope)
 
-    def eval(self, t: np.ndarray) -> np.ndarray:
+    def eval(self, t: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """sigma(t) entrywise; with overwrite it is written over t."""
         t = np.asarray(t, dtype=np.float64)
+        out = t if overwrite else None
         if self.kind == "tanh":
-            return np.tanh(t)
+            return np.tanh(t, out=out)
         if self.kind == "identity":
             return t
-        return np.where(t >= 0.0, t, self.slope * t)
+        return np.multiply(t, np.where(t >= 0.0, 1.0, self.slope), out=out)
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
         return self.output_derivative(self.eval(t))
 
-    def output_derivative(self, out: np.ndarray) -> np.ndarray:
+    def output_derivative(self, out: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """sigma' at the points where sigma returned out, read off out.
 
         1 - out^2 for tanh, and 1 or the slope by the sign of out for the
-        leaky rectifier, so sigma is never evaluated again.
+        leaky rectifier, so sigma is never evaluated again. With overwrite,
+        the tanh derivative is written over out instead of a new array.
         """
         out = np.asarray(out, dtype=np.float64)
         if self.kind == "tanh":
-            deriv = np.square(out)
+            deriv = np.square(out, out=out if overwrite else None)
             return np.subtract(1.0, deriv, out=deriv)
         if self.kind == "identity":
             return np.ones_like(out)
@@ -87,9 +90,10 @@ class Nonlinearity:
 
     def backprop(self, grad: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Scale grad in place by sigma' where sigma returned out, and
-        return it; the identity leaves grad untouched."""
+        return it; the identity leaves grad untouched. out is scratch
+        afterwards: tanh overwrites it with sigma'."""
         if self.kind != "identity":
-            grad *= self.output_derivative(out)
+            grad *= self.output_derivative(out, overwrite=True)
         return grad
 
     def descriptor(self) -> str:
@@ -200,7 +204,14 @@ def save_model(bank: FilterBank, readout: Readout, sigma: Nonlinearity, path: st
 
 
 def load_model(path: str) -> tuple[FilterBank, Readout, Nonlinearity]:
-    """Inverse of save_model."""
-    bank, rest = read_bank_head(path)
-    readout = Readout(np.array([float(t) for t in rest[0].split()]))
-    return bank, readout, Nonlinearity.from_descriptor(rest[1])
+    """Inverse of save_model. A missing or malformed line raises
+    ConfigurationError naming the path and the line."""
+    bank, lines = read_bank_head(path)
+    with lines.line(f"{bank.size} readout weights") as tokens:
+        if len(tokens) != bank.size:
+            raise ConfigurationError(
+                f"expected {bank.size} readout weights, got {len(tokens)}")
+        readout = Readout(np.array([float(t) for t in tokens]))
+    with lines.line("a sigma line: tanh, identity or leaky_rectifier <slope>") as tokens:
+        sigma = Nonlinearity.from_descriptor(" ".join(tokens))
+    return bank, readout, sigma

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, ShapeError, read_text
+from .errors import ConfigurationError, DegenerateInputError, LineReader, ShapeError
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -154,21 +154,24 @@ def save_graph(g: GeometricGraph, path: str) -> None:
 
 
 def load_graph(path: str) -> GeometricGraph:
-    """Inverse of save_graph."""
-    tokens = read_text(path).split("\n")
-    header = tokens[0].split()
-    n, k_neighbors, seed = int(header[0]), int(header[1]), int(header[2])
-    positions = np.empty((n, 2))
+    """Inverse of save_graph. A missing or malformed line raises
+    ConfigurationError naming the path and the line."""
+    lines = LineReader(path)
+    with lines.line("`n k seed`") as tokens:
+        n, k_neighbors, seed = (int(t) for t in tokens)
+        positions = np.empty((n, 2))
     for i in range(n):
-        x, y = tokens[1 + i].split()
-        positions[i] = (float(x), float(y))
+        with lines.line("a node position `x y`") as tokens:
+            x, y = tokens
+            positions[i] = (float(x), float(y))
     weights = np.zeros((n, n))
-    for line in tokens[1 + n:]:
-        if not line.strip():
-            continue
-        si, sj, sw = line.split()
-        i, j, w = int(si), int(sj), float(sw)
-        weights[i, j] = w
-        weights[j, i] = w
+    while lines.remaining:
+        with lines.line("an edge `i j w`") as tokens:
+            si, sj, sw = tokens
+            i, j, w = int(si), int(sj), float(sw)
+            if not (0 <= i < n and 0 <= j < n):
+                raise ConfigurationError(f"edge {i} {j} names a node outside 0..{n - 1}")
+            weights[i, j] = w
+            weights[j, i] = w
     return GeometricGraph(n=n, positions=positions, weights=weights,
                           k_neighbors=k_neighbors, seed=seed)

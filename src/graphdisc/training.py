@@ -4,23 +4,29 @@ The trainable object is a bank of FIR taps, an entrywise activation and a
 single-tap readout; with tanh it is the single-layer GNN, with the identity
 activation the plain filter bank.
 
-One training step on a batch x of shape (B, n):
+One training step on a batch x of shape (B, n), where P is the (K+1, B*n)
+matrix of shift powers S^k x and A the (F, B*n) activation:
 
-- shift powers S^k x, k = 0..K, written in place by K products with S;
-- forward: pre-activations sum_k h_k S^k x, the activation, and the
-  readout sum_f w_f sigma(.), each contraction one einsum;
-- backward: the readout gradient contracts the features with d(loss)/d(pred);
-  the tap gradient contracts d(loss)/d(pre-activation) with the cached
-  shift powers. sigma' is read off the cached activation
-  (Nonlinearity.backprop), so no activation is evaluated twice;
+- shift powers, written in place by K products with S;
+- forward: A = sigma(taps @ P) with sigma applied in place, and the
+  prediction readout @ A;
+- backward: the readout gradient A @ d(loss)/d(pred); then sigma' (read
+  off A, overwriting it) scales the outer product readout x d(loss)/d(pred)
+  into d(loss)/d(pre-activation) D, and the tap gradient is D @ P^T;
 - the regularizer's subgradient at the filter and grid point where the
-  integral-Lipschitz constant is attained. Its grid and power matrix are
-  built once per (lam_max, tap count);
+  integral-Lipschitz constant is attained, on the grid powers cached in
+  filters;
 - one Adam update of a single vector holding taps and readout, with the
   moments updated in place.
 
-train computes the validation set's shift powers once; training batches
-get fresh powers every step, which keeps memory at one batch.
+Every contraction is one 2-D BLAS product on a reshaped view. Inside
+train, P, A and D are buffers keyed by shape and reused for every step
+(a ragged last batch gets its own), so a step allocates no (F, B, n)
+array; they are dropped when train returns, and nothing model_backward,
+model_forward or predict returns is one of them. Outside train each call
+gets fresh arrays. train computes the validation set's shift powers once,
+and each epoch's integral-Lipschitz constant from the taps with the
+regularizer's product (filters.bank_il_constant).
 
 Everything here is deterministic given the seeds in TrainConfig: shuffling,
 initialization, and the optimizer never consult global state.
@@ -29,13 +35,12 @@ initialization, and the optimizer never consult global state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError
-from .filters import FilterBank, FirFilter, bank_il_constant, response_grid
+from .filters import FilterBank, FirFilter, _grid_powers, _il_response, bank_il_constant
 from .gnn import Nonlinearity
 from .graphs import SupportMatrix
 
@@ -145,15 +150,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, 2.0 * diff / diff.size
 
 
-@lru_cache(maxsize=16)
-def _grid_powers(lam_max: float, n_taps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents 0..K and the read-only (K+1, G) matrix lambda^k on the grid."""
-    powers = np.arange(n_taps)
-    lam_pow = response_grid(lam_max)[None, :] ** powers[:, None]
-    powers.flags.writeable = lam_pow.flags.writeable = False
-    return powers, lam_pow
-
-
 def il_regularizer(taps: np.ndarray, lam_max: float,
                    weight: float) -> tuple[float, np.ndarray]:
     """weight * max_{f, grid} |lambda h_f'(lambda)| with its subgradient.
@@ -163,9 +159,8 @@ def il_regularizer(taps: np.ndarray, lam_max: float,
     d/dh_k [lambda h'(lambda)] = k lambda^k.
     """
     taps = np.asarray(taps, dtype=np.float64)
+    vals = _il_response(taps, lam_max)                  # (F, G)
     powers, lam_pow = _grid_powers(float(lam_max), taps.shape[1])
-    # lambda * h'(lambda) = sum_k k h_k lambda^k
-    vals = (taps * powers) @ lam_pow                    # (F, G)
     f_star, g_star = divmod(int(np.argmax(np.abs(vals))), vals.shape[1])
     peak = float(vals[f_star, g_star])
 
@@ -181,37 +176,62 @@ class ForwardCache(NamedTuple):
     pred: np.ndarray             # (B, n)
 
 
-def _shift_powers(s: SupportMatrix, x: np.ndarray, n_taps: int) -> np.ndarray:
-    """S^k x for k = 0..n_taps-1 and every signal of x (B, n): (K+1, B, n)."""
+# The step's work arrays (shift powers, activation, d(loss)/d(pre-activation))
+# keyed by name and shape. train sets a dict here for its duration and drops
+# it when it returns; None means fresh arrays on every call.
+_step_buffers: dict | None = None
+
+
+def _buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    if _step_buffers is None:
+        return np.empty(shape)
+    key = (name, shape)
+    if key not in _step_buffers:
+        _step_buffers[key] = np.empty(shape)
+    return _step_buffers[key]
+
+
+def _shift_powers(s: SupportMatrix, x: np.ndarray, n_taps: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """S^k x for k = 0..n_taps-1 and every signal of x (B, n): (K+1, B, n),
+    written into out when given."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != s.n:
         raise ShapeError(f"signals have length {x.shape[1]}, support is {s.n}x{s.n}")
-    powers = np.empty((n_taps,) + x.shape)
+    powers = np.empty((n_taps,) + x.shape) if out is None else out
     powers[0] = x
     for k in range(1, n_taps):
         np.matmul(powers[k - 1], s.entries.T, out=powers[k])
     return powers
 
 
-# The contractions stay einsums: BLAS (reshape + @) fuses multiply-adds and
-# sums in another order, which moves every trained result in the last bits.
+def _contract(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j w[..., j] a[j]: w (F, J) or (J,) against a (J, B, n), as one
+    2-D product on the reshaped a, written into out when given."""
+    shape = w.shape[:-1] + a.shape[1:]
+    flat = None if out is None else out.reshape(w.shape[:-1] + (-1,))
+    return np.matmul(w, a.reshape(a.shape[0], -1), out=flat).reshape(shape)
 
-def _forward(model: TrainableModel, powers: np.ndarray) -> ForwardCache:
-    """Forward pass from the shift powers (K+1, B, n) of a batch."""
-    pre = np.einsum("fk,kbn->fbn", model.taps, powers)
-    features = model.sigma.eval(pre)
-    pred = np.einsum("f,fbn->bn", model.readout, features)
-    return ForwardCache(powers, pre, features, pred)
+
+def _forward(model: TrainableModel, powers: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """The prediction (B, n) from the shift powers (K+1, B, n) of a batch.
+    The activation (F, B, n) is left in out when given."""
+    act = model.sigma.eval(_contract(model.taps, powers, out), overwrite=True)
+    return _contract(model.readout, act)
 
 
 def model_forward(model: TrainableModel, s: SupportMatrix,
                   x: np.ndarray) -> ForwardCache:
     """Batched forward pass; x has shape (B, n)."""
-    return _forward(model, _shift_powers(s, x, model.taps.shape[1]))
+    powers = _shift_powers(s, x, model.taps.shape[1])
+    pre = _contract(model.taps, powers)
+    features = model.sigma.eval(pre)
+    return ForwardCache(powers, pre, features, _contract(model.readout, features))
 
 
 def predict(model: TrainableModel, s: SupportMatrix, x: np.ndarray) -> np.ndarray:
-    return model_forward(model, s, x).pred
+    return _forward(model, _shift_powers(s, x, model.taps.shape[1]))
 
 
 class BackwardResult(NamedTuple):
@@ -225,19 +245,25 @@ def model_backward(model: TrainableModel, s: SupportMatrix, x: np.ndarray,
                    target: np.ndarray, il_weight: float,
                    lam_max: float = 1.0) -> BackwardResult:
     """Loss and analytic gradients for taps and readout on one batch."""
-    cache = model_forward(model, s, x)
-    mse, dpred = mse_loss(cache.pred, target)
+    n_features, n_taps = model.taps.shape
+    x = np.atleast_2d(x)
+    powers = _shift_powers(s, x, n_taps, _buffer("powers", (n_taps,) + x.shape))
+    act = _buffer("act", (n_features,) + x.shape)
+    mse, dpred = mse_loss(_forward(model, powers, act), target)
 
-    grad_readout = np.einsum("bn,fbn->f", dpred, cache.features)
-    dpre = np.einsum("f,bn->fbn", model.readout, dpred)   # the outer product
-    model.sigma.backprop(dpre, cache.features)
-    grad_taps = np.einsum("fbn,kbn->fk", dpre, cache.shift_powers)
+    act2d, dpred1d = act.reshape(n_features, -1), dpred.reshape(-1)
+    grad_readout = act2d @ dpred1d
+    dpre = _buffer("dpre", act2d.shape)
+    np.multiply.outer(model.readout, dpred1d, out=dpre)
+    model.sigma.backprop(dpre, act2d)
+    grad_taps = dpre @ powers.reshape(n_taps, -1).T
 
     reg, reg_grad = il_regularizer(model.taps, lam_max, il_weight)
+    grad_taps += reg_grad
     return BackwardResult(
         mse=mse,
         objective=mse + reg,
-        grad_taps=grad_taps + reg_grad,
+        grad_taps=grad_taps,
         grad_readout=grad_readout,
     )
 
@@ -267,6 +293,18 @@ def train(model: TrainableModel, s: SupportMatrix,
     Returns the model snapshot with the best validation loss and the full
     per-epoch history. With zero epochs the input model is returned as is.
     """
+    global _step_buffers
+    outer_buffers, _step_buffers = _step_buffers, {}
+    try:
+        return _train(model, s, train_set, val_set, config, lam_max)
+    finally:
+        _step_buffers = outer_buffers
+
+
+def _train(model: TrainableModel, s: SupportMatrix,
+           train_set: tuple[np.ndarray, np.ndarray],
+           val_set: tuple[np.ndarray, np.ndarray],
+           config: TrainConfig, lam_max: float) -> TrainResult:
     x_train, y_train = train_set
     x_val, y_val = val_set
     model = model.copy()
@@ -280,7 +318,7 @@ def train(model: TrainableModel, s: SupportMatrix,
     val_powers = _shift_powers(s, x_val, model.taps.shape[1])
 
     def val_mse() -> float:
-        return mse_loss(_forward(model, val_powers).pred, y_val)[0]
+        return mse_loss(_forward(model, val_powers), y_val)[0]
 
     best = model.copy()
     best_val = val_mse()
@@ -304,7 +342,7 @@ def train(model: TrainableModel, s: SupportMatrix,
             epoch=epoch,
             train_loss=float(np.mean(batch_losses)),
             val_loss=epoch_val,
-            il_constant=bank_il_constant(model.bank(), lam_max),
+            il_constant=bank_il_constant(model.taps, lam_max),
             learning_rate=state.learning_rate,
         ))
         if epoch_val < best_val:

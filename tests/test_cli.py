@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import graphdisc.experiment
 from graphdisc.cli import load_config_file, main
 from graphdisc.errors import ConfigurationError
 from graphdisc.filters import FilterBank, FirFilter, load_bank, save_bank
@@ -158,6 +159,19 @@ class TestVerifyCommand:
         assert captured.err == f"graphdisc: error: {flag} must be at least 1, got {value}\n"
 
 
+class TestJobs:
+    def test_result_files_identical_across_jobs(self, tmp_path, capsys):
+        outs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", "--subspace", "all", "--seed", "3", "--out", str(out),
+                         *TINY, "--graphs", "2", "--jobs", jobs]) == 0
+            outs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name != "runs.csv"}  # runs.csv holds wall times
+        assert "summary.csv" in outs["1"] and len(outs["1"]) == 1 + 3 * 2 * 2
+        assert outs["1"] == outs["2"]
+
+
 class TestErrorExit:
     def test_too_few_nodes(self, tmp_path, capsys):
         code = main(["verify", "--nodes", "5", "--cutoff", "5", "--out", str(tmp_path)])
@@ -205,6 +219,34 @@ class TestErrorExit:
         err = capsys.readouterr().err
         assert err == ("graphdisc: error: replicate high graph 0: "
                        "warm-start taps shape (2, 2) != (32, 3)\n")
+
+
+    def test_out_is_a_file_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a replicate ran before --out was checked")
+
+        monkeypatch.setattr(graphdisc.experiment, "run_replicate", no_training)
+        path = tmp_path / "a_file"
+        path.write_text("")
+        code = run_tiny(path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"graphdisc: error: cannot use {path} as output directory: File exists\n"
+
+    def test_verify_out_is_a_file(self, tmp_path, capsys):
+        path = tmp_path / "a_file"
+        path.write_text("")
+        code = main(["verify", "--graphs", "1", "--trials", "2", "--out", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"graphdisc: error: cannot use {path} ")
+
+    def test_truncated_graph_file(self, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_text("")
+        code = main(["run", "--load-graph", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"graphdisc: error: {path}:1: expected `n k seed`, found the end of the file\n"
 
 
 class TestGradcheckCommand:

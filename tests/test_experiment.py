@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphdisc.discriminability import in_nul_vk
-from graphdisc.errors import ConfigurationError, ShapeError
+from graphdisc.errors import ConfigurationError, DegenerateInputError, ShapeError
 from graphdisc.experiment import (
     AggregateReport,
     ExperimentConfig,
@@ -12,6 +12,7 @@ from graphdisc.experiment import (
     build_dataset,
     emit_report,
     generate_input,
+    generate_inputs,
     generate_target,
     run_experiment,
     run_replicate,
@@ -72,6 +73,27 @@ class TestGenerateInput:
         _, _, split = setup
         with pytest.raises(ConfigurationError):
             generate_input(split, "mid", np.random.default_rng(4))
+
+
+    @pytest.mark.parametrize("mode", ["low", "high", "full"])
+    def test_batch_draws_the_numbers_of_single_draws(self, setup, mode):
+        # the batch is one (count, n) draw of the same stream; projection and
+        # norms of a batch round differently from those of single rows
+        _, _, split = setup
+        batch = generate_inputs(split, mode, 6, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        singles = np.stack([generate_input(split, mode, rng) for _ in range(6)])
+        np.testing.assert_allclose(batch, singles, rtol=0.0, atol=1e-15)
+
+    def test_degenerate_draw_raises(self, setup):
+        _, _, split = setup
+
+        class ZeroRng:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        with pytest.raises(DegenerateInputError):
+            generate_inputs(split, "high", 3, ZeroRng())
 
 
 class TestGenerateTarget:
@@ -258,12 +280,12 @@ class TestRunReplicate:
         expected = {
             "filter_bank": [
                 (0, 0.7525055028581196, 0.7562438407401849, 1.2225307357514033, lr[0]),
-                (1, 0.7453498905258764, 0.7497791054624214, 1.2359653096466154, lr[1]),
+                (1, 0.7453498905258764, 0.7497791054624213, 1.2359653096466154, lr[1]),
                 (2, 0.7390107527508498, 0.744024828789722, 1.248075817821211, lr[2]),
             ],
             "gnn": [
                 (0, 0.7597277708757265, 0.7634423035731479, 1.2225302466568904, lr[0]),
-                (1, 0.7526644738153629, 0.7570513306996587, 1.235965541716032, lr[1]),
+                (1, 0.7526644738153628, 0.7570513306996585, 1.235965541716032, lr[1]),
                 (2, 0.7464081574158106, 0.7513451395672102, 1.248088818642891, lr[2]),
             ],
         }

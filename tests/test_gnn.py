@@ -1,5 +1,7 @@
 """Nonlinearities, single-layer GNN forward map, readout, serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -195,3 +197,22 @@ class TestModelSerialization:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "1 2"
         assert lines[-1] == "tanh"
+
+
+class TestLoadModelErrors:
+    BANK = "2 2\n1 0\n0 1\n"
+
+    @pytest.mark.parametrize("text, line", [
+        (BANK, 4),                                       # no readout line
+        (BANK + "0.5 0.5\n", 5),                         # no sigma line
+        (BANK + "0.5 0.5\nleaky_rectifier\n", 5),        # slope missing
+        (BANK + "0.5\ntanh\n", 4),                       # readout of the wrong length
+        (BANK + "0.5 0.5\nsoftplus\n", 5),               # unknown activation
+        ("3 2\n1 0\n0 1\n0.5 0.5 0.5\ntanh\n", 4),       # fewer tap lines than the header
+    ], ids=["no_readout", "no_sigma", "bare_leaky_rectifier", "readout_length",
+            "unknown_sigma", "missing_tap_line"])
+    def test_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}:{line}: "):
+            load_model(str(path))

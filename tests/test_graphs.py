@@ -1,5 +1,7 @@
 """Geometric graph construction, Laplacian, normalization, graph shift."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,3 +218,19 @@ class TestGraphSerialization:
         for line in lines[5:]:
             i, j, _ = line.split()
             assert int(i) < int(j)
+
+
+class TestLoadGraphErrors:
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),                                   # empty file
+        ("3 2 0\n0.1 0.2\n", 3),                  # truncated positions
+        ("3 2\n", 1),                              # short header
+        ("2 1 0\n0.1 0.2\n0.3 x\n", 3),           # position that does not parse
+        ("2 1 0\n0.1 0.2\n0.3 0.4\n0 1\n", 4),    # edge without a weight
+        ("2 1 0\n0.1 0.2\n0.3 0.4\n0 -1 0.5\n", 4),  # node index out of range
+    ], ids=["empty", "truncated", "header", "position", "edge", "node_index"])
+    def test_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}:{line}: "):
+            load_graph(str(path))

@@ -1,8 +1,12 @@
 """Loss, regularizer, analytic gradients, Adam, and the training loop."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from graphdisc import training
 from graphdisc.errors import ShapeError
 from graphdisc.filters import bank_il_constant
 from graphdisc.gnn import Nonlinearity
@@ -133,6 +137,11 @@ class TestIlRegularizer:
                            - il_regularizer(down, 1.0, weight)[0]) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-9)
 
+    def test_value_is_bank_il_constant(self):
+        taps = np.random.default_rng(9).uniform(-1, 1, (32, 3))
+        value, _ = il_regularizer(taps, 1.0, 1.0)
+        assert value == bank_il_constant(taps, 1.0)
+
     def test_grid_follows_lam_max_and_tap_count(self):
         # the grid and its power matrix are built once per (lam_max, taps);
         # alternating them in one process must never reuse the wrong one
@@ -245,10 +254,11 @@ class TestModelBackward:
         y = np.sign(rng.standard_normal((6, 12)))
         result = model_backward(model, support, x, y, il_weight=0.01)
         mse, grad_taps, grad_readout = einsum_reference_backward(model, support, x, y, 0.01)
-        # the same arithmetic, so equal rather than close
-        assert result.mse == mse
-        np.testing.assert_array_equal(result.grad_taps, grad_taps)
-        np.testing.assert_array_equal(result.grad_readout, grad_readout)
+        # BLAS blocks and fuses the sums that einsum adds in order, so the
+        # two agree to rounding, not bit for bit
+        assert result.mse == pytest.approx(mse, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(result.grad_taps, grad_taps, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(result.grad_readout, grad_readout, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("trial", range(20))
     def test_gradients_match_finite_differences(self, trial):
@@ -359,6 +369,75 @@ class TestTrain:
                 constants[weight] = bank_il_constant(result.model.bank(), 1.0)
             wins += constants[0.01] <= constants[0.0]
         assert wins >= 3
+
+
+class TestStepBuffers:
+    """Inside train the step reuses its (F, B, n) arrays; outside it every
+    call gets fresh ones."""
+
+    def record_steps(self, monkeypatch, support, n_train, batch_size):
+        """Train with model_backward wrapped; return each call's inputs, its
+        result, a copy of the result, and weak references to the buffers."""
+        calls, buffers = [], []
+        original = training.model_backward
+
+        def spy(model, s, x, target, il_weight, lam_max=1.0):
+            result = original(model, s, x, target, il_weight, lam_max)
+            calls.append((model.copy(), x.copy(), target.copy(), il_weight, result,
+                          [np.copy(v) for v in result]))
+            buffers.extend(weakref.ref(b) for b in training._step_buffers.values())
+            return result
+
+        monkeypatch.setattr(training, "model_backward", spy)
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((n_train, 12))
+        y = np.sign(x @ support.entries.T)
+        model = init_model(4, 3, Nonlinearity.tanh(), seed=31)
+        train(model, support, (x, y), (x[:7], y[:7]),
+              TrainConfig(epochs=2, batch_size=batch_size, seed=5))
+        monkeypatch.undo()
+        return calls, buffers
+
+    def test_step_results_do_not_alias_buffers(self, support, monkeypatch):
+        calls, _ = self.record_steps(monkeypatch, support, 20, 5)
+        assert len(calls) == 8
+        for *_, result, snapshot in calls:
+            for got, kept in zip(result, snapshot):
+                np.testing.assert_array_equal(got, kept)
+
+    def test_second_call_leaves_first_results(self, support):
+        rng = np.random.default_rng(32)
+        model = init_model(4, 3, Nonlinearity.tanh(), seed=33)
+        x1, x2 = rng.standard_normal((2, 5, 12))
+        y = np.sign(rng.standard_normal((5, 12)))
+        first = [predict(model, support, x1), *model_forward(model, support, x1),
+                 *model_backward(model, support, x1, y, 0.01)[2:]]
+        kept = [a.copy() for a in first]
+        predict(model, support, x2)
+        model_forward(model, support, x2)
+        model_backward(model, support, x2, y, 0.01)
+        for got, expected in zip(first, kept):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_ragged_last_batch_matches_fresh_buffers(self, support, monkeypatch):
+        # 23 samples in batches of 5: every epoch ends with a batch of 3,
+        # and the next epoch goes back to the full-size buffers
+        calls, _ = self.record_steps(monkeypatch, support, 23, 5)
+        assert [len(c[1]) for c in calls] == [5, 5, 5, 5, 3] * 2
+        assert training._step_buffers is None  # so the calls below get fresh arrays
+        for model, x, y, il_weight, result, _ in calls:
+            fresh = model_backward(model, support, x, y, il_weight)
+            assert result.objective == pytest.approx(fresh.objective, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(result.grad_taps, fresh.grad_taps, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(result.grad_readout, fresh.grad_readout,
+                                       rtol=1e-12, atol=0.0)
+
+    def test_buffers_released_when_train_returns(self, support, monkeypatch):
+        _, buffers = self.record_steps(monkeypatch, support, 23, 5)
+        assert buffers
+        gc.collect()
+        assert training._step_buffers is None
+        assert all(ref() is None for ref in buffers)
 
 
 class TestForwardShapes:
