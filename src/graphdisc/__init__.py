@@ -5,43 +5,31 @@ from .filters import (
     FilterBank,
     FirFilter,
     SpectralFilter,
-    apply_fir,
     bank_il_constant,
     cutoff_frequency,
     freq_response,
-    il_constant,
     load_bank,
     save_bank,
     zero_high_response,
 )
-from .gnn import (
-    Nonlinearity,
-    Readout,
-    SingleLayerGnn,
-    bank_forward,
-    gnn_forward,
-    load_model,
-    readout_apply,
-    save_model,
-)
+from .gnn import Nonlinearity, Readout, SingleLayerGnn, bank_forward, load_model, save_model
 from .graphs import (
     GeometricGraph,
     SupportMatrix,
     generate_geometric_graph,
-    graph_shift,
     laplacian,
     load_graph,
     normalize_support,
     save_graph,
 )
-from .spectral import (
-    Spectrum,
-    SubspaceSplit,
-    eig_sym,
-    gft,
-    igft,
-    project_subspace,
-    split_subspace,
-)
+from .spectral import Spectrum, SubspaceSplit, eig_sym, project_subspace, split_subspace
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConfigurationError", "DegenerateInputError", "NumericalError", "ShapeError",
+    "FilterBank", "FirFilter", "SpectralFilter", "bank_il_constant", "cutoff_frequency",
+    "freq_response", "load_bank", "save_bank", "zero_high_response",
+    "Nonlinearity", "Readout", "SingleLayerGnn", "bank_forward", "load_model", "save_model",
+    "GeometricGraph", "SupportMatrix", "generate_geometric_graph", "laplacian",
+    "load_graph", "normalize_support", "save_graph",
+    "Spectrum", "SubspaceSplit", "eig_sym", "project_subspace", "split_subspace",
+]

@@ -80,6 +80,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     config = build_config(args)
 
     graph = None
@@ -108,12 +110,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.dump_graph:
         save_graph(first.graph, args.dump_graph)
         written.append(args.dump_graph)
+    gnn = first.models["gnn"]
     if args.save_bank:
-        save_bank(first.models["gnn"].bank(), args.save_bank)
+        save_bank(gnn.taps, args.save_bank)
         written.append(args.save_bank)
     if args.save_model:
-        gnn = first.models["gnn"]
-        save_model(gnn.bank(), Readout(gnn.readout), gnn.sigma, args.save_model)
+        save_model(gnn.taps, Readout(gnn.readout), gnn.sigma, args.save_model)
         written.append(args.save_model)
     print("wrote: " + ", ".join(written))
     return 0
@@ -314,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--test", type=int)
     run.add_argument("--config", help="key-value config file; flags override it")
     run.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for replicates")
+                     help="worker processes for replicates (at least 1)")
     run.add_argument("--dump-graph", help="write the first replicate's graph")
     run.add_argument("--load-graph", help="run on a saved graph (one replicate)")
     run.add_argument("--save-bank", help="write the first replicate's trained GNN bank")

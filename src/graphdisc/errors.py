@@ -27,13 +27,15 @@ GRAPHDISC_ERRORS = (ConfigurationError, ShapeError, DegenerateInputError, Numeri
 
 
 def read_text(path: str) -> str:
-    """The contents of a text file; a path that cannot be read raises
-    ConfigurationError naming it."""
+    """The contents of a text file; a path that cannot be read, or that
+    does not hold text, raises ConfigurationError naming it."""
     try:
         with open(path) as fh:
             return fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not a text file: {exc}") from exc
 
 
 

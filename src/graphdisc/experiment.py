@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GRAPHDISC_ERRORS, ConfigurationError, DegenerateInputError, ShapeError, make_dir
-from .filters import FirFilter, apply_fir, bank_il_constant
+from .filters import bank_il_constant, contract, shift_powers
 from .gnn import Nonlinearity
 from .graphs import GeometricGraph, SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from .spectral import SubspaceSplit, eig_sym, project_subspace, split_subspace
@@ -143,19 +143,13 @@ def generate_inputs(split: SubspaceSplit, mode: str, count: int,
     return w / norms
 
 
-def generate_input(split: SubspaceSplit, mode: str,
-                   rng: np.random.Generator) -> np.ndarray:
-    """One unit-norm Gaussian input confined to the requested subspace."""
-    return generate_inputs(split, mode, 1, rng)[0]
-
-
 def generate_target(s_norm: SupportMatrix, x: np.ndarray,
                     c: np.ndarray) -> np.ndarray:
     """sign(c0 x + c1 S x + c2 S^2 x) entrywise, with sign(0) = +1."""
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (3,):
         raise ShapeError(f"expected three coefficients, got shape {c.shape}")
-    value = apply_fir(FirFilter(c), s_norm, x)
+    value = contract(c, shift_powers(s_norm, x, 3))
     return np.where(value >= 0.0, 1.0, -1.0)
 
 
@@ -280,6 +274,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    keep_outputs: list[ReplicateOutput] | None = None) -> AggregateReport:
     """All replicates for every requested subspace, aggregated.
 
+    Replicates run in min(jobs, replicates) worker processes, or in this
+    process when that is 1; the report is the same for any jobs.
+
     A replicate that raises a graphdisc.errors exception aborts the run
     with an exception of the same type whose message starts with the
     replicate's subspace and graph index. `keep_outputs`, when given,
@@ -292,8 +289,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
 
     tasks = [(config, mode, g, graph, init_taps, init_readout)
              for mode in config.modes() for g in range(config.graphs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers at the first submit, so never more
+    # than there are replicates
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_replicate_star, tasks))
     else:
         outputs = [_replicate_star(t) for t in tasks]

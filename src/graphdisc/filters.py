@@ -1,10 +1,14 @@
 """FIR graph filters, filter banks, and spectral-domain filters.
 
-An FIR filter is a polynomial in the support matrix, applied by iterated
-one-hop shifts. Its frequency response is the same polynomial evaluated at
-each eigenvalue. A SpectralFilter instead prescribes the per-eigenvalue
-gains directly, which is the only way to make a response exactly zero on a
-set of eigenvalues (a low-degree polynomial cannot vanish on n - k distinct
+An FIR filter is a polynomial in the support matrix, sum_k h_k S^k x. It
+is computed one way only: shift_powers stacks S^k x for k = 0..K, written
+by K products with S, and contract takes the taps (one filter or a whole
+bank) against that stack in one product. Dataset targets, bank_forward
+through a SupportMatrix and the training step all filter this way. The
+frequency response is the same polynomial evaluated at each eigenvalue.
+A SpectralFilter instead prescribes the per-eigenvalue gains directly,
+which is the only way to make a response exactly zero on a set of
+eigenvalues (a low-degree polynomial cannot vanish on n - k distinct
 points).
 
 The integral-Lipschitz constant of a filter is estimated as the maximum of
@@ -40,10 +44,6 @@ class FirFilter:
         if not np.all(np.isfinite(taps)):
             raise ConfigurationError("filter taps must be finite")
         object.__setattr__(self, "taps", _frozen(taps))
-
-    @property
-    def order(self) -> int:
-        return self.taps.size - 1
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,27 @@ class SpectralFilter:
         object.__setattr__(self, "response", _frozen(response))
 
 
-def apply_fir(f: FirFilter, s: SupportMatrix, x: np.ndarray) -> np.ndarray:
-    """Filter output sum_k h_k S^k x, computed by iterated shifts."""
+def shift_powers(s: SupportMatrix, x: np.ndarray, n_taps: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """S^k x for k = 0..n_taps-1 and every signal of x (..., n): shape
+    (n_taps,) + x.shape, written into out when given."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != s.n:
         raise ShapeError(f"signal has length {x.shape[-1]}, support is {s.n}x{s.n}")
-    out = f.taps[0] * x
-    z = x
-    for h_k in f.taps[1:]:
-        z = z @ s.entries.T
-        out = out + h_k * z
-    return out
+    powers = np.empty((n_taps,) + x.shape) if out is None else out
+    powers[0] = x
+    for k in range(1, n_taps):
+        np.matmul(powers[k - 1], s.entries.T, out=powers[k])
+    return powers
+
+
+def contract(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j w[..., j] a[j]: w (F, J) or (J,) against a (J, ...), as one
+    2-D product on the reshaped a, written into out when given. With the
+    taps as w and shift_powers as a, this is the FIR filter output."""
+    shape = w.shape[:-1] + a.shape[1:]
+    flat = None if out is None else out.reshape(w.shape[:-1] + (-1,))
+    return np.matmul(w, a.reshape(a.shape[0], -1), out=flat).reshape(shape)
 
 
 def freq_response(f: FirFilter, lam) -> np.ndarray | float:
@@ -135,13 +145,10 @@ def _il_response(taps: np.ndarray, lam_max: float) -> np.ndarray:
     return (taps * powers) @ lam_pow
 
 
-def il_constant(f: FirFilter, lam_max: float) -> float:
-    """Integral-Lipschitz constant estimate max |lambda h'(lambda)| on the grid."""
-    return bank_il_constant(f.taps[None, :], lam_max)
-
-
 def bank_il_constant(b: FilterBank | np.ndarray, lam_max: float) -> float:
-    """Largest il_constant across a bank or the rows of an (F, K+1) taps matrix."""
+    """Integral-Lipschitz constant estimate: the largest max |lambda h_f'(lambda)|
+    on the grid over the filters of a bank or the rows of an (F, K+1) taps
+    matrix."""
     taps = b.taps_matrix if isinstance(b, FilterBank) else np.asarray(b, dtype=np.float64)
     return float(np.max(np.abs(_il_response(taps, lam_max))))
 
@@ -180,10 +187,11 @@ def zero_high_response(spec: Spectrum, k: int, low_profile: np.ndarray) -> Spect
     return SpectralFilter(response=response)
 
 
-def save_bank(bank: FilterBank, path: str) -> None:
-    """Write a bank as text: `F K+1` then one tap line per filter."""
-    lines = [f"{bank.size} {bank.filters[0].taps.size}"]
-    lines += [" ".join(f"{t:.17g}" for t in f.taps) for f in bank.filters]
+def save_bank(taps: np.ndarray, path: str) -> None:
+    """Write an (F, K+1) taps matrix as a bank: `F K+1` then one tap line
+    per filter."""
+    lines = [f"{taps.shape[0]} {taps.shape[1]}"]
+    lines += [" ".join(f"{t:.17g}" for t in row) for row in taps]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

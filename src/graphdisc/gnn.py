@@ -1,8 +1,9 @@
-"""Pointwise nonlinearities, single-layer GNN forward map, readout.
+"""Pointwise nonlinearities, filter banks applied to signals, readout.
 
-The forward map applies a bank of filters to one input signal and passes
-each feature through a scalar nonlinearity entrywise. The readout combines
-the F features per node with weights shared across nodes (no bias).
+A single-layer GNN applies a bank of filters to one input signal
+(bank_forward) and passes each feature through a scalar nonlinearity
+entrywise. The readout combines the F features per node with weights
+shared across nodes (no bias); training applies it (training.predict).
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from .errors import ConfigurationError, ShapeError
 from .filters import (
     FilterBank,
     SpectralFilter,
-    apply_fir,
+    contract,
     freq_response,
     read_bank_head,
     save_bank,
+    shift_powers,
 )
 from .graphs import SupportMatrix, _frozen
 from .spectral import Spectrum
@@ -70,9 +72,6 @@ class Nonlinearity:
             return t
         return np.multiply(t, np.where(t >= 0.0, 1.0, self.slope), out=out)
 
-    def derivative(self, t: np.ndarray) -> np.ndarray:
-        return self.output_derivative(self.eval(t))
-
     def output_derivative(self, out: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """sigma' at the points where sigma returned out, read off out.
 
@@ -122,10 +121,6 @@ class SingleLayerGnn:
             if len(self.bank) == 0:
                 raise ConfigurationError("a GNN needs at least one filter")
 
-    @property
-    def size(self) -> int:
-        return len(bank_filters(self.bank))
-
 
 @dataclass(frozen=True)
 class Readout:
@@ -159,14 +154,16 @@ def bank_forward(bank: Bank, s_or_spec, x: np.ndarray) -> np.ndarray:
     """Stack of F filtered signals, shape (F, n); no nonlinearity.
 
     Through a SupportMatrix an FIR FilterBank is applied in the shift
-    domain. Through a Spectrum any mix of FIR and spectral filters is
+    domain by the FIR routine of filters, and x may also be a batch
+    (B, n). Through a Spectrum any mix of FIR and spectral filters is
     applied in the eigenbasis, V diag(gains) V^T x per filter.
     """
     x = np.asarray(x, dtype=np.float64)
     if isinstance(s_or_spec, SupportMatrix):
         if not isinstance(bank, FilterBank):
             raise ConfigurationError("a spectral bank is applied through a Spectrum")
-        return np.stack([apply_fir(f, s_or_spec, x) for f in bank.filters])
+        taps = bank.taps_matrix
+        return contract(taps, shift_powers(s_or_spec, x, taps.shape[1]))
     if not isinstance(s_or_spec, Spectrum):
         raise ConfigurationError("a bank is applied through a SupportMatrix or a Spectrum")
     spec = s_or_spec
@@ -180,24 +177,10 @@ def bank_forward(bank: Bank, s_or_spec, x: np.ndarray) -> np.ndarray:
     return np.stack([(xt * g) @ spec.eigenvectors.T for g in gains])
 
 
-def gnn_forward(gnn: SingleLayerGnn, s_or_spec, x: np.ndarray) -> np.ndarray:
-    """sigma applied entrywise to every filtered feature, shape (F, n)."""
-    return gnn.sigma.eval(bank_forward(gnn.bank, s_or_spec, x))
-
-
-def readout_apply(r: Readout, features: np.ndarray) -> np.ndarray:
-    """Weighted feature sum per node: sum_f w_f feature_f."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[0] != r.weights.shape[0]:
-        raise ShapeError(
-            f"{features.shape[0]} features but {r.weights.shape[0]} readout weights"
-        )
-    return np.tensordot(r.weights, features, axes=(0, 0))
-
-
-def save_model(bank: FilterBank, readout: Readout, sigma: Nonlinearity, path: str) -> None:
-    """Bank text format plus one readout line and one sigma descriptor line."""
-    save_bank(bank, path)
+def save_model(taps: np.ndarray, readout: Readout, sigma: Nonlinearity, path: str) -> None:
+    """Bank text format of the (F, K+1) taps, plus one readout line and one
+    sigma descriptor line."""
+    save_bank(taps, path)
     with open(path, "a") as fh:
         fh.write(" ".join(f"{w:.17g}" for w in readout.weights) + "\n")
         fh.write(sigma.descriptor() + "\n")

@@ -6,7 +6,6 @@ generate_geometric_graph: k-nearest-neighbour graph on uniform points in the
     unit square, with weights exp(-distance)
 laplacian: weighted combinatorial Laplacian D - A as a SupportMatrix
 normalize_support: divide a support matrix by its largest-magnitude eigenvalue
-graph_shift: one application of the support matrix to a signal
 save_graph / load_graph: plain-text graph serialization
 
 Classes:
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, LineReader, ShapeError
+from .errors import ConfigurationError, DegenerateInputError, LineReader
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -132,14 +131,6 @@ def normalize_support(s: SupportMatrix) -> SupportMatrix:
                          sparsity_mask=s.sparsity_mask)
 
 
-def graph_shift(s: SupportMatrix, x: np.ndarray) -> np.ndarray:
-    """One-hop aggregation S @ x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != s.n:
-        raise ShapeError(f"signal has length {x.shape[-1]}, support is {s.n}x{s.n}")
-    return x @ s.entries.T
-
-
 def save_graph(g: GeometricGraph, path: str) -> None:
     """Write a graph as text: `n k seed`, n position lines, `i j w` triplets."""
     lines = [f"{g.n} {g.k_neighbors} {g.seed}"]
@@ -155,10 +146,16 @@ def save_graph(g: GeometricGraph, path: str) -> None:
 
 def load_graph(path: str) -> GeometricGraph:
     """Inverse of save_graph. A missing or malformed line raises
-    ConfigurationError naming the path and the line."""
+    ConfigurationError naming the path and the line, as do a node count
+    above the number of lines left for positions, a self-loop, and an edge
+    weight that is not finite and positive."""
     lines = LineReader(path)
     with lines.line("`n k seed`") as tokens:
         n, k_neighbors, seed = (int(t) for t in tokens)
+        # checked before allocating, so a huge n cannot exhaust memory
+        if not 0 <= n <= lines.remaining:
+            raise ConfigurationError(f"node count {n} is not between 0 and the "
+                                     f"{lines.remaining} lines after the header")
         positions = np.empty((n, 2))
     for i in range(n):
         with lines.line("a node position `x y`") as tokens:
@@ -171,6 +168,11 @@ def load_graph(path: str) -> GeometricGraph:
             i, j, w = int(si), int(sj), float(sw)
             if not (0 <= i < n and 0 <= j < n):
                 raise ConfigurationError(f"edge {i} {j} names a node outside 0..{n - 1}")
+            if i == j:
+                raise ConfigurationError(f"self-loop at node {i}")
+            # the comparisons are False for NaN, so NaN is rejected too
+            if not 0.0 < w < np.inf:
+                raise ConfigurationError(f"edge weight must be finite and positive, got {w}")
             weights[i, j] = w
             weights[j, i] = w
     return GeometricGraph(n=n, positions=positions, weights=weights,

@@ -1,9 +1,8 @@
-"""Symmetric eigendecomposition, graph Fourier transform, subspace splits.
+"""Symmetric eigendecomposition, subspace splits and projections.
 
 Functions:
 
 eig_sym: full eigendecomposition of a symmetric support matrix (LAPACK eigh)
-gft / igft: analysis and synthesis with the eigenvector basis
 split_subspace: partition the basis at a sorted index k
 project_subspace: orthogonal projection onto the low or high subspace
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
+from .errors import ConfigurationError, NumericalError, ShapeError
 from .graphs import SupportMatrix, _frozen
 
 
@@ -88,22 +87,6 @@ def eig_sym(s: SupportMatrix) -> Spectrum:
     return Spectrum(eigenvalues=eigvals, eigenvectors=eigvecs)
 
 
-def gft(spec: Spectrum, x: np.ndarray) -> np.ndarray:
-    """Analysis coefficients V^T x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != spec.n:
-        raise ShapeError(f"signal has length {x.shape[-1]}, basis is {spec.n}")
-    return x @ spec.eigenvectors
-
-
-def igft(spec: Spectrum, xt: np.ndarray) -> np.ndarray:
-    """Synthesis V xt, the inverse of gft."""
-    xt = np.asarray(xt, dtype=np.float64)
-    if xt.shape[-1] != spec.n:
-        raise ShapeError(f"coefficients have length {xt.shape[-1]}, basis is {spec.n}")
-    return xt @ spec.eigenvectors.T
-
-
 def split_subspace(spec: Spectrum, k: int) -> SubspaceSplit:
     """Partition the eigenbasis into the k lowest-magnitude modes and the rest."""
     if not 0 < k < spec.n:
@@ -117,14 +100,9 @@ def split_subspace(spec: Spectrum, k: int) -> SubspaceSplit:
     )
 
 
-def project_subspace(split: SubspaceSplit, w: np.ndarray, which: str,
-                     normalize: bool = False) -> np.ndarray:
-    """Project w onto the chosen subspace, optionally normalizing the result.
-
-    which is "low" (span of v_low) or "high" (span of v_high). With
-    normalize=True a projection with norm below 1e-12 raises
-    DegenerateInputError.
-    """
+def project_subspace(split: SubspaceSplit, w: np.ndarray, which: str) -> np.ndarray:
+    """Project w onto the chosen subspace: "low" (span of v_low) or "high"
+    (span of v_high)."""
     w = np.asarray(w, dtype=np.float64)
     if which == "low":
         basis = split.v_low
@@ -134,12 +112,4 @@ def project_subspace(split: SubspaceSplit, w: np.ndarray, which: str,
         raise ConfigurationError(f"which must be 'low' or 'high', got {which!r}")
     if w.shape[-1] != split.n:
         raise ShapeError(f"signal has length {w.shape[-1]}, basis is {split.n}")
-    out = (w @ basis) @ basis.T
-    if normalize:
-        norm = float(np.linalg.norm(out))
-        if norm < 1e-12:
-            raise DegenerateInputError(
-                f"projection onto the {which} subspace is degenerate (norm {norm:.3e})"
-            )
-        out = out / norm
-    return out
+    return (w @ basis) @ basis.T

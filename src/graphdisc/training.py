@@ -7,9 +7,10 @@ activation the plain filter bank.
 One training step on a batch x of shape (B, n), where P is the (K+1, B*n)
 matrix of shift powers S^k x and A the (F, B*n) activation:
 
-- shift powers, written in place by K products with S;
+- shift powers, written in place by the FIR routine of filters
+  (filters.shift_powers);
 - forward: A = sigma(taps @ P) with sigma applied in place, and the
-  prediction readout @ A;
+  prediction readout @ A, both by filters.contract;
 - backward: the readout gradient A @ d(loss)/d(pred); then sigma' (read
   off A, overwriting it) scales the outer product readout x d(loss)/d(pred)
   into d(loss)/d(pre-activation) D, and the tap gradient is D @ P^T;
@@ -40,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeError
-from .filters import FilterBank, FirFilter, _grid_powers, _il_response, bank_il_constant
+from .filters import _grid_powers, _il_response, bank_il_constant, contract, shift_powers
 from .gnn import Nonlinearity
 from .graphs import SupportMatrix
 
@@ -56,9 +57,6 @@ class TrainableModel:
     def copy(self) -> "TrainableModel":
         return TrainableModel(self.taps.copy(), self.readout.copy(), self.sigma)
 
-    def bank(self) -> FilterBank:
-        return FilterBank(filters=tuple(FirFilter(row) for row in self.taps))
-
 
 @dataclass
 class TrainConfig:
@@ -72,10 +70,10 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, shaped like the parameter list."""
+    """First/second moment accumulators, shaped like the parameters."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int
     learning_rate: float
     beta1: float = 0.9
@@ -94,48 +92,42 @@ def init_model(n_features: int, n_taps: int, sigma: Nonlinearity,
     return TrainableModel(taps=taps, readout=readout, sigma=sigma)
 
 
-def init_adam(params: list[np.ndarray], learning_rate: float,
+def init_adam(params: np.ndarray, learning_rate: float,
               per_epoch_decay: float) -> AdamState:
     return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        m=np.zeros_like(params),
+        v=np.zeros_like(params),
         t=0,
         learning_rate=learning_rate,
         per_epoch_decay=per_epoch_decay,
     )
 
 
-def adam_step(state: AdamState, params: list[np.ndarray],
-              grads: list[np.ndarray]) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns new parameters and the state.
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """One bias-corrected Adam update; returns the new parameters.
 
-    The moments and the step count are updated in place, so the returned
-    state is `state` itself; the parameters are new arrays.
+    The moments and the step count of state are updated in place; the
+    parameters are a new array.
     """
-    if len(params) != len(grads):
-        raise ShapeError("parameter and gradient lists differ in length")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    if params.shape != grads.shape:
+        raise ShapeError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
     state.t += 1
     beta1, beta2 = state.beta1, state.beta2
     bias1, bias2 = 1.0 - beta1 ** state.t, 1.0 - beta2 ** state.t
-    new_params = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        g2 = (1.0 - beta2) * g
-        g2 *= g
-        v += g2
-        step = m / bias1
-        step *= state.learning_rate
-        denom = v / bias2
-        np.sqrt(denom, out=denom)
-        denom += state.epsilon
-        step /= denom
-        new_params.append(p - step)
-    return new_params, state
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    g2 = (1.0 - beta2) * grads
+    g2 *= grads
+    v += g2
+    step = m / bias1
+    step *= state.learning_rate
+    denom = v / bias2
+    np.sqrt(denom, out=denom)
+    denom += state.epsilon
+    step /= denom
+    return params - step
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -191,47 +183,25 @@ def _buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
     return _step_buffers[key]
 
 
-def _shift_powers(s: SupportMatrix, x: np.ndarray, n_taps: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """S^k x for k = 0..n_taps-1 and every signal of x (B, n): (K+1, B, n),
-    written into out when given."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != s.n:
-        raise ShapeError(f"signals have length {x.shape[1]}, support is {s.n}x{s.n}")
-    powers = np.empty((n_taps,) + x.shape) if out is None else out
-    powers[0] = x
-    for k in range(1, n_taps):
-        np.matmul(powers[k - 1], s.entries.T, out=powers[k])
-    return powers
-
-
-def _contract(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_j w[..., j] a[j]: w (F, J) or (J,) against a (J, B, n), as one
-    2-D product on the reshaped a, written into out when given."""
-    shape = w.shape[:-1] + a.shape[1:]
-    flat = None if out is None else out.reshape(w.shape[:-1] + (-1,))
-    return np.matmul(w, a.reshape(a.shape[0], -1), out=flat).reshape(shape)
-
-
 def _forward(model: TrainableModel, powers: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
     """The prediction (B, n) from the shift powers (K+1, B, n) of a batch.
     The activation (F, B, n) is left in out when given."""
-    act = model.sigma.eval(_contract(model.taps, powers, out), overwrite=True)
-    return _contract(model.readout, act)
+    act = model.sigma.eval(contract(model.taps, powers, out), overwrite=True)
+    return contract(model.readout, act)
 
 
 def model_forward(model: TrainableModel, s: SupportMatrix,
                   x: np.ndarray) -> ForwardCache:
     """Batched forward pass; x has shape (B, n)."""
-    powers = _shift_powers(s, x, model.taps.shape[1])
-    pre = _contract(model.taps, powers)
+    powers = shift_powers(s, x, model.taps.shape[1])
+    pre = contract(model.taps, powers)
     features = model.sigma.eval(pre)
-    return ForwardCache(powers, pre, features, _contract(model.readout, features))
+    return ForwardCache(powers, pre, features, contract(model.readout, features))
 
 
 def predict(model: TrainableModel, s: SupportMatrix, x: np.ndarray) -> np.ndarray:
-    return _forward(model, _shift_powers(s, x, model.taps.shape[1]))
+    return _forward(model, shift_powers(s, x, model.taps.shape[1]))
 
 
 class BackwardResult(NamedTuple):
@@ -247,7 +217,7 @@ def model_backward(model: TrainableModel, s: SupportMatrix, x: np.ndarray,
     """Loss and analytic gradients for taps and readout on one batch."""
     n_features, n_taps = model.taps.shape
     x = np.atleast_2d(x)
-    powers = _shift_powers(s, x, n_taps, _buffer("powers", (n_taps,) + x.shape))
+    powers = shift_powers(s, x, n_taps, _buffer("powers", (n_taps,) + x.shape))
     act = _buffer("act", (n_features,) + x.shape)
     mse, dpred = mse_loss(_forward(model, powers, act), target)
 
@@ -313,9 +283,9 @@ def _train(model: TrainableModel, s: SupportMatrix,
     # of stepping them apart, with the same arithmetic per entry
     n_tap_params = model.taps.size
     params = np.concatenate([model.taps.ravel(), model.readout])
-    state = init_adam([params], config.learning_rate, config.decay)
+    state = init_adam(params, config.learning_rate, config.decay)
 
-    val_powers = _shift_powers(s, x_val, model.taps.shape[1])
+    val_powers = shift_powers(s, x_val, model.taps.shape[1])
 
     def val_mse() -> float:
         return mse_loss(_forward(model, val_powers), y_val)[0]
@@ -332,7 +302,7 @@ def _train(model: TrainableModel, s: SupportMatrix,
             result = model_backward(model, s, x_train[idx], y_train[idx],
                                     config.il_weight, lam_max)
             grads = np.concatenate([result.grad_taps.ravel(), result.grad_readout])
-            (params,), state = adam_step(state, [params], [grads])
+            params = adam_step(state, params, grads)
             model.taps = params[:n_tap_params].reshape(model.taps.shape)
             model.readout = params[n_tap_params:]
             batch_losses.append(result.mse)

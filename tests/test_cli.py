@@ -6,7 +6,7 @@ import pytest
 import graphdisc.experiment
 from graphdisc.cli import load_config_file, main
 from graphdisc.errors import ConfigurationError
-from graphdisc.filters import FilterBank, FirFilter, load_bank, save_bank
+from graphdisc.filters import load_bank, save_bank
 from graphdisc.gnn import load_model
 from graphdisc.graphs import load_graph
 
@@ -171,6 +171,35 @@ class TestJobs:
         assert "summary.csv" in outs["1"] and len(outs["1"]) == 1 + 3 * 2 * 2
         assert outs["1"] == outs["2"]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        assert run_tiny(out, "--jobs", jobs) == 2
+        assert capsys.readouterr().err == f"graphdisc: error: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
+    def test_pool_no_larger_than_the_replicate_count(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(graphdisc.experiment, "ProcessPoolExecutor", RecordingPool)
+        assert run_tiny(tmp_path / "one", "--jobs", "4") == 0
+        assert sizes == []  # one replicate runs in this process
+        assert run_tiny(tmp_path / "three", "--subspace", "all", "--jobs", "8") == 0
+        assert sizes == [3]
+
 
 class TestErrorExit:
     def test_too_few_nodes(self, tmp_path, capsys):
@@ -212,9 +241,10 @@ class TestErrorExit:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bank_of_wrong_shape(self, tmp_path, capsys, jobs):
+        # two replicates, so that --jobs 2 runs them in worker processes
         path = tmp_path / "bank.txt"
-        save_bank(FilterBank((FirFilter([1.0, 0.0]), FirFilter([0.0, 1.0]))), str(path))
-        code = run_tiny(tmp_path / "out", "--load-bank", path, "--jobs", jobs)
+        save_bank(np.eye(2), str(path))
+        code = run_tiny(tmp_path / "out", "--load-bank", path, "--graphs", "2", "--jobs", jobs)
         assert code == 2
         err = capsys.readouterr().err
         assert err == ("graphdisc: error: replicate high graph 0: "

@@ -8,7 +8,7 @@ import pytest
 import graphdisc.discriminability as disc
 from graphdisc.errors import ConfigurationError, NumericalError
 from graphdisc.filters import FirFilter, SpectralFilter, zero_high_response
-from graphdisc.gnn import Nonlinearity, SingleLayerGnn
+from graphdisc.gnn import Nonlinearity, SingleLayerGnn, bank_forward
 from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym, split_subspace
 
@@ -321,8 +321,8 @@ class TestVerifyCorollary1:
         rng = np.random.default_rng(28)
         gnn = disc.all_zero_high_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
         x, y = disc.sample_pair_in_d_h(split, rng)
-        from graphdisc.gnn import gnn_forward
-        diff = gnn_forward(gnn, spec, x) - gnn_forward(gnn, spec, y)
+        diff = (gnn.sigma.eval(bank_forward(gnn.bank, spec, x))
+                - gnn.sigma.eval(bank_forward(gnn.bank, spec, y)))
         assert np.max(np.abs(diff)) <= 1e-12
 
     def test_rejects_bank_with_high_response(self, setup):

@@ -11,7 +11,6 @@ from graphdisc.experiment import (
     RunMetrics,
     build_dataset,
     emit_report,
-    generate_input,
     generate_inputs,
     generate_target,
     run_experiment,
@@ -43,14 +42,14 @@ class TestGenerateInput:
     def test_high_mode_has_no_low_energy(self, setup):
         _, _, split = setup
         rng = np.random.default_rng(0)
-        x = generate_input(split, "high", rng)
+        x = generate_inputs(split, "high", 1, rng)[0]
         flag, _ = in_nul_vk(split, x, 1e-8)
         assert flag
 
     def test_low_mode_has_no_high_energy(self, setup):
         _, _, split = setup
         rng = np.random.default_rng(1)
-        x = generate_input(split, "low", rng)
+        x = generate_inputs(split, "low", 1, rng)[0]
         assert np.linalg.norm(split.v_high.T @ x) <= 1e-10
 
     @pytest.mark.parametrize("mode", ["low", "high", "full"])
@@ -58,21 +57,21 @@ class TestGenerateInput:
         _, _, split = setup
         rng = np.random.default_rng(2)
         for _ in range(10):
-            x = generate_input(split, mode, rng)
+            x = generate_inputs(split, mode, 1, rng)[0]
             assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
 
     def test_high_inputs_nondiscriminable_from_zero(self, setup):
         # (x, 0) is a nondiscriminable pair relative to the split
         _, _, split = setup
         rng = np.random.default_rng(3)
-        x = generate_input(split, "high", rng)
+        x = generate_inputs(split, "high", 1, rng)[0]
         flag, _ = in_nul_vk(split, x - np.zeros(N), 1e-8)
         assert flag
 
     def test_unknown_mode(self, setup):
         _, _, split = setup
         with pytest.raises(ConfigurationError):
-            generate_input(split, "mid", np.random.default_rng(4))
+            generate_inputs(split, "mid", 1, np.random.default_rng(4))
 
 
     @pytest.mark.parametrize("mode", ["low", "high", "full"])
@@ -82,7 +81,7 @@ class TestGenerateInput:
         _, _, split = setup
         batch = generate_inputs(split, mode, 6, np.random.default_rng(8))
         rng = np.random.default_rng(8)
-        singles = np.stack([generate_input(split, mode, rng) for _ in range(6)])
+        singles = np.stack([generate_inputs(split, mode, 1, rng)[0] for _ in range(6)])
         np.testing.assert_allclose(batch, singles, rtol=0.0, atol=1e-15)
 
     def test_degenerate_draw_raises(self, setup):
@@ -127,7 +126,7 @@ class TestGenerateTarget:
     def test_range(self, setup):
         s, _, split = setup
         rng = np.random.default_rng(7)
-        x = np.stack([generate_input(split, "full", rng) for _ in range(20)])
+        x = np.stack([generate_inputs(split, "full", 1, rng)[0] for _ in range(20)])
         y = generate_target(s, x, rng.uniform(-1, 1, 3))
         assert set(np.unique(y)) <= {-1.0, 1.0}
 

@@ -11,14 +11,14 @@ from graphdisc.filters import (
     FilterBank,
     FirFilter,
     SpectralFilter,
-    apply_fir,
     bank_il_constant,
+    contract,
     cutoff_frequency,
     freq_response,
-    il_constant,
     load_bank,
     response_grid,
     save_bank,
+    shift_powers,
     zero_high_response,
 )
 from graphdisc.gnn import bank_forward
@@ -49,6 +49,11 @@ def cutoff_oracle(taps, eps, lam_max):
     return float(lam_max)
 
 
+def fir(f, s, x):
+    """The FIR routine: the taps of f against the shift powers of x."""
+    return contract(f.taps, shift_powers(s, x, f.taps.size))
+
+
 @pytest.fixture(scope="module")
 def small_support():
     g = generate_geometric_graph(12, 3, seed=21)
@@ -56,20 +61,22 @@ def small_support():
 
 
 class TestApplyFir:
+    """sum_k h_k S^k x through shift_powers and contract."""
+
     def test_identity_filter(self, small_support):
         x = np.arange(12.0)
-        np.testing.assert_array_equal(apply_fir(FirFilter([1.0]), small_support, x), x)
+        np.testing.assert_array_equal(fir(FirFilter([1.0]), small_support, x), x)
 
     def test_single_shift(self, small_support):
         x = np.linspace(-1, 1, 12)
-        np.testing.assert_allclose(apply_fir(FirFilter([0.0, 1.0]), small_support, x),
+        np.testing.assert_allclose(fir(FirFilter([0.0, 1.0]), small_support, x),
                                    small_support.entries @ x, atol=1e-14)
 
     def test_matches_dense_matrix_power_oracle(self):
         s = SupportMatrix(n=2, entries=np.array([[0.0, 1.0], [1.0, 0.0]]),
                           sparsity_mask=np.ones((2, 2), dtype=bool))
         x = np.array([1.0, 0.0])
-        got = apply_fir(FirFilter([1.0, 2.0, 3.0]), s, x)
+        got = fir(FirFilter([1.0, 2.0, 3.0]), s, x)
         expected = dense_filter_oracle([1.0, 2.0, 3.0], s.entries, x)
         np.testing.assert_allclose(got, expected, atol=1e-14)
         np.testing.assert_allclose(got, [4.0, 2.0], atol=1e-14)
@@ -80,7 +87,7 @@ class TestApplyFir:
             taps = rng.uniform(-1, 1, size=rng.integers(1, 6))
             x = rng.standard_normal(12)
             np.testing.assert_allclose(
-                apply_fir(FirFilter(taps), small_support, x),
+                fir(FirFilter(taps), small_support, x),
                 dense_filter_oracle(taps, small_support.entries, x),
                 atol=1e-12)
 
@@ -89,8 +96,8 @@ class TestApplyFir:
         f = FirFilter(rng.uniform(-1, 1, 4))
         x, y = rng.standard_normal((2, 12))
         a, b = 1.7, -0.3
-        combined = apply_fir(f, small_support, a * x + b * y)
-        separate = a * apply_fir(f, small_support, x) + b * apply_fir(f, small_support, y)
+        combined = fir(f, small_support, a * x + b * y)
+        separate = a * fir(f, small_support, x) + b * fir(f, small_support, y)
         np.testing.assert_allclose(combined, separate, atol=1e-10)
 
     @settings(max_examples=20, deadline=None)
@@ -103,12 +110,25 @@ class TestApplyFir:
         P = np.eye(12)[:, perm]
         s_perm = SupportMatrix(n=12, entries=P.T @ small_support.entries @ P,
                                sparsity_mask=(P.T @ small_support.sparsity_mask @ P) > 0)
-        np.testing.assert_allclose(apply_fir(f, s_perm, P.T @ x),
-                                   P.T @ apply_fir(f, small_support, x), atol=1e-10)
+        np.testing.assert_allclose(fir(f, s_perm, P.T @ x),
+                                   P.T @ fir(f, small_support, x), atol=1e-10)
 
     def test_shape_error(self, small_support):
         with pytest.raises(ShapeError):
-            apply_fir(FirFilter([1.0]), small_support, np.zeros(5))
+            fir(FirFilter([1.0]), small_support, np.zeros(5))
+
+    def test_batch_rows_and_bank_rows_match_single_filters(self, small_support):
+        # a batch of signals and a bank of taps in one product give each
+        # filter's output on each signal
+        rng = np.random.default_rng(14)
+        taps = rng.uniform(-1, 1, (3, 4))
+        x = rng.standard_normal((5, 12))
+        out = contract(taps, shift_powers(small_support, x, 4))
+        assert out.shape == (3, 5, 12)
+        for f, rows in zip(taps, out):
+            for xb, row in zip(x, rows):
+                np.testing.assert_allclose(row, dense_filter_oracle(f, small_support.entries, xb),
+                                           atol=1e-12)
 
 
 class TestFreqResponse:
@@ -151,7 +171,7 @@ class TestApplySpectral:
         x = rng.standard_normal(12)
         sf = SpectralFilter(freq_response(f, spec.eigenvalues))
         np.testing.assert_allclose(bank_forward([sf], spec, x)[0],
-                                   apply_fir(f, small_support, x), atol=1e-9)
+                                   fir(f, small_support, x), atol=1e-9)
 
     def test_rank_one_indicator(self, spec):
         rng = np.random.default_rng(7)
@@ -165,27 +185,29 @@ class TestApplySpectral:
 
 
 class TestIlConstant:
+    """bank_il_constant of a single filter, one row of taps."""
+
     def test_constant_filter(self):
-        assert il_constant(FirFilter([3.0]), 1.0) == 0.0
+        assert bank_il_constant([[3.0]], 1.0) == 0.0
 
     def test_linear_filter(self):
-        assert il_constant(FirFilter([0.0, 1.0]), 1.0) == pytest.approx(1.0)
+        assert bank_il_constant([[0.0, 1.0]], 1.0) == pytest.approx(1.0)
 
     def test_quadratic_filter(self):
         # max of |lambda * 2 lambda| on [0, 1] is 2, attained at the endpoint
-        assert il_constant(FirFilter([0.0, 0.0, 1.0]), 1.0) == pytest.approx(2.0)
+        assert bank_il_constant([[0.0, 0.0, 1.0]], 1.0) == pytest.approx(2.0)
 
     def test_tap_scaling(self):
         rng = np.random.default_rng(8)
-        taps = rng.uniform(-1, 1, 4)
-        base = il_constant(FirFilter(taps), 1.0)
+        taps = rng.uniform(-1, 1, (1, 4))
+        base = bank_il_constant(taps, 1.0)
         for c in (-2.5, 0.3):
-            assert il_constant(FirFilter(c * taps), 1.0) == pytest.approx(
+            assert bank_il_constant(c * taps, 1.0) == pytest.approx(
                 abs(c) * base, abs=1e-12)
 
     def test_rejects_nonpositive_lam_max(self):
         with pytest.raises(ConfigurationError):
-            il_constant(FirFilter([1.0]), 0.0)
+            bank_il_constant([[1.0]], 0.0)
 
 
 class TestBankIlConstant:
@@ -198,8 +220,10 @@ class TestBankIlConstant:
         assert bank_il_constant(bank, 1.0) == pytest.approx(1.0)
 
     def test_single_filter_bank(self):
+        # a FilterBank and its taps matrix give the same constant
         f = FirFilter([0.3, -0.6, 0.2])
-        assert bank_il_constant(FilterBank(filters=(f,)), 1.0) == il_constant(f, 1.0)
+        assert bank_il_constant(FilterBank(filters=(f,)), 1.0) == bank_il_constant(
+            f.taps[None, :], 1.0)
 
 
 class TestCutoffFrequency:
@@ -281,7 +305,7 @@ class TestSpectralEquivalence:
             spec = eig_sym(s)
             f = FirFilter(rng.uniform(-1, 1, rng.integers(1, 5)))
             x = rng.standard_normal(n)
-            lhs = spec.eigenvectors.T @ apply_fir(f, s, x)
+            lhs = spec.eigenvectors.T @ fir(f, s, x)
             rhs = freq_response(f, spec.eigenvalues) * (spec.eigenvectors.T @ x)
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(x)
 
@@ -292,15 +316,14 @@ class TestBankSerialization:
         bank = FilterBank(filters=tuple(FirFilter(rng.uniform(-2, 2, 3))
                                         for _ in range(4)))
         path = tmp_path / "bank.txt"
-        save_bank(bank, str(path))
+        save_bank(bank.taps_matrix, str(path))
         back = load_bank(str(path))
         assert back.size == 4
         np.testing.assert_array_equal(back.taps_matrix, bank.taps_matrix)
 
     def test_header(self, tmp_path):
-        bank = FilterBank(filters=(FirFilter([1.0, 2.0]),))
         path = tmp_path / "bank.txt"
-        save_bank(bank, str(path))
+        save_bank(np.array([[1.0, 2.0]]), str(path))
         assert path.read_text().split("\n")[0] == "1 2"
 
     def test_uniform_tap_count_enforced(self):

@@ -1,4 +1,4 @@
-"""Nonlinearities, single-layer GNN forward map, readout, serialization."""
+"""Nonlinearities, filter banks applied to signals, readout, serialization."""
 
 import re
 
@@ -6,19 +6,12 @@ import numpy as np
 import pytest
 
 from graphdisc.errors import ConfigurationError, ShapeError
-from graphdisc.filters import FilterBank, FirFilter, SpectralFilter, apply_fir
-from graphdisc.gnn import (
-    Nonlinearity,
-    Readout,
-    SingleLayerGnn,
-    bank_forward,
-    gnn_forward,
-    load_model,
-    readout_apply,
-    save_model,
-)
+from graphdisc.experiment import ExperimentConfig, run_replicate
+from graphdisc.filters import FilterBank, FirFilter, SpectralFilter
+from graphdisc.gnn import Nonlinearity, Readout, SingleLayerGnn, bank_forward, load_model, save_model
 from graphdisc.graphs import SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym
+from graphdisc.training import TrainableModel, predict
 
 ALL_SIGMAS = [Nonlinearity.tanh(), Nonlinearity.identity(),
               Nonlinearity.leaky_rectifier(0.1), Nonlinearity.leaky_rectifier(0.9)]
@@ -30,6 +23,17 @@ def support():
     return normalize_support(laplacian(g))
 
 
+def readout_of(taps, weights, s, x):
+    """The readout of the features taps @ S^k x, through the identity model."""
+    return predict(TrainableModel(np.asarray(taps, dtype=np.float64), Readout(weights).weights,
+                                  Nonlinearity.identity()), s, x)
+
+
+def dense_fir(taps, entries, x):
+    """Explicit matrix-power evaluation of sum_k h_k S^k x."""
+    return sum(h * np.linalg.matrix_power(entries, k) @ x for k, h in enumerate(taps))
+
+
 class TestNonlinearity:
     @pytest.mark.parametrize("sigma", ALL_SIGMAS, ids=lambda s: s.descriptor())
     def test_derivative_matches_finite_differences(self, sigma):
@@ -37,7 +41,8 @@ class TestNonlinearity:
         t = np.linspace(-5, 5, 41) + 0.013
         h = 1e-6
         fd = (sigma.eval(t + h) - sigma.eval(t - h)) / (2 * h)
-        np.testing.assert_allclose(sigma.derivative(t), fd, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(sigma.output_derivative(sigma.eval(t)), fd,
+                                   rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("sigma", ALL_SIGMAS, ids=lambda s: s.descriptor())
     def test_lipschitz_contraction(self, sigma):
@@ -91,7 +96,7 @@ class TestBankForward:
         x = rng.standard_normal(10)
         out = bank_forward(FilterBank(filters=filters), support, x)
         for f, row in zip(filters, out):
-            np.testing.assert_array_equal(row, apply_fir(f, support, x))
+            np.testing.assert_allclose(row, dense_fir(f.taps, support.entries, x), atol=1e-12)
 
     def test_fir_bank_through_spectrum_matches_support(self, support):
         rng = np.random.default_rng(5)
@@ -108,19 +113,21 @@ class TestBankForward:
 
 
 class TestGnnForward:
+    """sigma applied entrywise to the bank's features, as the verifiers do."""
+
     def test_identity_sigma_equals_bank(self, support):
         rng = np.random.default_rng(3)
         bank = FilterBank(filters=tuple(FirFilter(rng.uniform(-1, 1, 3))
                                         for _ in range(3)))
         gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.identity())
         x = rng.standard_normal(10)
-        np.testing.assert_array_equal(gnn_forward(gnn, support, x),
+        np.testing.assert_array_equal(gnn.sigma.eval(bank_forward(gnn.bank, support, x)),
                                       bank_forward(bank, support, x))
 
     def test_zero_input_zero_features(self, support):
         bank = FilterBank(filters=(FirFilter([0.5, 1.0]), FirFilter([2.0, 0.0])))
         gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
-        out = gnn_forward(gnn, support, np.zeros(10))
+        out = gnn.sigma.eval(bank_forward(gnn.bank, support, np.zeros(10)))
         np.testing.assert_array_equal(out, np.zeros((2, 10)))
 
     def test_tanh_range(self, support):
@@ -129,33 +136,38 @@ class TestGnnForward:
         bank = FilterBank(filters=tuple(FirFilter(rng.uniform(-1, 1, 3))
                                         for _ in range(3)))
         gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
-        out = gnn_forward(gnn, support, rng.standard_normal(10))
+        out = gnn.sigma.eval(bank_forward(gnn.bank, support, rng.standard_normal(10)))
         assert np.all(out > -1.0) and np.all(out < 1.0)
 
 
 class TestReadout:
-    def test_single_feature_passthrough(self):
-        features = np.arange(8.0).reshape(1, 8)
-        np.testing.assert_array_equal(readout_apply(Readout([1.0]), features),
-                                      features[0])
+    """The readout's per-node weighted feature sum, through predict."""
 
-    def test_indicator_selects_feature(self):
+    def test_single_feature_passthrough(self, support):
+        x = np.arange(20.0).reshape(2, 10)
+        np.testing.assert_array_equal(readout_of([[1.0]], [1.0], support, x), x)
+
+    def test_indicator_selects_feature(self, support):
         rng = np.random.default_rng(5)
-        features = rng.standard_normal((4, 6))
+        taps = rng.uniform(-1, 1, (4, 3))
+        x = rng.standard_normal((1, 10))
         w = np.zeros(4)
         w[2] = 1.0
-        np.testing.assert_array_equal(readout_apply(Readout(w), features),
-                                      features[2])
+        bank = FilterBank(filters=tuple(FirFilter(row) for row in taps))
+        np.testing.assert_array_equal(readout_of(taps, w, support, x)[0],
+                                      bank_forward(bank, support, x[0])[2])
 
-    def test_convex_mix_of_identical_features(self):
-        feature = np.linspace(-1, 1, 5)
-        features = np.stack([feature, feature])
-        np.testing.assert_allclose(readout_apply(Readout([0.5, 0.5]), features),
-                                   feature, atol=1e-15)
+    def test_convex_mix_of_identical_features(self, support):
+        x = np.linspace(-1, 1, 10).reshape(1, 10)
+        np.testing.assert_allclose(readout_of([[1.0], [1.0]], [0.5, 0.5], support, x),
+                                   x, atol=1e-15)
 
     def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            readout_apply(Readout([1.0, 2.0]), np.zeros((3, 5)))
+        # a warm-start readout that does not match the feature count
+        config = ExperimentConfig(n=12, k=3, neighbors=3, features=4, subspace="high",
+                                  train=10, val=5, test=5, graphs=1, epochs=0)
+        with pytest.raises(ShapeError, match=r"warm-start readout shape \(3,\) != \(4,\)"):
+            run_replicate(config, "high", 0, init_readout=np.ones(3))
 
 
 class TestPipelineEquivariance:
@@ -170,8 +182,8 @@ class TestPipelineEquivariance:
         P = np.eye(10)[:, perm]
         s_perm = SupportMatrix(n=10, entries=P.T @ support.entries @ P,
                                sparsity_mask=(P.T @ support.sparsity_mask @ P) > 0)
-        out = readout_apply(readout, gnn_forward(gnn, support, x))
-        out_perm = readout_apply(readout, gnn_forward(gnn, s_perm, P.T @ x))
+        out = readout.weights @ gnn.sigma.eval(bank_forward(gnn.bank, support, x))
+        out_perm = readout.weights @ gnn.sigma.eval(bank_forward(gnn.bank, s_perm, P.T @ x))
         np.testing.assert_allclose(out_perm, P.T @ out, atol=1e-10)
 
 
@@ -184,16 +196,15 @@ class TestModelSerialization:
         for sigma in (Nonlinearity.tanh(), Nonlinearity.leaky_rectifier(0.25),
                       Nonlinearity.identity()):
             path = tmp_path / "model.txt"
-            save_model(bank, readout, sigma, str(path))
+            save_model(bank.taps_matrix, readout, sigma, str(path))
             bank2, readout2, sigma2 = load_model(str(path))
             np.testing.assert_array_equal(bank2.taps_matrix, bank.taps_matrix)
             np.testing.assert_array_equal(readout2.weights, readout.weights)
             assert sigma2 == sigma
 
     def test_file_layout(self, tmp_path):
-        bank = FilterBank(filters=(FirFilter([1.0, 0.5]),))
         path = tmp_path / "model.txt"
-        save_model(bank, Readout([2.0]), Nonlinearity.tanh(), str(path))
+        save_model(np.array([[1.0, 0.5]]), Readout([2.0]), Nonlinearity.tanh(), str(path))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "1 2"
         assert lines[-1] == "tanh"

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdisc.errors import ConfigurationError, DegenerateInputError, ShapeError
+from graphdisc.filters import shift_powers
 from graphdisc.graphs import (
     GeometricGraph,
     SupportMatrix,
     _graph_from_positions,
     generate_geometric_graph,
-    graph_shift,
     laplacian,
     load_graph,
     normalize_support,
@@ -150,16 +150,18 @@ class TestNormalizeSupport:
 
 
 class TestGraphShift:
+    """One-hop aggregation S x: the first shift power of the FIR routine."""
+
     def test_swap(self):
         s = SupportMatrix(n=2, entries=np.array([[0.0, 1.0], [1.0, 0.0]]),
                           sparsity_mask=np.ones((2, 2), dtype=bool))
-        np.testing.assert_array_equal(graph_shift(s, np.array([1.0, 2.0])),
+        np.testing.assert_array_equal(shift_powers(s, np.array([1.0, 2.0]), 2)[1],
                                       [2.0, 1.0])
 
     def test_zero_matrix(self):
         s = SupportMatrix(n=3, entries=np.zeros((3, 3)),
                           sparsity_mask=np.zeros((3, 3), dtype=bool))
-        np.testing.assert_array_equal(graph_shift(s, np.arange(3.0)), np.zeros(3))
+        np.testing.assert_array_equal(shift_powers(s, np.arange(3.0), 2)[1], np.zeros(3))
 
     def test_locality(self):
         # zeroing the signal outside node i's neighbourhood leaves [Sx]_i alone
@@ -170,13 +172,13 @@ class TestGraphShift:
         i = 7
         mask = s.sparsity_mask[i].copy()
         x_local = np.where(mask, x, 0.0)
-        assert graph_shift(s, x)[i] == pytest.approx(graph_shift(s, x_local)[i],
-                                                     abs=1e-12)
+        assert shift_powers(s, x, 2)[1, i] == pytest.approx(
+            shift_powers(s, x_local, 2)[1, i], abs=1e-12)
 
     def test_shape_error(self):
         g = generate_geometric_graph(5, 2, seed=9)
         with pytest.raises(ShapeError):
-            graph_shift(laplacian(g), np.zeros(4))
+            shift_powers(laplacian(g), np.zeros(4), 2)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -190,8 +192,8 @@ class TestGraphShift:
         P = np.eye(n)[:, perm]
         s_perm = SupportMatrix(n=n, entries=P.T @ s.entries @ P,
                                sparsity_mask=(P.T @ s.sparsity_mask @ P) > 0)
-        left = graph_shift(s_perm, P.T @ x)
-        right = P.T @ graph_shift(s, x)
+        left = shift_powers(s_perm, P.T @ x, 2)[1]
+        right = P.T @ shift_powers(s, x, 2)[1]
         np.testing.assert_allclose(left, right, atol=1e-12)
 
 
@@ -223,12 +225,21 @@ class TestGraphSerialization:
 class TestLoadGraphErrors:
     @pytest.mark.parametrize("text, line", [
         ("", 1),                                   # empty file
-        ("3 2 0\n0.1 0.2\n", 3),                  # truncated positions
+        ("3 2 0\n0.1 0.2\n", 1),                  # truncated positions: the header's n is too large
         ("3 2\n", 1),                              # short header
         ("2 1 0\n0.1 0.2\n0.3 x\n", 3),           # position that does not parse
         ("2 1 0\n0.1 0.2\n0.3 0.4\n0 1\n", 4),    # edge without a weight
         ("2 1 0\n0.1 0.2\n0.3 0.4\n0 -1 0.5\n", 4),  # node index out of range
-    ], ids=["empty", "truncated", "header", "position", "edge", "node_index"])
+        ("2 1 0\n0.1 0.2\n0.3 0.4\n0 1 0\n", 4),     # zero weight
+        ("2 1 0\n0.1 0.2\n0.3 0.4\n0 1 -0.5\n", 4),  # negative weight
+        ("2 1 0\n0.1 0.2\n0.3 0.4\n0 1 nan\n", 4),   # NaN weight
+        ("2 1 0\n0.1 0.2\n0.3 0.4\n0 1 inf\n", 4),   # infinite weight
+        ("2 1 0\n0.1 0.2\n0.3 0.4\n1 1 0.5\n", 4),   # self-loop
+        ("1000000000000 5 0\n0.1 0.2\n", 1),          # more nodes than lines left
+        ("-1 1 0\n0.1 0.2\n", 1),                      # negative node count
+    ], ids=["empty", "truncated", "header", "position", "edge", "node_index", "zero_weight",
+            "negative_weight", "nan_weight", "inf_weight", "self_loop", "huge_header",
+            "negative_header"])
     def test_names_path_and_line(self, tmp_path, text, line):
         path = tmp_path / "graph.txt"
         path.write_text(text)

@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition, GFT, subspace splits and projections."""
+"""Symmetric eigendecomposition, eigenbasis transforms, subspace splits and projections."""
 
 import sys
 
@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 import graphdisc.spectral
 from graphdisc.cli import main
 from graphdisc.errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
-from graphdisc.experiment import ExperimentConfig, run_replicate
+from graphdisc.experiment import ExperimentConfig, generate_inputs, run_replicate
+from graphdisc.filters import SpectralFilter
+from graphdisc.gnn import bank_forward
 from graphdisc.graphs import SupportMatrix, generate_geometric_graph, laplacian, normalize_support
-from graphdisc.spectral import eig_sym, gft, igft, project_subspace, split_subspace
+from graphdisc.spectral import eig_sym, project_subspace, split_subspace
 
 
 def support(entries: np.ndarray) -> SupportMatrix:
@@ -149,13 +151,15 @@ class TestOneDecompositionPerGraph:
 
 
 class TestGft:
+    """Analysis V^T x and synthesis V xt with the eigenbasis of a Spectrum."""
+
     @pytest.fixture()
     def spec(self):
         return eig_sym(support(random_symmetric(9, seed=4)))
 
     def test_eigenvector_maps_to_basis_vector(self, spec):
         for i in (0, 4, 8):
-            out = gft(spec, spec.eigenvectors[:, i])
+            out = spec.eigenvectors[:, i] @ spec.eigenvectors
             expected = np.zeros(9)
             expected[i] = 1.0
             np.testing.assert_allclose(out, expected, atol=1e-10)
@@ -163,21 +167,24 @@ class TestGft:
     def test_parseval(self, spec):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(9)
-        assert np.linalg.norm(gft(spec, x)) == pytest.approx(np.linalg.norm(x),
-                                                             abs=1e-10)
+        assert np.linalg.norm(x @ spec.eigenvectors) == pytest.approx(np.linalg.norm(x),
+                                                                      abs=1e-10)
 
     def test_round_trip(self, spec):
+        # an all-ones spectral filter synthesizes the analysis coefficients back
         rng = np.random.default_rng(6)
+        v = spec.eigenvectors
         xt = rng.standard_normal(9)
-        np.testing.assert_allclose(gft(spec, igft(spec, xt)), xt, atol=1e-10)
+        np.testing.assert_allclose((xt @ v.T) @ v, xt, atol=1e-10)
         x = rng.standard_normal(9)
-        np.testing.assert_allclose(igft(spec, gft(spec, x)), x, atol=1e-10)
+        np.testing.assert_allclose(bank_forward([SpectralFilter(np.ones(9))], spec, x)[0], x,
+                                   atol=1e-10)
 
     def test_shape_errors(self, spec):
         with pytest.raises(ShapeError):
-            gft(spec, np.zeros(8))
+            bank_forward([SpectralFilter(np.ones(9))], spec, np.zeros(8))
         with pytest.raises(ShapeError):
-            igft(spec, np.zeros(8))
+            bank_forward([SpectralFilter(np.ones(8))], spec, np.zeros(9))
 
 
 class TestSubspaceSplit:
@@ -220,18 +227,23 @@ class TestProjectSubspace:
     def test_high_eigenvector_fixed(self, split):
         sp, spec = split
         v_top = spec.eigenvectors[:, -1]
-        out = project_subspace(sp, v_top, "high", normalize=True)
-        assert min(np.max(np.abs(out - v_top)), np.max(np.abs(out + v_top))) <= 1e-10
+        out = project_subspace(sp, v_top, "high")
+        assert np.max(np.abs(out - v_top)) <= 1e-10
 
     def test_orthogonal_input_degenerate(self, split):
+        # an input draw orthogonal to the high subspace projects to ~0
         sp, spec = split
+
+        class LowEigenvectorRng:
+            def standard_normal(self, shape):
+                return np.tile(spec.eigenvectors[:, 0], (shape[0], 1))
+
         with pytest.raises(DegenerateInputError):
-            project_subspace(sp, spec.eigenvectors[:, 0], "high", normalize=True)
+            generate_inputs(sp, "high", 1, LowEigenvectorRng())
 
     def test_unit_norm_output(self, split):
         sp, _ = split
-        rng = np.random.default_rng(10)
-        out = project_subspace(sp, rng.standard_normal(7), "low", normalize=True)
+        out = generate_inputs(sp, "low", 1, np.random.default_rng(10))[0]
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
     @settings(max_examples=20, deadline=None)

@@ -159,60 +159,59 @@ class TestIlRegularizer:
 
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
-        params = [np.array([1.0, -2.0, 0.5])]
-        grads = [np.array([3.0, -0.2, 1e-4])]
+        params = np.array([1.0, -2.0, 0.5])
+        grads = np.array([3.0, -0.2, 1e-4])
         state = init_adam(params, learning_rate=0.1, per_epoch_decay=0.9)
-        (updated,), _ = adam_step(state, params, grads)
-        np.testing.assert_allclose(updated - params[0],
-                                   -0.1 * np.sign(grads[0]), rtol=1e-3)
+        updated = adam_step(state, params, grads)
+        np.testing.assert_allclose(updated - params, -0.1 * np.sign(grads), rtol=1e-3)
 
     def test_zero_gradients_leave_parameters(self):
-        params = [np.array([[1.0, 2.0]])]
+        params = np.array([[1.0, 2.0]])
         state = init_adam(params, 0.01, 0.9)
         for _ in range(5):
-            params, state = adam_step(state, params, [np.zeros((1, 2))])
-        np.testing.assert_array_equal(params[0], [[1.0, 2.0]])
+            params = adam_step(state, params, np.zeros((1, 2)))
+        np.testing.assert_array_equal(params, [[1.0, 2.0]])
 
     def test_deterministic_trajectories(self):
         rng = np.random.default_rng(3)
         grads_seq = [rng.standard_normal((2, 3)) for _ in range(10)]
 
         def run():
-            params = [np.ones((2, 3))]
+            params = np.ones((2, 3))
             state = init_adam(params, 0.05, 0.9)
             for g in grads_seq:
-                params, state = adam_step(state, params, [g])
-            return params[0]
+                params = adam_step(state, params, g)
+            return params
 
         np.testing.assert_array_equal(run(), run())
 
     def test_moments_update_in_place(self):
-        params = [np.zeros(3), np.zeros(2)]
+        params = np.zeros(5)
         state = init_adam(params, 0.1, 0.9)
-        moments = [*state.m, *state.v]
-        new_params, returned = adam_step(state, params, [np.ones(3), np.ones(2)])
-        assert returned is state and state.t == 1
-        assert all(a is b for a, b in zip([*state.m, *state.v], moments))
-        np.testing.assert_allclose(state.m[0], 0.1)
-        np.testing.assert_array_equal(params[0], np.zeros(3))  # parameters are new arrays
-        assert new_params[0] is not params[0]
+        m, v = state.m, state.v
+        new_params = adam_step(state, params, np.ones(5))
+        assert state.t == 1
+        assert state.m is m and state.v is v
+        np.testing.assert_allclose(state.m, 0.1)
+        np.testing.assert_array_equal(params, np.zeros(5))  # parameters are a new array
+        assert new_params is not params
 
     def test_shape_mismatch_leaves_state(self):
-        params = [np.zeros(3), np.zeros(2)]
+        params = np.zeros(5)
         state = init_adam(params, 0.1, 0.9)
         with pytest.raises(ShapeError):
-            adam_step(state, params, [np.ones(3), np.ones(4)])
+            adam_step(state, params, np.ones(7))
         assert state.t == 0
-        np.testing.assert_array_equal(state.m[0], np.zeros(3))
+        np.testing.assert_array_equal(state.m, np.zeros(5))
 
     def test_shape_mismatch(self):
-        params = [np.zeros(3)]
+        params = np.zeros(3)
         state = init_adam(params, 0.1, 0.9)
         with pytest.raises(ShapeError):
-            adam_step(state, params, [np.zeros(4)])
+            adam_step(state, params, np.zeros(4))
 
     def test_defaults(self):
-        state = init_adam([np.zeros(1)], 0.1, 0.8)
+        state = init_adam(np.zeros(1), 0.1, 0.8)
         assert (state.beta1, state.beta2, state.epsilon) == (0.9, 0.999, 1e-8)
         assert state.per_epoch_decay == 0.8
         assert state.t == 0
@@ -366,7 +365,7 @@ class TestTrain:
                 result = train(model, support, data, data,
                                TrainConfig(epochs=8, batch_size=5, seed=seed,
                                            il_weight=weight))
-                constants[weight] = bank_il_constant(result.model.bank(), 1.0)
+                constants[weight] = bank_il_constant(result.model.taps, 1.0)
             wins += constants[0.01] <= constants[0.0]
         assert wins >= 3
 
