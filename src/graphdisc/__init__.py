@@ -2,8 +2,6 @@
 
 from .errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
 from .filters import (
-    FilterBank,
-    FirFilter,
     SpectralFilter,
     bank_il_constant,
     cutoff_frequency,
@@ -12,7 +10,7 @@ from .filters import (
     save_bank,
     zero_high_response,
 )
-from .gnn import Nonlinearity, Readout, SingleLayerGnn, bank_forward, load_model, save_model
+from .gnn import Nonlinearity, SingleLayerGnn, bank_forward, load_model, save_model
 from .graphs import (
     GeometricGraph,
     SupportMatrix,
@@ -26,9 +24,9 @@ from .spectral import Spectrum, SubspaceSplit, eig_sym, project_subspace, split_
 
 __all__ = [
     "ConfigurationError", "DegenerateInputError", "NumericalError", "ShapeError",
-    "FilterBank", "FirFilter", "SpectralFilter", "bank_il_constant", "cutoff_frequency",
+    "SpectralFilter", "bank_il_constant", "cutoff_frequency",
     "freq_response", "load_bank", "save_bank", "zero_high_response",
-    "Nonlinearity", "Readout", "SingleLayerGnn", "bank_forward", "load_model", "save_model",
+    "Nonlinearity", "SingleLayerGnn", "bank_forward", "load_model", "save_model",
     "GeometricGraph", "SupportMatrix", "generate_geometric_graph", "laplacian",
     "load_graph", "normalize_support", "save_graph",
     "Spectrum", "SubspaceSplit", "eig_sym", "project_subspace", "split_subspace",

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .filters import SpectralFilter, zero_high_response
-from .gnn import Bank, Nonlinearity, SingleLayerGnn, bank_filters, bank_forward, spectral_gains
+from .gnn import Bank, Nonlinearity, SingleLayerGnn, bank_forward, spectral_gains
 from .spectral import Spectrum, SubspaceSplit
 
 SCALE_FLOOR = 1e-30
@@ -179,7 +179,7 @@ def _responds_high(f, high: np.ndarray) -> bool:
 
 def _high_response_flags(bank: Bank, gains: list[np.ndarray], k: int) -> np.ndarray:
     """Which filters respond above the index-k cutoff."""
-    return np.array([_responds_high(f, g[k:]) for f, g in zip(bank_filters(bank), gains)],
+    return np.array([_responds_high(f, g[k:]) for f, g in zip(bank, gains)],
                     dtype=bool)
 
 
@@ -415,8 +415,8 @@ def _run_trials(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
     return rows, deviations
 
 
-def verify_theorem1(spec: Spectrum, split: SubspaceSplit, bank: Bank,
-                    sigma: Nonlinearity, trials: int, rng: np.random.Generator,
+def verify_theorem1(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
+                    trials: int, rng: np.random.Generator,
                     tol: float = DEFAULT_TOL) -> Theorem1Report:
     """Sample pairs the bank discriminates; count any the GNN does not.
 
@@ -424,9 +424,8 @@ def verify_theorem1(spec: Spectrum, split: SubspaceSplit, bank: Bank,
     Nonlinearity kind is strictly monotone and 1-Lipschitz, as the theorem
     asks. The expected counterexample count is zero.
     """
-    _require_zero_high(bank_filters(bank)[0], spectral_gains(bank, spec)[0], split.k,
+    _require_zero_high(gnn.bank[0], spectral_gains(gnn.bank, spec)[0], split.k,
                        "the first filter")
-    gnn = SingleLayerGnn(bank=bank, sigma=sigma)
     pairs = [_sample_pair_not_in_d_h(split, rng, tol) for _ in range(trials)]
     rows, _ = _run_trials(spec, split, gnn, pairs, tol)
     return Theorem1Report(trials=trials, counterexamples=sum(r.in_d_phi for r in rows),
@@ -445,11 +444,10 @@ def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
     cutoff. Reports the agreement rate and the worst margin by which a
     trial cleared its decision thresholds.
     """
-    filters = bank_filters(gnn.bank)
-    if len(filters) < 2:
+    if len(gnn.bank) < 2:
         raise ConfigurationError("the biconditional needs at least two filters")
     gains = spectral_gains(gnn.bank, spec)
-    _require_zero_high(filters[0], gains[0], split.k, "the first filter")
+    _require_zero_high(gnn.bank[0], gains[0], split.k, "the first filter")
     high = _high_response_flags(gnn.bank, gains, split.k)
 
     pairs = [sample_pair_in_d_h(split, rng) for _ in range(trials)]
@@ -477,8 +475,8 @@ def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
     )
 
 
-def verify_corollary1(spec: Spectrum, split: SubspaceSplit, bank: Bank,
-                      sigma: Nonlinearity, trials: int,
+def verify_corollary1(spec: Spectrum, split: SubspaceSplit,
+                      gnn: SingleLayerGnn, trials: int,
                       rng: np.random.Generator,
                       tol: float = DEFAULT_TOL) -> Corollary1Report:
     """With an all-zero-high bank the two verdicts must agree on every pair.
@@ -486,9 +484,8 @@ def verify_corollary1(spec: Spectrum, split: SubspaceSplit, bank: Bank,
     Trials alternate between pairs inside the bank-nondiscriminable set,
     generic pairs outside it, and identical pairs.
     """
-    for idx, (f, gains) in enumerate(zip(bank_filters(bank), spectral_gains(bank, spec))):
+    for idx, (f, gains) in enumerate(zip(gnn.bank, spectral_gains(gnn.bank, spec))):
         _require_zero_high(f, gains, split.k, f"filter {idx}")
-    gnn = SingleLayerGnn(bank=bank, sigma=sigma)
     rows, _ = _run_trials(spec, split, gnn, _mixed_pairs(split, rng, trials, tol), tol)
     return Corollary1Report(trials=trials,
                             verdict_mismatches=sum(r.in_d_h != r.in_d_phi for r in rows),

@@ -3,6 +3,8 @@
 import os
 from contextlib import contextmanager
 
+import numpy as np
+
 
 class ConfigurationError(ValueError):
     """Invalid configuration (bad counts, out-of-range split index, ...)."""
@@ -74,6 +76,17 @@ class LineReader:
         except (IndexError, ValueError) as exc:
             raise ConfigurationError(
                 f"{self.path}:{lineno}: expected {what}, got {text!r}") from exc
+
+    def floats(self, count: int, what: str) -> np.ndarray:
+        """The next line as exactly `count` finite floats; `what` names them
+        in errors."""
+        with self.line(f"{count} {what}") as tokens:
+            if len(tokens) != count:
+                raise ConfigurationError(f"expected {count} {what}, got {len(tokens)}")
+            values = np.array([float(t) for t in tokens])
+            if not np.all(np.isfinite(values)):
+                raise ConfigurationError(f"{what} must be finite, got {' '.join(tokens)}")
+        return values
 
 
 def make_dir(path: str) -> None:

@@ -1,15 +1,16 @@
 """FIR graph filters, filter banks, and spectral-domain filters.
 
-An FIR filter is a polynomial in the support matrix, sum_k h_k S^k x. It
-is computed one way only: shift_powers stacks S^k x for k = 0..K, written
-by K products with S, and contract takes the taps (one filter or a whole
-bank) against that stack in one product. Dataset targets, bank_forward
-through a SupportMatrix and the training step all filter this way. The
-frequency response is the same polynomial evaluated at each eigenvalue.
-A SpectralFilter instead prescribes the per-eigenvalue gains directly,
-which is the only way to make a response exactly zero on a set of
-eigenvalues (a low-degree polynomial cannot vanish on n - k distinct
-points).
+An FIR filter is a polynomial in the support matrix, sum_k h_k S^k x, held
+as its taps h_0..h_K; a bank of F such filters is an (F, K+1) float64 taps
+array, one filter per row. A filter is computed one way only: shift_powers
+stacks S^k x for k = 0..K, written by K products with S, and contract takes
+the taps (one filter or a whole bank) against that stack in one product.
+Dataset targets, bank_forward through a SupportMatrix and the training step
+all filter this way. The frequency response is the same polynomial
+evaluated at each eigenvalue. A SpectralFilter instead prescribes the
+per-eigenvalue gains directly, which is the only way to make a response
+exactly zero on a set of eigenvalues (a low-degree polynomial cannot
+vanish on n - k distinct points).
 
 The integral-Lipschitz constant of a filter is estimated as the maximum of
 |lambda * h'(lambda)| over a uniform grid, using the exact polynomial
@@ -29,45 +30,6 @@ from .graphs import SupportMatrix, _frozen
 from .spectral import Spectrum
 
 GRID_POINTS = 257
-
-
-@dataclass(frozen=True)
-class FirFilter:
-    """Polynomial filter with taps h_0..h_K."""
-
-    taps: np.ndarray  # (K+1,)
-
-    def __post_init__(self):
-        taps = np.atleast_1d(np.asarray(self.taps, dtype=np.float64))
-        if taps.size == 0:
-            raise ConfigurationError("a filter needs at least one tap")
-        if not np.all(np.isfinite(taps)):
-            raise ConfigurationError("filter taps must be finite")
-        object.__setattr__(self, "taps", _frozen(taps))
-
-
-@dataclass(frozen=True)
-class FilterBank:
-    """F parallel FIR filters with a uniform tap count."""
-
-    filters: tuple[FirFilter, ...]
-
-    def __post_init__(self):
-        filters = tuple(self.filters)
-        if not filters:
-            raise ConfigurationError("a bank needs at least one filter")
-        length = filters[0].taps.size
-        if any(f.taps.size != length for f in filters):
-            raise ConfigurationError("all filters in a bank must have the same tap count")
-        object.__setattr__(self, "filters", filters)
-
-    @property
-    def size(self) -> int:
-        return len(self.filters)
-
-    @property
-    def taps_matrix(self) -> np.ndarray:
-        return np.stack([f.taps for f in self.filters])
 
 
 @dataclass(frozen=True)
@@ -106,11 +68,13 @@ def contract(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.
     return np.matmul(w, a.reshape(a.shape[0], -1), out=flat).reshape(shape)
 
 
-def freq_response(f: FirFilter, lam) -> np.ndarray | float:
-    """Polynomial response sum_k h_k lam^k (Horner), scalar or vectorized."""
+def freq_response(taps: np.ndarray, lam) -> np.ndarray | float:
+    """Polynomial response sum_k h_k lam^k of the taps h_0..h_K (Horner),
+    scalar or vectorized."""
+    taps = np.asarray(taps, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    acc = np.full_like(lam, f.taps[-1])
-    for h_k in f.taps[-2::-1]:
+    acc = np.full_like(lam, taps[-1])
+    for h_k in taps[-2::-1]:
         acc = acc * lam + h_k
     return float(acc) if acc.ndim == 0 else acc
 
@@ -145,15 +109,14 @@ def _il_response(taps: np.ndarray, lam_max: float) -> np.ndarray:
     return (taps * powers) @ lam_pow
 
 
-def bank_il_constant(b: FilterBank | np.ndarray, lam_max: float) -> float:
+def bank_il_constant(taps: np.ndarray, lam_max: float) -> float:
     """Integral-Lipschitz constant estimate: the largest max |lambda h_f'(lambda)|
-    on the grid over the filters of a bank or the rows of an (F, K+1) taps
-    matrix."""
-    taps = b.taps_matrix if isinstance(b, FilterBank) else np.asarray(b, dtype=np.float64)
+    on the grid over the rows of an (F, K+1) taps array."""
+    taps = np.asarray(taps, dtype=np.float64)
     return float(np.max(np.abs(_il_response(taps, lam_max))))
 
 
-def cutoff_frequency(f: FirFilter, eps: float, lam_max: float) -> float:
+def cutoff_frequency(taps: np.ndarray, eps: float, lam_max: float) -> float:
     """Smallest grid value above which |h'(lambda)| < eps everywhere.
 
     Scans the uniform grid on [0, lam_max]; returns the smallest grid value
@@ -163,7 +126,7 @@ def cutoff_frequency(f: FirFilter, eps: float, lam_max: float) -> float:
     if eps <= 0:
         raise ConfigurationError(f"eps must be positive, got {eps}")
     grid = response_grid(lam_max)
-    deriv = FirFilter(_derivative_taps(f.taps))
+    deriv = _derivative_taps(np.asarray(taps, dtype=np.float64))
     flat = np.abs(freq_response(deriv, grid)) < eps
     violations = np.nonzero(~flat)[0]
     if violations.size == 0:
@@ -196,21 +159,27 @@ def save_bank(taps: np.ndarray, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_bank_head(path: str) -> tuple[FilterBank, LineReader]:
-    """The bank at the head of a save_bank file, and the reader of the
-    lines after it."""
+def read_bank_head(path: str) -> tuple[np.ndarray, LineReader]:
+    """The (F, K+1) taps at the head of a save_bank file, and the reader of
+    the lines after it.
+
+    This is where a bank from outside the program is checked: a header
+    with F below 1 or above the lines left, or K+1 below 1, a tap line of
+    the wrong length and a tap that is not finite raise ConfigurationError
+    naming the path and the line.
+    """
     lines = LineReader(path)
     with lines.line("`F K+1`") as tokens:
         n_filters, n_taps = (int(t) for t in tokens)
-    filters = []
-    for _ in range(n_filters):
-        with lines.line(f"{n_taps} taps") as tokens:
-            if len(tokens) != n_taps:
-                raise ConfigurationError(f"expected {n_taps} taps, got {len(tokens)}")
-            filters.append(FirFilter(np.array([float(t) for t in tokens])))
-    return FilterBank(filters=tuple(filters)), lines
+        if not 1 <= n_filters <= lines.remaining:
+            raise ConfigurationError(f"filter count {n_filters} is not between 1 and the "
+                                     f"{lines.remaining} lines after the header")
+        if n_taps < 1:
+            raise ConfigurationError(f"a filter needs at least one tap, got {n_taps}")
+    taps = np.array([lines.floats(n_taps, "taps") for _ in range(n_filters)])
+    return taps, lines
 
 
-def load_bank(path: str) -> FilterBank:
-    """Inverse of save_bank."""
+def load_bank(path: str) -> np.ndarray:
+    """Inverse of save_bank: the (F, K+1) taps array."""
     return read_bank_head(path)[0]

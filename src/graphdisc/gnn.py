@@ -1,9 +1,11 @@
-"""Pointwise nonlinearities, filter banks applied to signals, readout.
+"""Pointwise nonlinearities, filter banks applied to signals, model files.
 
 A single-layer GNN applies a bank of filters to one input signal
 (bank_forward) and passes each feature through a scalar nonlinearity
-entrywise. The readout combines the F features per node with weights
-shared across nodes (no bias); training applies it (training.predict).
+entrywise. An FIR bank is its (F, K+1) taps array; a bank may instead be
+a sequence of SpectralFilter. The readout, an (F,) array, combines the F
+features per node with weights shared across nodes (no bias); training
+applies it (training.predict).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ShapeError
 from .filters import (
-    FilterBank,
     SpectralFilter,
     contract,
     freq_response,
@@ -23,10 +24,12 @@ from .filters import (
     save_bank,
     shift_powers,
 )
-from .graphs import SupportMatrix, _frozen
+from .graphs import SupportMatrix
 from .spectral import Spectrum
 
-Bank = Union[FilterBank, Sequence[SpectralFilter]]
+# a taps array, or a sequence of taps rows and spectral filters (applied
+# through a Spectrum); iterating a bank yields its filters either way
+Bank = Union[np.ndarray, Sequence[Union[np.ndarray, SpectralFilter]]]
 
 
 @dataclass(frozen=True)
@@ -102,10 +105,15 @@ class Nonlinearity:
 
     @classmethod
     def from_descriptor(cls, text: str) -> "Nonlinearity":
-        parts = text.split()
-        if parts[0] == "leaky_rectifier":
-            return cls.leaky_rectifier(float(parts[1]))
-        return cls(kind=parts[0])
+        """Inverse of descriptor; a slope on any kind but leaky_rectifier, a
+        missing slope and any further token raise ConfigurationError."""
+        kind, *params = text.split()
+        if kind == "leaky_rectifier" and len(params) == 1:
+            return cls.leaky_rectifier(float(params[0]))
+        if params or kind == "leaky_rectifier":
+            raise ConfigurationError("expected tanh, identity or leaky_rectifier <slope>, "
+                                     f"got {text!r}")
+        return cls(kind=kind)
 
 
 @dataclass(frozen=True)
@@ -116,28 +124,10 @@ class SingleLayerGnn:
     sigma: Nonlinearity
 
     def __post_init__(self):
-        if not isinstance(self.bank, FilterBank):
+        if not isinstance(self.bank, np.ndarray):
             object.__setattr__(self, "bank", tuple(self.bank))
             if len(self.bank) == 0:
                 raise ConfigurationError("a GNN needs at least one filter")
-
-
-@dataclass(frozen=True)
-class Readout:
-    """Single-tap readout: per-node weighted sum of the F features."""
-
-    weights: np.ndarray  # (F,)
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if not np.all(np.isfinite(weights)):
-            raise ConfigurationError("readout weights must be finite")
-        object.__setattr__(self, "weights", _frozen(weights))
-
-
-def bank_filters(bank: Bank) -> tuple:
-    """The filters of a bank, whether a FilterBank or a plain sequence."""
-    return bank.filters if isinstance(bank, FilterBank) else tuple(bank)
 
 
 def spectral_gains(bank: Bank, spec: Spectrum) -> list[np.ndarray]:
@@ -147,23 +137,22 @@ def spectral_gains(bank: Bank, spec: Spectrum) -> list[np.ndarray]:
     polynomial evaluated at the eigenvalues.
     """
     return [f.response if isinstance(f, SpectralFilter) else
-            freq_response(f, spec.eigenvalues) for f in bank_filters(bank)]
+            freq_response(f, spec.eigenvalues) for f in bank]
 
 
 def bank_forward(bank: Bank, s_or_spec, x: np.ndarray) -> np.ndarray:
     """Stack of F filtered signals, shape (F, n); no nonlinearity.
 
-    Through a SupportMatrix an FIR FilterBank is applied in the shift
+    Through a SupportMatrix an FIR bank (a taps array) is applied in the shift
     domain by the FIR routine of filters, and x may also be a batch
     (B, n). Through a Spectrum any mix of FIR and spectral filters is
     applied in the eigenbasis, V diag(gains) V^T x per filter.
     """
     x = np.asarray(x, dtype=np.float64)
     if isinstance(s_or_spec, SupportMatrix):
-        if not isinstance(bank, FilterBank):
+        if not isinstance(bank, np.ndarray):
             raise ConfigurationError("a spectral bank is applied through a Spectrum")
-        taps = bank.taps_matrix
-        return contract(taps, shift_powers(s_or_spec, x, taps.shape[1]))
+        return contract(bank, shift_powers(s_or_spec, x, bank.shape[1]))
     if not isinstance(s_or_spec, Spectrum):
         raise ConfigurationError("a bank is applied through a SupportMatrix or a Spectrum")
     spec = s_or_spec
@@ -177,24 +166,23 @@ def bank_forward(bank: Bank, s_or_spec, x: np.ndarray) -> np.ndarray:
     return np.stack([(xt * g) @ spec.eigenvectors.T for g in gains])
 
 
-def save_model(taps: np.ndarray, readout: Readout, sigma: Nonlinearity, path: str) -> None:
-    """Bank text format of the (F, K+1) taps, plus one readout line and one
-    sigma descriptor line."""
+def save_model(taps: np.ndarray, readout: np.ndarray, sigma: Nonlinearity,
+               path: str) -> None:
+    """Bank text format of the (F, K+1) taps, plus one line of the (F,)
+    readout weights and one sigma descriptor line."""
     save_bank(taps, path)
     with open(path, "a") as fh:
-        fh.write(" ".join(f"{w:.17g}" for w in readout.weights) + "\n")
+        fh.write(" ".join(f"{w:.17g}" for w in readout) + "\n")
         fh.write(sigma.descriptor() + "\n")
 
 
-def load_model(path: str) -> tuple[FilterBank, Readout, Nonlinearity]:
-    """Inverse of save_model. A missing or malformed line raises
-    ConfigurationError naming the path and the line."""
-    bank, lines = read_bank_head(path)
-    with lines.line(f"{bank.size} readout weights") as tokens:
-        if len(tokens) != bank.size:
-            raise ConfigurationError(
-                f"expected {bank.size} readout weights, got {len(tokens)}")
-        readout = Readout(np.array([float(t) for t in tokens]))
+def load_model(path: str) -> tuple[np.ndarray, np.ndarray, Nonlinearity]:
+    """Inverse of save_model: (taps, readout, sigma). A missing or malformed
+    line, as read_bank_head checks it, a readout weight that is not finite
+    and extra tokens on the sigma line raise ConfigurationError naming the
+    path and the line."""
+    taps, lines = read_bank_head(path)
+    readout = lines.floats(taps.shape[0], "readout weights")
     with lines.line("a sigma line: tanh, identity or leaky_rectifier <slope>") as tokens:
         sigma = Nonlinearity.from_descriptor(" ".join(tokens))
-    return bank, readout, sigma
+    return taps, readout, sigma

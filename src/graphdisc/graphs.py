@@ -11,7 +11,7 @@ save_graph / load_graph: plain-text graph serialization
 Classes:
 
 GeometricGraph: node positions plus symmetric nonnegative weights
-SupportMatrix: symmetric matrix with an explicit sparsity mask
+SupportMatrix: finite symmetric matrix
 """
 
 from __future__ import annotations
@@ -47,16 +47,13 @@ class GeometricGraph:
 
 @dataclass(frozen=True)
 class SupportMatrix:
-    """Symmetric matrix that respects a sparsity pattern.
+    """Symmetric n x n matrix, the shift operator of a graph.
 
-    entries[i, j] is zero wherever sparsity_mask[i, j] is False; the diagonal
-    is always permitted. Raises ConfigurationError if an entry is not finite
-    or the asymmetry max |A - A^T| exceeds 1e-10.
+    Raises ConfigurationError if an entry is not finite or the asymmetry
+    max |A - A^T| exceeds 1e-10.
     """
 
-    n: int
     entries: np.ndarray         # (n, n) float64, symmetric
-    sparsity_mask: np.ndarray   # (n, n) bool
 
     def __post_init__(self):
         entries = _frozen(self.entries)
@@ -66,9 +63,10 @@ class SupportMatrix:
         if asym > 1e-10:
             raise ConfigurationError(f"matrix is not symmetric (max |A - A^T| = {asym:.3e})")
         object.__setattr__(self, "entries", entries)
-        mask = np.array(self.sparsity_mask, dtype=bool)
-        mask.flags.writeable = False
-        object.__setattr__(self, "sparsity_mask", mask)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
 
 def generate_geometric_graph(n: int, k_neighbors: int, seed: int) -> GeometricGraph:
@@ -79,6 +77,8 @@ def generate_geometric_graph(n: int, k_neighbors: int, seed: int) -> GeometricGr
     ties are broken by lower node index, making the output a pure function
     of (n, k_neighbors, seed).
     """
+    if k_neighbors < 1:
+        raise ConfigurationError(f"k_neighbors must be at least 1, got {k_neighbors}")
     if n <= k_neighbors:
         raise ConfigurationError(
             f"need n > k_neighbors, got n={n}, k_neighbors={k_neighbors}"
@@ -114,8 +114,7 @@ def laplacian(g: GeometricGraph) -> SupportMatrix:
     degrees = g.weights.sum(axis=1)
     entries = np.diag(degrees) - g.weights
     entries = 0.5 * (entries + entries.T)
-    mask = (g.weights > 0.0) | np.eye(g.n, dtype=bool)
-    return SupportMatrix(n=g.n, entries=entries, sparsity_mask=mask)
+    return SupportMatrix(entries)
 
 
 def normalize_support(s: SupportMatrix) -> SupportMatrix:
@@ -127,8 +126,7 @@ def normalize_support(s: SupportMatrix) -> SupportMatrix:
     if not np.any(s.entries):
         raise DegenerateInputError("cannot normalize the all-zero matrix")
     lam_max = float(np.max(np.abs(np.linalg.eigvalsh(s.entries))))
-    return SupportMatrix(n=s.n, entries=s.entries / lam_max,
-                         sparsity_mask=s.sparsity_mask)
+    return SupportMatrix(s.entries / lam_max)
 
 
 def save_graph(g: GeometricGraph, path: str) -> None:

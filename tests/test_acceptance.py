@@ -11,7 +11,7 @@ import pytest
 
 import graphdisc.discriminability as disc
 from graphdisc.cli import main
-from graphdisc.filters import FilterBank, FirFilter, freq_response
+from graphdisc.filters import freq_response
 from graphdisc.gnn import Nonlinearity, bank_forward
 from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym, split_subspace
@@ -62,10 +62,10 @@ class TestCriterion1SpectralEquivalence:
                                          seed=int(rng.integers(0, 2 ** 62)))
             s = normalize_support(laplacian(g))
             spec = eig_sym(s)
-            f = FirFilter(rng.uniform(-1, 1, int(rng.integers(1, 6))))
+            taps = rng.uniform(-1, 1, (1, int(rng.integers(1, 6))))
             x = rng.standard_normal(n)
-            lhs = spec.eigenvectors.T @ bank_forward(FilterBank((f,)), s, x)[0]
-            rhs = freq_response(f, spec.eigenvalues) * (spec.eigenvectors.T @ x)
+            lhs = spec.eigenvectors.T @ bank_forward(taps, s, x)[0]
+            rhs = freq_response(taps[0], spec.eigenvalues) * (spec.eigenvectors.T @ x)
             worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(x))
         elapsed = time.perf_counter() - start
         report("1 (spectral equivalence)",
@@ -81,8 +81,7 @@ class TestCriterion2Theorem1:
             spec, split = make_graph_setup(20, 5, 4, seed=300 + graph_idx)
             rng = np.random.default_rng(400 + graph_idx)
             gnn = disc.verifier_gnn(spec, 4, Nonlinearity.tanh(), rng=rng)
-            rep = disc.verify_theorem1(spec, split, gnn.bank, gnn.sigma,
-                                       100, rng)
+            rep = disc.verify_theorem1(spec, split, gnn, 100, rng)
             counterexamples += rep.counterexamples
         elapsed = time.perf_counter() - start
         report("2 (theorem 1 property suite)",
@@ -149,8 +148,7 @@ class TestCriterion4Corollary1:
             rng = np.random.default_rng(1200 + graph_idx)
             gnn = disc.all_zero_high_gnn(spec, 4, Nonlinearity.tanh(),
                                          n_filters=3, rng=rng)
-            rep = disc.verify_corollary1(spec, split, gnn.bank, gnn.sigma,
-                                         100, rng)
+            rep = disc.verify_corollary1(spec, split, gnn, 100, rng)
             mismatches += rep.verdict_mismatches
             trials += rep.trials
         report("4 (corollary 1)",

@@ -83,9 +83,8 @@ class TestRunCommand:
         out = tmp_path / "results"
         bpath = tmp_path / "bank.txt"
         run_tiny(out, "--save-bank", bpath)
-        bank = load_bank(str(bpath))
-        assert bank.size == 32
-        assert bank.filters[0].taps.size == 3
+        taps = load_bank(str(bpath))
+        assert taps.shape == (32, 3)
 
         out2 = tmp_path / "results2"
         assert run_tiny(out2, "--load-bank", bpath) == 0
@@ -94,9 +93,9 @@ class TestRunCommand:
         out = tmp_path / "results"
         mpath = tmp_path / "model.txt"
         run_tiny(out, "--save-model", mpath)
-        bank, readout, sigma = load_model(str(mpath))
-        assert bank.size == 32
-        assert readout.weights.shape == (32,)
+        taps, readout, sigma = load_model(str(mpath))
+        assert taps.shape[0] == 32
+        assert readout.shape == (32,)
         assert sigma.kind == "tanh"
 
         out2 = tmp_path / "results2"
@@ -105,16 +104,16 @@ class TestRunCommand:
     def test_model_round_trip_preserves_parameters(self, tmp_path, capsys):
         mpath = tmp_path / "model.txt"
         run_tiny(tmp_path / "r1", "--save-model", mpath)
-        bank, readout, _ = load_model(str(mpath))
+        taps, readout, _ = load_model(str(mpath))
         # warm start with zero epochs keeps the loaded parameters verbatim
         mpath2 = tmp_path / "model2.txt"
         main(["run", "--subspace", "high", "--seed", "3",
               "--out", str(tmp_path / "r2"), "--graphs", "1", "--epochs", "0",
               "--train", "30", "--val", "10", "--test", "10",
               "--load-model", str(mpath), "--save-model", str(mpath2)])
-        bank2, readout2, _ = load_model(str(mpath2))
-        np.testing.assert_array_equal(bank2.taps_matrix, bank.taps_matrix)
-        np.testing.assert_array_equal(readout2.weights, readout.weights)
+        taps2, readout2, _ = load_model(str(mpath2))
+        np.testing.assert_array_equal(taps2, taps)
+        np.testing.assert_array_equal(readout2, readout)
 
 
 class TestVerifyCommand:
@@ -207,6 +206,14 @@ class TestErrorExit:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "graphdisc: error: need n > k_neighbors, got n=5, k_neighbors=5\n"
+
+    @pytest.mark.parametrize("argv", [["--neighbors", "-2"],
+                                      ["--nodes", "-3", "--neighbors", "-5"]])
+    def test_neighbors_below_one(self, tmp_path, capsys, argv):
+        code = main(["verify", *argv, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"graphdisc: error: k_neighbors must be at least 1, got {argv[-1]}\n"
 
     def test_cutoff_out_of_range(self, tmp_path, capsys):
         code = main(["verify", "--nodes", "5", "--neighbors", "2", "--cutoff", "5",

@@ -7,7 +7,7 @@ import pytest
 
 import graphdisc.discriminability as disc
 from graphdisc.errors import ConfigurationError, NumericalError
-from graphdisc.filters import FirFilter, SpectralFilter, zero_high_response
+from graphdisc.filters import SpectralFilter, zero_high_response
 from graphdisc.gnn import Nonlinearity, SingleLayerGnn, bank_forward
 from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym, split_subspace
@@ -218,7 +218,7 @@ class TestVerifyTheorem1:
         spec, split = setup
         rng = np.random.default_rng(18)
         gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
-        report = disc.verify_theorem1(spec, split, gnn.bank, gnn.sigma, 100, rng)
+        report = disc.verify_theorem1(spec, split, gnn, 100, rng)
         assert report.counterexamples == 0
         assert len(report.rows) == 100
         assert all(not row.in_d_h for row in report.rows)
@@ -227,7 +227,7 @@ class TestVerifyTheorem1:
         spec, split = setup
         rng = np.random.default_rng(19)
         gnn = disc.verifier_gnn(spec, K, Nonlinearity.identity(), rng=rng)
-        report = disc.verify_theorem1(spec, split, gnn.bank, gnn.sigma, 50, rng)
+        report = disc.verify_theorem1(spec, split, gnn, 50, rng)
         assert report.counterexamples == 0
 
     def test_low_mode_difference_discriminated_by_both(self, setup):
@@ -241,10 +241,9 @@ class TestVerifyTheorem1:
 
     def test_requires_zero_high_first_filter(self, setup):
         spec, split = setup
-        bank = (SpectralFilter(np.ones(N)),)
+        gnn = SingleLayerGnn(bank=(SpectralFilter(np.ones(N)),), sigma=Nonlinearity.tanh())
         with pytest.raises(ConfigurationError):
-            disc.verify_theorem1(spec, split, bank, Nonlinearity.tanh(), 5,
-                                 np.random.default_rng(21))
+            disc.verify_theorem1(spec, split, gnn, 5, np.random.default_rng(21))
 
     def test_fir_bank_accepted_with_warning(self):
         # an interpolating FIR filter that vanishes on the unprotected
@@ -253,17 +252,16 @@ class TestVerifyTheorem1:
         from graphdisc.graphs import SupportMatrix
 
         lam = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        s = SupportMatrix(n=5, entries=np.diag(lam),
-                          sparsity_mask=np.eye(5, dtype=bool))
+        s = SupportMatrix(np.diag(lam))
         spec = eig_sym(s)
         split = split_subspace(spec, 2)
         targets = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
         coeffs = np.linalg.solve(np.vander(lam, 5, increasing=True), targets)
-        bank = (FirFilter(coeffs), SpectralFilter(np.ones(5)))
+        gnn = SingleLayerGnn(bank=(coeffs, SpectralFilter(np.ones(5))),
+                             sigma=Nonlinearity.tanh())
         rng = np.random.default_rng(22)
         with pytest.warns(UserWarning):
-            report = disc.verify_theorem1(spec, split, bank,
-                                          Nonlinearity.tanh(), 10, rng)
+            report = disc.verify_theorem1(spec, split, gnn, 10, rng)
         assert report.counterexamples == 0
 
 
@@ -310,7 +308,7 @@ class TestVerifyCorollary1:
         spec, split = setup
         rng = np.random.default_rng(27)
         gnn = disc.all_zero_high_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
-        report = disc.verify_corollary1(spec, split, gnn.bank, gnn.sigma, 90, rng)
+        report = disc.verify_corollary1(spec, split, gnn, 90, rng)
         assert report.verdict_mismatches == 0
         flags = {(row.in_d_h, row.in_d_phi) for row in report.rows}
         assert (True, True) in flags and (False, False) in flags
@@ -328,9 +326,9 @@ class TestVerifyCorollary1:
     def test_rejects_bank_with_high_response(self, setup):
         spec, split = setup
         bank = (zero_high_response(spec, K, np.ones(K)), SpectralFilter(np.ones(N)))
+        gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
         with pytest.raises(ConfigurationError):
-            disc.verify_corollary1(spec, split, bank, Nonlinearity.tanh(), 5,
-                                   np.random.default_rng(29))
+            disc.verify_corollary1(spec, split, gnn, 5, np.random.default_rng(29))
 
 
 class TestVerifyCorollary2:
@@ -392,7 +390,7 @@ class TestTrialCsv:
         spec, split = setup
         rng = np.random.default_rng(35)
         gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
-        report = disc.verify_theorem1(spec, split, gnn.bank, gnn.sigma, 5, rng)
+        report = disc.verify_theorem1(spec, split, gnn, 5, rng)
         path = tmp_path / "trials.csv"
         disc.write_trial_csv(report.rows, str(path))
         lines = path.read_text().strip().split("\n")

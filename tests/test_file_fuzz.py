@@ -101,17 +101,17 @@ def graph_round_trip(path, back_path):
 
 
 def bank_round_trip(path, back_path):
-    bank = load_bank(path)
-    save_bank(bank.taps_matrix, back_path)
-    np.testing.assert_array_equal(load_bank(back_path).taps_matrix, bank.taps_matrix)
+    taps = load_bank(path)
+    save_bank(taps, back_path)
+    np.testing.assert_array_equal(load_bank(back_path), taps)
 
 
 def model_round_trip(path, back_path):
-    bank, readout, sigma = load_model(path)
-    save_model(bank.taps_matrix, readout, sigma, back_path)
-    bank2, readout2, sigma2 = load_model(back_path)
-    np.testing.assert_array_equal(bank2.taps_matrix, bank.taps_matrix)
-    np.testing.assert_array_equal(readout2.weights, readout.weights)
+    taps, readout, sigma = load_model(path)
+    save_model(taps, readout, sigma, back_path)
+    taps2, readout2, sigma2 = load_model(back_path)
+    np.testing.assert_array_equal(taps2, taps)
+    np.testing.assert_array_equal(readout2, readout)
     assert sigma2 == sigma
 
 

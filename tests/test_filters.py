@@ -1,5 +1,7 @@
 """FIR and spectral filters, responses, IL constants, cutoff frequencies."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,6 @@ from hypothesis import strategies as st
 from graphdisc.errors import ConfigurationError, ShapeError
 from graphdisc.filters import (
     GRID_POINTS,
-    FilterBank,
-    FirFilter,
     SpectralFilter,
     bank_il_constant,
     contract,
@@ -49,9 +49,10 @@ def cutoff_oracle(taps, eps, lam_max):
     return float(lam_max)
 
 
-def fir(f, s, x):
-    """The FIR routine: the taps of f against the shift powers of x."""
-    return contract(f.taps, shift_powers(s, x, f.taps.size))
+def fir(taps, s, x):
+    """The FIR routine: the taps against the shift powers of x."""
+    taps = np.asarray(taps, dtype=np.float64)
+    return contract(taps, shift_powers(s, x, taps.size))
 
 
 @pytest.fixture(scope="module")
@@ -65,18 +66,17 @@ class TestApplyFir:
 
     def test_identity_filter(self, small_support):
         x = np.arange(12.0)
-        np.testing.assert_array_equal(fir(FirFilter([1.0]), small_support, x), x)
+        np.testing.assert_array_equal(fir([1.0], small_support, x), x)
 
     def test_single_shift(self, small_support):
         x = np.linspace(-1, 1, 12)
-        np.testing.assert_allclose(fir(FirFilter([0.0, 1.0]), small_support, x),
+        np.testing.assert_allclose(fir([0.0, 1.0], small_support, x),
                                    small_support.entries @ x, atol=1e-14)
 
     def test_matches_dense_matrix_power_oracle(self):
-        s = SupportMatrix(n=2, entries=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                          sparsity_mask=np.ones((2, 2), dtype=bool))
+        s = SupportMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         x = np.array([1.0, 0.0])
-        got = fir(FirFilter([1.0, 2.0, 3.0]), s, x)
+        got = fir([1.0, 2.0, 3.0], s, x)
         expected = dense_filter_oracle([1.0, 2.0, 3.0], s.entries, x)
         np.testing.assert_allclose(got, expected, atol=1e-14)
         np.testing.assert_allclose(got, [4.0, 2.0], atol=1e-14)
@@ -87,13 +87,13 @@ class TestApplyFir:
             taps = rng.uniform(-1, 1, size=rng.integers(1, 6))
             x = rng.standard_normal(12)
             np.testing.assert_allclose(
-                fir(FirFilter(taps), small_support, x),
+                fir(taps, small_support, x),
                 dense_filter_oracle(taps, small_support.entries, x),
                 atol=1e-12)
 
     def test_linearity(self, small_support):
         rng = np.random.default_rng(4)
-        f = FirFilter(rng.uniform(-1, 1, 4))
+        f = rng.uniform(-1, 1, 4)
         x, y = rng.standard_normal((2, 12))
         a, b = 1.7, -0.3
         combined = fir(f, small_support, a * x + b * y)
@@ -104,18 +104,17 @@ class TestApplyFir:
     @given(seed=st.integers(0, 10_000))
     def test_permutation_equivariance(self, small_support, seed):
         rng = np.random.default_rng(seed)
-        f = FirFilter(rng.uniform(-1, 1, 3))
+        f = rng.uniform(-1, 1, 3)
         x = rng.standard_normal(12)
         perm = rng.permutation(12)
         P = np.eye(12)[:, perm]
-        s_perm = SupportMatrix(n=12, entries=P.T @ small_support.entries @ P,
-                               sparsity_mask=(P.T @ small_support.sparsity_mask @ P) > 0)
+        s_perm = SupportMatrix(P.T @ small_support.entries @ P)
         np.testing.assert_allclose(fir(f, s_perm, P.T @ x),
                                    P.T @ fir(f, small_support, x), atol=1e-10)
 
     def test_shape_error(self, small_support):
         with pytest.raises(ShapeError):
-            fir(FirFilter([1.0]), small_support, np.zeros(5))
+            fir([1.0], small_support, np.zeros(5))
 
     def test_batch_rows_and_bank_rows_match_single_filters(self, small_support):
         # a batch of signals and a bank of taps in one product give each
@@ -133,21 +132,21 @@ class TestApplyFir:
 
 class TestFreqResponse:
     def test_constant(self):
-        assert freq_response(FirFilter([1.0, 0.0, 0.0]), 0.5) == 1.0
+        assert freq_response([1.0, 0.0, 0.0], 0.5) == 1.0
 
     def test_linear(self):
-        assert freq_response(FirFilter([0.0, 1.0]), 0.7) == pytest.approx(0.7)
+        assert freq_response([0.0, 1.0], 0.7) == pytest.approx(0.7)
 
     def test_power_sum_oracle(self):
         taps = [1.0, 2.0, 3.0]
         lam = 2.0
         oracle = sum(h * lam ** k for k, h in enumerate(taps))
         assert oracle == 17.0
-        assert freq_response(FirFilter(taps), lam) == pytest.approx(oracle, abs=1e-12)
+        assert freq_response(taps, lam) == pytest.approx(oracle, abs=1e-12)
 
     def test_vectorized(self):
         grid = np.linspace(0, 1, 7)
-        out = freq_response(FirFilter([0.5, -1.0, 2.0]), grid)
+        out = freq_response([0.5, -1.0, 2.0], grid)
         oracle = 0.5 - grid + 2.0 * grid ** 2
         np.testing.assert_allclose(out, oracle, atol=1e-14)
 
@@ -167,7 +166,7 @@ class TestApplySpectral:
 
     def test_matches_fir_path(self, small_support, spec):
         rng = np.random.default_rng(6)
-        f = FirFilter(rng.uniform(-1, 1, 4))
+        f = rng.uniform(-1, 1, 4)
         x = rng.standard_normal(12)
         sf = SpectralFilter(freq_response(f, spec.eigenvalues))
         np.testing.assert_allclose(bank_forward([sf], spec, x)[0],
@@ -212,39 +211,39 @@ class TestIlConstant:
 
 class TestBankIlConstant:
     def test_constant_bank(self):
-        bank = FilterBank(filters=(FirFilter([1.0]), FirFilter([-2.0])))
-        assert bank_il_constant(bank, 1.0) == 0.0
+        assert bank_il_constant([[1.0], [-2.0]], 1.0) == 0.0
 
     def test_max_over_filters(self):
-        bank = FilterBank(filters=(FirFilter([0.0, 1.0]), FirFilter([4.0, 0.0])))
-        assert bank_il_constant(bank, 1.0) == pytest.approx(1.0)
+        assert bank_il_constant([[0.0, 1.0], [4.0, 0.0]], 1.0) == pytest.approx(1.0)
 
     def test_single_filter_bank(self):
-        # a FilterBank and its taps matrix give the same constant
-        f = FirFilter([0.3, -0.6, 0.2])
-        assert bank_il_constant(FilterBank(filters=(f,)), 1.0) == bank_il_constant(
-            f.taps[None, :], 1.0)
+        # a one-row bank's constant is max |lambda h'(lambda)| on the grid
+        taps = [0.3, -0.6, 0.2]
+        grid = response_grid(1.0)
+        deriv = np.polynomial.polynomial.polyder(taps)
+        oracle = np.max(np.abs(grid * np.polynomial.polynomial.polyval(grid, deriv)))
+        assert bank_il_constant([taps], 1.0) == pytest.approx(oracle, abs=1e-15)
 
 
 class TestCutoffFrequency:
     def test_constant_filter(self):
-        assert cutoff_frequency(FirFilter([2.0]), 0.1, 1.0) == 0.0
+        assert cutoff_frequency([2.0], 0.1, 1.0) == 0.0
 
     def test_never_flat(self):
-        assert cutoff_frequency(FirFilter([0.0, 1.0]), 0.5, 1.0) == 1.0
+        assert cutoff_frequency([0.0, 1.0], 0.5, 1.0) == 1.0
 
     def test_increasing_derivative_matches_oracle(self):
         # h = lambda^2 has a growing derivative, so the response never
         # flattens above any point and the scan lands on lam_max
         taps = [0.0, 0.0, 1.0]
-        got = cutoff_frequency(FirFilter(taps), 1.0, 1.0)
+        got = cutoff_frequency(taps, 1.0, 1.0)
         assert got == cutoff_oracle(taps, 1.0, 1.0) == 1.0
 
     def test_decreasing_derivative_threshold(self):
         # h = (1 - lambda)^2: |h'| = 2(1 - lambda) < 1 exactly for
         # lambda > 0.5, so the cutoff sits at 0.5 up to one grid step
         taps = [1.0, -2.0, 1.0]
-        got = cutoff_frequency(FirFilter(taps), 1.0, 1.0)
+        got = cutoff_frequency(taps, 1.0, 1.0)
         assert got == cutoff_oracle(taps, 1.0, 1.0)
         step = 1.0 / (GRID_POINTS - 1)
         assert abs(got - 0.5) <= step
@@ -254,16 +253,15 @@ class TestCutoffFrequency:
         for _ in range(10):
             taps = rng.uniform(-1, 1, rng.integers(1, 5))
             eps = rng.uniform(0.05, 2.0)
-            assert cutoff_frequency(FirFilter(taps), eps, 1.0) == cutoff_oracle(
+            assert cutoff_frequency(taps, eps, 1.0) == cutoff_oracle(
                 taps, eps, 1.0)
 
     def test_monotone_in_eps(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             taps = rng.uniform(-1, 1, 4)
-            f = FirFilter(taps)
             eps = np.sort(rng.uniform(0.01, 3.0, size=4))
-            cuts = [cutoff_frequency(f, e, 1.0) for e in eps]
+            cuts = [cutoff_frequency(taps, e, 1.0) for e in eps]
             assert all(a >= b for a, b in zip(cuts, cuts[1:]))
 
 
@@ -303,7 +301,7 @@ class TestSpectralEquivalence:
             g = generate_geometric_graph(n, min(5, n - 1), seed=seed)
             s = normalize_support(laplacian(g))
             spec = eig_sym(s)
-            f = FirFilter(rng.uniform(-1, 1, rng.integers(1, 5)))
+            f = rng.uniform(-1, 1, rng.integers(1, 5))
             x = rng.standard_normal(n)
             lhs = spec.eigenvectors.T @ fir(f, s, x)
             rhs = freq_response(f, spec.eigenvalues) * (spec.eigenvectors.T @ x)
@@ -313,19 +311,36 @@ class TestSpectralEquivalence:
 class TestBankSerialization:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(13)
-        bank = FilterBank(filters=tuple(FirFilter(rng.uniform(-2, 2, 3))
-                                        for _ in range(4)))
+        taps = rng.uniform(-2, 2, (4, 3))
         path = tmp_path / "bank.txt"
-        save_bank(bank.taps_matrix, str(path))
+        save_bank(taps, str(path))
         back = load_bank(str(path))
-        assert back.size == 4
-        np.testing.assert_array_equal(back.taps_matrix, bank.taps_matrix)
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, taps)
 
     def test_header(self, tmp_path):
         path = tmp_path / "bank.txt"
         save_bank(np.array([[1.0, 2.0]]), str(path))
         assert path.read_text().split("\n")[0] == "1 2"
 
-    def test_uniform_tap_count_enforced(self):
-        with pytest.raises(ConfigurationError):
-            FilterBank(filters=(FirFilter([1.0]), FirFilter([1.0, 2.0])))
+    def test_uniform_tap_count_enforced(self, tmp_path):
+        path = tmp_path / "bank.txt"
+        path.write_text("2 1\n1\n1 2\n")
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(str(path))}:3: expected 1 taps, got 2$"):
+            load_bank(str(path))
+
+
+class TestLoadBankErrors:
+    @pytest.mark.parametrize("text, line", [
+        ("0 3\n1 2 3\n", 1),                # no filter
+        ("-2 3\n1 2 3\n", 1),               # negative filter count
+        ("3 1\n1\n2\n", 1),                # more filters than lines left
+        ("1 0\n1\n", 1),                    # no tap
+        ("2 2\n1 0\n0 nan\n", 3),          # a tap that is not finite
+    ], ids=["zero_filters", "negative_filters", "filters_past_end", "zero_taps", "nan_tap"])
+    def test_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bank.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}:{line}: "):
+            load_bank(str(path))

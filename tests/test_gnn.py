@@ -7,8 +7,8 @@ import pytest
 
 from graphdisc.errors import ConfigurationError, ShapeError
 from graphdisc.experiment import ExperimentConfig, run_replicate
-from graphdisc.filters import FilterBank, FirFilter, SpectralFilter
-from graphdisc.gnn import Nonlinearity, Readout, SingleLayerGnn, bank_forward, load_model, save_model
+from graphdisc.filters import SpectralFilter
+from graphdisc.gnn import Nonlinearity, SingleLayerGnn, bank_forward, load_model, save_model
 from graphdisc.graphs import SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym
 from graphdisc.training import TrainableModel, predict
@@ -25,7 +25,8 @@ def support():
 
 def readout_of(taps, weights, s, x):
     """The readout of the features taps @ S^k x, through the identity model."""
-    return predict(TrainableModel(np.asarray(taps, dtype=np.float64), Readout(weights).weights,
+    return predict(TrainableModel(np.asarray(taps, dtype=np.float64),
+                                  np.asarray(weights, dtype=np.float64),
                                   Nonlinearity.identity()), s, x)
 
 
@@ -78,30 +79,28 @@ class TestNonlinearity:
 class TestBankForward:
     def test_single_identity_filter(self, support):
         x = np.arange(10.0)
-        out = bank_forward(FilterBank(filters=(FirFilter([1.0]),)), support, x)
+        out = bank_forward(np.array([[1.0]]), support, x)
         assert out.shape == (1, 10)
         np.testing.assert_array_equal(out[0], x)
 
     def test_linearity_across_bank(self, support):
         rng = np.random.default_rng(1)
-        bank = FilterBank(filters=tuple(FirFilter(rng.uniform(-1, 1, 3))
-                                        for _ in range(4)))
+        bank = rng.uniform(-1, 1, (4, 3))
         x = rng.standard_normal(10)
         np.testing.assert_allclose(bank_forward(bank, support, 2.5 * x),
                                    2.5 * bank_forward(bank, support, x), atol=1e-12)
 
     def test_matches_per_filter_apply(self, support):
         rng = np.random.default_rng(2)
-        filters = tuple(FirFilter(rng.uniform(-1, 1, 3)) for _ in range(3))
+        taps = rng.uniform(-1, 1, (3, 3))
         x = rng.standard_normal(10)
-        out = bank_forward(FilterBank(filters=filters), support, x)
-        for f, row in zip(filters, out):
-            np.testing.assert_allclose(row, dense_fir(f.taps, support.entries, x), atol=1e-12)
+        out = bank_forward(taps, support, x)
+        for f, row in zip(taps, out):
+            np.testing.assert_allclose(row, dense_fir(f, support.entries, x), atol=1e-12)
 
     def test_fir_bank_through_spectrum_matches_support(self, support):
         rng = np.random.default_rng(5)
-        bank = FilterBank(filters=tuple(FirFilter(rng.uniform(-1, 1, 4))
-                                        for _ in range(3)))
+        bank = rng.uniform(-1, 1, (3, 4))
         x = rng.standard_normal(10)
         np.testing.assert_allclose(bank_forward(bank, eig_sym(support), x),
                                    bank_forward(bank, support, x), atol=1e-10)
@@ -117,15 +116,14 @@ class TestGnnForward:
 
     def test_identity_sigma_equals_bank(self, support):
         rng = np.random.default_rng(3)
-        bank = FilterBank(filters=tuple(FirFilter(rng.uniform(-1, 1, 3))
-                                        for _ in range(3)))
+        bank = rng.uniform(-1, 1, (3, 3))
         gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.identity())
         x = rng.standard_normal(10)
         np.testing.assert_array_equal(gnn.sigma.eval(bank_forward(gnn.bank, support, x)),
                                       bank_forward(bank, support, x))
 
     def test_zero_input_zero_features(self, support):
-        bank = FilterBank(filters=(FirFilter([0.5, 1.0]), FirFilter([2.0, 0.0])))
+        bank = np.array([[0.5, 1.0], [2.0, 0.0]])
         gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
         out = gnn.sigma.eval(bank_forward(gnn.bank, support, np.zeros(10)))
         np.testing.assert_array_equal(out, np.zeros((2, 10)))
@@ -133,8 +131,7 @@ class TestGnnForward:
     def test_tanh_range(self, support):
         # pre-activations stay below tanh's float64 saturation point
         rng = np.random.default_rng(4)
-        bank = FilterBank(filters=tuple(FirFilter(rng.uniform(-1, 1, 3))
-                                        for _ in range(3)))
+        bank = rng.uniform(-1, 1, (3, 3))
         gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
         out = gnn.sigma.eval(bank_forward(gnn.bank, support, rng.standard_normal(10)))
         assert np.all(out > -1.0) and np.all(out < 1.0)
@@ -153,9 +150,8 @@ class TestReadout:
         x = rng.standard_normal((1, 10))
         w = np.zeros(4)
         w[2] = 1.0
-        bank = FilterBank(filters=tuple(FirFilter(row) for row in taps))
         np.testing.assert_array_equal(readout_of(taps, w, support, x)[0],
-                                      bank_forward(bank, support, x[0])[2])
+                                      bank_forward(taps, support, x[0])[2])
 
     def test_convex_mix_of_identical_features(self, support):
         x = np.linspace(-1, 1, 10).reshape(1, 10)
@@ -173,38 +169,35 @@ class TestReadout:
 class TestPipelineEquivariance:
     def test_permutation_equivariance(self, support):
         rng = np.random.default_rng(6)
-        bank = FilterBank(filters=tuple(FirFilter(rng.uniform(-1, 1, 3))
-                                        for _ in range(3)))
+        bank = rng.uniform(-1, 1, (3, 3))
         gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
-        readout = Readout(rng.standard_normal(3))
+        readout = rng.standard_normal(3)
         x = rng.standard_normal(10)
         perm = rng.permutation(10)
         P = np.eye(10)[:, perm]
-        s_perm = SupportMatrix(n=10, entries=P.T @ support.entries @ P,
-                               sparsity_mask=(P.T @ support.sparsity_mask @ P) > 0)
-        out = readout.weights @ gnn.sigma.eval(bank_forward(gnn.bank, support, x))
-        out_perm = readout.weights @ gnn.sigma.eval(bank_forward(gnn.bank, s_perm, P.T @ x))
+        s_perm = SupportMatrix(P.T @ support.entries @ P)
+        out = readout @ gnn.sigma.eval(bank_forward(gnn.bank, support, x))
+        out_perm = readout @ gnn.sigma.eval(bank_forward(gnn.bank, s_perm, P.T @ x))
         np.testing.assert_allclose(out_perm, P.T @ out, atol=1e-10)
 
 
 class TestModelSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        bank = FilterBank(filters=tuple(FirFilter(rng.uniform(-1, 1, 3))
-                                        for _ in range(4)))
-        readout = Readout(rng.standard_normal(4))
+        taps = rng.uniform(-1, 1, (4, 3))
+        readout = rng.standard_normal(4)
         for sigma in (Nonlinearity.tanh(), Nonlinearity.leaky_rectifier(0.25),
                       Nonlinearity.identity()):
             path = tmp_path / "model.txt"
-            save_model(bank.taps_matrix, readout, sigma, str(path))
-            bank2, readout2, sigma2 = load_model(str(path))
-            np.testing.assert_array_equal(bank2.taps_matrix, bank.taps_matrix)
-            np.testing.assert_array_equal(readout2.weights, readout.weights)
+            save_model(taps, readout, sigma, str(path))
+            taps2, readout2, sigma2 = load_model(str(path))
+            np.testing.assert_array_equal(taps2, taps)
+            np.testing.assert_array_equal(readout2, readout)
             assert sigma2 == sigma
 
     def test_file_layout(self, tmp_path):
         path = tmp_path / "model.txt"
-        save_model(np.array([[1.0, 0.5]]), Readout([2.0]), Nonlinearity.tanh(), str(path))
+        save_model(np.array([[1.0, 0.5]]), np.array([2.0]), Nonlinearity.tanh(), str(path))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "1 2"
         assert lines[-1] == "tanh"
@@ -220,8 +213,16 @@ class TestLoadModelErrors:
         (BANK + "0.5\ntanh\n", 4),                       # readout of the wrong length
         (BANK + "0.5 0.5\nsoftplus\n", 5),               # unknown activation
         ("3 2\n1 0\n0 1\n0.5 0.5 0.5\ntanh\n", 4),       # fewer tap lines than the header
+        ("0 3\n0.5\ntanh\n", 1),                          # no filter
+        ("-2 3\n0.5\ntanh\n", 1),                         # negative filter count
+        ("1 0\n0.5\ntanh\n", 1),                          # no tap
+        ("2 2\n1 0\n0 nan\n0.5 0.5\ntanh\n", 3),          # a tap that is not finite
+        (BANK + "0.5 inf\ntanh\n", 4),                    # a readout weight that is not finite
+        (BANK + "0.5 0.5\ntanh 0.3 junk\n", 5),           # extra tokens after tanh
+        (BANK + "0.5 0.5\nidentity 0.5\n", 5),            # a slope on the identity
     ], ids=["no_readout", "no_sigma", "bare_leaky_rectifier", "readout_length",
-            "unknown_sigma", "missing_tap_line"])
+            "unknown_sigma", "missing_tap_line", "zero_filters", "negative_filters",
+            "zero_taps", "nan_tap", "inf_readout", "tanh_extra_tokens", "identity_slope"])
     def test_names_path_and_line(self, tmp_path, text, line):
         path = tmp_path / "model.txt"
         path.write_text(text)

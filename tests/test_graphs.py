@@ -102,23 +102,21 @@ class TestSupportMatrix:
     def test_rejects_nan_entry(self):
         entries = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ConfigurationError, match="non-finite"):
-            SupportMatrix(n=2, entries=entries, sparsity_mask=np.ones((2, 2), dtype=bool))
+            SupportMatrix(entries)
 
     def test_accepts_asymmetry_within_tolerance(self):
         entries = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
-        s = SupportMatrix(n=2, entries=entries, sparsity_mask=np.ones((2, 2), dtype=bool))
+        s = SupportMatrix(entries)
         assert s.entries[1, 0] == 0.5 + 1e-12
 
 
 class TestNormalizeSupport:
     def test_rejects_asymmetric(self):
         with pytest.raises(ConfigurationError, match="not symmetric"):
-            normalize_support(SupportMatrix(n=2, entries=np.array([[0.0, 1.0], [0.5, 0.0]]),
-                                            sparsity_mask=np.ones((2, 2), dtype=bool)))
+            normalize_support(SupportMatrix(np.array([[0.0, 1.0], [0.5, 0.0]])))
 
     def test_diagonal(self):
-        s = SupportMatrix(n=2, entries=np.diag([2.0, 1.0]),
-                          sparsity_mask=np.eye(2, dtype=bool))
+        s = SupportMatrix(np.diag([2.0, 1.0]))
         out = normalize_support(s)
         np.testing.assert_allclose(out.entries, np.diag([1.0, 0.5]), atol=0.0)
 
@@ -131,15 +129,13 @@ class TestNormalizeSupport:
     def test_scale_invariance(self):
         g = generate_geometric_graph(15, 3, seed=6)
         L = laplacian(g)
-        scaled = SupportMatrix(n=L.n, entries=3.7 * L.entries,
-                               sparsity_mask=L.sparsity_mask)
+        scaled = SupportMatrix(3.7 * L.entries)
         np.testing.assert_allclose(normalize_support(L).entries,
                                    normalize_support(scaled).entries,
                                    atol=1e-14)
 
     def test_rejects_zero_matrix(self):
-        s = SupportMatrix(n=3, entries=np.zeros((3, 3)),
-                          sparsity_mask=np.ones((3, 3), dtype=bool))
+        s = SupportMatrix(np.zeros((3, 3)))
         with pytest.raises(DegenerateInputError):
             normalize_support(s)
 
@@ -153,14 +149,12 @@ class TestGraphShift:
     """One-hop aggregation S x: the first shift power of the FIR routine."""
 
     def test_swap(self):
-        s = SupportMatrix(n=2, entries=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                          sparsity_mask=np.ones((2, 2), dtype=bool))
+        s = SupportMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_array_equal(shift_powers(s, np.array([1.0, 2.0]), 2)[1],
                                       [2.0, 1.0])
 
     def test_zero_matrix(self):
-        s = SupportMatrix(n=3, entries=np.zeros((3, 3)),
-                          sparsity_mask=np.zeros((3, 3), dtype=bool))
+        s = SupportMatrix(np.zeros((3, 3)))
         np.testing.assert_array_equal(shift_powers(s, np.arange(3.0), 2)[1], np.zeros(3))
 
     def test_locality(self):
@@ -170,7 +164,7 @@ class TestGraphShift:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(20)
         i = 7
-        mask = s.sparsity_mask[i].copy()
+        mask = s.entries[i] != 0
         x_local = np.where(mask, x, 0.0)
         assert shift_powers(s, x, 2)[1, i] == pytest.approx(
             shift_powers(s, x_local, 2)[1, i], abs=1e-12)
@@ -190,8 +184,7 @@ class TestGraphShift:
         x = rng.standard_normal(n)
         perm = rng.permutation(n)
         P = np.eye(n)[:, perm]
-        s_perm = SupportMatrix(n=n, entries=P.T @ s.entries @ P,
-                               sparsity_mask=(P.T @ s.sparsity_mask @ P) > 0)
+        s_perm = SupportMatrix(P.T @ s.entries @ P)
         left = shift_powers(s_perm, P.T @ x, 2)[1]
         right = P.T @ shift_powers(s, x, 2)[1]
         np.testing.assert_allclose(left, right, atol=1e-12)

@@ -18,9 +18,7 @@ from graphdisc.spectral import eig_sym, project_subspace, split_subspace
 
 
 def support(entries: np.ndarray) -> SupportMatrix:
-    entries = np.asarray(entries, dtype=np.float64)
-    return SupportMatrix(n=entries.shape[0], entries=entries,
-                         sparsity_mask=np.ones(entries.shape, dtype=bool))
+    return SupportMatrix(entries)
 
 
 def char_poly_roots_2x2(m: np.ndarray) -> np.ndarray:
