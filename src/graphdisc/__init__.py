@@ -2,7 +2,6 @@
 
 from .errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
 from .filters import (
-    SpectralFilter,
     bank_il_constant,
     cutoff_frequency,
     freq_response,
@@ -24,7 +23,7 @@ from .spectral import Spectrum, SubspaceSplit, eig_sym, project_subspace, split_
 
 __all__ = [
     "ConfigurationError", "DegenerateInputError", "NumericalError", "ShapeError",
-    "SpectralFilter", "bank_il_constant", "cutoff_frequency",
+    "bank_il_constant", "cutoff_frequency",
     "freq_response", "load_bank", "save_bank", "zero_high_response",
     "Nonlinearity", "SingleLayerGnn", "bank_forward", "load_model", "save_model",
     "GeometricGraph", "SupportMatrix", "generate_geometric_graph", "laplacian",

@@ -29,25 +29,28 @@ The verifiers draw randomized trials and check, statement by statement:
                            GNN verdict set is strictly smaller, and the
                            per-node secant equations admit no consistent
                            solution (overdetermined-system probe)
+
+A GNN's bank is its (F, n) gains array on the Spectrum of the split; a
+filter counts as zero above the cutoff when every gain there is at most
+ZERO_HIGH_TOL in magnitude.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .filters import SpectralFilter, zero_high_response
-from .gnn import Bank, Nonlinearity, SingleLayerGnn, bank_forward, spectral_gains
+from .filters import zero_high_response
+from .gnn import Nonlinearity, SingleLayerGnn, bank_forward
 from .spectral import Spectrum, SubspaceSplit
 
 SCALE_FLOOR = 1e-30
 SECANT_EQUAL_POINTS = 1e-12   # |x_i - y_i| below this uses the derivative
-FIR_ZERO_HIGH_TOL = 1e-10
+ZERO_HIGH_TOL = 1e-10         # a gain above the cutoff counts as zero up to this
 DEFAULT_TOL = 1e-8
 DEFAULT_SECANT_TOL = 1e-9
 SECANT_GRID_POINTS = 8001
@@ -119,10 +122,10 @@ class _PairOutputs(NamedTuple):
     gy: np.ndarray
 
 
-def _pair_outputs(gnn: SingleLayerGnn, s_or_spec, x: np.ndarray,
+def _pair_outputs(gnn: SingleLayerGnn, spec: Spectrum, x: np.ndarray,
                   y: np.ndarray) -> _PairOutputs:
-    fx = bank_forward(gnn.bank, s_or_spec, x)
-    fy = bank_forward(gnn.bank, s_or_spec, y)
+    fx = bank_forward(gnn.bank, spec, x)
+    fy = bank_forward(gnn.bank, spec, y)
     return _PairOutputs(fx, fy, gnn.sigma.eval(fx), gnn.sigma.eval(fy))
 
 
@@ -166,24 +169,12 @@ def _secants(sigma: Nonlinearity, out: _PairOutputs) -> tuple[np.ndarray, np.nda
     return secants, max_dev
 
 
-def _responds_high(f, high: np.ndarray) -> bool:
-    """Whether a filter's gains above the cutoff count as nonzero.
-
-    A spectral filter is held to exact zeros; an FIR filter can only be
-    numerically zero there, so it passes up to FIR_ZERO_HIGH_TOL.
-    """
-    if isinstance(f, SpectralFilter):
-        return bool(np.any(high != 0.0))
-    return bool(np.any(np.abs(high) > FIR_ZERO_HIGH_TOL))
+def _high_response_flags(bank: np.ndarray, k: int) -> np.ndarray:
+    """Which rows of the (F, n) gains respond above the index-k cutoff."""
+    return np.any(np.abs(bank[:, k:]) > ZERO_HIGH_TOL, axis=1)
 
 
-def _high_response_flags(bank: Bank, gains: list[np.ndarray], k: int) -> np.ndarray:
-    """Which filters respond above the index-k cutoff."""
-    return np.array([_responds_high(f, g[k:]) for f, g in zip(bank, gains)],
-                    dtype=bool)
-
-
-def pair_in_d_h(split: SubspaceSplit, bank: Bank, s_or_spec, x: np.ndarray,
+def pair_in_d_h(split: SubspaceSplit, bank: np.ndarray, spec: Spectrum, x: np.ndarray,
                 y: np.ndarray, tol: float) -> tuple[bool, float]:
     """Whether the bank cannot discriminate x from y; returns (flag, residual).
 
@@ -194,16 +185,16 @@ def pair_in_d_h(split: SubspaceSplit, bank: Bank, s_or_spec, x: np.ndarray,
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return _bank_verdict(split, bank_forward(bank, s_or_spec, x),
-                         bank_forward(bank, s_or_spec, y), x, y, tol)
+    return _bank_verdict(split, bank_forward(bank, spec, x),
+                         bank_forward(bank, spec, y), x, y, tol)
 
 
-def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn, s_or_spec,
+def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectrum,
                   x: np.ndarray, y: np.ndarray, tol: float) -> PairVerdict:
     """Full membership verdict for one pair under the GNN."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return _pair_verdict(split, _pair_outputs(gnn, s_or_spec, x, y), x, y, tol)
+    return _pair_verdict(split, _pair_outputs(gnn, spec, x, y), x, y, tol)
 
 
 def sample_pair_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
@@ -234,8 +225,7 @@ def secant_report(gnn: SingleLayerGnn, spec: Spectrum, x: np.ndarray,
     return SecantReport(
         secants=secants,
         max_deviation=max_dev,
-        high_response_nonzero=_high_response_flags(
-            gnn.bank, spectral_gains(gnn.bank, spec), cutoff_k),
+        high_response_nonzero=_high_response_flags(gnn.bank, cutoff_k),
     )
 
 
@@ -254,12 +244,12 @@ def verifier_gnn(spec: Spectrum, k: int, sigma: Nonlinearity,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    filters = [zero_high_response(spec, k, np.ones(k))]
+    rows = [zero_high_response(spec, k, np.ones(k))]
     for _ in range(full_band_filters):
-        response = np.ones(spec.n)
-        response[:k] = rng.uniform(0.5, 1.5, size=k)
-        filters.append(SpectralFilter(response=response))
-    return SingleLayerGnn(bank=tuple(filters), sigma=sigma)
+        row = np.ones(spec.n)
+        row[:k] = rng.uniform(0.5, 1.5, size=k)
+        rows.append(row)
+    return SingleLayerGnn(bank=np.stack(rows), sigma=sigma)
 
 
 def all_zero_high_gnn(spec: Spectrum, k: int, sigma: Nonlinearity,
@@ -268,10 +258,10 @@ def all_zero_high_gnn(spec: Spectrum, k: int, sigma: Nonlinearity,
     """GNN whose every filter is exactly zero above the index-k cutoff."""
     if rng is None:
         rng = np.random.default_rng(0)
-    filters = [zero_high_response(spec, k, np.ones(k))]
+    rows = [zero_high_response(spec, k, np.ones(k))]
     for _ in range(n_filters - 1):
-        filters.append(zero_high_response(spec, k, rng.uniform(0.5, 1.5, size=k)))
-    return SingleLayerGnn(bank=tuple(filters), sigma=sigma)
+        rows.append(zero_high_response(spec, k, rng.uniform(0.5, 1.5, size=k)))
+    return SingleLayerGnn(bank=np.stack(rows), sigma=sigma)
 
 
 def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectrum,
@@ -290,8 +280,8 @@ def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectr
             "the lowest eigenvector must be entrywise positive for the "
             "all-positive construction (is the graph connected?)"
         )
-    gains_v1 = [float(g[0]) for g in spectral_gains(gnn.bank, spec)]
-    if min(gains_v1) <= 1e-12:
+    gains_v1 = gnn.bank[:, 0]
+    if float(np.min(gains_v1)) <= 1e-12:
         raise ConfigurationError(
             "every filter needs a positive gain on the lowest mode to "
             "shift its output positive"
@@ -308,18 +298,12 @@ def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectr
     return x0 + shift * v1, y0 + shift * v1
 
 
-def _require_zero_high(f, gains: np.ndarray, k: int, role: str) -> None:
-    """Reject a filter that responds above the cutoff; warn if it is FIR."""
+def _require_zero_high(gains: np.ndarray, k: int, role: str) -> None:
+    """Reject an (n,) gains row with a gain above ZERO_HIGH_TOL past index k."""
     peak = float(np.max(np.abs(gains[k:])))
-    if _responds_high(f, gains[k:]):
+    if peak > ZERO_HIGH_TOL:
         raise ConfigurationError(
             f"{role} must vanish above the cutoff; max response there is {peak:.3e}"
-        )
-    if not isinstance(f, SpectralFilter):
-        warnings.warn(
-            f"{role} is an FIR filter; its response above the cutoff is only "
-            f"numerically zero (max {peak:.3e})",
-            stacklevel=3,
         )
 
 
@@ -424,8 +408,7 @@ def verify_theorem1(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
     Nonlinearity kind is strictly monotone and 1-Lipschitz, as the theorem
     asks. The expected counterexample count is zero.
     """
-    _require_zero_high(gnn.bank[0], spectral_gains(gnn.bank, spec)[0], split.k,
-                       "the first filter")
+    _require_zero_high(gnn.bank[0], split.k, "the first filter")
     pairs = [_sample_pair_not_in_d_h(split, rng, tol) for _ in range(trials)]
     rows, _ = _run_trials(spec, split, gnn, pairs, tol)
     return Theorem1Report(trials=trials, counterexamples=sum(r.in_d_phi for r in rows),
@@ -446,9 +429,8 @@ def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
     """
     if len(gnn.bank) < 2:
         raise ConfigurationError("the biconditional needs at least two filters")
-    gains = spectral_gains(gnn.bank, spec)
-    _require_zero_high(gnn.bank[0], gains[0], split.k, "the first filter")
-    high = _high_response_flags(gnn.bank, gains, split.k)
+    _require_zero_high(gnn.bank[0], split.k, "the first filter")
+    high = _high_response_flags(gnn.bank, split.k)
 
     pairs = [sample_pair_in_d_h(split, rng) for _ in range(trials)]
     rows, deviations = _run_trials(spec, split, gnn, pairs, tol)
@@ -484,8 +466,8 @@ def verify_corollary1(spec: Spectrum, split: SubspaceSplit,
     Trials alternate between pairs inside the bank-nondiscriminable set,
     generic pairs outside it, and identical pairs.
     """
-    for idx, (f, gains) in enumerate(zip(gnn.bank, spectral_gains(gnn.bank, spec))):
-        _require_zero_high(f, gains, split.k, f"filter {idx}")
+    for idx, gains in enumerate(gnn.bank):
+        _require_zero_high(gains, split.k, f"filter {idx}")
     rows, _ = _run_trials(spec, split, gnn, _mixed_pairs(split, rng, trials, tol), tol)
     return Corollary1Report(trials=trials,
                             verdict_mismatches=sum(r.in_d_h != r.in_d_phi for r in rows),
@@ -572,7 +554,7 @@ def verify_corollary2(spec: Spectrum, split: SubspaceSplit,
         raise ConfigurationError("the corollary needs more than one unprotected mode")
     if gnn.sigma.kind != "tanh":
         raise ConfigurationError("the corollary is specific to tanh")
-    flags = _high_response_flags(gnn.bank, spectral_gains(gnn.bank, spec), split.k)
+    flags = _high_response_flags(gnn.bank, split.k)
     if not np.any(flags):
         raise ConfigurationError("need at least one filter with nonzero high response")
     probed = int(np.argmax(flags))   # the first filter that responds above the cutoff

@@ -88,6 +88,13 @@ class LineReader:
                 raise ConfigurationError(f"{what} must be finite, got {' '.join(tokens)}")
         return values
 
+    def end(self) -> None:
+        """Raise ConfigurationError naming the next line, if there is one."""
+        if self.remaining:
+            lineno, text = self._lines[self._pos]
+            raise ConfigurationError(
+                f"{self.path}:{lineno}: expected the end of the file, got {text!r}")
+
 
 def make_dir(path: str) -> None:
     """Create the directory path and its parents if missing; a path that

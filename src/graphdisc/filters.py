@@ -1,16 +1,16 @@
-"""FIR graph filters, filter banks, and spectral-domain filters.
+"""FIR graph filters, filter banks, and zero-high spectral gains.
 
 An FIR filter is a polynomial in the support matrix, sum_k h_k S^k x, held
 as its taps h_0..h_K; a bank of F such filters is an (F, K+1) float64 taps
 array, one filter per row. A filter is computed one way only: shift_powers
 stacks S^k x for k = 0..K, written by K products with S, and contract takes
 the taps (one filter or a whole bank) against that stack in one product.
-Dataset targets, bank_forward through a SupportMatrix and the training step
-all filter this way. The frequency response is the same polynomial
-evaluated at each eigenvalue. A SpectralFilter instead prescribes the
-per-eigenvalue gains directly, which is the only way to make a response
-exactly zero on a set of eigenvalues (a low-degree polynomial cannot
-vanish on n - k distinct points).
+Dataset targets and the training step both filter this way. The
+frequency response is the same polynomial evaluated at each eigenvalue.
+zero_high_response instead prescribes the per-eigenvalue gains directly,
+which is the only way to make a response exactly zero on a set of
+eigenvalues (a low-degree polynomial cannot vanish on n - k distinct
+points).
 
 The integral-Lipschitz constant of a filter is estimated as the maximum of
 |lambda * h'(lambda)| over a uniform grid, using the exact polynomial
@@ -20,29 +20,15 @@ value above which the response derivative stays below a given eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, LineReader, ShapeError
-from .graphs import SupportMatrix, _frozen
+from .graphs import SupportMatrix
 from .spectral import Spectrum
 
 GRID_POINTS = 257
-
-
-@dataclass(frozen=True)
-class SpectralFilter:
-    """Per-eigenvalue gains h(lambda_i) for one fixed Spectrum."""
-
-    response: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        response = np.asarray(self.response, dtype=np.float64)
-        if not np.all(np.isfinite(response)):
-            raise ConfigurationError("spectral response must be finite")
-        object.__setattr__(self, "response", _frozen(response))
 
 
 def shift_powers(s: SupportMatrix, x: np.ndarray, n_taps: int,
@@ -134,8 +120,8 @@ def cutoff_frequency(taps: np.ndarray, eps: float, lam_max: float) -> float:
     return float(grid[violations[-1]])
 
 
-def zero_high_response(spec: Spectrum, k: int, low_profile: np.ndarray) -> SpectralFilter:
-    """Spectral filter equal to low_profile on the k lowest modes, zero above.
+def zero_high_response(spec: Spectrum, k: int, low_profile: np.ndarray) -> np.ndarray:
+    """The (n,) gains equal to low_profile on the k lowest modes, zero above.
 
     This realizes exactly the response shape the discriminability theorems
     hypothesize for the protected filter.
@@ -145,9 +131,9 @@ def zero_high_response(spec: Spectrum, k: int, low_profile: np.ndarray) -> Spect
     low_profile = np.asarray(low_profile, dtype=np.float64)
     if low_profile.shape != (k,):
         raise ShapeError(f"low_profile must have length {k}, got {low_profile.shape}")
-    response = np.zeros(spec.n)
-    response[:k] = low_profile
-    return SpectralFilter(response=response)
+    gains = np.zeros(spec.n)
+    gains[:k] = low_profile
+    return gains
 
 
 def save_bank(taps: np.ndarray, path: str) -> None:
@@ -181,5 +167,8 @@ def read_bank_head(path: str) -> tuple[np.ndarray, LineReader]:
 
 
 def load_bank(path: str) -> np.ndarray:
-    """Inverse of save_bank: the (F, K+1) taps array."""
-    return read_bank_head(path)[0]
+    """Inverse of save_bank: the (F, K+1) taps array. A line after the taps
+    raises ConfigurationError naming the path and the line."""
+    taps, lines = read_bank_head(path)
+    lines.end()
+    return taps

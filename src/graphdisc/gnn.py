@@ -1,35 +1,24 @@
-"""Pointwise nonlinearities, filter banks applied to signals, model files.
+"""Pointwise nonlinearities, spectral banks applied to signals, model files.
 
 A single-layer GNN applies a bank of filters to one input signal
 (bank_forward) and passes each feature through a scalar nonlinearity
-entrywise. An FIR bank is its (F, K+1) taps array; a bank may instead be
-a sequence of SpectralFilter. The readout, an (F,) array, combines the F
-features per node with weights shared across nodes (no bias); training
-applies it (training.predict).
+entrywise. Here a bank is its (F, n) gains array on one Spectrum, one row
+per filter; an FIR filter's row is freq_response(taps, spec.eigenvalues).
+A model file holds an FIR bank, its (F, K+1) taps array, and the readout,
+an (F,) array that combines the F features per node with weights shared
+across nodes (no bias); training applies it (training.predict).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .filters import (
-    SpectralFilter,
-    contract,
-    freq_response,
-    read_bank_head,
-    save_bank,
-    shift_powers,
-)
-from .graphs import SupportMatrix
+from .filters import read_bank_head, save_bank
+from .graphs import _frozen
 from .spectral import Spectrum
-
-# a taps array, or a sequence of taps rows and spectral filters (applied
-# through a Spectrum); iterating a bank yields its filters either way
-Bank = Union[np.ndarray, Sequence[Union[np.ndarray, SpectralFilter]]]
 
 
 @dataclass(frozen=True)
@@ -118,49 +107,35 @@ class Nonlinearity:
 
 @dataclass(frozen=True)
 class SingleLayerGnn:
-    """A filter bank followed by an entrywise nonlinearity."""
+    """A spectral bank, its (F, n) gains array, followed by an entrywise
+    nonlinearity. A bank that is not 2-D, has no row or has a gain that is
+    not finite raises ConfigurationError."""
 
-    bank: Bank
+    bank: np.ndarray
     sigma: Nonlinearity
 
     def __post_init__(self):
-        if not isinstance(self.bank, np.ndarray):
-            object.__setattr__(self, "bank", tuple(self.bank))
-            if len(self.bank) == 0:
-                raise ConfigurationError("a GNN needs at least one filter")
+        bank = _frozen(self.bank)
+        if bank.ndim != 2 or bank.shape[0] == 0:
+            raise ConfigurationError(
+                f"a GNN bank is an (F, n) gains array with F >= 1, got shape {bank.shape}")
+        if not np.all(np.isfinite(bank)):
+            raise ConfigurationError("spectral gains must be finite")
+        object.__setattr__(self, "bank", bank)
 
 
-def spectral_gains(bank: Bank, spec: Spectrum) -> list[np.ndarray]:
-    """Each filter's response on the eigenvalues of spec, one (n,) array each.
-
-    A SpectralFilter gives its prescribed gains and an FIR filter its
-    polynomial evaluated at the eigenvalues.
-    """
-    return [f.response if isinstance(f, SpectralFilter) else
-            freq_response(f, spec.eigenvalues) for f in bank]
-
-
-def bank_forward(bank: Bank, s_or_spec, x: np.ndarray) -> np.ndarray:
+def bank_forward(gains: np.ndarray, spec: Spectrum, x: np.ndarray) -> np.ndarray:
     """Stack of F filtered signals, shape (F, n); no nonlinearity.
 
-    Through a SupportMatrix an FIR bank (a taps array) is applied in the shift
-    domain by the FIR routine of filters, and x may also be a batch
-    (B, n). Through a Spectrum any mix of FIR and spectral filters is
-    applied in the eigenbasis, V diag(gains) V^T x per filter.
+    Row f of the (F, n) gains is applied in the eigenbasis of spec,
+    V diag(gains[f]) V^T x.
     """
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(s_or_spec, SupportMatrix):
-        if not isinstance(bank, np.ndarray):
-            raise ConfigurationError("a spectral bank is applied through a Spectrum")
-        return contract(bank, shift_powers(s_or_spec, x, bank.shape[1]))
-    if not isinstance(s_or_spec, Spectrum):
-        raise ConfigurationError("a bank is applied through a SupportMatrix or a Spectrum")
-    spec = s_or_spec
+    gains = np.asarray(gains, dtype=np.float64)
     if x.shape[-1] != spec.n:
         raise ShapeError(f"signal has length {x.shape[-1]}, basis is {spec.n}")
-    gains = spectral_gains(bank, spec)
-    if any(g.shape[0] != spec.n for g in gains):
-        raise ShapeError(f"a spectral response does not match the basis size {spec.n}")
+    if gains.ndim != 2 or gains.shape[1] != spec.n:
+        raise ShapeError(f"gains have shape {gains.shape}, expected (F, {spec.n})")
     xt = x @ spec.eigenvectors
     # one product per filter: a single stacked matmul rounds differently
     return np.stack([(xt * g) @ spec.eigenvectors.T for g in gains])
@@ -178,11 +153,12 @@ def save_model(taps: np.ndarray, readout: np.ndarray, sigma: Nonlinearity,
 
 def load_model(path: str) -> tuple[np.ndarray, np.ndarray, Nonlinearity]:
     """Inverse of save_model: (taps, readout, sigma). A missing or malformed
-    line, as read_bank_head checks it, a readout weight that is not finite
-    and extra tokens on the sigma line raise ConfigurationError naming the
-    path and the line."""
+    line, as read_bank_head checks it, a readout weight that is not finite,
+    extra tokens on the sigma line and any line after it raise
+    ConfigurationError naming the path and the line."""
     taps, lines = read_bank_head(path)
     readout = lines.floats(taps.shape[0], "readout weights")
     with lines.line("a sigma line: tanh, identity or leaky_rectifier <slope>") as tokens:
         sigma = Nonlinearity.from_descriptor(" ".join(tokens))
+    lines.end()
     return taps, readout, sigma

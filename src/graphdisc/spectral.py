@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ShapeError
+from .errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
 from .graphs import SupportMatrix, _frozen
+
+SPLIT_GAP_RTOL = 1e-10   # relative to max |lambda|: a smaller gap at the split is a tie
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,19 @@ def eig_sym(s: SupportMatrix) -> Spectrum:
 
 
 def split_subspace(spec: Spectrum, k: int) -> SubspaceSplit:
-    """Partition the eigenbasis into the k lowest-magnitude modes and the rest."""
+    """Partition the eigenbasis into the k lowest-magnitude modes and the rest.
+
+    A split inside a repeated eigenvalue, |lambda_k - lambda_{k-1}| at most
+    SPLIT_GAP_RTOL * max |lambda|, raises DegenerateInputError: the two
+    subspaces would depend on an arbitrary basis of that eigenspace.
+    """
     if not 0 < k < spec.n:
         raise ConfigurationError(f"split index must satisfy 0 < k < {spec.n}, got {k}")
+    lam = spec.eigenvalues
+    gap = abs(float(lam[k] - lam[k - 1]))
+    if gap <= SPLIT_GAP_RTOL * float(np.max(np.abs(lam))):
+        raise DegenerateInputError(
+            f"split index {k} falls inside a repeated eigenvalue: the gap there is {gap:.3e}")
     return SubspaceSplit(
         k=k,
         v_low=spec.eigenvectors[:, :k],

@@ -222,6 +222,17 @@ class TestErrorExit:
         err = capsys.readouterr().err
         assert err == "graphdisc: error: split index must satisfy 0 < k < 5, got 5\n"
 
+    def test_split_inside_repeated_eigenvalue(self, tmp_path, capsys):
+        # one neighbour per node leaves several components; on seed 1 the
+        # graph has more than 4, so the zero eigenvalue repeats across the
+        # default cutoff of 4 (seed 0 has exactly 4 and splits cleanly)
+        code = main(["verify", "--neighbors", "1", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("graphdisc: error: split index 4 falls inside a repeated "
+                              "eigenvalue") and err.count("\n") == 1
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text("volume = 11\n")

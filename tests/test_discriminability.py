@@ -7,7 +7,7 @@ import pytest
 
 import graphdisc.discriminability as disc
 from graphdisc.errors import ConfigurationError, NumericalError
-from graphdisc.filters import SpectralFilter, zero_high_response
+from graphdisc.filters import freq_response, zero_high_response
 from graphdisc.gnn import Nonlinearity, SingleLayerGnn, bank_forward
 from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym, split_subspace
@@ -83,7 +83,7 @@ class TestPairInDH:
         spec, split = setup
         response = np.ones(N)
         response[0] = 0.0
-        bank = (SpectralFilter(response),)
+        bank = np.array([response])
         x = np.zeros(N)
         y = spec.eigenvectors[:, 0]
         with pytest.raises(NumericalError):
@@ -176,8 +176,7 @@ class TestSecantReport:
         # identity filter maps x to itself, so the secant between +1 and -1
         # is (tanh(1) - tanh(-1)) / 2 = tanh(1)
         spec, _ = setup
-        gnn = SingleLayerGnn(bank=(SpectralFilter(np.ones(N)),),
-                             sigma=Nonlinearity.tanh())
+        gnn = SingleLayerGnn(bank=np.ones((1, N)), sigma=Nonlinearity.tanh())
         x = np.ones(N)
         y = -np.ones(N)
         report = disc.secant_report(gnn, spec, x, y, K)
@@ -186,15 +185,14 @@ class TestSecantReport:
 
     def test_equal_points_use_derivative(self, setup):
         spec, _ = setup
-        gnn = SingleLayerGnn(bank=(SpectralFilter(np.ones(N)),),
-                             sigma=Nonlinearity.tanh())
+        gnn = SingleLayerGnn(bank=np.ones((1, N)), sigma=Nonlinearity.tanh())
         x = np.zeros(N)
         report = disc.secant_report(gnn, spec, x, x, K)
         np.testing.assert_allclose(report.secants, 1.0, atol=1e-12)
 
     def test_high_response_flags(self, setup):
         spec, _ = setup
-        bank = (zero_high_response(spec, K, np.ones(K)), SpectralFilter(np.ones(N)))
+        bank = (zero_high_response(spec, K, np.ones(K)), np.ones(N))
         gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
         rng = np.random.default_rng(16)
         report = disc.secant_report(gnn, spec, rng.standard_normal(N),
@@ -241,11 +239,25 @@ class TestVerifyTheorem1:
 
     def test_requires_zero_high_first_filter(self, setup):
         spec, split = setup
-        gnn = SingleLayerGnn(bank=(SpectralFilter(np.ones(N)),), sigma=Nonlinearity.tanh())
+        gnn = SingleLayerGnn(bank=np.ones((1, N)), sigma=Nonlinearity.tanh())
         with pytest.raises(ConfigurationError):
             disc.verify_theorem1(spec, split, gnn, 5, np.random.default_rng(21))
 
-    def test_fir_bank_accepted_with_warning(self):
+    @pytest.mark.parametrize("high, accepted", [(1e-9, False), (1e-12, True)])
+    def test_zero_high_tolerance(self, setup, high, accepted):
+        # disc.ZERO_HIGH_TOL = 1e-10 lies between the two gains
+        spec, split = setup
+        first = zero_high_response(spec, K, np.ones(K))
+        first[K:] = high
+        gnn = SingleLayerGnn(bank=(first, np.ones(N)), sigma=Nonlinearity.tanh())
+        rng = np.random.default_rng(36)
+        if accepted:
+            assert disc.verify_theorem1(spec, split, gnn, 5, rng).counterexamples == 0
+        else:
+            with pytest.raises(ConfigurationError, match="must vanish above the cutoff"):
+                disc.verify_theorem1(spec, split, gnn, 5, rng)
+
+    def test_fir_bank_accepted(self):
         # an interpolating FIR filter that vanishes on the unprotected
         # eigenvalues is numerically, not exactly, zero there; a small
         # well-separated spectrum keeps the interpolation conditioned
@@ -257,11 +269,9 @@ class TestVerifyTheorem1:
         split = split_subspace(spec, 2)
         targets = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
         coeffs = np.linalg.solve(np.vander(lam, 5, increasing=True), targets)
-        gnn = SingleLayerGnn(bank=(coeffs, SpectralFilter(np.ones(5))),
+        gnn = SingleLayerGnn(bank=(freq_response(coeffs, spec.eigenvalues), np.ones(5)),
                              sigma=Nonlinearity.tanh())
-        rng = np.random.default_rng(22)
-        with pytest.warns(UserWarning):
-            report = disc.verify_theorem1(spec, split, gnn, 10, rng)
+        report = disc.verify_theorem1(spec, split, gnn, 10, np.random.default_rng(22))
         assert report.counterexamples == 0
 
 
@@ -296,7 +306,7 @@ class TestVerifyTheorem2:
 
     def test_needs_two_filters(self, setup):
         spec, split = setup
-        gnn = SingleLayerGnn(bank=(zero_high_response(spec, K, np.ones(K)),),
+        gnn = SingleLayerGnn(bank=np.array([zero_high_response(spec, K, np.ones(K))]),
                              sigma=Nonlinearity.tanh())
         with pytest.raises(ConfigurationError):
             disc.verify_theorem2_forward(spec, split, gnn, 5,
@@ -325,7 +335,7 @@ class TestVerifyCorollary1:
 
     def test_rejects_bank_with_high_response(self, setup):
         spec, split = setup
-        bank = (zero_high_response(spec, K, np.ones(K)), SpectralFilter(np.ones(N)))
+        bank = (zero_high_response(spec, K, np.ones(K)), np.ones(N))
         gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
         with pytest.raises(ConfigurationError):
             disc.verify_corollary1(spec, split, gnn, 5, np.random.default_rng(29))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from graphdisc.errors import ConfigurationError, ShapeError
 from graphdisc.filters import (
     GRID_POINTS,
-    SpectralFilter,
     bank_il_constant,
     contract,
     cutoff_frequency,
@@ -152,7 +151,7 @@ class TestFreqResponse:
 
 
 class TestApplySpectral:
-    """One SpectralFilter applied through bank_forward."""
+    """One gains row applied through bank_forward."""
 
     @pytest.fixture()
     def spec(self, small_support):
@@ -161,15 +160,15 @@ class TestApplySpectral:
     def test_all_ones_is_identity(self, spec):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(12)
-        out = bank_forward([SpectralFilter(np.ones(12))], spec, x)[0]
+        out = bank_forward([np.ones(12)], spec, x)[0]
         np.testing.assert_allclose(out, x, atol=1e-10)
 
     def test_matches_fir_path(self, small_support, spec):
         rng = np.random.default_rng(6)
         f = rng.uniform(-1, 1, 4)
         x = rng.standard_normal(12)
-        sf = SpectralFilter(freq_response(f, spec.eigenvalues))
-        np.testing.assert_allclose(bank_forward([sf], spec, x)[0],
+        gains = freq_response(f, spec.eigenvalues)
+        np.testing.assert_allclose(bank_forward([gains], spec, x)[0],
                                    fir(f, small_support, x), atol=1e-9)
 
     def test_rank_one_indicator(self, spec):
@@ -178,7 +177,7 @@ class TestApplySpectral:
         i = 4
         response = np.zeros(12)
         response[i] = 1.0
-        out = bank_forward([SpectralFilter(response)], spec, x)[0]
+        out = bank_forward([response], spec, x)[0]
         v = spec.eigenvectors[:, i]
         np.testing.assert_allclose(out, (v @ x) * v, atol=1e-12)
 
@@ -338,7 +337,9 @@ class TestLoadBankErrors:
         ("3 1\n1\n2\n", 1),                # more filters than lines left
         ("1 0\n1\n", 1),                    # no tap
         ("2 2\n1 0\n0 nan\n", 3),          # a tap that is not finite
-    ], ids=["zero_filters", "negative_filters", "filters_past_end", "zero_taps", "nan_tap"])
+        ("2 2\n1 0\n0 1\ngarbage line here\n", 4),  # a line after the taps
+    ], ids=["zero_filters", "negative_filters", "filters_past_end", "zero_taps", "nan_tap",
+            "trailing_line"])
     def test_names_path_and_line(self, tmp_path, text, line):
         path = tmp_path / "bank.txt"
         path.write_text(text)

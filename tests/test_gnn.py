@@ -7,7 +7,7 @@ import pytest
 
 from graphdisc.errors import ConfigurationError, ShapeError
 from graphdisc.experiment import ExperimentConfig, run_replicate
-from graphdisc.filters import SpectralFilter
+from graphdisc.filters import contract, freq_response, shift_powers
 from graphdisc.gnn import Nonlinearity, SingleLayerGnn, bank_forward, load_model, save_model
 from graphdisc.graphs import SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym
@@ -28,6 +28,11 @@ def readout_of(taps, weights, s, x):
     return predict(TrainableModel(np.asarray(taps, dtype=np.float64),
                                   np.asarray(weights, dtype=np.float64),
                                   Nonlinearity.identity()), s, x)
+
+
+def fir_bank(taps, s, x):
+    """The (F, n) outputs of an (F, K+1) taps bank, by the FIR routine."""
+    return contract(taps, shift_powers(s, x, taps.shape[1]))
 
 
 def dense_fir(taps, entries, x):
@@ -79,7 +84,7 @@ class TestNonlinearity:
 class TestBankForward:
     def test_single_identity_filter(self, support):
         x = np.arange(10.0)
-        out = bank_forward(np.array([[1.0]]), support, x)
+        out = fir_bank(np.array([[1.0]]), support, x)
         assert out.shape == (1, 10)
         np.testing.assert_array_equal(out[0], x)
 
@@ -87,14 +92,14 @@ class TestBankForward:
         rng = np.random.default_rng(1)
         bank = rng.uniform(-1, 1, (4, 3))
         x = rng.standard_normal(10)
-        np.testing.assert_allclose(bank_forward(bank, support, 2.5 * x),
-                                   2.5 * bank_forward(bank, support, x), atol=1e-12)
+        np.testing.assert_allclose(fir_bank(bank, support, 2.5 * x),
+                                   2.5 * fir_bank(bank, support, x), atol=1e-12)
 
     def test_matches_per_filter_apply(self, support):
         rng = np.random.default_rng(2)
         taps = rng.uniform(-1, 1, (3, 3))
         x = rng.standard_normal(10)
-        out = bank_forward(taps, support, x)
+        out = fir_bank(taps, support, x)
         for f, row in zip(taps, out):
             np.testing.assert_allclose(row, dense_fir(f, support.entries, x), atol=1e-12)
 
@@ -102,13 +107,19 @@ class TestBankForward:
         rng = np.random.default_rng(5)
         bank = rng.uniform(-1, 1, (3, 4))
         x = rng.standard_normal(10)
-        np.testing.assert_allclose(bank_forward(bank, eig_sym(support), x),
-                                   bank_forward(bank, support, x), atol=1e-10)
+        spec = eig_sym(support)
+        gains = np.array([freq_response(f, spec.eigenvalues) for f in bank])
+        np.testing.assert_allclose(bank_forward(gains, spec, x),
+                                   fir_bank(bank, support, x), atol=1e-10)
 
-    def test_spectral_bank_requires_spectrum(self, support):
-        sf = (SpectralFilter(np.ones(10)),)
+
+class TestSingleLayerGnn:
+    @pytest.mark.parametrize("bank", [np.ones(10), np.ones((1, 2, 10)), np.ones((0, 10)),
+                                      np.array([[1.0, np.nan]]), np.array([[np.inf, 1.0]])],
+                             ids=["one_dim", "three_dim", "no_row", "nan_gain", "inf_gain"])
+    def test_rejects_bank(self, bank):
         with pytest.raises(ConfigurationError):
-            bank_forward(sf, support, np.zeros(10))
+            SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
 
 
 class TestGnnForward:
@@ -117,23 +128,21 @@ class TestGnnForward:
     def test_identity_sigma_equals_bank(self, support):
         rng = np.random.default_rng(3)
         bank = rng.uniform(-1, 1, (3, 3))
-        gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.identity())
+        sigma = Nonlinearity.identity()
         x = rng.standard_normal(10)
-        np.testing.assert_array_equal(gnn.sigma.eval(bank_forward(gnn.bank, support, x)),
-                                      bank_forward(bank, support, x))
+        np.testing.assert_array_equal(sigma.eval(fir_bank(bank, support, x)),
+                                      fir_bank(bank, support, x))
 
     def test_zero_input_zero_features(self, support):
         bank = np.array([[0.5, 1.0], [2.0, 0.0]])
-        gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
-        out = gnn.sigma.eval(bank_forward(gnn.bank, support, np.zeros(10)))
+        out = Nonlinearity.tanh().eval(fir_bank(bank, support, np.zeros(10)))
         np.testing.assert_array_equal(out, np.zeros((2, 10)))
 
     def test_tanh_range(self, support):
         # pre-activations stay below tanh's float64 saturation point
         rng = np.random.default_rng(4)
         bank = rng.uniform(-1, 1, (3, 3))
-        gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
-        out = gnn.sigma.eval(bank_forward(gnn.bank, support, rng.standard_normal(10)))
+        out = Nonlinearity.tanh().eval(fir_bank(bank, support, rng.standard_normal(10)))
         assert np.all(out > -1.0) and np.all(out < 1.0)
 
 
@@ -151,7 +160,7 @@ class TestReadout:
         w = np.zeros(4)
         w[2] = 1.0
         np.testing.assert_array_equal(readout_of(taps, w, support, x)[0],
-                                      bank_forward(taps, support, x[0])[2])
+                                      fir_bank(taps, support, x[0])[2])
 
     def test_convex_mix_of_identical_features(self, support):
         x = np.linspace(-1, 1, 10).reshape(1, 10)
@@ -170,14 +179,14 @@ class TestPipelineEquivariance:
     def test_permutation_equivariance(self, support):
         rng = np.random.default_rng(6)
         bank = rng.uniform(-1, 1, (3, 3))
-        gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
+        sigma = Nonlinearity.tanh()
         readout = rng.standard_normal(3)
         x = rng.standard_normal(10)
         perm = rng.permutation(10)
         P = np.eye(10)[:, perm]
         s_perm = SupportMatrix(P.T @ support.entries @ P)
-        out = readout @ gnn.sigma.eval(bank_forward(gnn.bank, support, x))
-        out_perm = readout @ gnn.sigma.eval(bank_forward(gnn.bank, s_perm, P.T @ x))
+        out = readout @ sigma.eval(fir_bank(bank, support, x))
+        out_perm = readout @ sigma.eval(fir_bank(bank, s_perm, P.T @ x))
         np.testing.assert_allclose(out_perm, P.T @ out, atol=1e-10)
 
 
@@ -220,9 +229,11 @@ class TestLoadModelErrors:
         (BANK + "0.5 inf\ntanh\n", 4),                    # a readout weight that is not finite
         (BANK + "0.5 0.5\ntanh 0.3 junk\n", 5),           # extra tokens after tanh
         (BANK + "0.5 0.5\nidentity 0.5\n", 5),            # a slope on the identity
+        (BANK + "0.5 0.5\ntanh\ntanh\n", 6),              # a line after the sigma line
     ], ids=["no_readout", "no_sigma", "bare_leaky_rectifier", "readout_length",
             "unknown_sigma", "missing_tap_line", "zero_filters", "negative_filters",
-            "zero_taps", "nan_tap", "inf_readout", "tanh_extra_tokens", "identity_slope"])
+            "zero_taps", "nan_tap", "inf_readout", "tanh_extra_tokens", "identity_slope",
+            "trailing_line"])
     def test_names_path_and_line(self, tmp_path, text, line):
         path = tmp_path / "model.txt"
         path.write_text(text)

@@ -3,7 +3,8 @@
 import graphdisc
 
 DELETED = ("apply_fir", "il_constant", "graph_shift", "gnn_forward", "readout_apply",
-           "gft", "igft", "generate_input", "FirFilter", "FilterBank", "Readout")
+           "gft", "igft", "generate_input", "FirFilter", "FilterBank", "Readout",
+           "SpectralFilter")
 SUBMODULES = ("cli", "discriminability", "errors", "experiment", "filters", "gnn",
               "graphs", "spectral", "training")
 

@@ -11,7 +11,6 @@ import graphdisc.spectral
 from graphdisc.cli import main
 from graphdisc.errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
 from graphdisc.experiment import ExperimentConfig, generate_inputs, run_replicate
-from graphdisc.filters import SpectralFilter
 from graphdisc.gnn import bank_forward
 from graphdisc.graphs import SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym, project_subspace, split_subspace
@@ -175,14 +174,15 @@ class TestGft:
         xt = rng.standard_normal(9)
         np.testing.assert_allclose((xt @ v.T) @ v, xt, atol=1e-10)
         x = rng.standard_normal(9)
-        np.testing.assert_allclose(bank_forward([SpectralFilter(np.ones(9))], spec, x)[0], x,
-                                   atol=1e-10)
+        np.testing.assert_allclose(bank_forward([np.ones(9)], spec, x)[0], x, atol=1e-10)
 
     def test_shape_errors(self, spec):
         with pytest.raises(ShapeError):
-            bank_forward([SpectralFilter(np.ones(9))], spec, np.zeros(8))
+            bank_forward([np.ones(9)], spec, np.zeros(8))
         with pytest.raises(ShapeError):
-            bank_forward([SpectralFilter(np.ones(8))], spec, np.zeros(9))
+            bank_forward([np.ones(8)], spec, np.zeros(9))
+        with pytest.raises(ShapeError):
+            bank_forward(np.ones(9), spec, np.zeros(9))
 
 
 class TestSubspaceSplit:
@@ -214,6 +214,13 @@ class TestSubspaceSplit:
     def test_rejects_bad_split(self, spec, k):
         with pytest.raises(ConfigurationError):
             split_subspace(spec, k)
+
+    def test_rejects_split_inside_repeated_eigenvalue(self):
+        spec = eig_sym(support(np.diag([0.0, 0.0, 1.0, 2.0])))
+        with pytest.raises(DegenerateInputError, match=r"split index 1 .* gap there is 0"):
+            split_subspace(spec, 1)
+        split = split_subspace(spec, 2)
+        np.testing.assert_array_equal(split.lambda_low, [0.0, 0.0])
 
 
 class TestProjectSubspace:
