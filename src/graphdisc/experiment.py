@@ -267,6 +267,14 @@ def _replicate_star(args) -> ReplicateOutput:
         raise type(exc)(f"replicate {mode} graph {graph_index}: {exc}") from exc
 
 
+def _relative_gap(filter_mean: float, gnn_mean: float) -> float:
+    """filter/gnn - 1; inf when only the GNN's mean error is 0, and 0 when
+    both are."""
+    if gnn_mean == 0.0:
+        return 0.0 if filter_mean == 0.0 else float("inf")
+    return filter_mean / gnn_mean - 1.0
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    graph: GeometricGraph | None = None,
                    init_taps: np.ndarray | None = None,
@@ -325,7 +333,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
                 ci_halfwidth=ci, per_graph=tuple(values),
             ))
             means[name] = mean
-        relative_gap[mode] = means["filter_bank"] / means["gnn"] - 1.0
+        relative_gap[mode] = _relative_gap(means["filter_bank"], means["gnn"])
 
     return AggregateReport(
         summaries=tuple(summaries),

@@ -20,6 +20,12 @@ matrix of shift powers S^k x and A the (F, B*n) activation:
 - one Adam update of a single vector holding taps and readout, with the
   moments updated in place.
 
+The identity model takes a shorter step. A linear bank followed by a
+linear readout is one filter, w = readout @ taps, so its step forms no A
+or D: the prediction is w @ P, g = P @ d(loss)/d(pred) is a (K+1)-vector,
+the readout gradient is taps @ g and the tap gradient the outer product
+readout x g. Validation and predict still form A for every activation.
+
 Every contraction is one 2-D BLAS product on a reshaped view. Inside
 train, P, A and D are buffers keyed by shape and reused for every step
 (a ragged last batch gets its own), so a step allocates no (F, B, n)
@@ -27,7 +33,9 @@ array; they are dropped when train returns, and nothing model_backward,
 model_forward or predict returns is one of them. Outside train each call
 gets fresh arrays. train computes the validation set's shift powers once,
 and each epoch's integral-Lipschitz constant from the taps with the
-regularizer's product (filters.bank_il_constant).
+regularizer's product (filters.bank_il_constant). An epoch whose train or
+validation loss is not finite raises NumericalError; overflow on the way
+there raises no warning.
 
 Everything here is deterministic given the seeds in TrainConfig: shuffling,
 initialization, and the optimizer never consult global state.
@@ -40,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericalError, ShapeError
 from .filters import _grid_powers, _il_response, bank_il_constant, contract, shift_powers
 from .gnn import Nonlinearity
 from .graphs import SupportMatrix
@@ -153,10 +161,15 @@ def il_regularizer(taps: np.ndarray, lam_max: float,
     taps = np.asarray(taps, dtype=np.float64)
     vals = _il_response(taps, lam_max)                  # (F, G)
     powers, lam_pow = _grid_powers(float(lam_max), taps.shape[1])
-    f_star, g_star = divmod(int(np.argmax(np.abs(vals))), vals.shape[1])
+    # argmax(|vals|) without forming |vals|: the first maximum or the first
+    # minimum, whichever is larger in magnitude, and the earlier on a tie
+    i_max, i_min = int(vals.argmax()), int(vals.argmin())
+    top, bottom = vals.flat[i_max], -vals.flat[i_min]
+    i_peak = i_max if top > bottom else i_min if bottom > top else min(i_max, i_min)
+    f_star, g_star = divmod(i_peak, vals.shape[1])
     peak = float(vals[f_star, g_star])
 
-    grad = np.zeros_like(taps)
+    grad = np.zeros(taps.shape)
     grad[f_star] = weight * np.sign(peak) * powers * lam_pow[:, g_star]
     return weight * abs(peak), grad
 
@@ -214,19 +227,28 @@ class BackwardResult(NamedTuple):
 def model_backward(model: TrainableModel, s: SupportMatrix, x: np.ndarray,
                    target: np.ndarray, il_weight: float,
                    lam_max: float = 1.0) -> BackwardResult:
-    """Loss and analytic gradients for taps and readout on one batch."""
+    """Loss and analytic gradients for taps and readout on one batch.
+
+    The identity model is the one filter readout @ taps, so its step works
+    on (K+1)-vectors and forms no (F, B, n) array."""
     n_features, n_taps = model.taps.shape
     x = np.atleast_2d(x)
     powers = shift_powers(s, x, n_taps, _buffer("powers", (n_taps,) + x.shape))
-    act = _buffer("act", (n_features,) + x.shape)
-    mse, dpred = mse_loss(_forward(model, powers, act), target)
-
-    act2d, dpred1d = act.reshape(n_features, -1), dpred.reshape(-1)
-    grad_readout = act2d @ dpred1d
-    dpre = _buffer("dpre", act2d.shape)
-    np.multiply.outer(model.readout, dpred1d, out=dpre)
-    model.sigma.backprop(dpre, act2d)
-    grad_taps = dpre @ powers.reshape(n_taps, -1).T
+    powers2d = powers.reshape(n_taps, -1)
+    if model.sigma.kind == "identity":
+        mse, dpred = mse_loss(contract(model.readout @ model.taps, powers), target)
+        g = powers2d @ dpred.reshape(-1)
+        grad_readout = model.taps @ g
+        grad_taps = np.multiply.outer(model.readout, g)
+    else:
+        act = _buffer("act", (n_features,) + x.shape)
+        mse, dpred = mse_loss(_forward(model, powers, act), target)
+        act2d, dpred1d = act.reshape(n_features, -1), dpred.reshape(-1)
+        grad_readout = act2d @ dpred1d
+        dpre = _buffer("dpre", act2d.shape)
+        np.multiply.outer(model.readout, dpred1d, out=dpre)
+        model.sigma.backprop(dpre, act2d)
+        grad_taps = dpre @ powers2d.T
 
     reg, reg_grad = il_regularizer(model.taps, lam_max, il_weight)
     grad_taps += reg_grad
@@ -262,11 +284,16 @@ def train(model: TrainableModel, s: SupportMatrix,
 
     Returns the model snapshot with the best validation loss and the full
     per-epoch history. With zero epochs the input model is returned as is.
+    An epoch whose train or validation loss is not finite raises
+    NumericalError naming the epoch and the loss.
     """
     global _step_buffers
     outer_buffers, _step_buffers = _step_buffers, {}
     try:
-        return _train(model, s, train_set, val_set, config, lam_max)
+        # overflow on the way to a diverged loss is reported by the loss
+        # check in _train, not as a warning from the step that overflowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _train(model, s, train_set, val_set, config, lam_max)
     finally:
         _step_buffers = outer_buffers
 
@@ -307,10 +334,13 @@ def _train(model: TrainableModel, s: SupportMatrix,
             model.readout = params[n_tap_params:]
             batch_losses.append(result.mse)
 
-        epoch_val = val_mse()
+        train_loss, epoch_val = float(np.mean(batch_losses)), val_mse()
+        if not (np.isfinite(train_loss) and np.isfinite(epoch_val)):
+            raise NumericalError(f"training diverged in epoch {epoch}: train loss "
+                                 f"{train_loss}, validation loss {epoch_val}")
         history.append(EpochRecord(
             epoch=epoch,
-            train_loss=float(np.mean(batch_losses)),
+            train_loss=train_loss,
             val_loss=epoch_val,
             il_constant=bank_il_constant(model.taps, lam_max),
             learning_rate=state.learning_rate,

@@ -241,6 +241,17 @@ class TestErrorExit:
         err = capsys.readouterr().err
         assert err == f"graphdisc: error: {path}:1: unknown key 'volume'\n"
 
+    def test_diverged_run(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("learning_rate = 1e200\n")
+        code = run_tiny(tmp_path / "out", "--config", path)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("graphdisc: error: replicate high graph 0: training "
+                              "diverged in epoch 0: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
     def test_malformed_config_value(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text("graphs = four\n")

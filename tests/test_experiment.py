@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from graphdisc import experiment
 from graphdisc.discriminability import in_nul_vk
 from graphdisc.errors import ConfigurationError, DegenerateInputError, ShapeError
 from graphdisc.experiment import (
+    MODEL_NAMES,
     AggregateReport,
     ExperimentConfig,
+    ReplicateOutput,
     RunMetrics,
     build_dataset,
     emit_report,
@@ -259,6 +262,20 @@ class TestRunExperiment:
                            init_taps=np.zeros((2, 2)))
         assert str(info.value) == (
             "replicate low graph 0: warm-start taps shape (2, 2) != (4, 3)")
+
+
+class TestRelativeGap:
+    @pytest.mark.parametrize("errors,gap", [((0.5, 0.0), np.inf), ((0.0, 0.0), 0.0),
+                                            ((0.75, 0.5), 0.5)])
+    def test_gnn_mean_error_of_zero(self, monkeypatch, errors, gap):
+        def fake_replicate(config, mode, graph_index, *warm_start):
+            metrics = tuple(RunMetrics(graph_index, mode, name, err, 0.0, 0.0)
+                            for name, err in zip(MODEL_NAMES, errors))
+            return ReplicateOutput(graph_index, mode, None, metrics, {}, {})
+
+        monkeypatch.setattr(experiment, "run_replicate", fake_replicate)
+        report = run_experiment(tiny_config(graphs=2))
+        assert report.relative_gap == {"high": gap}
 
 
 class TestRunReplicate:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from graphdisc import training
-from graphdisc.errors import ShapeError
-from graphdisc.filters import bank_il_constant
+from graphdisc.errors import NumericalError, ShapeError
+from graphdisc.filters import bank_il_constant, shift_powers
 from graphdisc.gnn import Nonlinearity
 from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
 from graphdisc.training import (
@@ -80,6 +80,27 @@ def einsum_reference_backward(model, s, x, target, il_weight):
     grad_taps = grad_taps + fresh_grid_regularizer(model.taps, 1.0, il_weight)[1]
     grad_readout = np.einsum("bn,fbn->f", dpred, features)
     return float(np.mean(diff ** 2)), grad_taps, grad_readout
+
+
+def general_contraction_backward(model, s, x, target, il_weight):
+    """model_backward's (F, B, n) route for any activation: A = sigma(taps @ P),
+    the readout gradient A @ dpred and the tap gradient D @ P^T, where D is
+    readout x dpred scaled by sigma'."""
+    n_taps = model.taps.shape[1]
+    powers = shift_powers(s, x, n_taps).reshape(n_taps, -1)
+    act = model.sigma.eval(model.taps @ powers)
+    mse, dpred = mse_loss((model.readout @ act).reshape(x.shape), target)
+    grad_readout = act @ dpred.reshape(-1)
+    dpre = model.sigma.backprop(np.multiply.outer(model.readout, dpred.reshape(-1)), act)
+    grad_taps = dpre @ powers.T + il_regularizer(model.taps, 1.0, il_weight)[1]
+    return mse, grad_taps, grad_readout
+
+
+def assert_matches_general_contraction(result, model, s, x, target, il_weight):
+    mse, grad_taps, grad_readout = general_contraction_backward(model, s, x, target, il_weight)
+    assert result.mse == pytest.approx(mse, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(result.grad_taps, grad_taps, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(result.grad_readout, grad_readout, rtol=1e-12, atol=0.0)
 
 
 class TestMseLoss:
@@ -155,6 +176,42 @@ class TestIlRegularizer:
             np.testing.assert_array_equal(grad, expected_grad)
             values[lam_max] = il_regularizer(np.array([[0.0, 1.0]]), lam_max, 1.0)[0]
         assert values == {1.0: 1.0, 2.0: 2.0, 0.5: 0.5}
+
+    @pytest.mark.parametrize("n_filters", [1, 32])
+    @pytest.mark.parametrize("n_taps", range(1, 7))
+    def test_bits_match_fresh_grid(self, n_taps, n_filters):
+        rng = np.random.default_rng(40 + n_taps)
+        for _ in range(20):
+            taps = rng.uniform(-1, 1, (n_filters, n_taps))
+            value, grad = il_regularizer(taps, 1.0, 0.01)
+            expected_value, expected_grad = fresh_grid_regularizer(taps, 1.0, 0.01)
+            assert value == expected_value
+            np.testing.assert_array_equal(grad, expected_grad)
+
+    @pytest.mark.parametrize("first_sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n_taps", range(2, 7))
+    def test_plus_minus_tie_resolves_to_first_index(self, n_taps, first_sign):
+        # a filter and its negation reach the same |peak| with opposite
+        # signs; the earlier row, whatever its sign, takes the gradient
+        rng = np.random.default_rng(50 + n_taps)
+        taps = rng.uniform(-1, 1, (32, n_taps)) / 4
+        taps[5] = first_sign * rng.uniform(0.5, 1.0, n_taps)
+        taps[20] = -taps[5]
+        value, grad = il_regularizer(taps, 1.0, 0.01)
+        expected_value, expected_grad = fresh_grid_regularizer(taps, 1.0, 0.01)
+        assert value == expected_value
+        np.testing.assert_array_equal(grad, expected_grad)
+        assert np.any(grad[5] != 0.0) and not np.any(np.delete(grad, 5, axis=0))
+
+    @pytest.mark.parametrize("n_filters", [1, 32])
+    @pytest.mark.parametrize("n_taps", range(1, 7))
+    def test_zero_taps_give_zero_gradient(self, n_taps, n_filters):
+        taps = np.zeros((n_filters, n_taps))
+        value, grad = il_regularizer(taps, 1.0, 0.01)
+        expected_value, expected_grad = fresh_grid_regularizer(taps, 1.0, 0.01)
+        assert value == expected_value == 0.0
+        np.testing.assert_array_equal(grad, expected_grad)
+        np.testing.assert_array_equal(grad, np.zeros((n_filters, n_taps)))
 
 
 class TestAdam:
@@ -294,6 +351,55 @@ class TestModelBackward:
                 assert abs(fd - gflat[i]) / scale <= 1e-4
 
 
+class TestIdentityStep:
+    """The identity model's step, taken on the one filter readout @ taps,
+    against the general (F, B, n) contraction."""
+
+    @pytest.mark.parametrize("batch", [1, 6])
+    @pytest.mark.parametrize("n_taps", [1, 2, 3, 5])
+    def test_matches_general_contraction(self, support, n_taps, batch):
+        rng = np.random.default_rng(60 + n_taps)
+        model = init_model(5, n_taps, Nonlinearity.identity(), seed=61)
+        x = rng.standard_normal((batch, 12))
+        y = np.sign(rng.standard_normal((batch, 12)))
+        result = model_backward(model, support, x, y, il_weight=0.01)
+        assert_matches_general_contraction(result, model, support, x, y, 0.01)
+
+    def spy_steps(self, monkeypatch, support, n_taps):
+        """Train an identity model on 23 samples in batches of 5; return
+        each step's inputs and result and the buffer keys it saw."""
+        steps, keys = [], set()
+        original = training.model_backward
+
+        def spy(model, s, x, target, il_weight, lam_max=1.0):
+            result = original(model, s, x, target, il_weight, lam_max)
+            steps.append((model.copy(), x.copy(), target.copy(), il_weight, result))
+            keys.update(training._step_buffers)
+            return result
+
+        monkeypatch.setattr(training, "model_backward", spy)
+        rng = np.random.default_rng(62)
+        x = rng.standard_normal((23, 12))
+        y = np.sign(x @ support.entries.T)
+        model = init_model(4, n_taps, Nonlinearity.identity(), seed=63)
+        train(model, support, (x, y), (x[:7], y[:7]),
+              TrainConfig(epochs=2, batch_size=5, seed=6))
+        monkeypatch.undo()
+        return steps, keys
+
+    @pytest.mark.parametrize("n_taps", [1, 2, 3, 5])
+    def test_ragged_batch_in_train_matches_general_contraction(self, support,
+                                                               monkeypatch, n_taps):
+        steps, _ = self.spy_steps(monkeypatch, support, n_taps)
+        assert [len(step[1]) for step in steps] == [5, 5, 5, 5, 3] * 2
+        for model, x, y, il_weight, result in steps:
+            assert_matches_general_contraction(result, model, support, x, y, il_weight)
+
+    def test_allocates_no_activation_buffers(self, support, monkeypatch):
+        _, keys = self.spy_steps(monkeypatch, support, 3)
+        assert {name for name, _ in keys} == {"powers"}
+
+
 class TestTrain:
     def make_data(self, support, n_samples, seed):
         rng = np.random.default_rng(seed)
@@ -352,6 +458,17 @@ class TestTrain:
         assert a.history == b.history
         np.testing.assert_array_equal(a.model.taps, b.model.taps)
         np.testing.assert_array_equal(a.model.readout, b.model.readout)
+
+    @pytest.mark.parametrize("sigma", [Nonlinearity.tanh(), Nonlinearity.identity()],
+                             ids=["tanh", "identity"])
+    def test_diverged_loss_raises(self, support, sigma):
+        data = self.make_data(support, 40, 17)
+        model = init_model(2, 3, sigma, seed=18)
+        with pytest.raises(NumericalError, match="training diverged in epoch 0: "
+                                                 "train loss (nan|inf)"):
+            train(model, support, data, data, TrainConfig(epochs=3, batch_size=10,
+                                                          learning_rate=1e200, seed=7))
+        assert training._step_buffers is None
 
     def test_regularizer_shrinks_il_constant(self, support):
         # statistical trend: with the penalty on, the trained constant is
