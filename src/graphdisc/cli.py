@@ -28,8 +28,8 @@ import numpy as np
 
 from . import discriminability as disc
 from .errors import GRAPHDISC_ERRORS, ConfigurationError, make_dir, read_text
-from .experiment import ExperimentConfig, emit_report, run_experiment
-from .filters import load_bank, save_bank
+from .experiment import MODEL_NAMES, ExperimentConfig, emit_report, run_experiment
+from .filters import load_bank, save_bank, shift_powers
 from .gnn import Nonlinearity, load_model, save_model
 from .graphs import generate_geometric_graph, laplacian, load_graph, normalize_support, save_graph
 from .spectral import eig_sym, split_subspace
@@ -103,6 +103,13 @@ def cmd_run(args: argparse.Namespace) -> int:
                             init_taps=init_taps, init_readout=init_readout,
                             keep_outputs=outputs)
     written = emit_report(report, args.out)
+    if config.epochs > 0:
+        for out in outputs:
+            for name in MODEL_NAMES:
+                if out.best_epochs[name] == -1:
+                    print(f"graphdisc: warning: replicate {out.subspace} graph "
+                          f"{out.graph_index} {name}: no epoch improved on the "
+                          "initial model", file=sys.stderr)
 
     first = outputs[0]
     if args.dump_graph:
@@ -233,6 +240,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     worst = 0.0
     failures = 0
@@ -253,8 +262,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         y = np.sign(rng.standard_normal((5, n)))
         il_weight = 0.01 if trial % 2 == 0 else 0.0
 
-        result = model_backward(model, s, x, y, il_weight)
-        error = _fd_error(model, s, x, y, il_weight, result)
+        powers = shift_powers(s, x, n_taps)
+        result = model_backward(model, powers, y, il_weight)
+        error = _fd_error(model, powers, y, il_weight, result)
         worst = max(worst, error)
         ok = error <= 1e-4
         failures += 0 if ok else 1
@@ -265,13 +275,13 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _fd_error(model: TrainableModel, s, x, y, il_weight, result) -> float:
+def _fd_error(model: TrainableModel, powers, y, il_weight, result) -> float:
     """Max relative error of analytic vs central-difference gradients."""
     h = 1e-5
     worst = 0.0
 
     def objective() -> float:
-        return model_backward(model, s, x, y, il_weight).objective
+        return model_backward(model, powers, y, il_weight).objective
 
     for arr, grad in ((model.taps, result.grad_taps),
                       (model.readout, result.grad_readout)):

@@ -173,6 +173,8 @@ class ReplicateOutput:
     metrics: tuple[RunMetrics, RunMetrics]
     histories: dict[str, list[EpochRecord]] = field(repr=False)
     models: dict[str, TrainableModel] = field(repr=False)
+    # model -> best epoch, -1 when no epoch improved on the initial model
+    best_epochs: dict[str, int] = field(default_factory=dict, repr=False)
 
 
 def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
@@ -216,6 +218,7 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
     metrics = []
     histories = {}
     models = {}
+    best_epochs = {}
     for name in MODEL_NAMES:
         sigma = Nonlinearity.tanh() if name == "gnn" else Nonlinearity.identity()
         model = init_model(config.features, config.taps, sigma, seed=init_seed)
@@ -248,6 +251,7 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
         ))
         histories[name] = result.history
         models[name] = result.model
+        best_epochs[name] = result.best_epoch
 
     return ReplicateOutput(
         graph_index=graph_index,
@@ -256,6 +260,7 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
         metrics=(metrics[0], metrics[1]),
         histories=histories,
         models=models,
+        best_epochs=best_epochs,
     )
 
 

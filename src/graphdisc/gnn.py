@@ -79,14 +79,6 @@ class Nonlinearity:
             return np.ones_like(out)
         return np.where(out >= 0.0, 1.0, self.slope)
 
-    def backprop(self, grad: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Scale grad in place by sigma' where sigma returned out, and
-        return it; the identity leaves grad untouched. out is scratch
-        afterwards: tanh overwrites it with sigma'."""
-        if self.kind != "identity":
-            grad *= self.output_derivative(out, overwrite=True)
-        return grad
-
     def descriptor(self) -> str:
         if self.kind == "leaky_rectifier":
             return f"leaky_rectifier {self.slope:.17g}"

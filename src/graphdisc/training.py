@@ -4,16 +4,15 @@ The trainable object is a bank of FIR taps, an entrywise activation and a
 single-tap readout; with tanh it is the single-layer GNN, with the identity
 activation the plain filter bank.
 
-One training step on a batch x of shape (B, n), where P is the (K+1, B*n)
-matrix of shift powers S^k x and A the (F, B*n) activation:
+One training step on a batch of shape (B, n) takes P, the (K+1, B*n)
+matrix of its shift powers S^k x, and forms the (F, B*n) activation A:
 
-- shift powers, written in place by the FIR routine of filters
-  (filters.shift_powers);
 - forward: A = sigma(taps @ P) with sigma applied in place, and the
   prediction readout @ A, both by filters.contract;
 - backward: the readout gradient A @ d(loss)/d(pred); then sigma' (read
-  off A, overwriting it) scales the outer product readout x d(loss)/d(pred)
-  into d(loss)/d(pre-activation) D, and the tap gradient is D @ P^T;
+  off A, overwriting it) gives the tap gradient
+  readout x (sigma'(A) @ (P * d(loss)/d(pred))^T), which forms no
+  (F, B*n) array besides A;
 - the regularizer's subgradient at the filter and grid point where the
   integral-Lipschitz constant is attained, on the grid powers cached in
   filters;
@@ -21,21 +20,30 @@ matrix of shift powers S^k x and A the (F, B*n) activation:
   moments updated in place.
 
 The identity model takes a shorter step. A linear bank followed by a
-linear readout is one filter, w = readout @ taps, so its step forms no A
-or D: the prediction is w @ P, g = P @ d(loss)/d(pred) is a (K+1)-vector,
-the readout gradient is taps @ g and the tap gradient the outer product
+linear readout is one filter, w = readout @ taps, so its step forms no A:
+the prediction is w @ P, g = P @ d(loss)/d(pred) is a (K+1)-vector, the
+readout gradient is taps @ g and the tap gradient the outer product
 readout x g. Validation and predict still form A for every activation.
 
+The shift powers do not depend on the parameters, so train makes them
+ahead of the steps: it walks each epoch's shuffled order in chunks of
+whole batches, as many as fit in CHUNK_BYTES of powers, and per chunk
+gathers the rows once and writes their powers (filters.shift_powers) into
+one buffer that lives for the train call; each step takes its batch as a
+view of that buffer. Batch order and composition do not depend on the
+chunk size.
+
 Every contraction is one 2-D BLAS product on a reshaped view. Inside
-train, P, A and D are buffers keyed by shape and reused for every step
-(a ragged last batch gets its own), so a step allocates no (F, B, n)
-array; they are dropped when train returns, and nothing model_backward,
+train, A is a buffer keyed by shape and reused for every step (a ragged
+last batch gets its own), so a step allocates no (F, B, n) array; the
+buffers are dropped when train returns, and nothing model_backward,
 model_forward or predict returns is one of them. Outside train each call
 gets fresh arrays. train computes the validation set's shift powers once,
 and each epoch's integral-Lipschitz constant from the taps with the
 regularizer's product (filters.bank_il_constant). An epoch whose train or
 validation loss is not finite raises NumericalError; overflow on the way
-there raises no warning.
+there raises no warning. The result records the best epoch, or -1 when no
+epoch improved on the validation loss of the initial model.
 
 Everything here is deterministic given the seeds in TrainConfig: shuffling,
 initialization, and the optimizer never consult global state.
@@ -52,6 +60,10 @@ from .errors import NumericalError, ShapeError
 from .filters import _grid_powers, _il_response, bank_il_constant, contract, shift_powers
 from .gnn import Nonlinearity
 from .graphs import SupportMatrix
+
+# Bytes of training-set shift powers train makes at once: a chunk holds as
+# many whole batches as fit, and at least one.
+CHUNK_BYTES = 2 ** 18
 
 
 @dataclass
@@ -181,9 +193,9 @@ class ForwardCache(NamedTuple):
     pred: np.ndarray             # (B, n)
 
 
-# The step's work arrays (shift powers, activation, d(loss)/d(pre-activation))
-# keyed by name and shape. train sets a dict here for its duration and drops
-# it when it returns; None means fresh arrays on every call.
+# The step's work array (the activation) keyed by name and shape. train sets
+# a dict here for its duration and drops it when it returns; None means
+# fresh arrays on every call.
 _step_buffers: dict | None = None
 
 
@@ -224,16 +236,17 @@ class BackwardResult(NamedTuple):
     grad_readout: np.ndarray    # (F,)
 
 
-def model_backward(model: TrainableModel, s: SupportMatrix, x: np.ndarray,
-                   target: np.ndarray, il_weight: float,
-                   lam_max: float = 1.0) -> BackwardResult:
-    """Loss and analytic gradients for taps and readout on one batch.
+def model_backward(model: TrainableModel, powers: np.ndarray, target: np.ndarray,
+                   il_weight: float, lam_max: float = 1.0) -> BackwardResult:
+    """Loss and analytic gradients for taps and readout on one batch, from
+    its shift powers (K+1, B, n) as filters.shift_powers makes them.
 
     The identity model is the one filter readout @ taps, so its step works
-    on (K+1)-vectors and forms no (F, B, n) array."""
+    on (K+1)-vectors and forms no (F, B, n) array; any other activation
+    forms only A."""
     n_features, n_taps = model.taps.shape
-    x = np.atleast_2d(x)
-    powers = shift_powers(s, x, n_taps, _buffer("powers", (n_taps,) + x.shape))
+    if powers.shape[0] != n_taps:
+        raise ShapeError(f"{powers.shape[0]} shift powers for {n_taps} taps")
     powers2d = powers.reshape(n_taps, -1)
     if model.sigma.kind == "identity":
         mse, dpred = mse_loss(contract(model.readout @ model.taps, powers), target)
@@ -241,14 +254,13 @@ def model_backward(model: TrainableModel, s: SupportMatrix, x: np.ndarray,
         grad_readout = model.taps @ g
         grad_taps = np.multiply.outer(model.readout, g)
     else:
-        act = _buffer("act", (n_features,) + x.shape)
+        act = _buffer("act", (n_features,) + powers.shape[1:])
         mse, dpred = mse_loss(_forward(model, powers, act), target)
         act2d, dpred1d = act.reshape(n_features, -1), dpred.reshape(-1)
         grad_readout = act2d @ dpred1d
-        dpre = _buffer("dpre", act2d.shape)
-        np.multiply.outer(model.readout, dpred1d, out=dpre)
-        model.sigma.backprop(dpre, act2d)
-        grad_taps = dpre @ powers2d.T
+        deriv = model.sigma.output_derivative(act2d, overwrite=True)
+        grad_taps = deriv @ (powers2d * dpred1d).T
+        grad_taps *= model.readout[:, None]
 
     reg, reg_grad = il_regularizer(model.taps, lam_max, il_weight)
     grad_taps += reg_grad
@@ -273,6 +285,7 @@ class EpochRecord:
 class TrainResult:
     model: TrainableModel
     best_val_loss: float
+    best_epoch: int             # -1: no epoch improved on the initial model
     history: list[EpochRecord] = field(repr=False)
 
 
@@ -282,8 +295,9 @@ def train(model: TrainableModel, s: SupportMatrix,
           config: TrainConfig, lam_max: float = 1.0) -> TrainResult:
     """Minibatch Adam with per-epoch learning-rate decay.
 
-    Returns the model snapshot with the best validation loss and the full
-    per-epoch history. With zero epochs the input model is returned as is.
+    Returns the model snapshot with the best validation loss, its epoch
+    (-1 for the input model) and the full per-epoch history. With zero
+    epochs the input model is returned as is.
     An epoch whose train or validation loss is not finite raises
     NumericalError naming the epoch and the loss.
     """
@@ -312,27 +326,35 @@ def _train(model: TrainableModel, s: SupportMatrix,
     params = np.concatenate([model.taps.ravel(), model.readout])
     state = init_adam(params, config.learning_rate, config.decay)
 
-    val_powers = shift_powers(s, x_val, model.taps.shape[1])
+    n_taps, batch = model.taps.shape[1], config.batch_size
+    val_powers = shift_powers(s, x_val, n_taps)
 
     def val_mse() -> float:
         return mse_loss(_forward(model, val_powers), y_val)[0]
 
-    best = model.copy()
+    best, best_epoch = model.copy(), -1
     best_val = val_mse()
     history: list[EpochRecord] = []
 
+    n_train, n = x_train.shape
+    chunk = max(1, CHUNK_BYTES // (n_taps * batch * n * 8)) * batch   # rows
+    chunk_powers = np.empty((n_taps, min(chunk, n_train), n))
+
     for epoch in range(config.epochs):
-        order = rng.permutation(x_train.shape[0])
+        order = rng.permutation(n_train)
         batch_losses = []
-        for start in range(0, x_train.shape[0], config.batch_size):
-            idx = order[start:start + config.batch_size]
-            result = model_backward(model, s, x_train[idx], y_train[idx],
-                                    config.il_weight, lam_max)
-            grads = np.concatenate([result.grad_taps.ravel(), result.grad_readout])
-            params = adam_step(state, params, grads)
-            model.taps = params[:n_tap_params].reshape(model.taps.shape)
-            model.readout = params[n_tap_params:]
-            batch_losses.append(result.mse)
+        for c0 in range(0, n_train, chunk):
+            idx = order[c0:c0 + chunk]
+            powers = shift_powers(s, x_train[idx], n_taps, chunk_powers[:, :idx.size])
+            targets = y_train[idx]
+            for b0 in range(0, idx.size, batch):
+                result = model_backward(model, powers[:, b0:b0 + batch],
+                                        targets[b0:b0 + batch], config.il_weight, lam_max)
+                grads = np.concatenate([result.grad_taps.ravel(), result.grad_readout])
+                params = adam_step(state, params, grads)
+                model.taps = params[:n_tap_params].reshape(model.taps.shape)
+                model.readout = params[n_tap_params:]
+                batch_losses.append(result.mse)
 
         train_loss, epoch_val = float(np.mean(batch_losses)), val_mse()
         if not (np.isfinite(train_loss) and np.isfinite(epoch_val)):
@@ -346,8 +368,9 @@ def _train(model: TrainableModel, s: SupportMatrix,
             learning_rate=state.learning_rate,
         ))
         if epoch_val < best_val:
-            best_val = epoch_val
+            best_val, best_epoch = epoch_val, epoch
             best = model.copy()
         state.learning_rate *= config.decay
 
-    return TrainResult(model=best, best_val_loss=best_val, history=history)
+    return TrainResult(model=best, best_val_loss=best_val, best_epoch=best_epoch,
+                       history=history)

@@ -195,7 +195,8 @@ class TestCriterion6Gradients:
             x = rng.standard_normal((4, n))
             y = np.sign(rng.standard_normal((4, n)))
             il_weight = 0.01 if trial % 2 else 0.0
-            result = model_backward(model, s, x, y, il_weight)
+            powers = shift_powers(s, x, model.taps.shape[1])
+            result = model_backward(model, powers, y, il_weight)
 
             h = 1e-5
             for arr, grad in ((model.taps, result.grad_taps),
@@ -204,9 +205,9 @@ class TestCriterion6Gradients:
                 for i in range(flat.size):
                     keep = flat[i]
                     flat[i] = keep + h
-                    up = model_backward(model, s, x, y, il_weight).objective
+                    up = model_backward(model, powers, y, il_weight).objective
                     flat[i] = keep - h
-                    down = model_backward(model, s, x, y, il_weight).objective
+                    down = model_backward(model, powers, y, il_weight).objective
                     flat[i] = keep
                     fd = (up - down) / (2 * h)
                     scale = max(abs(fd), abs(gflat[i]), 1e-6)

@@ -299,6 +299,14 @@ class TestErrorExit:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"graphdisc: error: cannot use {path} ")
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_gradcheck_trials_below_one(self, capsys, trials):
+        code = main(["gradcheck", "--trials", trials])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"graphdisc: error: --trials must be at least 1, got {trials}\n"
+
     def test_truncated_graph_file(self, tmp_path, capsys):
         path = tmp_path / "graph.txt"
         path.write_text("")
@@ -314,3 +322,28 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "worst relative error" in out
         assert "FAIL" not in out
+
+
+class TestNoImprovementWarning:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_exploding_run_warns_per_model(self, tmp_path, capsys, jobs):
+        # with this step size the loss explodes but stays finite, so the run
+        # succeeds and keeps the initial models
+        path = tmp_path / "exp.cfg"
+        path.write_text("learning_rate = 1e6\n")
+        code = run_tiny(tmp_path / "out", "--config", path, "--graphs", "2", "--jobs", jobs)
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err == "".join(
+            f"graphdisc: warning: replicate high graph {g} {name}: "
+            "no epoch improved on the initial model\n"
+            for g in (0, 1) for name in ("filter_bank", "gnn"))
+        assert (tmp_path / "out" / "summary.csv").exists()
+
+    def test_ordinary_run_is_silent(self, tmp_path, capsys):
+        assert run_tiny(tmp_path / "out") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_zero_epochs_is_silent(self, tmp_path, capsys):
+        assert run_tiny(tmp_path / "out", "--epochs", "0") == 0
+        assert capsys.readouterr().err == ""

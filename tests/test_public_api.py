@@ -1,4 +1,9 @@
-"""The names the graphdisc package exports."""
+"""The names the graphdisc package exports, and README's library example."""
+
+import contextlib
+import io
+import pathlib
+import re
 
 import graphdisc
 
@@ -22,3 +27,11 @@ def test_no_deleted_name_or_submodule_is_exported():
     for name in DELETED:
         assert not hasattr(graphdisc, name), name
 
+
+def test_readme_library_example_runs():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    (example,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {})
+    assert out.getvalue() == "True False\n"

@@ -83,17 +83,23 @@ def einsum_reference_backward(model, s, x, target, il_weight):
 
 
 def general_contraction_backward(model, s, x, target, il_weight):
-    """model_backward's (F, B, n) route for any activation: A = sigma(taps @ P),
-    the readout gradient A @ dpred and the tap gradient D @ P^T, where D is
-    readout x dpred scaled by sigma'."""
+    """The (F, B, n) route for any activation: A = sigma(taps @ P), the
+    readout gradient A @ dpred and the tap gradient D @ P^T, where D is the
+    outer product readout x dpred scaled by sigma'."""
     n_taps = model.taps.shape[1]
     powers = shift_powers(s, x, n_taps).reshape(n_taps, -1)
     act = model.sigma.eval(model.taps @ powers)
     mse, dpred = mse_loss((model.readout @ act).reshape(x.shape), target)
     grad_readout = act @ dpred.reshape(-1)
-    dpre = model.sigma.backprop(np.multiply.outer(model.readout, dpred.reshape(-1)), act)
+    dpre = np.multiply.outer(model.readout, dpred.reshape(-1))
+    dpre *= model.sigma.output_derivative(act)
     grad_taps = dpre @ powers.T + il_regularizer(model.taps, 1.0, il_weight)[1]
     return mse, grad_taps, grad_readout
+
+
+def backward(model, s, x, target, il_weight):
+    """model_backward on the batch x, its shift powers made fresh."""
+    return model_backward(model, shift_powers(s, x, model.taps.shape[1]), target, il_weight)
 
 
 def assert_matches_general_contraction(result, model, s, x, target, il_weight):
@@ -281,7 +287,7 @@ class TestModelBackward:
         model.readout = np.zeros(3)
         x = rng.standard_normal((5, 12))
         y = np.sign(rng.standard_normal((5, 12)))
-        result = model_backward(model, support, x, y, il_weight=0.02)
+        result = backward(model, support, x, y, il_weight=0.02)
         _, reg_grad = il_regularizer(model.taps, 1.0, 0.02)
         np.testing.assert_allclose(result.grad_taps, reg_grad, atol=1e-15)
 
@@ -293,7 +299,7 @@ class TestModelBackward:
                                sigma=Nonlinearity.identity())
         x = rng.standard_normal((6, 12))
         y = rng.standard_normal((6, 12))
-        result = model_backward(model, support, x, y, il_weight=0.0)
+        result = backward(model, support, x, y, il_weight=0.0)
         pred = model.readout.sum() * x
         closed_form = np.array([
             np.sum(2 * (pred - y) / y.size * x) for _ in range(2)
@@ -308,13 +314,19 @@ class TestModelBackward:
         model = init_model(5, 3, sigma, seed=7)
         x = rng.standard_normal((6, 12))
         y = np.sign(rng.standard_normal((6, 12)))
-        result = model_backward(model, support, x, y, il_weight=0.01)
+        result = backward(model, support, x, y, il_weight=0.01)
         mse, grad_taps, grad_readout = einsum_reference_backward(model, support, x, y, 0.01)
         # BLAS blocks and fuses the sums that einsum adds in order, so the
         # two agree to rounding, not bit for bit
         assert result.mse == pytest.approx(mse, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(result.grad_taps, grad_taps, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(result.grad_readout, grad_readout, rtol=1e-12, atol=0.0)
+
+    def test_powers_for_another_tap_count(self, support):
+        model = init_model(3, 3, Nonlinearity.tanh(), seed=4)
+        powers = shift_powers(support, np.ones((2, 12)), 2)
+        with pytest.raises(ShapeError, match="2 shift powers for 3 taps"):
+            model_backward(model, powers, np.ones((2, 12)), 0.01)
 
     @pytest.mark.parametrize("trial", range(20))
     def test_gradients_match_finite_differences(self, trial):
@@ -333,7 +345,8 @@ class TestModelBackward:
         y = np.sign(rng.standard_normal((4, n)))
         il_weight = 0.01 if trial % 2 else 0.0
 
-        result = model_backward(model, s, x, y, il_weight)
+        powers = shift_powers(s, x, n_taps)
+        result = model_backward(model, powers, y, il_weight)
 
         h = 1e-5
         for arr, grad in ((model.taps, result.grad_taps),
@@ -342,9 +355,9 @@ class TestModelBackward:
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + h
-                up = model_backward(model, s, x, y, il_weight).objective
+                up = model_backward(model, powers, y, il_weight).objective
                 flat[i] = keep - h
-                down = model_backward(model, s, x, y, il_weight).objective
+                down = model_backward(model, powers, y, il_weight).objective
                 flat[i] = keep
                 fd = (up - down) / (2 * h)
                 scale = max(abs(fd), abs(gflat[i]), 1e-6)
@@ -362,7 +375,7 @@ class TestIdentityStep:
         model = init_model(5, n_taps, Nonlinearity.identity(), seed=61)
         x = rng.standard_normal((batch, 12))
         y = np.sign(rng.standard_normal((batch, 12)))
-        result = model_backward(model, support, x, y, il_weight=0.01)
+        result = backward(model, support, x, y, il_weight=0.01)
         assert_matches_general_contraction(result, model, support, x, y, 0.01)
 
     def spy_steps(self, monkeypatch, support, n_taps):
@@ -371,9 +384,10 @@ class TestIdentityStep:
         steps, keys = [], set()
         original = training.model_backward
 
-        def spy(model, s, x, target, il_weight, lam_max=1.0):
-            result = original(model, s, x, target, il_weight, lam_max)
-            steps.append((model.copy(), x.copy(), target.copy(), il_weight, result))
+        def spy(model, powers, target, il_weight, lam_max=1.0):
+            result = original(model, powers, target, il_weight, lam_max)
+            # powers[0] is the batch itself
+            steps.append((model.copy(), powers[0].copy(), target.copy(), il_weight, result))
             keys.update(training._step_buffers)
             return result
 
@@ -396,8 +410,9 @@ class TestIdentityStep:
             assert_matches_general_contraction(result, model, support, x, y, il_weight)
 
     def test_allocates_no_activation_buffers(self, support, monkeypatch):
+        # the shift powers are made per chunk by train, outside the step
         _, keys = self.spy_steps(monkeypatch, support, 3)
-        assert {name for name, _ in keys} == {"powers"}
+        assert keys == set()
 
 
 class TestTrain:
@@ -493,15 +508,19 @@ class TestStepBuffers:
 
     def record_steps(self, monkeypatch, support, n_train, batch_size):
         """Train with model_backward wrapped; return each call's inputs, its
-        result, a copy of the result, and weak references to the buffers."""
-        calls, buffers = [], []
+        result, a copy of the result, and weak references to the buffers
+        (the step's, named in the third return value, and the chunk of
+        shift powers the step's powers are a view of)."""
+        calls, buffers, names = [], [], set()
         original = training.model_backward
 
-        def spy(model, s, x, target, il_weight, lam_max=1.0):
-            result = original(model, s, x, target, il_weight, lam_max)
-            calls.append((model.copy(), x.copy(), target.copy(), il_weight, result,
+        def spy(model, powers, target, il_weight, lam_max=1.0):
+            result = original(model, powers, target, il_weight, lam_max)
+            calls.append((model.copy(), powers.copy(), target.copy(), il_weight, result,
                           [np.copy(v) for v in result]))
             buffers.extend(weakref.ref(b) for b in training._step_buffers.values())
+            buffers.append(weakref.ref(powers.base))
+            names.update(name for name, _ in training._step_buffers)
             return result
 
         monkeypatch.setattr(training, "model_backward", spy)
@@ -512,14 +531,32 @@ class TestStepBuffers:
         train(model, support, (x, y), (x[:7], y[:7]),
               TrainConfig(epochs=2, batch_size=batch_size, seed=5))
         monkeypatch.undo()
-        return calls, buffers
+        return calls, buffers, names
+
+    @staticmethod
+    def assert_steps_match_fresh_arrays(calls, support):
+        """Each step's powers are those of its batch, and its result is that
+        of a fresh-array call on them."""
+        assert training._step_buffers is None  # so the calls below get fresh arrays
+        for model, powers, y, il_weight, result, _ in calls:
+            fresh_powers = shift_powers(support, powers[0], 3)
+            np.testing.assert_allclose(powers, fresh_powers, rtol=1e-12, atol=0.0)
+            fresh = model_backward(model, fresh_powers, y, il_weight)
+            assert result.objective == pytest.approx(fresh.objective, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(result.grad_taps, fresh.grad_taps, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(result.grad_readout, fresh.grad_readout,
+                                       rtol=1e-12, atol=0.0)
 
     def test_step_results_do_not_alias_buffers(self, support, monkeypatch):
-        calls, _ = self.record_steps(monkeypatch, support, 20, 5)
+        calls, _, _ = self.record_steps(monkeypatch, support, 20, 5)
         assert len(calls) == 8
         for *_, result, snapshot in calls:
             for got, kept in zip(result, snapshot):
                 np.testing.assert_array_equal(got, kept)
+
+    def test_tanh_step_uses_only_the_activation_buffer(self, support, monkeypatch):
+        _, _, names = self.record_steps(monkeypatch, support, 23, 5)
+        assert names == {"act"}
 
     def test_second_call_leaves_first_results(self, support):
         rng = np.random.default_rng(32)
@@ -527,29 +564,49 @@ class TestStepBuffers:
         x1, x2 = rng.standard_normal((2, 5, 12))
         y = np.sign(rng.standard_normal((5, 12)))
         first = [predict(model, support, x1), *model_forward(model, support, x1),
-                 *model_backward(model, support, x1, y, 0.01)[2:]]
+                 *model_backward(model, shift_powers(support, x1, 3), y, 0.01)[2:]]
         kept = [a.copy() for a in first]
         predict(model, support, x2)
         model_forward(model, support, x2)
-        model_backward(model, support, x2, y, 0.01)
+        model_backward(model, shift_powers(support, x2, 3), y, 0.01)
         for got, expected in zip(first, kept):
             np.testing.assert_array_equal(got, expected)
 
     def test_ragged_last_batch_matches_fresh_buffers(self, support, monkeypatch):
         # 23 samples in batches of 5: every epoch ends with a batch of 3,
         # and the next epoch goes back to the full-size buffers
-        calls, _ = self.record_steps(monkeypatch, support, 23, 5)
-        assert [len(c[1]) for c in calls] == [5, 5, 5, 5, 3] * 2
-        assert training._step_buffers is None  # so the calls below get fresh arrays
-        for model, x, y, il_weight, result, _ in calls:
-            fresh = model_backward(model, support, x, y, il_weight)
-            assert result.objective == pytest.approx(fresh.objective, rel=1e-12, abs=0.0)
-            np.testing.assert_allclose(result.grad_taps, fresh.grad_taps, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(result.grad_readout, fresh.grad_readout,
-                                       rtol=1e-12, atol=0.0)
+        calls, _, _ = self.record_steps(monkeypatch, support, 23, 5)
+        assert [c[1].shape[1] for c in calls] == [5, 5, 5, 5, 3] * 2
+        self.assert_steps_match_fresh_arrays(calls, support)
+
+    def test_chunk_boundaries(self, support, monkeypatch):
+        # a budget of two and a half batches' powers holds two whole
+        # batches: 23 samples in batches of 5 make chunks of 10, 10 and 3
+        # rows in each epoch
+        unchunked, _, _ = self.record_steps(monkeypatch, support, 23, 5)
+        chunk_rows = []
+
+        def counting_shift_powers(s, x, n_taps, out=None):
+            chunk_rows.append(len(x))
+            return shift_powers(s, x, n_taps, out)
+
+        monkeypatch.setattr(training, "CHUNK_BYTES", 5 * 3 * 5 * 12 * 8 // 2)
+        monkeypatch.setattr(training, "shift_powers", counting_shift_powers)
+        calls, _, _ = self.record_steps(monkeypatch, support, 23, 5)
+        assert chunk_rows == [7] + [10, 10, 3] * 2   # the validation set first
+        assert [c[1].shape[1] for c in calls] == [5, 5, 5, 5, 3] * 2
+        x = np.random.default_rng(30).standard_normal((23, 12))  # as record_steps
+        for epoch in (calls[:5], calls[5:]):
+            rows = np.concatenate([c[1][0] for c in epoch])
+            assert rows.shape == x.shape
+            np.testing.assert_array_equal(np.unique(rows, axis=0), np.unique(x, axis=0))
+        # the same batches in the same order as with every row in one chunk
+        np.testing.assert_array_equal(np.concatenate([c[1][0] for c in calls]),
+                                      np.concatenate([c[1][0] for c in unchunked]))
+        self.assert_steps_match_fresh_arrays(calls, support)
 
     def test_buffers_released_when_train_returns(self, support, monkeypatch):
-        _, buffers = self.record_steps(monkeypatch, support, 23, 5)
+        _, buffers, _ = self.record_steps(monkeypatch, support, 23, 5)
         assert buffers
         gc.collect()
         assert training._step_buffers is None
