@@ -44,8 +44,8 @@ CONFIG_KEYS = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
 
 
 def load_config_file(path: str) -> dict:
-    """Parse `key = value` lines; `#` starts a comment."""
-    values = {}
+    """Parse `key = value` lines; `#` starts a comment. A key may be set once."""
+    values, line_of = {}, {}
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -55,6 +55,10 @@ def load_config_file(path: str) -> dict:
         key, text = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise ConfigurationError(
+                f"{path}:{lineno}: key {key!r} already set on line {line_of[key]}")
+        line_of[key] = lineno
         field_type = ExperimentConfig.__dataclass_fields__[key].type
         parse = {"int": int, "float": float}.get(field_type, str)
         try:
@@ -98,20 +102,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         init_taps = load_bank(args.load_bank)
 
     make_dir(args.out)  # before training, so a bad --out fails at once
-    outputs: list = []
     report = run_experiment(config, jobs=args.jobs, graph=graph,
-                            init_taps=init_taps, init_readout=init_readout,
-                            keep_outputs=outputs)
+                            init_taps=init_taps, init_readout=init_readout)
     written = emit_report(report, args.out)
     if config.epochs > 0:
-        for out in outputs:
+        for out in report.replicates:
             for name in MODEL_NAMES:
                 if out.best_epochs[name] == -1:
                     print(f"graphdisc: warning: replicate {out.subspace} graph "
                           f"{out.graph_index} {name}: no epoch improved on the "
                           "initial model", file=sys.stderr)
 
-    first = outputs[0]
+    first = report.replicates[0]
     if args.dump_graph:
         save_graph(first.graph, args.dump_graph)
         written.append(args.dump_graph)
@@ -206,6 +208,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for flag, value in (("graphs", args.graphs), ("trials", args.trials)):
         if value < 1:
             raise ConfigurationError(f"--{flag} must be at least 1, got {value}")
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
     make_dir(args.out)
     suites = VERIFY_SUITES.values() if args.theorem == "all" else [VERIFY_SUITES[args.theorem]]
     failed = False
@@ -242,6 +246,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     worst = 0.0
     failures = 0

@@ -29,7 +29,8 @@ from .filters import bank_il_constant, contract, shift_powers
 from .gnn import Nonlinearity
 from .graphs import GeometricGraph, SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from .spectral import SubspaceSplit, eig_sym, project_subspace, split_subspace
-from .training import EpochRecord, TrainConfig, TrainableModel, init_model, mse_loss, predict, train
+from .training import (LAM_MAX, EpochRecord, TrainConfig, TrainableModel, init_model, mse_loss,
+                       predict, train)
 
 MODES = ("low", "high", "full")
 MODE_INDEX = {"low": 0, "high": 1, "full": 2}
@@ -74,6 +75,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown subspace {self.subspace!r}")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be nonnegative")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         for name in ("n", "neighbors", "features", "taps", "train", "val",
                      "test", "graphs", "batch_size"):
             if getattr(self, name) <= 0:
@@ -112,14 +115,6 @@ class SummaryEntry:
     mean_error: float
     ci_halfwidth: float
     per_graph: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class AggregateReport:
-    summaries: tuple[SummaryEntry, ...]
-    runs: tuple[RunMetrics, ...]
-    relative_gap: dict[str, float]          # subspace -> filter/gnn - 1
-    histories: dict[tuple[str, str, int], list[EpochRecord]] = field(repr=False)
 
 
 class Dataset(NamedTuple):
@@ -174,7 +169,15 @@ class ReplicateOutput:
     histories: dict[str, list[EpochRecord]] = field(repr=False)
     models: dict[str, TrainableModel] = field(repr=False)
     # model -> best epoch, -1 when no epoch improved on the initial model
-    best_epochs: dict[str, int] = field(default_factory=dict, repr=False)
+    best_epochs: dict[str, int] = field(repr=False)
+
+
+@dataclass(frozen=True)
+class AggregateReport:
+    summaries: tuple[SummaryEntry, ...]
+    runs: tuple[RunMetrics, ...]
+    relative_gap: dict[str, float]          # subspace -> filter/gnn - 1
+    replicates: tuple[ReplicateOutput, ...] = field(repr=False)
 
 
 def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
@@ -246,7 +249,7 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
             subspace=mode,
             model=name,
             test_mse=test_mse,
-            il_constant=bank_il_constant(result.model.taps, 1.0),
+            il_constant=bank_il_constant(result.model.taps, LAM_MAX),
             wall_time=elapsed,
         ))
         histories[name] = result.history
@@ -283,18 +286,17 @@ def _relative_gap(filter_mean: float, gnn_mean: float) -> float:
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    graph: GeometricGraph | None = None,
                    init_taps: np.ndarray | None = None,
-                   init_readout: np.ndarray | None = None,
-                   keep_outputs: list[ReplicateOutput] | None = None) -> AggregateReport:
+                   init_readout: np.ndarray | None = None) -> AggregateReport:
     """All replicates for every requested subspace, aggregated.
 
     Replicates run in min(jobs, replicates) worker processes, or in this
-    process when that is 1; the report is the same for any jobs.
+    process when that is 1; the report is the same for any jobs. The
+    report keeps every ReplicateOutput, in subspace then graph order, with
+    its histories, trained models and graph.
 
     A replicate that raises a graphdisc.errors exception aborts the run
     with an exception of the same type whose message starts with the
-    replicate's subspace and graph index. `keep_outputs`, when given,
-    receives every ReplicateOutput in order (used by the CLI to save
-    artifacts of the first replicate).
+    replicate's subspace and graph index.
     """
     config.validate()
     if graph is not None and config.graphs != 1:
@@ -311,15 +313,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     else:
         outputs = [_replicate_star(t) for t in tasks]
 
-    if keep_outputs is not None:
-        keep_outputs.extend(outputs)
-
-    runs: list[RunMetrics] = []
-    histories: dict[tuple[str, str, int], list[EpochRecord]] = {}
-    for out in outputs:
-        runs.extend(out.metrics)
-        for name, record in out.histories.items():
-            histories[(out.subspace, name, out.graph_index)] = record
+    runs = tuple(m for out in outputs for m in out.metrics)
 
     summaries = []
     relative_gap = {}
@@ -342,9 +336,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
 
     return AggregateReport(
         summaries=tuple(summaries),
-        runs=tuple(runs),
+        runs=runs,
         relative_gap=relative_gap,
-        histories=histories,
+        replicates=tuple(outputs),
     )
 
 
@@ -375,15 +369,17 @@ def emit_report(report: AggregateReport, out_dir: str) -> list[str]:
         fh.write("\n".join(lines) + "\n")
     written.append(path)
 
-    for (mode, name, g), records in report.histories.items():
-        path = os.path.join(out_dir, f"history_{mode}_{name}_g{g}.csv")
-        lines = ["epoch,train_loss,val_loss,il_constant,learning_rate"]
-        for rec in records:
-            lines.append(f"{rec.epoch},{rec.train_loss:.17g},{rec.val_loss:.17g},"
-                         f"{rec.il_constant:.17g},{rec.learning_rate:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        written.append(path)
+    for out in report.replicates:
+        for name, records in out.histories.items():
+            path = os.path.join(out_dir,
+                                f"history_{out.subspace}_{name}_g{out.graph_index}.csv")
+            lines = ["epoch,train_loss,val_loss,il_constant,learning_rate"]
+            for rec in records:
+                lines.append(f"{rec.epoch},{rec.train_loss:.17g},{rec.val_loss:.17g},"
+                             f"{rec.il_constant:.17g},{rec.learning_rate:.17g}")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            written.append(path)
 
     print(f"{'subspace':<10}{'model':<14}{'mean_error':>14}{'ci_95':>12}{'graphs':>8}")
     for s in report.summaries:

@@ -33,12 +33,14 @@ one buffer that lives for the train call; each step takes its batch as a
 view of that buffer. Batch order and composition do not depend on the
 chunk size.
 
-Every contraction is one 2-D BLAS product on a reshaped view. Inside
-train, A is a buffer keyed by shape and reused for every step (a ragged
-last batch gets its own), so a step allocates no (F, B, n) array; the
-buffers are dropped when train returns, and nothing model_backward,
-model_forward or predict returns is one of them. Outside train each call
-gets fresh arrays. train computes the validation set's shift powers once,
+Every contraction is one 2-D BLAS product on a reshaped view. train owns
+one activation buffer, sized for a full batch, and passes each step its
+leading (F, B, n) part as model_backward's act argument (a ragged last
+batch takes a shorter, still contiguous, part), so a step allocates no
+(F, B, n) array. Called without act, a step makes a fresh one. Nothing
+model_backward, model_forward or predict returns is a buffer, and no
+module state changes, so separate train calls may run in separate
+threads. train computes the validation set's shift powers once,
 and each epoch's integral-Lipschitz constant from the taps with the
 regularizer's product (filters.bank_il_constant). An epoch whose train or
 validation loss is not finite raises NumericalError; overflow on the way
@@ -64,6 +66,13 @@ from .graphs import SupportMatrix
 # Bytes of training-set shift powers train makes at once: a chunk holds as
 # many whole batches as fit, and at least one.
 CHUNK_BYTES = 2 ** 18
+
+# normalize_support scales every shift to operator norm 1, so the
+# integral-Lipschitz grid of training runs over [0, 1]
+LAM_MAX = 1.0
+
+# Adam's moment decay rates and the denominator's guard
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -96,10 +105,6 @@ class AdamState:
     v: np.ndarray
     t: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    per_epoch_decay: float = 0.9
 
 
 def init_model(n_features: int, n_taps: int, sigma: Nonlinearity,
@@ -112,15 +117,9 @@ def init_model(n_features: int, n_taps: int, sigma: Nonlinearity,
     return TrainableModel(taps=taps, readout=readout, sigma=sigma)
 
 
-def init_adam(params: np.ndarray, learning_rate: float,
-              per_epoch_decay: float) -> AdamState:
-    return AdamState(
-        m=np.zeros_like(params),
-        v=np.zeros_like(params),
-        t=0,
-        learning_rate=learning_rate,
-        per_epoch_decay=per_epoch_decay,
-    )
+def init_adam(params: np.ndarray, learning_rate: float) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), t=0,
+                     learning_rate=learning_rate)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -132,20 +131,19 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
     if params.shape != grads.shape:
         raise ShapeError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
     state.t += 1
-    beta1, beta2 = state.beta1, state.beta2
-    bias1, bias2 = 1.0 - beta1 ** state.t, 1.0 - beta2 ** state.t
+    bias1, bias2 = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * grads
-    v *= beta2
-    g2 = (1.0 - beta2) * grads
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    v *= BETA2
+    g2 = (1.0 - BETA2) * grads
     g2 *= grads
     v += g2
     step = m / bias1
     step *= state.learning_rate
     denom = v / bias2
     np.sqrt(denom, out=denom)
-    denom += state.epsilon
+    denom += EPSILON
     step /= denom
     return params - step
 
@@ -193,21 +191,6 @@ class ForwardCache(NamedTuple):
     pred: np.ndarray             # (B, n)
 
 
-# The step's work array (the activation) keyed by name and shape. train sets
-# a dict here for its duration and drops it when it returns; None means
-# fresh arrays on every call.
-_step_buffers: dict | None = None
-
-
-def _buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
-    if _step_buffers is None:
-        return np.empty(shape)
-    key = (name, shape)
-    if key not in _step_buffers:
-        _step_buffers[key] = np.empty(shape)
-    return _step_buffers[key]
-
-
 def _forward(model: TrainableModel, powers: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
     """The prediction (B, n) from the shift powers (K+1, B, n) of a batch.
@@ -237,13 +220,14 @@ class BackwardResult(NamedTuple):
 
 
 def model_backward(model: TrainableModel, powers: np.ndarray, target: np.ndarray,
-                   il_weight: float, lam_max: float = 1.0) -> BackwardResult:
+                   il_weight: float, act: np.ndarray | None = None) -> BackwardResult:
     """Loss and analytic gradients for taps and readout on one batch, from
     its shift powers (K+1, B, n) as filters.shift_powers makes them.
 
     The identity model is the one filter readout @ taps, so its step works
     on (K+1)-vectors and forms no (F, B, n) array; any other activation
-    forms only A."""
+    forms only A, in act (F, B, n) when given and in a fresh array
+    otherwise."""
     n_features, n_taps = model.taps.shape
     if powers.shape[0] != n_taps:
         raise ShapeError(f"{powers.shape[0]} shift powers for {n_taps} taps")
@@ -254,7 +238,8 @@ def model_backward(model: TrainableModel, powers: np.ndarray, target: np.ndarray
         grad_readout = model.taps @ g
         grad_taps = np.multiply.outer(model.readout, g)
     else:
-        act = _buffer("act", (n_features,) + powers.shape[1:])
+        if act is None:
+            act = np.empty((n_features,) + powers.shape[1:])
         mse, dpred = mse_loss(_forward(model, powers, act), target)
         act2d, dpred1d = act.reshape(n_features, -1), dpred.reshape(-1)
         grad_readout = act2d @ dpred1d
@@ -262,7 +247,7 @@ def model_backward(model: TrainableModel, powers: np.ndarray, target: np.ndarray
         grad_taps = deriv @ (powers2d * dpred1d).T
         grad_taps *= model.readout[:, None]
 
-    reg, reg_grad = il_regularizer(model.taps, lam_max, il_weight)
+    reg, reg_grad = il_regularizer(model.taps, LAM_MAX, il_weight)
     grad_taps += reg_grad
     return BackwardResult(
         mse=mse,
@@ -292,7 +277,7 @@ class TrainResult:
 def train(model: TrainableModel, s: SupportMatrix,
           train_set: tuple[np.ndarray, np.ndarray],
           val_set: tuple[np.ndarray, np.ndarray],
-          config: TrainConfig, lam_max: float = 1.0) -> TrainResult:
+          config: TrainConfig) -> TrainResult:
     """Minibatch Adam with per-epoch learning-rate decay.
 
     Returns the model snapshot with the best validation loss, its epoch
@@ -301,21 +286,6 @@ def train(model: TrainableModel, s: SupportMatrix,
     An epoch whose train or validation loss is not finite raises
     NumericalError naming the epoch and the loss.
     """
-    global _step_buffers
-    outer_buffers, _step_buffers = _step_buffers, {}
-    try:
-        # overflow on the way to a diverged loss is reported by the loss
-        # check in _train, not as a warning from the step that overflowed
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _train(model, s, train_set, val_set, config, lam_max)
-    finally:
-        _step_buffers = outer_buffers
-
-
-def _train(model: TrainableModel, s: SupportMatrix,
-           train_set: tuple[np.ndarray, np.ndarray],
-           val_set: tuple[np.ndarray, np.ndarray],
-           config: TrainConfig, lam_max: float) -> TrainResult:
     x_train, y_train = train_set
     x_val, y_val = val_set
     model = model.copy()
@@ -324,53 +294,61 @@ def _train(model: TrainableModel, s: SupportMatrix,
     # of stepping them apart, with the same arithmetic per entry
     n_tap_params = model.taps.size
     params = np.concatenate([model.taps.ravel(), model.readout])
-    state = init_adam(params, config.learning_rate, config.decay)
+    state = init_adam(params, config.learning_rate)
 
-    n_taps, batch = model.taps.shape[1], config.batch_size
+    (n_features, n_taps), batch = model.taps.shape, config.batch_size
     val_powers = shift_powers(s, x_val, n_taps)
 
     def val_mse() -> float:
         return mse_loss(_forward(model, val_powers), y_val)[0]
 
-    best, best_epoch = model.copy(), -1
-    best_val = val_mse()
-    history: list[EpochRecord] = []
-
     n_train, n = x_train.shape
     chunk = max(1, CHUNK_BYTES // (n_taps * batch * n * 8)) * batch   # rows
     chunk_powers = np.empty((n_taps, min(chunk, n_train), n))
+    # every step's activation is a leading, contiguous part of this buffer
+    act = np.empty(n_features * min(batch, n_train) * n)
+    history: list[EpochRecord] = []
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(n_train)
-        batch_losses = []
-        for c0 in range(0, n_train, chunk):
-            idx = order[c0:c0 + chunk]
-            powers = shift_powers(s, x_train[idx], n_taps, chunk_powers[:, :idx.size])
-            targets = y_train[idx]
-            for b0 in range(0, idx.size, batch):
-                result = model_backward(model, powers[:, b0:b0 + batch],
-                                        targets[b0:b0 + batch], config.il_weight, lam_max)
-                grads = np.concatenate([result.grad_taps.ravel(), result.grad_readout])
-                params = adam_step(state, params, grads)
-                model.taps = params[:n_tap_params].reshape(model.taps.shape)
-                model.readout = params[n_tap_params:]
-                batch_losses.append(result.mse)
+    # overflow on the way to a diverged loss is reported by the loss check
+    # below, not as a warning from the step that overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        best, best_epoch = model.copy(), -1
+        best_val = val_mse()
+        for epoch in range(config.epochs):
+            order = rng.permutation(n_train)
+            batch_losses = []
+            for c0 in range(0, n_train, chunk):
+                idx = order[c0:c0 + chunk]
+                powers = shift_powers(s, x_train[idx], n_taps, chunk_powers[:, :idx.size])
+                targets = y_train[idx]
+                for b0 in range(0, idx.size, batch):
+                    b = min(batch, idx.size - b0)
+                    # by module attribute and positionally, so a tracer that
+                    # rebinds model_backward sees and can count every step
+                    result = model_backward(model, powers[:, b0:b0 + b], targets[b0:b0 + b],
+                                            config.il_weight,
+                                            act[:n_features * b * n].reshape(n_features, b, n))
+                    grads = np.concatenate([result.grad_taps.ravel(), result.grad_readout])
+                    params = adam_step(state, params, grads)
+                    model.taps = params[:n_tap_params].reshape(model.taps.shape)
+                    model.readout = params[n_tap_params:]
+                    batch_losses.append(result.mse)
 
-        train_loss, epoch_val = float(np.mean(batch_losses)), val_mse()
-        if not (np.isfinite(train_loss) and np.isfinite(epoch_val)):
-            raise NumericalError(f"training diverged in epoch {epoch}: train loss "
-                                 f"{train_loss}, validation loss {epoch_val}")
-        history.append(EpochRecord(
-            epoch=epoch,
-            train_loss=train_loss,
-            val_loss=epoch_val,
-            il_constant=bank_il_constant(model.taps, lam_max),
-            learning_rate=state.learning_rate,
-        ))
-        if epoch_val < best_val:
-            best_val, best_epoch = epoch_val, epoch
-            best = model.copy()
-        state.learning_rate *= config.decay
+            train_loss, epoch_val = float(np.mean(batch_losses)), val_mse()
+            if not (np.isfinite(train_loss) and np.isfinite(epoch_val)):
+                raise NumericalError(f"training diverged in epoch {epoch}: train loss "
+                                     f"{train_loss}, validation loss {epoch_val}")
+            history.append(EpochRecord(
+                epoch=epoch,
+                train_loss=train_loss,
+                val_loss=epoch_val,
+                il_constant=bank_il_constant(model.taps, LAM_MAX),
+                learning_rate=state.learning_rate,
+            ))
+            if epoch_val < best_val:
+                best_val, best_epoch = epoch_val, epoch
+                best = model.copy()
+            state.learning_rate *= config.decay
 
     return TrainResult(model=best, best_val_loss=best_val, best_epoch=best_epoch,
                        history=history)

@@ -41,6 +41,13 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError):
             load_config_file(str(path))
 
+    def test_key_set_twice(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("epochs = 3\n# comment\nepochs = 5\n")
+        with pytest.raises(ConfigurationError) as info:
+            load_config_file(str(path))
+        assert str(info.value) == f"{path}:3: key 'epochs' already set on line 1"
+
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("graphs = 7\nepochs = 9\n")
@@ -306,6 +313,17 @@ class TestErrorExit:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"graphdisc: error: --trials must be at least 1, got {trials}\n"
+
+    @pytest.mark.parametrize("command, name", [("run", "seed"), ("verify", "--seed"),
+                                               ("gradcheck", "--seed")])
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch, command, name):
+        monkeypatch.chdir(tmp_path)
+        code = main([command, "--seed", "-1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"graphdisc: error: {name} must be nonnegative, got -1\n"
+        assert list(tmp_path.iterdir()) == []   # rejected before any output
 
     def test_truncated_graph_file(self, tmp_path, capsys):
         path = tmp_path / "graph.txt"

@@ -199,9 +199,8 @@ class TestRunExperiment:
         assert a.summaries == b.summaries
 
     def test_both_models_share_data_and_init(self):
-        outputs = []
-        run_experiment(tiny_config(graphs=1, epochs=0), keep_outputs=outputs)
-        fb, gnn = outputs[0].models["filter_bank"], outputs[0].models["gnn"]
+        report = run_experiment(tiny_config(graphs=1, epochs=0))
+        fb, gnn = report.replicates[0].models["filter_bank"], report.replicates[0].models["gnn"]
         # untrained models keep their (identical) initializations
         np.testing.assert_array_equal(fb.taps, gnn.taps)
         np.testing.assert_array_equal(fb.readout, gnn.readout)
@@ -215,9 +214,8 @@ class TestRunExperiment:
     def test_split_uses_upper_band_size(self):
         config = tiny_config()
         assert config.split_index == 12
-        outputs = []
-        run_experiment(tiny_config(graphs=1, epochs=0), keep_outputs=outputs)
-        spec = eig_sym(normalize_support(laplacian(outputs[0].graph)))
+        report = run_experiment(tiny_config(graphs=1, epochs=0))
+        spec = eig_sym(normalize_support(laplacian(report.replicates[0].graph)))
         split = split_subspace(spec, config.split_index)
         assert split.v_high.shape == (16, 4)
 
@@ -271,7 +269,7 @@ class TestRelativeGap:
         def fake_replicate(config, mode, graph_index, *warm_start):
             metrics = tuple(RunMetrics(graph_index, mode, name, err, 0.0, 0.0)
                             for name, err in zip(MODEL_NAMES, errors))
-            return ReplicateOutput(graph_index, mode, None, metrics, {}, {})
+            return ReplicateOutput(graph_index, mode, None, metrics, {}, {}, {})
 
         monkeypatch.setattr(experiment, "run_replicate", fake_replicate)
         report = run_experiment(tiny_config(graphs=2))
@@ -318,8 +316,7 @@ class TestRunReplicate:
 
 class TestEmitReport:
     def test_empty_report_header_only(self, tmp_path, capsys):
-        empty = AggregateReport(summaries=(), runs=(), relative_gap={},
-                                histories={})
+        empty = AggregateReport(summaries=(), runs=(), relative_gap={}, replicates=())
         emit_report(empty, str(tmp_path))
         summary = (tmp_path / "summary.csv").read_text()
         assert summary == "subspace,model,mean_error,ci_halfwidth,n_graphs\n"

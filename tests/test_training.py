@@ -1,7 +1,10 @@
 """Loss, regularizer, analytic gradients, Adam, and the training loop."""
 
 import gc
+import threading
+import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +15,6 @@ from graphdisc.filters import bank_il_constant, shift_powers
 from graphdisc.gnn import Nonlinearity
 from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
 from graphdisc.training import (
-    AdamState,
     TrainConfig,
     TrainableModel,
     adam_step,
@@ -224,13 +226,13 @@ class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         params = np.array([1.0, -2.0, 0.5])
         grads = np.array([3.0, -0.2, 1e-4])
-        state = init_adam(params, learning_rate=0.1, per_epoch_decay=0.9)
+        state = init_adam(params, learning_rate=0.1)
         updated = adam_step(state, params, grads)
         np.testing.assert_allclose(updated - params, -0.1 * np.sign(grads), rtol=1e-3)
 
     def test_zero_gradients_leave_parameters(self):
         params = np.array([[1.0, 2.0]])
-        state = init_adam(params, 0.01, 0.9)
+        state = init_adam(params, 0.01)
         for _ in range(5):
             params = adam_step(state, params, np.zeros((1, 2)))
         np.testing.assert_array_equal(params, [[1.0, 2.0]])
@@ -241,7 +243,7 @@ class TestAdam:
 
         def run():
             params = np.ones((2, 3))
-            state = init_adam(params, 0.05, 0.9)
+            state = init_adam(params, 0.05)
             for g in grads_seq:
                 params = adam_step(state, params, g)
             return params
@@ -250,7 +252,7 @@ class TestAdam:
 
     def test_moments_update_in_place(self):
         params = np.zeros(5)
-        state = init_adam(params, 0.1, 0.9)
+        state = init_adam(params, 0.1)
         m, v = state.m, state.v
         new_params = adam_step(state, params, np.ones(5))
         assert state.t == 1
@@ -261,7 +263,7 @@ class TestAdam:
 
     def test_shape_mismatch_leaves_state(self):
         params = np.zeros(5)
-        state = init_adam(params, 0.1, 0.9)
+        state = init_adam(params, 0.1)
         with pytest.raises(ShapeError):
             adam_step(state, params, np.ones(7))
         assert state.t == 0
@@ -269,15 +271,14 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         params = np.zeros(3)
-        state = init_adam(params, 0.1, 0.9)
+        state = init_adam(params, 0.1)
         with pytest.raises(ShapeError):
             adam_step(state, params, np.zeros(4))
 
     def test_defaults(self):
-        state = init_adam(np.zeros(1), 0.1, 0.8)
-        assert (state.beta1, state.beta2, state.epsilon) == (0.9, 0.999, 1e-8)
-        assert state.per_epoch_decay == 0.8
-        assert state.t == 0
+        state = init_adam(np.zeros(1), 0.1)
+        assert (training.BETA1, training.BETA2, training.EPSILON) == (0.9, 0.999, 1e-8)
+        assert (state.t, state.learning_rate) == (0, 0.1)
 
 
 class TestModelBackward:
@@ -379,16 +380,18 @@ class TestIdentityStep:
         assert_matches_general_contraction(result, model, support, x, y, 0.01)
 
     def spy_steps(self, monkeypatch, support, n_taps):
-        """Train an identity model on 23 samples in batches of 5; return
-        each step's inputs and result and the buffer keys it saw."""
-        steps, keys = [], set()
+        """Train an identity model on 23 samples in batches of 5, with each
+        step's act argument filled with NaN; return each step's inputs and
+        result, and per step whether act was still all NaN after it."""
+        steps, untouched = [], []
         original = training.model_backward
 
-        def spy(model, powers, target, il_weight, lam_max=1.0):
-            result = original(model, powers, target, il_weight, lam_max)
+        def spy(model, powers, target, il_weight, act=None):
+            act.fill(np.nan)
+            result = original(model, powers, target, il_weight, act)
+            untouched.append(bool(np.isnan(act).all()))
             # powers[0] is the batch itself
             steps.append((model.copy(), powers[0].copy(), target.copy(), il_weight, result))
-            keys.update(training._step_buffers)
             return result
 
         monkeypatch.setattr(training, "model_backward", spy)
@@ -399,7 +402,7 @@ class TestIdentityStep:
         train(model, support, (x, y), (x[:7], y[:7]),
               TrainConfig(epochs=2, batch_size=5, seed=6))
         monkeypatch.undo()
-        return steps, keys
+        return steps, untouched
 
     @pytest.mark.parametrize("n_taps", [1, 2, 3, 5])
     def test_ragged_batch_in_train_matches_general_contraction(self, support,
@@ -410,9 +413,10 @@ class TestIdentityStep:
             assert_matches_general_contraction(result, model, support, x, y, il_weight)
 
     def test_allocates_no_activation_buffers(self, support, monkeypatch):
-        # the shift powers are made per chunk by train, outside the step
-        _, keys = self.spy_steps(monkeypatch, support, 3)
-        assert keys == set()
+        # the step forms no activation, so it never writes the one train
+        # passes it; the shift powers are made per chunk by train
+        _, untouched = self.spy_steps(monkeypatch, support, 3)
+        assert untouched == [True] * 10
 
 
 class TestTrain:
@@ -483,7 +487,6 @@ class TestTrain:
                                                  "train loss (nan|inf)"):
             train(model, support, data, data, TrainConfig(epochs=3, batch_size=10,
                                                           learning_rate=1e200, seed=7))
-        assert training._step_buffers is None
 
     def test_regularizer_shrinks_il_constant(self, support):
         # statistical trend: with the penalty on, the trained constant is
@@ -503,24 +506,27 @@ class TestTrain:
 
 
 class TestStepBuffers:
-    """Inside train the step reuses its (F, B, n) arrays; outside it every
-    call gets fresh ones."""
+    """train passes every step a view of one activation buffer; a step
+    called without one makes a fresh array."""
 
     def record_steps(self, monkeypatch, support, n_train, batch_size):
         """Train with model_backward wrapped; return each call's inputs, its
-        result, a copy of the result, and weak references to the buffers
-        (the step's, named in the third return value, and the chunk of
-        shift powers the step's powers are a view of)."""
-        calls, buffers, names = [], [], set()
+        result and a copy of the result; weak references to the buffers (the
+        act buffer and the chunk of shift powers that the step's act and
+        powers are views of); and per call, act's shape, whether it is
+        contiguous and a view of the first call's buffer, and whether a
+        gradient shares memory with act or the chunk of powers."""
+        calls, buffers, views = [], [], []
         original = training.model_backward
 
-        def spy(model, powers, target, il_weight, lam_max=1.0):
-            result = original(model, powers, target, il_weight, lam_max)
+        def spy(model, powers, target, il_weight, act=None):
+            result = original(model, powers, target, il_weight, act)
             calls.append((model.copy(), powers.copy(), target.copy(), il_weight, result,
                           [np.copy(v) for v in result]))
-            buffers.extend(weakref.ref(b) for b in training._step_buffers.values())
-            buffers.append(weakref.ref(powers.base))
-            names.update(name for name, _ in training._step_buffers)
+            buffers.extend([weakref.ref(act.base), weakref.ref(powers.base)])
+            aliased = any(np.shares_memory(grad, buf) for grad in result[2:]
+                          for buf in (act.base, powers.base))
+            views.append((act.shape, act.flags.c_contiguous, act.base is buffers[0](), aliased))
             return result
 
         monkeypatch.setattr(training, "model_backward", spy)
@@ -531,13 +537,12 @@ class TestStepBuffers:
         train(model, support, (x, y), (x[:7], y[:7]),
               TrainConfig(epochs=2, batch_size=batch_size, seed=5))
         monkeypatch.undo()
-        return calls, buffers, names
+        return calls, buffers, views
 
     @staticmethod
     def assert_steps_match_fresh_arrays(calls, support):
         """Each step's powers are those of its batch, and its result is that
         of a fresh-array call on them."""
-        assert training._step_buffers is None  # so the calls below get fresh arrays
         for model, powers, y, il_weight, result, _ in calls:
             fresh_powers = shift_powers(support, powers[0], 3)
             np.testing.assert_allclose(powers, fresh_powers, rtol=1e-12, atol=0.0)
@@ -548,15 +553,34 @@ class TestStepBuffers:
                                        rtol=1e-12, atol=0.0)
 
     def test_step_results_do_not_alias_buffers(self, support, monkeypatch):
-        calls, _, _ = self.record_steps(monkeypatch, support, 20, 5)
+        calls, _, views = self.record_steps(monkeypatch, support, 20, 5)
         assert len(calls) == 8
+        assert not any(aliased for *_, aliased in views)
         for *_, result, snapshot in calls:
             for got, kept in zip(result, snapshot):
                 np.testing.assert_array_equal(got, kept)
 
     def test_tanh_step_uses_only_the_activation_buffer(self, support, monkeypatch):
-        _, _, names = self.record_steps(monkeypatch, support, 23, 5)
-        assert names == {"act"}
+        # a ragged last batch takes a shorter, still contiguous, part of it
+        _, _, views = self.record_steps(monkeypatch, support, 23, 5)
+        assert [view[:3] for view in views] == [((4, b, 12), True, True)
+                                                for b in [5, 5, 5, 5, 3] * 2]
+
+    @pytest.mark.parametrize("sigma", [Nonlinearity.tanh(), Nonlinearity.leaky_rectifier(0.2)],
+                             ids=["tanh", "leaky_rectifier"])
+    def test_act_argument_matches_fresh_array(self, support, sigma):
+        rng = np.random.default_rng(34)
+        model = init_model(4, 3, sigma, seed=35)
+        x = rng.standard_normal((5, 12))
+        y = np.sign(rng.standard_normal((5, 12)))
+        powers = shift_powers(support, x, 3)
+        act = np.full((4, 5, 12), np.nan)
+        given, fresh = (model_backward(model, powers, y, 0.01, act),
+                        model_backward(model, powers, y, 0.01))
+        assert not np.isnan(act).any()
+        assert given.objective == fresh.objective
+        np.testing.assert_array_equal(given.grad_taps, fresh.grad_taps)
+        np.testing.assert_array_equal(given.grad_readout, fresh.grad_readout)
 
     def test_second_call_leaves_first_results(self, support):
         rng = np.random.default_rng(32)
@@ -609,8 +633,47 @@ class TestStepBuffers:
         _, buffers, _ = self.record_steps(monkeypatch, support, 23, 5)
         assert buffers
         gc.collect()
-        assert training._step_buffers is None
         assert all(ref() is None for ref in buffers)
+
+
+class TestThreads:
+    def test_concurrent_trains_match_sequential(self, support, monkeypatch):
+        # train keeps its state to itself, so four trains running at once in
+        # threads give the bits of the same trains run one after another.
+        # Each step yields the GIL between its forward pass, which writes
+        # the activation, and its backward pass, which reads it, so the
+        # threads interleave inside steps.
+        rng = np.random.default_rng(70)
+        x = rng.standard_normal((100, 12))
+        y = np.sign(x @ support.entries.T)
+
+        def run(seed):
+            model = init_model(8, 3, Nonlinearity.tanh(), seed=seed)
+            result = train(model, support, (x, y), (x[:20], y[:20]),
+                           TrainConfig(epochs=3, batch_size=10, seed=seed))
+            return result.history, result.model.taps, result.model.readout
+
+        seeds = range(4)
+        expected = [run(seed) for seed in seeds]
+
+        def yielding_mse_loss(pred, target):
+            time.sleep(0)
+            return mse_loss(pred, target)
+
+        monkeypatch.setattr(training, "mse_loss", yielding_mse_loss)
+        for _ in range(2):
+            barrier = threading.Barrier(len(seeds))
+
+            def after_barrier(seed):
+                barrier.wait(timeout=60)
+                return run(seed)
+
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                got = list(pool.map(after_barrier, seeds))
+            for (history, taps, readout), (h, t, r) in zip(got, expected):
+                assert history == h
+                assert taps.tobytes() == t.tobytes()
+                assert readout.tobytes() == r.tobytes()
 
 
 class TestForwardShapes:
