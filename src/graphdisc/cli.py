@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -212,14 +212,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
     make_dir(args.out)
     suites = VERIFY_SUITES.values() if args.theorem == "all" else [VERIFY_SUITES[args.theorem]]
+    graphs = [_verify_graph(args, g) for g in range(args.graphs)]
+    # checked once the graph checks have passed, and before any suite writes
+    if VERIFY_SUITES["cor2"] in suites and args.nodes - args.cutoff < 2:
+        raise ConfigurationError(
+            "corollary 2 needs more than one unprotected mode, got --nodes "
+            f"{args.nodes} and --cutoff {args.cutoff}")
     failed = False
 
     for suite in suites:
         rows = []
         lines = []
         extra_paths = []
-        for g in range(args.graphs):
-            spec, split = _verify_graph(args, g)
+        for g, (spec, split) in enumerate(graphs):
             rng = np.random.default_rng(
                 np.random.SeedSequence((args.seed, g, 1)))
             gnn = suite.build_gnn(spec, args.cutoff, rng)
@@ -227,8 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"graph {g}: {suite.summary(rep)}")
             if suite.write_extra:
                 extra_paths.append(suite.write_extra(rep, args.out, g))
-            base = len(rows)
-            rows.extend(replace(r, trial=base + r.trial) for r in rep.rows)
+            rows.extend(rep.rows)
             failed = failed or not suite.passed(rep)
 
         csv_path = os.path.join(args.out, f"verify_{suite.name}.csv")

@@ -11,9 +11,17 @@ views of that idea are implemented:
 
 All membership tests are relative: a residual counts as zero when it is at
 most tol * max(||x - y||, 1e-30). By linearity the first two views must
-agree whenever every filter is nonzero on the protected modes; pair_in_d_h
-computes both and raises NumericalError if they ever disagree, since that
-signals a numerical bug rather than a modelling fact.
+agree whenever every filter is nonzero on the protected modes; the judging
+routine computes both and raises NumericalError if they ever disagree,
+since that signals a numerical bug rather than a modelling fact.
+
+One routine judges any number T of pairs at once: it filters and activates
+the (T, n) stacks of first and second signals and returns, per pair, both
+verdicts, both residuals and each filter's secants. Every product and norm
+in it is taken per signal or per pair, so a pair's numbers carry the same
+bits whether it is judged alone or among T. pair_in_d_h, pair_in_d_phi and
+secant_report judge one pair; a verifier samples its pairs one by one, in a
+fixed RNG order, and judges them all in one call.
 
 The verifiers draw randomized trials and check, statement by statement:
 
@@ -46,7 +54,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .filters import zero_high_response
 from .gnn import Nonlinearity, SingleLayerGnn, bank_forward
-from .spectral import Spectrum, SubspaceSplit
+from .spectral import Spectrum, SubspaceSplit, split_subspace
 
 SCALE_FLOOR = 1e-30
 SECANT_EQUAL_POINTS = 1e-12   # |x_i - y_i| below this uses the derivative
@@ -82,7 +90,6 @@ class SecantReport:
 class TrialRow:
     """One verifier trial, in the layout of the exported CSV."""
 
-    trial: int
     in_d_h: bool
     in_d_phi: bool
     residual_low_filter: float
@@ -90,8 +97,33 @@ class TrialRow:
     max_secant_deviation: float
 
 
-def _pair_scale(x: np.ndarray, y: np.ndarray) -> float:
-    return max(float(np.linalg.norm(x - y)), SCALE_FLOOR)
+class _Trials(NamedTuple):
+    """Per-pair columns of T judged pairs."""
+
+    scale: np.ndarray                # (T,) max(||x - y||, SCALE_FLOOR)
+    in_d_h: np.ndarray               # (T,) bool
+    in_d_phi: np.ndarray             # (T,) bool
+    residual_low_filter: np.ndarray  # (T,) Frobenius over filters, as in PairVerdict
+    residual_low_gnn: np.ndarray     # (T,)
+    secants: np.ndarray              # (T, F, n)
+    max_deviation: np.ndarray        # (T, F) max_i |b_i - mean_i b_i|
+
+    def rows(self) -> list[TrialRow]:
+        return [TrialRow(*cols) for cols in zip(
+            self.in_d_h.tolist(), self.in_d_phi.tolist(),
+            self.residual_low_filter.tolist(), self.residual_low_gnn.tolist(),
+            self.max_deviation.max(axis=1).tolist())]
+
+
+def _dot_norms(a: np.ndarray) -> np.ndarray:
+    """Norm of each row of a (T, m) array, one dot product per row: the
+    bits np.linalg.norm gives for that row alone."""
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+
+
+def _axis_norms(a: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, as np.linalg.norm(a, axis=-1) takes them."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
 def in_nul_vk(split: SubspaceSplit, d: np.ndarray, tol: float) -> tuple[bool, float]:
@@ -106,67 +138,49 @@ def in_nul_vk(split: SubspaceSplit, d: np.ndarray, tol: float) -> tuple[bool, fl
     return flag, residual
 
 
-def _low_residuals(split: SubspaceSplit, features_x: np.ndarray,
-                   features_y: np.ndarray) -> np.ndarray:
-    """Per-filter low-mode residuals ||V_low^T (f_x - f_y)||, shape (F,)."""
-    diff = features_x - features_y          # (F, n)
-    return np.linalg.norm(diff @ split.v_low, axis=1)
+def _run_trials(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
+                x: np.ndarray, y: np.ndarray, tol: float) -> _Trials:
+    """Filter, activate and judge the pairs (x[t], y[t]) of two (T, n) stacks.
 
-
-class _PairOutputs(NamedTuple):
-    """Filter outputs of a pair and their activations, each (F, n)."""
-
-    fx: np.ndarray
-    fy: np.ndarray
-    gx: np.ndarray
-    gy: np.ndarray
-
-
-def _pair_outputs(gnn: SingleLayerGnn, spec: Spectrum, x: np.ndarray,
-                  y: np.ndarray) -> _PairOutputs:
-    fx = bank_forward(gnn.bank, spec, x)
+    Where the two filter outputs at a node coincide (within 1e-12) the
+    derivative replaces the secant. Raises NumericalError when a pair's
+    direct and filtered bank verdicts disagree.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if tol <= 0:
+        raise ConfigurationError(f"tol must be positive, got {tol}")
+    if x.ndim != 2 or x.shape != y.shape or x.shape[1] != split.n:
+        raise ShapeError(f"signal stacks have shapes {x.shape} and {y.shape}, "
+                         f"expected (T, {split.n})")
+    fx = bank_forward(gnn.bank, spec, x)               # (T, F, n)
     fy = bank_forward(gnn.bank, spec, y)
-    return _PairOutputs(fx, fy, gnn.sigma.eval(fx), gnn.sigma.eval(fy))
+    gx, gy = gnn.sigma.eval(fx), gnn.sigma.eval(fy)
+    d = x - y
+    scale = np.maximum(_dot_norms(d), SCALE_FLOOR)
+    bound = (tol * scale)[:, None]
 
-
-def _bank_verdict(split: SubspaceSplit, fx: np.ndarray, fy: np.ndarray,
-                  x: np.ndarray, y: np.ndarray, tol: float) -> tuple[bool, float]:
-    """The pair_in_d_h verdict on filter outputs already computed."""
-    residuals = _low_residuals(split, fx, fy)
-    filtered_flag = bool(np.all(residuals <= tol * _pair_scale(x, y)))
-
-    direct_flag, _ = in_nul_vk(split, x - y, tol)
-    if direct_flag != filtered_flag:
+    # in_nul_vk's test on each x - y
+    direct = _dot_norms((split.v_low.T @ d[:, :, None])[:, :, 0]) <= bound[:, 0]
+    diff = fx - fy
+    low_filter = _axis_norms(diff @ split.v_low)      # (T, F)
+    low_gnn = _axis_norms((gx - gy) @ split.v_low)
+    in_d_h = np.all(low_filter <= bound, axis=1)
+    disagree = np.flatnonzero(direct != in_d_h)
+    if disagree.size:
+        t = disagree[0]
         raise NumericalError(
             "direct and filtered nondiscriminability verdicts disagree "
-            f"(direct={direct_flag}, filtered={filtered_flag}); this indicates "
+            f"(direct={bool(direct[t])}, filtered={bool(in_d_h[t])}); this indicates "
             "a numerical bug or a bank that vanishes on a protected mode"
         )
-    return filtered_flag, float(np.linalg.norm(residuals))
 
-
-def _pair_verdict(split: SubspaceSplit, out: _PairOutputs, x: np.ndarray,
-                  y: np.ndarray, tol: float) -> PairVerdict:
-    """The pair_in_d_phi verdict on filter outputs already computed."""
-    in_d_h_flag, residual_filter = _bank_verdict(split, out.fx, out.fy, x, y, tol)
-    residuals = _low_residuals(split, out.gx, out.gy)
-    return PairVerdict(
-        in_d_h=in_d_h_flag,
-        in_d_phi=bool(np.all(residuals <= tol * _pair_scale(x, y))),
-        residual_low_filter=residual_filter,
-        residual_low_gnn=float(np.linalg.norm(residuals)),
-        tolerance_used=tol,
-    )
-
-
-def _secants(sigma: Nonlinearity, out: _PairOutputs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node secants (F, n) and each filter's max deviation from their mean."""
-    diff = out.fx - out.fy
     equal = np.abs(diff) < SECANT_EQUAL_POINTS
-    safe = np.where(equal, 1.0, diff)
-    secants = np.where(equal, sigma.output_derivative(out.gx), (out.gx - out.gy) / safe)
-    max_dev = np.max(np.abs(secants - secants.mean(axis=1, keepdims=True)), axis=1)
-    return secants, max_dev
+    secants = np.where(equal, gnn.sigma.output_derivative(gx),
+                       (gx - gy) / np.where(equal, 1.0, diff))
+    max_dev = np.max(np.abs(secants - secants.mean(axis=-1, keepdims=True)), axis=-1)
+    return _Trials(scale, in_d_h, np.all(low_gnn <= bound, axis=1),
+                   _dot_norms(low_filter), _dot_norms(low_gnn), secants, max_dev)
 
 
 def _high_response_flags(bank: np.ndarray, k: int) -> np.ndarray:
@@ -183,18 +197,18 @@ def pair_in_d_h(split: SubspaceSplit, bank: np.ndarray, spec: Spectrum, x: np.nd
     The returned residual aggregates the per-filter residuals
     Frobenius-style.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return _bank_verdict(split, bank_forward(bank, spec, x),
-                         bank_forward(bank, spec, y), x, y, tol)
+    judged = _run_trials(spec, split, SingleLayerGnn(bank, Nonlinearity.identity()),
+                         [x], [y], tol)
+    return bool(judged.in_d_h[0]), float(judged.residual_low_filter[0])
 
 
 def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectrum,
                   x: np.ndarray, y: np.ndarray, tol: float) -> PairVerdict:
     """Full membership verdict for one pair under the GNN."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return _pair_verdict(split, _pair_outputs(gnn, spec, x, y), x, y, tol)
+    row = _run_trials(spec, split, gnn, [x], [y], tol).rows()[0]
+    return PairVerdict(in_d_h=row.in_d_h, in_d_phi=row.in_d_phi,
+                       residual_low_filter=row.residual_low_filter,
+                       residual_low_gnn=row.residual_low_gnn, tolerance_used=tol)
 
 
 def sample_pair_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
@@ -217,14 +231,14 @@ def secant_report(gnn: SingleLayerGnn, spec: Spectrum, x: np.ndarray,
     """Secants of the nonlinearity between the two filter outputs, per node.
 
     Where the two outputs coincide (within 1e-12) the derivative replaces
-    the secant.
+    the secant. The pair is judged on split_subspace(spec, cutoff_k), which
+    must be a valid split; like pair_in_d_h, a bank that vanishes on a
+    protected mode the pair differs on raises NumericalError.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    secants, max_dev = _secants(gnn.sigma, _pair_outputs(gnn, spec, x, y))
+    judged = _run_trials(spec, split_subspace(spec, cutoff_k), gnn, [x], [y], DEFAULT_TOL)
     return SecantReport(
-        secants=secants,
-        max_deviation=max_dev,
+        secants=judged.secants[0],
+        max_deviation=judged.max_deviation[0],
         high_response_nonzero=_high_response_flags(gnn.bank, cutoff_k),
     )
 
@@ -358,45 +372,27 @@ def _sample_pair_not_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
     raise NumericalError("could not sample a discriminable pair in 100 tries")
 
 
-def _mixed_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
-                 tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """By trial % 3: a pair inside D_H, a pair outside it, an identical pair."""
-    pairs = []
+def _stacked_pairs(n: int, trials: int, draw) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, n) stacks of first and second signals of draw(trial)'s pairs,
+    drawn in trial order."""
+    xy = np.empty((2, trials, n))
     for trial in range(trials):
+        xy[0, trial], xy[1, trial] = draw(trial)
+    return xy[0], xy[1]
+
+
+def _mixed_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """By trial % 3: a pair inside D_H, a pair outside it, an identical pair."""
+    def draw(trial: int) -> tuple[np.ndarray, np.ndarray]:
         mode = trial % 3
         if mode == 0:
-            pairs.append(sample_pair_in_d_h(split, rng))
-        elif mode == 1:
-            pairs.append(_sample_pair_not_in_d_h(split, rng, tol))
-        else:
-            x = rng.standard_normal(split.n)
-            pairs.append((x, x.copy()))
-    return pairs
-
-
-def _run_trials(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
-                pairs: list[tuple[np.ndarray, np.ndarray]],
-                tol: float) -> tuple[list[TrialRow], list[np.ndarray]]:
-    """Filter, activate and judge each pair once.
-
-    Returns one TrialRow per pair and, per pair, each filter's max secant
-    deviation, shape (F,).
-    """
-    rows, deviations = [], []
-    for trial, (x, y) in enumerate(pairs):
-        out = _pair_outputs(gnn, spec, x, y)
-        verdict = _pair_verdict(split, out, x, y, tol)
-        max_dev = _secants(gnn.sigma, out)[1]
-        rows.append(TrialRow(
-            trial=trial,
-            in_d_h=verdict.in_d_h,
-            in_d_phi=verdict.in_d_phi,
-            residual_low_filter=verdict.residual_low_filter,
-            residual_low_gnn=verdict.residual_low_gnn,
-            max_secant_deviation=float(np.max(max_dev)),
-        ))
-        deviations.append(max_dev)
-    return rows, deviations
+            return sample_pair_in_d_h(split, rng)
+        if mode == 1:
+            return _sample_pair_not_in_d_h(split, rng, tol)
+        x = rng.standard_normal(split.n)
+        return x, x
+    return _stacked_pairs(split.n, trials, draw)
 
 
 def verify_theorem1(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
@@ -409,10 +405,11 @@ def verify_theorem1(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
     asks. The expected counterexample count is zero.
     """
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
-    pairs = [_sample_pair_not_in_d_h(split, rng, tol) for _ in range(trials)]
-    rows, _ = _run_trials(spec, split, gnn, pairs, tol)
-    return Theorem1Report(trials=trials, counterexamples=sum(r.in_d_phi for r in rows),
-                          rows=rows)
+    x, y = _stacked_pairs(split.n, trials, lambda _: _sample_pair_not_in_d_h(split, rng, tol))
+    judged = _run_trials(spec, split, gnn, x, y, tol)
+    return Theorem1Report(trials=trials,
+                          counterexamples=int(np.count_nonzero(judged.in_d_phi)),
+                          rows=judged.rows())
 
 
 def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
@@ -432,28 +429,21 @@ def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
     high = _high_response_flags(gnn.bank, split.k)
 
-    pairs = [sample_pair_in_d_h(split, rng) for _ in range(trials)]
-    rows, deviations = _run_trials(spec, split, gnn, pairs, tol)
-    agreements = 0
-    discriminated = 0
-    worst_margin = math.inf
-    for row, max_dev, (x, y) in zip(rows, deviations, pairs):
-        considered = max_dev[high]
-        constant = bool(np.all(considered <= tol_secant))
-        agreements += row.in_d_phi == constant
-        discriminated += not row.in_d_phi
-
-        margin_phi = abs(row.residual_low_gnn / _pair_scale(x, y) - tol)
-        margin_sec = (float(np.min(np.abs(considered - tol_secant)))
-                      if considered.size else math.inf)
-        worst_margin = min(worst_margin, margin_phi, margin_sec)
+    x, y = _stacked_pairs(split.n, trials, lambda _: sample_pair_in_d_h(split, rng))
+    judged = _run_trials(spec, split, gnn, x, y, tol)
+    considered = judged.max_deviation[:, high]          # (T, filters responding high)
+    constant = np.all(considered <= tol_secant, axis=1)
+    agreements = int(np.count_nonzero(judged.in_d_phi == constant))
+    margin_phi = np.abs(judged.residual_low_gnn / judged.scale - tol)
+    margin_sec = np.abs(considered - tol_secant)
     return Theorem2Report(
         trials=trials,
         agreements=agreements,
         agreement_rate=agreements / trials if trials else 1.0,
-        discriminated=discriminated,
-        worst_margin=worst_margin,
-        rows=rows,
+        discriminated=int(np.count_nonzero(~judged.in_d_phi)),
+        worst_margin=float(min(margin_phi.min(initial=math.inf),
+                               margin_sec.min(initial=math.inf))),
+        rows=judged.rows(),
     )
 
 
@@ -468,10 +458,11 @@ def verify_corollary1(spec: Spectrum, split: SubspaceSplit,
     """
     for idx, gains in enumerate(gnn.bank):
         _require_zero_high(gains, split.k, f"filter {idx}")
-    rows, _ = _run_trials(spec, split, gnn, _mixed_pairs(split, rng, trials, tol), tol)
-    return Corollary1Report(trials=trials,
-                            verdict_mismatches=sum(r.in_d_h != r.in_d_phi for r in rows),
-                            rows=rows)
+    judged = _run_trials(spec, split, gnn, *_mixed_pairs(split, rng, trials, tol), tol)
+    return Corollary1Report(
+        trials=trials,
+        verdict_mismatches=int(np.count_nonzero(judged.in_d_h != judged.in_d_phi)),
+        rows=judged.rows())
 
 
 def _tanh_secant_offsets(a: np.ndarray, b: float) -> np.ndarray:
@@ -559,27 +550,27 @@ def verify_corollary2(spec: Spectrum, split: SubspaceSplit,
         raise ConfigurationError("need at least one filter with nonzero high response")
     probed = int(np.argmax(flags))   # the first filter that responds above the cutoff
 
-    rows, _ = _run_trials(spec, split, gnn, _mixed_pairs(split, rng, trials, tol), tol)
+    judged = _run_trials(spec, split, gnn, *_mixed_pairs(split, rng, trials, tol), tol)
     residuals = np.array([overdetermined_probe(spec, split, gnn, probed, rng)
                           for _ in range(probe_draws)])
     return Corollary2Report(
         trials=trials,
-        subset_violations=sum(r.in_d_phi and not r.in_d_h for r in rows),
-        strictness_witnesses=sum(r.in_d_h and not r.in_d_phi for r in rows),
+        subset_violations=int(np.count_nonzero(judged.in_d_phi & ~judged.in_d_h)),
+        strictness_witnesses=int(np.count_nonzero(judged.in_d_h & ~judged.in_d_phi)),
         probe_draws=probe_draws,
         probe_above_threshold=int(np.sum(residuals > 1e-6)),
         probe_residuals=residuals,
-        rows=rows,
+        rows=judged.rows(),
     )
 
 
 def write_trial_csv(rows: list[TrialRow], path: str) -> None:
-    """Machine-readable trial log, one row per trial."""
+    """Machine-readable trial log, one row per trial, numbered by position."""
     lines = ["trial,in_d_h,in_d_phi,residual_low_filter,residual_low_gnn,"
              "max_secant_deviation"]
-    for r in rows:
+    for trial, r in enumerate(rows):
         lines.append(
-            f"{r.trial},{int(r.in_d_h)},{int(r.in_d_phi)},"
+            f"{trial},{int(r.in_d_h)},{int(r.in_d_phi)},"
             f"{r.residual_low_filter:.17g},{r.residual_low_gnn:.17g},"
             f"{r.max_secant_deviation:.17g}"
         )

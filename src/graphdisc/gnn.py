@@ -117,10 +117,12 @@ class SingleLayerGnn:
 
 
 def bank_forward(gains: np.ndarray, spec: Spectrum, x: np.ndarray) -> np.ndarray:
-    """Stack of F filtered signals, shape (F, n); no nonlinearity.
+    """Filtered signals, no nonlinearity: x of shape (..., n) gives (..., F, n).
 
     Row f of the (F, n) gains is applied in the eigenbasis of spec,
-    V diag(gains[f]) V^T x.
+    V diag(gains[f]) V^T x, so a 1-D x gives (F, n) and a (T, n) stack of
+    signals gives (T, F, n). Every signal is filtered by the same products,
+    whatever else is stacked with it: its result carries the same bits.
     """
     x = np.asarray(x, dtype=np.float64)
     gains = np.asarray(gains, dtype=np.float64)
@@ -128,9 +130,11 @@ def bank_forward(gains: np.ndarray, spec: Spectrum, x: np.ndarray) -> np.ndarray
         raise ShapeError(f"signal has length {x.shape[-1]}, basis is {spec.n}")
     if gains.ndim != 2 or gains.shape[1] != spec.n:
         raise ShapeError(f"gains have shape {gains.shape}, expected (F, {spec.n})")
-    xt = x @ spec.eigenvectors
-    # one product per filter: a single stacked matmul rounds differently
-    return np.stack([(xt * g) @ spec.eigenvectors.T for g in gains])
+    v = spec.eigenvectors
+    # each (1, n) slice is one vector-matrix product (gemv), as for a 1-D x;
+    # a (T, n) @ (n, n) matrix product would round differently
+    xt = x[..., None, :] @ v
+    return ((xt * gains)[..., None, :] @ v.T)[..., 0, :]
 
 
 def save_model(taps: np.ndarray, readout: np.ndarray, sigma: Nonlinearity,

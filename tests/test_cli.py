@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, config files, file round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from graphdisc.errors import ConfigurationError
 from graphdisc.filters import load_bank, save_bank
 from graphdisc.gnn import load_model
 from graphdisc.graphs import load_graph
+from graphdisc.spectral import eig_sym
 
 TINY = ["--graphs", "1", "--epochs", "1", "--train", "30", "--val", "10",
         "--test", "10", "--batch-size", "10"]
@@ -155,6 +158,35 @@ class TestVerifyCommand:
         assert (out / "verify_theorem1.csv").exists()
         assert not (out / "verify_theorem2.csv").exists()
 
+    def test_trials_numbered_across_graphs(self, tmp_path, capsys):
+        code = main(["verify", "--theorem", "1", "--graphs", "2", "--trials", "3",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "verify_theorem1.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == [str(t) for t in range(6)]
+
+    def test_each_graph_built_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("graphdisc.cli.eig_sym", lambda s: calls.append(1) or eig_sym(s))
+        code = main(["verify", "--theorem", "all", "--graphs", "3", "--trials", "3",
+                     "--nodes", "12", "--cutoff", "3", "--out", str(tmp_path)])
+        assert code == 0
+        assert len(calls) == 3
+
+    def test_trial_logs_unchanged(self, tmp_path, capsys):
+        # sha256 of the trial logs as written before the verifiers judged
+        # their pairs in one stacked pass
+        code = main(["verify", "--theorem", "all", "--seed", "0", "--trials", "50",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / f"verify_{name}.csv").read_bytes()).hexdigest()
+                   for name in ("theorem1", "theorem2", "corollary1", "corollary2")}
+        assert digests == {
+            "theorem1": "4c343a008581fefb46c69f2d59854c1caf27ed6f66a1d307b31b5eab9709be29",
+            "theorem2": "c2ba395cbbabfd542ecf514885f6ed2c11f12420f7ddd298ed91624019c98225",
+            "corollary1": "1d74846cd7255f756d5d95e4862fbffe6ac964cd9c4e878bc23a6561fc7f4608",
+            "corollary2": "0e564a3a2be9308b870bbc4937120535bedabcb595fdd241096d402c336895f9",
+        }
 
     @pytest.mark.parametrize("flag, value", [("--graphs", "0"), ("--trials", "-3")])
     def test_rejects_nonpositive_counts(self, tmp_path, capsys, flag, value):
@@ -239,6 +271,16 @@ class TestErrorExit:
         assert out == ""
         assert err.startswith("graphdisc: error: split index 4 falls inside a repeated "
                               "eigenvalue") and err.count("\n") == 1
+
+    def test_corollary2_single_unprotected_mode_before_any_suite(self, tmp_path, capsys):
+        code = main(["verify", "--theorem", "all", "--nodes", "2", "--cutoff", "1",
+                     "--neighbors", "1", "--out", str(tmp_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("graphdisc: error: corollary 2 needs more than one unprotected "
+                       "mode, got --nodes 2 and --cutoff 1\n")
+        assert list(tmp_path.glob("verify_*.csv")) == []
 
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"

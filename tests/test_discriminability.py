@@ -368,6 +368,84 @@ class TestVerifyCorollary2:
             disc.verify_corollary2(spec, split, gnn, 5, np.random.default_rng(34))
 
 
+def _per_pair_rows(split, gnn, spec, pairs):
+    """The trial rows of the per-pair functions, one pair at a time."""
+    rows = []
+    for x, y in pairs:
+        v = disc.pair_in_d_phi(split, gnn, spec, x, y, disc.DEFAULT_TOL)
+        report = disc.secant_report(gnn, spec, x, y, split.k)
+        rows.append(disc.TrialRow(v.in_d_h, v.in_d_phi, v.residual_low_filter,
+                                  v.residual_low_gnn, float(np.max(report.max_deviation))))
+    return rows
+
+
+def _drawn_pairs(split, suite, seed, trials):
+    """The pairs a verifier draws from default_rng(seed), in its order."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for trial in range(trials):
+        mode = {"theorem1": 1, "theorem2": 0}.get(suite, trial % 3)
+        if mode == 0:
+            pairs.append(disc.sample_pair_in_d_h(split, rng))
+        elif mode == 1:
+            pairs.append(disc._sample_pair_not_in_d_h(split, rng, disc.DEFAULT_TOL))
+        else:
+            x = rng.standard_normal(N)
+            pairs.append((x, x))
+    return pairs
+
+
+SIGMAS = {"tanh": Nonlinearity.tanh(), "identity": Nonlinearity.identity(),
+          "leaky": Nonlinearity.leaky_rectifier(0.1)}
+STACKED_CASES = [(suite, sigma) for suite in ("theorem1", "theorem2", "corollary1")
+                 for sigma in SIGMAS] + [("corollary2", "tanh")]
+
+
+class TestStackedTrials:
+    """A verifier judges all its pairs in one stacked pass; every row must
+    carry the bits the per-pair functions give its pair alone."""
+
+    @pytest.mark.parametrize("suite, sigma", STACKED_CASES)
+    def test_rows_equal_per_pair_rows(self, setup, suite, sigma):
+        spec, split = setup
+        build = disc.all_zero_high_gnn if suite == "corollary1" else disc.verifier_gnn
+        gnn = build(spec, K, SIGMAS[sigma], rng=np.random.default_rng(40))
+        verify = {"theorem1": disc.verify_theorem1,
+                  "theorem2": disc.verify_theorem2_forward,
+                  "corollary1": disc.verify_corollary1,
+                  "corollary2": lambda *a: disc.verify_corollary2(*a, probe_draws=5)}[suite]
+        report = verify(spec, split, gnn, 30, np.random.default_rng(41))
+        pairs = _drawn_pairs(split, suite, 41, 30)
+        assert report.rows == _per_pair_rows(split, gnn, spec, pairs)
+
+        if suite == "theorem2":
+            # the per-trial margin loop the stacked counts replace
+            high = disc._high_response_flags(gnn.bank, K)
+            agreements, worst = 0, math.inf
+            for (x, y), row in zip(pairs, report.rows):
+                considered = disc.secant_report(gnn, spec, x, y, K).max_deviation[high]
+                agreements += row.in_d_phi == bool(np.all(considered <= disc.DEFAULT_SECANT_TOL))
+                margin_phi = abs(row.residual_low_gnn / max(float(np.linalg.norm(x - y)),
+                                                            disc.SCALE_FLOOR) - disc.DEFAULT_TOL)
+                worst = min(worst, margin_phi,
+                            float(np.min(np.abs(considered - disc.DEFAULT_SECANT_TOL))))
+            assert (report.agreements, report.worst_margin) == (agreements, worst)
+            assert report.discriminated == sum(not row.in_d_phi for row in report.rows)
+
+    def test_zero_trials(self, setup):
+        spec, split = setup
+        tanh = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=np.random.default_rng(42))
+        flat = disc.all_zero_high_gnn(spec, K, Nonlinearity.tanh(),
+                                      rng=np.random.default_rng(42))
+        rng = np.random.default_rng(43)
+        assert disc.verify_theorem1(spec, split, tanh, 0, rng).rows == []
+        report = disc.verify_theorem2_forward(spec, split, tanh, 0, rng)
+        assert report.rows == [] and report.agreements == 0
+        assert report.agreement_rate == 1.0 and report.worst_margin == math.inf
+        assert disc.verify_corollary1(spec, split, flat, 0, rng).rows == []
+        assert disc.verify_corollary2(spec, split, tanh, 0, rng, probe_draws=3).rows == []
+
+
 class TestTanhSecantOffset:
     def test_root_solves_equation(self):
         for a, b in ((0.3, 0.5), (-1.2, 0.2), (0.0, 0.7), (2.0, 0.1)):

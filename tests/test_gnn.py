@@ -112,6 +112,21 @@ class TestBankForward:
         np.testing.assert_allclose(bank_forward(gains, spec, x),
                                    fir_bank(bank, support, x), atol=1e-10)
 
+    def test_stacked_signals_keep_their_bits(self, support):
+        # a (T, n) stack gives (T, F, n), each slice equal to the 1-D call, and
+        # the 1-D call equals one vector-matrix product per filter
+        spec = eig_sym(support)
+        rng = np.random.default_rng(6)
+        gains = rng.uniform(-1, 1, (3, 10))
+        x = rng.standard_normal((7, 10))
+        stacked = bank_forward(gains, spec, x)
+        assert stacked.shape == (7, 3, 10)
+        v = spec.eigenvectors
+        for xt, out in zip(x, stacked):
+            one = bank_forward(gains, spec, xt)
+            np.testing.assert_array_equal(out, one)
+            np.testing.assert_array_equal(one, np.stack([((xt @ v) * g) @ v.T for g in gains]))
+
 
 class TestSingleLayerGnn:
     @pytest.mark.parametrize("bank", [np.ones(10), np.ones((1, 2, 10)), np.ones((0, 10)),

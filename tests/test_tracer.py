@@ -2,8 +2,9 @@
 
 The tracer rebinds the functions it times by module attribute and counts
 each training step's flops from model_backward's positional arguments. A
-toy `run` and a toy `verify` under it must exit 0 and record training
-steps; a program change that breaks `perfbench/run.py --trace 1` fails here.
+toy `run` and a toy `verify` of every suite under it must exit 0, record
+training steps, one call per traced verifier and some filtering; a program
+change that breaks `perfbench/run.py --trace 1` fails here.
 """
 
 import sys
@@ -35,10 +36,13 @@ def test_traced_toy_run_and_verify(perfbench, tmp_path, capsys):
     with tracer.installed():
         run_code = cli.main(["run", "--config", str(config), "--graphs", "1", "--jobs", "1",
                              "--out", str(tmp_path / "run")])
-        verify_code = cli.main(["verify", "--theorem", "1", "--graphs", "1", "--trials", "6",
+        verify_code = cli.main(["verify", "--theorem", "all", "--graphs", "1", "--trials", "6",
                                 "--nodes", "12", "--cutoff", "3", "--out", str(tmp_path / "verify")])
     assert (run_code, verify_code) == (0, 0)
     summary = tracer.summary()
     assert summary["training.model_backward"]["calls"] > 0
-    assert summary["discriminability.verify_theorem1"]["calls"] == 1
+    for name in spans.LAYERS["discriminability"]:
+        if name.startswith("verify_"):
+            assert summary[f"discriminability.{name}"]["calls"] == 1
+    assert summary["gnn.bank_forward"]["calls"] > 0
     assert tracer.backward_flops > 0
