@@ -19,6 +19,7 @@ or gradient check exits 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -310,7 +311,9 @@ def _fd_error(model: TrainableModel, powers, y, il_weight, result) -> float:
     return worst
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="graphdisc",
         description="Graph filter banks vs single-layer GNNs: training "
@@ -358,8 +361,11 @@ def main(argv: list[str] | None = None) -> int:
     grad.add_argument("--trials", type=int, default=20)
     grad.add_argument("--seed", type=int, default=0)
     grad.set_defaults(func=cmd_gradcheck)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GRAPHDISC_ERRORS as exc:

@@ -20,8 +20,9 @@ the (T, n) stacks of first and second signals and returns, per pair, both
 verdicts, both residuals and each filter's secants. Every product and norm
 in it is taken per signal or per pair, so a pair's numbers carry the same
 bits whether it is judged alone or among T. pair_in_d_h, pair_in_d_phi and
-secant_report judge one pair; a verifier samples its pairs one by one, in a
-fixed RNG order, and judges them all in one call.
+secant_report judge one pair; a verifier draws all its pairs with one
+standard_normal call (plus one per rejected pair), in the order drawing
+them one by one would take, and judges them all in one call.
 
 The verifiers draw randomized trials and check, statement by statement:
 
@@ -126,6 +127,15 @@ def _axis_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
+def _nul_vk_rows(split: SubspaceSplit, d: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """in_nul_vk's test on each row of the (T, n) differences d: the flags,
+    the residuals ||V_low^T d|| and the scales max(||d||, SCALE_FLOOR)."""
+    scale = np.maximum(_dot_norms(d), SCALE_FLOOR)
+    residual = _dot_norms((split.v_low.T @ d[:, :, None])[:, :, 0])
+    return residual <= tol * scale, residual, scale
+
+
 def in_nul_vk(split: SubspaceSplit, d: np.ndarray, tol: float) -> tuple[bool, float]:
     """Whether d carries no low-mode energy; returns (flag, residual)."""
     d = np.asarray(d, dtype=np.float64)
@@ -133,9 +143,8 @@ def in_nul_vk(split: SubspaceSplit, d: np.ndarray, tol: float) -> tuple[bool, fl
         raise ShapeError(f"signal has shape {d.shape}, expected ({split.n},)")
     if tol <= 0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
-    residual = float(np.linalg.norm(split.v_low.T @ d))
-    flag = residual <= tol * max(float(np.linalg.norm(d)), SCALE_FLOOR)
-    return flag, residual
+    flag, residual, _ = _nul_vk_rows(split, d[None], tol)
+    return bool(flag[0]), float(residual[0])
 
 
 def _run_trials(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
@@ -156,12 +165,8 @@ def _run_trials(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
     fx = bank_forward(gnn.bank, spec, x)               # (T, F, n)
     fy = bank_forward(gnn.bank, spec, y)
     gx, gy = gnn.sigma.eval(fx), gnn.sigma.eval(fy)
-    d = x - y
-    scale = np.maximum(_dot_norms(d), SCALE_FLOOR)
+    direct, _, scale = _nul_vk_rows(split, x - y, tol)
     bound = (tol * scale)[:, None]
-
-    # in_nul_vk's test on each x - y
-    direct = _dot_norms((split.v_low.T @ d[:, :, None])[:, :, 0]) <= bound[:, 0]
     diff = fx - fy
     low_filter = _axis_norms(diff @ split.v_low)      # (T, F)
     low_gnn = _axis_norms((gx - gy) @ split.v_low)
@@ -211,6 +216,63 @@ def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectrum,
                        residual_low_gnn=row.residual_low_gnn, tolerance_used=tol)
 
 
+# kinds of drawn pair; a mixed suite cycles through them in this order
+_INSIDE, _OUTSIDE, _SAME = 0, 1, 2
+_MIXED = (_INSIDE, _OUTSIDE, _SAME)
+MAX_TRIES = 100   # draws of one pair outside D_H before giving up
+
+
+def _draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
+                cycle: tuple[int, ...], tol: float,
+                scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, n) stacks of first and second signals of `trials` pairs whose
+    kinds repeat `cycle`.
+
+    Trial by trial the normals are taken in this order. Inside D_H: x, then
+    the n - k coefficients delta, and y = x + V_high (scale * delta).
+    Outside D_H: x, then y, redrawn while x - y passes in_nul_vk's test, at
+    most MAX_TRIES draws. Identical: x alone, and y = x. All of them come
+    from one standard_normal call. A rejected pair's redraw is the 2n
+    normals after it, so every later trial is cut 2n further on and the 2n
+    normals missing at the end come from one more call: the generator ends
+    where drawing the arrays one by one leaves it. A raise after MAX_TRIES
+    rejections leaves it further on, past the later trials' normals.
+    """
+    if trials < 0:
+        raise ConfigurationError(f"trials must be nonnegative, got {trials}")
+    if tol <= 0:
+        raise ConfigurationError(f"tol must be positive, got {tol}")
+    n, m = split.n, split.v_high.shape[1]
+    kinds = np.resize(np.array(cycle), trials)
+    inside, outside = kinds == _INSIDE, kinds == _OUTSIDE
+    if m < 1 and inside.any():
+        raise ConfigurationError("the split has no high subspace to perturb in")
+    sizes = np.array([n + m, 2 * n, n])[kinds]   # normals per kind, in kind order
+    starts = np.cumsum(sizes) - sizes
+    normals = rng.standard_normal(int(sizes.sum()))
+    draws = np.ones(trials, dtype=np.int64)
+    while True:
+        cut = starts[:, None] + np.arange(n)
+        x = normals[cut]
+        y = x.copy()
+        y[outside] = normals[cut[outside] + n]
+        flags, _, _ = _nul_vk_rows(split, x[outside] - y[outside], tol)
+        rejected = np.flatnonzero(outside)[flags]
+        if not rejected.size:
+            break
+        t = rejected[0]
+        if draws[t] == MAX_TRIES:
+            raise NumericalError(
+                f"could not sample a discriminable pair in {MAX_TRIES} tries")
+        draws[t] += 1
+        starts[t:] += 2 * n
+        normals = np.concatenate((normals, rng.standard_normal(2 * n)))
+    # a stacked gemv: each row carries the bits of v_high @ delta alone
+    delta = scale * normals[cut[inside, :m] + n]
+    y[inside] += (split.v_high @ delta[:, :, None])[:, :, 0]
+    return x, y
+
+
 def sample_pair_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
                        scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """A pair that is nondiscriminable by construction.
@@ -218,12 +280,8 @@ def sample_pair_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
     x is standard normal and y adds a high-subspace perturbation with
     coefficients scale * standard normal.
     """
-    if split.v_high.shape[1] < 1:
-        raise ConfigurationError("the split has no high subspace to perturb in")
-    x = rng.standard_normal(split.n)
-    delta = scale * rng.standard_normal(split.v_high.shape[1])
-    y = x + split.v_high @ delta
-    return x, y
+    x, y = _draw_pairs(split, rng, 1, (_INSIDE,), DEFAULT_TOL, scale)
+    return x[0], y[0]
 
 
 def secant_report(gnn: SingleLayerGnn, spec: Spectrum, x: np.ndarray,
@@ -360,41 +418,6 @@ class Corollary2Report:
     rows: list[TrialRow] = field(repr=False)
 
 
-def _sample_pair_not_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
-                            tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rejection-sample a pair whose difference has low-mode energy."""
-    for _ in range(100):
-        x = rng.standard_normal(split.n)
-        y = rng.standard_normal(split.n)
-        flag, _ = in_nul_vk(split, x - y, tol)
-        if not flag:
-            return x, y
-    raise NumericalError("could not sample a discriminable pair in 100 tries")
-
-
-def _stacked_pairs(n: int, trials: int, draw) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, n) stacks of first and second signals of draw(trial)'s pairs,
-    drawn in trial order."""
-    xy = np.empty((2, trials, n))
-    for trial in range(trials):
-        xy[0, trial], xy[1, trial] = draw(trial)
-    return xy[0], xy[1]
-
-
-def _mixed_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """By trial % 3: a pair inside D_H, a pair outside it, an identical pair."""
-    def draw(trial: int) -> tuple[np.ndarray, np.ndarray]:
-        mode = trial % 3
-        if mode == 0:
-            return sample_pair_in_d_h(split, rng)
-        if mode == 1:
-            return _sample_pair_not_in_d_h(split, rng, tol)
-        x = rng.standard_normal(split.n)
-        return x, x
-    return _stacked_pairs(split.n, trials, draw)
-
-
 def verify_theorem1(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
                     trials: int, rng: np.random.Generator,
                     tol: float = DEFAULT_TOL) -> Theorem1Report:
@@ -405,7 +428,7 @@ def verify_theorem1(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
     asks. The expected counterexample count is zero.
     """
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
-    x, y = _stacked_pairs(split.n, trials, lambda _: _sample_pair_not_in_d_h(split, rng, tol))
+    x, y = _draw_pairs(split, rng, trials, (_OUTSIDE,), tol)
     judged = _run_trials(spec, split, gnn, x, y, tol)
     return Theorem1Report(trials=trials,
                           counterexamples=int(np.count_nonzero(judged.in_d_phi)),
@@ -429,7 +452,7 @@ def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
     high = _high_response_flags(gnn.bank, split.k)
 
-    x, y = _stacked_pairs(split.n, trials, lambda _: sample_pair_in_d_h(split, rng))
+    x, y = _draw_pairs(split, rng, trials, (_INSIDE,), tol)
     judged = _run_trials(spec, split, gnn, x, y, tol)
     considered = judged.max_deviation[:, high]          # (T, filters responding high)
     constant = np.all(considered <= tol_secant, axis=1)
@@ -458,7 +481,7 @@ def verify_corollary1(spec: Spectrum, split: SubspaceSplit,
     """
     for idx, gains in enumerate(gnn.bank):
         _require_zero_high(gains, split.k, f"filter {idx}")
-    judged = _run_trials(spec, split, gnn, *_mixed_pairs(split, rng, trials, tol), tol)
+    judged = _run_trials(spec, split, gnn, *_draw_pairs(split, rng, trials, _MIXED, tol), tol)
     return Corollary1Report(
         trials=trials,
         verdict_mismatches=int(np.count_nonzero(judged.in_d_h != judged.in_d_phi)),
@@ -550,7 +573,7 @@ def verify_corollary2(spec: Spectrum, split: SubspaceSplit,
         raise ConfigurationError("need at least one filter with nonzero high response")
     probed = int(np.argmax(flags))   # the first filter that responds above the cutoff
 
-    judged = _run_trials(spec, split, gnn, *_mixed_pairs(split, rng, trials, tol), tol)
+    judged = _run_trials(spec, split, gnn, *_draw_pairs(split, rng, trials, _MIXED, tol), tol)
     residuals = np.array([overdetermined_probe(spec, split, gnn, probed, rng)
                           for _ in range(probe_draws)])
     return Corollary2Report(

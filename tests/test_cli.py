@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, config files, file round-trips."""
 
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphdisc.cli
 import graphdisc.experiment
 from graphdisc.cli import load_config_file, main
 from graphdisc.errors import ConfigurationError
@@ -374,6 +378,24 @@ class TestErrorExit:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"graphdisc: error: {path}:1: expected `n k seed`, found the end of the file\n"
+
+
+class TestParser:
+    def test_not_built_at_import(self):
+        src = str(Path(graphdisc.cli.__file__).parents[1])
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import graphdisc.cli as c; print(c._parser.cache_info().currsize)"],
+            env={"PYTHONPATH": src}, capture_output=True, text=True, check=True)
+        assert probe.stdout == "0\n"
+
+    def test_built_once_and_reused(self):
+        parser = graphdisc.cli._parser()
+        assert graphdisc.cli._parser() is parser
+        first = parser.parse_args(["verify", "--trials", "3", "--theorem", "1"])
+        again = parser.parse_args(["verify"])
+        assert (first.trials, first.theorem) == (3, "1")
+        assert (again.trials, again.theorem) == (200, "all")
 
 
 class TestGradcheckCommand:

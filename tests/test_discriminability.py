@@ -40,6 +40,16 @@ class TestInNulVk:
         assert not flag
         assert residual == pytest.approx(1.0, abs=1e-10)
 
+    def test_bits_of_the_norm_form(self, setup):
+        # the stacked test gives one vector the bits of np.linalg.norm
+        _, split = setup
+        rng = np.random.default_rng(14)
+        for exponent in rng.uniform(-5, 5, size=50):
+            d = rng.standard_normal(N) * 10.0 ** exponent
+            residual = float(np.linalg.norm(split.v_low.T @ d))
+            flag = residual <= 1e-8 * max(float(np.linalg.norm(d)), disc.SCALE_FLOOR)
+            assert disc.in_nul_vk(split, d, 1e-8) == (flag, residual)
+
 
 class TestPairInDH:
     @pytest.fixture()
@@ -156,7 +166,9 @@ class TestSamplePair:
 
         rec = Recorder()
         x, y = disc.sample_pair_in_d_h(split, rec, scale=0.7)
-        delta_drawn = 0.7 * rec.draws[1]
+        assert [draw.size for draw in rec.draws] == [2 * N - K]   # x, then delta
+        np.testing.assert_array_equal(x, rec.draws[0][:N])
+        delta_drawn = 0.7 * rec.draws[0][N:]
         recovered = split.v_high.T @ (y - x)
         np.testing.assert_allclose(recovered, delta_drawn, atol=1e-12)
 
@@ -379,16 +391,30 @@ def _per_pair_rows(split, gnn, spec, pairs):
     return rows
 
 
-def _drawn_pairs(split, suite, seed, trials):
-    """The pairs a verifier draws from default_rng(seed), in its order."""
-    rng = np.random.default_rng(seed)
+def _drawn_pairs(split, suite, rng, trials):
+    """The pairs a verifier draws from rng, one standard_normal call per
+    array in the documented order: theorem 2 draws pairs inside D_H,
+    theorem 1 pairs outside it, and the corollaries cycle inside, outside,
+    identical. Inside: x, then delta, and y = x + V_high delta. Outside: x,
+    then y, redrawn while x - y has no low-mode energy, at most 100 draws.
+    Identical: x alone."""
     pairs = []
     for trial in range(trials):
         mode = {"theorem1": 1, "theorem2": 0}.get(suite, trial % 3)
         if mode == 0:
-            pairs.append(disc.sample_pair_in_d_h(split, rng))
+            x = rng.standard_normal(N)
+            pairs.append((x, x + split.v_high @ rng.standard_normal(N - K)))
         elif mode == 1:
-            pairs.append(disc._sample_pair_not_in_d_h(split, rng, disc.DEFAULT_TOL))
+            for _ in range(100):
+                x = rng.standard_normal(N)
+                y = rng.standard_normal(N)
+                d = x - y
+                if (np.linalg.norm(split.v_low.T @ d)
+                        > disc.DEFAULT_TOL * max(np.linalg.norm(d), disc.SCALE_FLOOR)):
+                    break
+            else:
+                raise NumericalError("no discriminable pair in 100 draws")
+            pairs.append((x, y))
         else:
             x = rng.standard_normal(N)
             pairs.append((x, x))
@@ -415,7 +441,7 @@ class TestStackedTrials:
                   "corollary1": disc.verify_corollary1,
                   "corollary2": lambda *a: disc.verify_corollary2(*a, probe_draws=5)}[suite]
         report = verify(spec, split, gnn, 30, np.random.default_rng(41))
-        pairs = _drawn_pairs(split, suite, 41, 30)
+        pairs = _drawn_pairs(split, suite, np.random.default_rng(41), 30)
         assert report.rows == _per_pair_rows(split, gnn, spec, pairs)
 
         if suite == "theorem2":
@@ -444,6 +470,111 @@ class TestStackedTrials:
         assert report.agreement_rate == 1.0 and report.worst_margin == math.inf
         assert disc.verify_corollary1(spec, split, flat, 0, rng).rows == []
         assert disc.verify_corollary2(spec, split, tanh, 0, rng, probe_draws=3).rows == []
+
+
+CYCLES = {"theorem1": (disc._OUTSIDE,), "theorem2": (disc._INSIDE,),
+          "corollary1": disc._MIXED}
+
+
+class ScriptedNormals:
+    """A generator stand-in whose standard_normal hands out a fixed stream
+    in order; records the size of each call."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.used = 0
+        self.sizes = []
+
+    def standard_normal(self, size):
+        out = self.stream[self.used:self.used + size].copy()
+        assert out.size == size, "stream exhausted"
+        self.used += size
+        self.sizes.append(size)
+        return out
+
+
+class TestDrawPairs:
+    """A suite's pairs come from one standard_normal call, cut in the order
+    of plain one-array-at-a-time draws."""
+
+    @pytest.mark.parametrize("suite", CYCLES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_to_one_by_one_draws(self, setup, suite, seed):
+        _, split = setup
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        x, y = disc._draw_pairs(split, rng, 31, CYCLES[suite], disc.DEFAULT_TOL)
+        pairs = _drawn_pairs(split, suite, reference, 31)
+        np.testing.assert_array_equal(x, [p[0] for p in pairs])
+        np.testing.assert_array_equal(y, [p[1] for p in pairs])
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_one_call(self, setup):
+        _, split = setup
+        normals = ScriptedNormals(np.random.default_rng(3).standard_normal(1000))
+        disc._draw_pairs(split, normals, 7, disc._MIXED, disc.DEFAULT_TOL)
+        # kinds inside, outside, identical, inside, outside, identical, inside
+        assert normals.sizes == [3 * (2 * N - K) + 2 * 2 * N + 2 * N]
+
+    @pytest.mark.parametrize("suite", ["theorem1", "corollary1"])
+    @pytest.mark.parametrize("rejections", [1, 2, 99])
+    def test_rejected_pair_redrawn_from_the_next_normals(self, setup, suite, rejections):
+        _, split = setup
+        base = np.random.default_rng(4).standard_normal(2000)
+        first = 0 if suite == "theorem1" else 2 * N - K   # where the first outside pair starts
+        equal = np.tile(base[:N], 2 * rejections)         # x == y, rejected each time
+        stream = np.concatenate((base[:first], equal, base[first:]))
+        normals = ScriptedNormals(stream)
+        x, y = disc._draw_pairs(split, normals, 8, CYCLES[suite], disc.DEFAULT_TOL)
+
+        redraw = first + 2 * N * rejections
+        t = 0 if suite == "theorem1" else 1
+        np.testing.assert_array_equal(x[t], stream[redraw:redraw + N])
+        np.testing.assert_array_equal(y[t], stream[redraw + N:redraw + 2 * N])
+        assert normals.sizes[1:] == [2 * N] * rejections
+        reference = ScriptedNormals(stream)
+        pairs = _drawn_pairs(split, suite, reference, 8)
+        np.testing.assert_array_equal(x, [p[0] for p in pairs])
+        np.testing.assert_array_equal(y, [p[1] for p in pairs])
+        assert normals.used == reference.used
+
+    def test_hundred_rejections_raise(self, setup):
+        _, split = setup
+        base = np.random.default_rng(5).standard_normal(N)
+        normals = ScriptedNormals(np.tile(base, 300))     # every pair has x == y
+        with pytest.raises(NumericalError, match="100 tries"):
+            disc._draw_pairs(split, normals, 3, (disc._OUTSIDE,), disc.DEFAULT_TOL)
+        # the first pair drawn 100 times: once in the one call, then 99 redraws
+        assert normals.sizes == [3 * 2 * N] + [2 * N] * 99
+
+
+VERIFIERS = {
+    "theorem1": (disc.verify_theorem1, disc.verifier_gnn),
+    "theorem2": (disc.verify_theorem2_forward, disc.verifier_gnn),
+    "corollary1": (disc.verify_corollary1, disc.all_zero_high_gnn),
+    "corollary2": (disc.verify_corollary2, disc.verifier_gnn),
+}
+
+
+class TestVerifierBoundary:
+    @pytest.mark.parametrize("suite", VERIFIERS)
+    def test_negative_trials(self, setup, suite):
+        spec, split = setup
+        verify, build = VERIFIERS[suite]
+        gnn = build(spec, K, Nonlinearity.tanh(), rng=np.random.default_rng(44))
+        with pytest.raises(ConfigurationError, match="trials must be nonnegative, got -1"):
+            verify(spec, split, gnn, -1, np.random.default_rng(45))
+
+    @pytest.mark.parametrize("suite", VERIFIERS)
+    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    def test_nonpositive_tol_before_any_draw(self, setup, suite, tol):
+        spec, split = setup
+        verify, build = VERIFIERS[suite]
+        gnn = build(spec, K, Nonlinearity.tanh(), rng=np.random.default_rng(44))
+        rng = np.random.default_rng(45)
+        untouched = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="tol must be positive"):
+            verify(spec, split, gnn, 10, rng, tol=tol)
+        assert rng.bit_generator.state == untouched
 
 
 class TestTanhSecantOffset:
