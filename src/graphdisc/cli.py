@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import discriminability as disc
-from .errors import GRAPHDISC_ERRORS, ConfigurationError, make_dir, read_text
+from .errors import GRAPHDISC_ERRORS, ConfigurationError, make_dir, read_text, write_lines
 from .experiment import MODEL_NAMES, ExperimentConfig, emit_report, run_experiment
 from .filters import load_bank, save_bank, shift_powers
 from .gnn import Nonlinearity, load_model, save_model
@@ -74,8 +74,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     values = dict(PRESETS[args.preset]) if args.preset else {}
     if args.config:
         values.update(load_config_file(args.config))
-    for key in ("subspace", "seed", "graphs", "epochs", "batch_size",
-                "il_weight", "train", "val", "test"):
+    for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -109,7 +108,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if config.epochs > 0:
         for out in report.replicates:
             for name in MODEL_NAMES:
-                if out.best_epochs[name] == -1:
+                if out.trained[name].best_epoch == -1:
                     print(f"graphdisc: warning: replicate {out.subspace} graph "
                           f"{out.graph_index} {name}: no epoch improved on the "
                           "initial model", file=sys.stderr)
@@ -118,7 +117,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.dump_graph:
         save_graph(first.graph, args.dump_graph)
         written.append(args.dump_graph)
-    gnn = first.models["gnn"]
+    gnn = first.trained["gnn"].model
     if args.save_bank:
         save_bank(gnn.taps, args.save_bank)
         written.append(args.save_bank)
@@ -143,10 +142,8 @@ def _tanh_verifier_gnn(spec, k, rng):
 
 def _write_probe_file(rep, out_dir: str, g: int) -> str:
     path = os.path.join(out_dir, f"cor2_probe_g{g}.csv")
-    with open(path, "w") as fh:
-        fh.write("draw,residual\n")
-        for i, r in enumerate(rep.probe_residuals):
-            fh.write(f"{i},{r:.17g}\n")
+    write_lines(path, ["draw,residual"]
+                + [f"{i},{r:.17g}" for i, r in enumerate(rep.probe_residuals)])
     return path
 
 

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ShapeError
+from .errors import ConfigurationError, NumericalError, ShapeError, write_lines
 from .filters import zero_high_response
 from .gnn import Nonlinearity, SingleLayerGnn, bank_forward
 from .spectral import Spectrum, SubspaceSplit, split_subspace
@@ -597,5 +597,4 @@ def write_trial_csv(rows: list[TrialRow], path: str) -> None:
             f"{r.residual_low_filter:.17g},{r.residual_low_gnn:.17g},"
             f"{r.max_secant_deviation:.17g}"
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -40,6 +40,14 @@ def read_text(path: str) -> str:
         raise ConfigurationError(f"{path} is not a text file: {exc}") from exc
 
 
+def write_lines(path: str, lines: list[str]) -> None:
+    """Write each line followed by a newline; a path that cannot be
+    written raises ConfigurationError naming it."""
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join([*lines, ""]))   # the "" ends the last line
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 class LineReader:

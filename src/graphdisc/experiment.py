@@ -24,13 +24,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GRAPHDISC_ERRORS, ConfigurationError, DegenerateInputError, ShapeError, make_dir
+from .errors import (GRAPHDISC_ERRORS, ConfigurationError, DegenerateInputError, ShapeError,
+                     make_dir, write_lines)
 from .filters import bank_il_constant, contract, shift_powers
 from .gnn import Nonlinearity
 from .graphs import GeometricGraph, SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from .spectral import SubspaceSplit, eig_sym, project_subspace, split_subspace
-from .training import (LAM_MAX, EpochRecord, TrainConfig, TrainableModel, init_model, mse_loss,
-                       predict, train)
+from .training import LAM_MAX, TrainConfig, TrainResult, init_model, mse_loss, predict, train
 
 MODES = ("low", "high", "full")
 MODE_INDEX = {"low": 0, "high": 1, "full": 2}
@@ -166,10 +166,7 @@ class ReplicateOutput:
     subspace: str
     graph: GeometricGraph
     metrics: tuple[RunMetrics, RunMetrics]
-    histories: dict[str, list[EpochRecord]] = field(repr=False)
-    models: dict[str, TrainableModel] = field(repr=False)
-    # model -> best epoch, -1 when no epoch improved on the initial model
-    best_epochs: dict[str, int] = field(repr=False)
+    trained: dict[str, TrainResult] = field(repr=False)   # model name -> result
 
 
 @dataclass(frozen=True)
@@ -219,9 +216,7 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
     )
 
     metrics = []
-    histories = {}
-    models = {}
-    best_epochs = {}
+    trained = {}
     for name in MODEL_NAMES:
         sigma = Nonlinearity.tanh() if name == "gnn" else Nonlinearity.identity()
         model = init_model(config.features, config.taps, sigma, seed=init_seed)
@@ -252,18 +247,14 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
             il_constant=bank_il_constant(result.model.taps, LAM_MAX),
             wall_time=elapsed,
         ))
-        histories[name] = result.history
-        models[name] = result.model
-        best_epochs[name] = result.best_epoch
+        trained[name] = result
 
     return ReplicateOutput(
         graph_index=graph_index,
         subspace=mode,
         graph=graph,
         metrics=(metrics[0], metrics[1]),
-        histories=histories,
-        models=models,
-        best_epochs=best_epochs,
+        trained=trained,
     )
 
 
@@ -292,7 +283,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     Replicates run in min(jobs, replicates) worker processes, or in this
     process when that is 1; the report is the same for any jobs. The
     report keeps every ReplicateOutput, in subspace then graph order, with
-    its histories, trained models and graph.
+    its graph and the training result of each model.
 
     A replicate that raises a graphdisc.errors exception aborts the run
     with an exception of the same type whose message starts with the
@@ -356,8 +347,7 @@ def emit_report(report: AggregateReport, out_dir: str) -> list[str]:
     for s in report.summaries:
         lines.append(f"{s.subspace},{s.model},{s.mean_error:.17g},"
                      f"{s.ci_halfwidth:.17g},{len(s.per_graph)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
     written.append(path)
 
     path = os.path.join(out_dir, "runs.csv")
@@ -365,20 +355,18 @@ def emit_report(report: AggregateReport, out_dir: str) -> list[str]:
     for r in report.runs:
         lines.append(f"{r.subspace},{r.model},{r.graph_index},"
                      f"{r.test_mse:.17g},{r.il_constant:.17g},{r.wall_time:.6f}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
     written.append(path)
 
     for out in report.replicates:
-        for name, records in out.histories.items():
+        for name, result in out.trained.items():
             path = os.path.join(out_dir,
                                 f"history_{out.subspace}_{name}_g{out.graph_index}.csv")
             lines = ["epoch,train_loss,val_loss,il_constant,learning_rate"]
-            for rec in records:
+            for rec in result.history:
                 lines.append(f"{rec.epoch},{rec.train_loss:.17g},{rec.val_loss:.17g},"
                              f"{rec.il_constant:.17g},{rec.learning_rate:.17g}")
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            write_lines(path, lines)
             written.append(path)
 
     print(f"{'subspace':<10}{'model':<14}{'mean_error':>14}{'ci_95':>12}{'graphs':>8}")

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, LineReader, ShapeError
+from .errors import ConfigurationError, LineReader, ShapeError, write_lines
 from .graphs import SupportMatrix
 from .spectral import Spectrum
 
@@ -136,13 +136,16 @@ def zero_high_response(spec: Spectrum, k: int, low_profile: np.ndarray) -> np.nd
     return gains
 
 
+def bank_lines(taps: np.ndarray) -> list[str]:
+    """The lines of an (F, K+1) taps matrix as a bank: `F K+1` then one
+    tap line per filter. read_bank_head reads them back."""
+    return ([f"{taps.shape[0]} {taps.shape[1]}"]
+            + [" ".join(f"{t:.17g}" for t in row) for row in taps])
+
+
 def save_bank(taps: np.ndarray, path: str) -> None:
-    """Write an (F, K+1) taps matrix as a bank: `F K+1` then one tap line
-    per filter."""
-    lines = [f"{taps.shape[0]} {taps.shape[1]}"]
-    lines += [" ".join(f"{t:.17g}" for t in row) for row in taps]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write an (F, K+1) taps matrix as a bank file."""
+    write_lines(path, bank_lines(taps))
 
 
 def read_bank_head(path: str) -> tuple[np.ndarray, LineReader]:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
-from .filters import read_bank_head, save_bank
+from .errors import ConfigurationError, ShapeError, write_lines
+from .filters import bank_lines, read_bank_head
 from .graphs import _frozen
 from .spectral import Spectrum
 
@@ -141,10 +141,8 @@ def save_model(taps: np.ndarray, readout: np.ndarray, sigma: Nonlinearity,
                path: str) -> None:
     """Bank text format of the (F, K+1) taps, plus one line of the (F,)
     readout weights and one sigma descriptor line."""
-    save_bank(taps, path)
-    with open(path, "a") as fh:
-        fh.write(" ".join(f"{w:.17g}" for w in readout) + "\n")
-        fh.write(sigma.descriptor() + "\n")
+    readout_line = " ".join(f"{w:.17g}" for w in readout)
+    write_lines(path, bank_lines(taps) + [readout_line, sigma.descriptor()])
 
 
 def load_model(path: str) -> tuple[np.ndarray, np.ndarray, Nonlinearity]:

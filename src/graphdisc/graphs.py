@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, LineReader
+from .errors import ConfigurationError, DegenerateInputError, LineReader, write_lines
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -138,8 +138,7 @@ def save_graph(g: GeometricGraph, path: str) -> None:
         for j in range(i + 1, g.n):
             if g.weights[i, j] > 0.0:
                 lines.append(f"{i} {j} {g.weights[i, j]:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_graph(path: str) -> GeometricGraph:

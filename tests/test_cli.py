@@ -345,6 +345,31 @@ class TestErrorExit:
         err = capsys.readouterr().err
         assert err == f"graphdisc: error: cannot use {path} as output directory: File exists\n"
 
+    @pytest.mark.parametrize("flag", ["--dump-graph", "--save-bank", "--save-model"])
+    def test_file_flag_into_missing_directory(self, tmp_path, capsys, flag):
+        path = tmp_path / "nodir" / "file.txt"
+        code = run_tiny(tmp_path / "out", flag, path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"graphdisc: error: cannot write {path}: No such file or directory\n"
+        # the results are written before the file flags
+        assert (tmp_path / "out" / "summary.csv").is_file()
+
+    def test_run_result_file_is_a_directory(self, tmp_path, capsys):
+        path = tmp_path / "out" / "summary.csv"
+        path.mkdir(parents=True)
+        code = run_tiny(tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == f"graphdisc: error: cannot write {path}: Is a directory\n"
+
+    def test_verify_result_file_is_a_directory(self, tmp_path, capsys):
+        path = tmp_path / "out" / "verify_theorem1.csv"
+        path.mkdir(parents=True)
+        code = main(["verify", "--theorem", "1", "--graphs", "1", "--trials", "2",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"graphdisc: error: cannot write {path}: Is a directory\n"
+
     def test_verify_out_is_a_file(self, tmp_path, capsys):
         path = tmp_path / "a_file"
         path.write_text("")

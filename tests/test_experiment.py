@@ -200,7 +200,8 @@ class TestRunExperiment:
 
     def test_both_models_share_data_and_init(self):
         report = run_experiment(tiny_config(graphs=1, epochs=0))
-        fb, gnn = report.replicates[0].models["filter_bank"], report.replicates[0].models["gnn"]
+        trained = report.replicates[0].trained
+        fb, gnn = trained["filter_bank"].model, trained["gnn"].model
         # untrained models keep their (identical) initializations
         np.testing.assert_array_equal(fb.taps, gnn.taps)
         np.testing.assert_array_equal(fb.readout, gnn.readout)
@@ -269,7 +270,7 @@ class TestRelativeGap:
         def fake_replicate(config, mode, graph_index, *warm_start):
             metrics = tuple(RunMetrics(graph_index, mode, name, err, 0.0, 0.0)
                             for name, err in zip(MODEL_NAMES, errors))
-            return ReplicateOutput(graph_index, mode, None, metrics, {}, {}, {})
+            return ReplicateOutput(graph_index, mode, None, metrics, {})
 
         monkeypatch.setattr(experiment, "run_replicate", fake_replicate)
         report = run_experiment(tiny_config(graphs=2))
@@ -281,7 +282,7 @@ class TestRunReplicate:
         config = tiny_config(graphs=1, epochs=0)
         taps = np.full((4, 3), 0.25)
         out = run_replicate(config, "high", 0, init_taps=taps)
-        np.testing.assert_array_equal(out.models["gnn"].taps, taps)
+        np.testing.assert_array_equal(out.trained["gnn"].model.taps, taps)
 
     def test_reproduces_recorded_trajectory(self):
         """Test MSEs and every history value of a small replicate, pinned
@@ -305,7 +306,7 @@ class TestRunReplicate:
         }
         for name, rows in expected.items():
             got = [(r.epoch, r.train_loss, r.val_loss, r.il_constant, r.learning_rate)
-                   for r in out.histories[name]]
+                   for r in out.trained[name].history]
             assert got == rows
 
     def test_warm_start_shape_checked(self):

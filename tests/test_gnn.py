@@ -7,7 +7,7 @@ import pytest
 
 from graphdisc.errors import ConfigurationError, ShapeError
 from graphdisc.experiment import ExperimentConfig, run_replicate
-from graphdisc.filters import contract, freq_response, shift_powers
+from graphdisc.filters import contract, freq_response, save_bank, shift_powers
 from graphdisc.gnn import Nonlinearity, SingleLayerGnn, bank_forward, load_model, save_model
 from graphdisc.graphs import SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym
@@ -225,6 +225,15 @@ class TestModelSerialization:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "1 2"
         assert lines[-1] == "tanh"
+
+    def test_bank_file_plus_readout_and_sigma_lines(self, tmp_path):
+        taps = np.array([[1.0, -0.1], [1e-300, 2.0 / 3.0]])
+        save_bank(taps, str(tmp_path / "bank.txt"))
+        save_model(taps, np.array([0.5, -7.0]), Nonlinearity.leaky_rectifier(0.25),
+                   str(tmp_path / "model.txt"))
+        bank = (tmp_path / "bank.txt").read_bytes()
+        model = (tmp_path / "model.txt").read_bytes()
+        assert model == bank + b"0.5 -7\nleaky_rectifier 0.25\n"
 
 
 class TestLoadModelErrors:
