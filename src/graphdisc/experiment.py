@@ -105,7 +105,7 @@ class RunMetrics:
     model: str
     test_mse: float
     il_constant: float
-    wall_time: float
+    wall_time: float            # the replicate's one lockstep train call, both models
 
 
 @dataclass(frozen=True)
@@ -215,8 +215,7 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
         seed=init_seed,
     )
 
-    metrics = []
-    trained = {}
+    models = []
     for name in MODEL_NAMES:
         sigma = Nonlinearity.tanh() if name == "gnn" else Nonlinearity.identity()
         model = init_model(config.features, config.taps, sigma, seed=init_seed)
@@ -232,29 +231,29 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
                     f"warm-start readout shape {init_readout.shape} != {model.readout.shape}"
                 )
             model.readout = init_readout.copy()
+        models.append(model)
 
-        start = time.perf_counter()
-        result = train(model, s_norm, dataset.train, dataset.val, train_config)
-        elapsed = time.perf_counter() - start
+    # both models train in lockstep on the same batches, so each run row
+    # reads the time of the one train call
+    start = time.perf_counter()
+    results = train(models, s_norm, dataset.train, dataset.val, train_config)
+    elapsed = time.perf_counter() - start
 
-        test_mse = mse_loss(predict(result.model, s_norm, dataset.test[0]),
-                            dataset.test[1])[0]
-        metrics.append(RunMetrics(
-            graph_index=graph_index,
-            subspace=mode,
-            model=name,
-            test_mse=test_mse,
-            il_constant=bank_il_constant(result.model.taps, LAM_MAX),
-            wall_time=elapsed,
-        ))
-        trained[name] = result
+    metrics = tuple(RunMetrics(
+        graph_index=graph_index,
+        subspace=mode,
+        model=name,
+        test_mse=mse_loss(predict(result.model, s_norm, dataset.test[0]), dataset.test[1])[0],
+        il_constant=bank_il_constant(result.model.taps, LAM_MAX),
+        wall_time=elapsed,
+    ) for name, result in zip(MODEL_NAMES, results))
 
     return ReplicateOutput(
         graph_index=graph_index,
         subspace=mode,
         graph=graph,
-        metrics=(metrics[0], metrics[1]),
-        trained=trained,
+        metrics=metrics,
+        trained=dict(zip(MODEL_NAMES, results)),
     )
 
 

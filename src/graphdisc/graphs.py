@@ -95,16 +95,16 @@ def _graph_from_positions(positions: np.ndarray, k_neighbors: int, seed: int) ->
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=2))
 
+    d = dist.copy()
+    np.fill_diagonal(d, np.inf)
+    # argsort is stable, so equal distances resolve to the lower index
+    cols = np.argsort(d, axis=1, kind="stable")[:, :k_neighbors].ravel()
+    rows = np.repeat(np.arange(n), k_neighbors)
+    # dist is exactly symmetric, so both writes of an edge hold one value
+    w = np.exp(-dist[rows, cols])
     weights = np.zeros((n, n))
-    for i in range(n):
-        d = dist[i].copy()
-        d[i] = np.inf
-        # argsort is stable, so equal distances resolve to the lower index
-        nearest = np.argsort(d, kind="stable")[:k_neighbors]
-        for j in nearest:
-            w = np.exp(-dist[i, j])
-            weights[i, j] = w
-            weights[j, i] = w
+    weights[rows, cols] = w
+    weights[cols, rows] = w
     return GeometricGraph(n=n, positions=positions, weights=weights,
                           k_neighbors=k_neighbors, seed=int(seed))
 

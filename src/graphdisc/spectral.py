@@ -80,11 +80,10 @@ def eig_sym(s: SupportMatrix) -> Spectrum:
     eigvecs = eigvecs[:, order]
 
     # first significant component of each eigenvector is positive
-    for i in range(eigvecs.shape[1]):
-        col = eigvecs[:, i]
-        significant = np.nonzero(np.abs(col) > 1e-12)[0]
-        if significant.size and col[significant[0]] < 0.0:
-            eigvecs[:, i] = -col
+    # (a column with no significant component has first 0 and is kept)
+    first = (np.abs(eigvecs) > 1e-12).argmax(axis=0)
+    flip = eigvecs[first, np.arange(eigvecs.shape[1])] < -1e-12
+    eigvecs[:, flip] = -eigvecs[:, flip]
 
     return Spectrum(eigenvalues=eigvals, eigenvectors=eigvecs)
 

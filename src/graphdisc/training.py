@@ -8,22 +8,29 @@ One training step on a batch of shape (B, n) takes P, the (K+1, B*n)
 matrix of its shift powers S^k x, and forms the (F, B*n) activation A:
 
 - forward: A = sigma(taps @ P) with sigma applied in place, and the
-  prediction readout @ A, both by filters.contract;
+  prediction readout @ A;
 - backward: the readout gradient A @ d(loss)/d(pred); then sigma' (read
   off A, overwriting it) gives the tap gradient
   readout x (sigma'(A) @ (P * d(loss)/d(pred))^T), which forms no
-  (F, B*n) array besides A;
-- the regularizer's subgradient at the filter and grid point where the
-  integral-Lipschitz constant is attained, on the grid powers cached in
-  filters;
-- one Adam update of a single vector holding taps and readout, with the
-  moments updated in place.
+  (F, B*n) array besides A; both gradients go into one fresh vector;
+- the regularizer's subgradient, one row added into the tap gradient at
+  the filter and grid point where the integral-Lipschitz constant is
+  attained, on the grid powers cached in filters.
 
 The identity model takes a shorter step. A linear bank followed by a
 linear readout is one filter, w = readout @ taps, so its step forms no A:
 the prediction is w @ P, g = P @ d(loss)/d(pred) is a (K+1)-vector, the
 readout gradient is taps @ g and the tap gradient the outer product
 readout x g. Validation and predict still form A for every activation.
+
+train trains a group of G models with one taps shape in lockstep: they
+share the batches (one permutation per epoch), the shift powers and the
+activation buffer. Per batch each model takes its step and its gradient
+becomes row i of a (G, P) array; one Adam update, with the moments updated
+in place, then steps the (G, P) parameter array, whose rows hold each
+model's taps and readout (the models' arrays are views of them). Every
+operation on a model's row is the one it gets trained alone, so each
+member's result keeps its bits in any group.
 
 The shift powers do not depend on the parameters, so train makes them
 ahead of the steps: it walks each epoch's shuffled order in chunks of
@@ -43,9 +50,10 @@ module state changes, so separate train calls may run in separate
 threads. train computes the validation set's shift powers once,
 and each epoch's integral-Lipschitz constant from the taps with the
 regularizer's product (filters.bank_il_constant). An epoch whose train or
-validation loss is not finite raises NumericalError; overflow on the way
-there raises no warning. The result records the best epoch, or -1 when no
-epoch improved on the validation loss of the initial model.
+validation loss is not finite raises NumericalError, for the first model
+of the group in that epoch; overflow on the way there raises no warning.
+Each model's result records its best epoch, or -1 when no epoch improved
+on the validation loss of the initial model.
 
 Everything here is deterministic given the seeds in TrainConfig: shuffling,
 initialization, and the optimizer never consult global state.
@@ -59,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .filters import _grid_powers, _il_response, bank_il_constant, contract, shift_powers
+from .filters import _grid_powers, bank_il_constant, contract, shift_powers
 from .gnn import Nonlinearity
 from .graphs import SupportMatrix
 
@@ -160,17 +168,17 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, 2.0 * diff / diff.size
 
 
-def il_regularizer(taps: np.ndarray, lam_max: float,
-                   weight: float) -> tuple[float, np.ndarray]:
-    """weight * max_{f, grid} |lambda h_f'(lambda)| with its subgradient.
+def _add_il_peak(taps: np.ndarray, lam_max: float, weight: float,
+                 grad: np.ndarray) -> float:
+    """Add the regularizer's subgradient into the (F, K+1) grad and return
+    weight * max_{f, grid} |lambda h_f'(lambda)|.
 
-    The gradient flows only to the filter and grid point attaining the
-    maximum (ties resolve to the first flattened index) through
-    d/dh_k [lambda h'(lambda)] = k lambda^k.
+    The subgradient is one row: it flows only to the filter and grid point
+    attaining the maximum (ties resolve to the first flattened index)
+    through d/dh_k [lambda h'(lambda)] = k lambda^k.
     """
-    taps = np.asarray(taps, dtype=np.float64)
-    vals = _il_response(taps, lam_max)                  # (F, G)
-    powers, lam_pow = _grid_powers(float(lam_max), taps.shape[1])
+    powers, lam_pow = _grid_powers(lam_max, taps.shape[1])
+    vals = (taps * powers) @ lam_pow                    # (F, G), as _il_response
     # argmax(|vals|) without forming |vals|: the first maximum or the first
     # minimum, whichever is larger in magnitude, and the earlier on a tie
     i_max, i_min = int(vals.argmax()), int(vals.argmin())
@@ -178,10 +186,17 @@ def il_regularizer(taps: np.ndarray, lam_max: float,
     i_peak = i_max if top > bottom else i_min if bottom > top else min(i_max, i_min)
     f_star, g_star = divmod(i_peak, vals.shape[1])
     peak = float(vals[f_star, g_star])
+    grad[f_star] += weight * np.sign(peak) * powers * lam_pow[:, g_star]
+    return weight * abs(peak)
 
+
+def il_regularizer(taps: np.ndarray, lam_max: float,
+                   weight: float) -> tuple[float, np.ndarray]:
+    """weight * max_{f, grid} |lambda h_f'(lambda)| with its subgradient,
+    which is zero but for the row of the filter attaining the maximum."""
+    taps = np.asarray(taps, dtype=np.float64)
     grad = np.zeros(taps.shape)
-    grad[f_star] = weight * np.sign(peak) * powers * lam_pow[:, g_star]
-    return weight * abs(peak), grad
+    return _add_il_peak(taps, float(lam_max), weight, grad), grad
 
 
 class ForwardCache(NamedTuple):
@@ -215,8 +230,9 @@ def predict(model: TrainableModel, s: SupportMatrix, x: np.ndarray) -> np.ndarra
 class BackwardResult(NamedTuple):
     mse: float
     objective: float            # mse + regularizer
-    grad_taps: np.ndarray       # (F, K+1)
-    grad_readout: np.ndarray    # (F,)
+    grad_taps: np.ndarray       # (F, K+1), a view of grads
+    grad_readout: np.ndarray    # (F,), a view of grads
+    grads: np.ndarray           # (F*(K+1) + F,): the tap gradient, then the readout's
 
 
 def model_backward(model: TrainableModel, powers: np.ndarray, target: np.ndarray,
@@ -227,34 +243,36 @@ def model_backward(model: TrainableModel, powers: np.ndarray, target: np.ndarray
     The identity model is the one filter readout @ taps, so its step works
     on (K+1)-vectors and forms no (F, B, n) array; any other activation
     forms only A, in act (F, B, n) when given and in a fresh array
-    otherwise."""
+    otherwise. Both gradients are written into one fresh vector, laid out
+    as train's Adam step takes the parameters."""
     n_features, n_taps = model.taps.shape
     if powers.shape[0] != n_taps:
         raise ShapeError(f"{powers.shape[0]} shift powers for {n_taps} taps")
     powers2d = powers.reshape(n_taps, -1)
+    grads = np.empty(n_features * (n_taps + 1))
+    grad_taps = grads[:-n_features].reshape(n_features, n_taps)
+    grad_readout = grads[-n_features:]
     if model.sigma.kind == "identity":
-        mse, dpred = mse_loss(contract(model.readout @ model.taps, powers), target)
+        pred = (model.readout @ model.taps) @ powers2d
+        mse, dpred = mse_loss(pred.reshape(powers.shape[1:]), target)
         g = powers2d @ dpred.reshape(-1)
-        grad_readout = model.taps @ g
-        grad_taps = np.multiply.outer(model.readout, g)
+        np.matmul(model.taps, g, out=grad_readout)
+        np.multiply.outer(model.readout, g, out=grad_taps)
     else:
-        if act is None:
-            act = np.empty((n_features,) + powers.shape[1:])
-        mse, dpred = mse_loss(_forward(model, powers, act), target)
-        act2d, dpred1d = act.reshape(n_features, -1), dpred.reshape(-1)
-        grad_readout = act2d @ dpred1d
+        act2d = (np.empty((n_features, powers2d.shape[1])) if act is None
+                 else act.reshape(n_features, -1))
+        model.sigma.eval(np.matmul(model.taps, powers2d, out=act2d), overwrite=True)
+        # mse_loss, looked up at call time, runs between the forward pass,
+        # which writes A, and the backward pass, which reads it
+        mse, dpred = mse_loss((model.readout @ act2d).reshape(powers.shape[1:]), target)
+        dpred1d = dpred.reshape(-1)
+        np.matmul(act2d, dpred1d, out=grad_readout)
         deriv = model.sigma.output_derivative(act2d, overwrite=True)
-        grad_taps = deriv @ (powers2d * dpred1d).T
+        np.matmul(deriv, (powers2d * dpred1d).T, out=grad_taps)
         grad_taps *= model.readout[:, None]
 
-    reg, reg_grad = il_regularizer(model.taps, LAM_MAX, il_weight)
-    grad_taps += reg_grad
-    return BackwardResult(
-        mse=mse,
-        objective=mse + reg,
-        grad_taps=grad_taps,
-        grad_readout=grad_readout,
-    )
+    reg = _add_il_peak(model.taps, LAM_MAX, il_weight, grad_taps)
+    return BackwardResult(mse, mse + reg, grad_taps, grad_readout, grads)
 
 
 @dataclass(frozen=True)
@@ -274,32 +292,40 @@ class TrainResult:
     history: list[EpochRecord] = field(repr=False)
 
 
-def train(model: TrainableModel, s: SupportMatrix,
+def train(models: list[TrainableModel], s: SupportMatrix,
           train_set: tuple[np.ndarray, np.ndarray],
           val_set: tuple[np.ndarray, np.ndarray],
-          config: TrainConfig) -> TrainResult:
-    """Minibatch Adam with per-epoch learning-rate decay.
+          config: TrainConfig) -> list[TrainResult]:
+    """Minibatch Adam with per-epoch learning-rate decay, for a group of
+    models with one taps shape, trained in lockstep on the same batches.
 
-    Returns the model snapshot with the best validation loss, its epoch
-    (-1 for the input model) and the full per-epoch history. With zero
-    epochs the input model is returned as is.
-    An epoch whose train or validation loss is not finite raises
-    NumericalError naming the epoch and the loss.
+    Returns one result per model, in order: the snapshot with the best
+    validation loss, its epoch (-1 for the input model) and the full
+    per-epoch history, each the same as training that model alone. With
+    zero epochs the input models are returned as they are. Models of
+    different shapes raise ShapeError before any step. An epoch whose train
+    or validation loss is not finite raises NumericalError naming the epoch
+    and the loss, for the first such model of that epoch.
     """
     x_train, y_train = train_set
     x_val, y_val = val_set
-    model = model.copy()
+    shapes = sorted({(m.taps.shape, m.readout.shape) for m in models})
+    if len(shapes) != 1:
+        raise ShapeError(f"a training group needs one taps and readout shape, got {shapes}")
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
-    # Adam steps one vector holding taps and readout: half the array calls
-    # of stepping them apart, with the same arithmetic per entry
-    n_tap_params = model.taps.size
-    params = np.concatenate([model.taps.ravel(), model.readout])
+    # Adam steps one (G, P) array, row i holding model i's taps and readout:
+    # one update per batch for the whole group, with the same arithmetic
+    # per entry as stepping each model apart
+    (n_features, n_taps), batch = models[0].taps.shape, config.batch_size
+    params = np.stack([np.concatenate([m.taps.ravel(), m.readout]) for m in models])
+    grads = np.empty_like(params)
     state = init_adam(params, config.learning_rate)
+    members = [TrainableModel(row[:-n_features].reshape(n_features, n_taps),
+                              row[-n_features:], m.sigma) for row, m in zip(params, models)]
 
-    (n_features, n_taps), batch = model.taps.shape, config.batch_size
     val_powers = shift_powers(s, x_val, n_taps)
 
-    def val_mse() -> float:
+    def val_mse(model: TrainableModel) -> float:
         return mse_loss(_forward(model, val_powers), y_val)[0]
 
     n_train, n = x_train.shape
@@ -307,48 +333,52 @@ def train(model: TrainableModel, s: SupportMatrix,
     chunk_powers = np.empty((n_taps, min(chunk, n_train), n))
     # every step's activation is a leading, contiguous part of this buffer
     act = np.empty(n_features * min(batch, n_train) * n)
-    history: list[EpochRecord] = []
+    histories: list[list[EpochRecord]] = [[] for _ in members]
 
     # overflow on the way to a diverged loss is reported by the loss check
     # below, not as a warning from the step that overflowed
     with np.errstate(over="ignore", invalid="ignore"):
-        best, best_epoch = model.copy(), -1
-        best_val = val_mse()
+        best = [m.copy() for m in members]
+        best_val = [val_mse(m) for m in members]
+        best_epoch = [-1] * len(members)
         for epoch in range(config.epochs):
             order = rng.permutation(n_train)
-            batch_losses = []
+            batch_losses: list[list[float]] = [[] for _ in members]
             for c0 in range(0, n_train, chunk):
                 idx = order[c0:c0 + chunk]
                 powers = shift_powers(s, x_train[idx], n_taps, chunk_powers[:, :idx.size])
                 targets = y_train[idx]
                 for b0 in range(0, idx.size, batch):
                     b = min(batch, idx.size - b0)
-                    # by module attribute and positionally, so a tracer that
-                    # rebinds model_backward sees and can count every step
-                    result = model_backward(model, powers[:, b0:b0 + b], targets[b0:b0 + b],
-                                            config.il_weight,
-                                            act[:n_features * b * n].reshape(n_features, b, n))
-                    grads = np.concatenate([result.grad_taps.ravel(), result.grad_readout])
-                    params = adam_step(state, params, grads)
-                    model.taps = params[:n_tap_params].reshape(model.taps.shape)
-                    model.readout = params[n_tap_params:]
-                    batch_losses.append(result.mse)
+                    step_powers, step_targets = powers[:, b0:b0 + b], targets[b0:b0 + b]
+                    step_act = act[:n_features * b * n].reshape(n_features, b, n)
+                    for i, model in enumerate(members):
+                        # by module attribute and positionally, so a tracer
+                        # that rebinds model_backward sees and can count
+                        # every step
+                        result = model_backward(model, step_powers, step_targets,
+                                                config.il_weight, step_act)
+                        grads[i] = result.grads
+                        batch_losses[i].append(result.mse)
+                    # written back in place, so the members' views follow
+                    params[...] = adam_step(state, params, grads)
 
-            train_loss, epoch_val = float(np.mean(batch_losses)), val_mse()
-            if not (np.isfinite(train_loss) and np.isfinite(epoch_val)):
-                raise NumericalError(f"training diverged in epoch {epoch}: train loss "
-                                     f"{train_loss}, validation loss {epoch_val}")
-            history.append(EpochRecord(
-                epoch=epoch,
-                train_loss=train_loss,
-                val_loss=epoch_val,
-                il_constant=bank_il_constant(model.taps, LAM_MAX),
-                learning_rate=state.learning_rate,
-            ))
-            if epoch_val < best_val:
-                best_val, best_epoch = epoch_val, epoch
-                best = model.copy()
+            for i, model in enumerate(members):
+                train_loss, epoch_val = float(np.mean(batch_losses[i])), val_mse(model)
+                if not (np.isfinite(train_loss) and np.isfinite(epoch_val)):
+                    raise NumericalError(f"training diverged in epoch {epoch}: train loss "
+                                         f"{train_loss}, validation loss {epoch_val}")
+                histories[i].append(EpochRecord(
+                    epoch=epoch,
+                    train_loss=train_loss,
+                    val_loss=epoch_val,
+                    il_constant=bank_il_constant(model.taps, LAM_MAX),
+                    learning_rate=state.learning_rate,
+                ))
+                if epoch_val < best_val[i]:
+                    best_val[i], best_epoch[i] = epoch_val, epoch
+                    best[i] = model.copy()
             state.learning_rate *= config.decay
 
-    return TrainResult(model=best, best_val_loss=best_val, best_epoch=best_epoch,
-                       history=history)
+    return [TrainResult(model=m, best_val_loss=v, best_epoch=e, history=h)
+            for m, v, e, h in zip(best, best_val, best_epoch, histories)]

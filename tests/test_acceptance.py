@@ -31,12 +31,13 @@ def make_graph_setup(n, neighbors, k, seed):
 
 @pytest.fixture(scope="module")
 def desk_runs(tmp_path_factory):
-    """Two CLI invocations of `run --preset desk --seed 7`."""
+    """Two CLI invocations of `run --preset desk --seed 7`, the second with
+    two worker processes, so criterion 8 also compares worker counts."""
     dirs = []
     start = time.perf_counter()
-    for name in ("desk_a", "desk_b"):
+    for name, jobs in (("desk_a", "1"), ("desk_b", "2")):
         out = tmp_path_factory.mktemp(name)
-        code = main(["run", "--preset", "desk", "--seed", "7",
+        code = main(["run", "--preset", "desk", "--seed", "7", "--jobs", jobs,
                      "--out", str(out)])
         assert code == 0
         dirs.append(out)

@@ -36,6 +36,23 @@ def bfs_connected(weights: np.ndarray) -> bool:
     return len(seen) == n
 
 
+def loop_knn_weights(positions: np.ndarray, k_neighbors: int) -> np.ndarray:
+    """The per-node loop form of the k-NN weights: each node's stable
+    argsort, then one exp(-d) per kept neighbour, written both ways."""
+    n = positions.shape[0]
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    weights = np.zeros((n, n))
+    for i in range(n):
+        d = dist[i].copy()
+        d[i] = np.inf
+        for j in np.argsort(d, kind="stable")[:k_neighbors]:
+            w = np.exp(-dist[i, j])
+            weights[i, j] = w
+            weights[j, i] = w
+    return weights
+
+
 class TestGenerateGeometricGraph:
     def test_two_nodes_single_edge_weight(self):
         # weight recomputed independently from the emitted positions
@@ -52,6 +69,22 @@ class TestGenerateGeometricGraph:
         degrees = (g.weights > 0).sum(axis=1)
         assert degrees[1] == 2
         assert g.weights[0, 2] == 0.0
+
+    @pytest.mark.parametrize("n, k", [(12, 3), (20, 5), (50, 5), (120, 5)])
+    def test_weights_are_the_loop_forms_bits(self, n, k):
+        for seed in range(25):
+            positions = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
+            g = _graph_from_positions(positions, k, seed=seed)
+            assert g.weights.tobytes() == loop_knn_weights(positions, k).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_distance_ties_match_the_loop_form(self, k):
+        # a 5 x 8 lattice: every node has several neighbours at equal
+        # distance, and the rows are long enough for an unstable sort to
+        # order them differently
+        positions = np.array([[x, y] for x in np.arange(5) / 8 for y in np.arange(8) / 8])
+        g = _graph_from_positions(positions, k, seed=0)
+        assert g.weights.tobytes() == loop_knn_weights(positions, k).tobytes()
 
     def test_generated_graph_is_connected(self):
         g = generate_geometric_graph(50, 5, seed=0)

@@ -42,6 +42,18 @@ def random_symmetric(n: int, seed: int) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def loop_sign_convention(eigvecs: np.ndarray) -> np.ndarray:
+    """The per-column form of eig_sym's sign rule: flip a column whose first
+    component above 1e-12 in magnitude is negative."""
+    eigvecs = eigvecs.copy()
+    for i in range(eigvecs.shape[1]):
+        col = eigvecs[:, i]
+        significant = np.nonzero(np.abs(col) > 1e-12)[0]
+        if significant.size and col[significant[0]] < 0.0:
+            eigvecs[:, i] = -col
+    return eigvecs
+
+
 class TestEigSym:
     def test_identity(self):
         spec = eig_sym(support(np.eye(4)))
@@ -108,6 +120,29 @@ class TestEigSym:
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         with pytest.raises(NumericalError, match="did not converge"):
             eig_sym(support(np.eye(3)))
+
+    @pytest.mark.parametrize("n", [12, 20, 50])
+    def test_signs_are_the_loop_forms(self, n):
+        for seed in range(10):
+            s = normalize_support(laplacian(generate_geometric_graph(n, 5, seed=seed)))
+            eigvals, eigvecs = np.linalg.eigh(s.entries)
+            order = np.lexsort((eigvals, np.abs(eigvals)))
+            expected = loop_sign_convention(eigvecs[:, order])
+            assert eig_sym(s).eigenvectors.tobytes() == expected.tobytes()
+
+    def test_sign_rule_skips_tiny_leading_components(self, monkeypatch):
+        # columns: leading -1e-13 then positive, leading +1e-13 then negative,
+        # leading exact zeros then negative, -1e-12 exactly then positive,
+        # and no significant component at all
+        vecs = np.array([[-1e-13, 1e-13, 0.0, -1e-12, -1e-13],
+                         [0.6, -0.8, 0.0, 0.6, 1e-13],
+                         [0.8, 0.6, -1.0, 0.8, 0.0],
+                         [0.0] * 5,
+                         [0.0] * 5])
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.arange(1.0, 6.0), vecs.copy()))
+        got = eig_sym(support(np.eye(5))).eigenvectors
+        assert got.tobytes() == loop_sign_convention(vecs).tobytes()
+        np.testing.assert_array_equal(np.sign(got[1:3, :4]), [[1, 1, 0, 1], [1, -1, 1, 1]])
 
     def test_normalized_laplacian_spectrum_ends(self):
         for seed in (0, 1, 2):

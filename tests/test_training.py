@@ -399,8 +399,8 @@ class TestIdentityStep:
         x = rng.standard_normal((23, 12))
         y = np.sign(x @ support.entries.T)
         model = init_model(4, n_taps, Nonlinearity.identity(), seed=63)
-        train(model, support, (x, y), (x[:7], y[:7]),
-              TrainConfig(epochs=2, batch_size=5, seed=6))
+        train([model], support, (x, y), (x[:7], y[:7]),
+              TrainConfig(epochs=2, batch_size=5, seed=6))[0]
         monkeypatch.undo()
         return steps, untouched
 
@@ -430,8 +430,8 @@ class TestTrain:
         model = init_model(2, 2, Nonlinearity.tanh(), seed=6)
         taps_before = model.taps.copy()
         data = self.make_data(support, 20, 7)
-        result = train(model, support, data, data,
-                       TrainConfig(epochs=0, batch_size=5, seed=0))
+        result = train([model], support, data, data,
+                       TrainConfig(epochs=0, batch_size=5, seed=0))[0]
         np.testing.assert_array_equal(result.model.taps, taps_before)
         assert result.history == []
 
@@ -441,8 +441,8 @@ class TestTrain:
         x = rng.standard_normal((200, 12))
         y = x @ support.entries.T
         model = init_model(2, 2, Nonlinearity.identity(), seed=9)
-        result = train(model, support, (x, y), (x[:40], y[:40]),
-                       TrainConfig(epochs=5, batch_size=20, seed=1, il_weight=0.0))
+        result = train([model], support, (x, y), (x[:40], y[:40]),
+                       TrainConfig(epochs=5, batch_size=20, seed=1, il_weight=0.0))[0]
         losses = [rec.train_loss for rec in result.history]
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
@@ -450,8 +450,8 @@ class TestTrain:
         data = self.make_data(support, 100, 10)
         val = self.make_data(support, 30, 11)
         model = init_model(3, 3, Nonlinearity.tanh(), seed=12)
-        result = train(model, support, data, val,
-                       TrainConfig(epochs=6, batch_size=10, seed=2))
+        result = train([model], support, data, val,
+                       TrainConfig(epochs=6, batch_size=10, seed=2))[0]
         assert result.best_val_loss <= result.history[-1].val_loss + 1e-15
         returned_val = mse_loss(predict(result.model, support, val[0]), val[1])[0]
         assert returned_val == pytest.approx(result.best_val_loss, abs=1e-15)
@@ -459,9 +459,9 @@ class TestTrain:
     def test_learning_rate_decays_per_epoch(self, support):
         data = self.make_data(support, 40, 13)
         model = init_model(2, 2, Nonlinearity.tanh(), seed=14)
-        result = train(model, support, data, data,
+        result = train([model], support, data, data,
                        TrainConfig(epochs=4, batch_size=10,
-                                   learning_rate=1e-3, decay=0.5, seed=3))
+                                   learning_rate=1e-3, decay=0.5, seed=3))[0]
         rates = [rec.learning_rate for rec in result.history]
         np.testing.assert_allclose(rates, [1e-3, 5e-4, 2.5e-4, 1.25e-4], rtol=1e-12)
 
@@ -470,8 +470,8 @@ class TestTrain:
 
         def run():
             model = init_model(2, 3, Nonlinearity.tanh(), seed=16)
-            return train(model, support, data, data,
-                         TrainConfig(epochs=3, batch_size=10, seed=4))
+            return train([model], support, data, data,
+                         TrainConfig(epochs=3, batch_size=10, seed=4))[0]
 
         a, b = run(), run()
         assert a.history == b.history
@@ -485,8 +485,8 @@ class TestTrain:
         model = init_model(2, 3, sigma, seed=18)
         with pytest.raises(NumericalError, match="training diverged in epoch 0: "
                                                  "train loss (nan|inf)"):
-            train(model, support, data, data, TrainConfig(epochs=3, batch_size=10,
-                                                          learning_rate=1e200, seed=7))
+            train([model], support, data, data, TrainConfig(epochs=3, batch_size=10,
+                                                            learning_rate=1e200, seed=7))[0]
 
     def test_regularizer_shrinks_il_constant(self, support):
         # statistical trend: with the penalty on, the trained constant is
@@ -497,12 +497,111 @@ class TestTrain:
             constants = {}
             for weight in (0.0, 0.01):
                 model = init_model(4, 3, Nonlinearity.tanh(), seed=seed)
-                result = train(model, support, data, data,
+                result = train([model], support, data, data,
                                TrainConfig(epochs=8, batch_size=5, seed=seed,
-                                           il_weight=weight))
+                                           il_weight=weight))[0]
                 constants[weight] = bank_il_constant(result.model.taps, 1.0)
             wins += constants[0.01] <= constants[0.0]
         assert wins >= 3
+
+
+class TestGroup:
+    """train(models, ...) trains a group in lockstep; each member's result
+    is the one it gets trained alone."""
+
+    @staticmethod
+    def result_bytes(result):
+        return (result.history, result.model.taps.tobytes(), result.model.readout.tobytes(),
+                result.best_epoch, result.best_val_loss)
+
+    @staticmethod
+    def bank_and_gnn(n_taps, seed):
+        return [init_model(4, n_taps, sigma, seed=seed)
+                for sigma in (Nonlinearity.identity(), Nonlinearity.tanh())]
+
+    @pytest.mark.parametrize("il_weight", [0.0, 0.01])
+    @pytest.mark.parametrize("n_taps", [1, 2, 3, 5])
+    def test_member_results_equal_training_alone(self, support, n_taps, il_weight):
+        # 23 samples in batches of 5: every epoch ends with a ragged batch of 3
+        rng = np.random.default_rng(80 + n_taps)
+        x = rng.standard_normal((23, 12))
+        y = np.sign(x @ support.entries.T)
+        config = TrainConfig(epochs=3, batch_size=5, seed=8, il_weight=il_weight)
+        bank, gnn = self.bank_and_gnn(n_taps, 81)
+        alone = [self.result_bytes(train([m], support, (x, y), (x[:7], y[:7]), config)[0])
+                 for m in (bank, gnn)]
+        for order in ([bank, gnn], [gnn, bank]):
+            got = train(order, support, (x, y), (x[:7], y[:7]), config)
+            expected = alone if order[0] is bank else alone[::-1]
+            assert [self.result_bytes(r) for r in got] == expected
+            assert [r.model.sigma for r in got] == [m.sigma for m in order]
+
+    def test_one_step_per_member_and_batch(self, support, monkeypatch):
+        calls = []
+        original = training.model_backward
+
+        def spy(model, powers, target, il_weight, act=None):
+            calls.append((model.sigma.kind, powers.shape[1]))
+            return original(model, powers, target, il_weight, act)
+
+        monkeypatch.setattr(training, "model_backward", spy)
+        x = np.random.default_rng(82).standard_normal((23, 12))
+        train(self.bank_and_gnn(3, 83), support, (x, x), (x, x),
+              TrainConfig(epochs=2, batch_size=5, seed=9))
+        assert calls == [(kind, b) for b in [5, 5, 5, 5, 3] * 2
+                         for kind in ("identity", "tanh")]
+
+    def test_members_left_unchanged(self, support):
+        models = self.bank_and_gnn(3, 84)
+        kept = [(m.taps.copy(), m.readout.copy()) for m in models]
+        x = np.random.default_rng(85).standard_normal((20, 12))
+        train(models, support, (x, x), (x, x), TrainConfig(epochs=2, batch_size=5, seed=1))
+        for m, (taps, readout) in zip(models, kept):
+            assert m.taps.tobytes() == taps.tobytes()
+            assert m.readout.tobytes() == readout.tobytes()
+
+    # (F, K+1, readout length) of the two members: another tap count,
+    # another filter count, a readout of another length
+    @pytest.mark.parametrize("shapes", [((4, 3, 4), (4, 2, 4)), ((4, 3, 4), (5, 3, 5)),
+                                        ((4, 3, 4), (4, 3, 5))])
+    def test_different_shapes_raise_before_any_step(self, support, monkeypatch, shapes):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(training, "model_backward", no_step)
+        models = [TrainableModel(np.ones((f, k)), np.ones(r), Nonlinearity.tanh())
+                  for f, k, r in shapes]
+        x = np.random.default_rng(87).standard_normal((20, 12))
+        with pytest.raises(ShapeError, match="a training group needs one taps and readout shape"):
+            train(models, support, (x, x), (x, x), TrainConfig(epochs=2, batch_size=5))
+
+    @pytest.mark.parametrize("learning_rate, decay", [(1e153, 1.0), (1e-3, 1e30)],
+                             ids=["same_epoch", "different_epochs"])
+    def test_first_divergence_in_lockstep_order_raises(self, support, learning_rate, decay):
+        # alone, the tanh model and the identity model diverge in epoch 0
+        # with an inf and a nan loss (same_epoch), or in epochs 6 and 5
+        # (different_epochs); the group raises the first (epoch, member)
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((40, 12))
+        y = np.sign(x @ support.entries.T)
+        config = TrainConfig(epochs=12, batch_size=10, learning_rate=learning_rate,
+                             decay=decay, seed=7)
+        gnn, bank = (init_model(2, 3, sigma, seed=18)
+                     for sigma in (Nonlinearity.tanh(), Nonlinearity.identity()))
+        alone = {}
+        for m in (gnn, bank):
+            with pytest.raises(NumericalError) as info:
+                train([m], support, (x, y), (x, y), config)
+            message = str(info.value)
+            alone[m.sigma.kind] = (int(message.split()[4].rstrip(":")), message)
+        assert alone["tanh"][1] != alone["identity"][1]
+        for order in ([gnn, bank], [bank, gnn]):
+            first = min((alone[m.sigma.kind][0], i) for i, m in enumerate(order))
+            expected = alone[order[first[1]].sigma.kind][1]
+            with pytest.raises(NumericalError) as info:
+                train(order, support, (x, y), (x, y), config)
+            assert str(info.value) == expected
+            assert expected.startswith(f"training diverged in epoch {first[0]}: train loss ")
 
 
 class TestStepBuffers:
@@ -534,8 +633,8 @@ class TestStepBuffers:
         x = rng.standard_normal((n_train, 12))
         y = np.sign(x @ support.entries.T)
         model = init_model(4, 3, Nonlinearity.tanh(), seed=31)
-        train(model, support, (x, y), (x[:7], y[:7]),
-              TrainConfig(epochs=2, batch_size=batch_size, seed=5))
+        train([model], support, (x, y), (x[:7], y[:7]),
+              TrainConfig(epochs=2, batch_size=batch_size, seed=5))[0]
         monkeypatch.undo()
         return calls, buffers, views
 
@@ -649,8 +748,8 @@ class TestThreads:
 
         def run(seed):
             model = init_model(8, 3, Nonlinearity.tanh(), seed=seed)
-            result = train(model, support, (x, y), (x[:20], y[:20]),
-                           TrainConfig(epochs=3, batch_size=10, seed=seed))
+            result = train([model], support, (x, y), (x[:20], y[:20]),
+                           TrainConfig(epochs=3, batch_size=10, seed=seed))[0]
             return result.history, result.model.taps, result.model.readout
 
         seeds = range(4)
