@@ -3,7 +3,6 @@
 from .errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
 from .filters import (
     bank_il_constant,
-    cutoff_frequency,
     freq_response,
     load_bank,
     save_bank,
@@ -23,8 +22,7 @@ from .spectral import Spectrum, SubspaceSplit, eig_sym, project_subspace, split_
 
 __all__ = [
     "ConfigurationError", "DegenerateInputError", "NumericalError", "ShapeError",
-    "bank_il_constant", "cutoff_frequency",
-    "freq_response", "load_bank", "save_bank", "zero_high_response",
+    "bank_il_constant", "freq_response", "load_bank", "save_bank", "zero_high_response",
     "Nonlinearity", "SingleLayerGnn", "bank_forward", "load_model", "save_model",
     "GeometricGraph", "SupportMatrix", "generate_geometric_graph", "laplacian",
     "load_graph", "normalize_support", "save_graph",

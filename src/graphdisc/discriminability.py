@@ -2,27 +2,26 @@
 
 Two signals are nondiscriminable relative to a split when their difference
 carries no energy on the k protected (low-magnitude) modes. Three nested
-views of that idea are implemented:
+views of that idea are judged for every pair:
 
-  in_nul_vk:     the difference x - y itself has no low-mode energy
-  pair_in_d_h:   no filtered difference H^f x - H^f y has low-mode energy
-  pair_in_d_phi: no activated difference sigma(H^f x) - sigma(H^f y) has
-                 low-mode energy
+  nul V_k: the difference x - y itself has no low-mode energy
+  D_H:     no filtered difference H^f x - H^f y has low-mode energy
+  D_phi:   no activated difference sigma(H^f x) - sigma(H^f y) has
+           low-mode energy
 
 All membership tests are relative: a residual counts as zero when it is at
 most tol * max(||x - y||, 1e-30). By linearity the first two views must
-agree whenever every filter is nonzero on the protected modes; the judging
-routine computes both and raises NumericalError if they ever disagree,
-since that signals a numerical bug rather than a modelling fact.
+agree whenever every filter is nonzero on the protected modes; judge_pairs
+computes both and raises NumericalError if they ever disagree, since that
+signals a numerical bug rather than a modelling fact.
 
-One routine judges any number T of pairs at once: it filters and activates
+judge_pairs judges any number T of pairs at once: it filters and activates
 the (T, n) stacks of first and second signals and returns, per pair, both
 verdicts, both residuals and each filter's secants. Every product and norm
 in it is taken per signal or per pair, so a pair's numbers carry the same
-bits whether it is judged alone or among T. pair_in_d_h, pair_in_d_phi and
-secant_report judge one pair; a verifier draws all its pairs with one
-standard_normal call (plus one per rejected pair), in the order drawing
-them one by one would take, and judges them all in one call.
+bits whether it is judged alone, as a stack of one, or among T. draw_pairs
+draws a verifier's pairs with one standard_normal call (plus one per
+rejected pair), in the order drawing them one by one would take.
 
 The verifiers draw randomized trials and check, statement by statement:
 
@@ -98,14 +97,14 @@ class TrialRow:
     max_secant_deviation: float
 
 
-class _Trials(NamedTuple):
+class Trials(NamedTuple):
     """Per-pair columns of T judged pairs."""
 
     scale: np.ndarray                # (T,) max(||x - y||, SCALE_FLOOR)
     in_d_h: np.ndarray               # (T,) bool
     in_d_phi: np.ndarray             # (T,) bool
-    residual_low_filter: np.ndarray  # (T,) Frobenius over filters, as in PairVerdict
-    residual_low_gnn: np.ndarray     # (T,)
+    residual_low_filter: np.ndarray  # (T,) Frobenius over f of ||V_low^T (H^f x - H^f y)||
+    residual_low_gnn: np.ndarray     # (T,) same, after the nonlinearity
     secants: np.ndarray              # (T, F, n)
     max_deviation: np.ndarray        # (T, F) max_i |b_i - mean_i b_i|
 
@@ -129,31 +128,21 @@ def _axis_norms(a: np.ndarray) -> np.ndarray:
 
 def _nul_vk_rows(split: SubspaceSplit, d: np.ndarray,
                  tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """in_nul_vk's test on each row of the (T, n) differences d: the flags,
-    the residuals ||V_low^T d|| and the scales max(||d||, SCALE_FLOOR)."""
+    """Whether each row of the (T, n) differences d has no low-mode energy:
+    flags, residuals ||V_low^T d|| and scales max(||d||, SCALE_FLOOR)."""
     scale = np.maximum(_dot_norms(d), SCALE_FLOOR)
     residual = _dot_norms((split.v_low.T @ d[:, :, None])[:, :, 0])
     return residual <= tol * scale, residual, scale
 
 
-def in_nul_vk(split: SubspaceSplit, d: np.ndarray, tol: float) -> tuple[bool, float]:
-    """Whether d carries no low-mode energy; returns (flag, residual)."""
-    d = np.asarray(d, dtype=np.float64)
-    if d.shape != (split.n,):
-        raise ShapeError(f"signal has shape {d.shape}, expected ({split.n},)")
-    if tol <= 0:
-        raise ConfigurationError(f"tol must be positive, got {tol}")
-    flag, residual, _ = _nul_vk_rows(split, d[None], tol)
-    return bool(flag[0]), float(residual[0])
-
-
-def _run_trials(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
-                x: np.ndarray, y: np.ndarray, tol: float) -> _Trials:
+def judge_pairs(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
+                x: np.ndarray, y: np.ndarray, tol: float) -> Trials:
     """Filter, activate and judge the pairs (x[t], y[t]) of two (T, n) stacks.
 
-    Where the two filter outputs at a node coincide (within 1e-12) the
-    derivative replaces the secant. Raises NumericalError when a pair's
-    direct and filtered bank verdicts disagree.
+    One pair is a stack of one. Where the two filter outputs at a node
+    coincide (within 1e-12) the derivative replaces the secant. Raises
+    NumericalError when a pair's direct (nul V_k) and filtered (D_H)
+    verdicts disagree.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -184,8 +173,8 @@ def _run_trials(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
     secants = np.where(equal, gnn.sigma.output_derivative(gx),
                        (gx - gy) / np.where(equal, 1.0, diff))
     max_dev = np.max(np.abs(secants - secants.mean(axis=-1, keepdims=True)), axis=-1)
-    return _Trials(scale, in_d_h, np.all(low_gnn <= bound, axis=1),
-                   _dot_norms(low_filter), _dot_norms(low_gnn), secants, max_dev)
+    return Trials(scale, in_d_h, np.all(low_gnn <= bound, axis=1),
+                  _dot_norms(low_filter), _dot_norms(low_gnn), secants, max_dev)
 
 
 def _high_response_flags(bank: np.ndarray, k: int) -> np.ndarray:
@@ -193,61 +182,49 @@ def _high_response_flags(bank: np.ndarray, k: int) -> np.ndarray:
     return np.any(np.abs(bank[:, k:]) > ZERO_HIGH_TOL, axis=1)
 
 
-def pair_in_d_h(split: SubspaceSplit, bank: np.ndarray, spec: Spectrum, x: np.ndarray,
-                y: np.ndarray, tol: float) -> tuple[bool, float]:
-    """Whether the bank cannot discriminate x from y; returns (flag, residual).
-
-    The direct test on x - y is evaluated alongside the filtered test; the
-    two must agree by linearity, and a disagreement raises NumericalError.
-    The returned residual aggregates the per-filter residuals
-    Frobenius-style.
-    """
-    judged = _run_trials(spec, split, SingleLayerGnn(bank, Nonlinearity.identity()),
-                         [x], [y], tol)
-    return bool(judged.in_d_h[0]), float(judged.residual_low_filter[0])
-
-
+# no command calls it or PairVerdict; both stay while perfbench/spans.py traces it
 def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectrum,
                   x: np.ndarray, y: np.ndarray, tol: float) -> PairVerdict:
     """Full membership verdict for one pair under the GNN."""
-    row = _run_trials(spec, split, gnn, [x], [y], tol).rows()[0]
+    row = judge_pairs(spec, split, gnn, [x], [y], tol).rows()[0]
     return PairVerdict(in_d_h=row.in_d_h, in_d_phi=row.in_d_phi,
                        residual_low_filter=row.residual_low_filter,
                        residual_low_gnn=row.residual_low_gnn, tolerance_used=tol)
 
 
 # kinds of drawn pair; a mixed suite cycles through them in this order
-_INSIDE, _OUTSIDE, _SAME = 0, 1, 2
-_MIXED = (_INSIDE, _OUTSIDE, _SAME)
+INSIDE, OUTSIDE, SAME = 0, 1, 2
+MIXED = (INSIDE, OUTSIDE, SAME)
 MAX_TRIES = 100   # draws of one pair outside D_H before giving up
 
 
-def _draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
-                cycle: tuple[int, ...], tol: float,
-                scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
+               kinds: tuple[int, ...], tol: float,
+               scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """The (T, n) stacks of first and second signals of `trials` pairs whose
-    kinds repeat `cycle`.
+    kinds (INSIDE, OUTSIDE or SAME) repeat the cycle `kinds`.
 
-    Trial by trial the normals are taken in this order. Inside D_H: x, then
-    the n - k coefficients delta, and y = x + V_high (scale * delta).
-    Outside D_H: x, then y, redrawn while x - y passes in_nul_vk's test, at
-    most MAX_TRIES draws. Identical: x alone, and y = x. All of them come
-    from one standard_normal call. A rejected pair's redraw is the 2n
-    normals after it, so every later trial is cut 2n further on and the 2n
-    normals missing at the end come from one more call: the generator ends
-    where drawing the arrays one by one leaves it. A raise after MAX_TRIES
-    rejections leaves it further on, past the later trials' normals.
+    Trial by trial the normals are taken in this order. INSIDE D_H: x,
+    then the n - k coefficients delta, and y = x + V_high (scale * delta).
+    OUTSIDE D_H: x, then y, redrawn while x - y has no low-mode energy at
+    tolerance tol, at most MAX_TRIES draws. SAME: x alone, and y = x. All
+    of them come from one standard_normal call. A rejected pair's redraw is
+    the 2n normals after it, so every later trial is cut 2n further on and
+    the 2n normals missing at the end come from one more call: the
+    generator ends where drawing the arrays one by one leaves it. A raise
+    after MAX_TRIES rejections leaves it further on, past the later trials'
+    normals.
     """
     if trials < 0:
         raise ConfigurationError(f"trials must be nonnegative, got {trials}")
     if tol <= 0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
     n, m = split.n, split.v_high.shape[1]
-    kinds = np.resize(np.array(cycle), trials)
-    inside, outside = kinds == _INSIDE, kinds == _OUTSIDE
+    kind = np.resize(np.array(kinds), trials)
+    inside, outside = kind == INSIDE, kind == OUTSIDE
     if m < 1 and inside.any():
         raise ConfigurationError("the split has no high subspace to perturb in")
-    sizes = np.array([n + m, 2 * n, n])[kinds]   # normals per kind, in kind order
+    sizes = np.array([n + m, 2 * n, n])[kind]   # normals per kind, in kind order
     starts = np.cumsum(sizes) - sizes
     normals = rng.standard_normal(int(sizes.sum()))
     draws = np.ones(trials, dtype=np.int64)
@@ -273,6 +250,7 @@ def _draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
     return x, y
 
 
+# no command calls it; it stays while perfbench/spans.py traces it
 def sample_pair_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
                        scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """A pair that is nondiscriminable by construction.
@@ -280,20 +258,21 @@ def sample_pair_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
     x is standard normal and y adds a high-subspace perturbation with
     coefficients scale * standard normal.
     """
-    x, y = _draw_pairs(split, rng, 1, (_INSIDE,), DEFAULT_TOL, scale)
+    x, y = draw_pairs(split, rng, 1, (INSIDE,), DEFAULT_TOL, scale)
     return x[0], y[0]
 
 
+# no command calls it or SecantReport; both stay while perfbench/spans.py traces it
 def secant_report(gnn: SingleLayerGnn, spec: Spectrum, x: np.ndarray,
                   y: np.ndarray, cutoff_k: int) -> SecantReport:
     """Secants of the nonlinearity between the two filter outputs, per node.
 
     Where the two outputs coincide (within 1e-12) the derivative replaces
     the secant. The pair is judged on split_subspace(spec, cutoff_k), which
-    must be a valid split; like pair_in_d_h, a bank that vanishes on a
+    must be a valid split; as in judge_pairs, a bank that vanishes on a
     protected mode the pair differs on raises NumericalError.
     """
-    judged = _run_trials(spec, split_subspace(spec, cutoff_k), gnn, [x], [y], DEFAULT_TOL)
+    judged = judge_pairs(spec, split_subspace(spec, cutoff_k), gnn, [x], [y], DEFAULT_TOL)
     return SecantReport(
         secants=judged.secants[0],
         max_deviation=judged.max_deviation[0],
@@ -359,15 +338,10 @@ def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectr
             "shift its output positive"
         )
 
-    x0, y0 = sample_pair_in_d_h(split, rng, scale)
-    fx = bank_forward(gnn.bank, spec, x0)
-    fy = bank_forward(gnn.bank, spec, y0)
-    v1_min = float(np.min(v1))
-    shift = 0.0
-    for gain, ax, ay in zip(gains_v1, fx, fy):
-        lowest = float(min(ax.min(), ay.min()))
-        shift = max(shift, (margin - lowest) / (gain * v1_min))
-    return x0 + shift * v1, y0 + shift * v1
+    x, y = draw_pairs(split, rng, 1, (INSIDE,), DEFAULT_TOL, scale)
+    lowest = bank_forward(gnn.bank, spec, np.concatenate((x, y))).min(axis=(0, 2))  # (F,)
+    shift = max(0.0, float(np.max((margin - lowest) / (gains_v1 * float(np.min(v1))))))
+    return x[0] + shift * v1, y[0] + shift * v1
 
 
 def _require_zero_high(gains: np.ndarray, k: int, role: str) -> None:
@@ -428,8 +402,8 @@ def verify_theorem1(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
     asks. The expected counterexample count is zero.
     """
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
-    x, y = _draw_pairs(split, rng, trials, (_OUTSIDE,), tol)
-    judged = _run_trials(spec, split, gnn, x, y, tol)
+    x, y = draw_pairs(split, rng, trials, (OUTSIDE,), tol)
+    judged = judge_pairs(spec, split, gnn, x, y, tol)
     return Theorem1Report(trials=trials,
                           counterexamples=int(np.count_nonzero(judged.in_d_phi)),
                           rows=judged.rows())
@@ -452,8 +426,8 @@ def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
     high = _high_response_flags(gnn.bank, split.k)
 
-    x, y = _draw_pairs(split, rng, trials, (_INSIDE,), tol)
-    judged = _run_trials(spec, split, gnn, x, y, tol)
+    x, y = draw_pairs(split, rng, trials, (INSIDE,), tol)
+    judged = judge_pairs(spec, split, gnn, x, y, tol)
     considered = judged.max_deviation[:, high]          # (T, filters responding high)
     constant = np.all(considered <= tol_secant, axis=1)
     agreements = int(np.count_nonzero(judged.in_d_phi == constant))
@@ -481,7 +455,7 @@ def verify_corollary1(spec: Spectrum, split: SubspaceSplit,
     """
     for idx, gains in enumerate(gnn.bank):
         _require_zero_high(gains, split.k, f"filter {idx}")
-    judged = _run_trials(spec, split, gnn, *_draw_pairs(split, rng, trials, _MIXED, tol), tol)
+    judged = judge_pairs(spec, split, gnn, *draw_pairs(split, rng, trials, MIXED, tol), tol)
     return Corollary1Report(
         trials=trials,
         verdict_mismatches=int(np.count_nonzero(judged.in_d_h != judged.in_d_phi)),
@@ -573,7 +547,7 @@ def verify_corollary2(spec: Spectrum, split: SubspaceSplit,
         raise ConfigurationError("need at least one filter with nonzero high response")
     probed = int(np.argmax(flags))   # the first filter that responds above the cutoff
 
-    judged = _run_trials(spec, split, gnn, *_draw_pairs(split, rng, trials, _MIXED, tol), tol)
+    judged = judge_pairs(spec, split, gnn, *draw_pairs(split, rng, trials, MIXED, tol), tol)
     residuals = np.array([overdetermined_probe(spec, split, gnn, probed, rng)
                           for _ in range(probe_draws)])
     return Corollary2Report(

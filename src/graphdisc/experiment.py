@@ -215,23 +215,18 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
         seed=init_seed,
     )
 
-    models = []
-    for name in MODEL_NAMES:
-        sigma = Nonlinearity.tanh() if name == "gnn" else Nonlinearity.identity()
-        model = init_model(config.features, config.taps, sigma, seed=init_seed)
-        if init_taps is not None:
-            if init_taps.shape != model.taps.shape:
-                raise ShapeError(
-                    f"warm-start taps shape {init_taps.shape} != {model.taps.shape}"
-                )
-            model.taps = init_taps.copy()
-        if init_readout is not None:
-            if init_readout.shape != model.readout.shape:
-                raise ShapeError(
-                    f"warm-start readout shape {init_readout.shape} != {model.readout.shape}"
-                )
-            model.readout = init_readout.copy()
-        models.append(model)
+    # both models start from the same parameters: the GNN is a tanh copy
+    linear = init_model(config.features, config.taps, Nonlinearity.identity(), seed=init_seed)
+    for part, init in (("taps", init_taps), ("readout", init_readout)):
+        if init is None:
+            continue
+        shape = getattr(linear, part).shape
+        if init.shape != shape:
+            raise ShapeError(f"warm-start {part} shape {init.shape} != {shape}")
+        setattr(linear, part, init.copy())
+    gnn = linear.copy()
+    gnn.sigma = Nonlinearity.tanh()
+    models = [linear, gnn]
 
     # both models train in lockstep on the same batches, so each run row
     # reads the time of the one train call

@@ -14,8 +14,7 @@ points).
 
 The integral-Lipschitz constant of a filter is estimated as the maximum of
 |lambda * h'(lambda)| over a uniform grid, using the exact polynomial
-derivative; the same grid defines the cutoff frequency, the smallest grid
-value above which the response derivative stays below a given eps.
+derivative.
 """
 
 from __future__ import annotations
@@ -65,13 +64,6 @@ def freq_response(taps: np.ndarray, lam) -> np.ndarray | float:
     return float(acc) if acc.ndim == 0 else acc
 
 
-def _derivative_taps(taps: np.ndarray) -> np.ndarray:
-    """Taps of h'(lambda); [0] for a constant filter."""
-    if taps.size == 1:
-        return np.zeros(1)
-    return taps[1:] * np.arange(1, taps.size)
-
-
 def response_grid(lam_max: float) -> np.ndarray:
     """The uniform evaluation grid on [0, lam_max]."""
     return np.linspace(0.0, lam_max, GRID_POINTS)
@@ -100,24 +92,6 @@ def bank_il_constant(taps: np.ndarray, lam_max: float) -> float:
     on the grid over the rows of an (F, K+1) taps array."""
     taps = np.asarray(taps, dtype=np.float64)
     return float(np.max(np.abs(_il_response(taps, lam_max))))
-
-
-def cutoff_frequency(taps: np.ndarray, eps: float, lam_max: float) -> float:
-    """Smallest grid value above which |h'(lambda)| < eps everywhere.
-
-    Scans the uniform grid on [0, lam_max]; returns the smallest grid value
-    lam* such that every grid point strictly greater than lam* has
-    |h'(lambda)| < eps. If the response never flattens this is lam_max.
-    """
-    if eps <= 0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
-    grid = response_grid(lam_max)
-    deriv = _derivative_taps(np.asarray(taps, dtype=np.float64))
-    flat = np.abs(freq_response(deriv, grid)) < eps
-    violations = np.nonzero(~flat)[0]
-    if violations.size == 0:
-        return float(grid[0])
-    return float(grid[violations[-1]])
 
 
 def zero_high_response(spec: Spectrum, k: int, low_profile: np.ndarray) -> np.ndarray:

@@ -144,8 +144,9 @@ def save_graph(g: GeometricGraph, path: str) -> None:
 def load_graph(path: str) -> GeometricGraph:
     """Inverse of save_graph. A missing or malformed line raises
     ConfigurationError naming the path and the line, as do a node count
-    above the number of lines left for positions, a self-loop, and an edge
-    weight that is not finite and positive."""
+    above the number of lines left for positions, a position that is not
+    finite, a self-loop, an edge listed twice (in either order), and an
+    edge weight that is not finite and positive."""
     lines = LineReader(path)
     with lines.line("`n k seed`") as tokens:
         n, k_neighbors, seed = (int(t) for t in tokens)
@@ -158,6 +159,8 @@ def load_graph(path: str) -> GeometricGraph:
         with lines.line("a node position `x y`") as tokens:
             x, y = tokens
             positions[i] = (float(x), float(y))
+            if not np.all(np.isfinite(positions[i])):
+                raise ConfigurationError(f"node position must be finite, got {x} {y}")
     weights = np.zeros((n, n))
     while lines.remaining:
         with lines.line("an edge `i j w`") as tokens:
@@ -167,6 +170,8 @@ def load_graph(path: str) -> GeometricGraph:
                 raise ConfigurationError(f"edge {i} {j} names a node outside 0..{n - 1}")
             if i == j:
                 raise ConfigurationError(f"self-loop at node {i}")
+            if weights[i, j]:
+                raise ConfigurationError(f"edge {i} {j} is listed twice")
             # the comparisons are False for NaN, so NaN is rejected too
             if not 0.0 < w < np.inf:
                 raise ConfigurationError(f"edge weight must be finite and positive, got {w}")

@@ -190,6 +190,7 @@ def _add_il_peak(taps: np.ndarray, lam_max: float, weight: float,
     return weight * abs(peak)
 
 
+# no command calls it; it stays while perfbench/spans.py traces it
 def il_regularizer(taps: np.ndarray, lam_max: float,
                    weight: float) -> tuple[float, np.ndarray]:
     """weight * max_{f, grid} |lambda h_f'(lambda)| with its subgradient,
@@ -214,6 +215,7 @@ def _forward(model: TrainableModel, powers: np.ndarray,
     return contract(model.readout, act)
 
 
+# no command calls it or ForwardCache; both stay while perfbench/spans.py traces it
 def model_forward(model: TrainableModel, s: SupportMatrix,
                   x: np.ndarray) -> ForwardCache:
     """Batched forward pass; x has shape (B, n)."""

@@ -22,21 +22,34 @@ def setup():
     return spec, split_subspace(spec, K)
 
 
+def judge_one(spec, split, gnn, x, y, tol=1e-8):
+    """judge_pairs on the single pair (x, y), a stack of one."""
+    return disc.judge_pairs(spec, split, gnn, [x], [y], tol)
+
+
+def nul_vk(spec, split, d, tol=1e-8):
+    """(flag, ||V_low^T d||) for the pair (d, 0) under a one-filter all-ones
+    bank, whose filtered difference is d itself up to rounding."""
+    ones = SingleLayerGnn(bank=np.ones((1, N)), sigma=Nonlinearity.identity())
+    judged = judge_one(spec, split, ones, d, np.zeros(N), tol)
+    return bool(judged.in_d_h[0]), float(judged.residual_low_filter[0])
+
+
 class TestInNulVk:
     def test_high_eigenvector_inside(self, setup):
         spec, split = setup
-        flag, residual = disc.in_nul_vk(split, spec.eigenvectors[:, -1], 1e-8)
+        flag, residual = nul_vk(spec, split, spec.eigenvectors[:, -1])
         assert flag and residual <= 1e-10
 
     def test_low_eigenvector_outside(self, setup):
         spec, split = setup
-        flag, _ = disc.in_nul_vk(split, spec.eigenvectors[:, 0], 1e-8)
+        flag, _ = nul_vk(spec, split, spec.eigenvectors[:, 0])
         assert not flag
 
     def test_mixed_vector_residual(self, setup):
         spec, split = setup
         d = spec.eigenvectors[:, 0] + spec.eigenvectors[:, -1]
-        flag, residual = disc.in_nul_vk(split, d, 1e-8)
+        flag, residual = nul_vk(spec, split, d)
         assert not flag
         assert residual == pytest.approx(1.0, abs=1e-10)
 
@@ -48,43 +61,43 @@ class TestInNulVk:
             d = rng.standard_normal(N) * 10.0 ** exponent
             residual = float(np.linalg.norm(split.v_low.T @ d))
             flag = residual <= 1e-8 * max(float(np.linalg.norm(d)), disc.SCALE_FLOOR)
-            assert disc.in_nul_vk(split, d, 1e-8) == (flag, residual)
+            flags, residuals, _ = disc._nul_vk_rows(split, d[None], 1e-8)
+            assert (bool(flags[0]), float(residuals[0])) == (flag, residual)
 
 
 class TestPairInDH:
     @pytest.fixture()
-    def bank(self, setup):
+    def gnn(self, setup):
         spec, _ = setup
         rng = np.random.default_rng(0)
-        return disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng).bank
+        bank = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng).bank
+        return SingleLayerGnn(bank=bank, sigma=Nonlinearity.identity())
 
-    def test_equal_signals(self, setup, bank):
+    def test_equal_signals(self, setup, gnn):
         spec, split = setup
         x = np.random.default_rng(1).standard_normal(N)
-        flag, residual = disc.pair_in_d_h(split, bank, spec, x, x, 1e-8)
-        assert flag and residual <= 1e-12
+        judged = judge_one(spec, split, gnn, x, x)
+        assert judged.in_d_h[0] and judged.residual_low_filter[0] <= 1e-12
 
-    def test_high_mode_perturbation_inside(self, setup, bank):
+    def test_high_mode_perturbation_inside(self, setup, gnn):
         spec, split = setup
         x = np.random.default_rng(2).standard_normal(N)
         y = x + spec.eigenvectors[:, K]          # first unprotected mode
-        flag, _ = disc.pair_in_d_h(split, bank, spec, x, y, 1e-8)
-        assert flag
+        assert judge_one(spec, split, gnn, x, y).in_d_h[0]
 
-    def test_low_mode_perturbation_outside(self, setup, bank):
+    def test_low_mode_perturbation_outside(self, setup, gnn):
         spec, split = setup
         x = np.random.default_rng(3).standard_normal(N)
         y = x + spec.eigenvectors[:, 0]
-        flag, _ = disc.pair_in_d_h(split, bank, spec, x, y, 1e-8)
-        assert not flag
+        assert not judge_one(spec, split, gnn, x, y).in_d_h[0]
 
-    def test_direct_and_filtered_agree_on_random_pairs(self, setup, bank):
+    def test_direct_and_filtered_agree_on_random_pairs(self, setup, gnn):
         spec, split = setup
         rng = np.random.default_rng(4)
         for _ in range(25):
             x, y = rng.standard_normal((2, N))
-            flag, _ = disc.pair_in_d_h(split, bank, spec, x, y, 1e-8)
-            direct, _ = disc.in_nul_vk(split, x - y, 1e-8)
+            flag = judge_one(spec, split, gnn, x, y).in_d_h[0]
+            direct, _ = nul_vk(spec, split, x - y)
             assert flag == direct
 
     def test_vanishing_low_response_raises_inconsistency(self, setup):
@@ -93,11 +106,11 @@ class TestPairInDH:
         spec, split = setup
         response = np.ones(N)
         response[0] = 0.0
-        bank = np.array([response])
+        gnn = SingleLayerGnn(bank=np.array([response]), sigma=Nonlinearity.identity())
         x = np.zeros(N)
         y = spec.eigenvectors[:, 0]
         with pytest.raises(NumericalError):
-            disc.pair_in_d_h(split, bank, spec, x, y, 1e-8)
+            judge_one(spec, split, gnn, x, y)
 
 
 class TestPairInDPhi:
@@ -140,10 +153,10 @@ class TestPairInDPhi:
 
 class TestSamplePair:
     def test_difference_in_null_space(self, setup):
-        _, split = setup
+        spec, split = setup
         rng = np.random.default_rng(11)
         x, y = disc.sample_pair_in_d_h(split, rng)
-        flag, residual = disc.in_nul_vk(split, x - y, 1e-8)
+        flag, residual = nul_vk(spec, split, x - y)
         assert flag and residual <= 1e-10
 
     def test_zero_scale_gives_equal_pair(self, setup):
@@ -472,8 +485,28 @@ class TestStackedTrials:
         assert disc.verify_corollary2(spec, split, tanh, 0, rng, probe_draws=3).rows == []
 
 
-CYCLES = {"theorem1": (disc._OUTSIDE,), "theorem2": (disc._INSIDE,),
-          "corollary1": disc._MIXED}
+class TestJudgePairs:
+    """A pair judged alone, as a stack of one, carries the bits it carries
+    inside a stack of T: the bank_forward contract."""
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_alone_equals_in_stack(self, setup, sigma):
+        spec, split = setup
+        gnn = disc.verifier_gnn(spec, K, SIGMAS[sigma], rng=np.random.default_rng(46))
+        x, y = disc.draw_pairs(split, np.random.default_rng(47), 12, disc.MIXED,
+                               disc.DEFAULT_TOL)
+        stacked = disc.judge_pairs(spec, split, gnn, x, y, disc.DEFAULT_TOL)
+        # inside, outside, identical, ...: only the outside pairs leave D_H
+        assert stacked.in_d_h.tolist() == [t % 3 != 1 for t in range(12)]
+        for t in range(12):
+            alone = disc.judge_pairs(spec, split, gnn, x[t:t + 1], y[t:t + 1],
+                                     disc.DEFAULT_TOL)
+            for name, column in stacked._asdict().items():
+                assert getattr(alone, name)[0].tobytes() == column[t].tobytes(), (t, name)
+
+
+CYCLES = {"theorem1": (disc.OUTSIDE,), "theorem2": (disc.INSIDE,),
+          "corollary1": disc.MIXED}
 
 
 class ScriptedNormals:
@@ -502,7 +535,7 @@ class TestDrawPairs:
     def test_equal_to_one_by_one_draws(self, setup, suite, seed):
         _, split = setup
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        x, y = disc._draw_pairs(split, rng, 31, CYCLES[suite], disc.DEFAULT_TOL)
+        x, y = disc.draw_pairs(split, rng, 31, CYCLES[suite], disc.DEFAULT_TOL)
         pairs = _drawn_pairs(split, suite, reference, 31)
         np.testing.assert_array_equal(x, [p[0] for p in pairs])
         np.testing.assert_array_equal(y, [p[1] for p in pairs])
@@ -511,7 +544,7 @@ class TestDrawPairs:
     def test_one_call(self, setup):
         _, split = setup
         normals = ScriptedNormals(np.random.default_rng(3).standard_normal(1000))
-        disc._draw_pairs(split, normals, 7, disc._MIXED, disc.DEFAULT_TOL)
+        disc.draw_pairs(split, normals, 7, disc.MIXED, disc.DEFAULT_TOL)
         # kinds inside, outside, identical, inside, outside, identical, inside
         assert normals.sizes == [3 * (2 * N - K) + 2 * 2 * N + 2 * N]
 
@@ -524,7 +557,7 @@ class TestDrawPairs:
         equal = np.tile(base[:N], 2 * rejections)         # x == y, rejected each time
         stream = np.concatenate((base[:first], equal, base[first:]))
         normals = ScriptedNormals(stream)
-        x, y = disc._draw_pairs(split, normals, 8, CYCLES[suite], disc.DEFAULT_TOL)
+        x, y = disc.draw_pairs(split, normals, 8, CYCLES[suite], disc.DEFAULT_TOL)
 
         redraw = first + 2 * N * rejections
         t = 0 if suite == "theorem1" else 1
@@ -542,7 +575,7 @@ class TestDrawPairs:
         base = np.random.default_rng(5).standard_normal(N)
         normals = ScriptedNormals(np.tile(base, 300))     # every pair has x == y
         with pytest.raises(NumericalError, match="100 tries"):
-            disc._draw_pairs(split, normals, 3, (disc._OUTSIDE,), disc.DEFAULT_TOL)
+            disc.draw_pairs(split, normals, 3, (disc.OUTSIDE,), disc.DEFAULT_TOL)
         # the first pair drawn 100 times: once in the one call, then 99 redraws
         assert normals.sizes == [3 * 2 * N] + [2 * N] * 99
 

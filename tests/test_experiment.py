@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphdisc import experiment
-from graphdisc.discriminability import in_nul_vk
+from graphdisc.discriminability import judge_pairs
 from graphdisc.errors import ConfigurationError, DegenerateInputError, ShapeError
 from graphdisc.experiment import (
     MODEL_NAMES,
@@ -19,6 +19,7 @@ from graphdisc.experiment import (
     run_experiment,
     run_replicate,
 )
+from graphdisc.gnn import Nonlinearity, SingleLayerGnn
 from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym, split_subspace
 
@@ -33,6 +34,13 @@ def setup():
     return s, spec, split_subspace(spec, SPLIT_K)
 
 
+def no_low_energy(spec, split, d):
+    """Whether d has no low-mode energy: judge_pairs's verdict on the pair
+    (d, 0) under a one-filter all-ones bank."""
+    ones = SingleLayerGnn(bank=np.ones((1, spec.n)), sigma=Nonlinearity.identity())
+    return bool(judge_pairs(spec, split, ones, [d], [np.zeros(spec.n)], 1e-8).in_d_h[0])
+
+
 def tiny_config(**overrides):
     base = dict(n=16, k=4, neighbors=4, features=4, taps=3, subspace="high",
                 train=40, val=16, test=16, graphs=2, epochs=2, batch_size=8,
@@ -43,11 +51,10 @@ def tiny_config(**overrides):
 
 class TestGenerateInput:
     def test_high_mode_has_no_low_energy(self, setup):
-        _, _, split = setup
+        _, spec, split = setup
         rng = np.random.default_rng(0)
         x = generate_inputs(split, "high", 1, rng)[0]
-        flag, _ = in_nul_vk(split, x, 1e-8)
-        assert flag
+        assert no_low_energy(spec, split, x)
 
     def test_low_mode_has_no_high_energy(self, setup):
         _, _, split = setup
@@ -65,11 +72,10 @@ class TestGenerateInput:
 
     def test_high_inputs_nondiscriminable_from_zero(self, setup):
         # (x, 0) is a nondiscriminable pair relative to the split
-        _, _, split = setup
+        _, spec, split = setup
         rng = np.random.default_rng(3)
         x = generate_inputs(split, "high", 1, rng)[0]
-        flag, _ = in_nul_vk(split, x - np.zeros(N), 1e-8)
-        assert flag
+        assert no_low_energy(spec, split, x - np.zeros(N))
 
     def test_unknown_mode(self, setup):
         _, _, split = setup

@@ -1,4 +1,4 @@
-"""FIR and spectral filters, responses, IL constants, cutoff frequencies."""
+"""FIR and spectral filters, responses and IL constants."""
 
 import re
 
@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from graphdisc.errors import ConfigurationError, ShapeError
 from graphdisc.filters import (
-    GRID_POINTS,
     bank_il_constant,
     contract,
-    cutoff_frequency,
     freq_response,
     load_bank,
     response_grid,
@@ -33,19 +31,6 @@ def dense_filter_oracle(taps, entries, x):
         out = out + h * (power @ x)
         power = power @ entries
     return out
-
-
-def cutoff_oracle(taps, eps, lam_max):
-    """Brute-force scan: smallest grid value with every later point flat."""
-    grid = response_grid(lam_max)
-    deriv = np.polynomial.polynomial.polyder(np.asarray(taps, dtype=float))
-    if deriv.size == 0:
-        deriv = np.zeros(1)
-    vals = np.abs(np.polynomial.polynomial.polyval(grid, deriv))
-    for i, lam in enumerate(grid):
-        if np.all(vals[i + 1:] < eps):
-            return float(lam)
-    return float(lam_max)
 
 
 def fir(taps, s, x):
@@ -222,46 +207,6 @@ class TestBankIlConstant:
         deriv = np.polynomial.polynomial.polyder(taps)
         oracle = np.max(np.abs(grid * np.polynomial.polynomial.polyval(grid, deriv)))
         assert bank_il_constant([taps], 1.0) == pytest.approx(oracle, abs=1e-15)
-
-
-class TestCutoffFrequency:
-    def test_constant_filter(self):
-        assert cutoff_frequency([2.0], 0.1, 1.0) == 0.0
-
-    def test_never_flat(self):
-        assert cutoff_frequency([0.0, 1.0], 0.5, 1.0) == 1.0
-
-    def test_increasing_derivative_matches_oracle(self):
-        # h = lambda^2 has a growing derivative, so the response never
-        # flattens above any point and the scan lands on lam_max
-        taps = [0.0, 0.0, 1.0]
-        got = cutoff_frequency(taps, 1.0, 1.0)
-        assert got == cutoff_oracle(taps, 1.0, 1.0) == 1.0
-
-    def test_decreasing_derivative_threshold(self):
-        # h = (1 - lambda)^2: |h'| = 2(1 - lambda) < 1 exactly for
-        # lambda > 0.5, so the cutoff sits at 0.5 up to one grid step
-        taps = [1.0, -2.0, 1.0]
-        got = cutoff_frequency(taps, 1.0, 1.0)
-        assert got == cutoff_oracle(taps, 1.0, 1.0)
-        step = 1.0 / (GRID_POINTS - 1)
-        assert abs(got - 0.5) <= step
-
-    def test_random_filters_match_oracle(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            taps = rng.uniform(-1, 1, rng.integers(1, 5))
-            eps = rng.uniform(0.05, 2.0)
-            assert cutoff_frequency(taps, eps, 1.0) == cutoff_oracle(
-                taps, eps, 1.0)
-
-    def test_monotone_in_eps(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            taps = rng.uniform(-1, 1, 4)
-            eps = np.sort(rng.uniform(0.01, 3.0, size=4))
-            cuts = [cutoff_frequency(taps, e, 1.0) for e in eps]
-            assert all(a >= b for a, b in zip(cuts, cuts[1:]))
 
 
 class TestZeroHighResponse:

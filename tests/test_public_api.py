@@ -9,7 +9,7 @@ import graphdisc
 
 DELETED = ("apply_fir", "il_constant", "graph_shift", "gnn_forward", "readout_apply",
            "gft", "igft", "generate_input", "FirFilter", "FilterBank", "Readout",
-           "SpectralFilter")
+           "SpectralFilter", "cutoff_frequency")
 SUBMODULES = ("cli", "discriminability", "errors", "experiment", "filters", "gnn",
               "graphs", "spectral", "training")
 
