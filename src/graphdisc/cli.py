@@ -219,7 +219,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = False
 
     for suite in suites:
-        rows = []
+        columns = []
         lines = []
         extra_paths = []
         for g, (spec, split) in enumerate(graphs):
@@ -230,11 +230,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"graph {g}: {suite.summary(rep)}")
             if suite.write_extra:
                 extra_paths.append(suite.write_extra(rep, args.out, g))
-            rows.extend(rep.rows)
+            columns.append(rep.columns)
             failed = failed or not suite.passed(rep)
 
         csv_path = os.path.join(args.out, f"verify_{suite.name}.csv")
-        disc.write_trial_csv(rows, csv_path)
+        disc.write_trial_csv(columns, csv_path)
         print(f"== {suite.name} ({args.graphs} graphs x {args.trials} trials) ==")
         for line in lines:
             print("  " + line)

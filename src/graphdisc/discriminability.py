@@ -20,8 +20,15 @@ the (T, n) stacks of first and second signals and returns, per pair, both
 verdicts, both residuals and each filter's secants. Every product and norm
 in it is taken per signal or per pair, so a pair's numbers carry the same
 bits whether it is judged alone, as a stack of one, or among T. draw_pairs
-draws a verifier's pairs with one standard_normal call (plus one per
+draws a stack of pairs with one standard_normal call (plus one per
 rejected pair), in the order drawing them one by one would take.
+
+A verifier walks its trials in blocks of BLOCK_TRIALS pairs: it draws a
+block, judges it, and keeps only the trial log's five columns (and, per
+filter, each pair's largest secant deviation), so its memory does not grow
+with the (T, F, n) stacks of all its trials. Consecutive standard_normal
+calls continue one stream, so the pairs, the trial log and the generator's
+final state are those of drawing and judging all trials at once.
 
 The verifiers draw randomized trials and check, statement by statement:
 
@@ -64,6 +71,7 @@ DEFAULT_SECANT_TOL = 1e-9
 SECANT_GRID_POINTS = 8001
 REFINE_POINTS = 257           # each refinement narrows a bracket 256-fold
 REFINE_ROUNDS = 6             # 2**-48 of a grid cell: below 1e-14 for b > 1e-3
+BLOCK_TRIALS = 4096           # pairs a verifier draws and judges at once
 
 
 @dataclass(frozen=True)
@@ -86,17 +94,6 @@ class SecantReport:
     high_response_nonzero: np.ndarray  # (F,) bool
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    """One verifier trial, in the layout of the exported CSV."""
-
-    in_d_h: bool
-    in_d_phi: bool
-    residual_low_filter: float
-    residual_low_gnn: float
-    max_secant_deviation: float
-
-
 class Trials(NamedTuple):
     """Per-pair columns of T judged pairs."""
 
@@ -108,11 +105,16 @@ class Trials(NamedTuple):
     secants: np.ndarray              # (T, F, n)
     max_deviation: np.ndarray        # (T, F) max_i |b_i - mean_i b_i|
 
-    def rows(self) -> list[TrialRow]:
-        return [TrialRow(*cols) for cols in zip(
-            self.in_d_h.tolist(), self.in_d_phi.tolist(),
-            self.residual_low_filter.tolist(), self.residual_low_gnn.tolist(),
-            self.max_deviation.max(axis=1).tolist())]
+
+class TrialColumns(NamedTuple):
+    """A verifier's trial log: one entry per trial in each column, in the
+    order of the exported CSV."""
+
+    in_d_h: np.ndarray                # (T,) bool
+    in_d_phi: np.ndarray              # (T,) bool
+    residual_low_filter: np.ndarray   # (T,)
+    residual_low_gnn: np.ndarray      # (T,)
+    max_secant_deviation: np.ndarray  # (T,) largest max_deviation over filters
 
 
 def _dot_norms(a: np.ndarray) -> np.ndarray:
@@ -186,10 +188,11 @@ def _high_response_flags(bank: np.ndarray, k: int) -> np.ndarray:
 def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectrum,
                   x: np.ndarray, y: np.ndarray, tol: float) -> PairVerdict:
     """Full membership verdict for one pair under the GNN."""
-    row = judge_pairs(spec, split, gnn, [x], [y], tol).rows()[0]
-    return PairVerdict(in_d_h=row.in_d_h, in_d_phi=row.in_d_phi,
-                       residual_low_filter=row.residual_low_filter,
-                       residual_low_gnn=row.residual_low_gnn, tolerance_used=tol)
+    judged = judge_pairs(spec, split, gnn, [x], [y], tol)
+    return PairVerdict(in_d_h=bool(judged.in_d_h[0]), in_d_phi=bool(judged.in_d_phi[0]),
+                       residual_low_filter=float(judged.residual_low_filter[0]),
+                       residual_low_gnn=float(judged.residual_low_gnn[0]),
+                       tolerance_used=tol)
 
 
 # kinds of drawn pair; a mixed suite cycles through them in this order
@@ -220,7 +223,7 @@ def draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
     if tol <= 0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
     n, m = split.n, split.v_high.shape[1]
-    kind = np.resize(np.array(kinds), trials)
+    kind = np.array(kinds)[np.arange(trials) % len(kinds)]
     inside, outside = kind == INSIDE, kind == OUTSIDE
     if m < 1 and inside.any():
         raise ConfigurationError("the split has no high subspace to perturb in")
@@ -248,6 +251,27 @@ def draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
     delta = scale * normals[cut[inside, :m] + n]
     y[inside] += (split.v_high @ delta[:, :, None])[:, :, 0]
     return x, y
+
+
+def _judge_in_blocks(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
+                     trials: int, rng: np.random.Generator, kinds: tuple[int, ...],
+                     tol: float) -> tuple[TrialColumns, np.ndarray, np.ndarray]:
+    """Draw and judge `trials` pairs whose kinds repeat the cycle `kinds`,
+    BLOCK_TRIALS pairs at a time: the trial log's columns, and each pair's
+    scale (T,) and per-filter max_deviation (T, F). Zero trials are one
+    empty block, so draw_pairs checks its arguments in any case."""
+    blocks = []
+    for start in range(0, max(trials, 1), BLOCK_TRIALS):
+        turn = start % len(kinds)   # the cycle, rotated to the block's first trial
+        x, y = draw_pairs(split, rng, min(BLOCK_TRIALS, trials - start),
+                          kinds[turn:] + kinds[:turn], tol)
+        judged = judge_pairs(spec, split, gnn, x, y, tol)
+        blocks.append((judged.in_d_h, judged.in_d_phi, judged.residual_low_filter,
+                       judged.residual_low_gnn, judged.max_deviation.max(axis=1),
+                       judged.scale, judged.max_deviation))
+        del judged   # its (T, F, n) secants are not kept while the next block is judged
+    *columns, scale, max_deviation = (np.concatenate(c) for c in zip(*blocks))
+    return TrialColumns(*columns), scale, max_deviation
 
 
 # no command calls it; it stays while perfbench/spans.py traces it
@@ -361,7 +385,7 @@ def _require_zero_high(gains: np.ndarray, k: int, role: str) -> None:
 class Theorem1Report:
     trials: int
     counterexamples: int
-    rows: list[TrialRow] = field(repr=False)
+    columns: TrialColumns = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -371,14 +395,14 @@ class Theorem2Report:
     agreement_rate: float
     discriminated: int     # trials with in_d_phi false
     worst_margin: float    # smallest observed distance to a decision threshold
-    rows: list[TrialRow] = field(repr=False)
+    columns: TrialColumns = field(repr=False)
 
 
 @dataclass(frozen=True)
 class Corollary1Report:
     trials: int
     verdict_mismatches: int
-    rows: list[TrialRow] = field(repr=False)
+    columns: TrialColumns = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -389,7 +413,7 @@ class Corollary2Report:
     probe_draws: int
     probe_above_threshold: int   # residual > 1e-6
     probe_residuals: np.ndarray
-    rows: list[TrialRow] = field(repr=False)
+    columns: TrialColumns = field(repr=False)
 
 
 def verify_theorem1(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
@@ -402,11 +426,10 @@ def verify_theorem1(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
     asks. The expected counterexample count is zero.
     """
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
-    x, y = draw_pairs(split, rng, trials, (OUTSIDE,), tol)
-    judged = judge_pairs(spec, split, gnn, x, y, tol)
+    columns, _, _ = _judge_in_blocks(spec, split, gnn, trials, rng, (OUTSIDE,), tol)
     return Theorem1Report(trials=trials,
-                          counterexamples=int(np.count_nonzero(judged.in_d_phi)),
-                          rows=judged.rows())
+                          counterexamples=int(np.count_nonzero(columns.in_d_phi)),
+                          columns=columns)
 
 
 def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
@@ -426,21 +449,21 @@ def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
     high = _high_response_flags(gnn.bank, split.k)
 
-    x, y = draw_pairs(split, rng, trials, (INSIDE,), tol)
-    judged = judge_pairs(spec, split, gnn, x, y, tol)
-    considered = judged.max_deviation[:, high]          # (T, filters responding high)
+    columns, scale, max_deviation = _judge_in_blocks(spec, split, gnn, trials, rng,
+                                                     (INSIDE,), tol)
+    considered = max_deviation[:, high]          # (T, filters responding high)
     constant = np.all(considered <= tol_secant, axis=1)
-    agreements = int(np.count_nonzero(judged.in_d_phi == constant))
-    margin_phi = np.abs(judged.residual_low_gnn / judged.scale - tol)
+    agreements = int(np.count_nonzero(columns.in_d_phi == constant))
+    margin_phi = np.abs(columns.residual_low_gnn / scale - tol)
     margin_sec = np.abs(considered - tol_secant)
     return Theorem2Report(
         trials=trials,
         agreements=agreements,
         agreement_rate=agreements / trials if trials else 1.0,
-        discriminated=int(np.count_nonzero(~judged.in_d_phi)),
+        discriminated=int(np.count_nonzero(~columns.in_d_phi)),
         worst_margin=float(min(margin_phi.min(initial=math.inf),
                                margin_sec.min(initial=math.inf))),
-        rows=judged.rows(),
+        columns=columns,
     )
 
 
@@ -455,11 +478,11 @@ def verify_corollary1(spec: Spectrum, split: SubspaceSplit,
     """
     for idx, gains in enumerate(gnn.bank):
         _require_zero_high(gains, split.k, f"filter {idx}")
-    judged = judge_pairs(spec, split, gnn, *draw_pairs(split, rng, trials, MIXED, tol), tol)
+    columns, _, _ = _judge_in_blocks(spec, split, gnn, trials, rng, MIXED, tol)
     return Corollary1Report(
         trials=trials,
-        verdict_mismatches=int(np.count_nonzero(judged.in_d_h != judged.in_d_phi)),
-        rows=judged.rows())
+        verdict_mismatches=int(np.count_nonzero(columns.in_d_h != columns.in_d_phi)),
+        columns=columns)
 
 
 def _tanh_secant_offsets(a: np.ndarray, b: float) -> np.ndarray:
@@ -547,28 +570,32 @@ def verify_corollary2(spec: Spectrum, split: SubspaceSplit,
         raise ConfigurationError("need at least one filter with nonzero high response")
     probed = int(np.argmax(flags))   # the first filter that responds above the cutoff
 
-    judged = judge_pairs(spec, split, gnn, *draw_pairs(split, rng, trials, MIXED, tol), tol)
+    columns, _, _ = _judge_in_blocks(spec, split, gnn, trials, rng, MIXED, tol)
     residuals = np.array([overdetermined_probe(spec, split, gnn, probed, rng)
                           for _ in range(probe_draws)])
     return Corollary2Report(
         trials=trials,
-        subset_violations=int(np.count_nonzero(judged.in_d_phi & ~judged.in_d_h)),
-        strictness_witnesses=int(np.count_nonzero(judged.in_d_h & ~judged.in_d_phi)),
+        subset_violations=int(np.count_nonzero(columns.in_d_phi & ~columns.in_d_h)),
+        strictness_witnesses=int(np.count_nonzero(columns.in_d_h & ~columns.in_d_phi)),
         probe_draws=probe_draws,
         probe_above_threshold=int(np.sum(residuals > 1e-6)),
         probe_residuals=residuals,
-        rows=judged.rows(),
+        columns=columns,
     )
 
 
-def write_trial_csv(rows: list[TrialRow], path: str) -> None:
-    """Machine-readable trial log, one row per trial, numbered by position."""
-    lines = ["trial,in_d_h,in_d_phi,residual_low_filter,residual_low_gnn,"
-             "max_secant_deviation"]
-    for trial, r in enumerate(rows):
-        lines.append(
-            f"{trial},{int(r.in_d_h)},{int(r.in_d_phi)},"
-            f"{r.residual_low_filter:.17g},{r.residual_low_gnn:.17g},"
-            f"{r.max_secant_deviation:.17g}"
-        )
-    write_lines(path, lines)
+def _trial_lines(columns_per_graph: list[TrialColumns]):
+    """The trial log's header and rows; trials are numbered across the
+    graphs in order, and one graph's columns are formatted at a time."""
+    yield "trial,in_d_h,in_d_phi,residual_low_filter,residual_low_gnn,max_secant_deviation"
+    row = "%d,%d,%d,%.17g,%.17g,%.17g".__mod__   # printf-style: faster than str.format
+    first = 0
+    for columns in columns_per_graph:
+        trials = range(first, first + len(columns.in_d_h))
+        yield from map(row, zip(trials, *(column.tolist() for column in columns)))
+        first = trials.stop
+
+
+def write_trial_csv(columns_per_graph: list[TrialColumns], path: str) -> None:
+    """Machine-readable trial log, one row per trial of the graphs' columns."""
+    write_lines(path, _trial_lines(columns_per_graph))

@@ -1,6 +1,8 @@
 """Shared exception types, and the file operations that raise them."""
 
+import itertools
 import os
+from collections.abc import Iterable
 from contextlib import contextmanager
 
 import numpy as np
@@ -40,12 +42,18 @@ def read_text(path: str) -> str:
         raise ConfigurationError(f"{path} is not a text file: {exc}") from exc
 
 
-def write_lines(path: str, lines: list[str]) -> None:
-    """Write each line followed by a newline; a path that cannot be
+WRITE_CHUNK_LINES = 4096   # lines joined into one string and written at once
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line followed by a newline, WRITE_CHUNK_LINES at a time,
+    so a generator of lines is never held whole; a path that cannot be
     written raises ConfigurationError naming it."""
+    lines = iter(lines)
     try:
         with open(path, "w") as fh:
-            fh.write("\n".join([*lines, ""]))   # the "" ends the last line
+            while chunk := list(itertools.islice(lines, WRITE_CHUNK_LINES)):
+                fh.write("\n".join([*chunk, ""]))   # the "" ends the last line
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

@@ -143,13 +143,18 @@ def save_graph(g: GeometricGraph, path: str) -> None:
 
 def load_graph(path: str) -> GeometricGraph:
     """Inverse of save_graph. A missing or malformed line raises
-    ConfigurationError naming the path and the line, as do a node count
+    ConfigurationError naming the path and the line, as do a neighbour
+    count below 1 or a negative seed in the header, a node count
     above the number of lines left for positions, a position that is not
     finite, a self-loop, an edge listed twice (in either order), and an
     edge weight that is not finite and positive."""
     lines = LineReader(path)
     with lines.line("`n k seed`") as tokens:
         n, k_neighbors, seed = (int(t) for t in tokens)
+        if k_neighbors < 1:
+            raise ConfigurationError(f"k_neighbors must be at least 1, got {k_neighbors}")
+        if seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {seed}")
         # checked before allocating, so a huge n cannot exhaust memory
         if not 0 <= n <= lines.remaining:
             raise ConfigurationError(f"node count {n} is not between 0 and the "

@@ -1,6 +1,8 @@
 """Nondiscriminable-set membership, secants, and the statement verifiers."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,8 +245,8 @@ class TestVerifyTheorem1:
         gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
         report = disc.verify_theorem1(spec, split, gnn, 100, rng)
         assert report.counterexamples == 0
-        assert len(report.rows) == 100
-        assert all(not row.in_d_h for row in report.rows)
+        assert all(len(column) == 100 for column in report.columns)
+        assert not report.columns.in_d_h.any()
 
     def test_no_counterexamples_identity(self, setup):
         spec, split = setup
@@ -345,7 +347,7 @@ class TestVerifyCorollary1:
         gnn = disc.all_zero_high_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
         report = disc.verify_corollary1(spec, split, gnn, 90, rng)
         assert report.verdict_mismatches == 0
-        flags = {(row.in_d_h, row.in_d_phi) for row in report.rows}
+        flags = set(zip(report.columns.in_d_h.tolist(), report.columns.in_d_phi.tolist()))
         assert (True, True) in flags and (False, False) in flags
 
     def test_bank_annihilates_difference_before_sigma(self, setup):
@@ -393,14 +395,19 @@ class TestVerifyCorollary2:
             disc.verify_corollary2(spec, split, gnn, 5, np.random.default_rng(34))
 
 
+def _rows(columns):
+    """The trial log's rows, one tuple per trial, from its columns."""
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def _per_pair_rows(split, gnn, spec, pairs):
     """The trial rows of the per-pair functions, one pair at a time."""
     rows = []
     for x, y in pairs:
         v = disc.pair_in_d_phi(split, gnn, spec, x, y, disc.DEFAULT_TOL)
         report = disc.secant_report(gnn, spec, x, y, split.k)
-        rows.append(disc.TrialRow(v.in_d_h, v.in_d_phi, v.residual_low_filter,
-                                  v.residual_low_gnn, float(np.max(report.max_deviation))))
+        rows.append((v.in_d_h, v.in_d_phi, v.residual_low_filter,
+                     v.residual_low_gnn, float(np.max(report.max_deviation))))
     return rows
 
 
@@ -455,21 +462,23 @@ class TestStackedTrials:
                   "corollary2": lambda *a: disc.verify_corollary2(*a, probe_draws=5)}[suite]
         report = verify(spec, split, gnn, 30, np.random.default_rng(41))
         pairs = _drawn_pairs(split, suite, np.random.default_rng(41), 30)
-        assert report.rows == _per_pair_rows(split, gnn, spec, pairs)
+        assert _rows(report.columns) == _per_pair_rows(split, gnn, spec, pairs)
 
         if suite == "theorem2":
             # the per-trial margin loop the stacked counts replace
             high = disc._high_response_flags(gnn.bank, K)
             agreements, worst = 0, math.inf
-            for (x, y), row in zip(pairs, report.rows):
+            for (x, y), (_, in_d_phi, _, residual_low_gnn, _) in zip(pairs,
+                                                                     _rows(report.columns)):
                 considered = disc.secant_report(gnn, spec, x, y, K).max_deviation[high]
-                agreements += row.in_d_phi == bool(np.all(considered <= disc.DEFAULT_SECANT_TOL))
-                margin_phi = abs(row.residual_low_gnn / max(float(np.linalg.norm(x - y)),
-                                                            disc.SCALE_FLOOR) - disc.DEFAULT_TOL)
+                agreements += in_d_phi == bool(np.all(considered <= disc.DEFAULT_SECANT_TOL))
+                margin_phi = abs(residual_low_gnn / max(float(np.linalg.norm(x - y)),
+                                                        disc.SCALE_FLOOR) - disc.DEFAULT_TOL)
                 worst = min(worst, margin_phi,
                             float(np.min(np.abs(considered - disc.DEFAULT_SECANT_TOL))))
             assert (report.agreements, report.worst_margin) == (agreements, worst)
-            assert report.discriminated == sum(not row.in_d_phi for row in report.rows)
+            assert report.discriminated == sum(not in_d_phi
+                                               for _, in_d_phi, *_ in _rows(report.columns))
 
     def test_zero_trials(self, setup):
         spec, split = setup
@@ -477,12 +486,13 @@ class TestStackedTrials:
         flat = disc.all_zero_high_gnn(spec, K, Nonlinearity.tanh(),
                                       rng=np.random.default_rng(42))
         rng = np.random.default_rng(43)
-        assert disc.verify_theorem1(spec, split, tanh, 0, rng).rows == []
+        assert _rows(disc.verify_theorem1(spec, split, tanh, 0, rng).columns) == []
         report = disc.verify_theorem2_forward(spec, split, tanh, 0, rng)
-        assert report.rows == [] and report.agreements == 0
+        assert _rows(report.columns) == [] and report.agreements == 0
         assert report.agreement_rate == 1.0 and report.worst_margin == math.inf
-        assert disc.verify_corollary1(spec, split, flat, 0, rng).rows == []
-        assert disc.verify_corollary2(spec, split, tanh, 0, rng, probe_draws=3).rows == []
+        assert _rows(disc.verify_corollary1(spec, split, flat, 0, rng).columns) == []
+        report = disc.verify_corollary2(spec, split, tanh, 0, rng, probe_draws=3)
+        assert _rows(report.columns) == []
 
 
 class TestJudgePairs:
@@ -610,6 +620,67 @@ class TestVerifierBoundary:
         assert rng.bit_generator.state == untouched
 
 
+def _as_bytes(value):
+    """A report field with every array replaced by its dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(_as_bytes(v) for v in value)
+    return value
+
+
+BLOCK_VERIFIERS = {**VERIFIERS, "corollary2": (
+    lambda *a, **kw: disc.verify_corollary2(*a, probe_draws=3, **kw), disc.verifier_gnn)}
+
+
+class TestBlocks:
+    """A verifier walks its trials in blocks of BLOCK_TRIALS pairs; the
+    report, the trial log and the generator's state are those of one block."""
+
+    @staticmethod
+    def _run(setup, suite, trials, tmp_path, name):
+        spec, split = setup
+        verify, build = BLOCK_VERIFIERS[suite]
+        gnn = build(spec, K, Nonlinearity.tanh(), rng=np.random.default_rng(48))
+        rng = np.random.default_rng(49)
+        report = verify(spec, split, gnn, trials, rng)
+        path = tmp_path / f"{name}.csv"
+        disc.write_trial_csv([report.columns], str(path))
+        fields = {f.name: _as_bytes(getattr(report, f.name))
+                  for f in dataclasses.fields(report)}
+        return fields, path.read_bytes(), rng.standard_normal(3).tobytes()
+
+    @pytest.mark.parametrize("suite", BLOCK_VERIFIERS)
+    @pytest.mark.parametrize("trials", [1, 6, 7, 8, 15, 22])
+    def test_blocks_of_seven_equal_one_block(self, setup, suite, trials, tmp_path,
+                                             monkeypatch):
+        # 7 is not a multiple of the mixed cycle's 3 kinds, so later blocks
+        # start inside the cycle
+        assert trials <= disc.BLOCK_TRIALS
+        whole = self._run(setup, suite, trials, tmp_path, "whole")
+        monkeypatch.setattr(disc, "BLOCK_TRIALS", 7)
+        blocks = self._run(setup, suite, trials, tmp_path, "blocks")
+        assert blocks[0] == whole[0]
+        assert blocks[1] == whole[1]
+        assert blocks[2] == whole[2]
+
+    def test_memory_flat_in_trials(self, setup):
+        spec, split = setup
+        gnn = disc.all_zero_high_gnn(spec, K, Nonlinearity.tanh(),
+                                     rng=np.random.default_rng(50))
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                disc.verify_corollary1(spec, split, gnn, trials, np.random.default_rng(51))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block = peak(disc.BLOCK_TRIALS)
+        assert peak(4 * disc.BLOCK_TRIALS) <= 1.5 * one_block
+
+
 class TestTanhSecantOffset:
     def test_root_solves_equation(self):
         for a, b in ((0.3, 0.5), (-1.2, 0.2), (0.0, 0.7), (2.0, 0.1)):
@@ -644,10 +715,25 @@ class TestTrialCsv:
         gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
         report = disc.verify_theorem1(spec, split, gnn, 5, rng)
         path = tmp_path / "trials.csv"
-        disc.write_trial_csv(report.rows, str(path))
+        disc.write_trial_csv([report.columns], str(path))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == ("trial,in_d_h,in_d_phi,residual_low_filter,"
                             "residual_low_gnn,max_secant_deviation")
         assert len(lines) == 6
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] in "01" and first[2] in "01"
+
+    def test_trials_numbered_across_graphs(self, setup, tmp_path):
+        spec, split = setup
+        rng = np.random.default_rng(52)
+        gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
+        graphs = [disc.verify_theorem1(spec, split, gnn, trials, rng).columns
+                  for trials in (3, 0, 4)]
+        path = tmp_path / "trials.csv"
+        disc.write_trial_csv(graphs, str(path))
+        lines = path.read_text().split("\n")
+        assert lines[-1] == "" and len(lines) == 1 + 7 + 1
+        assert [line.split(",")[0] for line in lines[1:-1]] == [str(t) for t in range(7)]
+        rows = [row for columns in graphs for row in _rows(columns)]
+        assert [line.split(",", 1)[1] for line in lines[1:-1]] == [
+            f"{int(a)},{int(b)},{c:.17g},{d:.17g},{e:.17g}" for a, b, c, d, e in rows]

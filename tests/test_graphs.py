@@ -266,9 +266,12 @@ class TestLoadGraphErrors:
         ("2 1 0\nnan 0.2\n0.3 0.4\n", 2),               # NaN position
         ("2 1 0\n0.1 0.2\n0.3 -inf\n", 3),              # infinite position
         ("2 1 0\n0.1 0.2\n0.3 0.4\n0 1 0.5\n1 0 0.7\n", 5),  # edge repeated as `j i w`
+        ("2 -4 0\n0.1 0.2\n0.3 0.4\n", 1),              # neighbour count below 1
+        ("2 1 -9\n0.1 0.2\n0.3 0.4\n", 1),              # negative seed
     ], ids=["empty", "truncated", "header", "position", "edge", "node_index", "zero_weight",
             "negative_weight", "nan_weight", "inf_weight", "self_loop", "huge_header",
-            "negative_header", "nan_position", "inf_position", "repeated_edge"])
+            "negative_header", "nan_position", "inf_position", "repeated_edge",
+            "zero_neighbors", "negative_seed"])
     def test_names_path_and_line(self, tmp_path, text, line):
         path = tmp_path / "graph.txt"
         path.write_text(text)
