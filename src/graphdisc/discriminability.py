@@ -155,12 +155,13 @@ def judge_pairs(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
                          f"expected (T, {split.n})")
     fx = bank_forward(gnn.bank, spec, x)               # (T, F, n)
     fy = bank_forward(gnn.bank, spec, y)
-    gx, gy = gnn.sigma.eval(fx), gnn.sigma.eval(fy)
+    gx = gnn.sigma.eval(fx)
+    gnn_diff = gx - gnn.sigma.eval(fy)
     direct, _, scale = _nul_vk_rows(split, x - y, tol)
     bound = (tol * scale)[:, None]
     diff = fx - fy
     low_filter = _axis_norms(diff @ split.v_low)      # (T, F)
-    low_gnn = _axis_norms((gx - gy) @ split.v_low)
+    low_gnn = _axis_norms(gnn_diff @ split.v_low)
     in_d_h = np.all(low_filter <= bound, axis=1)
     disagree = np.flatnonzero(direct != in_d_h)
     if disagree.size:
@@ -173,7 +174,7 @@ def judge_pairs(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
 
     equal = np.abs(diff) < SECANT_EQUAL_POINTS
     secants = np.where(equal, gnn.sigma.output_derivative(gx),
-                       (gx - gy) / np.where(equal, 1.0, diff))
+                       gnn_diff / np.where(equal, 1.0, diff))
     max_dev = np.max(np.abs(secants - secants.mean(axis=-1, keepdims=True)), axis=-1)
     return Trials(scale, in_d_h, np.all(low_gnn <= bound, axis=1),
                   _dot_norms(low_filter), _dot_norms(low_gnn), secants, max_dev)

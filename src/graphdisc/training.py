@@ -7,21 +7,24 @@ activation the plain filter bank.
 One training step on a batch of shape (B, n) takes P, the (K+1, B*n)
 matrix of its shift powers S^k x, and forms the (F, B*n) activation A:
 
-- forward: A = sigma(taps @ P) with sigma applied in place, and the
-  prediction readout @ A;
+- forward (model_forward): A = sigma(taps @ P) with sigma applied in
+  place, and the prediction readout @ A;
 - backward: the readout gradient A @ d(loss)/d(pred); then sigma' (read
   off A, overwriting it) gives the tap gradient
   readout x (sigma'(A) @ (P * d(loss)/d(pred))^T), which forms no
   (F, B*n) array besides A; both gradients go into one fresh vector;
-- the regularizer's subgradient, one row added into the tap gradient at
-  the filter and grid point where the integral-Lipschitz constant is
-  attained, on the grid powers cached in filters.
+- the regularizer (il_regularizer): its subgradient, one row added into
+  the tap gradient at the filter and grid point where the
+  integral-Lipschitz constant is attained, on the grid values that
+  filters._il_response makes for bank_il_constant too.
 
 The identity model takes a shorter step. A linear bank followed by a
 linear readout is one filter, w = readout @ taps, so its step forms no A:
 the prediction is w @ P, g = P @ d(loss)/d(pred) is a (K+1)-vector, the
 readout gradient is taps @ g and the tap gradient the outer product
-readout x g. Validation and predict still form A for every activation.
+readout x g. model_forward is the one forward pass of every other step,
+of the per-epoch validation and of predict, and forms A for every
+activation.
 
 train trains a group of G models with one taps shape in lockstep: they
 share the batches (one permutation per epoch), the shift powers and the
@@ -67,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .filters import _grid_powers, bank_il_constant, contract, shift_powers
+from .filters import _grid_powers, _il_response, bank_il_constant, contract, shift_powers
 from .gnn import Nonlinearity
 from .graphs import SupportMatrix
 
@@ -168,17 +171,18 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, 2.0 * diff / diff.size
 
 
-def _add_il_peak(taps: np.ndarray, lam_max: float, weight: float,
-                 grad: np.ndarray) -> float:
+def il_regularizer(taps: np.ndarray, lam_max: float, weight: float,
+                   grad: np.ndarray) -> float:
     """Add the regularizer's subgradient into the (F, K+1) grad and return
-    weight * max_{f, grid} |lambda h_f'(lambda)|.
+    weight * max_{f, grid} |lambda h_f'(lambda)|, that is weight times
+    bank_il_constant, from the same filters._il_response values.
 
     The subgradient is one row: it flows only to the filter and grid point
     attaining the maximum (ties resolve to the first flattened index)
     through d/dh_k [lambda h'(lambda)] = k lambda^k.
     """
-    powers, lam_pow = _grid_powers(lam_max, taps.shape[1])
-    vals = (taps * powers) @ lam_pow                    # (F, G), as _il_response
+    vals = _il_response(taps, lam_max)                  # (F, G)
+    powers, lam_pow = _grid_powers(float(lam_max), taps.shape[1])
     # argmax(|vals|) without forming |vals|: the first maximum or the first
     # minimum, whichever is larger in magnitude, and the earlier on a tie
     i_max, i_min = int(vals.argmax()), int(vals.argmin())
@@ -190,43 +194,16 @@ def _add_il_peak(taps: np.ndarray, lam_max: float, weight: float,
     return weight * abs(peak)
 
 
-# no command calls it; it stays while perfbench/spans.py traces it
-def il_regularizer(taps: np.ndarray, lam_max: float,
-                   weight: float) -> tuple[float, np.ndarray]:
-    """weight * max_{f, grid} |lambda h_f'(lambda)| with its subgradient,
-    which is zero but for the row of the filter attaining the maximum."""
-    taps = np.asarray(taps, dtype=np.float64)
-    grad = np.zeros(taps.shape)
-    return _add_il_peak(taps, float(lam_max), weight, grad), grad
-
-
-class ForwardCache(NamedTuple):
-    shift_powers: np.ndarray     # (K+1, B, n)
-    pre_activations: np.ndarray  # (F, B, n)
-    features: np.ndarray         # (F, B, n)
-    pred: np.ndarray             # (B, n)
-
-
-def _forward(model: TrainableModel, powers: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
+def model_forward(model: TrainableModel, powers: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The prediction (B, n) from the shift powers (K+1, B, n) of a batch.
-    The activation (F, B, n) is left in out when given."""
+    The activation is left in out when given, as (F, B, n) or (F, B*n)."""
     act = model.sigma.eval(contract(model.taps, powers, out), overwrite=True)
     return contract(model.readout, act)
 
 
-# no command calls it or ForwardCache; both stay while perfbench/spans.py traces it
-def model_forward(model: TrainableModel, s: SupportMatrix,
-                  x: np.ndarray) -> ForwardCache:
-    """Batched forward pass; x has shape (B, n)."""
-    powers = shift_powers(s, x, model.taps.shape[1])
-    pre = contract(model.taps, powers)
-    features = model.sigma.eval(pre)
-    return ForwardCache(powers, pre, features, contract(model.readout, features))
-
-
 def predict(model: TrainableModel, s: SupportMatrix, x: np.ndarray) -> np.ndarray:
-    return _forward(model, shift_powers(s, x, model.taps.shape[1]))
+    return model_forward(model, shift_powers(s, x, model.taps.shape[1]))
 
 
 class BackwardResult(NamedTuple):
@@ -263,17 +240,16 @@ def model_backward(model: TrainableModel, powers: np.ndarray, target: np.ndarray
     else:
         act2d = (np.empty((n_features, powers2d.shape[1])) if act is None
                  else act.reshape(n_features, -1))
-        model.sigma.eval(np.matmul(model.taps, powers2d, out=act2d), overwrite=True)
-        # mse_loss, looked up at call time, runs between the forward pass,
-        # which writes A, and the backward pass, which reads it
-        mse, dpred = mse_loss((model.readout @ act2d).reshape(powers.shape[1:]), target)
+        # model_forward and mse_loss, looked up at call time, run before the
+        # backward pass, which reads A back from act2d
+        mse, dpred = mse_loss(model_forward(model, powers, act2d), target)
         dpred1d = dpred.reshape(-1)
         np.matmul(act2d, dpred1d, out=grad_readout)
         deriv = model.sigma.output_derivative(act2d, overwrite=True)
         np.matmul(deriv, (powers2d * dpred1d).T, out=grad_taps)
         grad_taps *= model.readout[:, None]
 
-    reg = _add_il_peak(model.taps, LAM_MAX, il_weight, grad_taps)
+    reg = il_regularizer(model.taps, LAM_MAX, il_weight, grad_taps)
     return BackwardResult(mse, mse + reg, grad_taps, grad_readout, grads)
 
 
@@ -328,7 +304,7 @@ def train(models: list[TrainableModel], s: SupportMatrix,
     val_powers = shift_powers(s, x_val, n_taps)
 
     def val_mse(model: TrainableModel) -> float:
-        return mse_loss(_forward(model, val_powers), y_val)[0]
+        return mse_loss(model_forward(model, val_powers), y_val)[0]
 
     n_train, n = x_train.shape
     chunk = max(1, CHUNK_BYTES // (n_taps * batch * n * 8)) * batch   # rows

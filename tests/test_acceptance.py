@@ -17,6 +17,9 @@ from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_supp
 from graphdisc.spectral import eig_sym, split_subspace
 from graphdisc.training import init_model, model_backward
 
+# the desk runs take most of the suite's time; `pytest -m "not slow"` leaves this file out
+pytestmark = pytest.mark.slow
+
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")

@@ -58,6 +58,12 @@ def fresh_grid_regularizer(taps, lam_max, weight):
     return weight * float(abs_vals[f, g]), grad
 
 
+def regularizer(taps, lam_max, weight):
+    """il_regularizer's value, and its subgradient added into a zeros grad."""
+    grad = np.zeros(taps.shape)
+    return il_regularizer(taps, lam_max, weight, grad), grad
+
+
 def einsum_reference_backward(model, s, x, target, il_weight):
     """The batch loss and gradients written out directly: shift powers by
     repeated products, one einsum per contraction, and sigma' evaluated at
@@ -95,7 +101,7 @@ def general_contraction_backward(model, s, x, target, il_weight):
     grad_readout = act @ dpred.reshape(-1)
     dpre = np.multiply.outer(model.readout, dpred.reshape(-1))
     dpre *= model.sigma.output_derivative(act)
-    grad_taps = dpre @ powers.T + il_regularizer(model.taps, 1.0, il_weight)[1]
+    grad_taps = dpre @ powers.T + regularizer(model.taps, 1.0, il_weight)[1]
     return mse, grad_taps, grad_readout
 
 
@@ -142,12 +148,12 @@ class TestMseLoss:
 
 class TestIlRegularizer:
     def test_constant_filters(self):
-        value, grad = il_regularizer(np.array([[1.0], [-2.0]]), 1.0, 0.01)
+        value, grad = regularizer(np.array([[1.0], [-2.0]]), 1.0, 0.01)
         assert value == 0.0
         np.testing.assert_array_equal(grad, np.zeros((2, 1)))
 
     def test_linear_filter(self):
-        value, _ = il_regularizer(np.array([[0.0, 1.0]]), 1.0, 0.01)
+        value, _ = regularizer(np.array([[0.0, 1.0]]), 1.0, 0.01)
         assert value == pytest.approx(0.01)
 
     def test_gradient_matches_finite_differences(self):
@@ -155,20 +161,20 @@ class TestIlRegularizer:
         for _ in range(10):
             taps = rng.uniform(-1, 1, (3, 4))
             weight = 0.05
-            _, grad = il_regularizer(taps, 1.0, weight)
+            _, grad = regularizer(taps, 1.0, weight)
             h = 1e-6
             fd = np.zeros_like(taps)
             for idx in np.ndindex(taps.shape):
                 up, down = taps.copy(), taps.copy()
                 up[idx] += h
                 down[idx] -= h
-                fd[idx] = (il_regularizer(up, 1.0, weight)[0]
-                           - il_regularizer(down, 1.0, weight)[0]) / (2 * h)
+                fd[idx] = (regularizer(up, 1.0, weight)[0]
+                           - regularizer(down, 1.0, weight)[0]) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-9)
 
     def test_value_is_bank_il_constant(self):
         taps = np.random.default_rng(9).uniform(-1, 1, (32, 3))
-        value, _ = il_regularizer(taps, 1.0, 1.0)
+        value, _ = regularizer(taps, 1.0, 1.0)
         assert value == bank_il_constant(taps, 1.0)
 
     def test_grid_follows_lam_max_and_tap_count(self):
@@ -178,11 +184,11 @@ class TestIlRegularizer:
         values = {}
         for lam_max, n_taps in [(1.0, 3), (2.0, 3), (1.0, 3), (2.0, 4), (0.5, 4), (1.0, 4)]:
             taps = rng.uniform(-1, 1, (3, n_taps))
-            value, grad = il_regularizer(taps, lam_max, 0.05)
+            value, grad = regularizer(taps, lam_max, 0.05)
             expected_value, expected_grad = fresh_grid_regularizer(taps, lam_max, 0.05)
             assert value == expected_value
             np.testing.assert_array_equal(grad, expected_grad)
-            values[lam_max] = il_regularizer(np.array([[0.0, 1.0]]), lam_max, 1.0)[0]
+            values[lam_max] = regularizer(np.array([[0.0, 1.0]]), lam_max, 1.0)[0]
         assert values == {1.0: 1.0, 2.0: 2.0, 0.5: 0.5}
 
     @pytest.mark.parametrize("n_filters", [1, 32])
@@ -191,7 +197,7 @@ class TestIlRegularizer:
         rng = np.random.default_rng(40 + n_taps)
         for _ in range(20):
             taps = rng.uniform(-1, 1, (n_filters, n_taps))
-            value, grad = il_regularizer(taps, 1.0, 0.01)
+            value, grad = regularizer(taps, 1.0, 0.01)
             expected_value, expected_grad = fresh_grid_regularizer(taps, 1.0, 0.01)
             assert value == expected_value
             np.testing.assert_array_equal(grad, expected_grad)
@@ -205,7 +211,7 @@ class TestIlRegularizer:
         taps = rng.uniform(-1, 1, (32, n_taps)) / 4
         taps[5] = first_sign * rng.uniform(0.5, 1.0, n_taps)
         taps[20] = -taps[5]
-        value, grad = il_regularizer(taps, 1.0, 0.01)
+        value, grad = regularizer(taps, 1.0, 0.01)
         expected_value, expected_grad = fresh_grid_regularizer(taps, 1.0, 0.01)
         assert value == expected_value
         np.testing.assert_array_equal(grad, expected_grad)
@@ -215,7 +221,7 @@ class TestIlRegularizer:
     @pytest.mark.parametrize("n_taps", range(1, 7))
     def test_zero_taps_give_zero_gradient(self, n_taps, n_filters):
         taps = np.zeros((n_filters, n_taps))
-        value, grad = il_regularizer(taps, 1.0, 0.01)
+        value, grad = regularizer(taps, 1.0, 0.01)
         expected_value, expected_grad = fresh_grid_regularizer(taps, 1.0, 0.01)
         assert value == expected_value == 0.0
         np.testing.assert_array_equal(grad, expected_grad)
@@ -289,7 +295,7 @@ class TestModelBackward:
         x = rng.standard_normal((5, 12))
         y = np.sign(rng.standard_normal((5, 12)))
         result = backward(model, support, x, y, il_weight=0.02)
-        _, reg_grad = il_regularizer(model.taps, 1.0, 0.02)
+        _, reg_grad = regularizer(model.taps, 1.0, 0.02)
         np.testing.assert_allclose(result.grad_taps, reg_grad, atol=1e-15)
 
     def test_linear_single_tap_matches_least_squares_gradient(self, support):
@@ -686,12 +692,13 @@ class TestStepBuffers:
         model = init_model(4, 3, Nonlinearity.tanh(), seed=33)
         x1, x2 = rng.standard_normal((2, 5, 12))
         y = np.sign(rng.standard_normal((5, 12)))
-        first = [predict(model, support, x1), *model_forward(model, support, x1),
-                 *model_backward(model, shift_powers(support, x1, 3), y, 0.01)[2:]]
+        powers1, powers2 = shift_powers(support, x1, 3), shift_powers(support, x2, 3)
+        first = [predict(model, support, x1), model_forward(model, powers1),
+                 *model_backward(model, powers1, y, 0.01)[2:]]
         kept = [a.copy() for a in first]
         predict(model, support, x2)
-        model_forward(model, support, x2)
-        model_backward(model, shift_powers(support, x2, 3), y, 0.01)
+        model_forward(model, powers2)
+        model_backward(model, powers2, y, 0.01)
         for got, expected in zip(first, kept):
             np.testing.assert_array_equal(got, expected)
 
@@ -777,15 +784,19 @@ class TestThreads:
 
 class TestForwardShapes:
     def test_forward_cache_shapes(self, support):
+        # the shapes from the shift powers, with the activation left in out
         model = init_model(3, 2, Nonlinearity.tanh(), seed=17)
-        x = np.zeros((7, 12))
-        cache = model_forward(model, support, x)
-        assert cache.shift_powers.shape == (2, 7, 12)
-        assert cache.pre_activations.shape == (3, 7, 12)
-        assert cache.features.shape == (3, 7, 12)
-        assert cache.pred.shape == (7, 12)
+        x = np.random.default_rng(17).standard_normal((7, 12))
+        powers = shift_powers(support, x, 2)
+        act = np.full((3, 7, 12), np.nan)
+        pred = model_forward(model, powers, act)
+        assert powers.shape == (2, 7, 12)
+        assert pred.shape == (7, 12)
+        np.testing.assert_array_equal(
+            act, np.tanh(model.taps @ powers.reshape(2, -1)).reshape(3, 7, 12))
+        np.testing.assert_array_equal(pred, model_forward(model, powers))
 
     def test_shape_error(self, support):
         model = init_model(2, 2, Nonlinearity.tanh(), seed=18)
         with pytest.raises(ShapeError):
-            model_forward(model, support, np.zeros((3, 11)))
+            predict(model, support, np.zeros((3, 11)))
