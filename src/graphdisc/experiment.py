@@ -11,14 +11,15 @@ confidence intervals.
 Determinism: every replicate derives its RNG streams from
 SeedSequence((master_seed, mode_index, graph_index)), and aggregation is an
 ordered reduction over replicate indices, so results do not depend on how
-many worker processes ran them.
+many worker processes ran them. The process pool is imported inside
+run_experiment, and only when it forks workers: loading graphdisc, `verify`
+and a one-worker `run` never import multiprocessing.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -293,6 +294,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     # than there are replicates
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # only a multi-worker run needs multiprocessing, so only it loads it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_replicate_star, tasks))
     else:

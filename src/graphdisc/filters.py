@@ -47,10 +47,22 @@ def shift_powers(s: SupportMatrix, x: np.ndarray, n_taps: int,
 def contract(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_j w[..., j] a[j]: w (F, J) or (J,) against a (J, ...), as one
     2-D product on the reshaped a, written into out when given. With the
-    taps as w and shift_powers as a, this is the FIR filter output."""
+    taps as w and shift_powers as a, this is the FIR filter output.
+
+    An out that is not a view of that 2-D product's shape, such as one
+    whose layout a reshape would have to copy, raises ShapeError."""
     shape = w.shape[:-1] + a.shape[1:]
-    flat = None if out is None else out.reshape(w.shape[:-1] + (-1,))
-    return np.matmul(w, a.reshape(a.shape[0], -1), out=flat).reshape(shape)
+    if a.ndim != 2:
+        a = a.reshape(a.shape[0], -1)
+    flat = w.shape[:-1] + a.shape[1:]
+    if out is not None and out.shape != flat:
+        try:
+            out = np.reshape(out, flat, copy=False)
+        except ValueError:
+            raise ShapeError(f"out of shape {out.shape} cannot hold the {flat} "
+                             "product in place") from None
+    product = np.matmul(w, a, out=out)
+    return product if flat == shape else product.reshape(shape)
 
 
 def freq_response(taps: np.ndarray, lam) -> np.ndarray | float:

@@ -21,6 +21,14 @@ from .graphs import _frozen
 from .spectral import Spectrum
 
 
+def _float64_target(t) -> np.ndarray:
+    """t itself, when it is a float64 array that a result can be written over."""
+    if not (isinstance(t, np.ndarray) and t.dtype == np.float64):
+        raise ShapeError("overwrite needs a float64 array, got "
+                         f"{getattr(t, 'dtype', type(t).__name__)}")
+    return t
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """Entrywise scalar activation: strictly monotone and Lipschitz.
@@ -55,9 +63,12 @@ class Nonlinearity:
         return cls(kind="leaky_rectifier", slope=slope)
 
     def eval(self, t: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """sigma(t) entrywise; with overwrite it is written over t."""
-        t = np.asarray(t, dtype=np.float64)
-        out = t if overwrite else None
+        """sigma(t) entrywise; with overwrite it is written over t, which
+        must then be a float64 array (ShapeError otherwise)."""
+        if overwrite:
+            out = t = _float64_target(t)
+        else:
+            t, out = np.asarray(t, dtype=np.float64), None
         if self.kind == "tanh":
             return np.tanh(t, out=out)
         if self.kind == "identity":
@@ -69,9 +80,10 @@ class Nonlinearity:
 
         1 - out^2 for tanh, and 1 or the slope by the sign of out for the
         leaky rectifier, so sigma is never evaluated again. With overwrite,
-        the tanh derivative is written over out instead of a new array.
+        the tanh derivative is written over out instead of a new array, and
+        out must be a float64 array (ShapeError otherwise).
         """
-        out = np.asarray(out, dtype=np.float64)
+        out = _float64_target(out) if overwrite else np.asarray(out, dtype=np.float64)
         if self.kind == "tanh":
             deriv = np.square(out, out=out if overwrite else None)
             return np.subtract(1.0, deriv, out=deriv)

@@ -30,9 +30,10 @@ train trains a group of G models with one taps shape in lockstep: they
 share the batches (one permutation per epoch), the shift powers and the
 activation buffer. Per batch each model takes its step and its gradient
 becomes row i of a (G, P) array; one Adam update, with the moments updated
-in place, then steps the (G, P) parameter array, whose rows hold each
-model's taps and readout (the models' arrays are views of them). Every
-operation on a model's row is the one it gets trained alone, so each
+in place and its two per-entry temporaries written into scratch arrays of
+the call's AdamState, then steps the (G, P) parameter array, whose rows
+hold each model's taps and readout (the models' arrays are views of them).
+Every operation on a model's row is the one it gets trained alone, so each
 member's result keeps its bits in any group.
 
 The shift powers do not depend on the parameters, so train makes them
@@ -43,13 +44,15 @@ one buffer that lives for the train call; each step takes its batch as a
 view of that buffer. Batch order and composition do not depend on the
 chunk size.
 
-Every contraction is one 2-D BLAS product on a reshaped view. train owns
-one activation buffer, sized for a full batch, and passes each step its
-leading (F, B, n) part as model_backward's act argument (a ragged last
-batch takes a shorter, still contiguous, part), so a step allocates no
-(F, B, n) array. Called without act, a step makes a fresh one. Nothing
-model_backward, model_forward or predict returns is a buffer, and no
-module state changes, so separate train calls may run in separate
+Every contraction is one 2-D BLAS product on a reshaped view; the step
+hands model_forward the (K+1, B*n) powers and the (F, B*n) activation, so
+its products need no reshape. train owns one activation buffer, sized for
+a full batch, and passes each step its leading (F, B, n) part as
+model_backward's act argument (a ragged last batch takes a shorter, still
+contiguous, part), so a step allocates no (F, B, n) array. Called without
+act, a step makes a fresh one. Nothing model_backward, model_forward or
+predict returns is a buffer, the Adam scratch belongs to one train call,
+and no module state changes, so separate train calls may run in separate
 threads. train computes the validation set's shift powers once,
 and each epoch's integral-Lipschitz constant from the taps with the
 regularizer's product (filters.bank_il_constant). An epoch whose train or
@@ -110,12 +113,18 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, shaped like the parameters."""
+    """First/second moment accumulators, shaped like the parameters, and
+    adam_step's two scratch arrays of that shape."""
 
     m: np.ndarray
     v: np.ndarray
     t: int
     learning_rate: float
+    step: np.ndarray = field(init=False, repr=False)
+    denom: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.step, self.denom = np.empty_like(self.m), np.empty_like(self.m)
 
 
 def init_model(n_features: int, n_taps: int, sigma: Nonlinearity,
@@ -136,23 +145,25 @@ def init_adam(params: np.ndarray, learning_rate: float) -> AdamState:
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """One bias-corrected Adam update; returns the new parameters.
 
-    The moments and the step count of state are updated in place; the
-    parameters are a new array.
+    The moments and the step count of state are updated in place, and the
+    per-entry temporaries are state's scratch arrays; the parameters are a
+    new array.
     """
     if params.shape != grads.shape:
         raise ShapeError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
     state.t += 1
     bias1, bias2 = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
-    m, v = state.m, state.v
+    m, v, step, denom = state.m, state.v, state.step, state.denom
     m *= BETA1
-    m += (1.0 - BETA1) * grads
+    np.multiply(1.0 - BETA1, grads, out=step)
+    m += step
     v *= BETA2
-    g2 = (1.0 - BETA2) * grads
-    g2 *= grads
-    v += g2
-    step = m / bias1
+    np.multiply(1.0 - BETA2, grads, out=denom)
+    denom *= grads
+    v += denom
+    np.divide(m, bias1, out=step)
     step *= state.learning_rate
-    denom = v / bias2
+    np.divide(v, bias2, out=denom)
     np.sqrt(denom, out=denom)
     denom += EPSILON
     step /= denom
@@ -168,7 +179,10 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     diff = pred - target
     # np.mean's sum and division, without its Python-level overhead
     loss = float(np.add.reduce(np.square(diff), axis=None)) / diff.size
-    return loss, 2.0 * diff / diff.size
+    # d(loss)/d(pred) = 2.0 * diff / diff.size, formed in diff itself
+    diff *= 2.0
+    diff /= diff.size
+    return loss, diff
 
 
 def il_regularizer(taps: np.ndarray, lam_max: float, weight: float,
@@ -190,14 +204,20 @@ def il_regularizer(taps: np.ndarray, lam_max: float, weight: float,
     i_peak = i_max if top > bottom else i_min if bottom > top else min(i_max, i_min)
     f_star, g_star = divmod(i_peak, vals.shape[1])
     peak = float(vals[f_star, g_star])
-    grad[f_star] += weight * np.sign(peak) * powers * lam_pow[:, g_star]
+    row = weight * np.sign(peak) * powers
+    row *= lam_pow[:, g_star]
+    # through a view: `grad[f_star] += row` would also copy the row onto itself
+    grad_row = grad[f_star]
+    grad_row += row
     return weight * abs(peak)
 
 
 def model_forward(model: TrainableModel, powers: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """The prediction (B, n) from the shift powers (K+1, B, n) of a batch.
-    The activation is left in out when given, as (F, B, n) or (F, B*n)."""
+    """The prediction (B, n) from the shift powers (K+1, B, n) of a batch,
+    or (B*n,) from the 2-D (K+1, B*n) powers. The activation is left in
+    out when given, as (F, B, n) or (F, B*n); an out that cannot be viewed
+    as (F, B*n) raises ShapeError."""
     act = model.sigma.eval(contract(model.taps, powers, out), overwrite=True)
     return contract(model.readout, act)
 
@@ -241,8 +261,10 @@ def model_backward(model: TrainableModel, powers: np.ndarray, target: np.ndarray
         act2d = (np.empty((n_features, powers2d.shape[1])) if act is None
                  else act.reshape(n_features, -1))
         # model_forward and mse_loss, looked up at call time, run before the
-        # backward pass, which reads A back from act2d
-        mse, dpred = mse_loss(model_forward(model, powers, act2d), target)
+        # backward pass, which reads A back from act2d; on the 2-D powers
+        # every product is made on the arrays as they are
+        pred = model_forward(model, powers2d, act2d)
+        mse, dpred = mse_loss(pred.reshape(powers.shape[1:]), target)
         dpred1d = dpred.reshape(-1)
         np.matmul(act2d, dpred1d, out=grad_readout)
         deriv = model.sigma.output_derivative(act2d, overwrite=True)

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, config files, file round-trips."""
 
+import concurrent.futures
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -236,11 +238,29 @@ class TestJobs:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(graphdisc.experiment, "ProcessPoolExecutor", RecordingPool)
+        # run_experiment imports the pool from concurrent.futures when it forks
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert run_tiny(tmp_path / "one", "--jobs", "4") == 0
         assert sizes == []  # one replicate runs in this process
         assert run_tiny(tmp_path / "three", "--subspace", "all", "--jobs", "8") == 0
         assert sizes == [3]
+
+    def test_one_worker_never_loads_multiprocessing(self, tmp_path):
+        # a fresh interpreter, since this one may have loaded the pool already
+        src = str(Path(graphdisc.cli.__file__).parents[1])
+        script = (
+            "import sys\n"
+            "from graphdisc.cli import main\n"
+            f"verify = main(['verify', '--theorem', 'all', '--graphs', '1', '--trials', '6', "
+            f"'--nodes', '12', '--cutoff', '3', '--out', {str(tmp_path / 'verify')!r}])\n"
+            f"run = main(['run', '--subspace', 'high', '--seed', '3', '--jobs', '1', "
+            f"'--out', {str(tmp_path / 'run')!r}, *{TINY!r}])\n"
+            "print(verify, run, 'multiprocessing' in sys.modules, "
+            "'concurrent.futures.process' in sys.modules)\n")
+        probe = subprocess.run([sys.executable, "-c", script],
+                               env=dict(os.environ, PYTHONPATH=src),
+                               capture_output=True, text=True, check=True)
+        assert probe.stdout.splitlines()[-1] == "0 0 False False"
 
 
 class TestErrorExit:

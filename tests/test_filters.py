@@ -114,6 +114,25 @@ class TestApplyFir:
                                            atol=1e-12)
 
 
+class TestContract:
+    def test_2d_operands_write_out_itself(self):
+        rng = np.random.default_rng(15)
+        taps, a = rng.uniform(-1, 1, (3, 4)), rng.standard_normal((4, 20))
+        out = np.empty((3, 20))
+        assert contract(taps, a, out) is out
+        np.testing.assert_array_equal(out, np.matmul(taps, a))
+
+    @pytest.mark.parametrize("out", [
+        np.full((5, 4, 12), np.nan).transpose(1, 0, 2),   # no (4, 60) view
+        np.empty((4, 59)),
+    ], ids=["non-mergeable", "wrong-size"])
+    def test_out_that_is_no_view_of_the_product(self, small_support, out):
+        rng = np.random.default_rng(17)
+        powers = shift_powers(small_support, rng.standard_normal((5, 12)), 3)
+        with pytest.raises(ShapeError):
+            contract(rng.uniform(-1, 1, (4, 3)), powers, out)
+
+
 class TestFreqResponse:
     def test_constant(self):
         assert freq_response([1.0, 0.0, 0.0], 0.5) == 1.0

@@ -70,6 +70,25 @@ class TestNonlinearity:
                                       np.array([[np.tanh(0.5), np.tanh(-1.0)],
                                                 [np.tanh(2.0), 0.0]]))
 
+    @pytest.mark.parametrize("sigma", ALL_SIGMAS, ids=lambda s: s.descriptor())
+    def test_overwrite_writes_over_a_float64_array(self, sigma):
+        t = np.linspace(-2, 2, 6).reshape(2, 3)
+        expected = sigma.eval(t.copy())
+        assert sigma.eval(t, overwrite=True) is t
+        np.testing.assert_array_equal(t, expected)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    @pytest.mark.parametrize("sigma", ALL_SIGMAS, ids=lambda s: s.descriptor())
+    def test_overwrite_rejects_other_dtypes(self, sigma, dtype):
+        # the result could not be written over t, so no fresh array is
+        # returned in its place
+        t = np.arange(6, dtype=dtype).reshape(2, 3)
+        with pytest.raises(ShapeError):
+            sigma.eval(t, overwrite=True)
+        with pytest.raises(ShapeError):
+            sigma.output_derivative(t, overwrite=True)
+        np.testing.assert_array_equal(t, np.arange(6).reshape(2, 3))
+
     def test_rejects_bad_slope(self):
         for slope in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ConfigurationError):

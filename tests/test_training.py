@@ -141,6 +141,13 @@ class TestMseLoss:
         _, grad = mse_loss(pred, target)
         np.testing.assert_allclose(grad, 2 * (pred - target) / 24, atol=1e-15)
 
+    def test_gradient_bits_in_a_fresh_array(self):
+        rng = np.random.default_rng(4)
+        pred, target = rng.standard_normal((2, 10, 50))
+        _, grad = mse_loss(pred, target)
+        np.testing.assert_array_equal(grad, 2.0 * (pred - target) / pred.size)
+        assert not np.shares_memory(grad, pred) and not np.shares_memory(grad, target)
+
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
@@ -217,6 +224,25 @@ class TestIlRegularizer:
         np.testing.assert_array_equal(grad, expected_grad)
         assert np.any(grad[5] != 0.0) and not np.any(np.delete(grad, 5, axis=0))
 
+    def test_adds_into_the_given_rows(self):
+        # the subgradient row is added to what grad holds, in place; the
+        # other rows keep their values
+        rng = np.random.default_rng(12)
+        taps = rng.uniform(-1, 1, (4, 3))
+        grad = rng.standard_normal((4, 3))
+        before = grad.copy()
+        value = il_regularizer(taps, 1.0, 0.05, grad)
+        expected_value, expected_grad = fresh_grid_regularizer(taps, 1.0, 0.05)
+        assert value == expected_value
+        np.testing.assert_array_equal(grad, before + expected_grad)
+
+    def test_nan_taps_give_a_nan_row(self):
+        taps = np.array([[0.1, 0.2], [np.nan, 0.3]])
+        grad = np.zeros((2, 2))
+        value = il_regularizer(taps, 1.0, 0.01, grad)
+        assert np.isnan(value)
+        assert np.all(np.isnan(grad[1])) and not np.any(grad[0])
+
     @pytest.mark.parametrize("n_filters", [1, 32])
     @pytest.mark.parametrize("n_taps", range(1, 7))
     def test_zero_taps_give_zero_gradient(self, n_taps, n_filters):
@@ -266,6 +292,19 @@ class TestAdam:
         np.testing.assert_allclose(state.m, 0.1)
         np.testing.assert_array_equal(params, np.zeros(5))  # parameters are a new array
         assert new_params is not params
+
+    def test_returned_parameters_unchanged_by_next_step(self):
+        # the step's temporaries are scratch arrays of the state, never the
+        # array a step returned
+        rng = np.random.default_rng(8)
+        params = rng.standard_normal((2, 6))
+        state = init_adam(params, 0.1)
+        first = adam_step(state, params, rng.standard_normal((2, 6)))
+        kept = first.copy()
+        second = adam_step(state, first, rng.standard_normal((2, 6)))
+        np.testing.assert_array_equal(first, kept)
+        assert not np.shares_memory(second, first)
+        assert not any(np.shares_memory(second, a) for a in (state.step, state.denom))
 
     def test_shape_mismatch_leaves_state(self):
         params = np.zeros(5)
@@ -800,3 +839,23 @@ class TestForwardShapes:
         model = init_model(2, 2, Nonlinearity.tanh(), seed=18)
         with pytest.raises(ShapeError):
             predict(model, support, np.zeros((3, 11)))
+
+    def test_flat_powers_give_the_same_bits(self, support):
+        # model_backward's form: (K+1, B*n) powers and an (F, B*n) out
+        model = init_model(4, 3, Nonlinearity.tanh(), seed=19)
+        powers = shift_powers(support, np.random.default_rng(19).standard_normal((5, 12)), 3)
+        act, flat_act = np.empty((4, 5, 12)), np.empty((4, 60))
+        pred = model_forward(model, powers, act)
+        flat = model_forward(model, powers.reshape(3, 60), flat_act)
+        assert flat.shape == (60,)
+        np.testing.assert_array_equal(flat, pred.reshape(-1))
+        np.testing.assert_array_equal(flat_act, act.reshape(4, 60))
+
+    def test_out_that_cannot_be_written_in_place(self, support):
+        # no (F, B*n) view of this buffer exists, so the activation could
+        # only land in a copy
+        model = init_model(4, 3, Nonlinearity.tanh(), seed=20)
+        powers = shift_powers(support, np.random.default_rng(20).standard_normal((5, 12)), 3)
+        out = np.full((5, 4, 12), np.nan).transpose(1, 0, 2)
+        with pytest.raises(ShapeError):
+            model_forward(model, powers, out)
