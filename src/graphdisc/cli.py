@@ -140,65 +140,33 @@ def _tanh_verifier_gnn(spec, k, rng):
     return disc.verifier_gnn(spec, k, Nonlinearity.tanh(), full_band_filters=1, rng=rng)
 
 
-def _write_probe_file(rep, out_dir: str, g: int) -> str:
-    path = os.path.join(out_dir, f"cor2_probe_g{g}.csv")
-    write_lines(path, ["draw,residual"]
-                + [f"{i},{r:.17g}" for i, r in enumerate(rep.probe_residuals)])
-    return path
-
-
 @dataclass(frozen=True)
 class VerifySuite:
-    """One `verify --theorem` suite: how to run it on a graph and report it."""
+    """One `verify --theorem` suite: its verifier, the GNN it runs on, and
+    its summary line."""
 
-    name: str                                    # verify_<name>.csv
-    build_gnn: Callable                          # (spec, k, rng) -> SingleLayerGnn
-    # (spec, split, gnn, trials, rng) -> report; calls the disc verifier by
-    # attribute at call time, so a tracer that rebinds it sees the call
-    run: Callable
-    passed: Callable                             # report -> bool
-    summary: Callable                            # report -> line
-    write_extra: Callable | None = None          # (report, out dir, graph) -> path
+    name: str            # verify_<name>.csv
+    # the disc verifier's name, looked up at call time, so a tracer that
+    # rebinds it sees the call
+    verifier: str
+    build_gnn: Callable  # (spec, k, rng) -> SingleLayerGnn
+    summary: str         # filled with format(trials=..., **report.counts)
 
 
 VERIFY_SUITES = {
-    "1": VerifySuite(
-        name="theorem1",
-        build_gnn=_tanh_verifier_gnn,
-        run=lambda *args: disc.verify_theorem1(*args),
-        passed=lambda rep: rep.counterexamples == 0,
-        summary=lambda rep: f"{rep.trials} trials, {rep.counterexamples} counterexamples",
-    ),
-    "2": VerifySuite(
-        name="theorem2",
-        build_gnn=_tanh_verifier_gnn,
-        run=lambda *args: disc.verify_theorem2_forward(*args),
-        passed=lambda rep: rep.agreement_rate == 1.0,
-        summary=lambda rep: (f"agreement {rep.agreements}/{rep.trials}, "
-                             f"discriminated {rep.discriminated}, "
-                             f"worst margin {rep.worst_margin:.3e}"),
-    ),
-    "cor1": VerifySuite(
-        name="corollary1",
-        build_gnn=lambda spec, k, rng: disc.all_zero_high_gnn(
-            spec, k, Nonlinearity.tanh(), n_filters=2, rng=rng),
-        run=lambda *args: disc.verify_corollary1(*args),
-        passed=lambda rep: rep.verdict_mismatches == 0,
-        summary=lambda rep: f"{rep.trials} trials, {rep.verdict_mismatches} verdict mismatches",
-    ),
-    "cor2": VerifySuite(
-        name="corollary2",
-        build_gnn=_tanh_verifier_gnn,
-        run=lambda *args: disc.verify_corollary2(*args),
-        passed=lambda rep: (rep.subset_violations == 0
-                            and rep.strictness_witnesses >= 1
-                            and rep.probe_above_threshold >= 0.95 * rep.probe_draws),
-        summary=lambda rep: (f"subset violations {rep.subset_violations}, "
-                             f"strictness witnesses {rep.strictness_witnesses}, "
-                             f"probe residual > 1e-6 on "
-                             f"{rep.probe_above_threshold}/{rep.probe_draws} draws"),
-        write_extra=_write_probe_file,
-    ),
+    "1": VerifySuite("theorem1", "verify_theorem1", _tanh_verifier_gnn,
+                     "{trials} trials, {counterexamples} counterexamples"),
+    "2": VerifySuite("theorem2", "verify_theorem2_forward", _tanh_verifier_gnn,
+                     "agreement {agreements}/{trials}, discriminated {discriminated}, "
+                     "worst margin {worst_margin:.3e}"),
+    "cor1": VerifySuite("corollary1", "verify_corollary1",
+                        lambda spec, k, rng: disc.all_zero_high_gnn(
+                            spec, k, Nonlinearity.tanh(), n_filters=2, rng=rng),
+                        "{trials} trials, {verdict_mismatches} verdict mismatches"),
+    "cor2": VerifySuite("corollary2", "verify_corollary2", _tanh_verifier_gnn,
+                        "subset violations {subset_violations}, strictness witnesses "
+                        "{strictness_witnesses}, probe residual > 1e-6 on "
+                        "{probe_above_threshold}/{probe_draws} draws"),
 }
 
 
@@ -221,17 +189,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for suite in suites:
         columns = []
         lines = []
-        extra_paths = []
+        probe_files = 0
         for g, (spec, split) in enumerate(graphs):
             rng = np.random.default_rng(
                 np.random.SeedSequence((args.seed, g, 1)))
             gnn = suite.build_gnn(spec, args.cutoff, rng)
-            rep = suite.run(spec, split, gnn, args.trials, rng)
-            lines.append(f"graph {g}: {suite.summary(rep)}")
-            if suite.write_extra:
-                extra_paths.append(suite.write_extra(rep, args.out, g))
+            rep = getattr(disc, suite.verifier)(spec, split, gnn, args.trials, rng)
+            lines.append(f"graph {g}: " + suite.summary.format(trials=rep.trials, **rep.counts))
+            if rep.probe_residuals is not None:
+                write_lines(os.path.join(args.out, f"cor2_probe_g{g}.csv"),
+                            ["draw,residual"] + [f"{i},{r:.17g}" for i, r
+                                                 in enumerate(rep.probe_residuals)])
+                probe_files += 1
             columns.append(rep.columns)
-            failed = failed or not suite.passed(rep)
+            failed = failed or not rep.passed
 
         csv_path = os.path.join(args.out, f"verify_{suite.name}.csv")
         disc.write_trial_csv(columns, csv_path)
@@ -239,7 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for line in lines:
             print("  " + line)
         print(f"  trial log: {csv_path}"
-              + (f" (+ {len(extra_paths)} probe files)" if extra_paths else ""))
+              + (f" (+ {probe_files} probe files)" if probe_files else ""))
 
     print("verification " + ("FAILED" if failed else "passed"))
     return 1 if failed else 0

@@ -45,6 +45,10 @@ The verifiers draw randomized trials and check, statement by statement:
                            per-node secant equations admit no consistent
                            solution (overdetermined-system probe)
 
+Every verifier returns one VerifierReport: its named counts, in the order
+its summary line reports them, its verdict `passed`, computed next to the
+statement it tests, and its trial log.
+
 A GNN's bank is its (F, n) gains array on the Spectrum of the split; a
 filter counts as zero above the cutoff when every gain there is at most
 ZERO_HIGH_TOL in magnitude.
@@ -383,67 +387,45 @@ def _require_zero_high(gains: np.ndarray, k: int, role: str) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Theorem1Report:
+class VerifierReport:
+    """What a verifier found: its named counts in the order its summary
+    line reports them, whether the statement held, and the trial log."""
+
     trials: int
-    counterexamples: int
+    counts: dict[str, int | float]
+    passed: bool
     columns: TrialColumns = field(repr=False)
-
-
-@dataclass(frozen=True)
-class Theorem2Report:
-    trials: int
-    agreements: int
-    agreement_rate: float
-    discriminated: int     # trials with in_d_phi false
-    worst_margin: float    # smallest observed distance to a decision threshold
-    columns: TrialColumns = field(repr=False)
-
-
-@dataclass(frozen=True)
-class Corollary1Report:
-    trials: int
-    verdict_mismatches: int
-    columns: TrialColumns = field(repr=False)
-
-
-@dataclass(frozen=True)
-class Corollary2Report:
-    trials: int
-    subset_violations: int
-    strictness_witnesses: int
-    probe_draws: int
-    probe_above_threshold: int   # residual > 1e-6
-    probe_residuals: np.ndarray
-    columns: TrialColumns = field(repr=False)
+    probe_residuals: np.ndarray | None = field(default=None, repr=False)  # corollary 2
 
 
 def verify_theorem1(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
                     trials: int, rng: np.random.Generator,
-                    tol: float = DEFAULT_TOL) -> Theorem1Report:
+                    tol: float = DEFAULT_TOL) -> VerifierReport:
     """Sample pairs the bank discriminates; count any the GNN does not.
 
     Requires the first filter of the bank to vanish above the cutoff; every
     Nonlinearity kind is strictly monotone and 1-Lipschitz, as the theorem
-    asks. The expected counterexample count is zero.
+    asks. Passes when there is no counterexample.
     """
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
     columns, _, _ = _judge_in_blocks(spec, split, gnn, trials, rng, (OUTSIDE,), tol)
-    return Theorem1Report(trials=trials,
-                          counterexamples=int(np.count_nonzero(columns.in_d_phi)),
-                          columns=columns)
+    counterexamples = int(np.count_nonzero(columns.in_d_phi))
+    return VerifierReport(trials, {"counterexamples": counterexamples},
+                          passed=counterexamples == 0, columns=columns)
 
 
 def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
                             gnn: SingleLayerGnn, trials: int,
                             rng: np.random.Generator,
                             tol: float = DEFAULT_TOL,
-                            tol_secant: float = DEFAULT_SECANT_TOL) -> Theorem2Report:
+                            tol_secant: float = DEFAULT_SECANT_TOL) -> VerifierReport:
     """Check the constant-secant biconditional on bank-nondiscriminable pairs.
 
     For each sampled pair the GNN verdict must coincide with the secants
     being constant across nodes for every filter that responds above the
-    cutoff. Reports the agreement rate and the worst margin by which a
-    trial cleared its decision thresholds.
+    cutoff. Counts the agreements, the pairs the GNN discriminates and the
+    worst margin by which a trial cleared its decision thresholds; passes
+    when every trial agrees.
     """
     if len(gnn.bank) < 2:
         raise ConfigurationError("the biconditional needs at least two filters")
@@ -457,33 +439,31 @@ def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
     agreements = int(np.count_nonzero(columns.in_d_phi == constant))
     margin_phi = np.abs(columns.residual_low_gnn / scale - tol)
     margin_sec = np.abs(considered - tol_secant)
-    return Theorem2Report(
-        trials=trials,
-        agreements=agreements,
-        agreement_rate=agreements / trials if trials else 1.0,
-        discriminated=int(np.count_nonzero(~columns.in_d_phi)),
-        worst_margin=float(min(margin_phi.min(initial=math.inf),
-                               margin_sec.min(initial=math.inf))),
-        columns=columns,
-    )
+    counts = {
+        "agreements": agreements,
+        "discriminated": int(np.count_nonzero(~columns.in_d_phi)),
+        "worst_margin": float(min(margin_phi.min(initial=math.inf),
+                                  margin_sec.min(initial=math.inf))),
+    }
+    return VerifierReport(trials, counts, passed=agreements == trials, columns=columns)
 
 
 def verify_corollary1(spec: Spectrum, split: SubspaceSplit,
                       gnn: SingleLayerGnn, trials: int,
                       rng: np.random.Generator,
-                      tol: float = DEFAULT_TOL) -> Corollary1Report:
+                      tol: float = DEFAULT_TOL) -> VerifierReport:
     """With an all-zero-high bank the two verdicts must agree on every pair.
 
     Trials alternate between pairs inside the bank-nondiscriminable set,
-    generic pairs outside it, and identical pairs.
+    generic pairs outside it, and identical pairs. Passes when no pair's
+    verdicts differ.
     """
     for idx, gains in enumerate(gnn.bank):
         _require_zero_high(gains, split.k, f"filter {idx}")
     columns, _, _ = _judge_in_blocks(spec, split, gnn, trials, rng, MIXED, tol)
-    return Corollary1Report(
-        trials=trials,
-        verdict_mismatches=int(np.count_nonzero(columns.in_d_h != columns.in_d_phi)),
-        columns=columns)
+    mismatches = int(np.count_nonzero(columns.in_d_h != columns.in_d_phi))
+    return VerifierReport(trials, {"verdict_mismatches": mismatches},
+                          passed=mismatches == 0, columns=columns)
 
 
 def _tanh_secant_offsets(a: np.ndarray, b: float) -> np.ndarray:
@@ -554,13 +534,13 @@ def verify_corollary2(spec: Spectrum, split: SubspaceSplit,
                       gnn: SingleLayerGnn, trials: int,
                       rng: np.random.Generator,
                       tol: float = DEFAULT_TOL,
-                      probe_draws: int = 100) -> Corollary2Report:
+                      probe_draws: int = 100) -> VerifierReport:
     """Strict inclusion of the GNN verdict set under tanh.
 
-    (a) no sampled pair is GNN-nondiscriminable without being
+    Passes when (a) no sampled pair is GNN-nondiscriminable without being
     bank-nondiscriminable, (b) at least one bank-nondiscriminable pair is
     discriminated by the GNN, and (c) the overdetermined constant-secant
-    system has residual bounded away from zero on random draws.
+    system has residual above 1e-6 on at least 95% of the probe draws.
     """
     if split.v_high.shape[1] <= 1:
         raise ConfigurationError("the corollary needs more than one unprotected mode")
@@ -574,15 +554,15 @@ def verify_corollary2(spec: Spectrum, split: SubspaceSplit,
     columns, _, _ = _judge_in_blocks(spec, split, gnn, trials, rng, MIXED, tol)
     residuals = np.array([overdetermined_probe(spec, split, gnn, probed, rng)
                           for _ in range(probe_draws)])
-    return Corollary2Report(
-        trials=trials,
-        subset_violations=int(np.count_nonzero(columns.in_d_phi & ~columns.in_d_h)),
-        strictness_witnesses=int(np.count_nonzero(columns.in_d_h & ~columns.in_d_phi)),
-        probe_draws=probe_draws,
-        probe_above_threshold=int(np.sum(residuals > 1e-6)),
-        probe_residuals=residuals,
-        columns=columns,
-    )
+    counts = {
+        "subset_violations": int(np.count_nonzero(columns.in_d_phi & ~columns.in_d_h)),
+        "strictness_witnesses": int(np.count_nonzero(columns.in_d_h & ~columns.in_d_phi)),
+        "probe_above_threshold": int(np.sum(residuals > 1e-6)),
+        "probe_draws": probe_draws,
+    }
+    passed = (counts["subset_violations"] == 0 and counts["strictness_witnesses"] >= 1
+              and counts["probe_above_threshold"] >= 0.95 * probe_draws)
+    return VerifierReport(trials, counts, passed, columns, probe_residuals=residuals)
 
 
 def _trial_lines(columns_per_graph: list[TrialColumns]):

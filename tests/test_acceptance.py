@@ -86,7 +86,7 @@ class TestCriterion2Theorem1:
             rng = np.random.default_rng(400 + graph_idx)
             gnn = disc.verifier_gnn(spec, 4, Nonlinearity.tanh(), rng=rng)
             rep = disc.verify_theorem1(spec, split, gnn, 100, rng)
-            counterexamples += rep.counterexamples
+            counterexamples += rep.counts["counterexamples"]
         elapsed = time.perf_counter() - start
         report("2 (theorem 1 property suite)",
                counterexamples == 0 and elapsed < 30.0,
@@ -102,7 +102,7 @@ class TestCriterion3Theorem2:
             rng = np.random.default_rng(600 + graph_idx)
             gnn = disc.verifier_gnn(spec, 4, Nonlinearity.identity(), rng=rng)
             rep = disc.verify_theorem2_forward(spec, split, gnn, 100, rng)
-            agreements += rep.agreements
+            agreements += rep.counts["agreements"]
             trials += rep.trials
         report("3a (theorem 2, identity regime)",
                trials == 500 and agreements == trials,
@@ -136,7 +136,7 @@ class TestCriterion3Theorem2:
             rng = np.random.default_rng(1000 + graph_idx)
             gnn = disc.verifier_gnn(spec, 4, Nonlinearity.tanh(), rng=rng)
             rep = disc.verify_theorem2_forward(spec, split, gnn, 100, rng)
-            discriminated += rep.discriminated
+            discriminated += rep.counts["discriminated"]
             trials += rep.trials
         rate = discriminated / trials
         report("3c (theorem 2, tanh discrimination)",
@@ -153,7 +153,7 @@ class TestCriterion4Corollary1:
             gnn = disc.all_zero_high_gnn(spec, 4, Nonlinearity.tanh(),
                                          n_filters=3, rng=rng)
             rep = disc.verify_corollary1(spec, split, gnn, 100, rng)
-            mismatches += rep.verdict_mismatches
+            mismatches += rep.counts["verdict_mismatches"]
             trials += rep.trials
         report("4 (corollary 1)",
                trials == 500 and mismatches == 0,
@@ -170,10 +170,10 @@ class TestCriterion5Corollary2:
             gnn = disc.verifier_gnn(spec, 4, Nonlinearity.tanh(), rng=rng)
             rep = disc.verify_corollary2(spec, split, gnn, 200, rng,
                                          probe_draws=20)
-            assert rep.subset_violations == 0
-            witnesses_per_graph.append(rep.strictness_witnesses)
-            probe_total += rep.probe_draws
-            probe_above += rep.probe_above_threshold
+            assert rep.counts["subset_violations"] == 0
+            witnesses_per_graph.append(rep.counts["strictness_witnesses"])
+            probe_total += rep.counts["probe_draws"]
+            probe_above += rep.counts["probe_above_threshold"]
         rate = probe_above / probe_total
         report("5 (corollary 2)",
                min(witnesses_per_graph) >= 1 and rate >= 0.95,

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config files, file round-trips."""
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import graphdisc.cli
+import graphdisc.discriminability
 import graphdisc.experiment
 from graphdisc.cli import load_config_file, main
 from graphdisc.errors import ConfigurationError
@@ -164,6 +166,15 @@ class TestVerifyCommand:
         assert (out / "verify_theorem1.csv").exists()
         assert not (out / "verify_theorem2.csv").exists()
 
+    def test_failed_verdict_exits_one(self, tmp_path, capsys, monkeypatch):
+        verify = graphdisc.discriminability.verify_theorem1
+        monkeypatch.setattr("graphdisc.discriminability.verify_theorem1",
+                            lambda *a: dataclasses.replace(verify(*a), passed=False))
+        code = main(["verify", "--theorem", "1", "--trials", "5", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().out.endswith("verification FAILED\n")
+        assert len((tmp_path / "verify_theorem1.csv").read_text().splitlines()) == 6
+
     def test_trials_numbered_across_graphs(self, tmp_path, capsys):
         code = main(["verify", "--theorem", "1", "--graphs", "2", "--trials", "3",
                      "--out", str(tmp_path)])
@@ -185,14 +196,38 @@ class TestVerifyCommand:
         code = main(["verify", "--theorem", "all", "--seed", "0", "--trials", "50",
                      "--out", str(tmp_path)])
         assert code == 0
-        digests = {name: hashlib.sha256((tmp_path / f"verify_{name}.csv").read_bytes()).hexdigest()
-                   for name in ("theorem1", "theorem2", "corollary1", "corollary2")}
+        files = [f"verify_{name}.csv" for name in
+                 ("theorem1", "theorem2", "corollary1", "corollary2")] + ["cor2_probe_g0.csv"]
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in files}
         assert digests == {
-            "theorem1": "4c343a008581fefb46c69f2d59854c1caf27ed6f66a1d307b31b5eab9709be29",
-            "theorem2": "c2ba395cbbabfd542ecf514885f6ed2c11f12420f7ddd298ed91624019c98225",
-            "corollary1": "1d74846cd7255f756d5d95e4862fbffe6ac964cd9c4e878bc23a6561fc7f4608",
-            "corollary2": "0e564a3a2be9308b870bbc4937120535bedabcb595fdd241096d402c336895f9",
+            "verify_theorem1.csv":
+                "4c343a008581fefb46c69f2d59854c1caf27ed6f66a1d307b31b5eab9709be29",
+            "verify_theorem2.csv":
+                "c2ba395cbbabfd542ecf514885f6ed2c11f12420f7ddd298ed91624019c98225",
+            "verify_corollary1.csv":
+                "1d74846cd7255f756d5d95e4862fbffe6ac964cd9c4e878bc23a6561fc7f4608",
+            "verify_corollary2.csv":
+                "0e564a3a2be9308b870bbc4937120535bedabcb595fdd241096d402c336895f9",
+            "cor2_probe_g0.csv":
+                "998d1ce58477416f79b11074431e6a04e6d9e1a97e7be1e47a7291f51e3b4655",
         }
+        # the summary lines, as printed before the verifiers returned one report type
+        assert capsys.readouterr().out.replace(str(tmp_path), "<out>") == (
+            "== theorem1 (1 graphs x 50 trials) ==\n"
+            "  graph 0: 50 trials, 0 counterexamples\n"
+            "  trial log: <out>/verify_theorem1.csv\n"
+            "== theorem2 (1 graphs x 50 trials) ==\n"
+            "  graph 0: agreement 50/50, discriminated 50, worst margin 4.113e-02\n"
+            "  trial log: <out>/verify_theorem2.csv\n"
+            "== corollary1 (1 graphs x 50 trials) ==\n"
+            "  graph 0: 50 trials, 0 verdict mismatches\n"
+            "  trial log: <out>/verify_corollary1.csv\n"
+            "== corollary2 (1 graphs x 50 trials) ==\n"
+            "  graph 0: subset violations 0, strictness witnesses 17, "
+            "probe residual > 1e-6 on 100/100 draws\n"
+            "  trial log: <out>/verify_corollary2.csv (+ 1 probe files)\n"
+            "verification passed\n")
 
     @pytest.mark.parametrize("flag, value", [("--graphs", "0"), ("--trials", "-3")])
     def test_rejects_nonpositive_counts(self, tmp_path, capsys, flag, value):
@@ -431,7 +466,7 @@ class TestParser:
         probe = subprocess.run(
             [sys.executable, "-c",
              "import graphdisc.cli as c; print(c._parser.cache_info().currsize)"],
-            env={"PYTHONPATH": src}, capture_output=True, text=True, check=True)
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
         assert probe.stdout == "0\n"
 
     def test_built_once_and_reused(self):

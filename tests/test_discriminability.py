@@ -244,7 +244,7 @@ class TestVerifyTheorem1:
         rng = np.random.default_rng(18)
         gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
         report = disc.verify_theorem1(spec, split, gnn, 100, rng)
-        assert report.counterexamples == 0
+        assert report.counts["counterexamples"] == 0
         assert all(len(column) == 100 for column in report.columns)
         assert not report.columns.in_d_h.any()
 
@@ -253,7 +253,7 @@ class TestVerifyTheorem1:
         rng = np.random.default_rng(19)
         gnn = disc.verifier_gnn(spec, K, Nonlinearity.identity(), rng=rng)
         report = disc.verify_theorem1(spec, split, gnn, 50, rng)
-        assert report.counterexamples == 0
+        assert report.counts["counterexamples"] == 0
 
     def test_low_mode_difference_discriminated_by_both(self, setup):
         spec, split = setup
@@ -279,7 +279,8 @@ class TestVerifyTheorem1:
         gnn = SingleLayerGnn(bank=(first, np.ones(N)), sigma=Nonlinearity.tanh())
         rng = np.random.default_rng(36)
         if accepted:
-            assert disc.verify_theorem1(spec, split, gnn, 5, rng).counterexamples == 0
+            report = disc.verify_theorem1(spec, split, gnn, 5, rng)
+            assert report.counts["counterexamples"] == 0
         else:
             with pytest.raises(ConfigurationError, match="must vanish above the cutoff"):
                 disc.verify_theorem1(spec, split, gnn, 5, rng)
@@ -299,7 +300,7 @@ class TestVerifyTheorem1:
         gnn = SingleLayerGnn(bank=(freq_response(coeffs, spec.eigenvalues), np.ones(5)),
                              sigma=Nonlinearity.tanh())
         report = disc.verify_theorem1(spec, split, gnn, 10, np.random.default_rng(22))
-        assert report.counterexamples == 0
+        assert report.counts["counterexamples"] == 0
 
 
 class TestVerifyTheorem2:
@@ -308,16 +309,16 @@ class TestVerifyTheorem2:
         rng = np.random.default_rng(23)
         gnn = disc.verifier_gnn(spec, K, Nonlinearity.identity(), rng=rng)
         report = disc.verify_theorem2_forward(spec, split, gnn, 100, rng)
-        assert report.agreement_rate == 1.0
-        assert report.discriminated == 0    # linear case keeps D_H pairs
+        assert report.counts["agreements"] == report.trials
+        assert report.counts["discriminated"] == 0    # linear case keeps D_H pairs
 
     def test_tanh_discriminates_most_pairs(self, setup):
         spec, split = setup
         rng = np.random.default_rng(24)
         gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
         report = disc.verify_theorem2_forward(spec, split, gnn, 100, rng)
-        assert report.agreement_rate == 1.0
-        assert report.discriminated >= 99
+        assert report.counts["agreements"] == report.trials
+        assert report.counts["discriminated"] >= 99
 
     def test_constructed_constant_secant_pair(self, setup):
         spec, split = setup
@@ -346,7 +347,7 @@ class TestVerifyCorollary1:
         rng = np.random.default_rng(27)
         gnn = disc.all_zero_high_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
         report = disc.verify_corollary1(spec, split, gnn, 90, rng)
-        assert report.verdict_mismatches == 0
+        assert report.counts["verdict_mismatches"] == 0
         flags = set(zip(report.columns.in_d_h.tolist(), report.columns.in_d_phi.tolist()))
         assert (True, True) in flags and (False, False) in flags
 
@@ -374,9 +375,10 @@ class TestVerifyCorollary2:
         rng = np.random.default_rng(30)
         gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
         report = disc.verify_corollary2(spec, split, gnn, 60, rng, probe_draws=40)
-        assert report.subset_violations == 0
-        assert report.strictness_witnesses >= 1
-        assert report.probe_above_threshold >= 0.95 * report.probe_draws
+        assert report.counts["subset_violations"] == 0
+        assert report.counts["strictness_witnesses"] >= 1
+        assert report.counts["probe_above_threshold"] >= 0.95 * report.counts["probe_draws"]
+        assert report.passed
 
     def test_requires_tanh(self, setup):
         spec, split = setup
@@ -476,9 +478,10 @@ class TestStackedTrials:
                                                         disc.SCALE_FLOOR) - disc.DEFAULT_TOL)
                 worst = min(worst, margin_phi,
                             float(np.min(np.abs(considered - disc.DEFAULT_SECANT_TOL))))
-            assert (report.agreements, report.worst_margin) == (agreements, worst)
-            assert report.discriminated == sum(not in_d_phi
-                                               for _, in_d_phi, *_ in _rows(report.columns))
+            counts = report.counts
+            assert (counts["agreements"], counts["worst_margin"]) == (agreements, worst)
+            assert counts["discriminated"] == sum(not in_d_phi
+                                                  for _, in_d_phi, *_ in _rows(report.columns))
 
     def test_zero_trials(self, setup):
         spec, split = setup
@@ -486,13 +489,19 @@ class TestStackedTrials:
         flat = disc.all_zero_high_gnn(spec, K, Nonlinearity.tanh(),
                                       rng=np.random.default_rng(42))
         rng = np.random.default_rng(43)
-        assert _rows(disc.verify_theorem1(spec, split, tanh, 0, rng).columns) == []
+        # at zero trials the pass rules hold vacuously, except corollary 2's,
+        # which asks for at least one strictness witness
+        report = disc.verify_theorem1(spec, split, tanh, 0, rng)
+        assert _rows(report.columns) == [] and report.passed is True
         report = disc.verify_theorem2_forward(spec, split, tanh, 0, rng)
-        assert _rows(report.columns) == [] and report.agreements == 0
-        assert report.agreement_rate == 1.0 and report.worst_margin == math.inf
-        assert _rows(disc.verify_corollary1(spec, split, flat, 0, rng).columns) == []
+        assert _rows(report.columns) == [] and report.counts["agreements"] == 0
+        assert report.counts["agreements"] == report.trials
+        assert report.counts["worst_margin"] == math.inf and report.passed is True
+        report = disc.verify_corollary1(spec, split, flat, 0, rng)
+        assert _rows(report.columns) == [] and report.passed is True
         report = disc.verify_corollary2(spec, split, tanh, 0, rng, probe_draws=3)
-        assert _rows(report.columns) == []
+        assert _rows(report.columns) == [] and report.counts["strictness_witnesses"] == 0
+        assert report.passed is False
 
 
 class TestJudgePairs:
