@@ -71,7 +71,7 @@ def load_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = dict(PRESETS[args.preset]) if args.preset else {}
+    values = dict(PRESETS[args.preset])
     if args.config:
         values.update(load_config_file(args.config))
     for key in CONFIG_KEYS:
@@ -86,6 +86,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.load_model and args.load_bank:
+        raise ConfigurationError("--load-model and --load-bank both set the warm-start taps; "
+                                 "give one of them")
     config = build_config(args)
 
     graph = None

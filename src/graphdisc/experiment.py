@@ -31,7 +31,7 @@ from .filters import bank_il_constant, contract, shift_powers
 from .gnn import Nonlinearity
 from .graphs import GeometricGraph, SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from .spectral import SubspaceSplit, eig_sym, project_subspace, split_subspace
-from .training import LAM_MAX, TrainConfig, TrainResult, init_model, mse_loss, predict, train
+from .training import TrainConfig, TrainResult, init_model, mse_loss, predict, train
 
 MODES = ("low", "high", "full")
 MODE_INDEX = {"low": 0, "high": 1, "full": 2}
@@ -240,7 +240,7 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
         subspace=mode,
         model=name,
         test_mse=mse_loss(predict(result.model, s_norm, dataset.test[0]), dataset.test[1])[0],
-        il_constant=bank_il_constant(result.model.taps, LAM_MAX),
+        il_constant=bank_il_constant(result.model.taps),
         wall_time=elapsed,
     ) for name, result in zip(MODEL_NAMES, results))
 

@@ -13,8 +13,10 @@ eigenvalues (a low-degree polynomial cannot vanish on n - k distinct
 points).
 
 The integral-Lipschitz constant of a filter is estimated as the maximum of
-|lambda * h'(lambda)| over a uniform grid, using the exact polynomial
-derivative.
+|lambda * h'(lambda)| over GRID_POINTS uniform points of [0, 1], which
+holds a normalized Laplacian's spectrum, using the exact polynomial
+derivative. bank_il_constant reports it; il_regularizer, the training
+penalty, adds its subgradient, from the same grid values.
 """
 
 from __future__ import annotations
@@ -76,34 +78,54 @@ def freq_response(taps: np.ndarray, lam) -> np.ndarray | float:
     return float(acc) if acc.ndim == 0 else acc
 
 
-def response_grid(lam_max: float) -> np.ndarray:
-    """The uniform evaluation grid on [0, lam_max]."""
-    return np.linspace(0.0, lam_max, GRID_POINTS)
-
-
 @lru_cache(maxsize=16)
-def _grid_powers(lam_max: float, n_taps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents 0..K and the read-only (K+1, G) matrix lambda^k on the grid."""
-    if lam_max <= 0:
-        raise ConfigurationError(f"lam_max must be positive, got {lam_max}")
+def _grid_powers(n_taps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents 0..K and the read-only (K+1, GRID_POINTS) matrix lambda^k
+    on the grid."""
     powers = np.arange(n_taps)
-    lam_pow = response_grid(lam_max)[None, :] ** powers[:, None]
+    lam_pow = np.linspace(0.0, 1.0, GRID_POINTS)[None, :] ** powers[:, None]
     powers.flags.writeable = lam_pow.flags.writeable = False
     return powers, lam_pow
 
 
-def _il_response(taps: np.ndarray, lam_max: float) -> np.ndarray:
+def _il_response(taps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lambda h_f'(lambda) = sum_k k h_fk lambda^k on the grid, for each row
-    of the (F, K+1) taps: one (F, K+1) @ (K+1, G) product."""
-    powers, lam_pow = _grid_powers(float(lam_max), taps.shape[1])
-    return (taps * powers) @ lam_pow
+    of the (F, K+1) taps: one (F, K+1) @ (K+1, G) product. Returned with the
+    grid's exponents and powers it was made from."""
+    powers, lam_pow = _grid_powers(taps.shape[1])
+    return (taps * powers) @ lam_pow, powers, lam_pow
 
 
-def bank_il_constant(taps: np.ndarray, lam_max: float) -> float:
+def bank_il_constant(taps: np.ndarray) -> float:
     """Integral-Lipschitz constant estimate: the largest max |lambda h_f'(lambda)|
     on the grid over the rows of an (F, K+1) taps array."""
     taps = np.asarray(taps, dtype=np.float64)
-    return float(np.max(np.abs(_il_response(taps, lam_max))))
+    return float(np.max(np.abs(_il_response(taps)[0])))
+
+
+def il_regularizer(taps: np.ndarray, weight: float, grad: np.ndarray) -> float:
+    """Add the regularizer's subgradient into the (F, K+1) grad and return
+    weight * max_{f, grid} |lambda h_f'(lambda)|, that is weight times
+    bank_il_constant, from the same grid values.
+
+    The subgradient is one row: it flows only to the filter and grid point
+    attaining the maximum (ties resolve to the first flattened index)
+    through d/dh_k [lambda h'(lambda)] = k lambda^k.
+    """
+    vals, powers, lam_pow = _il_response(taps)         # vals (F, G)
+    # argmax(|vals|) without forming |vals|: the first maximum or the first
+    # minimum, whichever is larger in magnitude, and the earlier on a tie
+    i_max, i_min = int(vals.argmax()), int(vals.argmin())
+    top, bottom = vals.flat[i_max], -vals.flat[i_min]
+    i_peak = i_max if top > bottom else i_min if bottom > top else min(i_max, i_min)
+    f_star, g_star = divmod(i_peak, vals.shape[1])
+    peak = float(vals[f_star, g_star])
+    row = weight * np.sign(peak) * powers
+    row *= lam_pow[:, g_star]
+    # through a view: `grad[f_star] += row` would also copy the row onto itself
+    grad_row = grad[f_star]
+    grad_row += row
+    return weight * abs(peak)
 
 
 def zero_high_response(spec: Spectrum, k: int, low_profile: np.ndarray) -> np.ndarray:

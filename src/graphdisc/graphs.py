@@ -125,8 +125,8 @@ def normalize_support(s: SupportMatrix) -> SupportMatrix:
     """
     if not np.any(s.entries):
         raise DegenerateInputError("cannot normalize the all-zero matrix")
-    lam_max = float(np.max(np.abs(np.linalg.eigvalsh(s.entries))))
-    return SupportMatrix(s.entries / lam_max)
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(s.entries))))
+    return SupportMatrix(s.entries / norm)
 
 
 def save_graph(g: GeometricGraph, path: str) -> None:

@@ -13,10 +13,10 @@ matrix of its shift powers S^k x, and forms the (F, B*n) activation A:
   off A, overwriting it) gives the tap gradient
   readout x (sigma'(A) @ (P * d(loss)/d(pred))^T), which forms no
   (F, B*n) array besides A; both gradients go into one fresh vector;
-- the regularizer (il_regularizer): its subgradient, one row added into
-  the tap gradient at the filter and grid point where the
-  integral-Lipschitz constant is attained, on the grid values that
-  filters._il_response makes for bank_il_constant too.
+- the regularizer (il_regularizer, which lives in filters next to
+  bank_il_constant and its grid on [0, 1]): its subgradient, one row
+  added into the tap gradient at the filter and grid point where the
+  integral-Lipschitz constant is attained.
 
 The identity model takes a shorter step. A linear bank followed by a
 linear readout is one filter, w = readout @ taps, so its step forms no A:
@@ -73,17 +73,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .filters import _grid_powers, _il_response, bank_il_constant, contract, shift_powers
+from .filters import bank_il_constant, contract, il_regularizer, shift_powers
 from .gnn import Nonlinearity
 from .graphs import SupportMatrix
 
 # Bytes of training-set shift powers train makes at once: a chunk holds as
 # many whole batches as fit, and at least one.
 CHUNK_BYTES = 2 ** 18
-
-# normalize_support scales every shift to operator norm 1, so the
-# integral-Lipschitz grid of training runs over [0, 1]
-LAM_MAX = 1.0
 
 # Adam's moment decay rates and the denominator's guard
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
@@ -185,33 +181,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, diff
 
 
-def il_regularizer(taps: np.ndarray, lam_max: float, weight: float,
-                   grad: np.ndarray) -> float:
-    """Add the regularizer's subgradient into the (F, K+1) grad and return
-    weight * max_{f, grid} |lambda h_f'(lambda)|, that is weight times
-    bank_il_constant, from the same filters._il_response values.
-
-    The subgradient is one row: it flows only to the filter and grid point
-    attaining the maximum (ties resolve to the first flattened index)
-    through d/dh_k [lambda h'(lambda)] = k lambda^k.
-    """
-    vals = _il_response(taps, lam_max)                  # (F, G)
-    powers, lam_pow = _grid_powers(float(lam_max), taps.shape[1])
-    # argmax(|vals|) without forming |vals|: the first maximum or the first
-    # minimum, whichever is larger in magnitude, and the earlier on a tie
-    i_max, i_min = int(vals.argmax()), int(vals.argmin())
-    top, bottom = vals.flat[i_max], -vals.flat[i_min]
-    i_peak = i_max if top > bottom else i_min if bottom > top else min(i_max, i_min)
-    f_star, g_star = divmod(i_peak, vals.shape[1])
-    peak = float(vals[f_star, g_star])
-    row = weight * np.sign(peak) * powers
-    row *= lam_pow[:, g_star]
-    # through a view: `grad[f_star] += row` would also copy the row onto itself
-    grad_row = grad[f_star]
-    grad_row += row
-    return weight * abs(peak)
-
-
 def model_forward(model: TrainableModel, powers: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """The prediction (B, n) from the shift powers (K+1, B, n) of a batch,
@@ -271,7 +240,7 @@ def model_backward(model: TrainableModel, powers: np.ndarray, target: np.ndarray
         np.matmul(deriv, (powers2d * dpred1d).T, out=grad_taps)
         grad_taps *= model.readout[:, None]
 
-    reg = il_regularizer(model.taps, LAM_MAX, il_weight, grad_taps)
+    reg = il_regularizer(model.taps, il_weight, grad_taps)
     return BackwardResult(mse, mse + reg, grad_taps, grad_readout, grads)
 
 
@@ -372,7 +341,7 @@ def train(models: list[TrainableModel], s: SupportMatrix,
                     epoch=epoch,
                     train_loss=train_loss,
                     val_loss=epoch_val,
-                    il_constant=bank_il_constant(model.taps, LAM_MAX),
+                    il_constant=bank_il_constant(model.taps),
                     learning_rate=state.learning_rate,
                 ))
                 if epoch_val < best_val[i]:

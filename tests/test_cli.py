@@ -17,7 +17,7 @@ import graphdisc.experiment
 from graphdisc.cli import load_config_file, main
 from graphdisc.errors import ConfigurationError
 from graphdisc.filters import load_bank, save_bank
-from graphdisc.gnn import load_model
+from graphdisc.gnn import Nonlinearity, load_model, save_model
 from graphdisc.graphs import load_graph
 from graphdisc.spectral import eig_sym
 
@@ -118,6 +118,23 @@ class TestRunCommand:
 
         out2 = tmp_path / "results2"
         assert run_tiny(out2, "--load-model", mpath) == 0
+
+    def test_result_files_unchanged(self, tmp_path, capsys):
+        # sha256 of a toy run's results as written before the
+        # integral-Lipschitz estimate moved into filters
+        out = tmp_path / "results"
+        assert run_tiny(out, "--epochs", 3) == 0
+        files = ["summary.csv", "history_high_filter_bank_g0.csv", "history_high_gnn_g0.csv"]
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in files}
+        assert digests == {
+            "summary.csv":
+                "48362d3842c17b5220b1840a9a4ab3ae121d34396d3e7dab894291d0b937bc64",
+            "history_high_filter_bank_g0.csv":
+                "b65bc16694ce38edc1b31f1cf93ce4121f2c04a75b9ae6a82737893f205a5f54",
+            "history_high_gnn_g0.csv":
+                "fa4988230e0463fe35b5a6c02dd19d3f5ecae484a6a2766f6c96323b0b2fe48d",
+        }
 
     def test_model_round_trip_preserves_parameters(self, tmp_path, capsys):
         mpath = tmp_path / "model.txt"
@@ -386,6 +403,24 @@ class TestErrorExit:
         err = capsys.readouterr().err
         assert err == ("graphdisc: error: replicate high graph 0: "
                        "warm-start taps shape (2, 2) != (32, 3)\n")
+
+    def test_load_model_with_load_bank(self, tmp_path, capsys, monkeypatch):
+        # a wrong-shape bank next to a valid model: the pair is refused
+        # before any replicate runs, rather than the bank being dropped
+        mpath, bpath = tmp_path / "model.txt", tmp_path / "bank.txt"
+        save_model(np.full((32, 3), 0.1), np.full(32, 0.1), Nonlinearity.tanh(), str(mpath))
+        save_bank(np.eye(2), str(bpath))
+
+        def no_training(*args):
+            raise AssertionError("a replicate ran with both warm starts given")
+
+        monkeypatch.setattr(graphdisc.experiment, "run_replicate", no_training)
+        code = run_tiny(tmp_path / "out", "--load-model", mpath, "--load-bank", bpath)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "graphdisc: error: --load-model and --load-bank both set the warm-start "
+            "taps; give one of them\n")
+        assert not (tmp_path / "out").exists()
 
 
     def test_out_is_a_file_fails_before_training(self, tmp_path, capsys, monkeypatch):

@@ -9,9 +9,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from graphdisc import training
+from graphdisc import filters, training
 from graphdisc.errors import NumericalError, ShapeError
-from graphdisc.filters import bank_il_constant, shift_powers
+from graphdisc.filters import GRID_POINTS, bank_il_constant, shift_powers
 from graphdisc.gnn import Nonlinearity
 from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
 from graphdisc.training import (
@@ -46,9 +46,9 @@ def two_pass_mse_oracle(pred, target):
     return total / count
 
 
-def fresh_grid_regularizer(taps, lam_max, weight):
+def fresh_grid_regularizer(taps, weight):
     """il_regularizer with its grid and power matrix rebuilt on every call."""
-    grid = np.linspace(0.0, lam_max, 257)
+    grid = np.linspace(0.0, 1.0, GRID_POINTS)
     powers = np.arange(taps.shape[1])
     vals = (taps * powers) @ (grid[None, :] ** powers[:, None])
     abs_vals = np.abs(vals)
@@ -58,10 +58,10 @@ def fresh_grid_regularizer(taps, lam_max, weight):
     return weight * float(abs_vals[f, g]), grad
 
 
-def regularizer(taps, lam_max, weight):
+def regularizer(taps, weight):
     """il_regularizer's value, and its subgradient added into a zeros grad."""
     grad = np.zeros(taps.shape)
-    return il_regularizer(taps, lam_max, weight, grad), grad
+    return il_regularizer(taps, weight, grad), grad
 
 
 def einsum_reference_backward(model, s, x, target, il_weight):
@@ -85,7 +85,7 @@ def einsum_reference_backward(model, s, x, target, il_weight):
         sigma_prime = np.where(pre >= 0.0, 1.0, model.sigma.slope)
     dpre = model.readout[:, None, None] * dpred[None, :, :] * sigma_prime
     grad_taps = np.einsum("fbn,kbn->fk", dpre, powers)
-    grad_taps = grad_taps + fresh_grid_regularizer(model.taps, 1.0, il_weight)[1]
+    grad_taps = grad_taps + fresh_grid_regularizer(model.taps, il_weight)[1]
     grad_readout = np.einsum("bn,fbn->f", dpred, features)
     return float(np.mean(diff ** 2)), grad_taps, grad_readout
 
@@ -101,7 +101,7 @@ def general_contraction_backward(model, s, x, target, il_weight):
     grad_readout = act @ dpred.reshape(-1)
     dpre = np.multiply.outer(model.readout, dpred.reshape(-1))
     dpre *= model.sigma.output_derivative(act)
-    grad_taps = dpre @ powers.T + regularizer(model.taps, 1.0, il_weight)[1]
+    grad_taps = dpre @ powers.T + regularizer(model.taps, il_weight)[1]
     return mse, grad_taps, grad_readout
 
 
@@ -155,12 +155,12 @@ class TestMseLoss:
 
 class TestIlRegularizer:
     def test_constant_filters(self):
-        value, grad = regularizer(np.array([[1.0], [-2.0]]), 1.0, 0.01)
+        value, grad = regularizer(np.array([[1.0], [-2.0]]), 0.01)
         assert value == 0.0
         np.testing.assert_array_equal(grad, np.zeros((2, 1)))
 
     def test_linear_filter(self):
-        value, _ = regularizer(np.array([[0.0, 1.0]]), 1.0, 0.01)
+        value, _ = regularizer(np.array([[0.0, 1.0]]), 0.01)
         assert value == pytest.approx(0.01)
 
     def test_gradient_matches_finite_differences(self):
@@ -168,35 +168,41 @@ class TestIlRegularizer:
         for _ in range(10):
             taps = rng.uniform(-1, 1, (3, 4))
             weight = 0.05
-            _, grad = regularizer(taps, 1.0, weight)
+            _, grad = regularizer(taps, weight)
             h = 1e-6
             fd = np.zeros_like(taps)
             for idx in np.ndindex(taps.shape):
                 up, down = taps.copy(), taps.copy()
                 up[idx] += h
                 down[idx] -= h
-                fd[idx] = (regularizer(up, 1.0, weight)[0]
-                           - regularizer(down, 1.0, weight)[0]) / (2 * h)
+                fd[idx] = (regularizer(up, weight)[0]
+                           - regularizer(down, weight)[0]) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-9)
 
     def test_value_is_bank_il_constant(self):
         taps = np.random.default_rng(9).uniform(-1, 1, (32, 3))
-        value, _ = regularizer(taps, 1.0, 1.0)
-        assert value == bank_il_constant(taps, 1.0)
+        value, _ = regularizer(taps, 1.0)
+        assert value == bank_il_constant(taps)
+
+    def test_training_uses_the_filters_regularizer(self):
+        # one regularizer, defined next to bank_il_constant and its grid
+        assert training.il_regularizer is filters.il_regularizer
 
     def test_grid_follows_lam_max_and_tap_count(self):
-        # the grid and its power matrix are built once per (lam_max, taps);
-        # alternating them in one process must never reuse the wrong one
+        # the grid on [0, 1] and its power matrix are built once per tap
+        # count; alternating counts in one process must never reuse the
+        # wrong one
         rng = np.random.default_rng(6)
         values = {}
-        for lam_max, n_taps in [(1.0, 3), (2.0, 3), (1.0, 3), (2.0, 4), (0.5, 4), (1.0, 4)]:
+        for n_taps in [3, 4, 3, 2, 4, 3, 2]:
             taps = rng.uniform(-1, 1, (3, n_taps))
-            value, grad = regularizer(taps, lam_max, 0.05)
-            expected_value, expected_grad = fresh_grid_regularizer(taps, lam_max, 0.05)
+            value, grad = regularizer(taps, 0.05)
+            expected_value, expected_grad = fresh_grid_regularizer(taps, 0.05)
             assert value == expected_value
             np.testing.assert_array_equal(grad, expected_grad)
-            values[lam_max] = regularizer(np.array([[0.0, 1.0]]), lam_max, 1.0)[0]
-        assert values == {1.0: 1.0, 2.0: 2.0, 0.5: 0.5}
+            # lambda * (lambda^K)' = K lambda^K peaks at K, at lambda = 1
+            values[n_taps] = regularizer(np.eye(n_taps)[-1:], 1.0)[0]
+        assert values == {2: 1.0, 3: 2.0, 4: 3.0}
 
     @pytest.mark.parametrize("n_filters", [1, 32])
     @pytest.mark.parametrize("n_taps", range(1, 7))
@@ -204,8 +210,8 @@ class TestIlRegularizer:
         rng = np.random.default_rng(40 + n_taps)
         for _ in range(20):
             taps = rng.uniform(-1, 1, (n_filters, n_taps))
-            value, grad = regularizer(taps, 1.0, 0.01)
-            expected_value, expected_grad = fresh_grid_regularizer(taps, 1.0, 0.01)
+            value, grad = regularizer(taps, 0.01)
+            expected_value, expected_grad = fresh_grid_regularizer(taps, 0.01)
             assert value == expected_value
             np.testing.assert_array_equal(grad, expected_grad)
 
@@ -218,8 +224,8 @@ class TestIlRegularizer:
         taps = rng.uniform(-1, 1, (32, n_taps)) / 4
         taps[5] = first_sign * rng.uniform(0.5, 1.0, n_taps)
         taps[20] = -taps[5]
-        value, grad = regularizer(taps, 1.0, 0.01)
-        expected_value, expected_grad = fresh_grid_regularizer(taps, 1.0, 0.01)
+        value, grad = regularizer(taps, 0.01)
+        expected_value, expected_grad = fresh_grid_regularizer(taps, 0.01)
         assert value == expected_value
         np.testing.assert_array_equal(grad, expected_grad)
         assert np.any(grad[5] != 0.0) and not np.any(np.delete(grad, 5, axis=0))
@@ -231,15 +237,15 @@ class TestIlRegularizer:
         taps = rng.uniform(-1, 1, (4, 3))
         grad = rng.standard_normal((4, 3))
         before = grad.copy()
-        value = il_regularizer(taps, 1.0, 0.05, grad)
-        expected_value, expected_grad = fresh_grid_regularizer(taps, 1.0, 0.05)
+        value = il_regularizer(taps, 0.05, grad)
+        expected_value, expected_grad = fresh_grid_regularizer(taps, 0.05)
         assert value == expected_value
         np.testing.assert_array_equal(grad, before + expected_grad)
 
     def test_nan_taps_give_a_nan_row(self):
         taps = np.array([[0.1, 0.2], [np.nan, 0.3]])
         grad = np.zeros((2, 2))
-        value = il_regularizer(taps, 1.0, 0.01, grad)
+        value = il_regularizer(taps, 0.01, grad)
         assert np.isnan(value)
         assert np.all(np.isnan(grad[1])) and not np.any(grad[0])
 
@@ -247,8 +253,8 @@ class TestIlRegularizer:
     @pytest.mark.parametrize("n_taps", range(1, 7))
     def test_zero_taps_give_zero_gradient(self, n_taps, n_filters):
         taps = np.zeros((n_filters, n_taps))
-        value, grad = regularizer(taps, 1.0, 0.01)
-        expected_value, expected_grad = fresh_grid_regularizer(taps, 1.0, 0.01)
+        value, grad = regularizer(taps, 0.01)
+        expected_value, expected_grad = fresh_grid_regularizer(taps, 0.01)
         assert value == expected_value == 0.0
         np.testing.assert_array_equal(grad, expected_grad)
         np.testing.assert_array_equal(grad, np.zeros((n_filters, n_taps)))
@@ -334,7 +340,7 @@ class TestModelBackward:
         x = rng.standard_normal((5, 12))
         y = np.sign(rng.standard_normal((5, 12)))
         result = backward(model, support, x, y, il_weight=0.02)
-        _, reg_grad = regularizer(model.taps, 1.0, 0.02)
+        _, reg_grad = regularizer(model.taps, 0.02)
         np.testing.assert_allclose(result.grad_taps, reg_grad, atol=1e-15)
 
     def test_linear_single_tap_matches_least_squares_gradient(self, support):
@@ -545,7 +551,7 @@ class TestTrain:
                 result = train([model], support, data, data,
                                TrainConfig(epochs=8, batch_size=5, seed=seed,
                                            il_weight=weight))[0]
-                constants[weight] = bank_il_constant(result.model.taps, 1.0)
+                constants[weight] = bank_il_constant(result.model.taps)
             wins += constants[0.01] <= constants[0.0]
         assert wins >= 3
 
