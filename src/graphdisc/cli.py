@@ -100,7 +100,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     init_taps = init_readout = None
     if args.load_model:
-        init_taps, init_readout, _sigma = load_model(args.load_model)
+        init_taps, init_readout, sigma = load_model(args.load_model)
+        # the model warm-starts the GNN, which run trains with tanh
+        if sigma.kind != "tanh":
+            raise ConfigurationError(f"{args.load_model}: the model's activation is "
+                                     f"{sigma.descriptor()}, but run trains a tanh GNN")
     elif args.load_bank:
         init_taps = load_bank(args.load_bank)
 

@@ -8,6 +8,13 @@ model and a tanh GNN on identical data from identical initial parameters.
 Test errors are aggregated over replicates with normal-approximation 95%
 confidence intervals.
 
+Memory: a set is labelled a chunk of rows at a time (generate_target, with
+training.chunk_rows) and the test prediction is made in chunks
+(training.model_forward), so a replicate forms no whole-set activation and
+no whole-set stack of the targets' shift powers. The inputs are drawn in
+one pass: their subspace projection rounds by the row count, so row chunks
+would change their bits.
+
 Determinism: every replicate derives its RNG streams from
 SeedSequence((master_seed, mode_index, graph_index)), and aggregation is an
 ordered reduction over replicate indices, so results do not depend on how
@@ -31,7 +38,8 @@ from .filters import bank_il_constant, contract, shift_powers
 from .gnn import Nonlinearity
 from .graphs import GeometricGraph, SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from .spectral import SubspaceSplit, eig_sym, project_subspace, split_subspace
-from .training import TrainConfig, TrainResult, init_model, mse_loss, predict, train
+from .training import (TrainConfig, TrainResult, chunk_rows, init_model, mse_loss, predict,
+                       train)
 
 MODES = ("low", "high", "full")
 MODE_INDEX = {"low": 0, "high": 1, "full": 2}
@@ -141,12 +149,28 @@ def generate_inputs(split: SubspaceSplit, mode: str, count: int,
 
 def generate_target(s_norm: SupportMatrix, x: np.ndarray,
                     c: np.ndarray) -> np.ndarray:
-    """sign(c0 x + c1 S x + c2 S^2 x) entrywise, with sign(0) = +1."""
+    """sign(c0 x + c1 S x + c2 S^2 x) entrywise, with sign(0) = +1, for x
+    of shape (n,) or (N, n).
+
+    The rows of x are taken in chunks whose shift powers fit CHUNK_BYTES,
+    made in one reused buffer. The products with S round by the chunk's
+    row count, so a value can differ from the one-pass value in its last
+    bits; only its sign is kept.
+    """
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (3,):
         raise ShapeError(f"expected three coefficients, got shape {c.shape}")
-    value = contract(c, shift_powers(s_norm, x, 3))
-    return np.where(value >= 0.0, 1.0, -1.0)
+    x = np.asarray(x, dtype=np.float64)
+    by_rows = x.reshape(-1, x.shape[-1])
+    n_rows, n = by_rows.shape
+    rows = chunk_rows(3 * n * 8)
+    powers = np.empty((3, min(rows, n_rows), n))
+    y = np.empty(by_rows.shape)
+    for r0 in range(0, n_rows, rows):
+        chunk = by_rows[r0:r0 + rows]
+        value = contract(c, shift_powers(s_norm, chunk, 3, powers[:, :len(chunk)]))
+        y[r0:r0 + rows] = np.where(value >= 0.0, 1.0, -1.0)
+    return y.reshape(x.shape)
 
 
 def build_dataset(s_norm: SupportMatrix, split: SubspaceSplit, mode: str,

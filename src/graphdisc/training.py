@@ -24,7 +24,8 @@ the prediction is w @ P, g = P @ d(loss)/d(pred) is a (K+1)-vector, the
 readout gradient is taps @ g and the tap gradient the outer product
 readout x g. model_forward is the one forward pass of every other step,
 of the per-epoch validation and of predict, and forms A for every
-activation.
+activation: a step's A in one pass, into the buffer it is given, and a
+whole set's A a chunk of rows at a time (below).
 
 train trains a group of G models with one taps shape in lockstep: they
 share the batches (one permutation per epoch), the shift powers and the
@@ -43,6 +44,14 @@ gathers the rows once and writes their powers (filters.shift_powers) into
 one buffer that lives for the train call; each step takes its batch as a
 view of that buffer. Batch order and composition do not depend on the
 chunk size.
+
+Every other pass over a whole set is bounded the same way, with the rows
+per chunk from one helper, chunk_rows: model_forward without a buffer
+(the per-epoch validation and predict) makes the activation of one chunk
+of rows at a time in one buffer of at most CHUNK_BYTES, and
+experiment.generate_target makes the shift powers of one chunk of rows at
+a time. So no pass forms an (F, N*n) activation, and labelling a set
+forms no (3, N, n) stack of its shift powers.
 
 Every contraction is one 2-D BLAS product on a reshaped view; the step
 hands model_forward the (K+1, B*n) powers and the (F, B*n) activation, so
@@ -67,6 +76,7 @@ initialization, and the optimizer never consult global state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -77,9 +87,23 @@ from .filters import bank_il_constant, contract, il_regularizer, shift_powers
 from .gnn import Nonlinearity
 from .graphs import SupportMatrix
 
-# Bytes of training-set shift powers train makes at once: a chunk holds as
-# many whole batches as fit, and at least one.
+# Bytes a pass over a whole set makes at once: train's chunk of training-set
+# shift powers, a forward chunk's activation, a target chunk's shift powers
 CHUNK_BYTES = 2 ** 18
+
+# BLAS product kernels take up to 16 columns at a time and can round a
+# narrower block at the end of a product their own way, so a forward chunk
+# but the last is a whole number of 16-column blocks wide: its products
+# then round as in one pass
+BLAS_BLOCK = 16
+
+
+def chunk_rows(row_bytes: int, multiple: int = 1) -> int:
+    """Rows per chunk of a pass whose rows take row_bytes each: as many
+    whole groups of `multiple` rows as fit in CHUNK_BYTES, and at least
+    one group."""
+    return max(1, CHUNK_BYTES // (row_bytes * multiple)) * multiple
+
 
 # Adam's moment decay rates and the denominator's guard
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
@@ -184,11 +208,35 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 def model_forward(model: TrainableModel, powers: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """The prediction (B, n) from the shift powers (K+1, B, n) of a batch,
-    or (B*n,) from the 2-D (K+1, B*n) powers. The activation is left in
-    out when given, as (F, B, n) or (F, B*n); an out that cannot be viewed
-    as (F, B*n) raises ShapeError."""
-    act = model.sigma.eval(contract(model.taps, powers, out), overwrite=True)
-    return contract(model.readout, act)
+    or (B*n,) from the 2-D (K+1, B*n) powers.
+
+    With out, the training step's form, the activation is made in one pass
+    and left in out, as (F, B, n) or (F, B*n); an out that cannot be
+    viewed as (F, B*n) raises ShapeError.
+
+    Without out, the form of the validation and test sets, the rows are
+    walked in chunks: each chunk's (F, rows*n) activation fits CHUNK_BYTES
+    (or is the smallest group of rows a whole number of BLAS_BLOCK columns
+    wide) and goes into one buffer local to the call, and each chunk
+    writes its rows of the prediction; 2-D powers are one row, one pass.
+    The prediction has the bits of one pass except in two corners, where
+    OpenBLAS rounds a product's last columns by the size of the whole
+    product: the last four columns when B*n mod 8 is 4 to 7 and 3*F*B*n
+    exceeds 10^6 (one pass would take the large-matrix kernel), and a last
+    chunk narrower than four columns (n < 4)."""
+    if out is not None:
+        act = model.sigma.eval(contract(model.taps, powers, out), overwrite=True)
+        return contract(model.readout, act)
+    by_rows = powers.reshape(powers.shape[0], -1, powers.shape[-1])   # (K+1, B, n)
+    n_features, (n_rows, width) = model.taps.shape[0], by_rows.shape[1:]
+    rows = chunk_rows(n_features * width * 8, BLAS_BLOCK // math.gcd(width, BLAS_BLOCK))
+    pred = np.empty((n_rows, width))
+    act = np.empty(n_features * min(rows, n_rows) * width)
+    for r0 in range(0, n_rows, rows):
+        chunk = by_rows[:, r0:r0 + rows]
+        chunk_act = contract(model.taps, chunk, act[:n_features * chunk[0].size])
+        contract(model.readout, model.sigma.eval(chunk_act, overwrite=True), pred[r0:r0 + rows])
+    return pred.reshape(powers.shape[1:])
 
 
 def predict(model: TrainableModel, s: SupportMatrix, x: np.ndarray) -> np.ndarray:
@@ -298,7 +346,7 @@ def train(models: list[TrainableModel], s: SupportMatrix,
         return mse_loss(model_forward(model, val_powers), y_val)[0]
 
     n_train, n = x_train.shape
-    chunk = max(1, CHUNK_BYTES // (n_taps * batch * n * 8)) * batch   # rows
+    chunk = chunk_rows(n_taps * n * 8, batch)
     chunk_powers = np.empty((n_taps, min(chunk, n_train), n))
     # every step's activation is a leading, contiguous part of this buffer
     act = np.empty(n_features * min(batch, n_train) * n)

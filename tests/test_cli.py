@@ -422,6 +422,26 @@ class TestErrorExit:
             "taps; give one of them\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sigma", [Nonlinearity.leaky_rectifier(0.1), Nonlinearity.identity()],
+                             ids=["leaky_rectifier", "identity"])
+    def test_load_model_that_is_not_tanh(self, tmp_path, capsys, monkeypatch, sigma):
+        # the model warm-starts a tanh GNN, and --save-model would write it
+        # back as tanh: refused before any replicate runs or --out is made
+        mpath = tmp_path / "model.txt"
+        save_model(np.full((32, 3), 0.1), np.full(32, 0.1), sigma, str(mpath))
+
+        def no_training(*args):
+            raise AssertionError("a replicate ran from a model that is not tanh")
+
+        monkeypatch.setattr(graphdisc.experiment, "run_replicate", no_training)
+        code = run_tiny(tmp_path / "out", "--load-model", mpath,
+                        "--save-model", tmp_path / "saved.txt")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"graphdisc: error: {mpath}: the model's activation is {sigma.descriptor()}, "
+            "but run trains a tanh GNN\n")
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "saved.txt").exists()
 
     def test_out_is_a_file_fails_before_training(self, tmp_path, capsys, monkeypatch):
         def no_training(*args):

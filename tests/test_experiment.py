@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from graphdisc import experiment
+from graphdisc import experiment, training
 from graphdisc.discriminability import judge_pairs
 from graphdisc.errors import ConfigurationError, DegenerateInputError, ShapeError
+from graphdisc.filters import contract, shift_powers
 from graphdisc.experiment import (
     MODEL_NAMES,
     AggregateReport,
@@ -138,6 +139,28 @@ class TestGenerateTarget:
         x = np.stack([generate_inputs(split, "full", 1, rng)[0] for _ in range(20)])
         y = generate_target(s, x, rng.uniform(-1, 1, 3))
         assert set(np.unique(y)) <= {-1.0, 1.0}
+
+    @pytest.mark.parametrize("shape", [(N,), (7, N)], ids=["1-D", "2-D"])
+    def test_chunks_match_one_pass(self, setup, monkeypatch, shape):
+        # a budget of two and a half rows' powers: 7 rows go in chunks of
+        # 2, 2, 2 and a ragged 1, each into the same powers buffer
+        s, _, _ = setup
+        rng = np.random.default_rng(8)
+        x, c = rng.standard_normal(shape), rng.uniform(-1, 1, 3)
+        one_pass = np.where(contract(c, shift_powers(s, x, 3)) >= 0, 1.0, -1.0)
+        calls = []
+
+        def recording_shift_powers(s, x, n_taps, out=None):
+            calls.append((len(x), out))
+            return shift_powers(s, x, n_taps, out)
+
+        monkeypatch.setattr(training, "CHUNK_BYTES", 5 * 3 * N * 8 // 2)
+        monkeypatch.setattr(experiment, "shift_powers", recording_shift_powers)
+        y = generate_target(s, x, c)
+        assert [rows for rows, _ in calls] == ([1] if len(shape) == 1 else [2, 2, 2, 1])
+        assert all(np.shares_memory(out, calls[0][1]) for _, out in calls)
+        assert y.shape == shape
+        np.testing.assert_array_equal(y, one_pass)
 
     def test_coefficient_count(self, setup):
         s, _, _ = setup

@@ -3,6 +3,7 @@
 import gc
 import threading
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -857,6 +858,30 @@ class TestForwardShapes:
         np.testing.assert_array_equal(flat, pred.reshape(-1))
         np.testing.assert_array_equal(flat_act, act.reshape(4, 60))
 
+    @pytest.mark.parametrize("sigma", [Nonlinearity.tanh(), Nonlinearity.identity(),
+                                       Nonlinearity.leaky_rectifier(0.1)],
+                             ids=["tanh", "identity", "leaky_rectifier"])
+    def test_chunked_forward_matches_one_pass(self, support, monkeypatch, sigma):
+        # 12 nodes: a group of 4 rows is 48 columns, three 16-column blocks;
+        # a budget of two groups' activation takes 23 rows in chunks of 8,
+        # 8 and a ragged 7
+        model = init_model(8, 3, sigma, seed=21)
+        powers = shift_powers(support, np.random.default_rng(21).standard_normal((23, 12)), 3)
+        one_pass = filters.contract(model.readout,
+                                    sigma.eval(filters.contract(model.taps, powers)))
+        chunk_sizes = []
+
+        def recording_contract(w, a, out=None):
+            if w.ndim == 2:
+                chunk_sizes.append(a.shape[1])
+            return filters.contract(w, a, out)
+
+        monkeypatch.setattr(training, "CHUNK_BYTES", 2 * 8 * 4 * 12 * 8 + 8)
+        monkeypatch.setattr(training, "contract", recording_contract)
+        pred = model_forward(model, powers)
+        assert chunk_sizes == [8, 8, 7]
+        assert pred.tobytes() == one_pass.tobytes()
+
     def test_out_that_cannot_be_written_in_place(self, support):
         # no (F, B*n) view of this buffer exists, so the activation could
         # only land in a copy
@@ -865,3 +890,55 @@ class TestForwardShapes:
         out = np.full((5, 4, 12), np.nan).transpose(1, 0, 2)
         with pytest.raises(ShapeError):
             model_forward(model, powers, out)
+
+
+class TestMemory:
+    """Whole-set passes stay within CHUNK_BYTES of activation. numpy reports
+    its arrays to tracemalloc, so a traced peak counts every array a call
+    makes; inputs made before tracing are not counted."""
+
+    N_VAL, N_NODES, N_FEATURES = 400, 50, 32
+    SLACK = 2 ** 16              # small arrays: parameters, gradients, views
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        s = normalize_support(laplacian(generate_geometric_graph(self.N_NODES, 5, seed=52)))
+        rng = np.random.default_rng(52)
+        x = rng.standard_normal((self.N_VAL, self.N_NODES))
+        return s, x, np.sign(x @ s.entries.T)
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        fn()   # once untraced, so lazy set-up such as the IL grid is not counted
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def whole_set_bytes(self):
+        """The set's (K+1, N, n) powers and (N, n) prediction, which a pass
+        keeps, plus CHUNK_BYTES of activation."""
+        prediction = self.N_VAL * self.N_NODES * 8
+        return training.CHUNK_BYTES + 3 * prediction + prediction, prediction
+
+    def test_predict_peak(self, data):
+        s, x, _ = data
+        model = init_model(self.N_FEATURES, 3, Nonlinearity.tanh(), seed=53)
+        bound, _ = self.whole_set_bytes()
+        # one pass would form a 5.12 MB (F, N*n) activation
+        assert self.traced_peak(lambda: predict(model, s, x)) < bound + self.SLACK
+
+    def test_train_epoch_peak(self, data):
+        s, x, y = data
+        models = [init_model(self.N_FEATURES, 3, sigma, seed=54)
+                  for sigma in (Nonlinearity.identity(), Nonlinearity.tanh())]
+        config = TrainConfig(epochs=1, batch_size=10)
+        bound, prediction = self.whole_set_bytes()
+        # besides: mse_loss's difference and its square, each the size of the
+        # prediction, and the step's activation and a chunk of 20 training
+        # rows' powers
+        step = self.N_FEATURES * 10 * self.N_NODES * 8 + 3 * 20 * self.N_NODES * 8
+        peak = self.traced_peak(lambda: train(models, s, (x[:20], y[:20]), (x, y), config))
+        assert peak < bound + 2 * prediction + step + self.SLACK
