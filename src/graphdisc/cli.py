@@ -13,7 +13,15 @@ comments); explicit flags override file values, which override the preset.
 
 An invalid input (a graphdisc.errors exception) prints one line,
 `graphdisc: error: <message>`, to stderr and exits 2; a failed verification
-or gradient check exits 1.
+or gradient check exits 1. Warnings and notes go to stderr too, as
+`graphdisc: warning: ...` and `graphdisc: note: ...`.
+
+Start-up: importing this module loads numpy and the modules every command
+uses (errors, graphs, spectral, filters, gnn). Each command imports the
+rest itself when it runs: `run` (and reading a config file) loads
+experiment and training, `verify` loads discriminability, `gradcheck`
+loads training. A traced function is still looked up on its module when
+it is called.
 """
 
 from __future__ import annotations
@@ -27,25 +35,30 @@ from typing import Callable
 
 import numpy as np
 
-from . import discriminability as disc
 from .errors import GRAPHDISC_ERRORS, ConfigurationError, make_dir, read_text, write_lines
-from .experiment import MODEL_NAMES, ExperimentConfig, emit_report, run_experiment
 from .filters import load_bank, save_bank, shift_powers
 from .gnn import Nonlinearity, load_model, save_model
 from .graphs import generate_geometric_graph, laplacian, load_graph, normalize_support, save_graph
 from .spectral import eig_sym, split_subspace
-from .training import TrainableModel, init_model, model_backward
 
 PRESETS = {
     "paper": dict(graphs=30, train=8000, val=200, test=200, epochs=40),
     "desk": dict(graphs=10, train=2000, val=200, test=200, epochs=20),
 }
 
-CONFIG_KEYS = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
+
+def __getattr__(name: str):
+    # CONFIG_KEYS lives with ExperimentConfig; reading it here loads experiment
+    if name == "CONFIG_KEYS":
+        from .experiment import CONFIG_KEYS
+        return CONFIG_KEYS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def load_config_file(path: str) -> dict:
     """Parse `key = value` lines; `#` starts a comment. A key may be set once."""
+    from .experiment import CONFIG_KEYS, ExperimentConfig
+
     values, line_of = {}, {}
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -70,7 +83,10 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def build_config(args: argparse.Namespace) -> ExperimentConfig:
+def build_config(args: argparse.Namespace):
+    """The run's ExperimentConfig: the preset, then the config file, then the flags."""
+    from .experiment import CONFIG_KEYS, ExperimentConfig
+
     values = dict(PRESETS[args.preset])
     if args.config:
         values.update(load_config_file(args.config))
@@ -84,6 +100,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .experiment import MODEL_NAMES, emit_report, run_experiment
+
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     if args.load_model and args.load_bank:
@@ -95,7 +113,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.load_graph:
         graph = load_graph(args.load_graph)
         if config.graphs != 1:
-            print("note: --load-graph fixes the graph, forcing --graphs 1")
+            print("graphdisc: note: --load-graph fixes the graph, forcing --graphs 1",
+                  file=sys.stderr)
             config.graphs = 1
 
     init_taps = init_readout = None
@@ -120,18 +139,20 @@ def cmd_run(args: argparse.Namespace) -> int:
                           f"{out.graph_index} {name}: no epoch improved on the "
                           "initial model", file=sys.stderr)
 
+    # the files in --out are counted; the others may lie anywhere, so they are named
+    extra = []
     first = report.replicates[0]
     if args.dump_graph:
         save_graph(first.graph, args.dump_graph)
-        written.append(args.dump_graph)
+        extra.append(args.dump_graph)
     gnn = first.trained["gnn"].model
     if args.save_bank:
         save_bank(gnn.taps, args.save_bank)
-        written.append(args.save_bank)
+        extra.append(args.save_bank)
     if args.save_model:
         save_model(gnn.taps, gnn.readout, gnn.sigma, args.save_model)
-        written.append(args.save_model)
-    print("wrote: " + ", ".join(written))
+        extra.append(args.save_model)
+    print(", ".join([f"wrote: {len(written)} files in {args.out}", *extra]))
     return 0
 
 
@@ -144,7 +165,15 @@ def _verify_graph(args: argparse.Namespace, graph_index: int):
 
 
 def _tanh_verifier_gnn(spec, k, rng):
-    return disc.verifier_gnn(spec, k, Nonlinearity.tanh(), full_band_filters=1, rng=rng)
+    from .discriminability import verifier_gnn
+
+    return verifier_gnn(spec, k, Nonlinearity.tanh(), full_band_filters=1, rng=rng)
+
+
+def _all_zero_high_gnn(spec, k, rng):
+    from .discriminability import all_zero_high_gnn
+
+    return all_zero_high_gnn(spec, k, Nonlinearity.tanh(), n_filters=2, rng=rng)
 
 
 @dataclass(frozen=True)
@@ -166,9 +195,7 @@ VERIFY_SUITES = {
     "2": VerifySuite("theorem2", "verify_theorem2_forward", _tanh_verifier_gnn,
                      "agreement {agreements}/{trials}, discriminated {discriminated}, "
                      "worst margin {worst_margin:.3e}"),
-    "cor1": VerifySuite("corollary1", "verify_corollary1",
-                        lambda spec, k, rng: disc.all_zero_high_gnn(
-                            spec, k, Nonlinearity.tanh(), n_filters=2, rng=rng),
+    "cor1": VerifySuite("corollary1", "verify_corollary1", _all_zero_high_gnn,
                         "{trials} trials, {verdict_mismatches} verdict mismatches"),
     "cor2": VerifySuite("corollary2", "verify_corollary2", _tanh_verifier_gnn,
                         "subset violations {subset_violations}, strictness witnesses "
@@ -178,6 +205,8 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import discriminability as disc
+
     for flag, value in (("graphs", args.graphs), ("trials", args.trials)):
         if value < 1:
             raise ConfigurationError(f"--{flag} must be at least 1, got {value}")
@@ -224,6 +253,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    from .training import init_model, model_backward
+
     if args.trials < 1:
         raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
     if args.seed < 0:
@@ -261,8 +292,11 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _fd_error(model: TrainableModel, powers, y, il_weight, result) -> float:
-    """Max relative error of analytic vs central-difference gradients."""
+def _fd_error(model, powers, y, il_weight, result) -> float:
+    """Max relative error of a TrainableModel's analytic vs central-difference
+    gradients."""
+    from .training import model_backward
+
     h = 1e-5
     worst = 0.0
 
@@ -310,7 +344,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--test", type=int)
     run.add_argument("--config", help="key-value config file; flags override it")
     run.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for replicates (at least 1)")
+                     help="worker processes for replicates (at least 1), one BLAS thread each")
     run.add_argument("--dump-graph", help="write the first replicate's graph")
     run.add_argument("--load-graph", help="run on a saved graph (one replicate)")
     run.add_argument("--save-bank", help="write the first replicate's trained GNN bank")

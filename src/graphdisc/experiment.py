@@ -18,15 +18,23 @@ would change their bits.
 Determinism: every replicate derives its RNG streams from
 SeedSequence((master_seed, mode_index, graph_index)), and aggregation is an
 ordered reduction over replicate indices, so results do not depend on how
-many worker processes ran them. The process pool is imported inside
-run_experiment, and only when it forks workers: loading graphdisc, `verify`
-and a one-worker `run` never import multiprocessing.
+many worker processes ran them, nor on BLAS's thread count.
+
+Workers: the process pool is imported inside run_experiment, and only when
+it starts workers, so loading graphdisc, `verify` and a one-worker `run`
+never import multiprocessing. The workers are spawned, not forked, while
+the BLAS thread-count variables read 1, so N workers keep N threads busy
+rather than N times BLAS's default; a program read from stdin cannot
+spawn them and gets a ConfigurationError. This module is loaded by the
+CLI's `run` only, not when the CLI is imported.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -105,6 +113,10 @@ class ExperimentConfig:
 
     def modes(self) -> tuple[str, ...]:
         return MODES if self.subspace == "all" else (self.subspace,)
+
+
+# the keys of a `run --config` file
+CONFIG_KEYS = set(ExperimentConfig.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -293,16 +305,49 @@ def _relative_gap(filter_mean: float, gnn_mean: float) -> float:
     return filter_mean / gnn_mean - 1.0
 
 
+# BLAS thread counts a spawned worker reads when it loads numpy
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set every BLAS_THREAD_VARS to 1 while the block runs, then restore
+    them; this process's BLAS, already loaded, keeps its thread count."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _check_spawnable_main(workers: int) -> None:
+    """Raise ConfigurationError when spawned workers could not start: each
+    re-runs the main program from its file (unless it ran with -m), and a
+    program read from stdin has none."""
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    if getattr(main, "__spec__", None) is None and path is not None and not os.path.isfile(path):
+        raise ConfigurationError(
+            f"{workers} worker processes cannot start: each re-runs the main program "
+            f"from its file, and {path} is not a file; run from a file or with one job")
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    graph: GeometricGraph | None = None,
                    init_taps: np.ndarray | None = None,
                    init_readout: np.ndarray | None = None) -> AggregateReport:
     """All replicates for every requested subspace, aggregated.
 
-    Replicates run in min(jobs, replicates) worker processes, or in this
-    process when that is 1; the report is the same for any jobs. The
-    report keeps every ReplicateOutput, in subspace then graph order, with
-    its graph and the training result of each model.
+    Replicates run in min(jobs, replicates) spawned worker processes, each
+    with one BLAS thread, or in this process when that is 1; the report is
+    the same for any jobs. The report keeps every ReplicateOutput, in
+    subspace then graph order, with its graph and the training result of
+    each model.
 
     A replicate that raises a graphdisc.errors exception aborts the run
     with an exception of the same type whose message starts with the
@@ -319,8 +364,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     workers = min(jobs, len(tasks))
     if workers > 1:
         # only a multi-worker run needs multiprocessing, so only it loads it
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+
+        _check_spawnable_main(workers)
+        with _one_blas_thread(), ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             outputs = list(pool.map(_replicate_star, tasks))
     else:
         outputs = [_replicate_star(t) for t in tasks]

@@ -97,6 +97,27 @@ class TestRunCommand:
         assert code == 0
         assert (out2 / "summary.csv").exists()
 
+    def test_load_graph_note_goes_to_stderr(self, tmp_path, capsys):
+        gpath = tmp_path / "graph.txt"
+        run_tiny(tmp_path / "results", "--dump-graph", gpath)
+        capsys.readouterr()
+        assert run_tiny(tmp_path / "results2", "--load-graph", gpath, "--graphs", "2") == 0
+        out, err = capsys.readouterr()
+        assert err == "graphdisc: note: --load-graph fixes the graph, forcing --graphs 1\n"
+        assert "forcing --graphs 1" not in out
+        assert len((tmp_path / "results2" / "runs.csv").read_text().splitlines()) == 1 + 2
+
+    def test_wrote_line_counts_out_and_names_the_rest(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert run_tiny(out) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote: 4 files in {out}"
+
+        paths = [tmp_path / name for name in ("graph.txt", "bank.txt", "model.txt")]
+        assert run_tiny(out, "--dump-graph", paths[0], "--save-bank", paths[1],
+                        "--save-model", paths[2]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"wrote: 4 files in {out}, {paths[0]}, {paths[1]}, {paths[2]}")
+
     def test_save_and_load_bank(self, tmp_path, capsys):
         out = tmp_path / "results"
         bpath = tmp_path / "bank.txt"
@@ -278,7 +299,7 @@ class TestJobs:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -313,6 +334,84 @@ class TestJobs:
                                env=dict(os.environ, PYTHONPATH=src),
                                capture_output=True, text=True, check=True)
         assert probe.stdout.splitlines()[-1] == "0 0 False False"
+
+    def test_summary_same_for_any_jobs_pinned_or_not(self, tmp_path):
+        # fresh interpreters, since BLAS reads its thread count when numpy loads
+        src = str(Path(graphdisc.cli.__file__).parents[1])
+        unpinned = {k: v for k, v in os.environ.items()
+                    if k not in graphdisc.experiment.BLAS_THREAD_VARS}
+        pinned = dict(unpinned, **dict.fromkeys(graphdisc.experiment.BLAS_THREAD_VARS, "1"))
+        summaries = set()
+        for name, env in (("pinned", pinned), ("unpinned", unpinned)):
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{name}{jobs}"
+                subprocess.run([sys.executable, "-m", "graphdisc.cli", "run",
+                                "--subspace", "all", "--seed", "3", "--out", str(out),
+                                *TINY, "--graphs", "2", "--jobs", jobs],
+                               env=dict(env, PYTHONPATH=src), capture_output=True, check=True)
+                summaries.add((out / "summary.csv").read_bytes())
+        assert len(summaries) == 1
+
+    def test_blas_variables_restored_after_the_pool(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert run_tiny(tmp_path / "out", "--graphs", "2", "--jobs", "2") == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        assert "OMP_NUM_THREADS" not in os.environ
+
+    def test_program_from_stdin_cannot_start_workers(self, tmp_path):
+        # spawned workers re-run the main program from its file; stdin has none
+        src = str(Path(graphdisc.cli.__file__).parents[1])
+        script = ("import sys\n"
+                  "from graphdisc.cli import main\n"
+                  f"sys.exit(main(['run', '--subspace', 'high', '--seed', '3', "
+                  f"'--out', {str(tmp_path / 'out')!r}, *{TINY!r}, '--graphs', '2', "
+                  "'--jobs', '2']))\n")
+        probe = subprocess.run([sys.executable, "-"], input=script,
+                               env=dict(os.environ, PYTHONPATH=src),
+                               capture_output=True, text=True)
+        assert probe.returncode == 2
+        assert probe.stderr == (
+            "graphdisc: error: 2 worker processes cannot start: each re-runs the main "
+            "program from its file, and <stdin> is not a file; run from a file or with "
+            "one job\n")
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def loaded_modules(script: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `script`."""
+    src = str(Path(graphdisc.cli.__file__).parents[1])
+    probe = subprocess.run([sys.executable, "-c", script + "\nimport sys; print(*sys.modules)"],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True)
+    return set(probe.stdout.splitlines()[-1].split())
+
+
+class TestImportBudget:
+    """Each command loads the modules it calls, and importing the CLI loads
+    only what every command uses."""
+
+    def test_importing_the_cli(self):
+        loaded = loaded_modules("import graphdisc.cli")
+        assert loaded >= {"graphdisc.cli", "graphdisc.spectral", "graphdisc.gnn"}
+        assert not loaded & {"graphdisc.training", "graphdisc.experiment",
+                             "graphdisc.discriminability", "multiprocessing"}
+
+    def test_verify(self, tmp_path):
+        loaded = loaded_modules(
+            "from graphdisc.cli import main\n"
+            f"assert main(['verify', '--theorem', 'all', '--trials', '6', '--nodes', '12', "
+            f"'--cutoff', '3', '--out', {str(tmp_path)!r}]) == 0")
+        assert "graphdisc.discriminability" in loaded
+        assert not loaded & {"graphdisc.training", "graphdisc.experiment"}
+
+    def test_run_with_one_job(self, tmp_path):
+        loaded = loaded_modules(
+            "from graphdisc.cli import main\n"
+            f"assert main(['run', '--subspace', 'high', '--seed', '3', '--jobs', '1', "
+            f"'--out', {str(tmp_path)!r}, *{TINY!r}]) == 0")
+        assert "graphdisc.training" in loaded
+        assert "graphdisc.discriminability" not in loaded
 
 
 class TestErrorExit:
