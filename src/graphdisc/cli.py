@@ -42,17 +42,9 @@ from .graphs import generate_geometric_graph, laplacian, load_graph, normalize_s
 from .spectral import eig_sym, split_subspace
 
 PRESETS = {
-    "paper": dict(graphs=30, train=8000, val=200, test=200, epochs=40),
-    "desk": dict(graphs=10, train=2000, val=200, test=200, epochs=20),
+    "paper": {},   # the paper's settings are ExperimentConfig's defaults
+    "desk": dict(graphs=10, train=2000, epochs=20),
 }
-
-
-def __getattr__(name: str):
-    # CONFIG_KEYS lives with ExperimentConfig; reading it here loads experiment
-    if name == "CONFIG_KEYS":
-        from .experiment import CONFIG_KEYS
-        return CONFIG_KEYS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def load_config_file(path: str) -> dict:
@@ -159,21 +151,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _verify_graph(args: argparse.Namespace, graph_index: int):
     seed = int(np.random.SeedSequence((args.seed, graph_index)).generate_state(1, np.uint64)[0])
     g = generate_geometric_graph(args.nodes, args.neighbors, seed)
-    spec = eig_sym(normalize_support(laplacian(g)))
-    split = split_subspace(spec, args.cutoff)
-    return spec, split
+    return split_subspace(eig_sym(normalize_support(laplacian(g))), args.cutoff)
 
 
-def _tanh_verifier_gnn(spec, k, rng):
+def _tanh_verifier_gnn(split, rng):
     from .discriminability import verifier_gnn
 
-    return verifier_gnn(spec, k, Nonlinearity.tanh(), full_band_filters=1, rng=rng)
+    return verifier_gnn(split, Nonlinearity.tanh(), full_band_filters=1, rng=rng)
 
 
-def _all_zero_high_gnn(spec, k, rng):
+def _all_zero_high_gnn(split, rng):
     from .discriminability import all_zero_high_gnn
 
-    return all_zero_high_gnn(spec, k, Nonlinearity.tanh(), n_filters=2, rng=rng)
+    return all_zero_high_gnn(split, Nonlinearity.tanh(), n_filters=2, rng=rng)
 
 
 @dataclass(frozen=True)
@@ -185,7 +175,7 @@ class VerifySuite:
     # the disc verifier's name, looked up at call time, so a tracer that
     # rebinds it sees the call
     verifier: str
-    build_gnn: Callable  # (spec, k, rng) -> SingleLayerGnn
+    build_gnn: Callable  # (split, rng) -> SingleLayerGnn
     summary: str         # filled with format(trials=..., **report.counts)
 
 
@@ -226,11 +216,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         columns = []
         lines = []
         probe_files = 0
-        for g, (spec, split) in enumerate(graphs):
+        for g, split in enumerate(graphs):
             rng = np.random.default_rng(
                 np.random.SeedSequence((args.seed, g, 1)))
-            gnn = suite.build_gnn(spec, args.cutoff, rng)
-            rep = getattr(disc, suite.verifier)(spec, split, gnn, args.trials, rng)
+            gnn = suite.build_gnn(split, rng)
+            rep = getattr(disc, suite.verifier)(split, gnn, args.trials, rng)
             lines.append(f"graph {g}: " + suite.summary.format(trials=rep.trials, **rep.counts))
             if rep.probe_residuals is not None:
                 write_lines(os.path.join(args.out, f"cor2_probe_g{g}.csv"),

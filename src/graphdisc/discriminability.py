@@ -49,9 +49,11 @@ Every verifier returns one VerifierReport: its named counts, in the order
 its summary line reports them, its verdict `passed`, computed next to the
 statement it tests, and its trial log.
 
-A GNN's bank is its (F, n) gains array on the Spectrum of the split; a
-filter counts as zero above the cutoff when every gain there is at most
-ZERO_HIGH_TOL in magnitude.
+A graph enters every function here as one SubspaceSplit, its Spectrum and
+the cutoff index k together, passed first and followed by the GNN where
+there is one. A GNN's bank is its (F, n) gains array on the split's own
+spectrum; a filter counts as zero above the cutoff when every gain there
+is at most ZERO_HIGH_TOL in magnitude.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, ShapeError, write_lines
 from .filters import zero_high_response
 from .gnn import Nonlinearity, SingleLayerGnn, bank_forward
-from .spectral import Spectrum, SubspaceSplit, split_subspace
+from .spectral import SubspaceSplit
 
 SCALE_FLOOR = 1e-30
 SECANT_EQUAL_POINTS = 1e-12   # |x_i - y_i| below this uses the derivative
@@ -141,7 +143,7 @@ def _nul_vk_rows(split: SubspaceSplit, d: np.ndarray,
     return residual <= tol * scale, residual, scale
 
 
-def judge_pairs(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
+def judge_pairs(split: SubspaceSplit, gnn: SingleLayerGnn,
                 x: np.ndarray, y: np.ndarray, tol: float) -> Trials:
     """Filter, activate and judge the pairs (x[t], y[t]) of two (T, n) stacks.
 
@@ -157,8 +159,8 @@ def judge_pairs(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
     if x.ndim != 2 or x.shape != y.shape or x.shape[1] != split.n:
         raise ShapeError(f"signal stacks have shapes {x.shape} and {y.shape}, "
                          f"expected (T, {split.n})")
-    fx = bank_forward(gnn.bank, spec, x)               # (T, F, n)
-    fy = bank_forward(gnn.bank, spec, y)
+    fx = bank_forward(gnn.bank, split.spectrum, x)     # (T, F, n)
+    fy = bank_forward(gnn.bank, split.spectrum, y)
     gx = gnn.sigma.eval(fx)
     gnn_diff = gx - gnn.sigma.eval(fy)
     direct, _, scale = _nul_vk_rows(split, x - y, tol)
@@ -190,10 +192,10 @@ def _high_response_flags(bank: np.ndarray, k: int) -> np.ndarray:
 
 
 # no command calls it or PairVerdict; both stay while perfbench/spans.py traces it
-def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectrum,
+def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn,
                   x: np.ndarray, y: np.ndarray, tol: float) -> PairVerdict:
     """Full membership verdict for one pair under the GNN."""
-    judged = judge_pairs(spec, split, gnn, [x], [y], tol)
+    judged = judge_pairs(split, gnn, [x], [y], tol)
     return PairVerdict(in_d_h=bool(judged.in_d_h[0]), in_d_phi=bool(judged.in_d_phi[0]),
                        residual_low_filter=float(judged.residual_low_filter[0]),
                        residual_low_gnn=float(judged.residual_low_gnn[0]),
@@ -258,7 +260,7 @@ def draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
     return x, y
 
 
-def _judge_in_blocks(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
+def _judge_in_blocks(split: SubspaceSplit, gnn: SingleLayerGnn,
                      trials: int, rng: np.random.Generator, kinds: tuple[int, ...],
                      tol: float) -> tuple[TrialColumns, np.ndarray, np.ndarray]:
     """Draw and judge `trials` pairs whose kinds repeat the cycle `kinds`,
@@ -270,7 +272,7 @@ def _judge_in_blocks(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
         turn = start % len(kinds)   # the cycle, rotated to the block's first trial
         x, y = draw_pairs(split, rng, min(BLOCK_TRIALS, trials - start),
                           kinds[turn:] + kinds[:turn], tol)
-        judged = judge_pairs(spec, split, gnn, x, y, tol)
+        judged = judge_pairs(split, gnn, x, y, tol)
         blocks.append((judged.in_d_h, judged.in_d_phi, judged.residual_low_filter,
                        judged.residual_low_gnn, judged.max_deviation.max(axis=1),
                        judged.scale, judged.max_deviation))
@@ -292,20 +294,19 @@ def sample_pair_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
 
 
 # no command calls it or SecantReport; both stay while perfbench/spans.py traces it
-def secant_report(gnn: SingleLayerGnn, spec: Spectrum, x: np.ndarray,
-                  y: np.ndarray, cutoff_k: int) -> SecantReport:
+def secant_report(split: SubspaceSplit, gnn: SingleLayerGnn, x: np.ndarray,
+                  y: np.ndarray) -> SecantReport:
     """Secants of the nonlinearity between the two filter outputs, per node.
 
     Where the two outputs coincide (within 1e-12) the derivative replaces
-    the secant. The pair is judged on split_subspace(spec, cutoff_k), which
-    must be a valid split; as in judge_pairs, a bank that vanishes on a
-    protected mode the pair differs on raises NumericalError.
+    the secant. As in judge_pairs, a bank that vanishes on a protected mode
+    the pair differs on raises NumericalError.
     """
-    judged = judge_pairs(spec, split_subspace(spec, cutoff_k), gnn, [x], [y], DEFAULT_TOL)
+    judged = judge_pairs(split, gnn, [x], [y], DEFAULT_TOL)
     return SecantReport(
         secants=judged.secants[0],
         max_deviation=judged.max_deviation[0],
-        high_response_nonzero=_high_response_flags(gnn.bank, cutoff_k),
+        high_response_nonzero=_high_response_flags(gnn.bank, split.k),
     )
 
 
@@ -313,38 +314,38 @@ def secant_report(gnn: SingleLayerGnn, spec: Spectrum, x: np.ndarray,
 # constructions used by the verifiers
 # ---------------------------------------------------------------------------
 
-def verifier_gnn(spec: Spectrum, k: int, sigma: Nonlinearity,
+def verifier_gnn(split: SubspaceSplit, sigma: Nonlinearity,
                  full_band_filters: int = 1,
                  rng: np.random.Generator | None = None) -> SingleLayerGnn:
     """Spectral-bank GNN with the shape the theorems hypothesize.
 
-    The first filter is exactly zero above the index-k cutoff with unit
+    The first filter is exactly zero above the split's cutoff with unit
     gains below; each additional filter has random positive low gains and a
     constant unit gain above the cutoff.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    rows = [zero_high_response(spec, k, np.ones(k))]
+    rows = [zero_high_response(split, np.ones(split.k))]
     for _ in range(full_band_filters):
-        row = np.ones(spec.n)
-        row[:k] = rng.uniform(0.5, 1.5, size=k)
+        row = np.ones(split.n)
+        row[:split.k] = rng.uniform(0.5, 1.5, size=split.k)
         rows.append(row)
     return SingleLayerGnn(bank=np.stack(rows), sigma=sigma)
 
 
-def all_zero_high_gnn(spec: Spectrum, k: int, sigma: Nonlinearity,
+def all_zero_high_gnn(split: SubspaceSplit, sigma: Nonlinearity,
                       n_filters: int = 2,
                       rng: np.random.Generator | None = None) -> SingleLayerGnn:
-    """GNN whose every filter is exactly zero above the index-k cutoff."""
+    """GNN whose every filter is exactly zero above the split's cutoff."""
     if rng is None:
         rng = np.random.default_rng(0)
-    rows = [zero_high_response(spec, k, np.ones(k))]
+    rows = [zero_high_response(split, np.ones(split.k))]
     for _ in range(n_filters - 1):
-        rows.append(zero_high_response(spec, k, rng.uniform(0.5, 1.5, size=k)))
+        rows.append(zero_high_response(split, rng.uniform(0.5, 1.5, size=split.k)))
     return SingleLayerGnn(bank=np.stack(rows), sigma=sigma)
 
 
-def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectrum,
+def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn,
                          rng: np.random.Generator, scale: float = 1.0,
                          margin: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
     """A bank-nondiscriminable pair whose filter outputs are all positive.
@@ -354,7 +355,7 @@ def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectr
     operates in its unit-slope region and the secants are constant by
     construction. The shift leaves x - y untouched.
     """
-    v1 = spec.eigenvectors[:, 0]
+    v1 = split.spectrum.eigenvectors[:, 0]
     if float(np.min(v1)) <= 1e-8:
         raise ConfigurationError(
             "the lowest eigenvector must be entrywise positive for the "
@@ -368,7 +369,8 @@ def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn, spec: Spectr
         )
 
     x, y = draw_pairs(split, rng, 1, (INSIDE,), DEFAULT_TOL, scale)
-    lowest = bank_forward(gnn.bank, spec, np.concatenate((x, y))).min(axis=(0, 2))  # (F,)
+    both = np.concatenate((x, y))
+    lowest = bank_forward(gnn.bank, split.spectrum, both).min(axis=(0, 2))  # (F,)
     shift = max(0.0, float(np.max((margin - lowest) / (gains_v1 * float(np.min(v1))))))
     return x[0] + shift * v1, y[0] + shift * v1
 
@@ -398,7 +400,7 @@ class VerifierReport:
     probe_residuals: np.ndarray | None = field(default=None, repr=False)  # corollary 2
 
 
-def verify_theorem1(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
+def verify_theorem1(split: SubspaceSplit, gnn: SingleLayerGnn,
                     trials: int, rng: np.random.Generator,
                     tol: float = DEFAULT_TOL) -> VerifierReport:
     """Sample pairs the bank discriminates; count any the GNN does not.
@@ -408,14 +410,13 @@ def verify_theorem1(spec: Spectrum, split: SubspaceSplit, gnn: SingleLayerGnn,
     asks. Passes when there is no counterexample.
     """
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
-    columns, _, _ = _judge_in_blocks(spec, split, gnn, trials, rng, (OUTSIDE,), tol)
+    columns, _, _ = _judge_in_blocks(split, gnn, trials, rng, (OUTSIDE,), tol)
     counterexamples = int(np.count_nonzero(columns.in_d_phi))
     return VerifierReport(trials, {"counterexamples": counterexamples},
                           passed=counterexamples == 0, columns=columns)
 
 
-def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
-                            gnn: SingleLayerGnn, trials: int,
+def verify_theorem2_forward(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
                             rng: np.random.Generator,
                             tol: float = DEFAULT_TOL,
                             tol_secant: float = DEFAULT_SECANT_TOL) -> VerifierReport:
@@ -432,7 +433,7 @@ def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
     high = _high_response_flags(gnn.bank, split.k)
 
-    columns, scale, max_deviation = _judge_in_blocks(spec, split, gnn, trials, rng,
+    columns, scale, max_deviation = _judge_in_blocks(split, gnn, trials, rng,
                                                      (INSIDE,), tol)
     considered = max_deviation[:, high]          # (T, filters responding high)
     constant = np.all(considered <= tol_secant, axis=1)
@@ -448,8 +449,7 @@ def verify_theorem2_forward(spec: Spectrum, split: SubspaceSplit,
     return VerifierReport(trials, counts, passed=agreements == trials, columns=columns)
 
 
-def verify_corollary1(spec: Spectrum, split: SubspaceSplit,
-                      gnn: SingleLayerGnn, trials: int,
+def verify_corollary1(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
                       rng: np.random.Generator,
                       tol: float = DEFAULT_TOL) -> VerifierReport:
     """With an all-zero-high bank the two verdicts must agree on every pair.
@@ -460,7 +460,7 @@ def verify_corollary1(spec: Spectrum, split: SubspaceSplit,
     """
     for idx, gains in enumerate(gnn.bank):
         _require_zero_high(gains, split.k, f"filter {idx}")
-    columns, _, _ = _judge_in_blocks(spec, split, gnn, trials, rng, MIXED, tol)
+    columns, _, _ = _judge_in_blocks(split, gnn, trials, rng, MIXED, tol)
     mismatches = int(np.count_nonzero(columns.in_d_h != columns.in_d_phi))
     return VerifierReport(trials, {"verdict_mismatches": mismatches},
                           passed=mismatches == 0, columns=columns)
@@ -505,8 +505,7 @@ def _tanh_secant_offsets(a: np.ndarray, b: float) -> np.ndarray:
     return np.where(found, 0.5 * (lo + hi), np.nan)
 
 
-def overdetermined_probe(spec: Spectrum, split: SubspaceSplit,
-                         gnn: SingleLayerGnn, f_idx: int,
+def overdetermined_probe(split: SubspaceSplit, gnn: SingleLayerGnn, f_idx: int,
                          rng: np.random.Generator) -> float:
     """Residual of the constant-secant system for one random draw.
 
@@ -520,7 +519,7 @@ def overdetermined_probe(spec: Spectrum, split: SubspaceSplit,
     """
     x = rng.standard_normal(split.n)
     b = float(rng.uniform(0.0, 1.0))
-    targets = _tanh_secant_offsets(bank_forward(gnn.bank, spec, x)[f_idx], b)
+    targets = _tanh_secant_offsets(bank_forward(gnn.bank, split.spectrum, x)[f_idx], b)
     if np.any(np.isnan(targets)):
         return math.inf
 
@@ -530,8 +529,7 @@ def overdetermined_probe(spec: Spectrum, split: SubspaceSplit,
     return float(np.linalg.norm(basis @ delta - targets))
 
 
-def verify_corollary2(spec: Spectrum, split: SubspaceSplit,
-                      gnn: SingleLayerGnn, trials: int,
+def verify_corollary2(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
                       rng: np.random.Generator,
                       tol: float = DEFAULT_TOL,
                       probe_draws: int = 100) -> VerifierReport:
@@ -551,8 +549,8 @@ def verify_corollary2(spec: Spectrum, split: SubspaceSplit,
         raise ConfigurationError("need at least one filter with nonzero high response")
     probed = int(np.argmax(flags))   # the first filter that responds above the cutoff
 
-    columns, _, _ = _judge_in_blocks(spec, split, gnn, trials, rng, MIXED, tol)
-    residuals = np.array([overdetermined_probe(spec, split, gnn, probed, rng)
+    columns, _, _ = _judge_in_blocks(split, gnn, trials, rng, MIXED, tol)
+    residuals = np.array([overdetermined_probe(split, gnn, probed, rng)
                           for _ in range(probe_draws)])
     counts = {
         "subset_violations": int(np.count_nonzero(columns.in_d_phi & ~columns.in_d_h)),

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, LineReader, ShapeError, write_lines
 from .graphs import SupportMatrix
-from .spectral import Spectrum
+from .spectral import SubspaceSplit
 
 GRID_POINTS = 257
 
@@ -69,8 +69,11 @@ def contract(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.
 
 def freq_response(taps: np.ndarray, lam) -> np.ndarray | float:
     """Polynomial response sum_k h_k lam^k of the taps h_0..h_K (Horner),
-    scalar or vectorized."""
+    scalar or vectorized. Taps that are not a non-empty 1-D array raise
+    ShapeError."""
     taps = np.asarray(taps, dtype=np.float64)
+    if taps.ndim != 1 or taps.size == 0:
+        raise ShapeError(f"taps must be a non-empty 1-D array, got shape {taps.shape}")
     lam = np.asarray(lam, dtype=np.float64)
     acc = np.full_like(lam, taps[-1])
     for h_k in taps[-2::-1]:
@@ -128,19 +131,18 @@ def il_regularizer(taps: np.ndarray, weight: float, grad: np.ndarray) -> float:
     return weight * abs(peak)
 
 
-def zero_high_response(spec: Spectrum, k: int, low_profile: np.ndarray) -> np.ndarray:
-    """The (n,) gains equal to low_profile on the k lowest modes, zero above.
+def zero_high_response(split: SubspaceSplit, low_profile: np.ndarray) -> np.ndarray:
+    """The (n,) gains equal to low_profile on the split's k lowest modes,
+    zero above.
 
     This realizes exactly the response shape the discriminability theorems
     hypothesize for the protected filter.
     """
-    if not 0 < k < spec.n:
-        raise ConfigurationError(f"split index must satisfy 0 < k < {spec.n}, got {k}")
     low_profile = np.asarray(low_profile, dtype=np.float64)
-    if low_profile.shape != (k,):
-        raise ShapeError(f"low_profile must have length {k}, got {low_profile.shape}")
-    gains = np.zeros(spec.n)
-    gains[:k] = low_profile
+    if low_profile.shape != (split.k,):
+        raise ShapeError(f"low_profile must have length {split.k}, got {low_profile.shape}")
+    gains = np.zeros(split.n)
+    gains[:split.k] = low_profile
     return gains
 
 

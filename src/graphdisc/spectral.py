@@ -9,7 +9,7 @@ project_subspace: orthogonal projection onto the low or high subspace
 Classes:
 
 Spectrum: eigenvalues sorted by ascending magnitude plus orthonormal basis
-SubspaceSplit: the V_low / V_high partition of a Spectrum
+SubspaceSplit: a Spectrum and the index k that cuts it into V_low / V_high
 
 Eigenvalues are ordered by ascending |lambda| with ties broken by ascending
 signed value; each eigenvector is flipped so its first significant component
@@ -18,7 +18,7 @@ is positive. Both conventions make downstream coefficients reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,21 +46,23 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SubspaceSplit:
-    """Columns of a Spectrum partitioned at sorted index k."""
+    """A Spectrum partitioned at sorted index k: V_low holds its k
+    lowest-magnitude eigenvectors, V_high the rest, as read-only copies.
+    Build one with split_subspace, which checks k."""
 
+    spectrum: Spectrum
     k: int
-    v_low: np.ndarray        # (n, k)
-    v_high: np.ndarray       # (n, n-k)
-    lambda_low: np.ndarray   # (k,)
-    lambda_high: np.ndarray  # (n-k,)
+    v_low: np.ndarray = field(init=False)    # (n, k)
+    v_high: np.ndarray = field(init=False)   # (n, n-k)
 
     def __post_init__(self):
-        for name in ("v_low", "v_high", "lambda_low", "lambda_high"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        v = self.spectrum.eigenvectors
+        object.__setattr__(self, "v_low", _frozen(v[:, :self.k]))
+        object.__setattr__(self, "v_high", _frozen(v[:, self.k:]))
 
     @property
     def n(self) -> int:
-        return self.v_low.shape[0]
+        return self.spectrum.n
 
 
 def eig_sym(s: SupportMatrix) -> Spectrum:
@@ -102,13 +104,7 @@ def split_subspace(spec: Spectrum, k: int) -> SubspaceSplit:
     if gap <= SPLIT_GAP_RTOL * float(np.max(np.abs(lam))):
         raise DegenerateInputError(
             f"split index {k} falls inside a repeated eigenvalue: the gap there is {gap:.3e}")
-    return SubspaceSplit(
-        k=k,
-        v_low=spec.eigenvectors[:, :k],
-        v_high=spec.eigenvectors[:, k:],
-        lambda_low=spec.eigenvalues[:k],
-        lambda_high=spec.eigenvalues[k:],
-    )
+    return SubspaceSplit(spec, k)
 
 
 def project_subspace(split: SubspaceSplit, w: np.ndarray, which: str) -> np.ndarray:

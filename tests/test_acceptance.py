@@ -14,7 +14,7 @@ from graphdisc.cli import main
 from graphdisc.filters import contract, freq_response, shift_powers
 from graphdisc.gnn import Nonlinearity
 from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
-from graphdisc.spectral import eig_sym, split_subspace
+from graphdisc.spectral import eig_sym
 from graphdisc.training import init_model, model_backward
 
 # the desk runs take most of the suite's time; `pytest -m "not slow"` leaves this file out
@@ -24,12 +24,6 @@ pytestmark = pytest.mark.slow
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, f"{criterion}: {detail}"
-
-
-def make_graph_setup(n, neighbors, k, seed):
-    g = generate_geometric_graph(n, neighbors, seed=seed)
-    spec = eig_sym(normalize_support(laplacian(g)))
-    return spec, split_subspace(spec, k)
 
 
 @pytest.fixture(scope="module")
@@ -78,14 +72,14 @@ class TestCriterion1SpectralEquivalence:
 
 
 class TestCriterion2Theorem1:
-    def test_no_counterexamples(self):
+    def test_no_counterexamples(self, split_of):
         start = time.perf_counter()
         counterexamples = 0
         for graph_idx in range(10):
-            spec, split = make_graph_setup(20, 5, 4, seed=300 + graph_idx)
+            split = split_of(generate_geometric_graph(20, 5, seed=300 + graph_idx), 4)
             rng = np.random.default_rng(400 + graph_idx)
-            gnn = disc.verifier_gnn(spec, 4, Nonlinearity.tanh(), rng=rng)
-            rep = disc.verify_theorem1(spec, split, gnn, 100, rng)
+            gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng)
+            rep = disc.verify_theorem1(split, gnn, 100, rng)
             counterexamples += rep.counts["counterexamples"]
         elapsed = time.perf_counter() - start
         report("2 (theorem 1 property suite)",
@@ -95,47 +89,47 @@ class TestCriterion2Theorem1:
 
 
 class TestCriterion3Theorem2:
-    def test_identity_agreement(self):
+    def test_identity_agreement(self, split_of):
         agreements = trials = 0
         for graph_idx in range(5):
-            spec, split = make_graph_setup(20, 5, 4, seed=500 + graph_idx)
+            split = split_of(generate_geometric_graph(20, 5, seed=500 + graph_idx), 4)
             rng = np.random.default_rng(600 + graph_idx)
-            gnn = disc.verifier_gnn(spec, 4, Nonlinearity.identity(), rng=rng)
-            rep = disc.verify_theorem2_forward(spec, split, gnn, 100, rng)
+            gnn = disc.verifier_gnn(split, Nonlinearity.identity(), rng=rng)
+            rep = disc.verify_theorem2_forward(split, gnn, 100, rng)
             agreements += rep.counts["agreements"]
             trials += rep.trials
         report("3a (theorem 2, identity regime)",
                trials == 500 and agreements == trials,
                f"{agreements}/{trials} verdict agreements")
 
-    def test_leaky_constructed_pairs(self):
+    def test_leaky_constructed_pairs(self, split_of):
         worst = 0.0
         deviations = 0.0
         for graph_idx in range(5):
-            spec, split = make_graph_setup(20, 5, 4, seed=700 + graph_idx)
+            split = split_of(generate_geometric_graph(20, 5, seed=700 + graph_idx), 4)
             rng = np.random.default_rng(800 + graph_idx)
-            gnn = disc.verifier_gnn(spec, 4, Nonlinearity.leaky_rectifier(0.1),
+            gnn = disc.verifier_gnn(split, Nonlinearity.leaky_rectifier(0.1),
                                     rng=rng)
             for _ in range(10):
-                x, y = disc.constant_secant_pair(split, gnn, spec, rng)
+                x, y = disc.constant_secant_pair(split, gnn, rng)
                 scale = np.linalg.norm(x - y)
-                verdict = disc.pair_in_d_phi(split, gnn, spec, x, y, 1e-8)
+                verdict = disc.pair_in_d_phi(split, gnn, x, y, 1e-8)
                 assert verdict.in_d_h and verdict.in_d_phi
                 worst = max(worst, verdict.residual_low_gnn / scale)
-                srep = disc.secant_report(gnn, spec, x, y, 4)
+                srep = disc.secant_report(split, gnn, x, y)
                 deviations = max(deviations, float(np.max(srep.max_deviation)))
         report("3b (theorem 2, constant-secant pairs)",
                worst <= 1e-9,
                f"worst relative residual {worst:.2e}, "
                f"worst secant deviation {deviations:.2e} over 50 pairs")
 
-    def test_tanh_discrimination_rate(self):
+    def test_tanh_discrimination_rate(self, split_of):
         discriminated = trials = 0
         for graph_idx in range(10):
-            spec, split = make_graph_setup(20, 5, 4, seed=900 + graph_idx)
+            split = split_of(generate_geometric_graph(20, 5, seed=900 + graph_idx), 4)
             rng = np.random.default_rng(1000 + graph_idx)
-            gnn = disc.verifier_gnn(spec, 4, Nonlinearity.tanh(), rng=rng)
-            rep = disc.verify_theorem2_forward(spec, split, gnn, 100, rng)
+            gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng)
+            rep = disc.verify_theorem2_forward(split, gnn, 100, rng)
             discriminated += rep.counts["discriminated"]
             trials += rep.trials
         rate = discriminated / trials
@@ -145,14 +139,14 @@ class TestCriterion3Theorem2:
 
 
 class TestCriterion4Corollary1:
-    def test_verdict_agreement(self):
+    def test_verdict_agreement(self, split_of):
         mismatches = trials = 0
         for graph_idx in range(5):
-            spec, split = make_graph_setup(20, 5, 4, seed=1100 + graph_idx)
+            split = split_of(generate_geometric_graph(20, 5, seed=1100 + graph_idx), 4)
             rng = np.random.default_rng(1200 + graph_idx)
-            gnn = disc.all_zero_high_gnn(spec, 4, Nonlinearity.tanh(),
+            gnn = disc.all_zero_high_gnn(split, Nonlinearity.tanh(),
                                          n_filters=3, rng=rng)
-            rep = disc.verify_corollary1(spec, split, gnn, 100, rng)
+            rep = disc.verify_corollary1(split, gnn, 100, rng)
             mismatches += rep.counts["verdict_mismatches"]
             trials += rep.trials
         report("4 (corollary 1)",
@@ -161,14 +155,14 @@ class TestCriterion4Corollary1:
 
 
 class TestCriterion5Corollary2:
-    def test_strictness_and_probe(self):
+    def test_strictness_and_probe(self, split_of):
         witnesses_per_graph = []
         probe_total = probe_above = 0
         for graph_idx in range(10):
-            spec, split = make_graph_setup(20, 5, 4, seed=1300 + graph_idx)
+            split = split_of(generate_geometric_graph(20, 5, seed=1300 + graph_idx), 4)
             rng = np.random.default_rng(1400 + graph_idx)
-            gnn = disc.verifier_gnn(spec, 4, Nonlinearity.tanh(), rng=rng)
-            rep = disc.verify_corollary2(spec, split, gnn, 200, rng,
+            gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng)
+            rep = disc.verify_corollary2(split, gnn, 200, rng,
                                          probe_draws=20)
             assert rep.counts["subset_violations"] == 0
             witnesses_per_graph.append(rep.counts["strictness_witnesses"])

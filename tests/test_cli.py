@@ -70,6 +70,13 @@ class TestConfigFile:
         assert len(runs) == 1 + 2  # graphs flag (1) overrode the file's 7
 
 
+    @pytest.mark.parametrize("preset, overrides", [
+        ("paper", {}), ("desk", dict(graphs=10, train=2000, epochs=20))])
+    def test_preset(self, preset, overrides):
+        args = graphdisc.cli._parser().parse_args(["run", "--preset", preset])
+        assert graphdisc.cli.build_config(args) == graphdisc.experiment.ExperimentConfig(**overrides)
+
+
 class TestRunCommand:
     def test_writes_reports(self, tmp_path, capsys):
         out = tmp_path / "results"

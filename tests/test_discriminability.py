@@ -11,53 +11,46 @@ import graphdisc.discriminability as disc
 from graphdisc.errors import ConfigurationError, NumericalError
 from graphdisc.filters import freq_response, zero_high_response
 from graphdisc.gnn import Nonlinearity, SingleLayerGnn, bank_forward
-from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
-from graphdisc.spectral import eig_sym, split_subspace
+from graphdisc.graphs import generate_geometric_graph
 
 N, K = 20, 4
 
 
 @pytest.fixture(scope="module")
-def setup():
-    g = generate_geometric_graph(N, 5, seed=41)
-    spec = eig_sym(normalize_support(laplacian(g)))
-    return spec, split_subspace(spec, K)
+def split(split_of):
+    return split_of(generate_geometric_graph(N, 5, seed=41), K)
 
 
-def judge_one(spec, split, gnn, x, y, tol=1e-8):
+def judge_one(split, gnn, x, y, tol=1e-8):
     """judge_pairs on the single pair (x, y), a stack of one."""
-    return disc.judge_pairs(spec, split, gnn, [x], [y], tol)
+    return disc.judge_pairs(split, gnn, [x], [y], tol)
 
 
-def nul_vk(spec, split, d, tol=1e-8):
+def nul_vk(split, d, tol=1e-8):
     """(flag, ||V_low^T d||) for the pair (d, 0) under a one-filter all-ones
     bank, whose filtered difference is d itself up to rounding."""
     ones = SingleLayerGnn(bank=np.ones((1, N)), sigma=Nonlinearity.identity())
-    judged = judge_one(spec, split, ones, d, np.zeros(N), tol)
+    judged = judge_one(split, ones, d, np.zeros(N), tol)
     return bool(judged.in_d_h[0]), float(judged.residual_low_filter[0])
 
 
 class TestInNulVk:
-    def test_high_eigenvector_inside(self, setup):
-        spec, split = setup
-        flag, residual = nul_vk(spec, split, spec.eigenvectors[:, -1])
+    def test_high_eigenvector_inside(self, split):
+        flag, residual = nul_vk(split, split.spectrum.eigenvectors[:, -1])
         assert flag and residual <= 1e-10
 
-    def test_low_eigenvector_outside(self, setup):
-        spec, split = setup
-        flag, _ = nul_vk(spec, split, spec.eigenvectors[:, 0])
+    def test_low_eigenvector_outside(self, split):
+        flag, _ = nul_vk(split, split.spectrum.eigenvectors[:, 0])
         assert not flag
 
-    def test_mixed_vector_residual(self, setup):
-        spec, split = setup
-        d = spec.eigenvectors[:, 0] + spec.eigenvectors[:, -1]
-        flag, residual = nul_vk(spec, split, d)
+    def test_mixed_vector_residual(self, split):
+        d = split.spectrum.eigenvectors[:, 0] + split.spectrum.eigenvectors[:, -1]
+        flag, residual = nul_vk(split, d)
         assert not flag
         assert residual == pytest.approx(1.0, abs=1e-10)
 
-    def test_bits_of_the_norm_form(self, setup):
+    def test_bits_of_the_norm_form(self, split):
         # the stacked test gives one vector the bits of np.linalg.norm
-        _, split = setup
         rng = np.random.default_rng(14)
         for exponent in rng.uniform(-5, 5, size=50):
             d = rng.standard_normal(N) * 10.0 ** exponent
@@ -69,66 +62,58 @@ class TestInNulVk:
 
 class TestPairInDH:
     @pytest.fixture()
-    def gnn(self, setup):
-        spec, _ = setup
+    def gnn(self, split):
         rng = np.random.default_rng(0)
-        bank = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng).bank
+        bank = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng).bank
         return SingleLayerGnn(bank=bank, sigma=Nonlinearity.identity())
 
-    def test_equal_signals(self, setup, gnn):
-        spec, split = setup
+    def test_equal_signals(self, split, gnn):
         x = np.random.default_rng(1).standard_normal(N)
-        judged = judge_one(spec, split, gnn, x, x)
+        judged = judge_one(split, gnn, x, x)
         assert judged.in_d_h[0] and judged.residual_low_filter[0] <= 1e-12
 
-    def test_high_mode_perturbation_inside(self, setup, gnn):
-        spec, split = setup
+    def test_high_mode_perturbation_inside(self, split, gnn):
         x = np.random.default_rng(2).standard_normal(N)
-        y = x + spec.eigenvectors[:, K]          # first unprotected mode
-        assert judge_one(spec, split, gnn, x, y).in_d_h[0]
+        y = x + split.spectrum.eigenvectors[:, K]   # first unprotected mode
+        assert judge_one(split, gnn, x, y).in_d_h[0]
 
-    def test_low_mode_perturbation_outside(self, setup, gnn):
-        spec, split = setup
+    def test_low_mode_perturbation_outside(self, split, gnn):
         x = np.random.default_rng(3).standard_normal(N)
-        y = x + spec.eigenvectors[:, 0]
-        assert not judge_one(spec, split, gnn, x, y).in_d_h[0]
+        y = x + split.spectrum.eigenvectors[:, 0]
+        assert not judge_one(split, gnn, x, y).in_d_h[0]
 
-    def test_direct_and_filtered_agree_on_random_pairs(self, setup, gnn):
-        spec, split = setup
+    def test_direct_and_filtered_agree_on_random_pairs(self, split, gnn):
         rng = np.random.default_rng(4)
         for _ in range(25):
             x, y = rng.standard_normal((2, N))
-            flag = judge_one(spec, split, gnn, x, y).in_d_h[0]
-            direct, _ = nul_vk(spec, split, x - y)
+            flag = judge_one(split, gnn, x, y).in_d_h[0]
+            direct, _ = nul_vk(split, x - y)
             assert flag == direct
 
-    def test_vanishing_low_response_raises_inconsistency(self, setup):
+    def test_vanishing_low_response_raises_inconsistency(self, split):
         # a bank that is blind to the lowest mode breaks the linearity
         # argument; the implementation must flag it instead of answering
-        spec, split = setup
         response = np.ones(N)
         response[0] = 0.0
         gnn = SingleLayerGnn(bank=np.array([response]), sigma=Nonlinearity.identity())
         x = np.zeros(N)
-        y = spec.eigenvectors[:, 0]
+        y = split.spectrum.eigenvectors[:, 0]
         with pytest.raises(NumericalError):
-            judge_one(spec, split, gnn, x, y)
+            judge_one(split, gnn, x, y)
 
 
 class TestPairInDPhi:
-    def test_equal_signals(self, setup):
-        spec, split = setup
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(),
+    def test_equal_signals(self, split):
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(),
                                 rng=np.random.default_rng(5))
         x = np.random.default_rng(6).standard_normal(N)
-        verdict = disc.pair_in_d_phi(split, gnn, spec, x, x, 1e-8)
+        verdict = disc.pair_in_d_phi(split, gnn, x, x, 1e-8)
         assert verdict.in_d_phi and verdict.in_d_h
         assert verdict.residual_low_gnn <= 1e-12
         assert verdict.tolerance_used == 1e-8
 
-    def test_identity_sigma_matches_bank_verdict(self, setup):
-        spec, split = setup
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.identity(),
+    def test_identity_sigma_matches_bank_verdict(self, split):
+        gnn = disc.verifier_gnn(split, Nonlinearity.identity(),
                                 rng=np.random.default_rng(7))
         rng = np.random.default_rng(8)
         for trial in range(20):
@@ -136,39 +121,34 @@ class TestPairInDPhi:
                 x, y = disc.sample_pair_in_d_h(split, rng)
             else:
                 x, y = rng.standard_normal((2, N))
-            verdict = disc.pair_in_d_phi(split, gnn, spec, x, y, 1e-8)
+            verdict = disc.pair_in_d_phi(split, gnn, x, y, 1e-8)
             assert verdict.in_d_phi == verdict.in_d_h
 
-    def test_tanh_discriminates_high_perturbations(self, setup):
-        spec, split = setup
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(),
+    def test_tanh_discriminates_high_perturbations(self, split):
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(),
                                 rng=np.random.default_rng(9))
         rng = np.random.default_rng(10)
         discriminated = 0
         for _ in range(50):
             x, y = disc.sample_pair_in_d_h(split, rng)
-            verdict = disc.pair_in_d_phi(split, gnn, spec, x, y, 1e-8)
+            verdict = disc.pair_in_d_phi(split, gnn, x, y, 1e-8)
             assert verdict.in_d_h
             discriminated += not verdict.in_d_phi
         assert discriminated >= 48
 
 
 class TestSamplePair:
-    def test_difference_in_null_space(self, setup):
-        spec, split = setup
+    def test_difference_in_null_space(self, split):
         rng = np.random.default_rng(11)
         x, y = disc.sample_pair_in_d_h(split, rng)
-        flag, residual = nul_vk(spec, split, x - y)
+        flag, residual = nul_vk(split, x - y)
         assert flag and residual <= 1e-10
 
-    def test_zero_scale_gives_equal_pair(self, setup):
-        _, split = setup
+    def test_zero_scale_gives_equal_pair(self, split):
         x, y = disc.sample_pair_in_d_h(split, np.random.default_rng(12), scale=0.0)
         np.testing.assert_array_equal(x, y)
 
-    def test_delta_recovery(self, setup):
-        _, split = setup
-
+    def test_delta_recovery(self, split):
         class Recorder:
             def __init__(self):
                 self.rng = np.random.default_rng(13)
@@ -189,212 +169,189 @@ class TestSamplePair:
 
 
 class TestSecantReport:
-    def test_identity_sigma_unit_secants(self, setup):
-        spec, split = setup
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.identity(),
+    def test_identity_sigma_unit_secants(self, split):
+        gnn = disc.verifier_gnn(split, Nonlinearity.identity(),
                                 rng=np.random.default_rng(14))
         rng = np.random.default_rng(15)
         x, y = rng.standard_normal((2, N))
-        report = disc.secant_report(gnn, spec, x, y, K)
+        report = disc.secant_report(split, gnn, x, y)
         np.testing.assert_allclose(report.secants, 1.0, atol=1e-12)
         np.testing.assert_allclose(report.max_deviation, 0.0, atol=1e-12)
 
-    def test_tanh_symmetric_secant_value(self, setup):
+    def test_tanh_symmetric_secant_value(self, split):
         # identity filter maps x to itself, so the secant between +1 and -1
         # is (tanh(1) - tanh(-1)) / 2 = tanh(1)
-        spec, _ = setup
         gnn = SingleLayerGnn(bank=np.ones((1, N)), sigma=Nonlinearity.tanh())
         x = np.ones(N)
         y = -np.ones(N)
-        report = disc.secant_report(gnn, spec, x, y, K)
+        report = disc.secant_report(split, gnn, x, y)
         np.testing.assert_allclose(report.secants, math.tanh(1.0), atol=1e-9)
         assert math.tanh(1.0) == pytest.approx(0.7615941559, abs=1e-9)
 
-    def test_equal_points_use_derivative(self, setup):
-        spec, _ = setup
+    def test_equal_points_use_derivative(self, split):
         gnn = SingleLayerGnn(bank=np.ones((1, N)), sigma=Nonlinearity.tanh())
         x = np.zeros(N)
-        report = disc.secant_report(gnn, spec, x, x, K)
+        report = disc.secant_report(split, gnn, x, x)
         np.testing.assert_allclose(report.secants, 1.0, atol=1e-12)
 
-    def test_high_response_flags(self, setup):
-        spec, _ = setup
-        bank = (zero_high_response(spec, K, np.ones(K)), np.ones(N))
+    def test_high_response_flags(self, split):
+        bank = (zero_high_response(split, np.ones(K)), np.ones(N))
         gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
         rng = np.random.default_rng(16)
-        report = disc.secant_report(gnn, spec, rng.standard_normal(N),
-                                    rng.standard_normal(N), K)
+        report = disc.secant_report(split, gnn, rng.standard_normal(N),
+                                    rng.standard_normal(N))
         np.testing.assert_array_equal(report.high_response_nonzero, [False, True])
 
-    def test_secant_bounds_strictly_monotone(self, setup):
-        spec, _ = setup
+    def test_secant_bounds_strictly_monotone(self, split):
         rng = np.random.default_rng(17)
         for sigma in (Nonlinearity.tanh(), Nonlinearity.leaky_rectifier(0.3)):
-            gnn = disc.verifier_gnn(spec, K, sigma, rng=rng)
+            gnn = disc.verifier_gnn(split, sigma, rng=rng)
             for _ in range(10):
                 x, y = rng.standard_normal((2, N))
-                report = disc.secant_report(gnn, spec, x, y, K)
+                report = disc.secant_report(split, gnn, x, y)
                 assert np.all(report.secants > 0.0)
                 assert np.all(report.secants <= 1.0 + 1e-12)
 
 
 class TestVerifyTheorem1:
-    def test_no_counterexamples_tanh(self, setup):
-        spec, split = setup
+    def test_no_counterexamples_tanh(self, split):
         rng = np.random.default_rng(18)
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
-        report = disc.verify_theorem1(spec, split, gnn, 100, rng)
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng)
+        report = disc.verify_theorem1(split, gnn, 100, rng)
         assert report.counts["counterexamples"] == 0
         assert all(len(column) == 100 for column in report.columns)
         assert not report.columns.in_d_h.any()
 
-    def test_no_counterexamples_identity(self, setup):
-        spec, split = setup
+    def test_no_counterexamples_identity(self, split):
         rng = np.random.default_rng(19)
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.identity(), rng=rng)
-        report = disc.verify_theorem1(spec, split, gnn, 50, rng)
+        gnn = disc.verifier_gnn(split, Nonlinearity.identity(), rng=rng)
+        report = disc.verify_theorem1(split, gnn, 50, rng)
         assert report.counts["counterexamples"] == 0
 
-    def test_low_mode_difference_discriminated_by_both(self, setup):
-        spec, split = setup
+    def test_low_mode_difference_discriminated_by_both(self, split):
         rng = np.random.default_rng(20)
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng)
         x = rng.standard_normal(N)
-        y = x + 0.5 * spec.eigenvectors[:, 0]
-        verdict = disc.pair_in_d_phi(split, gnn, spec, x, y, 1e-8)
+        y = x + 0.5 * split.spectrum.eigenvectors[:, 0]
+        verdict = disc.pair_in_d_phi(split, gnn, x, y, 1e-8)
         assert not verdict.in_d_h and not verdict.in_d_phi
 
-    def test_requires_zero_high_first_filter(self, setup):
-        spec, split = setup
+    def test_requires_zero_high_first_filter(self, split):
         gnn = SingleLayerGnn(bank=np.ones((1, N)), sigma=Nonlinearity.tanh())
         with pytest.raises(ConfigurationError):
-            disc.verify_theorem1(spec, split, gnn, 5, np.random.default_rng(21))
+            disc.verify_theorem1(split, gnn, 5, np.random.default_rng(21))
 
     @pytest.mark.parametrize("high, accepted", [(1e-9, False), (1e-12, True)])
-    def test_zero_high_tolerance(self, setup, high, accepted):
+    def test_zero_high_tolerance(self, split, high, accepted):
         # disc.ZERO_HIGH_TOL = 1e-10 lies between the two gains
-        spec, split = setup
-        first = zero_high_response(spec, K, np.ones(K))
+        first = zero_high_response(split, np.ones(K))
         first[K:] = high
         gnn = SingleLayerGnn(bank=(first, np.ones(N)), sigma=Nonlinearity.tanh())
         rng = np.random.default_rng(36)
         if accepted:
-            report = disc.verify_theorem1(spec, split, gnn, 5, rng)
+            report = disc.verify_theorem1(split, gnn, 5, rng)
             assert report.counts["counterexamples"] == 0
         else:
             with pytest.raises(ConfigurationError, match="must vanish above the cutoff"):
-                disc.verify_theorem1(spec, split, gnn, 5, rng)
+                disc.verify_theorem1(split, gnn, 5, rng)
 
-    def test_fir_bank_accepted(self):
+    def test_fir_bank_accepted(self, split_of):
         # an interpolating FIR filter that vanishes on the unprotected
         # eigenvalues is numerically, not exactly, zero there; a small
         # well-separated spectrum keeps the interpolation conditioned
         from graphdisc.graphs import SupportMatrix
 
         lam = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        s = SupportMatrix(np.diag(lam))
-        spec = eig_sym(s)
-        split = split_subspace(spec, 2)
+        split = split_of(SupportMatrix(np.diag(lam)), 2)
         targets = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
         coeffs = np.linalg.solve(np.vander(lam, 5, increasing=True), targets)
-        gnn = SingleLayerGnn(bank=(freq_response(coeffs, spec.eigenvalues), np.ones(5)),
-                             sigma=Nonlinearity.tanh())
-        report = disc.verify_theorem1(spec, split, gnn, 10, np.random.default_rng(22))
+        gnn = SingleLayerGnn(bank=(freq_response(coeffs, split.spectrum.eigenvalues),
+                                   np.ones(5)), sigma=Nonlinearity.tanh())
+        report = disc.verify_theorem1(split, gnn, 10, np.random.default_rng(22))
         assert report.counts["counterexamples"] == 0
 
 
 class TestVerifyTheorem2:
-    def test_identity_sigma_full_agreement(self, setup):
-        spec, split = setup
+    def test_identity_sigma_full_agreement(self, split):
         rng = np.random.default_rng(23)
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.identity(), rng=rng)
-        report = disc.verify_theorem2_forward(spec, split, gnn, 100, rng)
+        gnn = disc.verifier_gnn(split, Nonlinearity.identity(), rng=rng)
+        report = disc.verify_theorem2_forward(split, gnn, 100, rng)
         assert report.counts["agreements"] == report.trials
         assert report.counts["discriminated"] == 0    # linear case keeps D_H pairs
 
-    def test_tanh_discriminates_most_pairs(self, setup):
-        spec, split = setup
+    def test_tanh_discriminates_most_pairs(self, split):
         rng = np.random.default_rng(24)
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
-        report = disc.verify_theorem2_forward(spec, split, gnn, 100, rng)
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng)
+        report = disc.verify_theorem2_forward(split, gnn, 100, rng)
         assert report.counts["agreements"] == report.trials
         assert report.counts["discriminated"] >= 99
 
-    def test_constructed_constant_secant_pair(self, setup):
-        spec, split = setup
+    def test_constructed_constant_secant_pair(self, split):
         rng = np.random.default_rng(25)
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.leaky_rectifier(0.1), rng=rng)
-        x, y = disc.constant_secant_pair(split, gnn, spec, rng)
+        gnn = disc.verifier_gnn(split, Nonlinearity.leaky_rectifier(0.1), rng=rng)
+        x, y = disc.constant_secant_pair(split, gnn, rng)
         scale = np.linalg.norm(x - y)
-        verdict = disc.pair_in_d_phi(split, gnn, spec, x, y, 1e-8)
+        verdict = disc.pair_in_d_phi(split, gnn, x, y, 1e-8)
         assert verdict.in_d_h and verdict.in_d_phi
         assert verdict.residual_low_gnn <= 1e-9 * scale
-        report = disc.secant_report(gnn, spec, x, y, K)
+        report = disc.secant_report(split, gnn, x, y)
         np.testing.assert_allclose(report.secants, 1.0, atol=1e-12)
 
-    def test_needs_two_filters(self, setup):
-        spec, split = setup
-        gnn = SingleLayerGnn(bank=np.array([zero_high_response(spec, K, np.ones(K))]),
+    def test_needs_two_filters(self, split):
+        gnn = SingleLayerGnn(bank=np.array([zero_high_response(split, np.ones(K))]),
                              sigma=Nonlinearity.tanh())
         with pytest.raises(ConfigurationError):
-            disc.verify_theorem2_forward(spec, split, gnn, 5,
+            disc.verify_theorem2_forward(split, gnn, 5,
                                          np.random.default_rng(26))
 
 
 class TestVerifyCorollary1:
-    def test_verdicts_always_agree(self, setup):
-        spec, split = setup
+    def test_verdicts_always_agree(self, split):
         rng = np.random.default_rng(27)
-        gnn = disc.all_zero_high_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
-        report = disc.verify_corollary1(spec, split, gnn, 90, rng)
+        gnn = disc.all_zero_high_gnn(split, Nonlinearity.tanh(), rng=rng)
+        report = disc.verify_corollary1(split, gnn, 90, rng)
         assert report.counts["verdict_mismatches"] == 0
         flags = set(zip(report.columns.in_d_h.tolist(), report.columns.in_d_phi.tolist()))
         assert (True, True) in flags and (False, False) in flags
 
-    def test_bank_annihilates_difference_before_sigma(self, setup):
+    def test_bank_annihilates_difference_before_sigma(self, split):
         # for a D_H pair the features of x and y coincide to 1e-12
-        spec, split = setup
         rng = np.random.default_rng(28)
-        gnn = disc.all_zero_high_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
+        gnn = disc.all_zero_high_gnn(split, Nonlinearity.tanh(), rng=rng)
         x, y = disc.sample_pair_in_d_h(split, rng)
-        diff = (gnn.sigma.eval(bank_forward(gnn.bank, spec, x))
-                - gnn.sigma.eval(bank_forward(gnn.bank, spec, y)))
+        diff = (gnn.sigma.eval(bank_forward(gnn.bank, split.spectrum, x))
+                - gnn.sigma.eval(bank_forward(gnn.bank, split.spectrum, y)))
         assert np.max(np.abs(diff)) <= 1e-12
 
-    def test_rejects_bank_with_high_response(self, setup):
-        spec, split = setup
-        bank = (zero_high_response(spec, K, np.ones(K)), np.ones(N))
+    def test_rejects_bank_with_high_response(self, split):
+        bank = (zero_high_response(split, np.ones(K)), np.ones(N))
         gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
         with pytest.raises(ConfigurationError):
-            disc.verify_corollary1(spec, split, gnn, 5, np.random.default_rng(29))
+            disc.verify_corollary1(split, gnn, 5, np.random.default_rng(29))
 
 
 class TestVerifyCorollary2:
-    def test_report(self, setup):
-        spec, split = setup
+    def test_report(self, split):
         rng = np.random.default_rng(30)
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
-        report = disc.verify_corollary2(spec, split, gnn, 60, rng, probe_draws=40)
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng)
+        report = disc.verify_corollary2(split, gnn, 60, rng, probe_draws=40)
         assert report.counts["subset_violations"] == 0
         assert report.counts["strictness_witnesses"] >= 1
         assert report.counts["probe_above_threshold"] >= 0.95 * report.counts["probe_draws"]
         assert report.passed
 
-    def test_requires_tanh(self, setup):
-        spec, split = setup
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.identity(),
+    def test_requires_tanh(self, split):
+        gnn = disc.verifier_gnn(split, Nonlinearity.identity(),
                                 rng=np.random.default_rng(31))
         with pytest.raises(ConfigurationError):
-            disc.verify_corollary2(spec, split, gnn, 5, np.random.default_rng(32))
+            disc.verify_corollary2(split, gnn, 5, np.random.default_rng(32))
 
-    def test_requires_multiple_high_modes(self):
-        g = generate_geometric_graph(6, 2, seed=43)
-        spec = eig_sym(normalize_support(laplacian(g)))
-        split = split_subspace(spec, 5)     # single unprotected mode
-        gnn = disc.verifier_gnn(spec, 5, Nonlinearity.tanh(),
+    def test_requires_multiple_high_modes(self, split_of):
+        split = split_of(generate_geometric_graph(6, 2, seed=43), 5)   # single unprotected mode
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(),
                                 rng=np.random.default_rng(33))
         with pytest.raises(ConfigurationError):
-            disc.verify_corollary2(spec, split, gnn, 5, np.random.default_rng(34))
+            disc.verify_corollary2(split, gnn, 5, np.random.default_rng(34))
 
 
 def _rows(columns):
@@ -402,12 +359,12 @@ def _rows(columns):
     return list(zip(*(column.tolist() for column in columns)))
 
 
-def _per_pair_rows(split, gnn, spec, pairs):
+def _per_pair_rows(split, gnn, pairs):
     """The trial rows of the per-pair functions, one pair at a time."""
     rows = []
     for x, y in pairs:
-        v = disc.pair_in_d_phi(split, gnn, spec, x, y, disc.DEFAULT_TOL)
-        report = disc.secant_report(gnn, spec, x, y, split.k)
+        v = disc.pair_in_d_phi(split, gnn, x, y, disc.DEFAULT_TOL)
+        report = disc.secant_report(split, gnn, x, y)
         rows.append((v.in_d_h, v.in_d_phi, v.residual_low_filter,
                      v.residual_low_gnn, float(np.max(report.max_deviation))))
     return rows
@@ -454,17 +411,16 @@ class TestStackedTrials:
     carry the bits the per-pair functions give its pair alone."""
 
     @pytest.mark.parametrize("suite, sigma", STACKED_CASES)
-    def test_rows_equal_per_pair_rows(self, setup, suite, sigma):
-        spec, split = setup
+    def test_rows_equal_per_pair_rows(self, split, suite, sigma):
         build = disc.all_zero_high_gnn if suite == "corollary1" else disc.verifier_gnn
-        gnn = build(spec, K, SIGMAS[sigma], rng=np.random.default_rng(40))
+        gnn = build(split, SIGMAS[sigma], rng=np.random.default_rng(40))
         verify = {"theorem1": disc.verify_theorem1,
                   "theorem2": disc.verify_theorem2_forward,
                   "corollary1": disc.verify_corollary1,
                   "corollary2": lambda *a: disc.verify_corollary2(*a, probe_draws=5)}[suite]
-        report = verify(spec, split, gnn, 30, np.random.default_rng(41))
+        report = verify(split, gnn, 30, np.random.default_rng(41))
         pairs = _drawn_pairs(split, suite, np.random.default_rng(41), 30)
-        assert _rows(report.columns) == _per_pair_rows(split, gnn, spec, pairs)
+        assert _rows(report.columns) == _per_pair_rows(split, gnn, pairs)
 
         if suite == "theorem2":
             # the per-trial margin loop the stacked counts replace
@@ -472,7 +428,7 @@ class TestStackedTrials:
             agreements, worst = 0, math.inf
             for (x, y), (_, in_d_phi, _, residual_low_gnn, _) in zip(pairs,
                                                                      _rows(report.columns)):
-                considered = disc.secant_report(gnn, spec, x, y, K).max_deviation[high]
+                considered = disc.secant_report(split, gnn, x, y).max_deviation[high]
                 agreements += in_d_phi == bool(np.all(considered <= disc.DEFAULT_SECANT_TOL))
                 margin_phi = abs(residual_low_gnn / max(float(np.linalg.norm(x - y)),
                                                         disc.SCALE_FLOOR) - disc.DEFAULT_TOL)
@@ -483,23 +439,22 @@ class TestStackedTrials:
             assert counts["discriminated"] == sum(not in_d_phi
                                                   for _, in_d_phi, *_ in _rows(report.columns))
 
-    def test_zero_trials(self, setup):
-        spec, split = setup
-        tanh = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=np.random.default_rng(42))
-        flat = disc.all_zero_high_gnn(spec, K, Nonlinearity.tanh(),
+    def test_zero_trials(self, split):
+        tanh = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(42))
+        flat = disc.all_zero_high_gnn(split, Nonlinearity.tanh(),
                                       rng=np.random.default_rng(42))
         rng = np.random.default_rng(43)
         # at zero trials the pass rules hold vacuously, except corollary 2's,
         # which asks for at least one strictness witness
-        report = disc.verify_theorem1(spec, split, tanh, 0, rng)
+        report = disc.verify_theorem1(split, tanh, 0, rng)
         assert _rows(report.columns) == [] and report.passed is True
-        report = disc.verify_theorem2_forward(spec, split, tanh, 0, rng)
+        report = disc.verify_theorem2_forward(split, tanh, 0, rng)
         assert _rows(report.columns) == [] and report.counts["agreements"] == 0
         assert report.counts["agreements"] == report.trials
         assert report.counts["worst_margin"] == math.inf and report.passed is True
-        report = disc.verify_corollary1(spec, split, flat, 0, rng)
+        report = disc.verify_corollary1(split, flat, 0, rng)
         assert _rows(report.columns) == [] and report.passed is True
-        report = disc.verify_corollary2(spec, split, tanh, 0, rng, probe_draws=3)
+        report = disc.verify_corollary2(split, tanh, 0, rng, probe_draws=3)
         assert _rows(report.columns) == [] and report.counts["strictness_witnesses"] == 0
         assert report.passed is False
 
@@ -509,16 +464,15 @@ class TestJudgePairs:
     inside a stack of T: the bank_forward contract."""
 
     @pytest.mark.parametrize("sigma", SIGMAS)
-    def test_alone_equals_in_stack(self, setup, sigma):
-        spec, split = setup
-        gnn = disc.verifier_gnn(spec, K, SIGMAS[sigma], rng=np.random.default_rng(46))
+    def test_alone_equals_in_stack(self, split, sigma):
+        gnn = disc.verifier_gnn(split, SIGMAS[sigma], rng=np.random.default_rng(46))
         x, y = disc.draw_pairs(split, np.random.default_rng(47), 12, disc.MIXED,
                                disc.DEFAULT_TOL)
-        stacked = disc.judge_pairs(spec, split, gnn, x, y, disc.DEFAULT_TOL)
+        stacked = disc.judge_pairs(split, gnn, x, y, disc.DEFAULT_TOL)
         # inside, outside, identical, ...: only the outside pairs leave D_H
         assert stacked.in_d_h.tolist() == [t % 3 != 1 for t in range(12)]
         for t in range(12):
-            alone = disc.judge_pairs(spec, split, gnn, x[t:t + 1], y[t:t + 1],
+            alone = disc.judge_pairs(split, gnn, x[t:t + 1], y[t:t + 1],
                                      disc.DEFAULT_TOL)
             for name, column in stacked._asdict().items():
                 assert getattr(alone, name)[0].tobytes() == column[t].tobytes(), (t, name)
@@ -551,8 +505,7 @@ class TestDrawPairs:
 
     @pytest.mark.parametrize("suite", CYCLES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_equal_to_one_by_one_draws(self, setup, suite, seed):
-        _, split = setup
+    def test_equal_to_one_by_one_draws(self, split, suite, seed):
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         x, y = disc.draw_pairs(split, rng, 31, CYCLES[suite], disc.DEFAULT_TOL)
         pairs = _drawn_pairs(split, suite, reference, 31)
@@ -560,8 +513,7 @@ class TestDrawPairs:
         np.testing.assert_array_equal(y, [p[1] for p in pairs])
         assert rng.bit_generator.state == reference.bit_generator.state
 
-    def test_one_call(self, setup):
-        _, split = setup
+    def test_one_call(self, split):
         normals = ScriptedNormals(np.random.default_rng(3).standard_normal(1000))
         disc.draw_pairs(split, normals, 7, disc.MIXED, disc.DEFAULT_TOL)
         # kinds inside, outside, identical, inside, outside, identical, inside
@@ -569,8 +521,7 @@ class TestDrawPairs:
 
     @pytest.mark.parametrize("suite", ["theorem1", "corollary1"])
     @pytest.mark.parametrize("rejections", [1, 2, 99])
-    def test_rejected_pair_redrawn_from_the_next_normals(self, setup, suite, rejections):
-        _, split = setup
+    def test_rejected_pair_redrawn_from_the_next_normals(self, split, suite, rejections):
         base = np.random.default_rng(4).standard_normal(2000)
         first = 0 if suite == "theorem1" else 2 * N - K   # where the first outside pair starts
         equal = np.tile(base[:N], 2 * rejections)         # x == y, rejected each time
@@ -589,8 +540,7 @@ class TestDrawPairs:
         np.testing.assert_array_equal(y, [p[1] for p in pairs])
         assert normals.used == reference.used
 
-    def test_hundred_rejections_raise(self, setup):
-        _, split = setup
+    def test_hundred_rejections_raise(self, split):
         base = np.random.default_rng(5).standard_normal(N)
         normals = ScriptedNormals(np.tile(base, 300))     # every pair has x == y
         with pytest.raises(NumericalError, match="100 tries"):
@@ -609,23 +559,21 @@ VERIFIERS = {
 
 class TestVerifierBoundary:
     @pytest.mark.parametrize("suite", VERIFIERS)
-    def test_negative_trials(self, setup, suite):
-        spec, split = setup
+    def test_negative_trials(self, split, suite):
         verify, build = VERIFIERS[suite]
-        gnn = build(spec, K, Nonlinearity.tanh(), rng=np.random.default_rng(44))
+        gnn = build(split, Nonlinearity.tanh(), rng=np.random.default_rng(44))
         with pytest.raises(ConfigurationError, match="trials must be nonnegative, got -1"):
-            verify(spec, split, gnn, -1, np.random.default_rng(45))
+            verify(split, gnn, -1, np.random.default_rng(45))
 
     @pytest.mark.parametrize("suite", VERIFIERS)
     @pytest.mark.parametrize("tol", [0.0, -1e-8])
-    def test_nonpositive_tol_before_any_draw(self, setup, suite, tol):
-        spec, split = setup
+    def test_nonpositive_tol_before_any_draw(self, split, suite, tol):
         verify, build = VERIFIERS[suite]
-        gnn = build(spec, K, Nonlinearity.tanh(), rng=np.random.default_rng(44))
+        gnn = build(split, Nonlinearity.tanh(), rng=np.random.default_rng(44))
         rng = np.random.default_rng(45)
         untouched = rng.bit_generator.state
         with pytest.raises(ConfigurationError, match="tol must be positive"):
-            verify(spec, split, gnn, 10, rng, tol=tol)
+            verify(split, gnn, 10, rng, tol=tol)
         assert rng.bit_generator.state == untouched
 
 
@@ -647,12 +595,11 @@ class TestBlocks:
     report, the trial log and the generator's state are those of one block."""
 
     @staticmethod
-    def _run(setup, suite, trials, tmp_path, name):
-        spec, split = setup
+    def _run(split, suite, trials, tmp_path, name):
         verify, build = BLOCK_VERIFIERS[suite]
-        gnn = build(spec, K, Nonlinearity.tanh(), rng=np.random.default_rng(48))
+        gnn = build(split, Nonlinearity.tanh(), rng=np.random.default_rng(48))
         rng = np.random.default_rng(49)
-        report = verify(spec, split, gnn, trials, rng)
+        report = verify(split, gnn, trials, rng)
         path = tmp_path / f"{name}.csv"
         disc.write_trial_csv([report.columns], str(path))
         fields = {f.name: _as_bytes(getattr(report, f.name))
@@ -661,27 +608,26 @@ class TestBlocks:
 
     @pytest.mark.parametrize("suite", BLOCK_VERIFIERS)
     @pytest.mark.parametrize("trials", [1, 6, 7, 8, 15, 22])
-    def test_blocks_of_seven_equal_one_block(self, setup, suite, trials, tmp_path,
+    def test_blocks_of_seven_equal_one_block(self, split, suite, trials, tmp_path,
                                              monkeypatch):
         # 7 is not a multiple of the mixed cycle's 3 kinds, so later blocks
         # start inside the cycle
         assert trials <= disc.BLOCK_TRIALS
-        whole = self._run(setup, suite, trials, tmp_path, "whole")
+        whole = self._run(split, suite, trials, tmp_path, "whole")
         monkeypatch.setattr(disc, "BLOCK_TRIALS", 7)
-        blocks = self._run(setup, suite, trials, tmp_path, "blocks")
+        blocks = self._run(split, suite, trials, tmp_path, "blocks")
         assert blocks[0] == whole[0]
         assert blocks[1] == whole[1]
         assert blocks[2] == whole[2]
 
-    def test_memory_flat_in_trials(self, setup):
-        spec, split = setup
-        gnn = disc.all_zero_high_gnn(spec, K, Nonlinearity.tanh(),
+    def test_memory_flat_in_trials(self, split):
+        gnn = disc.all_zero_high_gnn(split, Nonlinearity.tanh(),
                                      rng=np.random.default_rng(50))
 
         def peak(trials):
             tracemalloc.start()
             try:
-                disc.verify_corollary1(spec, split, gnn, trials, np.random.default_rng(51))
+                disc.verify_corollary1(split, gnn, trials, np.random.default_rng(51))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -718,11 +664,10 @@ class TestTanhSecantOffset:
 
 
 class TestTrialCsv:
-    def test_layout(self, setup, tmp_path):
-        spec, split = setup
+    def test_layout(self, split, tmp_path):
         rng = np.random.default_rng(35)
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
-        report = disc.verify_theorem1(spec, split, gnn, 5, rng)
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng)
+        report = disc.verify_theorem1(split, gnn, 5, rng)
         path = tmp_path / "trials.csv"
         disc.write_trial_csv([report.columns], str(path))
         lines = path.read_text().strip().split("\n")
@@ -732,11 +677,10 @@ class TestTrialCsv:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] in "01" and first[2] in "01"
 
-    def test_trials_numbered_across_graphs(self, setup, tmp_path):
-        spec, split = setup
+    def test_trials_numbered_across_graphs(self, split, tmp_path):
         rng = np.random.default_rng(52)
-        gnn = disc.verifier_gnn(spec, K, Nonlinearity.tanh(), rng=rng)
-        graphs = [disc.verify_theorem1(spec, split, gnn, trials, rng).columns
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng)
+        graphs = [disc.verify_theorem1(split, gnn, trials, rng).columns
                   for trials in (3, 0, 4)]
         path = tmp_path / "trials.csv"
         disc.write_trial_csv(graphs, str(path))

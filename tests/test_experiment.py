@@ -22,24 +22,25 @@ from graphdisc.experiment import (
 )
 from graphdisc.gnn import Nonlinearity, SingleLayerGnn
 from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
-from graphdisc.spectral import eig_sym, split_subspace
 
 N, SPLIT_K = 16, 12
 
 
 @pytest.fixture(scope="module")
-def setup():
-    g = generate_geometric_graph(N, 4, seed=61)
-    s = normalize_support(laplacian(g))
-    spec = eig_sym(s)
-    return s, spec, split_subspace(spec, SPLIT_K)
+def s():
+    return normalize_support(laplacian(generate_geometric_graph(N, 4, seed=61)))
 
 
-def no_low_energy(spec, split, d):
+@pytest.fixture(scope="module")
+def split(s, split_of):
+    return split_of(s, SPLIT_K)
+
+
+def no_low_energy(split, d):
     """Whether d has no low-mode energy: judge_pairs's verdict on the pair
     (d, 0) under a one-filter all-ones bank."""
-    ones = SingleLayerGnn(bank=np.ones((1, spec.n)), sigma=Nonlinearity.identity())
-    return bool(judge_pairs(spec, split, ones, [d], [np.zeros(spec.n)], 1e-8).in_d_h[0])
+    ones = SingleLayerGnn(bank=np.ones((1, split.n)), sigma=Nonlinearity.identity())
+    return bool(judge_pairs(split, ones, [d], [np.zeros(split.n)], 1e-8).in_d_h[0])
 
 
 def tiny_config(**overrides):
@@ -51,52 +52,44 @@ def tiny_config(**overrides):
 
 
 class TestGenerateInput:
-    def test_high_mode_has_no_low_energy(self, setup):
-        _, spec, split = setup
+    def test_high_mode_has_no_low_energy(self, split):
         rng = np.random.default_rng(0)
         x = generate_inputs(split, "high", 1, rng)[0]
-        assert no_low_energy(spec, split, x)
+        assert no_low_energy(split, x)
 
-    def test_low_mode_has_no_high_energy(self, setup):
-        _, _, split = setup
+    def test_low_mode_has_no_high_energy(self, split):
         rng = np.random.default_rng(1)
         x = generate_inputs(split, "low", 1, rng)[0]
         assert np.linalg.norm(split.v_high.T @ x) <= 1e-10
 
     @pytest.mark.parametrize("mode", ["low", "high", "full"])
-    def test_unit_norm(self, setup, mode):
-        _, _, split = setup
+    def test_unit_norm(self, split, mode):
         rng = np.random.default_rng(2)
         for _ in range(10):
             x = generate_inputs(split, mode, 1, rng)[0]
             assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
 
-    def test_high_inputs_nondiscriminable_from_zero(self, setup):
+    def test_high_inputs_nondiscriminable_from_zero(self, split):
         # (x, 0) is a nondiscriminable pair relative to the split
-        _, spec, split = setup
         rng = np.random.default_rng(3)
         x = generate_inputs(split, "high", 1, rng)[0]
-        assert no_low_energy(spec, split, x - np.zeros(N))
+        assert no_low_energy(split, x - np.zeros(N))
 
-    def test_unknown_mode(self, setup):
-        _, _, split = setup
+    def test_unknown_mode(self, split):
         with pytest.raises(ConfigurationError):
             generate_inputs(split, "mid", 1, np.random.default_rng(4))
 
 
     @pytest.mark.parametrize("mode", ["low", "high", "full"])
-    def test_batch_draws_the_numbers_of_single_draws(self, setup, mode):
+    def test_batch_draws_the_numbers_of_single_draws(self, split, mode):
         # the batch is one (count, n) draw of the same stream; projection and
         # norms of a batch round differently from those of single rows
-        _, _, split = setup
         batch = generate_inputs(split, mode, 6, np.random.default_rng(8))
         rng = np.random.default_rng(8)
         singles = np.stack([generate_inputs(split, mode, 1, rng)[0] for _ in range(6)])
         np.testing.assert_allclose(batch, singles, rtol=0.0, atol=1e-15)
 
-    def test_degenerate_draw_raises(self, setup):
-        _, _, split = setup
-
+    def test_degenerate_draw_raises(self, split):
         class ZeroRng:
             def standard_normal(self, shape):
                 return np.zeros(shape)
@@ -106,45 +99,39 @@ class TestGenerateInput:
 
 
 class TestGenerateTarget:
-    def test_identity_coefficients_give_sign(self, setup):
-        s, _, _ = setup
+    def test_identity_coefficients_give_sign(self, s):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(N)
         np.testing.assert_array_equal(generate_target(s, x, np.array([1.0, 0, 0])),
                                       np.where(x >= 0, 1.0, -1.0))
 
-    def test_negated_coefficients_flip_nonzero_entries(self, setup):
-        s, _, _ = setup
+    def test_negated_coefficients_flip_nonzero_entries(self, s):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(N)  # no exact zeros almost surely
         pos = generate_target(s, x, np.array([1.0, 0, 0]))
         neg = generate_target(s, x, np.array([-1.0, 0, 0]))
         np.testing.assert_array_equal(neg, -pos)
 
-    def test_sign_zero_convention(self, setup):
-        s, _, _ = setup
+    def test_sign_zero_convention(self, s):
         out = generate_target(s, np.zeros(N), np.array([1.0, 1.0, 1.0]))
         np.testing.assert_array_equal(out, np.ones(N))
 
-    def test_top_eigenvector_through_shift(self, setup):
+    def test_top_eigenvector_through_shift(self, s, split):
         # c = (0, 1, 0) applies one shift; the top eigenvalue is 1 > 0
-        s, spec, _ = setup
-        v_top = spec.eigenvectors[:, -1]
+        v_top = split.spectrum.eigenvectors[:, -1]
         out = generate_target(s, v_top, np.array([0.0, 1.0, 0.0]))
         np.testing.assert_array_equal(out, np.where(v_top >= 0, 1.0, -1.0))
 
-    def test_range(self, setup):
-        s, _, split = setup
+    def test_range(self, s, split):
         rng = np.random.default_rng(7)
         x = np.stack([generate_inputs(split, "full", 1, rng)[0] for _ in range(20)])
         y = generate_target(s, x, rng.uniform(-1, 1, 3))
         assert set(np.unique(y)) <= {-1.0, 1.0}
 
     @pytest.mark.parametrize("shape", [(N,), (7, N)], ids=["1-D", "2-D"])
-    def test_chunks_match_one_pass(self, setup, monkeypatch, shape):
+    def test_chunks_match_one_pass(self, s, monkeypatch, shape):
         # a budget of two and a half rows' powers: 7 rows go in chunks of
         # 2, 2, 2 and a ragged 1, each into the same powers buffer
-        s, _, _ = setup
         rng = np.random.default_rng(8)
         x, c = rng.standard_normal(shape), rng.uniform(-1, 1, 3)
         one_pass = np.where(contract(c, shift_powers(s, x, 3)) >= 0, 1.0, -1.0)
@@ -162,15 +149,13 @@ class TestGenerateTarget:
         assert y.shape == shape
         np.testing.assert_array_equal(y, one_pass)
 
-    def test_coefficient_count(self, setup):
-        s, _, _ = setup
+    def test_coefficient_count(self, s):
         with pytest.raises(ShapeError):
             generate_target(s, np.zeros(N), np.array([1.0, 2.0]))
 
 
 class TestBuildDataset:
-    def test_sizes_and_disjoint_draws(self, setup):
-        s, _, split = setup
+    def test_sizes_and_disjoint_draws(self, s, split):
         rng = np.random.default_rng(8)
         ds = build_dataset(s, split, "full", (30, 10, 5),
                            np.array([0.5, -0.2, 0.1]), rng)
@@ -181,8 +166,7 @@ class TestBuildDataset:
         stacked = np.vstack([ds.train[0], ds.val[0], ds.test[0]])
         assert np.unique(stacked, axis=0).shape[0] == 45
 
-    def test_deterministic_given_seed(self, setup):
-        s, _, split = setup
+    def test_deterministic_given_seed(self, s, split):
         c = np.array([0.3, 0.3, 0.3])
         a = build_dataset(s, split, "high", (8, 4, 4), c,
                           np.random.default_rng(9))
@@ -191,15 +175,13 @@ class TestBuildDataset:
         np.testing.assert_array_equal(a.train[0], b.train[0])
         np.testing.assert_array_equal(a.test[1], b.test[1])
 
-    def test_targets_are_signs(self, setup):
-        s, _, split = setup
+    def test_targets_are_signs(self, s, split):
         ds = build_dataset(s, split, "low", (10, 4, 4),
                            np.array([0.1, 0.9, -0.4]), np.random.default_rng(10))
         for _, y in (ds.train, ds.val, ds.test):
             assert set(np.unique(y)) <= {-1.0, 1.0}
 
-    def test_full_scale_counts(self, setup):
-        s, _, split = setup
+    def test_full_scale_counts(self, s, split):
         ds = build_dataset(s, split, "high", (8000, 200, 200),
                            np.array([0.2, -0.5, 0.8]), np.random.default_rng(11))
         assert ds.train[0].shape == (8000, N)
@@ -241,12 +223,11 @@ class TestRunExperiment:
             assert s.mean_error == pytest.approx(np.mean(s.per_graph), abs=1e-12)
             assert len(s.per_graph) == 3
 
-    def test_split_uses_upper_band_size(self):
+    def test_split_uses_upper_band_size(self, split_of):
         config = tiny_config()
         assert config.split_index == 12
         report = run_experiment(tiny_config(graphs=1, epochs=0))
-        spec = eig_sym(normalize_support(laplacian(report.replicates[0].graph)))
-        split = split_subspace(spec, config.split_index)
+        split = split_of(report.replicates[0].graph, config.split_index)
         assert split.v_high.shape == (16, 4)
 
     def test_fixed_graph_requires_single_replicate(self):

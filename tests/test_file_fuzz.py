@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdisc.cli import CONFIG_KEYS, load_config_file
+from graphdisc.cli import load_config_file
 from graphdisc.errors import ConfigurationError
+from graphdisc.experiment import CONFIG_KEYS
 from graphdisc.filters import load_bank, save_bank
 from graphdisc.gnn import load_model, save_model
 from graphdisc.graphs import load_graph, save_graph

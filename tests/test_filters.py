@@ -20,7 +20,7 @@ from graphdisc.filters import (
 )
 from graphdisc.gnn import bank_forward
 from graphdisc.graphs import SupportMatrix, generate_geometric_graph, laplacian, normalize_support
-from graphdisc.spectral import eig_sym, split_subspace
+from graphdisc.spectral import eig_sym
 
 
 def dense_filter_oracle(taps, entries, x):
@@ -153,6 +153,13 @@ class TestFreqResponse:
         oracle = 0.5 - grid + 2.0 * grid ** 2
         np.testing.assert_allclose(out, oracle, atol=1e-14)
 
+    @pytest.mark.parametrize("taps", [[], np.ones((2, 3)), np.ones((1, 1))],
+                             ids=["empty", "2-D", "1x1"])
+    def test_taps_not_a_nonempty_vector(self, taps):
+        shape = np.shape(taps)
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            freq_response(taps, np.linspace(0, 1, 20))
+
 
 class TestApplySpectral:
     """One gains row applied through bank_forward."""
@@ -226,29 +233,28 @@ class TestBankIlConstant:
 
 class TestZeroHighResponse:
     @pytest.fixture()
-    def spec(self, small_support):
-        return eig_sym(small_support)
+    def split(self, small_support, split_of):
+        return split_of(small_support, 4)
 
-    def test_kills_top_eigenvector(self, spec):
-        sf = zero_high_response(spec, 4, np.ones(4))
-        out = bank_forward([sf], spec, spec.eigenvectors[:, -1])[0]
+    def test_kills_top_eigenvector(self, split):
+        sf = zero_high_response(split, np.ones(4))
+        out = bank_forward([sf], split.spectrum, split.spectrum.eigenvectors[:, -1])[0]
         assert np.max(np.abs(out)) <= 1e-12
 
-    def test_keeps_bottom_eigenvector(self, spec):
-        sf = zero_high_response(spec, 4, np.ones(4))
-        v1 = spec.eigenvectors[:, 0]
-        np.testing.assert_allclose(bank_forward([sf], spec, v1)[0], v1, atol=1e-10)
+    def test_keeps_bottom_eigenvector(self, split):
+        sf = zero_high_response(split, np.ones(4))
+        v1 = split.spectrum.eigenvectors[:, 0]
+        np.testing.assert_allclose(bank_forward([sf], split.spectrum, v1)[0], v1, atol=1e-10)
 
-    def test_output_in_low_column_space(self, spec):
-        sf = zero_high_response(spec, 4, np.ones(4))
-        split = split_subspace(spec, 4)
+    def test_output_in_low_column_space(self, split):
+        sf = zero_high_response(split, np.ones(4))
         rng = np.random.default_rng(11)
-        out = bank_forward([sf], spec, rng.standard_normal(12))[0]
+        out = bank_forward([sf], split.spectrum, rng.standard_normal(12))[0]
         assert np.linalg.norm(split.v_high.T @ out) <= 1e-10
 
-    def test_length_mismatch(self, spec):
+    def test_length_mismatch(self, split):
         with pytest.raises(ShapeError):
-            zero_high_response(spec, 4, np.ones(3))
+            zero_high_response(split, np.ones(3))
 
 
 class TestSpectralEquivalence:

@@ -255,7 +255,7 @@ class TestSubspaceSplit:
         with pytest.raises(DegenerateInputError, match=r"split index 1 .* gap there is 0"):
             split_subspace(spec, 1)
         split = split_subspace(spec, 2)
-        np.testing.assert_array_equal(split.lambda_low, [0.0, 0.0])
+        np.testing.assert_array_equal(split.spectrum.eigenvalues[:split.k], [0.0, 0.0])
 
 
 class TestProjectSubspace:
