@@ -8,7 +8,7 @@ from .filters import (
     save_bank,
     zero_high_response,
 )
-from .gnn import Nonlinearity, SingleLayerGnn, bank_forward, load_model, save_model
+from .gnn import Nonlinearity, SingleLayerGnn, TrainableModel, bank_forward, load_model, save_model
 from .graphs import (
     GeometricGraph,
     SupportMatrix,
@@ -23,7 +23,7 @@ from .spectral import Spectrum, SubspaceSplit, eig_sym, project_subspace, split_
 __all__ = [
     "ConfigurationError", "DegenerateInputError", "NumericalError", "ShapeError",
     "bank_il_constant", "freq_response", "load_bank", "save_bank", "zero_high_response",
-    "Nonlinearity", "SingleLayerGnn", "bank_forward", "load_model", "save_model",
+    "Nonlinearity", "SingleLayerGnn", "TrainableModel", "bank_forward", "load_model", "save_model",
     "GeometricGraph", "SupportMatrix", "generate_geometric_graph", "laplacian",
     "load_graph", "normalize_support", "save_graph",
     "Spectrum", "SubspaceSplit", "eig_sym", "project_subspace", "split_subspace",

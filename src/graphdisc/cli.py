@@ -111,11 +111,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     init_taps = init_readout = None
     if args.load_model:
-        init_taps, init_readout, sigma = load_model(args.load_model)
+        model = load_model(args.load_model)
         # the model warm-starts the GNN, which run trains with tanh
-        if sigma.kind != "tanh":
+        if model.sigma.kind != "tanh":
             raise ConfigurationError(f"{args.load_model}: the model's activation is "
-                                     f"{sigma.descriptor()}, but run trains a tanh GNN")
+                                     f"{model.sigma.descriptor()}, but run trains a tanh GNN")
+        init_taps, init_readout = model.taps, model.readout
     elif args.load_bank:
         init_taps = load_bank(args.load_bank)
 
@@ -142,7 +143,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         save_bank(gnn.taps, args.save_bank)
         extra.append(args.save_bank)
     if args.save_model:
-        save_model(gnn.taps, gnn.readout, gnn.sigma, args.save_model)
+        save_model(gnn, args.save_model)
         extra.append(args.save_model)
     print(", ".join([f"wrote: {len(written)} files in {args.out}", *extra]))
     return 0

@@ -26,9 +26,16 @@ rejected pair), in the order drawing them one by one would take.
 A verifier walks its trials in blocks of BLOCK_TRIALS pairs: it draws a
 block, judges it, and keeps only the trial log's five columns (and, per
 filter, each pair's largest secant deviation), so its memory does not grow
-with the (T, F, n) stacks of all its trials. Consecutive standard_normal
-calls continue one stream, so the pairs, the trial log and the generator's
-final state are those of drawing and judging all trials at once.
+with the (T, F, n) stacks of all its trials. Within a block, judge_pairs
+keeps three such stacks: the two filter outputs, which the activations
+overwrite (their difference goes over the second), and the filter
+difference, which the secants overwrite. A block peaks at those three
+plus the larger of one stack (|diff|, for the secants' equality test) and
+2k/n (the low-mode projection and its square, (T, F, k) each): 4.6 stacks
+at F = 32, n = 50 and k = 40, 61 MB for T = 1,024 pairs (tracemalloc).
+Consecutive standard_normal calls continue one stream, so the pairs, the
+trial log and the generator's final state are those of drawing and judging
+all trials at once.
 
 The verifiers draw randomized trials and check, statement by statement:
 
@@ -148,26 +155,26 @@ def judge_pairs(split: SubspaceSplit, gnn: SingleLayerGnn,
     """Filter, activate and judge the pairs (x[t], y[t]) of two (T, n) stacks.
 
     One pair is a stack of one. Where the two filter outputs at a node
-    coincide (within 1e-12) the derivative replaces the secant. Raises
-    NumericalError when a pair's direct (nul V_k) and filtered (D_H)
-    verdicts disagree.
+    coincide (within 1e-12) the derivative replaces the secant. A tol
+    outside (0, inf) and a signal that is not finite raise
+    ConfigurationError; a pair whose direct (nul V_k) and filtered (D_H)
+    verdicts disagree raises NumericalError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if tol <= 0:
-        raise ConfigurationError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
     if x.ndim != 2 or x.shape != y.shape or x.shape[1] != split.n:
         raise ShapeError(f"signal stacks have shapes {x.shape} and {y.shape}, "
                          f"expected (T, {split.n})")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ConfigurationError("signal stacks must be finite")
     fx = bank_forward(gnn.bank, split.spectrum, x)     # (T, F, n)
     fy = bank_forward(gnn.bank, split.spectrum, y)
-    gx = gnn.sigma.eval(fx)
-    gnn_diff = gx - gnn.sigma.eval(fy)
+    diff = fx - fy
     direct, _, scale = _nul_vk_rows(split, x - y, tol)
     bound = (tol * scale)[:, None]
-    diff = fx - fy
     low_filter = _axis_norms(diff @ split.v_low)      # (T, F)
-    low_gnn = _axis_norms(gnn_diff @ split.v_low)
     in_d_h = np.all(low_filter <= bound, axis=1)
     disagree = np.flatnonzero(direct != in_d_h)
     if disagree.size:
@@ -178,10 +185,17 @@ def judge_pairs(split: SubspaceSplit, gnn: SingleLayerGnn,
             "a numerical bug or a bank that vanishes on a protected mode"
         )
 
+    # the activations overwrite the filter outputs, their difference overwrites fy
+    gx = gnn.sigma.eval(fx, overwrite=True)
+    gnn_diff = np.subtract(gx, gnn.sigma.eval(fy, overwrite=True), out=fy)
+    low_gnn = _axis_norms(gnn_diff @ split.v_low)
     equal = np.abs(diff) < SECANT_EQUAL_POINTS
-    secants = np.where(equal, gnn.sigma.output_derivative(gx),
-                       gnn_diff / np.where(equal, 1.0, diff))
-    max_dev = np.max(np.abs(secants - secants.mean(axis=-1, keepdims=True)), axis=-1)
+    np.copyto(diff, 1.0, where=equal)
+    secants = np.divide(gnn_diff, diff, out=diff)
+    secants[equal] = gnn.sigma.output_derivative(gx[equal])
+    # max_i |b_i - mean|: rounding is monotone, so the extremes give its bits
+    mean = secants.mean(axis=-1)
+    max_dev = np.maximum(secants.max(axis=-1) - mean, mean - secants.min(axis=-1))
     return Trials(scale, in_d_h, np.all(low_gnn <= bound, axis=1),
                   _dot_norms(low_filter), _dot_norms(low_gnn), secants, max_dev)
 
@@ -227,8 +241,10 @@ def draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
     """
     if trials < 0:
         raise ConfigurationError(f"trials must be nonnegative, got {trials}")
-    if tol <= 0:
-        raise ConfigurationError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
+    if not 0.0 <= scale < np.inf:
+        raise ConfigurationError(f"scale must be nonnegative and finite, got {scale}")
     n, m = split.n, split.v_high.shape[1]
     kind = np.array(kinds)[np.arange(trials) % len(kinds)]
     inside, outside = kind == INSIDE, kind == OUTSIDE
@@ -430,6 +446,8 @@ def verify_theorem2_forward(split: SubspaceSplit, gnn: SingleLayerGnn, trials: i
     """
     if len(gnn.bank) < 2:
         raise ConfigurationError("the biconditional needs at least two filters")
+    if not 0.0 < tol_secant < np.inf:
+        raise ConfigurationError(f"tol_secant must be positive and finite, got {tol_secant}")
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
     high = _high_response_flags(gnn.bank, split.k)
 

@@ -4,9 +4,9 @@ A single-layer GNN applies a bank of filters to one input signal
 (bank_forward) and passes each feature through a scalar nonlinearity
 entrywise. Here a bank is its (F, n) gains array on one Spectrum, one row
 per filter; an FIR filter's row is freq_response(taps, spec.eigenvalues).
-A model file holds an FIR bank, its (F, K+1) taps array, and the readout,
-an (F,) array that combines the F features per node with weights shared
-across nodes (no bias); training applies it (training.predict).
+TrainableModel, the one trained-model type, holds an FIR bank's (F, K+1)
+taps, the readout ((F,) weights shared by all nodes, no bias) and the
+activation; training makes it and a model file (save_model) holds it.
 """
 
 from __future__ import annotations
@@ -149,22 +149,33 @@ def bank_forward(gains: np.ndarray, spec: Spectrum, x: np.ndarray) -> np.ndarray
     return ((xt * gains)[..., None, :] @ v.T)[..., 0, :]
 
 
-def save_model(taps: np.ndarray, readout: np.ndarray, sigma: Nonlinearity,
-               path: str) -> None:
-    """Bank text format of the (F, K+1) taps, plus one line of the (F,)
-    readout weights and one sigma descriptor line."""
-    readout_line = " ".join(f"{w:.17g}" for w in readout)
-    write_lines(path, bank_lines(taps) + [readout_line, sigma.descriptor()])
+@dataclass
+class TrainableModel:
+    """Bank taps (F x (K+1)), readout weights (F,), and the activation."""
+
+    taps: np.ndarray
+    readout: np.ndarray
+    sigma: Nonlinearity
+
+    def copy(self) -> "TrainableModel":
+        return TrainableModel(self.taps.copy(), self.readout.copy(), self.sigma)
 
 
-def load_model(path: str) -> tuple[np.ndarray, np.ndarray, Nonlinearity]:
-    """Inverse of save_model: (taps, readout, sigma). A missing or malformed
-    line, as read_bank_head checks it, a readout weight that is not finite,
-    extra tokens on the sigma line and any line after it raise
-    ConfigurationError naming the path and the line."""
+def save_model(model: TrainableModel, path: str) -> None:
+    """Bank text format of the taps, plus one line of the readout weights
+    and one sigma descriptor line."""
+    readout_line = " ".join(f"{w:.17g}" for w in model.readout)
+    write_lines(path, bank_lines(model.taps) + [readout_line, model.sigma.descriptor()])
+
+
+def load_model(path: str) -> TrainableModel:
+    """Inverse of save_model. A missing or malformed line, as read_bank_head
+    checks it, a readout weight that is not finite, extra tokens on the
+    sigma line and any line after it raise ConfigurationError naming the
+    path and the line."""
     taps, lines = read_bank_head(path)
     readout = lines.floats(taps.shape[0], "readout weights")
     with lines.line("a sigma line: tanh, identity or leaky_rectifier <slope>") as tokens:
         sigma = Nonlinearity.from_descriptor(" ".join(tokens))
     lines.end()
-    return taps, readout, sigma
+    return TrainableModel(taps, readout, sigma)

@@ -1,8 +1,8 @@
 """Loss, integral-Lipschitz regularization, analytic gradients, Adam.
 
-The trainable object is a bank of FIR taps, an entrywise activation and a
-single-tap readout; with tanh it is the single-layer GNN, with the identity
-activation the plain filter bank.
+The trainable object is gnn.TrainableModel: a bank of FIR taps, an
+entrywise activation and a single-tap readout; with tanh it is the
+single-layer GNN, with the identity activation the plain filter bank.
 
 One training step on a batch of shape (B, n) takes P, the (K+1, B*n)
 matrix of its shift powers S^k x, and forms the (F, B*n) activation A:
@@ -84,7 +84,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .filters import bank_il_constant, contract, il_regularizer, shift_powers
-from .gnn import Nonlinearity
+from .gnn import Nonlinearity, TrainableModel
 from .graphs import SupportMatrix
 
 # Bytes a pass over a whole set makes at once: train's chunk of training-set
@@ -107,18 +107,6 @@ def chunk_rows(row_bytes: int, multiple: int = 1) -> int:
 
 # Adam's moment decay rates and the denominator's guard
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
-
-
-@dataclass
-class TrainableModel:
-    """Bank taps (F x (K+1)), readout weights (F,), and the activation."""
-
-    taps: np.ndarray
-    readout: np.ndarray
-    sigma: Nonlinearity
-
-    def copy(self) -> "TrainableModel":
-        return TrainableModel(self.taps.copy(), self.readout.copy(), self.sigma)
 
 
 @dataclass

@@ -17,7 +17,7 @@ import graphdisc.experiment
 from graphdisc.cli import load_config_file, main
 from graphdisc.errors import ConfigurationError
 from graphdisc.filters import load_bank, save_bank
-from graphdisc.gnn import Nonlinearity, load_model, save_model
+from graphdisc.gnn import Nonlinearity, TrainableModel, load_model, save_model
 from graphdisc.graphs import load_graph
 from graphdisc.spectral import eig_sym
 
@@ -139,10 +139,10 @@ class TestRunCommand:
         out = tmp_path / "results"
         mpath = tmp_path / "model.txt"
         run_tiny(out, "--save-model", mpath)
-        taps, readout, sigma = load_model(str(mpath))
-        assert taps.shape[0] == 32
-        assert readout.shape == (32,)
-        assert sigma.kind == "tanh"
+        model = load_model(str(mpath))
+        assert model.taps.shape[0] == 32
+        assert model.readout.shape == (32,)
+        assert model.sigma.kind == "tanh"
 
         out2 = tmp_path / "results2"
         assert run_tiny(out2, "--load-model", mpath) == 0
@@ -167,16 +167,16 @@ class TestRunCommand:
     def test_model_round_trip_preserves_parameters(self, tmp_path, capsys):
         mpath = tmp_path / "model.txt"
         run_tiny(tmp_path / "r1", "--save-model", mpath)
-        taps, readout, _ = load_model(str(mpath))
+        model = load_model(str(mpath))
         # warm start with zero epochs keeps the loaded parameters verbatim
         mpath2 = tmp_path / "model2.txt"
         main(["run", "--subspace", "high", "--seed", "3",
               "--out", str(tmp_path / "r2"), "--graphs", "1", "--epochs", "0",
               "--train", "30", "--val", "10", "--test", "10",
               "--load-model", str(mpath), "--save-model", str(mpath2)])
-        taps2, readout2, _ = load_model(str(mpath2))
-        np.testing.assert_array_equal(taps2, taps)
-        np.testing.assert_array_equal(readout2, readout)
+        model2 = load_model(str(mpath2))
+        np.testing.assert_array_equal(model2.taps, model.taps)
+        np.testing.assert_array_equal(model2.readout, model.readout)
 
 
 class TestVerifyCommand:
@@ -514,7 +514,8 @@ class TestErrorExit:
         # a wrong-shape bank next to a valid model: the pair is refused
         # before any replicate runs, rather than the bank being dropped
         mpath, bpath = tmp_path / "model.txt", tmp_path / "bank.txt"
-        save_model(np.full((32, 3), 0.1), np.full(32, 0.1), Nonlinearity.tanh(), str(mpath))
+        save_model(TrainableModel(np.full((32, 3), 0.1), np.full(32, 0.1), Nonlinearity.tanh()),
+                   str(mpath))
         save_bank(np.eye(2), str(bpath))
 
         def no_training(*args):
@@ -534,7 +535,7 @@ class TestErrorExit:
         # the model warm-starts a tanh GNN, and --save-model would write it
         # back as tanh: refused before any replicate runs or --out is made
         mpath = tmp_path / "model.txt"
-        save_model(np.full((32, 3), 0.1), np.full(32, 0.1), sigma, str(mpath))
+        save_model(TrainableModel(np.full((32, 3), 0.1), np.full(32, 0.1), sigma), str(mpath))
 
         def no_training(*args):
             raise AssertionError("a replicate ran from a model that is not tanh")

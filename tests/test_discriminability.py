@@ -477,6 +477,65 @@ class TestJudgePairs:
             for name, column in stacked._asdict().items():
                 assert getattr(alone, name)[0].tobytes() == column[t].tobytes(), (t, name)
 
+    @pytest.mark.parametrize("kind", ["INSIDE", "OUTSIDE", "SAME"])
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_secants_equal_the_where_formula(self, split, sigma, kind):
+        # judge_pairs forms the activations and secants in place; they keep
+        # the bits of the out-of-place np.where and abs formula below
+        gnn = disc.verifier_gnn(split, SIGMAS[sigma], full_band_filters=2,
+                                rng=np.random.default_rng(52))
+        x, y = disc.draw_pairs(split, np.random.default_rng(53), 64,
+                               (getattr(disc, kind),), disc.DEFAULT_TOL)
+        judged = disc.judge_pairs(split, gnn, x, y, disc.DEFAULT_TOL)
+        fx, fy = (bank_forward(gnn.bank, split.spectrum, s) for s in (x, y))
+        gx = gnn.sigma.eval(fx)
+        gnn_diff = gx - gnn.sigma.eval(fy)
+        diff = fx - fy
+        equal = np.abs(diff) < disc.SECANT_EQUAL_POINTS
+        secants = np.where(equal, gnn.sigma.output_derivative(gx),
+                           gnn_diff / np.where(equal, 1.0, diff))
+        max_dev = np.max(np.abs(secants - secants.mean(axis=-1, keepdims=True)), axis=-1)
+        low_gnn = disc._dot_norms(disc._axis_norms(gnn_diff @ split.v_low))
+        assert judged.secants.tobytes() == secants.tobytes()
+        assert judged.max_deviation.tobytes() == max_dev.tobytes()
+        assert judged.residual_low_gnn.tobytes() == low_gnn.tobytes()
+        if kind == "SAME":
+            assert equal.all()
+
+    def test_peak_memory_in_stack_arrays(self, split_of):
+        # F = 32 filters on n = 50 nodes, split at index 40: judging T pairs
+        # peaks at under five (T, F, n) float64 arrays
+        n_pairs, n_filters, n = 1024, 32, 50
+        split = split_of(generate_geometric_graph(n, 5, seed=3), 40)
+        rng = np.random.default_rng(54)
+        gnn = SingleLayerGnn(rng.uniform(0.5, 1.5, (n_filters, n)), Nonlinearity.tanh())
+        x, y = disc.draw_pairs(split, rng, n_pairs, disc.MIXED, disc.DEFAULT_TOL)
+        tracemalloc.start()
+        try:
+            disc.judge_pairs(split, gnn, x, y, disc.DEFAULT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * n_pairs * n_filters * n * 8
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+    def test_tol_outside_positive_finite(self, split, tol):
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(55))
+        x = np.random.default_rng(56).standard_normal((2, N))
+        with pytest.raises(ConfigurationError, match="tol must be positive and finite"):
+            disc.judge_pairs(split, gnn, x, x + 1.0, tol)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_signal_not_finite(self, split, bad, side):
+        # a NaN would give NaN residuals, which would be judged discriminable
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(55))
+        pair = {"x": np.random.default_rng(57).standard_normal((3, N)),
+                "y": np.random.default_rng(58).standard_normal((3, N))}
+        pair[side][1, 5] = bad
+        with pytest.raises(ConfigurationError, match="signal stacks must be finite"):
+            disc.judge_pairs(split, gnn, pair["x"], pair["y"], disc.DEFAULT_TOL)
+
 
 CYCLES = {"theorem1": (disc.OUTSIDE,), "theorem2": (disc.INSIDE,),
           "corollary1": disc.MIXED}
@@ -548,6 +607,14 @@ class TestDrawPairs:
         # the first pair drawn 100 times: once in the one call, then 99 redraws
         assert normals.sizes == [3 * 2 * N] + [2 * N] * 99
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
+    def test_scale_outside_nonnegative_finite(self, split, scale):
+        rng = np.random.default_rng(59)
+        untouched = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="scale must be nonnegative and finite"):
+            disc.draw_pairs(split, rng, 3, (disc.INSIDE,), disc.DEFAULT_TOL, scale)
+        assert rng.bit_generator.state == untouched
+
 
 VERIFIERS = {
     "theorem1": (disc.verify_theorem1, disc.verifier_gnn),
@@ -565,8 +632,9 @@ class TestVerifierBoundary:
         with pytest.raises(ConfigurationError, match="trials must be nonnegative, got -1"):
             verify(split, gnn, -1, np.random.default_rng(45))
 
+    # a NaN tol would pass theorem 1 and corollary 1 with nothing found
     @pytest.mark.parametrize("suite", VERIFIERS)
-    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_nonpositive_tol_before_any_draw(self, split, suite, tol):
         verify, build = VERIFIERS[suite]
         gnn = build(split, Nonlinearity.tanh(), rng=np.random.default_rng(44))
@@ -574,6 +642,16 @@ class TestVerifierBoundary:
         untouched = rng.bit_generator.state
         with pytest.raises(ConfigurationError, match="tol must be positive"):
             verify(split, gnn, 10, rng, tol=tol)
+        assert rng.bit_generator.state == untouched
+
+    @pytest.mark.parametrize("tol_secant", [0.0, -1e-9, math.nan, math.inf])
+    def test_tol_secant_outside_positive_finite(self, split, tol_secant):
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(44))
+        rng = np.random.default_rng(45)
+        untouched = rng.bit_generator.state
+        with pytest.raises(ConfigurationError,
+                           match="tol_secant must be positive and finite"):
+            disc.verify_theorem2_forward(split, gnn, 10, rng, tol_secant=tol_secant)
         assert rng.bit_generator.state == untouched
 
 

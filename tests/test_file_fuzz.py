@@ -108,12 +108,12 @@ def bank_round_trip(path, back_path):
 
 
 def model_round_trip(path, back_path):
-    taps, readout, sigma = load_model(path)
-    save_model(taps, readout, sigma, back_path)
-    taps2, readout2, sigma2 = load_model(back_path)
-    np.testing.assert_array_equal(taps2, taps)
-    np.testing.assert_array_equal(readout2, readout)
-    assert sigma2 == sigma
+    model = load_model(path)
+    save_model(model, back_path)
+    back = load_model(back_path)
+    np.testing.assert_array_equal(back.taps, model.taps)
+    np.testing.assert_array_equal(back.readout, model.readout)
+    assert back.sigma == model.sigma
 
 
 def config_round_trip(path, back_path):

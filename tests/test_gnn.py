@@ -8,10 +8,11 @@ import pytest
 from graphdisc.errors import ConfigurationError, ShapeError
 from graphdisc.experiment import ExperimentConfig, run_replicate
 from graphdisc.filters import contract, freq_response, save_bank, shift_powers
-from graphdisc.gnn import Nonlinearity, SingleLayerGnn, bank_forward, load_model, save_model
+from graphdisc.gnn import (Nonlinearity, SingleLayerGnn, TrainableModel, bank_forward, load_model,
+                          save_model)
 from graphdisc.graphs import SupportMatrix, generate_geometric_graph, laplacian, normalize_support
 from graphdisc.spectral import eig_sym
-from graphdisc.training import TrainableModel, predict
+from graphdisc.training import TrainConfig, init_model, predict, train
 
 ALL_SIGMAS = [Nonlinearity.tanh(), Nonlinearity.identity(),
               Nonlinearity.leaky_rectifier(0.1), Nonlinearity.leaky_rectifier(0.9)]
@@ -232,15 +233,37 @@ class TestModelSerialization:
         for sigma in (Nonlinearity.tanh(), Nonlinearity.leaky_rectifier(0.25),
                       Nonlinearity.identity()):
             path = tmp_path / "model.txt"
-            save_model(taps, readout, sigma, str(path))
-            taps2, readout2, sigma2 = load_model(str(path))
-            np.testing.assert_array_equal(taps2, taps)
-            np.testing.assert_array_equal(readout2, readout)
-            assert sigma2 == sigma
+            save_model(TrainableModel(taps, readout, sigma), str(path))
+            model = load_model(str(path))
+            np.testing.assert_array_equal(model.taps, taps)
+            np.testing.assert_array_equal(model.readout, readout)
+            assert model.sigma == sigma
+
+    @pytest.mark.parametrize("sigma", ALL_SIGMAS, ids=lambda s: s.descriptor())
+    def test_trained_model_round_trip(self, tmp_path, support, sigma):
+        # the model train returns is the one a model file holds: written and
+        # read back, it predicts the same bits and trains on as before
+        rng = np.random.default_rng(8)
+        data = (rng.standard_normal((12, 10)), rng.standard_normal((12, 10)))
+        config = TrainConfig(epochs=2, batch_size=4, seed=5)
+        (result,) = train([init_model(3, 2, sigma, seed=4)], support, data, data, config)
+        path = tmp_path / "model.txt"
+        save_model(result.model, str(path))
+        model = load_model(str(path))
+        assert type(model) is TrainableModel and model.sigma == sigma
+        np.testing.assert_array_equal(model.taps, result.model.taps)
+        np.testing.assert_array_equal(model.readout, result.model.readout)
+        np.testing.assert_array_equal(predict(model, support, data[0]),
+                                      predict(result.model, support, data[0]))
+        (again,), (fresh,) = (train([m], support, data, data, config)
+                              for m in (model, result.model))
+        np.testing.assert_array_equal(again.model.taps, fresh.model.taps)
+        np.testing.assert_array_equal(again.model.readout, fresh.model.readout)
 
     def test_file_layout(self, tmp_path):
         path = tmp_path / "model.txt"
-        save_model(np.array([[1.0, 0.5]]), np.array([2.0]), Nonlinearity.tanh(), str(path))
+        save_model(TrainableModel(np.array([[1.0, 0.5]]), np.array([2.0]), Nonlinearity.tanh()),
+                   str(path))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "1 2"
         assert lines[-1] == "tanh"
@@ -248,7 +271,7 @@ class TestModelSerialization:
     def test_bank_file_plus_readout_and_sigma_lines(self, tmp_path):
         taps = np.array([[1.0, -0.1], [1e-300, 2.0 / 3.0]])
         save_bank(taps, str(tmp_path / "bank.txt"))
-        save_model(taps, np.array([0.5, -7.0]), Nonlinearity.leaky_rectifier(0.25),
+        save_model(TrainableModel(taps, np.array([0.5, -7.0]), Nonlinearity.leaky_rectifier(0.25)),
                    str(tmp_path / "model.txt"))
         bank = (tmp_path / "bank.txt").read_bytes()
         model = (tmp_path / "model.txt").read_bytes()

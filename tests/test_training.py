@@ -13,11 +13,10 @@ import pytest
 from graphdisc import filters, training
 from graphdisc.errors import NumericalError, ShapeError
 from graphdisc.filters import GRID_POINTS, bank_il_constant, shift_powers
-from graphdisc.gnn import Nonlinearity
+from graphdisc.gnn import Nonlinearity, TrainableModel
 from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
 from graphdisc.training import (
     TrainConfig,
-    TrainableModel,
     adam_step,
     il_regularizer,
     init_adam,
