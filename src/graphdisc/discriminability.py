@@ -31,8 +31,8 @@ keeps three such stacks: the two filter outputs, which the activations
 overwrite (their difference goes over the second), and the filter
 difference, which the secants overwrite. A block peaks at those three
 plus the larger of one stack (|diff|, for the secants' equality test) and
-2k/n (the low-mode projection and its square, (T, F, k) each): 4.6 stacks
-at F = 32, n = 50 and k = 40, 61 MB for T = 1,024 pairs (tracemalloc).
+k/n (the low-mode projection, (T, F, k), squared in place): 4.2 stacks at
+F = 32, n = 50 and any k, 55 MB for T = 1,024 pairs (tracemalloc).
 Consecutive standard_normal calls continue one stream, so the pairs, the
 trial log and the generator's final state are those of drawing and judging
 all trials at once.
@@ -137,8 +137,9 @@ def _dot_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _axis_norms(a: np.ndarray) -> np.ndarray:
-    """Norms along the last axis, as np.linalg.norm(a, axis=-1) takes them."""
-    return np.sqrt(np.add.reduce(a * a, axis=-1))
+    """Norms along the last axis, as np.linalg.norm(a, axis=-1) takes them;
+    a is squared in place, so pass a fresh array."""
+    return np.sqrt(np.add.reduce(np.multiply(a, a, out=a), axis=-1))
 
 
 def _nul_vk_rows(split: SubspaceSplit, d: np.ndarray,

@@ -11,9 +11,12 @@ confidence intervals.
 Memory: a set is labelled a chunk of rows at a time (generate_target, with
 training.chunk_rows) and the test prediction is made in chunks
 (training.model_forward), so a replicate forms no whole-set activation and
-no whole-set stack of the targets' shift powers. The inputs are drawn in
-one pass: their subspace projection rounds by the row count, so row chunks
-would change their bits.
+no whole-set stack of the targets' shift powers. The labels are int8, one
+byte per entry rather than float64's eight; train casts them to float64 a
+chunk at a time, and the test MSE (training.mse_loss) on its own. -1 and
++1 are exact in both types, so no result changes. The inputs are drawn
+in one pass: their subspace projection rounds by the row count, so row
+chunks would change their bits.
 
 Determinism: every replicate derives its RNG streams from
 SeedSequence((master_seed, mode_index, graph_index)), and aggregation is an
@@ -162,7 +165,7 @@ def generate_inputs(split: SubspaceSplit, mode: str, count: int,
 def generate_target(s_norm: SupportMatrix, x: np.ndarray,
                     c: np.ndarray) -> np.ndarray:
     """sign(c0 x + c1 S x + c2 S^2 x) entrywise, with sign(0) = +1, for x
-    of shape (n,) or (N, n).
+    of shape (n,) or (N, n), as an int8 array of -1 and +1.
 
     The rows of x are taken in chunks whose shift powers fit CHUNK_BYTES,
     made in one reused buffer. The products with S round by the chunk's
@@ -177,11 +180,11 @@ def generate_target(s_norm: SupportMatrix, x: np.ndarray,
     n_rows, n = by_rows.shape
     rows = chunk_rows(3 * n * 8)
     powers = np.empty((3, min(rows, n_rows), n))
-    y = np.empty(by_rows.shape)
+    y = np.empty(by_rows.shape, dtype=np.int8)
     for r0 in range(0, n_rows, rows):
         chunk = by_rows[r0:r0 + rows]
         value = contract(c, shift_powers(s_norm, chunk, 3, powers[:, :len(chunk)]))
-        y[r0:r0 + rows] = np.where(value >= 0.0, 1.0, -1.0)
+        y[r0:r0 + rows] = np.where(value >= 0.0, np.int8(1), np.int8(-1))
     return y.reshape(x.shape)
 
 

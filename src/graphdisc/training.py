@@ -41,9 +41,9 @@ The shift powers do not depend on the parameters, so train makes them
 ahead of the steps: it walks each epoch's shuffled order in chunks of
 whole batches, as many as fit in CHUNK_BYTES of powers, and per chunk
 gathers the rows once and writes their powers (filters.shift_powers) into
-one buffer that lives for the train call; each step takes its batch as a
-view of that buffer. Batch order and composition do not depend on the
-chunk size.
+one buffer that lives for the train call, and gathers their labels as
+float64; each step takes its batch as a view of both. Batch order and
+composition do not depend on the chunk size.
 
 Every other pass over a whole set is bounded the same way, with the rows
 per chunk from one helper, chunk_rows: model_forward without a buffer
@@ -187,9 +187,10 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     diff = pred - target
     # np.mean's sum and division, without its Python-level overhead
     loss = float(np.add.reduce(np.square(diff), axis=None)) / diff.size
-    # d(loss)/d(pred) = 2.0 * diff / diff.size, formed in diff itself
-    diff *= 2.0
-    diff /= diff.size
+    # d(loss)/d(pred) = 2.0 * diff / diff.size, formed in diff itself in one
+    # division: halving the size is exact, and so is doubling diff unless it
+    # overflows, which a finite loss rules out
+    diff /= diff.size / 2
     return loss, diff
 
 
@@ -304,6 +305,12 @@ def train(models: list[TrainableModel], s: SupportMatrix,
     """Minibatch Adam with per-epoch learning-rate decay, for a group of
     models with one taps shape, trained in lockstep on the same batches.
 
+    The labels may be of any numeric dtype (experiment makes them int8):
+    each chunk's gathered labels are cast to float64 once, beside the
+    chunk's shift powers, and the validation labels once per call, so
+    every step and loss takes float64 targets; float64 labels are not
+    copied again.
+
     Returns one result per model, in order: the snapshot with the best
     validation loss, its epoch (-1 for the input model) and the full
     per-epoch history, each the same as training that model alone. With
@@ -313,7 +320,7 @@ def train(models: list[TrainableModel], s: SupportMatrix,
     and the loss, for the first such model of that epoch.
     """
     x_train, y_train = train_set
-    x_val, y_val = val_set
+    x_val, y_val = val_set[0], np.asarray(val_set[1], dtype=np.float64)
     shapes = sorted({(m.taps.shape, m.readout.shape) for m in models})
     if len(shapes) != 1:
         raise ShapeError(f"a training group needs one taps and readout shape, got {shapes}")
@@ -352,7 +359,7 @@ def train(models: list[TrainableModel], s: SupportMatrix,
             for c0 in range(0, n_train, chunk):
                 idx = order[c0:c0 + chunk]
                 powers = shift_powers(s, x_train[idx], n_taps, chunk_powers[:, :idx.size])
-                targets = y_train[idx]
+                targets = y_train[idx].astype(np.float64, copy=False)
                 for b0 in range(0, idx.size, batch):
                     b = min(batch, idx.size - b0)
                     step_powers, step_targets = powers[:, b0:b0 + b], targets[b0:b0 + b]

@@ -1,5 +1,7 @@
 """Input/target generation, dataset construction, replication, reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,21 @@ class TestGenerateTarget:
         with pytest.raises(ShapeError):
             generate_target(s, np.zeros(N), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("shape", [(N,), (7, N)], ids=["1-D", "2-D"])
+    def test_int8_signs(self, s, shape):
+        rng = np.random.default_rng(12)
+        x, c = rng.standard_normal(shape), rng.uniform(-1, 1, 3)
+        y = generate_target(s, x, c)
+        assert y.dtype == np.int8 and y.shape == shape
+        assert set(np.unique(y).tolist()) <= {-1, 1}
+        np.testing.assert_array_equal(
+            y, np.where(contract(c, shift_powers(s, x, 3)) >= 0, 1, -1))
+
+    def test_sign_zero_is_int8_plus_one(self, s):
+        out = generate_target(s, np.zeros((3, N)), np.array([0.5, -0.5, 0.25]))
+        assert out.dtype == np.int8
+        assert out.tobytes() == np.ones((3, N), dtype=np.int8).tobytes()
+
 
 class TestBuildDataset:
     def test_sizes_and_disjoint_draws(self, s, split):
@@ -180,6 +197,28 @@ class TestBuildDataset:
                            np.array([0.1, 0.9, -0.4]), np.random.default_rng(10))
         for _, y in (ds.train, ds.val, ds.test):
             assert set(np.unique(y)) <= {-1.0, 1.0}
+
+    def test_labels_are_int8_signs(self, s, split):
+        ds = build_dataset(s, split, "full", (10, 4, 4),
+                           np.array([0.1, 0.9, -0.4]), np.random.default_rng(13))
+        for x, y in ds:
+            assert y.dtype == np.int8 and y.shape == x.shape
+            assert set(np.unique(y).tolist()) <= {-1, 1}
+
+    def test_labels_take_one_byte_per_entry(self, s, split):
+        # the inputs keep 8 bytes an entry and the labels 1, so a built
+        # dataset holds 9 bytes per entry; float64 labels would hold 16
+        counts = (8000, 200, 200)
+        tracemalloc.start()
+        try:
+            ds = build_dataset(s, split, "high", counts,
+                               np.array([0.2, -0.5, 0.8]), np.random.default_rng(14))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        entries = sum(counts) * N
+        assert [y.nbytes for _, y in ds] == [count * N for count in counts]
+        assert held <= 9 * entries + 2 ** 16
 
     def test_full_scale_counts(self, s, split):
         ds = build_dataset(s, split, "high", (8000, 200, 200),

@@ -86,6 +86,21 @@ class TestGenerateGeometricGraph:
         g = _graph_from_positions(positions, k, seed=0)
         assert g.weights.tobytes() == loop_knn_weights(positions, k).tobytes()
 
+    def test_distances_match_the_stacked_form(self):
+        # with every other node a neighbour, the weights are exp(-d) of all
+        # distances, which must be those of the (n, n, 2) difference array;
+        # some positions are repeated, so some distances are 0
+        rng = np.random.default_rng(62)
+        for _ in range(40):
+            n = int(rng.integers(6, 200))
+            positions = rng.uniform(0.0, 1.0, size=(n, 2))
+            positions[rng.integers(0, n, 3)] = positions[rng.integers(0, n, 3)]
+            diff = positions[:, None, :] - positions[None, :, :]
+            expected = np.exp(-np.sqrt((diff ** 2).sum(axis=2)))
+            np.fill_diagonal(expected, 0.0)
+            g = _graph_from_positions(positions, n - 1, seed=0)
+            assert g.weights.tobytes() == expected.tobytes()
+
     def test_generated_graph_is_connected(self):
         g = generate_geometric_graph(50, 5, seed=0)
         assert bfs_connected(g.weights)

@@ -152,6 +152,30 @@ class TestMseLoss:
         with pytest.raises(ShapeError):
             mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
+    def test_gradient_bits_of_doubling_then_dividing(self):
+        # one division by size / 2 against the two passes 2 * diff, then
+        # / size, from subnormal magnitudes to ones whose square overflows
+        # (2 * diff does not), and odd sizes
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            shape = tuple(rng.integers(1, 12, size=2))
+            scale = 10.0 ** rng.uniform(-320, 300)
+            pred, target = scale * rng.standard_normal((2, *shape))
+            with np.errstate(over="ignore"):
+                _, grad = mse_loss(pred, target)
+            two_pass = pred - target
+            two_pass *= 2.0
+            two_pass /= two_pass.size
+            assert grad.tobytes() == two_pass.tobytes(), (trial, shape, scale)
+
+    def test_int8_target(self):
+        rng = np.random.default_rng(6)
+        pred = rng.standard_normal((4, 9))
+        target = np.where(rng.standard_normal((4, 9)) >= 0, 1, -1).astype(np.int8)
+        loss, grad = mse_loss(pred, target)
+        float_loss, float_grad = mse_loss(pred, target.astype(np.float64))
+        assert loss == float_loss and grad.tobytes() == float_grad.tobytes()
+
 
 class TestIlRegularizer:
     def test_constant_filters(self):
@@ -586,6 +610,23 @@ class TestGroup:
             expected = alone if order[0] is bank else alone[::-1]
             assert [self.result_bytes(r) for r in got] == expected
             assert [r.model.sigma for r in got] == [m.sigma for m in order]
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 2 * 3 * 5 * 12 * 8])
+    def test_int8_labels_give_the_float_labels_bits(self, support, monkeypatch,
+                                                      chunk_bytes):
+        # 23 samples in batches of 5, in one chunk or in chunks of two
+        # batches, with the ragged batch of 3 last
+        if chunk_bytes is not None:
+            monkeypatch.setattr(training, "CHUNK_BYTES", chunk_bytes)
+        x = np.random.default_rng(84).standard_normal((23, 12))
+        labels = np.where(x @ support.entries.T >= 0, 1, -1).astype(np.int8)
+        config = TrainConfig(epochs=3, batch_size=5, seed=9)
+        results = {}
+        for dtype in (np.int8, np.float64):
+            y = labels.astype(dtype)
+            results[dtype] = [self.result_bytes(r) for r in train(
+                self.bank_and_gnn(3, 85), support, (x, y), (x[:7], y[:7]), config)]
+        assert results[np.int8] == results[np.float64]
 
     def test_one_step_per_member_and_batch(self, support, monkeypatch):
         calls = []
