@@ -16,7 +16,8 @@ byte per entry rather than float64's eight; train casts them to float64 a
 chunk at a time, and the test MSE (training.mse_loss) on its own. -1 and
 +1 are exact in both types, so no result changes. The inputs are drawn
 in one pass: their subspace projection rounds by the row count, so row
-chunks would change their bits.
+chunks would change their bits. run_replicate drops the split (the
+spectrum and both bases) once the dataset is built, before training.
 
 Determinism: every replicate derives its RNG streams from
 SeedSequence((master_seed, mode_index, graph_index)), and aggregation is an
@@ -244,6 +245,9 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
     dataset = build_dataset(s_norm, split, mode,
                             (config.train, config.val, config.test),
                             coeffs, data_rng)
+    # the inputs were the split's last use: its spectrum and both bases are
+    # not held through training, the replicate's memory peak
+    del split
 
     init_seed = int(ss_init.generate_state(1, np.uint64)[0])
     train_config = TrainConfig(

@@ -30,9 +30,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_symmetric(a: np.ndarray, what: str) -> None:
+    """Raise ConfigurationError naming `what` if max |A - A^T| exceeds 1e-10."""
+    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    if asym > 1e-10:
+        raise ConfigurationError(f"{what} is not symmetric (max |A - A^T| = {asym:.3e})")
+
+
 @dataclass(frozen=True)
 class GeometricGraph:
-    """A geometric random graph: positions in [0,1]^2 and symmetric weights."""
+    """A geometric random graph: positions in [0,1]^2 and symmetric weights.
+
+    Raises ConfigurationError naming the defect for positions that are not
+    a finite (n, 2) array, and for weights that are not a finite,
+    nonnegative (n, n) array with a zero diagonal and symmetric to 1e-10
+    (SupportMatrix's check): laplacian of any other weights is not a graph
+    Laplacian.
+    """
 
     n: int
     positions: np.ndarray       # (n, 2)
@@ -41,8 +55,22 @@ class GeometricGraph:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", _frozen(self.positions))
-        object.__setattr__(self, "weights", _frozen(self.weights))
+        positions, weights = _frozen(self.positions), _frozen(self.weights)
+        for name, a, shape in (("positions", positions, (self.n, 2)),
+                               ("weights", weights, (self.n, self.n))):
+            if a.shape != shape:
+                raise ConfigurationError(f"graph {name} have shape {a.shape}, expected {shape}")
+            if not np.all(np.isfinite(a)):
+                raise ConfigurationError(f"graph {name} have a non-finite entry")
+        if np.any(weights < 0.0):
+            raise ConfigurationError(
+                f"graph weights have a negative entry, {float(weights.min())}")
+        loops = np.flatnonzero(np.diagonal(weights))
+        if loops.size:
+            raise ConfigurationError(f"graph weights have a self-loop at node {loops[0]}")
+        _require_symmetric(weights, "graph weight matrix")
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -59,9 +87,7 @@ class SupportMatrix:
         entries = _frozen(self.entries)
         if not np.all(np.isfinite(entries)):
             raise ConfigurationError("support matrix has a non-finite entry")
-        asym = float(np.max(np.abs(entries - entries.T))) if entries.size else 0.0
-        if asym > 1e-10:
-            raise ConfigurationError(f"matrix is not symmetric (max |A - A^T| = {asym:.3e})")
+        _require_symmetric(entries, "matrix")
         object.__setattr__(self, "entries", entries)
 
     @property

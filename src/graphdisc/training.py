@@ -46,24 +46,29 @@ float64; each step takes its batch as a view of both. Batch order and
 composition do not depend on the chunk size.
 
 Every other pass over a whole set is bounded the same way, with the rows
-per chunk from one helper, chunk_rows: model_forward without a buffer
-(the per-epoch validation and predict) makes the activation of one chunk
-of rows at a time in one buffer of at most CHUNK_BYTES, and
+per chunk from one helper, chunk_rows: model_forward without out (the
+per-epoch validation and predict) makes the activation of one chunk of
+rows at a time in one buffer of at most CHUNK_BYTES, and
 experiment.generate_target makes the shift powers of one chunk of rows at
 a time. So no pass forms an (F, N*n) activation, and labelling a set
 forms no (3, N, n) stack of its shift powers.
 
+The per-epoch validation borrows train's buffers, idle between epochs:
+its chunk activations go in the step's activation buffer (model_forward's
+scratch) and, when the set fits, its shift powers in the chunk buffer
+(train gives the size rule). predict makes its own buffer.
+
 Every contraction is one 2-D BLAS product on a reshaped view; the step
 hands model_forward the (K+1, B*n) powers and the (F, B*n) activation, so
 its products need no reshape. train owns one activation buffer, sized for
-a full batch, and passes each step its leading (F, B, n) part as
-model_backward's act argument (a ragged last batch takes a shorter, still
-contiguous, part), so a step allocates no (F, B, n) array. Called without
-act, a step makes a fresh one. Nothing model_backward, model_forward or
-predict returns is a buffer, the Adam scratch belongs to one train call,
-and no module state changes, so separate train calls may run in separate
-threads. train computes the validation set's shift powers once,
-and each epoch's integral-Lipschitz constant from the taps with the
+the larger of a full batch and one validation chunk (forward_rows), and
+passes each step its leading (F, B, n) part as model_backward's act
+argument (a ragged last batch takes a shorter, still contiguous, part),
+so a step allocates no (F, B, n) array. Called without act, a step makes
+a fresh one. Nothing model_backward, model_forward or predict returns is
+a buffer, the Adam scratch belongs to one train call, and no module state
+changes, so separate train calls may run in separate threads. train
+computes each epoch's integral-Lipschitz constant from the taps with the
 regularizer's product (filters.bank_il_constant). An epoch whose train or
 validation loss is not finite raises NumericalError, for the first model
 of the group in that epoch; overflow on the way there raises no warning.
@@ -194,8 +199,17 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, diff
 
 
+def forward_rows(n_features: int, width: int) -> int:
+    """Rows per chunk of model_forward's chunked form, for F = n_features
+    and rows of `width` nodes: the most whose (F, rows*width) activation
+    fits CHUNK_BYTES, a whole number of BLAS_BLOCK columns wide (and at
+    least the smallest such group of rows)."""
+    return chunk_rows(n_features * width * 8, BLAS_BLOCK // math.gcd(width, BLAS_BLOCK))
+
+
 def model_forward(model: TrainableModel, powers: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
     """The prediction (B, n) from the shift powers (K+1, B, n) of a batch,
     or (B*n,) from the 2-D (K+1, B*n) powers.
 
@@ -204,23 +218,26 @@ def model_forward(model: TrainableModel, powers: np.ndarray,
     viewed as (F, B*n) raises ShapeError.
 
     Without out, the form of the validation and test sets, the rows are
-    walked in chunks: each chunk's (F, rows*n) activation fits CHUNK_BYTES
-    (or is the smallest group of rows a whole number of BLAS_BLOCK columns
-    wide) and goes into one buffer local to the call, and each chunk
+    walked in chunks of forward_rows rows: each chunk's (F, rows*n)
+    activation goes into the leading part of one buffer and each chunk
     writes its rows of the prediction; 2-D powers are one row, one pass.
-    The prediction has the bits of one pass except in two corners, where
-    OpenBLAS rounds a product's last columns by the size of the whole
-    product: the last four columns when B*n mod 8 is 4 to 7 and 3*F*B*n
-    exceeds 10^6 (one pass would take the large-matrix kernel), and a last
-    chunk narrower than four columns (n < 4)."""
+    The buffer is scratch when given, a 1-D array of at least
+    F*min(forward_rows, B)*n entries (train lends the per-epoch validation
+    its step activation buffer), and otherwise one local to the call, as
+    for predict; a smaller scratch raises ShapeError. The prediction has
+    the bits of one pass except in two corners, where OpenBLAS rounds a
+    product's last columns by the size of the whole product: the last four
+    columns when B*n mod 8 is 4 to 7 and 3*F*B*n exceeds 10^6 (one pass
+    would take the large-matrix kernel), and a last chunk narrower than
+    four columns (n < 4)."""
     if out is not None:
         act = model.sigma.eval(contract(model.taps, powers, out), overwrite=True)
         return contract(model.readout, act)
     by_rows = powers.reshape(powers.shape[0], -1, powers.shape[-1])   # (K+1, B, n)
     n_features, (n_rows, width) = model.taps.shape[0], by_rows.shape[1:]
-    rows = chunk_rows(n_features * width * 8, BLAS_BLOCK // math.gcd(width, BLAS_BLOCK))
+    rows = forward_rows(n_features, width)
     pred = np.empty((n_rows, width))
-    act = np.empty(n_features * min(rows, n_rows) * width)
+    act = np.empty(n_features * min(rows, n_rows) * width) if scratch is None else scratch
     for r0 in range(0, n_rows, rows):
         chunk = by_rows[:, r0:r0 + rows]
         chunk_act = contract(model.taps, chunk, act[:n_features * chunk[0].size])
@@ -311,6 +328,15 @@ def train(models: list[TrainableModel], s: SupportMatrix,
     every step and loss takes float64 targets; float64 labels are not
     copied again.
 
+    Each validation round borrows the training buffers: its chunk
+    activations are made in the step's activation buffer, and a validation
+    set with no more rows than the chunk of training shift powers (200 of
+    210 at the desk and paper presets) has its powers remade in that chunk
+    before each round. A larger one (100 of 50 in perfbench/large_graph.cfg)
+    has them made once per call and kept, since remaking them every round
+    costs more time than they hold memory. The last chunk's float labels
+    are released before each round.
+
     Returns one result per model, in order: the snapshot with the best
     validation loss, its epoch (-1 for the input model) and the full
     per-epoch history, each the same as training that model alone. With
@@ -335,23 +361,28 @@ def train(models: list[TrainableModel], s: SupportMatrix,
     members = [TrainableModel(row[:-n_features].reshape(n_features, n_taps),
                               row[-n_features:], m.sigma) for row, m in zip(params, models)]
 
-    val_powers = shift_powers(s, x_val, n_taps)
-
-    def val_mse(model: TrainableModel) -> float:
-        return mse_loss(model_forward(model, val_powers), y_val)[0]
-
     n_train, n = x_train.shape
     chunk = chunk_rows(n_taps * n * 8, batch)
     chunk_powers = np.empty((n_taps, min(chunk, n_train), n))
-    # every step's activation is a leading, contiguous part of this buffer
-    act = np.empty(n_features * min(batch, n_train) * n)
+    # validation borrows these buffers (see the docstring), so the
+    # activation buffer holds the larger of a batch and a forward chunk
+    n_val = len(x_val)
+    remake_val = n_val <= chunk_powers.shape[1]
+    val_powers = chunk_powers[:, :n_val] if remake_val else shift_powers(s, x_val, n_taps)
+    act = np.empty(n_features * n * max(min(batch, n_train),
+                                        min(forward_rows(n_features, n), n_val)))
     histories: list[list[EpochRecord]] = [[] for _ in members]
+
+    def val_losses() -> list[float]:
+        if remake_val:
+            shift_powers(s, x_val, n_taps, val_powers)
+        return [mse_loss(model_forward(m, val_powers, scratch=act), y_val)[0] for m in members]
 
     # overflow on the way to a diverged loss is reported by the loss check
     # below, not as a warning from the step that overflowed
     with np.errstate(over="ignore", invalid="ignore"):
         best = [m.copy() for m in members]
-        best_val = [val_mse(m) for m in members]
+        best_val = val_losses()
         best_epoch = [-1] * len(members)
         for epoch in range(config.epochs):
             order = rng.permutation(n_train)
@@ -363,6 +394,7 @@ def train(models: list[TrainableModel], s: SupportMatrix,
                 for b0 in range(0, idx.size, batch):
                     b = min(batch, idx.size - b0)
                     step_powers, step_targets = powers[:, b0:b0 + b], targets[b0:b0 + b]
+                    # every step's activation is a leading, contiguous part of act
                     step_act = act[:n_features * b * n].reshape(n_features, b, n)
                     for i, model in enumerate(members):
                         # by module attribute and positionally, so a tracer
@@ -374,9 +406,12 @@ def train(models: list[TrainableModel], s: SupportMatrix,
                         batch_losses[i].append(result.mse)
                     # written back in place, so the members' views follow
                     params[...] = adam_step(state, params, grads)
+            # the last chunk's float labels (step_targets is a view of them)
+            # are not held through the validation round
+            targets = step_targets = None
 
-            for i, model in enumerate(members):
-                train_loss, epoch_val = float(np.mean(batch_losses[i])), val_mse(model)
+            for i, (model, epoch_val) in enumerate(zip(members, val_losses())):
+                train_loss = float(np.mean(batch_losses[i]))
                 if not (np.isfinite(train_loss) and np.isfinite(epoch_val)):
                     raise NumericalError(f"training diverged in epoch {epoch}: train loss "
                                          f"{train_loss}, validation loss {epoch_val}")

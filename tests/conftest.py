@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
 
 from graphdisc.graphs import SupportMatrix, laplacian, normalize_support
@@ -15,3 +16,14 @@ def split_of():
             graph = normalize_support(laplacian(graph))
         return split_subspace(eig_sym(graph), k)
     return build
+
+
+@pytest.fixture(scope="session")
+def pinned_build():
+    """The failure message of a test that pins exact result bits: the
+    build they were recorded on beside the running one. Another BLAS build
+    can round some products another way with no fault in the program."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return (f"pinned on numpy 2.4.6 with scipy-openblas 0.3.31; running numpy "
+            f"{np.__version__} with {blas.get('name', 'an unknown BLAS')} "
+            f"{blas.get('version', '')}".rstrip())

@@ -147,7 +147,7 @@ class TestRunCommand:
         out2 = tmp_path / "results2"
         assert run_tiny(out2, "--load-model", mpath) == 0
 
-    def test_result_files_unchanged(self, tmp_path, capsys):
+    def test_result_files_unchanged(self, tmp_path, capsys, pinned_build):
         # sha256 of a toy run's results as written before the
         # integral-Lipschitz estimate moved into filters
         out = tmp_path / "results"
@@ -162,7 +162,7 @@ class TestRunCommand:
                 "b65bc16694ce38edc1b31f1cf93ce4121f2c04a75b9ae6a82737893f205a5f54",
             "history_high_gnn_g0.csv":
                 "fa4988230e0463fe35b5a6c02dd19d3f5ecae484a6a2766f6c96323b0b2fe48d",
-        }
+        }, pinned_build
 
     def test_model_round_trip_preserves_parameters(self, tmp_path, capsys):
         mpath = tmp_path / "model.txt"
@@ -235,7 +235,7 @@ class TestVerifyCommand:
         assert code == 0
         assert len(calls) == 3
 
-    def test_trial_logs_unchanged(self, tmp_path, capsys):
+    def test_trial_logs_unchanged(self, tmp_path, capsys, pinned_build):
         # sha256 of the trial logs as written before the verifiers judged
         # their pairs in one stacked pass
         code = main(["verify", "--theorem", "all", "--seed", "0", "--trials", "50",
@@ -256,7 +256,7 @@ class TestVerifyCommand:
                 "0e564a3a2be9308b870bbc4937120535bedabcb595fdd241096d402c336895f9",
             "cor2_probe_g0.csv":
                 "998d1ce58477416f79b11074431e6a04e6d9e1a97e7be1e47a7291f51e3b4655",
-        }
+        }, pinned_build
         # the summary lines, as printed before the verifiers returned one report type
         assert capsys.readouterr().out.replace(str(tmp_path), "<out>") == (
             "== theorem1 (1 graphs x 50 trials) ==\n"

@@ -1,6 +1,8 @@
 """Input/target generation, dataset construction, replication, reports."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -333,13 +335,14 @@ class TestRunReplicate:
         out = run_replicate(config, "high", 0, init_taps=taps)
         np.testing.assert_array_equal(out.trained["gnn"].model.taps, taps)
 
-    def test_reproduces_recorded_trajectory(self):
+    def test_reproduces_recorded_trajectory(self, pinned_build):
         """Test MSEs and every history value of a small replicate, pinned
         exactly so that any change to the training arithmetic shows. They
         were recorded on x86-64 with numpy 2.4 and OpenBLAS 0.3.31; another
         numpy or BLAS build may round differently."""
         out = run_replicate(tiny_config(graphs=1, epochs=3), "high", 0)
-        assert [m.test_mse for m in out.metrics] == [0.7410533543261196, 0.7485598843542125]
+        assert [m.test_mse for m in out.metrics] == [0.7410533543261196,
+                                                     0.7485598843542125], pinned_build
         lr = [0.001, 0.0009000000000000001, 0.0008100000000000001]
         expected = {
             "filter_bank": [
@@ -356,7 +359,28 @@ class TestRunReplicate:
         for name, rows in expected.items():
             got = [(r.epoch, r.train_loss, r.val_loss, r.il_constant, r.learning_rate)
                    for r in out.trained[name].history]
-            assert got == rows
+            assert got == rows, pinned_build
+
+    def test_split_not_held_through_training(self, monkeypatch):
+        # the split (its spectrum and both bases) is needed only for the
+        # inputs, so nothing holds it once train starts
+        splits, alive = [], []
+        split_subspace, train = experiment.split_subspace, experiment.train
+
+        def recording_split(*args):
+            split = split_subspace(*args)
+            splits.append(weakref.ref(split))
+            return split
+
+        def checking_train(*args):
+            gc.collect()
+            alive.append(splits[-1]() is not None)
+            return train(*args)
+
+        monkeypatch.setattr(experiment, "split_subspace", recording_split)
+        monkeypatch.setattr(experiment, "train", checking_train)
+        run_replicate(tiny_config(graphs=1), "high", 0)
+        assert alive == [False]
 
     def test_warm_start_shape_checked(self):
         config = tiny_config(graphs=1)

@@ -123,6 +123,73 @@ class TestGenerateGeometricGraph:
             generate_geometric_graph(3, 3, seed=0)
 
 
+class TestGeometricGraphChecks:
+    """A hand-built graph whose Laplacian would not be one raises
+    ConfigurationError naming the defect; a valid one keeps its arrays."""
+
+    @staticmethod
+    def build(positions=None, weights=None, n=3):
+        g = generate_geometric_graph(3, 1, seed=9)
+        return GeometricGraph(n=n, positions=g.positions if positions is None else positions,
+                              weights=g.weights if weights is None else weights,
+                              k_neighbors=1, seed=9)
+
+    @staticmethod
+    def edited_weights(i, j, w):
+        weights = generate_geometric_graph(3, 1, seed=9).weights.copy()
+        weights[i, j] = w
+        return weights
+
+    def test_valid_graph_keeps_its_bits(self):
+        g = generate_geometric_graph(3, 1, seed=9)
+        built = self.build()
+        assert built.positions.tobytes() == g.positions.tobytes()
+        assert built.weights.tobytes() == g.weights.tobytes()
+
+    @pytest.mark.parametrize("positions", [np.zeros((3, 3)), np.zeros((2, 2)), np.zeros(6)])
+    def test_positions_of_wrong_shape(self, positions):
+        match = r"positions have shape .*, expected \(3, 2\)"
+        with pytest.raises(ConfigurationError, match=match):
+            self.build(positions=positions)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_positions_not_finite(self, bad):
+        positions = np.zeros((3, 2))
+        positions[1, 0] = bad
+        with pytest.raises(ConfigurationError, match="positions have a non-finite entry"):
+            self.build(positions=positions)
+
+    @pytest.mark.parametrize("weights", [np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(9)])
+    def test_weights_of_wrong_shape(self, weights):
+        match = r"weights have shape .*, expected \(3, 3\)"
+        with pytest.raises(ConfigurationError, match=match):
+            self.build(weights=weights)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_weights_not_finite(self, bad):
+        with pytest.raises(ConfigurationError, match="weights have a non-finite entry"):
+            self.build(weights=self.edited_weights(0, 1, bad))
+
+    def test_negative_weight(self):
+        weights = np.zeros((3, 3))
+        weights[0, 2] = weights[2, 0] = -0.25
+        with pytest.raises(ConfigurationError, match="weights have a negative entry, -0.25"):
+            self.build(weights=weights)
+
+    def test_self_loop(self):
+        with pytest.raises(ConfigurationError, match="self-loop at node 1"):
+            self.build(weights=self.edited_weights(1, 1, 0.5))
+
+    def test_one_sided_edge(self):
+        # the check SupportMatrix makes: asymmetry above 1e-10 raises
+        weights = generate_geometric_graph(3, 1, seed=9).weights
+        with pytest.raises(ConfigurationError, match="weight matrix is not symmetric"):
+            self.build(weights=weights * np.tri(3))
+        within = weights.copy()
+        within[0, 1] += 1e-12
+        assert self.build(weights=within).weights[0, 1] == within[0, 1]
+
+
 class TestLaplacian:
     def test_single_edge(self):
         g = generate_geometric_graph(2, 1, seed=1)

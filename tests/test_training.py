@@ -809,7 +809,9 @@ class TestStepBuffers:
         monkeypatch.setattr(training, "CHUNK_BYTES", 5 * 3 * 5 * 12 * 8 // 2)
         monkeypatch.setattr(training, "shift_powers", counting_shift_powers)
         calls, _, _ = self.record_steps(monkeypatch, support, 23, 5)
-        assert chunk_rows == [7] + [10, 10, 3] * 2   # the validation set first
+        # the 7 validation rows fit a chunk, so their powers are remade in
+        # the chunk buffer before each validation round
+        assert chunk_rows == [7, 10, 10, 3, 7, 10, 10, 3, 7]
         assert [c[1].shape[1] for c in calls] == [5, 5, 5, 5, 3] * 2
         x = np.random.default_rng(30).standard_normal((23, 12))  # as record_steps
         for epoch in (calls[:5], calls[5:]):
@@ -820,6 +822,56 @@ class TestStepBuffers:
         np.testing.assert_array_equal(np.concatenate([c[1][0] for c in calls]),
                                       np.concatenate([c[1][0] for c in unchunked]))
         self.assert_steps_match_fresh_arrays(calls, support)
+
+    def test_validation_larger_than_a_chunk_keeps_its_powers(self, support, monkeypatch):
+        # 12 validation rows do not fit a chunk of 10: their powers are made
+        # once, before the first step, and kept; the validation losses have
+        # the bits of powers remade in the chunk buffer, as they are when
+        # every row fits one chunk
+        rng = np.random.default_rng(36)
+        x = rng.standard_normal((23, 12))
+        y = np.sign(x @ support.entries.T)
+        config = TrainConfig(epochs=2, batch_size=5, seed=6)
+
+        def histories():
+            models = [init_model(4, 3, sigma, seed=37)
+                      for sigma in (Nonlinearity.identity(), Nonlinearity.tanh())]
+            return [r.history for r in train(models, support, (x, y), (x[:12], y[:12]), config)]
+
+        in_one_chunk = histories()
+        chunk_rows = []
+
+        def counting_shift_powers(s, x, n_taps, out=None):
+            chunk_rows.append(len(x))
+            return shift_powers(s, x, n_taps, out)
+
+        monkeypatch.setattr(training, "CHUNK_BYTES", 5 * 3 * 5 * 12 * 8 // 2)
+        monkeypatch.setattr(training, "shift_powers", counting_shift_powers)
+        assert histories() == in_one_chunk
+        assert chunk_rows == [12] + [10, 10, 3] * 2
+
+    def test_validation_borrows_the_step_activation_buffer(self, support, monkeypatch):
+        # every validation chunk's activation is made in the buffer whose
+        # leading part every step's activation is; predict makes its own
+        steps, chunked = [], []
+        original = training.model_forward
+
+        def spy(model, powers, out=None, scratch=None):
+            if out is None:
+                chunked.append(scratch)
+            else:
+                steps.append(out)
+            return original(model, powers, out, scratch)
+
+        monkeypatch.setattr(training, "model_forward", spy)
+        x = np.random.default_rng(38).standard_normal((23, 12))
+        model = init_model(4, 3, Nonlinearity.tanh(), seed=39)
+        trained = train([model], support, (x, np.sign(x)), (x[:20], np.sign(x[:20])),
+                        TrainConfig(epochs=2, batch_size=5, seed=7))[0].model
+        assert len(steps) == 10 and len(chunked) == 3
+        assert all(np.shares_memory(buf, act) for buf in chunked for act in steps)
+        predict(trained, support, x)
+        assert len(chunked) == 4 and chunked[-1] is None
 
     def test_buffers_released_when_train_returns(self, support, monkeypatch):
         _, buffers, _ = self.record_steps(monkeypatch, support, 23, 5)
@@ -932,6 +984,16 @@ class TestForwardShapes:
             model_forward(model, powers, out)
 
 
+    def test_scratch_too_small_for_a_chunk(self, support):
+        model = init_model(4, 3, Nonlinearity.tanh(), seed=22)
+        powers = shift_powers(support, np.random.default_rng(22).standard_normal((5, 12)), 3)
+        scratch = np.full(4 * 5 * 12, np.nan)
+        np.testing.assert_array_equal(model_forward(model, powers, scratch=scratch),
+                                      model_forward(model, powers))
+        with pytest.raises(ShapeError):
+            model_forward(model, powers, scratch=scratch[:-1])
+
+
 class TestMemory:
     """Whole-set passes stay within CHUNK_BYTES of activation. numpy reports
     its arrays to tracemalloc, so a traced peak counts every array a call
@@ -982,3 +1044,23 @@ class TestMemory:
         step = self.N_FEATURES * 10 * self.N_NODES * 8 + 3 * 20 * self.N_NODES * 8
         peak = self.traced_peak(lambda: train(models, s, (x[:20], y[:20]), (x, y), config))
         assert peak < bound + 2 * prediction + step + self.SLACK
+
+    def test_train_peak_at_the_desk_shape(self, data):
+        # 200 validation rows fit the 210-row chunk of training powers, and
+        # the step's activation buffer holds a forward chunk, so validation
+        # makes no powers or activation of its own; int8 labels, as a
+        # replicate's. What is left: the chunk of powers, the activation
+        # buffer, the float validation labels, and the prediction with
+        # mse_loss's difference and square
+        s, x, y = data
+        labels = y.astype(np.int8)
+        models = [init_model(self.N_FEATURES, 3, sigma, seed=55)
+                  for sigma in (Nonlinearity.identity(), Nonlinearity.tanh())]
+        config = TrainConfig(epochs=1, batch_size=10)
+        n_val, row = 200, self.N_NODES * 8
+        chunk_powers = 3 * training.chunk_rows(3 * row, 10) * row
+        act = self.N_FEATURES * 16 * row    # a forward chunk: 16 rows, 50 BLAS blocks
+        assert chunk_powers // (3 * row) >= n_val
+        peak = self.traced_peak(lambda: train(models, s, (x, labels),
+                                              (x[:n_val], labels[:n_val]), config))
+        assert peak < chunk_powers + act + 4 * n_val * row + self.SLACK
