@@ -18,7 +18,7 @@ from .graphs import (
     normalize_support,
     save_graph,
 )
-from .spectral import Spectrum, SubspaceSplit, eig_sym, project_subspace, split_subspace
+from .spectral import Spectrum, SubspaceSplit, eig_sym, split_subspace
 
 __all__ = [
     "ConfigurationError", "DegenerateInputError", "NumericalError", "ShapeError",
@@ -26,5 +26,5 @@ __all__ = [
     "Nonlinearity", "SingleLayerGnn", "TrainableModel", "bank_forward", "load_model", "save_model",
     "GeometricGraph", "SupportMatrix", "generate_geometric_graph", "laplacian",
     "load_graph", "normalize_support", "save_graph",
-    "Spectrum", "SubspaceSplit", "eig_sym", "project_subspace", "split_subspace",
+    "Spectrum", "SubspaceSplit", "eig_sym", "split_subspace",
 ]

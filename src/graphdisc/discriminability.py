@@ -528,16 +528,18 @@ def overdetermined_probe(split: SubspaceSplit, gnn: SingleLayerGnn, f_idx: int,
                          rng: np.random.Generator) -> float:
     """Residual of the constant-secant system for one random draw.
 
-    Draws a random signal and a random secant b in (0, 1), inverts the
+    Draws a random signal and a random secant b in [0, 1), inverts the
     per-node secant equation of tanh at the outputs of filter f_idx, which
     should respond above the cutoff, and solves the resulting system (one
     equation per node, one unknown per unprotected mode) by normal
     equations. Returns the residual norm, or inf when some node admits no
     nonzero offset at all, which rules out a constant-secant signal even
-    more directly.
+    more directly (at b = 0 only e = 0 solves the secant equation).
     """
     x = rng.standard_normal(split.n)
     b = float(rng.uniform(0.0, 1.0))
+    if b == 0.0:
+        return math.inf
     targets = _tanh_secant_offsets(bank_forward(gnn.bank, split.spectrum, x)[f_idx], b)
     if np.any(np.isnan(targets)):
         return math.inf

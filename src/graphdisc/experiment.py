@@ -12,12 +12,13 @@ Memory: a set is labelled a chunk of rows at a time (generate_target, with
 training.chunk_rows) and the test prediction is made in chunks
 (training.model_forward), so a replicate forms no whole-set activation and
 no whole-set stack of the targets' shift powers. The labels are int8, one
-byte per entry rather than float64's eight; train casts them to float64 a
-chunk at a time, and the test MSE (training.mse_loss) on its own. -1 and
-+1 are exact in both types, so no result changes. The inputs are drawn
-in one pass: their subspace projection rounds by the row count, so row
-chunks would change their bits. run_replicate drops the split (the
-spectrum and both bases) once the dataset is built, before training.
+byte per entry rather than float64's eight; train casts the training
+labels to float64 a chunk at a time, and mse_loss subtracts the others as
+they are; -1 and +1 are exact in both types. Each set of inputs is one
+(N, n) array, projected (in one pass: it rounds by the row count) and
+normalized in place in its draw, so training, not the dataset build, sets
+a replicate's memory peak. run_replicate drops the split (the spectrum
+and both bases) once the dataset is built.
 
 Determinism: every replicate derives its RNG streams from
 SeedSequence((master_seed, mode_index, graph_index)), and aggregation is an
@@ -49,7 +50,7 @@ from .errors import (GRAPHDISC_ERRORS, ConfigurationError, DegenerateInputError,
 from .filters import bank_il_constant, contract, shift_powers
 from .gnn import Nonlinearity
 from .graphs import GeometricGraph, SupportMatrix, generate_geometric_graph, laplacian, normalize_support
-from .spectral import SubspaceSplit, eig_sym, project_subspace, split_subspace
+from .spectral import SubspaceSplit, eig_sym, split_subspace
 from .training import (TrainConfig, TrainResult, chunk_rows, init_model, mse_loss, predict,
                        train)
 
@@ -151,16 +152,23 @@ class Dataset(NamedTuple):
 def generate_inputs(split: SubspaceSplit, mode: str, count: int,
                     rng: np.random.Generator) -> np.ndarray:
     """count unit-norm Gaussian inputs confined to the requested subspace:
-    one (count, n) draw, projected and normalized row by row."""
+    one (count, n) draw, projected in one pass (its second product written
+    into the draw) and divided by its row norms in place, a chunk of rows
+    at a time; each row's norm is its own reduction, so chunks keep its bits."""
     if mode not in MODES:
         raise ConfigurationError(f"unknown input mode {mode!r}")
     w = rng.standard_normal((count, split.n))
     if mode != "full":
-        w = project_subspace(split, w, mode)
-    norms = np.linalg.norm(w, axis=1, keepdims=True)
-    if np.any(norms < 1e-12):
-        raise DegenerateInputError(f"degenerate {mode} input draw")
-    return w / norms
+        basis = split.v_low if mode == "low" else split.v_high
+        np.matmul(w @ basis, basis.T, out=w)
+    rows = chunk_rows(split.n * 8)
+    for r0 in range(0, count, rows):
+        block = w[r0:r0 + rows]
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        if np.any(norms < 1e-12):
+            raise DegenerateInputError(f"degenerate {mode} input draw")
+        block /= norms
+    return w
 
 
 def generate_target(s_norm: SupportMatrix, x: np.ndarray,

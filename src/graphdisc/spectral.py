@@ -1,10 +1,9 @@
-"""Symmetric eigendecomposition, subspace splits and projections.
+"""Symmetric eigendecomposition and subspace splits.
 
 Functions:
 
 eig_sym: full eigendecomposition of a symmetric support matrix (LAPACK eigh)
 split_subspace: partition the basis at a sorted index k
-project_subspace: orthogonal projection onto the low or high subspace
 
 Classes:
 
@@ -14,6 +13,7 @@ SubspaceSplit: a Spectrum and the index k that cuts it into V_low / V_high
 Eigenvalues are ordered by ascending |lambda| with ties broken by ascending
 signed value; each eigenvector is flipped so its first significant component
 is positive. Both conventions make downstream coefficients reproducible.
+experiment.generate_inputs projects its draws onto V_low or V_high itself.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
+from .errors import ConfigurationError, DegenerateInputError, NumericalError
 from .graphs import SupportMatrix, _frozen
 
 SPLIT_GAP_RTOL = 1e-10   # relative to max |lambda|: a smaller gap at the split is a tie
@@ -106,17 +106,3 @@ def split_subspace(spec: Spectrum, k: int) -> SubspaceSplit:
             f"split index {k} falls inside a repeated eigenvalue: the gap there is {gap:.3e}")
     return SubspaceSplit(spec, k)
 
-
-def project_subspace(split: SubspaceSplit, w: np.ndarray, which: str) -> np.ndarray:
-    """Project w onto the chosen subspace: "low" (span of v_low) or "high"
-    (span of v_high)."""
-    w = np.asarray(w, dtype=np.float64)
-    if which == "low":
-        basis = split.v_low
-    elif which == "high":
-        basis = split.v_high
-    else:
-        raise ConfigurationError(f"which must be 'low' or 'high', got {which!r}")
-    if w.shape[-1] != split.n:
-        raise ShapeError(f"signal has length {w.shape[-1]}, basis is {split.n}")
-    return (w @ basis) @ basis.T

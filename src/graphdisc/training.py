@@ -184,9 +184,11 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean over batch and nodes of the squared error, plus d(loss)/d(pred)."""
+    """Mean over batch and nodes of the squared error, plus d(loss)/d(pred).
+    An integer target (experiment's int8 labels) is subtracted as it is,
+    with the bits of its float64 cast and no float copy of it."""
     pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    target = np.asarray(target)
     if pred.shape != target.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {target.shape}")
     diff = pred - target
@@ -323,10 +325,9 @@ def train(models: list[TrainableModel], s: SupportMatrix,
     models with one taps shape, trained in lockstep on the same batches.
 
     The labels may be of any numeric dtype (experiment makes them int8):
-    each chunk's gathered labels are cast to float64 once, beside the
-    chunk's shift powers, and the validation labels once per call, so
-    every step and loss takes float64 targets; float64 labels are not
-    copied again.
+    each chunk's gathered training labels are cast to float64 once, beside
+    the chunk's shift powers, since a mixed subtraction in every step is
+    slower; the validation labels go to mse_loss as they are.
 
     Each validation round borrows the training buffers: its chunk
     activations are made in the step's activation buffer, and a validation
@@ -346,7 +347,7 @@ def train(models: list[TrainableModel], s: SupportMatrix,
     and the loss, for the first such model of that epoch.
     """
     x_train, y_train = train_set
-    x_val, y_val = val_set[0], np.asarray(val_set[1], dtype=np.float64)
+    x_val, y_val = val_set
     shapes = sorted({(m.taps.shape, m.readout.shape) for m in models})
     if len(shapes) != 1:
         raise ShapeError(f"a training group needs one taps and readout shape, got {shapes}")

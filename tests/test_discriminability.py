@@ -346,6 +346,25 @@ class TestVerifyCorollary2:
         with pytest.raises(ConfigurationError):
             disc.verify_corollary2(split, gnn, 5, np.random.default_rng(32))
 
+    def test_zero_secant_draw_is_inf(self, split):
+        # uniform(0, 1) can return exactly 0; only e = 0 solves the secant
+        # equation at b = 0, so no node has a nonzero offset
+        class ZeroSecant:
+            def __init__(self):
+                self.rng = np.random.default_rng(35)
+
+            def standard_normal(self, size):
+                return self.rng.standard_normal(size)
+
+            def uniform(self, low, high):
+                return 0.0
+
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(36))
+        assert disc.overdetermined_probe(split, gnn, 1, ZeroSecant()) == math.inf
+        report = disc.verify_corollary2(split, gnn, 5, ZeroSecant(), probe_draws=3)
+        assert report.counts["probe_above_threshold"] == 3
+        assert np.all(np.isinf(report.probe_residuals))
+
     def test_requires_multiple_high_modes(self, split_of):
         split = split_of(generate_geometric_graph(6, 2, seed=43), 5)   # single unprotected mode
         gnn = disc.verifier_gnn(split, Nonlinearity.tanh(),

@@ -93,6 +93,22 @@ class TestGenerateInput:
         singles = np.stack([generate_inputs(split, mode, 1, rng)[0] for _ in range(6)])
         np.testing.assert_allclose(batch, singles, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [12, 50, 120])
+    @pytest.mark.parametrize("mode", ["low", "high", "full"])
+    def test_bits_of_one_projection_and_division(self, split_of, mode, n):
+        # the inputs are the draw's projection (w @ V) @ V^T divided by the
+        # norms of all its rows at once, whatever the blocks of the in-place
+        # division: 1 row, 7 rows, and more than one block
+        split = split_of(generate_geometric_graph(n, 5, seed=n), n - n // 5)
+        for count in (1, 7, training.chunk_rows(n * 8) + 3):
+            w = np.random.default_rng(count).standard_normal((count, n))
+            if mode != "full":
+                basis = split.v_low if mode == "low" else split.v_high
+                w = (w @ basis) @ basis.T
+            expected = w / np.linalg.norm(w, axis=1, keepdims=True)
+            x = generate_inputs(split, mode, count, np.random.default_rng(count))
+            assert x.tobytes() == expected.tobytes(), (count, mode, n)
+
     def test_degenerate_draw_raises(self, split):
         class ZeroRng:
             def standard_normal(self, shape):
@@ -221,6 +237,27 @@ class TestBuildDataset:
         entries = sum(counts) * N
         assert [y.nbytes for _, y in ds] == [count * N for count in counts]
         assert held <= 9 * entries + 2 ** 16
+
+    @pytest.mark.parametrize("mode", ["low", "high", "full"])
+    def test_peak_at_the_paper_shape(self, split_of, mode):
+        # each set is one array: the draw is projected and normalized in
+        # place, so besides it a build holds the draw's coordinates in the
+        # basis, a block of the norms' two temporaries and the labels; the
+        # slack covers generate_target's chunk temporaries past that
+        n, counts = 50, (8000, 200, 200)
+        s = normalize_support(laplacian(generate_geometric_graph(n, 5, seed=62)))
+        split = split_of(s, 40)
+        coordinates = {"low": 40, "high": 10, "full": 0}[mode]
+        tracemalloc.start()
+        try:
+            build_dataset(s, split, mode, counts, np.array([0.2, -0.5, 0.8]),
+                          np.random.default_rng(15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = counts[0]
+        bound = rows * n * 8 + rows * coordinates * 8 + 2 * training.CHUNK_BYTES + rows * n
+        assert peak < bound + 2 ** 17
 
     def test_full_scale_counts(self, s, split):
         ds = build_dataset(s, split, "high", (8000, 200, 200),

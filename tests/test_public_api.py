@@ -9,7 +9,7 @@ import graphdisc
 
 DELETED = ("apply_fir", "il_constant", "graph_shift", "gnn_forward", "readout_apply",
            "gft", "igft", "generate_input", "FirFilter", "FilterBank", "Readout",
-           "SpectralFilter", "cutoff_frequency")
+           "SpectralFilter", "cutoff_frequency", "project_subspace")
 SUBMODULES = ("cli", "discriminability", "errors", "experiment", "filters", "gnn",
               "graphs", "spectral", "training")
 

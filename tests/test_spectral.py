@@ -1,4 +1,5 @@
-"""Symmetric eigendecomposition, eigenbasis transforms, subspace splits and projections."""
+"""Symmetric eigendecomposition, eigenbasis transforms, subspace splits, and the
+projection of generated inputs."""
 
 import sys
 
@@ -13,7 +14,7 @@ from graphdisc.errors import ConfigurationError, DegenerateInputError, Numerical
 from graphdisc.experiment import ExperimentConfig, generate_inputs, run_replicate
 from graphdisc.gnn import bank_forward
 from graphdisc.graphs import SupportMatrix, generate_geometric_graph, laplacian, normalize_support
-from graphdisc.spectral import eig_sym, project_subspace, split_subspace
+from graphdisc.spectral import eig_sym, split_subspace
 
 
 def support(entries: np.ndarray) -> SupportMatrix:
@@ -258,6 +259,16 @@ class TestSubspaceSplit:
         np.testing.assert_array_equal(split.spectrum.eigenvalues[:split.k], [0.0, 0.0])
 
 
+class FixedDraw:
+    """A generator stand-in whose standard_normal draws copies of one row."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=np.float64)
+
+    def standard_normal(self, shape):
+        return np.tile(self.row, (shape[0], 1))
+
+
 class TestProjectSubspace:
     @pytest.fixture()
     def split(self):
@@ -267,7 +278,7 @@ class TestProjectSubspace:
     def test_high_eigenvector_fixed(self, split):
         sp, spec = split
         v_top = spec.eigenvectors[:, -1]
-        out = project_subspace(sp, v_top, "high")
+        out = generate_inputs(sp, "high", 1, FixedDraw(v_top))[0]
         assert np.max(np.abs(out - v_top)) <= 1e-10
 
     def test_orthogonal_input_degenerate(self, split):
@@ -292,6 +303,6 @@ class TestProjectSubspace:
         sp = split_subspace(eig_sym(support(random_symmetric(7, seed=9))), 3)
         rng = np.random.default_rng(seed)
         w = rng.standard_normal(7)
-        once = project_subspace(sp, w, "high")
-        twice = project_subspace(sp, once, "high")
+        once = generate_inputs(sp, "high", 1, FixedDraw(w))[0]
+        twice = generate_inputs(sp, "high", 1, FixedDraw(once))[0]
         np.testing.assert_allclose(twice, once, atol=1e-10)

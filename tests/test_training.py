@@ -176,6 +176,20 @@ class TestMseLoss:
         float_loss, float_grad = mse_loss(pred, target.astype(np.float64))
         assert loss == float_loss and grad.tobytes() == float_grad.tobytes()
 
+    def test_int8_target_is_not_copied(self):
+        # the difference and its square are the only arrays of the set's
+        # shape; a float64 copy of the target would be a third
+        rng = np.random.default_rng(7)
+        pred = rng.standard_normal((200, 50))
+        target = np.where(rng.standard_normal((200, 50)) >= 0, 1, -1).astype(np.int8)
+        tracemalloc.start()
+        try:
+            mse_loss(pred, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * pred.nbytes + 2 ** 12
+
 
 class TestIlRegularizer:
     def test_constant_filters(self):
