@@ -92,7 +92,7 @@ def build_config(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .experiment import MODEL_NAMES, emit_report, run_experiment
+    from .experiment import emit_report, run_experiment
 
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
@@ -121,20 +121,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         init_taps = load_bank(args.load_bank)
 
     make_dir(args.out)  # before training, so a bad --out fails at once
-    report = run_experiment(config, jobs=args.jobs, graph=graph,
-                            init_taps=init_taps, init_readout=init_readout)
-    written = emit_report(report, args.out)
+    replicates = run_experiment(config, jobs=args.jobs, graph=graph,
+                                init_taps=init_taps, init_readout=init_readout)
+    written = emit_report(replicates, args.out)
     if config.epochs > 0:
-        for out in report.replicates:
-            for name in MODEL_NAMES:
-                if out.trained[name].best_epoch == -1:
+        for out in replicates:
+            for name, result in out.trained.items():
+                if result.best_epoch == -1:
                     print(f"graphdisc: warning: replicate {out.subspace} graph "
                           f"{out.graph_index} {name}: no epoch improved on the "
                           "initial model", file=sys.stderr)
 
     # the files in --out are counted; the others may lie anywhere, so they are named
     extra = []
-    first = report.replicates[0]
+    first = replicates[0]
     if args.dump_graph:
         save_graph(first.graph, args.dump_graph)
         extra.append(args.dump_graph)

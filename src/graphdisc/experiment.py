@@ -5,8 +5,9 @@ Laplacian as the shift operator, generates inputs confined to the low or
 high part of the spectrum (or the full space), labels them with the sign of
 a random quadratic polynomial in the shift, and trains a linear filter-bank
 model and a tanh GNN on identical data from identical initial parameters.
-Test errors are aggregated over replicates with normal-approximation 95%
-confidence intervals.
+run_experiment returns the replicates; emit_report works out every number
+it writes from them: each subspace and model's mean test error and 95%
+half-width, the relative gaps and the trained banks' IL constants.
 
 Memory: a set is labelled a chunk of rows at a time (generate_target, with
 training.chunk_rows) and the test prediction is made in chunks
@@ -21,8 +22,8 @@ a replicate's memory peak. run_replicate drops the split (the spectrum
 and both bases) once the dataset is built.
 
 Determinism: every replicate derives its RNG streams from
-SeedSequence((master_seed, mode_index, graph_index)), and aggregation is an
-ordered reduction over replicate indices, so results do not depend on how
+SeedSequence((master_seed, mode_index, graph_index)), and emit_report
+reduces over the replicates in their order, so results do not depend on how
 many worker processes ran them, nor on BLAS's thread count.
 
 Workers: the process pool is imported inside run_experiment, and only when
@@ -124,25 +125,6 @@ class ExperimentConfig:
 CONFIG_KEYS = set(ExperimentConfig.__dataclass_fields__)
 
 
-@dataclass(frozen=True)
-class RunMetrics:
-    graph_index: int
-    subspace: str
-    model: str
-    test_mse: float
-    il_constant: float
-    wall_time: float            # the replicate's one lockstep train call, both models
-
-
-@dataclass(frozen=True)
-class SummaryEntry:
-    subspace: str
-    model: str
-    mean_error: float
-    ci_halfwidth: float
-    per_graph: tuple[float, ...]
-
-
 class Dataset(NamedTuple):
     train: tuple[np.ndarray, np.ndarray]
     val: tuple[np.ndarray, np.ndarray]
@@ -214,16 +196,9 @@ class ReplicateOutput:
     graph_index: int
     subspace: str
     graph: GeometricGraph
-    metrics: tuple[RunMetrics, RunMetrics]
+    train_time: float                   # the one lockstep train call, both models
+    test_mse: dict[str, float]          # model name -> test error
     trained: dict[str, TrainResult] = field(repr=False)   # model name -> result
-
-
-@dataclass(frozen=True)
-class AggregateReport:
-    summaries: tuple[SummaryEntry, ...]
-    runs: tuple[RunMetrics, ...]
-    relative_gap: dict[str, float]          # subspace -> filter/gnn - 1
-    replicates: tuple[ReplicateOutput, ...] = field(repr=False)
 
 
 def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
@@ -280,27 +255,20 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
     gnn.sigma = Nonlinearity.tanh()
     models = [linear, gnn]
 
-    # both models train in lockstep on the same batches, so each run row
-    # reads the time of the one train call
+    # both models train in lockstep on the same batches: one call, one time
     start = time.perf_counter()
     results = train(models, s_norm, dataset.train, dataset.val, train_config)
     elapsed = time.perf_counter() - start
 
-    metrics = tuple(RunMetrics(
-        graph_index=graph_index,
-        subspace=mode,
-        model=name,
-        test_mse=mse_loss(predict(result.model, s_norm, dataset.test[0]), dataset.test[1])[0],
-        il_constant=bank_il_constant(result.model.taps),
-        wall_time=elapsed,
-    ) for name, result in zip(MODEL_NAMES, results))
-
+    trained = dict(zip(MODEL_NAMES, results))
     return ReplicateOutput(
         graph_index=graph_index,
         subspace=mode,
         graph=graph,
-        metrics=metrics,
-        trained=dict(zip(MODEL_NAMES, results)),
+        train_time=elapsed,
+        test_mse={name: mse_loss(predict(result.model, s_norm, dataset.test[0]),
+                                 dataset.test[1])[0] for name, result in trained.items()},
+        trained=trained,
     )
 
 
@@ -355,14 +323,14 @@ def _check_spawnable_main(workers: int) -> None:
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    graph: GeometricGraph | None = None,
                    init_taps: np.ndarray | None = None,
-                   init_readout: np.ndarray | None = None) -> AggregateReport:
-    """All replicates for every requested subspace, aggregated.
+                   init_readout: np.ndarray | None = None) -> tuple[ReplicateOutput, ...]:
+    """Every replicate of every requested subspace, in subspace then graph
+    order, each with its graph, train time, test errors and the training
+    result of each model.
 
     Replicates run in min(jobs, replicates) spawned worker processes, each
-    with one BLAS thread, or in this process when that is 1; the report is
-    the same for any jobs. The report keeps every ReplicateOutput, in
-    subspace then graph order, with its graph and the training result of
-    each model.
+    with one BLAS thread, or in this process when that is 1; the
+    replicates are the same for any jobs.
 
     A replicate that raises a graphdisc.errors exception aborts the run
     with an exception of the same type whose message starts with the
@@ -385,41 +353,18 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
         _check_spawnable_main(workers)
         with _one_blas_thread(), ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            outputs = list(pool.map(_replicate_star, tasks))
-    else:
-        outputs = [_replicate_star(t) for t in tasks]
-
-    runs = tuple(m for out in outputs for m in out.metrics)
-
-    summaries = []
-    relative_gap = {}
-    for mode in config.modes():
-        means = {}
-        for name in MODEL_NAMES:
-            values = [r.test_mse for r in runs
-                      if r.subspace == mode and r.model == name]
-            mean = float(np.mean(values))
-            if len(values) > 1:
-                ci = 1.96 * float(np.std(values, ddof=1)) / np.sqrt(len(values))
-            else:
-                ci = 0.0
-            summaries.append(SummaryEntry(
-                subspace=mode, model=name, mean_error=mean,
-                ci_halfwidth=ci, per_graph=tuple(values),
-            ))
-            means[name] = mean
-        relative_gap[mode] = _relative_gap(means["filter_bank"], means["gnn"])
-
-    return AggregateReport(
-        summaries=tuple(summaries),
-        runs=runs,
-        relative_gap=relative_gap,
-        replicates=tuple(outputs),
-    )
+            return tuple(pool.map(_replicate_star, tasks))
+    return tuple(_replicate_star(t) for t in tasks)
 
 
-def emit_report(report: AggregateReport, out_dir: str) -> list[str]:
+def emit_report(replicates: tuple[ReplicateOutput, ...], out_dir: str) -> list[str]:
     """Write summary.csv, runs.csv, and per-run history CSVs; print a table.
+
+    Everything is worked out here from the replicates: per subspace (in
+    their order) and model, the mean test error over the N graphs, the 95%
+    half-width 1.96 s / sqrt(N) (s the sample standard deviation; 0 for
+    one graph) and N; each subspace's relative gap (_relative_gap); and,
+    in runs.csv, each trained bank's bank_il_constant.
 
     Returns the list of written paths. Numbers are written with 17
     significant digits so a round-trip parse reproduces them exactly.
@@ -427,23 +372,33 @@ def emit_report(report: AggregateReport, out_dir: str) -> list[str]:
     make_dir(out_dir)
     written = []
 
+    modes = dict.fromkeys(out.subspace for out in replicates)
+    summary = {}    # (subspace, model) -> (mean_error, ci_halfwidth, n_graphs)
+    for mode in modes:
+        for name in MODEL_NAMES:
+            values = [out.test_mse[name] for out in replicates if out.subspace == mode]
+            ci = (1.96 * float(np.std(values, ddof=1)) / np.sqrt(len(values))
+                  if len(values) > 1 else 0.0)
+            summary[mode, name] = (float(np.mean(values)), ci, len(values))
+
     path = os.path.join(out_dir, "summary.csv")
     lines = ["subspace,model,mean_error,ci_halfwidth,n_graphs"]
-    for s in report.summaries:
-        lines.append(f"{s.subspace},{s.model},{s.mean_error:.17g},"
-                     f"{s.ci_halfwidth:.17g},{len(s.per_graph)}")
+    for (mode, name), (mean, ci, count) in summary.items():
+        lines.append(f"{mode},{name},{mean:.17g},{ci:.17g},{count}")
     write_lines(path, lines)
     written.append(path)
 
     path = os.path.join(out_dir, "runs.csv")
     lines = ["subspace,model,graph,test_mse,il_constant,wall_time_s"]
-    for r in report.runs:
-        lines.append(f"{r.subspace},{r.model},{r.graph_index},"
-                     f"{r.test_mse:.17g},{r.il_constant:.17g},{r.wall_time:.6f}")
+    for out in replicates:
+        for name, result in out.trained.items():
+            lines.append(f"{out.subspace},{name},{out.graph_index},"
+                         f"{out.test_mse[name]:.17g},"
+                         f"{bank_il_constant(result.model.taps):.17g},{out.train_time:.6f}")
     write_lines(path, lines)
     written.append(path)
 
-    for out in report.replicates:
+    for out in replicates:
         for name, result in out.trained.items():
             path = os.path.join(out_dir,
                                 f"history_{out.subspace}_{name}_g{out.graph_index}.csv")
@@ -455,9 +410,9 @@ def emit_report(report: AggregateReport, out_dir: str) -> list[str]:
             written.append(path)
 
     print(f"{'subspace':<10}{'model':<14}{'mean_error':>14}{'ci_95':>12}{'graphs':>8}")
-    for s in report.summaries:
-        print(f"{s.subspace:<10}{s.model:<14}{s.mean_error:>14.6f}"
-              f"{s.ci_halfwidth:>12.6f}{len(s.per_graph):>8}")
-    for mode, gap in report.relative_gap.items():
+    for (mode, name), (mean, ci, count) in summary.items():
+        print(f"{mode:<10}{name:<14}{mean:>14.6f}{ci:>12.6f}{count:>8}")
+    for mode in modes:
+        gap = _relative_gap(summary[mode, "filter_bank"][0], summary[mode, "gnn"][0])
         print(f"relative gap ({mode}): filter/gnn - 1 = {gap:+.3f}")
     return written

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, LineReader, write_lines
+from .errors import ConfigurationError, DegenerateInputError, LineReader, NumericalError, write_lines
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -148,11 +148,15 @@ def normalize_support(s: SupportMatrix) -> SupportMatrix:
     """Divide the entries by the largest-magnitude eigenvalue.
 
     The result has operator norm 1. Raises DegenerateInputError for the
-    all-zero matrix.
+    all-zero matrix and NumericalError if LAPACK fails to converge.
     """
     if not np.any(s.entries):
         raise DegenerateInputError("cannot normalize the all-zero matrix")
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(s.entries))))
+    try:
+        eigvals = np.linalg.eigvalsh(s.entries)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigenvalue solve failed: {exc}") from exc
+    norm = float(np.max(np.abs(eigvals)))
     return SupportMatrix(s.entries / norm)
 
 

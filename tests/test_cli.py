@@ -290,9 +290,13 @@ class TestJobs:
             out = tmp_path / f"jobs{jobs}"
             assert main(["run", "--subspace", "all", "--seed", "3", "--out", str(out),
                          *TINY, "--graphs", "2", "--jobs", jobs]) == 0
-            outs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()
-                          if p.name != "runs.csv"}  # runs.csv holds wall times
-        assert "summary.csv" in outs["1"] and len(outs["1"]) == 1 + 3 * 2 * 2
+            outs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+            # runs.csv's last column holds wall times; every other is compared
+            runs = outs[jobs].pop("runs.csv").decode().splitlines()
+            outs[jobs]["runs.csv"] = [line.rsplit(",", 1)[0] for line in runs]
+        assert "summary.csv" in outs["1"] and len(outs["1"]) == 2 + 3 * 2 * 2
+        assert outs["1"]["runs.csv"][0] == "subspace,model,graph,test_mse,il_constant"
+        assert len(outs["1"]["runs.csv"]) == 1 + 3 * 2 * 2
         assert outs["1"] == outs["2"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -10,13 +10,11 @@ import pytest
 from graphdisc import experiment, training
 from graphdisc.discriminability import judge_pairs
 from graphdisc.errors import ConfigurationError, DegenerateInputError, ShapeError
-from graphdisc.filters import contract, shift_powers
+from graphdisc.filters import bank_il_constant, contract, shift_powers
 from graphdisc.experiment import (
     MODEL_NAMES,
-    AggregateReport,
     ExperimentConfig,
     ReplicateOutput,
-    RunMetrics,
     build_dataset,
     emit_report,
     generate_inputs,
@@ -45,6 +43,22 @@ def no_low_energy(split, d):
     (d, 0) under a one-filter all-ones bank."""
     ones = SingleLayerGnn(bank=np.ones((1, split.n)), sigma=Nonlinearity.identity())
     return bool(judge_pairs(split, ones, [d], [np.zeros(split.n)], 1e-8).in_d_h[0])
+
+
+def fixed_replicates(errors_by_mode):
+    """ReplicateOutputs with the given test MSEs, (filter, gnn) per graph,
+    and untrained models, in the given subspace then graph order."""
+    model = training.init_model(4, 3, Nonlinearity.identity(), seed=0)
+    trained = {name: training.TrainResult(model, 0.0, -1, []) for name in MODEL_NAMES}
+    return tuple(ReplicateOutput(g, mode, None, 0.0, dict(zip(MODEL_NAMES, errors)), trained)
+                 for mode, per_graph in errors_by_mode.items()
+                 for g, errors in enumerate(per_graph))
+
+
+def summary_rows(path):
+    lines = path.read_text().strip().split("\n")[1:]
+    return {(p[0], p[1]): (float(p[2]), float(p[3]), int(p[4]))
+            for p in (line.split(",") for line in lines)}
 
 
 def tiny_config(**overrides):
@@ -270,42 +284,51 @@ class TestBuildDataset:
 class TestRunExperiment:
     def test_smoke_untrained(self):
         config = tiny_config(graphs=1, epochs=0)
-        report = run_experiment(config)
-        assert len(report.runs) == 2
-        assert {r.model for r in report.runs} == {"filter_bank", "gnn"}
-        assert all(r.test_mse >= 0 for r in report.runs)
+        replicates = run_experiment(config)
+        assert len(replicates) == 1
+        assert list(replicates[0].test_mse) == ["filter_bank", "gnn"]
+        assert all(mse >= 0 for mse in replicates[0].test_mse.values())
 
     def test_identical_seeds_identical_reports(self):
         config = tiny_config()
         a = run_experiment(tiny_config())
         b = run_experiment(config)
-        assert a.summaries == b.summaries
-        assert a.relative_gap == b.relative_gap
+        assert [out.test_mse for out in a] == [out.test_mse for out in b]
 
     def test_parallel_matches_sequential(self):
         a = run_experiment(tiny_config(), jobs=1)
         b = run_experiment(tiny_config(), jobs=2)
-        assert a.summaries == b.summaries
+        assert [out.test_mse for out in a] == [out.test_mse for out in b]
 
     def test_both_models_share_data_and_init(self):
-        report = run_experiment(tiny_config(graphs=1, epochs=0))
-        trained = report.replicates[0].trained
+        replicates = run_experiment(tiny_config(graphs=1, epochs=0))
+        trained = replicates[0].trained
         fb, gnn = trained["filter_bank"].model, trained["gnn"].model
         # untrained models keep their (identical) initializations
         np.testing.assert_array_equal(fb.taps, gnn.taps)
         np.testing.assert_array_equal(fb.readout, gnn.readout)
 
-    def test_mean_reproduces_per_graph_values(self):
-        report = run_experiment(tiny_config(graphs=3, epochs=1))
-        for s in report.summaries:
-            assert s.mean_error == pytest.approx(np.mean(s.per_graph), abs=1e-12)
-            assert len(s.per_graph) == 3
+    def test_mean_reproduces_per_graph_values(self, tmp_path, capsys):
+        errors = {"high": [(0.8, 0.5), (0.7, 0.25), (0.9, 0.75)], "low": [(0.3, 0.2)]}
+        emit_report(fixed_replicates(errors), str(tmp_path))
+        rows = summary_rows(tmp_path / "summary.csv")
+        assert list(rows) == [(mode, name) for mode in errors for name in MODEL_NAMES]
+        for mode, per_graph in errors.items():
+            for i, name in enumerate(MODEL_NAMES):
+                values = [e[i] for e in per_graph]
+                mean, ci, count = rows[mode, name]
+                assert mean == pytest.approx(np.mean(values), abs=1e-12)
+                assert count == len(values)
+                expected_ci = (1.96 * np.std(values, ddof=1) / np.sqrt(len(values))
+                               if len(values) > 1 else 0.0)
+                assert ci == pytest.approx(expected_ci, abs=1e-12)
+        assert rows["low", "gnn"][1] == 0.0
 
     def test_split_uses_upper_band_size(self, split_of):
         config = tiny_config()
         assert config.split_index == 12
-        report = run_experiment(tiny_config(graphs=1, epochs=0))
-        split = split_of(report.replicates[0].graph, config.split_index)
+        replicates = run_experiment(tiny_config(graphs=1, epochs=0))
+        split = split_of(replicates[0].graph, config.split_index)
         assert split.v_high.shape == (16, 4)
 
     def test_fixed_graph_requires_single_replicate(self):
@@ -354,15 +377,12 @@ class TestRunExperiment:
 class TestRelativeGap:
     @pytest.mark.parametrize("errors,gap", [((0.5, 0.0), np.inf), ((0.0, 0.0), 0.0),
                                             ((0.75, 0.5), 0.5)])
-    def test_gnn_mean_error_of_zero(self, monkeypatch, errors, gap):
-        def fake_replicate(config, mode, graph_index, *warm_start):
-            metrics = tuple(RunMetrics(graph_index, mode, name, err, 0.0, 0.0)
-                            for name, err in zip(MODEL_NAMES, errors))
-            return ReplicateOutput(graph_index, mode, None, metrics, {})
-
-        monkeypatch.setattr(experiment, "run_replicate", fake_replicate)
-        report = run_experiment(tiny_config(graphs=2))
-        assert report.relative_gap == {"high": gap}
+    def test_gnn_mean_error_of_zero(self, tmp_path, capsys, errors, gap):
+        emit_report(fixed_replicates({"high": [errors, errors]}), str(tmp_path))
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("relative gap")]
+        assert len(lines) == 1 and lines[0].startswith("relative gap (high): filter/gnn - 1 = ")
+        assert float(lines[0].rsplit(" ", 1)[1]) == gap
 
 
 class TestRunReplicate:
@@ -378,7 +398,7 @@ class TestRunReplicate:
         were recorded on x86-64 with numpy 2.4 and OpenBLAS 0.3.31; another
         numpy or BLAS build may round differently."""
         out = run_replicate(tiny_config(graphs=1, epochs=3), "high", 0)
-        assert [m.test_mse for m in out.metrics] == [0.7410533543261196,
+        assert [out.test_mse[name] for name in MODEL_NAMES] == [0.7410533543261196,
                                                      0.7485598843542125], pinned_build
         lr = [0.001, 0.0009000000000000001, 0.0008100000000000001]
         expected = {
@@ -427,25 +447,36 @@ class TestRunReplicate:
 
 class TestEmitReport:
     def test_empty_report_header_only(self, tmp_path, capsys):
-        empty = AggregateReport(summaries=(), runs=(), relative_gap={}, replicates=())
-        emit_report(empty, str(tmp_path))
+        emit_report((), str(tmp_path))
         summary = (tmp_path / "summary.csv").read_text()
         assert summary == "subspace,model,mean_error,ci_halfwidth,n_graphs\n"
         runs = (tmp_path / "runs.csv").read_text()
         assert runs == "subspace,model,graph,test_mse,il_constant,wall_time_s\n"
 
     def test_round_trip_means_exact(self, tmp_path, capsys):
-        report = run_experiment(tiny_config(graphs=2, epochs=1))
-        emit_report(report, str(tmp_path))
-        lines = (tmp_path / "summary.csv").read_text().strip().split("\n")[1:]
-        parsed = {(p[0], p[1]): float(p[2])
-                  for p in (line.split(",") for line in lines)}
-        for s in report.summaries:
-            assert parsed[(s.subspace, s.model)] == s.mean_error
+        replicates = run_experiment(tiny_config(graphs=2, epochs=1))
+        emit_report(replicates, str(tmp_path))
+        rows = summary_rows(tmp_path / "summary.csv")
+        for name in MODEL_NAMES:
+            assert rows["high", name][0] == float(np.mean([out.test_mse[name]
+                                                           for out in replicates]))
+
+    def test_runs_rows_read_each_model(self, tmp_path, capsys):
+        replicates = run_experiment(tiny_config(graphs=2, epochs=1))
+        emit_report(replicates, str(tmp_path))
+        rows = [line.split(",") for line in
+                (tmp_path / "runs.csv").read_text().strip().split("\n")[1:]]
+        runs = [(out, name) for out in replicates for name in MODEL_NAMES]
+        assert [r[:3] for r in rows] == [["high", name, str(out.graph_index)]
+                                         for out, name in runs]
+        assert [float(r[3]) for r in rows] == [out.test_mse[name] for out, name in runs]
+        assert [float(r[4]) for r in rows] == [bank_il_constant(out.trained[name].model.taps)
+                                               for out, name in runs]
+        assert [float(r[5]) for r in rows] == pytest.approx([out.train_time for out, _ in runs],
+                                                            abs=1e-6)
 
     def test_column_order_and_history_files(self, tmp_path, capsys):
-        report = run_experiment(tiny_config(graphs=1, epochs=2))
-        emit_report(report, str(tmp_path))
+        emit_report(run_experiment(tiny_config(graphs=1, epochs=2)), str(tmp_path))
         runs_header = (tmp_path / "runs.csv").read_text().split("\n")[0]
         assert runs_header == "subspace,model,graph,test_mse,il_constant,wall_time_s"
         history = tmp_path / "history_high_gnn_g0.csv"

@@ -55,6 +55,10 @@ def loop_sign_convention(eigvecs: np.ndarray) -> np.ndarray:
     return eigvecs
 
 
+def failing_eigvalsh(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 class TestEigSym:
     def test_identity(self):
         spec = eig_sym(support(np.eye(4)))
@@ -121,6 +125,25 @@ class TestEigSym:
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         with pytest.raises(NumericalError, match="did not converge"):
             eig_sym(support(np.eye(3)))
+
+    def test_normalize_lapack_failure_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+        with pytest.raises(NumericalError, match="did not converge"):
+            normalize_support(support(np.eye(3)))
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--theorem", "1", "--graphs", "1", "--trials", "1",
+         "--nodes", "12", "--cutoff", "3"],
+        ["run", "--subspace", "high", "--graphs", "1", "--epochs", "0",
+         "--train", "8", "--val", "4", "--test", "4"],
+    ])
+    def test_normalize_lapack_failure_is_one_cli_line(self, monkeypatch, tmp_path,
+                                                      capsys, command):
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+        assert main([*command, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphdisc: error: ") and "did not converge" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("n", [12, 20, 50])
     def test_signs_are_the_loop_forms(self, n):
