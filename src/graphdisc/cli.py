@@ -12,9 +12,10 @@ Configuration may come from a key-value text file (`key = value`, `#`
 comments); explicit flags override file values, which override the preset.
 
 An invalid input (a graphdisc.errors exception) prints one line,
-`graphdisc: error: <message>`, to stderr and exits 2; a failed verification
-or gradient check exits 1. Warnings and notes go to stderr too, as
-`graphdisc: warning: ...` and `graphdisc: note: ...`.
+`graphdisc: error: <message>`, to stderr and exits 2, as does running out
+of memory (`graphdisc: error: out of memory: <message>`); a failed
+verification or gradient check exits 1. Warnings and notes go to stderr
+too, as `graphdisc: warning: ...` and `graphdisc: note: ...`.
 
 Start-up: importing this module loads numpy and the modules every command
 uses (errors, graphs, spectral, filters, gnn). Each command imports the
@@ -31,7 +32,6 @@ import functools
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -155,40 +155,28 @@ def _verify_graph(args: argparse.Namespace, graph_index: int):
     return split_subspace(eig_sym(normalize_support(laplacian(g))), args.cutoff)
 
 
-def _tanh_verifier_gnn(split, rng):
-    from .discriminability import verifier_gnn
-
-    return verifier_gnn(split, Nonlinearity.tanh(), full_band_filters=1, rng=rng)
-
-
-def _all_zero_high_gnn(split, rng):
-    from .discriminability import all_zero_high_gnn
-
-    return all_zero_high_gnn(split, Nonlinearity.tanh(), n_filters=2, rng=rng)
-
-
 @dataclass(frozen=True)
 class VerifySuite:
-    """One `verify --theorem` suite: its verifier, the GNN it runs on, and
-    its summary line."""
+    """One `verify --theorem` suite: its verifier, the gain above the
+    cutoff of its tanh verifier_gnn's second filter, and its summary line."""
 
-    name: str            # verify_<name>.csv
+    name: str         # verify_<name>.csv
     # the disc verifier's name, looked up at call time, so a tracer that
     # rebinds it sees the call
     verifier: str
-    build_gnn: Callable  # (split, rng) -> SingleLayerGnn
-    summary: str         # filled with format(trials=..., **report.counts)
+    high_gain: float  # 0.0 gives corollary 1's all-zero-high bank
+    summary: str      # filled with format(trials=..., **report.counts)
 
 
 VERIFY_SUITES = {
-    "1": VerifySuite("theorem1", "verify_theorem1", _tanh_verifier_gnn,
+    "1": VerifySuite("theorem1", "verify_theorem1", 1.0,
                      "{trials} trials, {counterexamples} counterexamples"),
-    "2": VerifySuite("theorem2", "verify_theorem2_forward", _tanh_verifier_gnn,
+    "2": VerifySuite("theorem2", "verify_theorem2_forward", 1.0,
                      "agreement {agreements}/{trials}, discriminated {discriminated}, "
                      "worst margin {worst_margin:.3e}"),
-    "cor1": VerifySuite("corollary1", "verify_corollary1", _all_zero_high_gnn,
+    "cor1": VerifySuite("corollary1", "verify_corollary1", 0.0,
                         "{trials} trials, {verdict_mismatches} verdict mismatches"),
-    "cor2": VerifySuite("corollary2", "verify_corollary2", _tanh_verifier_gnn,
+    "cor2": VerifySuite("corollary2", "verify_corollary2", 1.0,
                         "subset violations {subset_violations}, strictness witnesses "
                         "{strictness_witnesses}, probe residual > 1e-6 on "
                         "{probe_above_threshold}/{probe_draws} draws"),
@@ -220,7 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for g, split in enumerate(graphs):
             rng = np.random.default_rng(
                 np.random.SeedSequence((args.seed, g, 1)))
-            gnn = suite.build_gnn(split, rng)
+            gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng, high_gain=suite.high_gain)
             rep = getattr(disc, suite.verifier)(split, gnn, args.trials, rng)
             lines.append(f"graph {g}: " + suite.summary.format(trials=rep.trials, **rep.counts))
             if rep.probe_residuals is not None:
@@ -370,6 +358,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except GRAPHDISC_ERRORS as exc:
         print(f"graphdisc: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:   # numpy's message names the array it could not allocate
+        print(f"graphdisc: error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 2
 
 

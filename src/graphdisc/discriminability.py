@@ -16,17 +16,19 @@ computes both and raises NumericalError if they ever disagree, since that
 signals a numerical bug rather than a modelling fact.
 
 judge_pairs judges any number T of pairs at once: it filters and activates
-the (T, n) stacks of first and second signals and returns, per pair, both
-verdicts, both residuals and each filter's secants. Every product and norm
+the (T, n) stacks of first and second signals and returns the pairs' Trials
+(per pair, both verdicts, both residuals and each filter's largest secant
+deviation) and the (T, F, n) secants themselves. Every product and norm
 in it is taken per signal or per pair, so a pair's numbers carry the same
 bits whether it is judged alone, as a stack of one, or among T. draw_pairs
 draws a stack of pairs with one standard_normal call (plus one per
 rejected pair), in the order drawing them one by one would take.
 
 A verifier walks its trials in blocks of BLOCK_TRIALS pairs: it draws a
-block, judges it, and keeps only the trial log's five columns (and, per
-filter, each pair's largest secant deviation), so its memory does not grow
-with the (T, F, n) stacks of all its trials. Within a block, judge_pairs
+block, judges it, and keeps the block's Trials but not its secants, so its
+memory does not grow with the (T, F, n) stacks of all its trials. The trial
+log, whose last column is each pair's largest deviation over the filters,
+is formatted BLOCK_TRIALS rows at a time. Within a block, judge_pairs
 keeps three such stacks: the two filter outputs, which the activations
 overwrite (their difference goes over the second), and the filter
 difference, which the secants overwrite. A block peaks at those three
@@ -65,6 +67,7 @@ is at most ZERO_HIGH_TOL in magnitude.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -108,26 +111,14 @@ class SecantReport:
 
 
 class Trials(NamedTuple):
-    """Per-pair columns of T judged pairs."""
+    """Per-pair columns of T judged pairs: a verifier's trial log."""
 
     scale: np.ndarray                # (T,) max(||x - y||, SCALE_FLOOR)
     in_d_h: np.ndarray               # (T,) bool
     in_d_phi: np.ndarray             # (T,) bool
     residual_low_filter: np.ndarray  # (T,) Frobenius over f of ||V_low^T (H^f x - H^f y)||
     residual_low_gnn: np.ndarray     # (T,) same, after the nonlinearity
-    secants: np.ndarray              # (T, F, n)
     max_deviation: np.ndarray        # (T, F) max_i |b_i - mean_i b_i|
-
-
-class TrialColumns(NamedTuple):
-    """A verifier's trial log: one entry per trial in each column, in the
-    order of the exported CSV."""
-
-    in_d_h: np.ndarray                # (T,) bool
-    in_d_phi: np.ndarray              # (T,) bool
-    residual_low_filter: np.ndarray   # (T,)
-    residual_low_gnn: np.ndarray      # (T,)
-    max_secant_deviation: np.ndarray  # (T,) largest max_deviation over filters
 
 
 def _dot_norms(a: np.ndarray) -> np.ndarray:
@@ -152,8 +143,9 @@ def _nul_vk_rows(split: SubspaceSplit, d: np.ndarray,
 
 
 def judge_pairs(split: SubspaceSplit, gnn: SingleLayerGnn,
-                x: np.ndarray, y: np.ndarray, tol: float) -> Trials:
-    """Filter, activate and judge the pairs (x[t], y[t]) of two (T, n) stacks.
+                x: np.ndarray, y: np.ndarray, tol: float) -> tuple[Trials, np.ndarray]:
+    """Filter, activate and judge the pairs (x[t], y[t]) of two (T, n) stacks:
+    their Trials and their (T, F, n) secants.
 
     One pair is a stack of one. Where the two filter outputs at a node
     coincide (within 1e-12) the derivative replaces the secant. A tol
@@ -198,7 +190,7 @@ def judge_pairs(split: SubspaceSplit, gnn: SingleLayerGnn,
     mean = secants.mean(axis=-1)
     max_dev = np.maximum(secants.max(axis=-1) - mean, mean - secants.min(axis=-1))
     return Trials(scale, in_d_h, np.all(low_gnn <= bound, axis=1),
-                  _dot_norms(low_filter), _dot_norms(low_gnn), secants, max_dev)
+                  _dot_norms(low_filter), _dot_norms(low_gnn), max_dev), secants
 
 
 def _high_response_flags(bank: np.ndarray, k: int) -> np.ndarray:
@@ -210,7 +202,7 @@ def _high_response_flags(bank: np.ndarray, k: int) -> np.ndarray:
 def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn,
                   x: np.ndarray, y: np.ndarray, tol: float) -> PairVerdict:
     """Full membership verdict for one pair under the GNN."""
-    judged = judge_pairs(split, gnn, [x], [y], tol)
+    judged = judge_pairs(split, gnn, [x], [y], tol)[0]
     return PairVerdict(in_d_h=bool(judged.in_d_h[0]), in_d_phi=bool(judged.in_d_phi[0]),
                        residual_low_filter=float(judged.residual_low_filter[0]),
                        residual_low_gnn=float(judged.residual_low_gnn[0]),
@@ -279,23 +271,18 @@ def draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
 
 def _judge_in_blocks(split: SubspaceSplit, gnn: SingleLayerGnn,
                      trials: int, rng: np.random.Generator, kinds: tuple[int, ...],
-                     tol: float) -> tuple[TrialColumns, np.ndarray, np.ndarray]:
+                     tol: float) -> Trials:
     """Draw and judge `trials` pairs whose kinds repeat the cycle `kinds`,
-    BLOCK_TRIALS pairs at a time: the trial log's columns, and each pair's
-    scale (T,) and per-filter max_deviation (T, F). Zero trials are one
-    empty block, so draw_pairs checks its arguments in any case."""
+    BLOCK_TRIALS pairs at a time, and return their Trials. Zero trials are
+    one empty block, so draw_pairs checks its arguments in any case."""
     blocks = []
     for start in range(0, max(trials, 1), BLOCK_TRIALS):
         turn = start % len(kinds)   # the cycle, rotated to the block's first trial
         x, y = draw_pairs(split, rng, min(BLOCK_TRIALS, trials - start),
                           kinds[turn:] + kinds[:turn], tol)
-        judged = judge_pairs(split, gnn, x, y, tol)
-        blocks.append((judged.in_d_h, judged.in_d_phi, judged.residual_low_filter,
-                       judged.residual_low_gnn, judged.max_deviation.max(axis=1),
-                       judged.scale, judged.max_deviation))
-        del judged   # its (T, F, n) secants are not kept while the next block is judged
-    *columns, scale, max_deviation = (np.concatenate(c) for c in zip(*blocks))
-    return TrialColumns(*columns), scale, max_deviation
+        # the block's (T, F, n) secants go before the next block is judged
+        blocks.append(judge_pairs(split, gnn, x, y, tol)[0])
+    return Trials(*map(np.concatenate, zip(*blocks)))
 
 
 # no command calls it; it stays while perfbench/spans.py traces it
@@ -319,47 +306,29 @@ def secant_report(split: SubspaceSplit, gnn: SingleLayerGnn, x: np.ndarray,
     the secant. As in judge_pairs, a bank that vanishes on a protected mode
     the pair differs on raises NumericalError.
     """
-    judged = judge_pairs(split, gnn, [x], [y], DEFAULT_TOL)
-    return SecantReport(
-        secants=judged.secants[0],
-        max_deviation=judged.max_deviation[0],
-        high_response_nonzero=_high_response_flags(gnn.bank, split.k),
-    )
+    judged, secants = judge_pairs(split, gnn, [x], [y], DEFAULT_TOL)
+    return SecantReport(secants[0], judged.max_deviation[0],
+                        _high_response_flags(gnn.bank, split.k))
 
 
 # ---------------------------------------------------------------------------
 # constructions used by the verifiers
 # ---------------------------------------------------------------------------
 
-def verifier_gnn(split: SubspaceSplit, sigma: Nonlinearity,
-                 full_band_filters: int = 1,
-                 rng: np.random.Generator | None = None) -> SingleLayerGnn:
+def verifier_gnn(split: SubspaceSplit, sigma: Nonlinearity, rng: np.random.Generator,
+                 filters: int = 2, high_gain: float = 1.0) -> SingleLayerGnn:
     """Spectral-bank GNN with the shape the theorems hypothesize.
 
     The first filter is exactly zero above the split's cutoff with unit
-    gains below; each additional filter has random positive low gains and a
-    constant unit gain above the cutoff.
+    gains below; each other filter has random low gains in [0.5, 1.5) and
+    the constant gain high_gain above the cutoff. high_gain=0.0 gives
+    corollary 1's bank, every filter zero above the cutoff.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    rows = [zero_high_response(split, np.ones(split.k))]
-    for _ in range(full_band_filters):
-        row = np.ones(split.n)
+    bank = np.full((filters, split.n), high_gain, dtype=np.float64)
+    bank[:1] = zero_high_response(split, np.ones(split.k))   # SingleLayerGnn rejects F < 1
+    for row in bank[1:]:
         row[:split.k] = rng.uniform(0.5, 1.5, size=split.k)
-        rows.append(row)
-    return SingleLayerGnn(bank=np.stack(rows), sigma=sigma)
-
-
-def all_zero_high_gnn(split: SubspaceSplit, sigma: Nonlinearity,
-                      n_filters: int = 2,
-                      rng: np.random.Generator | None = None) -> SingleLayerGnn:
-    """GNN whose every filter is exactly zero above the split's cutoff."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    rows = [zero_high_response(split, np.ones(split.k))]
-    for _ in range(n_filters - 1):
-        rows.append(zero_high_response(split, rng.uniform(0.5, 1.5, size=split.k)))
-    return SingleLayerGnn(bank=np.stack(rows), sigma=sigma)
+    return SingleLayerGnn(bank=bank, sigma=sigma)
 
 
 def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn,
@@ -413,7 +382,7 @@ class VerifierReport:
     trials: int
     counts: dict[str, int | float]
     passed: bool
-    columns: TrialColumns = field(repr=False)
+    columns: Trials = field(repr=False)
     probe_residuals: np.ndarray | None = field(default=None, repr=False)  # corollary 2
 
 
@@ -427,7 +396,7 @@ def verify_theorem1(split: SubspaceSplit, gnn: SingleLayerGnn,
     asks. Passes when there is no counterexample.
     """
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
-    columns, _, _ = _judge_in_blocks(split, gnn, trials, rng, (OUTSIDE,), tol)
+    columns = _judge_in_blocks(split, gnn, trials, rng, (OUTSIDE,), tol)
     counterexamples = int(np.count_nonzero(columns.in_d_phi))
     return VerifierReport(trials, {"counterexamples": counterexamples},
                           passed=counterexamples == 0, columns=columns)
@@ -452,12 +421,11 @@ def verify_theorem2_forward(split: SubspaceSplit, gnn: SingleLayerGnn, trials: i
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
     high = _high_response_flags(gnn.bank, split.k)
 
-    columns, scale, max_deviation = _judge_in_blocks(split, gnn, trials, rng,
-                                                     (INSIDE,), tol)
-    considered = max_deviation[:, high]          # (T, filters responding high)
+    columns = _judge_in_blocks(split, gnn, trials, rng, (INSIDE,), tol)
+    considered = columns.max_deviation[:, high]   # (T, filters responding high)
     constant = np.all(considered <= tol_secant, axis=1)
     agreements = int(np.count_nonzero(columns.in_d_phi == constant))
-    margin_phi = np.abs(columns.residual_low_gnn / scale - tol)
+    margin_phi = np.abs(columns.residual_low_gnn / columns.scale - tol)
     margin_sec = np.abs(considered - tol_secant)
     counts = {
         "agreements": agreements,
@@ -479,7 +447,7 @@ def verify_corollary1(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
     """
     for idx, gains in enumerate(gnn.bank):
         _require_zero_high(gains, split.k, f"filter {idx}")
-    columns, _, _ = _judge_in_blocks(split, gnn, trials, rng, MIXED, tol)
+    columns = _judge_in_blocks(split, gnn, trials, rng, MIXED, tol)
     mismatches = int(np.count_nonzero(columns.in_d_h != columns.in_d_phi))
     return VerifierReport(trials, {"verdict_mismatches": mismatches},
                           passed=mismatches == 0, columns=columns)
@@ -570,7 +538,7 @@ def verify_corollary2(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
         raise ConfigurationError("need at least one filter with nonzero high response")
     probed = int(np.argmax(flags))   # the first filter that responds above the cutoff
 
-    columns, _, _ = _judge_in_blocks(split, gnn, trials, rng, MIXED, tol)
+    columns = _judge_in_blocks(split, gnn, trials, rng, MIXED, tol)
     residuals = np.array([overdetermined_probe(split, gnn, probed, rng)
                           for _ in range(probe_draws)])
     counts = {
@@ -584,18 +552,21 @@ def verify_corollary2(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
     return VerifierReport(trials, counts, passed, columns, probe_residuals=residuals)
 
 
-def _trial_lines(columns_per_graph: list[TrialColumns]):
+def _trial_lines(columns_per_graph: list[Trials]):
     """The trial log's header and rows; trials are numbered across the
-    graphs in order, and one graph's columns are formatted at a time."""
+    graphs in order, and BLOCK_TRIALS rows are formatted at a time."""
     yield "trial,in_d_h,in_d_phi,residual_low_filter,residual_low_gnn,max_secant_deviation"
     row = "%d,%d,%d,%.17g,%.17g,%.17g".__mod__   # printf-style: faster than str.format
     first = 0
-    for columns in columns_per_graph:
-        trials = range(first, first + len(columns.in_d_h))
-        yield from map(row, zip(trials, *(column.tolist() for column in columns)))
-        first = trials.stop
+    for log in columns_per_graph:
+        columns = (log.in_d_h, log.in_d_phi, log.residual_low_filter, log.residual_low_gnn,
+                   log.max_deviation.max(axis=1))
+        for start in range(0, len(log.in_d_h), BLOCK_TRIALS):
+            block = (column[start:start + BLOCK_TRIALS].tolist() for column in columns)
+            yield from map(row, zip(itertools.count(first + start), *block))
+        first += len(log.in_d_h)
 
 
-def write_trial_csv(columns_per_graph: list[TrialColumns], path: str) -> None:
+def write_trial_csv(columns_per_graph: list[Trials], path: str) -> None:
     """Machine-readable trial log, one row per trial of the graphs' columns."""
     write_lines(path, _trial_lines(columns_per_graph))

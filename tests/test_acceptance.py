@@ -144,8 +144,8 @@ class TestCriterion4Corollary1:
         for graph_idx in range(5):
             split = split_of(generate_geometric_graph(20, 5, seed=1100 + graph_idx), 4)
             rng = np.random.default_rng(1200 + graph_idx)
-            gnn = disc.all_zero_high_gnn(split, Nonlinearity.tanh(),
-                                         n_filters=3, rng=rng)
+            gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng,
+                                    filters=3, high_gain=0.0)
             rep = disc.verify_corollary1(split, gnn, 100, rng)
             mismatches += rep.counts["verdict_mismatches"]
             trials += rep.trials

@@ -274,6 +274,49 @@ class TestVerifyCommand:
             "  trial log: <out>/verify_corollary2.csv (+ 1 probe files)\n"
             "verification passed\n")
 
+    def test_two_graph_trial_logs_unchanged(self, tmp_path, capsys, pinned_build):
+        # sha256 of two graphs' trial logs as written while the trial log
+        # and the verifiers' GNN builds each had two code paths
+        code = main(["verify", "--theorem", "all", "--graphs", "2", "--seed", "5",
+                     "--trials", "40", "--out", str(tmp_path)])
+        assert code == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert digests == {
+            "verify_theorem1.csv":
+                "62f3ab8dca63d7d9666567d8ff29ea87b64b659cf80ddfd8b27de66d89f164b5",
+            "verify_theorem2.csv":
+                "38b9568378af774f1331fc6ea199770da8a5a046f32692c011fb46426f8d935b",
+            "verify_corollary1.csv":
+                "7c0fa755af9073b10e75260c1a7e52765fe7ec265afb20ae9d6c55fd7db392b4",
+            "verify_corollary2.csv":
+                "592ef9cffe1c8fd1c3503451b7d5c79743e00de8d7c9b67d0584b651640afa59",
+            "cor2_probe_g0.csv":
+                "3868c6394bbd16bc245fc385678ea88f39ba749e3e7611afbdc57bae09e94ccd",
+            "cor2_probe_g1.csv":
+                "44712aae152be679b12dea936b98d3e284d910bca9ba535702d06ff11fd9e550",
+        }, pinned_build
+        assert capsys.readouterr().out.replace(str(tmp_path), "<out>") == (
+            "== theorem1 (2 graphs x 40 trials) ==\n"
+            "  graph 0: 40 trials, 0 counterexamples\n"
+            "  graph 1: 40 trials, 0 counterexamples\n"
+            "  trial log: <out>/verify_theorem1.csv\n"
+            "== theorem2 (2 graphs x 40 trials) ==\n"
+            "  graph 0: agreement 40/40, discriminated 40, worst margin 3.778e-02\n"
+            "  graph 1: agreement 40/40, discriminated 40, worst margin 4.900e-02\n"
+            "  trial log: <out>/verify_theorem2.csv\n"
+            "== corollary1 (2 graphs x 40 trials) ==\n"
+            "  graph 0: 40 trials, 0 verdict mismatches\n"
+            "  graph 1: 40 trials, 0 verdict mismatches\n"
+            "  trial log: <out>/verify_corollary1.csv\n"
+            "== corollary2 (2 graphs x 40 trials) ==\n"
+            "  graph 0: subset violations 0, strictness witnesses 14, "
+            "probe residual > 1e-6 on 100/100 draws\n"
+            "  graph 1: subset violations 0, strictness witnesses 14, "
+            "probe residual > 1e-6 on 100/100 draws\n"
+            "  trial log: <out>/verify_corollary2.csv (+ 2 probe files)\n"
+            "verification passed\n")
+
     @pytest.mark.parametrize("flag, value", [("--graphs", "0"), ("--trials", "-3")])
     def test_rejects_nonpositive_counts(self, tmp_path, capsys, flag, value):
         code = main(["verify", "--theorem", "1", flag, value, "--out", str(tmp_path)])
@@ -624,6 +667,25 @@ class TestErrorExit:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"graphdisc: error: {path}:1: expected `n k seed`, found the end of the file\n"
+
+    # numpy raises a MemoryError subclass for an array it cannot allocate;
+    # these raise it where the oversize array would be made, allocating nothing
+    @pytest.mark.parametrize("target, argv", [
+        ("graphdisc.graphs._graph_from_positions", ["verify", "--nodes", "100000"]),
+        ("graphdisc.experiment.generate_inputs", ["run", "--train", "100000000"]),
+    ], ids=["verify", "run"])
+    @pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch, target, argv, message):
+        def unallocatable(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(target, unallocatable)
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        assert code == 2   # not 1, which reports a failed verification
+        out, err = capsys.readouterr()
+        assert "verification" not in out
+        assert err == ("graphdisc: error: out of memory"
+                       + (f": {message}" if message else "") + "\n")
 
 
 class TestParser:

@@ -1,6 +1,7 @@
 """Nondiscriminable-set membership, secants, and the statement verifiers."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -22,8 +23,8 @@ def split(split_of):
 
 
 def judge_one(split, gnn, x, y, tol=1e-8):
-    """judge_pairs on the single pair (x, y), a stack of one."""
-    return disc.judge_pairs(split, gnn, [x], [y], tol)
+    """judge_pairs's Trials for the single pair (x, y), a stack of one."""
+    return disc.judge_pairs(split, gnn, [x], [y], tol)[0]
 
 
 def nul_vk(split, d, tol=1e-8):
@@ -308,7 +309,7 @@ class TestVerifyTheorem2:
 class TestVerifyCorollary1:
     def test_verdicts_always_agree(self, split):
         rng = np.random.default_rng(27)
-        gnn = disc.all_zero_high_gnn(split, Nonlinearity.tanh(), rng=rng)
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng, high_gain=0.0)
         report = disc.verify_corollary1(split, gnn, 90, rng)
         assert report.counts["verdict_mismatches"] == 0
         flags = set(zip(report.columns.in_d_h.tolist(), report.columns.in_d_phi.tolist()))
@@ -317,7 +318,7 @@ class TestVerifyCorollary1:
     def test_bank_annihilates_difference_before_sigma(self, split):
         # for a D_H pair the features of x and y coincide to 1e-12
         rng = np.random.default_rng(28)
-        gnn = disc.all_zero_high_gnn(split, Nonlinearity.tanh(), rng=rng)
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng, high_gain=0.0)
         x, y = disc.sample_pair_in_d_h(split, rng)
         diff = (gnn.sigma.eval(bank_forward(gnn.bank, split.spectrum, x))
                 - gnn.sigma.eval(bank_forward(gnn.bank, split.spectrum, y)))
@@ -373,8 +374,10 @@ class TestVerifyCorollary2:
             disc.verify_corollary2(split, gnn, 5, np.random.default_rng(34))
 
 
-def _rows(columns):
-    """The trial log's rows, one tuple per trial, from its columns."""
+def _rows(trials):
+    """The trial log's rows, one tuple per trial, from a verifier's Trials."""
+    columns = (trials.in_d_h, trials.in_d_phi, trials.residual_low_filter,
+               trials.residual_low_gnn, trials.max_deviation.max(axis=1))
     return list(zip(*(column.tolist() for column in columns)))
 
 
@@ -431,8 +434,8 @@ class TestStackedTrials:
 
     @pytest.mark.parametrize("suite, sigma", STACKED_CASES)
     def test_rows_equal_per_pair_rows(self, split, suite, sigma):
-        build = disc.all_zero_high_gnn if suite == "corollary1" else disc.verifier_gnn
-        gnn = build(split, SIGMAS[sigma], rng=np.random.default_rng(40))
+        gnn = disc.verifier_gnn(split, SIGMAS[sigma], rng=np.random.default_rng(40),
+                                high_gain=0.0 if suite == "corollary1" else 1.0)
         verify = {"theorem1": disc.verify_theorem1,
                   "theorem2": disc.verify_theorem2_forward,
                   "corollary1": disc.verify_corollary1,
@@ -460,8 +463,8 @@ class TestStackedTrials:
 
     def test_zero_trials(self, split):
         tanh = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(42))
-        flat = disc.all_zero_high_gnn(split, Nonlinearity.tanh(),
-                                      rng=np.random.default_rng(42))
+        flat = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(42),
+                                 high_gain=0.0)
         rng = np.random.default_rng(43)
         # at zero trials the pass rules hold vacuously, except corollary 2's,
         # which asks for at least one strictness witness
@@ -487,25 +490,26 @@ class TestJudgePairs:
         gnn = disc.verifier_gnn(split, SIGMAS[sigma], rng=np.random.default_rng(46))
         x, y = disc.draw_pairs(split, np.random.default_rng(47), 12, disc.MIXED,
                                disc.DEFAULT_TOL)
-        stacked = disc.judge_pairs(split, gnn, x, y, disc.DEFAULT_TOL)
+        stacked, stacked_secants = disc.judge_pairs(split, gnn, x, y, disc.DEFAULT_TOL)
         # inside, outside, identical, ...: only the outside pairs leave D_H
         assert stacked.in_d_h.tolist() == [t % 3 != 1 for t in range(12)]
         for t in range(12):
-            alone = disc.judge_pairs(split, gnn, x[t:t + 1], y[t:t + 1],
-                                     disc.DEFAULT_TOL)
+            alone, alone_secants = disc.judge_pairs(split, gnn, x[t:t + 1], y[t:t + 1],
+                                                    disc.DEFAULT_TOL)
             for name, column in stacked._asdict().items():
                 assert getattr(alone, name)[0].tobytes() == column[t].tobytes(), (t, name)
+            assert alone_secants[0].tobytes() == stacked_secants[t].tobytes(), t
 
     @pytest.mark.parametrize("kind", ["INSIDE", "OUTSIDE", "SAME"])
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_secants_equal_the_where_formula(self, split, sigma, kind):
         # judge_pairs forms the activations and secants in place; they keep
         # the bits of the out-of-place np.where and abs formula below
-        gnn = disc.verifier_gnn(split, SIGMAS[sigma], full_band_filters=2,
+        gnn = disc.verifier_gnn(split, SIGMAS[sigma], filters=3,
                                 rng=np.random.default_rng(52))
         x, y = disc.draw_pairs(split, np.random.default_rng(53), 64,
                                (getattr(disc, kind),), disc.DEFAULT_TOL)
-        judged = disc.judge_pairs(split, gnn, x, y, disc.DEFAULT_TOL)
+        judged, judged_secants = disc.judge_pairs(split, gnn, x, y, disc.DEFAULT_TOL)
         fx, fy = (bank_forward(gnn.bank, split.spectrum, s) for s in (x, y))
         gx = gnn.sigma.eval(fx)
         gnn_diff = gx - gnn.sigma.eval(fy)
@@ -515,7 +519,7 @@ class TestJudgePairs:
                            gnn_diff / np.where(equal, 1.0, diff))
         max_dev = np.max(np.abs(secants - secants.mean(axis=-1, keepdims=True)), axis=-1)
         low_gnn = disc._dot_norms(disc._axis_norms(gnn_diff @ split.v_low))
-        assert judged.secants.tobytes() == secants.tobytes()
+        assert judged_secants.tobytes() == secants.tobytes()
         assert judged.max_deviation.tobytes() == max_dev.tobytes()
         assert judged.residual_low_gnn.tobytes() == low_gnn.tobytes()
         if kind == "SAME":
@@ -639,7 +643,8 @@ class TestDrawPairs:
 VERIFIERS = {
     "theorem1": (disc.verify_theorem1, disc.verifier_gnn),
     "theorem2": (disc.verify_theorem2_forward, disc.verifier_gnn),
-    "corollary1": (disc.verify_corollary1, disc.all_zero_high_gnn),
+    "corollary1": (disc.verify_corollary1,
+                   functools.partial(disc.verifier_gnn, high_gain=0.0)),
     "corollary2": (disc.verify_corollary2, disc.verifier_gnn),
 }
 
@@ -719,8 +724,8 @@ class TestBlocks:
         assert blocks[2] == whole[2]
 
     def test_memory_flat_in_trials(self, split):
-        gnn = disc.all_zero_high_gnn(split, Nonlinearity.tanh(),
-                                     rng=np.random.default_rng(50))
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(50),
+                                high_gain=0.0)
 
         def peak(trials):
             tracemalloc.start()
