@@ -10,10 +10,10 @@ views of that idea are judged for every pair:
            low-mode energy
 
 All membership tests are relative: a residual counts as zero when it is at
-most tol * max(||x - y||, 1e-30). By linearity the first two views must
-agree whenever every filter is nonzero on the protected modes; judge_pairs
-computes both and raises NumericalError if they ever disagree, since that
-signals a numerical bug rather than a modelling fact.
+most MEMBERSHIP_TOL * max(||x - y||, 1e-30). By linearity the first two
+views must agree whenever every filter is nonzero on the protected modes;
+judge_pairs computes both and raises NumericalError if they ever disagree,
+since that signals a numerical bug rather than a modelling fact.
 
 judge_pairs judges any number T of pairs at once: it filters and activates
 the (T, n) stacks of first and second signals and returns the pairs' Trials
@@ -82,8 +82,8 @@ from .spectral import SubspaceSplit
 SCALE_FLOOR = 1e-30
 SECANT_EQUAL_POINTS = 1e-12   # |x_i - y_i| below this uses the derivative
 ZERO_HIGH_TOL = 1e-10         # a gain above the cutoff counts as zero up to this
-DEFAULT_TOL = 1e-8
-DEFAULT_SECANT_TOL = 1e-9
+MEMBERSHIP_TOL = 1e-8         # a residual counts as zero up to this times ||x - y||
+SECANT_TOL = 1e-9             # theorem 2: a secant deviation counts as zero up to this
 SECANT_GRID_POINTS = 8001
 REFINE_POINTS = 257           # each refinement narrows a bracket 256-fold
 REFINE_ROUNDS = 6             # 2**-48 of a grid cell: below 1e-14 for b > 1e-3
@@ -98,7 +98,6 @@ class PairVerdict:
     in_d_phi: bool
     residual_low_filter: float  # Frobenius over filters of ||V_low^T (H^f x - H^f y)||
     residual_low_gnn: float     # same, after the nonlinearity
-    tolerance_used: float
 
 
 @dataclass(frozen=True)
@@ -133,30 +132,29 @@ def _axis_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.multiply(a, a, out=a), axis=-1))
 
 
-def _nul_vk_rows(split: SubspaceSplit, d: np.ndarray,
-                 tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nul_vk_rows(split: SubspaceSplit,
+                 d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whether each row of the (T, n) differences d has no low-mode energy:
     flags, residuals ||V_low^T d|| and scales max(||d||, SCALE_FLOOR)."""
     scale = np.maximum(_dot_norms(d), SCALE_FLOOR)
     residual = _dot_norms((split.v_low.T @ d[:, :, None])[:, :, 0])
-    return residual <= tol * scale, residual, scale
+    return residual <= MEMBERSHIP_TOL * scale, residual, scale
 
 
 def judge_pairs(split: SubspaceSplit, gnn: SingleLayerGnn,
-                x: np.ndarray, y: np.ndarray, tol: float) -> tuple[Trials, np.ndarray]:
+                x: np.ndarray, y: np.ndarray) -> tuple[Trials, np.ndarray]:
     """Filter, activate and judge the pairs (x[t], y[t]) of two (T, n) stacks:
     their Trials and their (T, F, n) secants.
 
-    One pair is a stack of one. Where the two filter outputs at a node
-    coincide (within 1e-12) the derivative replaces the secant. A tol
-    outside (0, inf) and a signal that is not finite raise
-    ConfigurationError; a pair whose direct (nul V_k) and filtered (D_H)
-    verdicts disagree raises NumericalError.
+    One pair is a stack of one. A residual counts as zero when it is at
+    most MEMBERSHIP_TOL * max(||x - y||, SCALE_FLOOR). Where the two filter
+    outputs at a node coincide (within 1e-12) the derivative replaces the
+    secant. A signal that is not finite raises ConfigurationError; a pair
+    whose direct (nul V_k) and filtered (D_H) verdicts disagree raises
+    NumericalError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if not 0.0 < tol < np.inf:
-        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
     if x.ndim != 2 or x.shape != y.shape or x.shape[1] != split.n:
         raise ShapeError(f"signal stacks have shapes {x.shape} and {y.shape}, "
                          f"expected (T, {split.n})")
@@ -165,8 +163,8 @@ def judge_pairs(split: SubspaceSplit, gnn: SingleLayerGnn,
     fx = bank_forward(gnn.bank, split.spectrum, x)     # (T, F, n)
     fy = bank_forward(gnn.bank, split.spectrum, y)
     diff = fx - fy
-    direct, _, scale = _nul_vk_rows(split, x - y, tol)
-    bound = (tol * scale)[:, None]
+    direct, _, scale = _nul_vk_rows(split, x - y)
+    bound = (MEMBERSHIP_TOL * scale)[:, None]
     low_filter = _axis_norms(diff @ split.v_low)      # (T, F)
     in_d_h = np.all(low_filter <= bound, axis=1)
     disagree = np.flatnonzero(direct != in_d_h)
@@ -200,13 +198,12 @@ def _high_response_flags(bank: np.ndarray, k: int) -> np.ndarray:
 
 # no command calls it or PairVerdict; both stay while perfbench/spans.py traces it
 def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn,
-                  x: np.ndarray, y: np.ndarray, tol: float) -> PairVerdict:
+                  x: np.ndarray, y: np.ndarray) -> PairVerdict:
     """Full membership verdict for one pair under the GNN."""
-    judged = judge_pairs(split, gnn, [x], [y], tol)[0]
+    judged = judge_pairs(split, gnn, [x], [y])[0]
     return PairVerdict(in_d_h=bool(judged.in_d_h[0]), in_d_phi=bool(judged.in_d_phi[0]),
                        residual_low_filter=float(judged.residual_low_filter[0]),
-                       residual_low_gnn=float(judged.residual_low_gnn[0]),
-                       tolerance_used=tol)
+                       residual_low_gnn=float(judged.residual_low_gnn[0]))
 
 
 # kinds of drawn pair; a mixed suite cycles through them in this order
@@ -216,15 +213,14 @@ MAX_TRIES = 100   # draws of one pair outside D_H before giving up
 
 
 def draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
-               kinds: tuple[int, ...], tol: float,
-               scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+               kinds: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The (T, n) stacks of first and second signals of `trials` pairs whose
     kinds (INSIDE, OUTSIDE or SAME) repeat the cycle `kinds`.
 
     Trial by trial the normals are taken in this order. INSIDE D_H: x,
-    then the n - k coefficients delta, and y = x + V_high (scale * delta).
-    OUTSIDE D_H: x, then y, redrawn while x - y has no low-mode energy at
-    tolerance tol, at most MAX_TRIES draws. SAME: x alone, and y = x. All
+    then the n - k coefficients delta, and y = x + V_high delta. OUTSIDE
+    D_H: x, then y, redrawn while x - y has no low-mode energy at
+    MEMBERSHIP_TOL, at most MAX_TRIES draws. SAME: x alone, and y = x. All
     of them come from one standard_normal call. A rejected pair's redraw is
     the 2n normals after it, so every later trial is cut 2n further on and
     the 2n normals missing at the end come from one more call: the
@@ -234,10 +230,6 @@ def draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
     """
     if trials < 0:
         raise ConfigurationError(f"trials must be nonnegative, got {trials}")
-    if not 0.0 < tol < np.inf:
-        raise ConfigurationError(f"tol must be positive and finite, got {tol}")
-    if not 0.0 <= scale < np.inf:
-        raise ConfigurationError(f"scale must be nonnegative and finite, got {scale}")
     n, m = split.n, split.v_high.shape[1]
     kind = np.array(kinds)[np.arange(trials) % len(kinds)]
     inside, outside = kind == INSIDE, kind == OUTSIDE
@@ -252,7 +244,7 @@ def draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
         x = normals[cut]
         y = x.copy()
         y[outside] = normals[cut[outside] + n]
-        flags, _, _ = _nul_vk_rows(split, x[outside] - y[outside], tol)
+        flags, _, _ = _nul_vk_rows(split, x[outside] - y[outside])
         rejected = np.flatnonzero(outside)[flags]
         if not rejected.size:
             break
@@ -264,14 +256,14 @@ def draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
         starts[t:] += 2 * n
         normals = np.concatenate((normals, rng.standard_normal(2 * n)))
     # a stacked gemv: each row carries the bits of v_high @ delta alone
-    delta = scale * normals[cut[inside, :m] + n]
+    delta = normals[cut[inside, :m] + n]
     y[inside] += (split.v_high @ delta[:, :, None])[:, :, 0]
     return x, y
 
 
 def _judge_in_blocks(split: SubspaceSplit, gnn: SingleLayerGnn,
-                     trials: int, rng: np.random.Generator, kinds: tuple[int, ...],
-                     tol: float) -> Trials:
+                     trials: int, rng: np.random.Generator,
+                     kinds: tuple[int, ...]) -> Trials:
     """Draw and judge `trials` pairs whose kinds repeat the cycle `kinds`,
     BLOCK_TRIALS pairs at a time, and return their Trials. Zero trials are
     one empty block, so draw_pairs checks its arguments in any case."""
@@ -279,21 +271,21 @@ def _judge_in_blocks(split: SubspaceSplit, gnn: SingleLayerGnn,
     for start in range(0, max(trials, 1), BLOCK_TRIALS):
         turn = start % len(kinds)   # the cycle, rotated to the block's first trial
         x, y = draw_pairs(split, rng, min(BLOCK_TRIALS, trials - start),
-                          kinds[turn:] + kinds[:turn], tol)
+                          kinds[turn:] + kinds[:turn])
         # the block's (T, F, n) secants go before the next block is judged
-        blocks.append(judge_pairs(split, gnn, x, y, tol)[0])
+        blocks.append(judge_pairs(split, gnn, x, y)[0])
     return Trials(*map(np.concatenate, zip(*blocks)))
 
 
 # no command calls it; it stays while perfbench/spans.py traces it
-def sample_pair_in_d_h(split: SubspaceSplit, rng: np.random.Generator,
-                       scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def sample_pair_in_d_h(split: SubspaceSplit,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """A pair that is nondiscriminable by construction.
 
     x is standard normal and y adds a high-subspace perturbation with
-    coefficients scale * standard normal.
+    standard normal coefficients.
     """
-    x, y = draw_pairs(split, rng, 1, (INSIDE,), DEFAULT_TOL, scale)
+    x, y = draw_pairs(split, rng, 1, (INSIDE,))
     return x[0], y[0]
 
 
@@ -306,7 +298,7 @@ def secant_report(split: SubspaceSplit, gnn: SingleLayerGnn, x: np.ndarray,
     the secant. As in judge_pairs, a bank that vanishes on a protected mode
     the pair differs on raises NumericalError.
     """
-    judged, secants = judge_pairs(split, gnn, [x], [y], DEFAULT_TOL)
+    judged, secants = judge_pairs(split, gnn, [x], [y])
     return SecantReport(secants[0], judged.max_deviation[0],
                         _high_response_flags(gnn.bank, split.k))
 
@@ -332,12 +324,11 @@ def verifier_gnn(split: SubspaceSplit, sigma: Nonlinearity, rng: np.random.Gener
 
 
 def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn,
-                         rng: np.random.Generator, scale: float = 1.0,
-                         margin: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """A bank-nondiscriminable pair whose filter outputs are all positive.
 
     Both signals are shifted along the lowest eigenvector until every filter
-    output entry of both exceeds `margin`, so a piecewise-linear activation
+    output entry of both is at least 0.5, so a piecewise-linear activation
     operates in its unit-slope region and the secants are constant by
     construction. The shift leaves x - y untouched.
     """
@@ -354,10 +345,10 @@ def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn,
             "shift its output positive"
         )
 
-    x, y = draw_pairs(split, rng, 1, (INSIDE,), DEFAULT_TOL, scale)
+    x, y = draw_pairs(split, rng, 1, (INSIDE,))
     both = np.concatenate((x, y))
     lowest = bank_forward(gnn.bank, split.spectrum, both).min(axis=(0, 2))  # (F,)
-    shift = max(0.0, float(np.max((margin - lowest) / (gains_v1 * float(np.min(v1))))))
+    shift = max(0.0, float(np.max((0.5 - lowest) / (gains_v1 * float(np.min(v1))))))
     return x[0] + shift * v1, y[0] + shift * v1
 
 
@@ -387,8 +378,7 @@ class VerifierReport:
 
 
 def verify_theorem1(split: SubspaceSplit, gnn: SingleLayerGnn,
-                    trials: int, rng: np.random.Generator,
-                    tol: float = DEFAULT_TOL) -> VerifierReport:
+                    trials: int, rng: np.random.Generator) -> VerifierReport:
     """Sample pairs the bank discriminates; count any the GNN does not.
 
     Requires the first filter of the bank to vanish above the cutoff; every
@@ -396,16 +386,14 @@ def verify_theorem1(split: SubspaceSplit, gnn: SingleLayerGnn,
     asks. Passes when there is no counterexample.
     """
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
-    columns = _judge_in_blocks(split, gnn, trials, rng, (OUTSIDE,), tol)
+    columns = _judge_in_blocks(split, gnn, trials, rng, (OUTSIDE,))
     counterexamples = int(np.count_nonzero(columns.in_d_phi))
     return VerifierReport(trials, {"counterexamples": counterexamples},
                           passed=counterexamples == 0, columns=columns)
 
 
 def verify_theorem2_forward(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
-                            rng: np.random.Generator,
-                            tol: float = DEFAULT_TOL,
-                            tol_secant: float = DEFAULT_SECANT_TOL) -> VerifierReport:
+                            rng: np.random.Generator) -> VerifierReport:
     """Check the constant-secant biconditional on bank-nondiscriminable pairs.
 
     For each sampled pair the GNN verdict must coincide with the secants
@@ -416,17 +404,15 @@ def verify_theorem2_forward(split: SubspaceSplit, gnn: SingleLayerGnn, trials: i
     """
     if len(gnn.bank) < 2:
         raise ConfigurationError("the biconditional needs at least two filters")
-    if not 0.0 < tol_secant < np.inf:
-        raise ConfigurationError(f"tol_secant must be positive and finite, got {tol_secant}")
     _require_zero_high(gnn.bank[0], split.k, "the first filter")
     high = _high_response_flags(gnn.bank, split.k)
 
-    columns = _judge_in_blocks(split, gnn, trials, rng, (INSIDE,), tol)
+    columns = _judge_in_blocks(split, gnn, trials, rng, (INSIDE,))
     considered = columns.max_deviation[:, high]   # (T, filters responding high)
-    constant = np.all(considered <= tol_secant, axis=1)
+    constant = np.all(considered <= SECANT_TOL, axis=1)
     agreements = int(np.count_nonzero(columns.in_d_phi == constant))
-    margin_phi = np.abs(columns.residual_low_gnn / columns.scale - tol)
-    margin_sec = np.abs(considered - tol_secant)
+    margin_phi = np.abs(columns.residual_low_gnn / columns.scale - MEMBERSHIP_TOL)
+    margin_sec = np.abs(considered - SECANT_TOL)
     counts = {
         "agreements": agreements,
         "discriminated": int(np.count_nonzero(~columns.in_d_phi)),
@@ -437,8 +423,7 @@ def verify_theorem2_forward(split: SubspaceSplit, gnn: SingleLayerGnn, trials: i
 
 
 def verify_corollary1(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
-                      rng: np.random.Generator,
-                      tol: float = DEFAULT_TOL) -> VerifierReport:
+                      rng: np.random.Generator) -> VerifierReport:
     """With an all-zero-high bank the two verdicts must agree on every pair.
 
     Trials alternate between pairs inside the bank-nondiscriminable set,
@@ -447,7 +432,7 @@ def verify_corollary1(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
     """
     for idx, gains in enumerate(gnn.bank):
         _require_zero_high(gains, split.k, f"filter {idx}")
-    columns = _judge_in_blocks(split, gnn, trials, rng, MIXED, tol)
+    columns = _judge_in_blocks(split, gnn, trials, rng, MIXED)
     mismatches = int(np.count_nonzero(columns.in_d_h != columns.in_d_phi))
     return VerifierReport(trials, {"verdict_mismatches": mismatches},
                           passed=mismatches == 0, columns=columns)
@@ -519,9 +504,7 @@ def overdetermined_probe(split: SubspaceSplit, gnn: SingleLayerGnn, f_idx: int,
 
 
 def verify_corollary2(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
-                      rng: np.random.Generator,
-                      tol: float = DEFAULT_TOL,
-                      probe_draws: int = 100) -> VerifierReport:
+                      rng: np.random.Generator, probe_draws: int = 100) -> VerifierReport:
     """Strict inclusion of the GNN verdict set under tanh.
 
     Passes when (a) no sampled pair is GNN-nondiscriminable without being
@@ -538,7 +521,7 @@ def verify_corollary2(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
         raise ConfigurationError("need at least one filter with nonzero high response")
     probed = int(np.argmax(flags))   # the first filter that responds above the cutoff
 
-    columns = _judge_in_blocks(split, gnn, trials, rng, MIXED, tol)
+    columns = _judge_in_blocks(split, gnn, trials, rng, MIXED)
     residuals = np.array([overdetermined_probe(split, gnn, probed, rng)
                           for _ in range(probe_draws)])
     counts = {

@@ -113,7 +113,7 @@ class TestCriterion3Theorem2:
             for _ in range(10):
                 x, y = disc.constant_secant_pair(split, gnn, rng)
                 scale = np.linalg.norm(x - y)
-                verdict = disc.pair_in_d_phi(split, gnn, x, y, 1e-8)
+                verdict = disc.pair_in_d_phi(split, gnn, x, y)
                 assert verdict.in_d_h and verdict.in_d_phi
                 worst = max(worst, verdict.residual_low_gnn / scale)
                 srep = disc.secant_report(split, gnn, x, y)

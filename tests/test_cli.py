@@ -327,20 +327,33 @@ class TestVerifyCommand:
 
 
 class TestJobs:
-    def test_result_files_identical_across_jobs(self, tmp_path, capsys):
-        outs = {}
+    # a loaded graph is one graph, sent to the workers with every subspace
+    @pytest.mark.parametrize("load, graphs, files", [(False, 2, 2 + 3 * 2 * 2),
+                                                     (True, 1, 2 + 3 * 2 * 1)],
+                             ids=["generated", "loaded"])
+    def test_result_files_identical_across_jobs(self, tmp_path, capsys, load, graphs, files):
+        source = ["--graphs", str(graphs)]
+        if load:
+            loaded = tmp_path / "graph.txt"
+            assert run_tiny(tmp_path / "dump", "--dump-graph", loaded) == 0
+            source += ["--load-graph", str(loaded)]
+        outs, dumps = {}, {}
         for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
+            out, dumped = tmp_path / f"jobs{jobs}", tmp_path / f"graph_jobs{jobs}.txt"
             assert main(["run", "--subspace", "all", "--seed", "3", "--out", str(out),
-                         *TINY, "--graphs", "2", "--jobs", jobs]) == 0
+                         *TINY, *source, "--jobs", jobs, "--dump-graph", str(dumped)]) == 0
             outs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
             # runs.csv's last column holds wall times; every other is compared
             runs = outs[jobs].pop("runs.csv").decode().splitlines()
             outs[jobs]["runs.csv"] = [line.rsplit(",", 1)[0] for line in runs]
-        assert "summary.csv" in outs["1"] and len(outs["1"]) == 2 + 3 * 2 * 2
+            dumps[jobs] = dumped.read_bytes()
+        assert "summary.csv" in outs["1"] and len(outs["1"]) == files
         assert outs["1"]["runs.csv"][0] == "subspace,model,graph,test_mse,il_constant"
-        assert len(outs["1"]["runs.csv"]) == 1 + 3 * 2 * 2
+        assert len(outs["1"]["runs.csv"]) == 1 + 3 * 2 * graphs
         assert outs["1"] == outs["2"]
+        assert dumps["1"] == dumps["2"]
+        if load:   # the loaded graph is written back byte for byte
+            assert dumps["1"] == loaded.read_bytes()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_rejects_jobs_below_one(self, tmp_path, capsys, jobs):

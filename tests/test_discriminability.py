@@ -22,16 +22,16 @@ def split(split_of):
     return split_of(generate_geometric_graph(N, 5, seed=41), K)
 
 
-def judge_one(split, gnn, x, y, tol=1e-8):
+def judge_one(split, gnn, x, y):
     """judge_pairs's Trials for the single pair (x, y), a stack of one."""
-    return disc.judge_pairs(split, gnn, [x], [y], tol)[0]
+    return disc.judge_pairs(split, gnn, [x], [y])[0]
 
 
-def nul_vk(split, d, tol=1e-8):
+def nul_vk(split, d):
     """(flag, ||V_low^T d||) for the pair (d, 0) under a one-filter all-ones
     bank, whose filtered difference is d itself up to rounding."""
     ones = SingleLayerGnn(bank=np.ones((1, N)), sigma=Nonlinearity.identity())
-    judged = judge_one(split, ones, d, np.zeros(N), tol)
+    judged = judge_one(split, ones, d, np.zeros(N))
     return bool(judged.in_d_h[0]), float(judged.residual_low_filter[0])
 
 
@@ -57,7 +57,7 @@ class TestInNulVk:
             d = rng.standard_normal(N) * 10.0 ** exponent
             residual = float(np.linalg.norm(split.v_low.T @ d))
             flag = residual <= 1e-8 * max(float(np.linalg.norm(d)), disc.SCALE_FLOOR)
-            flags, residuals, _ = disc._nul_vk_rows(split, d[None], 1e-8)
+            flags, residuals, _ = disc._nul_vk_rows(split, d[None])
             assert (bool(flags[0]), float(residuals[0])) == (flag, residual)
 
 
@@ -108,10 +108,9 @@ class TestPairInDPhi:
         gnn = disc.verifier_gnn(split, Nonlinearity.tanh(),
                                 rng=np.random.default_rng(5))
         x = np.random.default_rng(6).standard_normal(N)
-        verdict = disc.pair_in_d_phi(split, gnn, x, x, 1e-8)
+        verdict = disc.pair_in_d_phi(split, gnn, x, x)
         assert verdict.in_d_phi and verdict.in_d_h
         assert verdict.residual_low_gnn <= 1e-12
-        assert verdict.tolerance_used == 1e-8
 
     def test_identity_sigma_matches_bank_verdict(self, split):
         gnn = disc.verifier_gnn(split, Nonlinearity.identity(),
@@ -122,7 +121,7 @@ class TestPairInDPhi:
                 x, y = disc.sample_pair_in_d_h(split, rng)
             else:
                 x, y = rng.standard_normal((2, N))
-            verdict = disc.pair_in_d_phi(split, gnn, x, y, 1e-8)
+            verdict = disc.pair_in_d_phi(split, gnn, x, y)
             assert verdict.in_d_phi == verdict.in_d_h
 
     def test_tanh_discriminates_high_perturbations(self, split):
@@ -132,7 +131,7 @@ class TestPairInDPhi:
         discriminated = 0
         for _ in range(50):
             x, y = disc.sample_pair_in_d_h(split, rng)
-            verdict = disc.pair_in_d_phi(split, gnn, x, y, 1e-8)
+            verdict = disc.pair_in_d_phi(split, gnn, x, y)
             assert verdict.in_d_h
             discriminated += not verdict.in_d_phi
         assert discriminated >= 48
@@ -144,10 +143,6 @@ class TestSamplePair:
         x, y = disc.sample_pair_in_d_h(split, rng)
         flag, residual = nul_vk(split, x - y)
         assert flag and residual <= 1e-10
-
-    def test_zero_scale_gives_equal_pair(self, split):
-        x, y = disc.sample_pair_in_d_h(split, np.random.default_rng(12), scale=0.0)
-        np.testing.assert_array_equal(x, y)
 
     def test_delta_recovery(self, split):
         class Recorder:
@@ -161,10 +156,10 @@ class TestSamplePair:
                 return out
 
         rec = Recorder()
-        x, y = disc.sample_pair_in_d_h(split, rec, scale=0.7)
+        x, y = disc.sample_pair_in_d_h(split, rec)
         assert [draw.size for draw in rec.draws] == [2 * N - K]   # x, then delta
         np.testing.assert_array_equal(x, rec.draws[0][:N])
-        delta_drawn = 0.7 * rec.draws[0][N:]
+        delta_drawn = rec.draws[0][N:]
         recovered = split.v_high.T @ (y - x)
         np.testing.assert_allclose(recovered, delta_drawn, atol=1e-12)
 
@@ -234,7 +229,7 @@ class TestVerifyTheorem1:
         gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng)
         x = rng.standard_normal(N)
         y = x + 0.5 * split.spectrum.eigenvectors[:, 0]
-        verdict = disc.pair_in_d_phi(split, gnn, x, y, 1e-8)
+        verdict = disc.pair_in_d_phi(split, gnn, x, y)
         assert not verdict.in_d_h and not verdict.in_d_phi
 
     def test_requires_zero_high_first_filter(self, split):
@@ -292,7 +287,7 @@ class TestVerifyTheorem2:
         gnn = disc.verifier_gnn(split, Nonlinearity.leaky_rectifier(0.1), rng=rng)
         x, y = disc.constant_secant_pair(split, gnn, rng)
         scale = np.linalg.norm(x - y)
-        verdict = disc.pair_in_d_phi(split, gnn, x, y, 1e-8)
+        verdict = disc.pair_in_d_phi(split, gnn, x, y)
         assert verdict.in_d_h and verdict.in_d_phi
         assert verdict.residual_low_gnn <= 1e-9 * scale
         report = disc.secant_report(split, gnn, x, y)
@@ -385,7 +380,7 @@ def _per_pair_rows(split, gnn, pairs):
     """The trial rows of the per-pair functions, one pair at a time."""
     rows = []
     for x, y in pairs:
-        v = disc.pair_in_d_phi(split, gnn, x, y, disc.DEFAULT_TOL)
+        v = disc.pair_in_d_phi(split, gnn, x, y)
         report = disc.secant_report(split, gnn, x, y)
         rows.append((v.in_d_h, v.in_d_phi, v.residual_low_filter,
                      v.residual_low_gnn, float(np.max(report.max_deviation))))
@@ -411,7 +406,7 @@ def _drawn_pairs(split, suite, rng, trials):
                 y = rng.standard_normal(N)
                 d = x - y
                 if (np.linalg.norm(split.v_low.T @ d)
-                        > disc.DEFAULT_TOL * max(np.linalg.norm(d), disc.SCALE_FLOOR)):
+                        > disc.MEMBERSHIP_TOL * max(np.linalg.norm(d), disc.SCALE_FLOOR)):
                     break
             else:
                 raise NumericalError("no discriminable pair in 100 draws")
@@ -451,11 +446,11 @@ class TestStackedTrials:
             for (x, y), (_, in_d_phi, _, residual_low_gnn, _) in zip(pairs,
                                                                      _rows(report.columns)):
                 considered = disc.secant_report(split, gnn, x, y).max_deviation[high]
-                agreements += in_d_phi == bool(np.all(considered <= disc.DEFAULT_SECANT_TOL))
+                agreements += in_d_phi == bool(np.all(considered <= disc.SECANT_TOL))
                 margin_phi = abs(residual_low_gnn / max(float(np.linalg.norm(x - y)),
-                                                        disc.SCALE_FLOOR) - disc.DEFAULT_TOL)
+                                                        disc.SCALE_FLOOR) - disc.MEMBERSHIP_TOL)
                 worst = min(worst, margin_phi,
-                            float(np.min(np.abs(considered - disc.DEFAULT_SECANT_TOL))))
+                            float(np.min(np.abs(considered - disc.SECANT_TOL))))
             counts = report.counts
             assert (counts["agreements"], counts["worst_margin"]) == (agreements, worst)
             assert counts["discriminated"] == sum(not in_d_phi
@@ -488,14 +483,12 @@ class TestJudgePairs:
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_alone_equals_in_stack(self, split, sigma):
         gnn = disc.verifier_gnn(split, SIGMAS[sigma], rng=np.random.default_rng(46))
-        x, y = disc.draw_pairs(split, np.random.default_rng(47), 12, disc.MIXED,
-                               disc.DEFAULT_TOL)
-        stacked, stacked_secants = disc.judge_pairs(split, gnn, x, y, disc.DEFAULT_TOL)
+        x, y = disc.draw_pairs(split, np.random.default_rng(47), 12, disc.MIXED)
+        stacked, stacked_secants = disc.judge_pairs(split, gnn, x, y)
         # inside, outside, identical, ...: only the outside pairs leave D_H
         assert stacked.in_d_h.tolist() == [t % 3 != 1 for t in range(12)]
         for t in range(12):
-            alone, alone_secants = disc.judge_pairs(split, gnn, x[t:t + 1], y[t:t + 1],
-                                                    disc.DEFAULT_TOL)
+            alone, alone_secants = disc.judge_pairs(split, gnn, x[t:t + 1], y[t:t + 1])
             for name, column in stacked._asdict().items():
                 assert getattr(alone, name)[0].tobytes() == column[t].tobytes(), (t, name)
             assert alone_secants[0].tobytes() == stacked_secants[t].tobytes(), t
@@ -508,8 +501,8 @@ class TestJudgePairs:
         gnn = disc.verifier_gnn(split, SIGMAS[sigma], filters=3,
                                 rng=np.random.default_rng(52))
         x, y = disc.draw_pairs(split, np.random.default_rng(53), 64,
-                               (getattr(disc, kind),), disc.DEFAULT_TOL)
-        judged, judged_secants = disc.judge_pairs(split, gnn, x, y, disc.DEFAULT_TOL)
+                               (getattr(disc, kind),))
+        judged, judged_secants = disc.judge_pairs(split, gnn, x, y)
         fx, fy = (bank_forward(gnn.bank, split.spectrum, s) for s in (x, y))
         gx = gnn.sigma.eval(fx)
         gnn_diff = gx - gnn.sigma.eval(fy)
@@ -533,21 +526,14 @@ class TestJudgePairs:
         split = split_of(generate_geometric_graph(n, 5, seed=3), 40)
         rng = np.random.default_rng(54)
         gnn = SingleLayerGnn(rng.uniform(0.5, 1.5, (n_filters, n)), Nonlinearity.tanh())
-        x, y = disc.draw_pairs(split, rng, n_pairs, disc.MIXED, disc.DEFAULT_TOL)
+        x, y = disc.draw_pairs(split, rng, n_pairs, disc.MIXED)
         tracemalloc.start()
         try:
-            disc.judge_pairs(split, gnn, x, y, disc.DEFAULT_TOL)
+            disc.judge_pairs(split, gnn, x, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4.25 * n_pairs * n_filters * n * 8
-
-    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
-    def test_tol_outside_positive_finite(self, split, tol):
-        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(55))
-        x = np.random.default_rng(56).standard_normal((2, N))
-        with pytest.raises(ConfigurationError, match="tol must be positive and finite"):
-            disc.judge_pairs(split, gnn, x, x + 1.0, tol)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("side", ["x", "y"])
@@ -558,7 +544,7 @@ class TestJudgePairs:
                 "y": np.random.default_rng(58).standard_normal((3, N))}
         pair[side][1, 5] = bad
         with pytest.raises(ConfigurationError, match="signal stacks must be finite"):
-            disc.judge_pairs(split, gnn, pair["x"], pair["y"], disc.DEFAULT_TOL)
+            disc.judge_pairs(split, gnn, pair["x"], pair["y"])
 
 
 CYCLES = {"theorem1": (disc.OUTSIDE,), "theorem2": (disc.INSIDE,),
@@ -590,7 +576,7 @@ class TestDrawPairs:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equal_to_one_by_one_draws(self, split, suite, seed):
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        x, y = disc.draw_pairs(split, rng, 31, CYCLES[suite], disc.DEFAULT_TOL)
+        x, y = disc.draw_pairs(split, rng, 31, CYCLES[suite])
         pairs = _drawn_pairs(split, suite, reference, 31)
         np.testing.assert_array_equal(x, [p[0] for p in pairs])
         np.testing.assert_array_equal(y, [p[1] for p in pairs])
@@ -598,7 +584,7 @@ class TestDrawPairs:
 
     def test_one_call(self, split):
         normals = ScriptedNormals(np.random.default_rng(3).standard_normal(1000))
-        disc.draw_pairs(split, normals, 7, disc.MIXED, disc.DEFAULT_TOL)
+        disc.draw_pairs(split, normals, 7, disc.MIXED)
         # kinds inside, outside, identical, inside, outside, identical, inside
         assert normals.sizes == [3 * (2 * N - K) + 2 * 2 * N + 2 * N]
 
@@ -610,7 +596,7 @@ class TestDrawPairs:
         equal = np.tile(base[:N], 2 * rejections)         # x == y, rejected each time
         stream = np.concatenate((base[:first], equal, base[first:]))
         normals = ScriptedNormals(stream)
-        x, y = disc.draw_pairs(split, normals, 8, CYCLES[suite], disc.DEFAULT_TOL)
+        x, y = disc.draw_pairs(split, normals, 8, CYCLES[suite])
 
         redraw = first + 2 * N * rejections
         t = 0 if suite == "theorem1" else 1
@@ -627,17 +613,9 @@ class TestDrawPairs:
         base = np.random.default_rng(5).standard_normal(N)
         normals = ScriptedNormals(np.tile(base, 300))     # every pair has x == y
         with pytest.raises(NumericalError, match="100 tries"):
-            disc.draw_pairs(split, normals, 3, (disc.OUTSIDE,), disc.DEFAULT_TOL)
+            disc.draw_pairs(split, normals, 3, (disc.OUTSIDE,))
         # the first pair drawn 100 times: once in the one call, then 99 redraws
         assert normals.sizes == [3 * 2 * N] + [2 * N] * 99
-
-    @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
-    def test_scale_outside_nonnegative_finite(self, split, scale):
-        rng = np.random.default_rng(59)
-        untouched = rng.bit_generator.state
-        with pytest.raises(ConfigurationError, match="scale must be nonnegative and finite"):
-            disc.draw_pairs(split, rng, 3, (disc.INSIDE,), disc.DEFAULT_TOL, scale)
-        assert rng.bit_generator.state == untouched
 
 
 VERIFIERS = {
@@ -656,28 +634,6 @@ class TestVerifierBoundary:
         gnn = build(split, Nonlinearity.tanh(), rng=np.random.default_rng(44))
         with pytest.raises(ConfigurationError, match="trials must be nonnegative, got -1"):
             verify(split, gnn, -1, np.random.default_rng(45))
-
-    # a NaN tol would pass theorem 1 and corollary 1 with nothing found
-    @pytest.mark.parametrize("suite", VERIFIERS)
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
-    def test_nonpositive_tol_before_any_draw(self, split, suite, tol):
-        verify, build = VERIFIERS[suite]
-        gnn = build(split, Nonlinearity.tanh(), rng=np.random.default_rng(44))
-        rng = np.random.default_rng(45)
-        untouched = rng.bit_generator.state
-        with pytest.raises(ConfigurationError, match="tol must be positive"):
-            verify(split, gnn, 10, rng, tol=tol)
-        assert rng.bit_generator.state == untouched
-
-    @pytest.mark.parametrize("tol_secant", [0.0, -1e-9, math.nan, math.inf])
-    def test_tol_secant_outside_positive_finite(self, split, tol_secant):
-        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(44))
-        rng = np.random.default_rng(45)
-        untouched = rng.bit_generator.state
-        with pytest.raises(ConfigurationError,
-                           match="tol_secant must be positive and finite"):
-            disc.verify_theorem2_forward(split, gnn, 10, rng, tol_secant=tol_secant)
-        assert rng.bit_generator.state == untouched
 
 
 def _as_bytes(value):

@@ -42,7 +42,7 @@ def no_low_energy(split, d):
     """Whether d has no low-mode energy: judge_pairs's verdict on the pair
     (d, 0) under a one-filter all-ones bank."""
     ones = SingleLayerGnn(bank=np.ones((1, split.n)), sigma=Nonlinearity.identity())
-    return bool(judge_pairs(split, ones, [d], [np.zeros(split.n)], 1e-8)[0].in_d_h[0])
+    return bool(judge_pairs(split, ones, [d], [np.zeros(split.n)])[0].in_d_h[0])
 
 
 def fixed_replicates(errors_by_mode):
