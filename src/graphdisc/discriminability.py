@@ -177,8 +177,8 @@ def judge_pairs(split: SubspaceSplit, gnn: SingleLayerGnn,
         )
 
     # the activations overwrite the filter outputs, their difference overwrites fy
-    gx = gnn.sigma.eval(fx, overwrite=True)
-    gnn_diff = np.subtract(gx, gnn.sigma.eval(fy, overwrite=True), out=fy)
+    gx = gnn.sigma.eval(fx)
+    gnn_diff = np.subtract(gx, gnn.sigma.eval(fy), out=fy)
     low_gnn = _axis_norms(gnn_diff @ split.v_low)
     equal = np.abs(diff) < SECANT_EQUAL_POINTS
     np.copyto(diff, 1.0, where=equal)
@@ -191,9 +191,18 @@ def judge_pairs(split: SubspaceSplit, gnn: SingleLayerGnn,
                   _dot_norms(low_filter), _dot_norms(low_gnn), max_dev), secants
 
 
-def _high_response_flags(bank: np.ndarray, k: int) -> np.ndarray:
-    """Which rows of the (F, n) gains respond above the index-k cutoff."""
-    return np.any(np.abs(bank[:, k:]) > ZERO_HIGH_TOL, axis=1)
+def _high_response_flags(bank: np.ndarray, k: int,
+                         must_vanish: tuple[str, ...] = ()) -> np.ndarray:
+    """Which rows of the (F, n) gains respond above the index-k cutoff.
+    Row i of the first len(must_vanish) rows, named must_vanish[i], must
+    not: the first that does raises ConfigurationError."""
+    high = np.abs(bank[:, k:])
+    flags = np.any(high > ZERO_HIGH_TOL, axis=1)
+    for role, flag, row in zip(must_vanish, flags, high):
+        if flag:
+            raise ConfigurationError(f"{role} must vanish above the cutoff; "
+                                     f"max response there is {float(np.max(row)):.3e}")
+    return flags
 
 
 # no command calls it or PairVerdict; both stay while perfbench/spans.py traces it
@@ -226,10 +235,14 @@ def draw_pairs(split: SubspaceSplit, rng: np.random.Generator, trials: int,
     the 2n normals missing at the end come from one more call: the
     generator ends where drawing the arrays one by one leaves it. A raise
     after MAX_TRIES rejections leaves it further on, past the later trials'
-    normals.
+    normals. A negative trial count, and a `kinds` that is empty or holds
+    anything but the three kinds, raise ConfigurationError before any draw.
     """
     if trials < 0:
         raise ConfigurationError(f"trials must be nonnegative, got {trials}")
+    if not kinds or not all(isinstance(k, (int, np.integer)) and k in MIXED for k in kinds):
+        raise ConfigurationError(
+            f"kinds must be a nonempty cycle of INSIDE, OUTSIDE and SAME, got {kinds!r}")
     n, m = split.n, split.v_high.shape[1]
     kind = np.array(kinds)[np.arange(trials) % len(kinds)]
     inside, outside = kind == INSIDE, kind == OUTSIDE
@@ -352,15 +365,6 @@ def constant_secant_pair(split: SubspaceSplit, gnn: SingleLayerGnn,
     return x[0] + shift * v1, y[0] + shift * v1
 
 
-def _require_zero_high(gains: np.ndarray, k: int, role: str) -> None:
-    """Reject an (n,) gains row with a gain above ZERO_HIGH_TOL past index k."""
-    peak = float(np.max(np.abs(gains[k:])))
-    if peak > ZERO_HIGH_TOL:
-        raise ConfigurationError(
-            f"{role} must vanish above the cutoff; max response there is {peak:.3e}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # randomized statement verifiers
 # ---------------------------------------------------------------------------
@@ -385,7 +389,7 @@ def verify_theorem1(split: SubspaceSplit, gnn: SingleLayerGnn,
     Nonlinearity kind is strictly monotone and 1-Lipschitz, as the theorem
     asks. Passes when there is no counterexample.
     """
-    _require_zero_high(gnn.bank[0], split.k, "the first filter")
+    _high_response_flags(gnn.bank, split.k, ("the first filter",))
     columns = _judge_in_blocks(split, gnn, trials, rng, (OUTSIDE,))
     counterexamples = int(np.count_nonzero(columns.in_d_phi))
     return VerifierReport(trials, {"counterexamples": counterexamples},
@@ -404,8 +408,7 @@ def verify_theorem2_forward(split: SubspaceSplit, gnn: SingleLayerGnn, trials: i
     """
     if len(gnn.bank) < 2:
         raise ConfigurationError("the biconditional needs at least two filters")
-    _require_zero_high(gnn.bank[0], split.k, "the first filter")
-    high = _high_response_flags(gnn.bank, split.k)
+    high = _high_response_flags(gnn.bank, split.k, ("the first filter",))
 
     columns = _judge_in_blocks(split, gnn, trials, rng, (INSIDE,))
     considered = columns.max_deviation[:, high]   # (T, filters responding high)
@@ -430,8 +433,7 @@ def verify_corollary1(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
     generic pairs outside it, and identical pairs. Passes when no pair's
     verdicts differ.
     """
-    for idx, gains in enumerate(gnn.bank):
-        _require_zero_high(gains, split.k, f"filter {idx}")
+    _high_response_flags(gnn.bank, split.k, tuple(f"filter {i}" for i in range(len(gnn.bank))))
     columns = _judge_in_blocks(split, gnn, trials, rng, MIXED)
     mismatches = int(np.count_nonzero(columns.in_d_h != columns.in_d_phi))
     return VerifierReport(trials, {"verdict_mismatches": mismatches},

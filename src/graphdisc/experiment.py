@@ -9,6 +9,10 @@ run_experiment returns the replicates; emit_report works out every number
 it writes from them: each subspace and model's mean test error and 95%
 half-width, the relative gaps and the trained banks' IL constants.
 
+Settings: ExperimentConfig extends training.TrainConfig, whose five
+training settings it inherits rather than declares, and run_replicate
+hands train its own config with the replicate's init seed.
+
 Memory: a set is labelled a chunk of rows at a time (generate_target, with
 training.chunk_rows) and the test prediction is made in chunks
 (training.model_forward), so a replicate forms no whole-set activation and
@@ -61,8 +65,10 @@ MODEL_NAMES = ("filter_bank", "gnn")
 
 
 @dataclass
-class ExperimentConfig:
-    """Settings for the subspace regression experiment.
+class ExperimentConfig(TrainConfig):
+    """Settings for the subspace regression experiment; the training
+    settings (epochs, batch_size, learning_rate, decay, il_weight) are
+    TrainConfig's, and seed is the master seed of every replicate.
 
     `k` is the size of the nondiscriminable band: the k largest-magnitude
     eigenvalues sit above the cutoff (the upper quintile at the defaults),
@@ -80,11 +86,6 @@ class ExperimentConfig:
     val: int = 200
     test: int = 200
     graphs: int = 30
-    epochs: int = 40
-    batch_size: int = 10
-    learning_rate: float = 1e-3
-    decay: float = 0.9
-    il_weight: float = 0.01
     seed: int = 0
 
     @property
@@ -96,26 +97,15 @@ class ExperimentConfig:
             raise ConfigurationError(f"need 0 < k < n, got k={self.k}, n={self.n}")
         if self.subspace not in MODES + ("all",):
             raise ConfigurationError(f"unknown subspace {self.subspace!r}")
-        if self.epochs < 0:
-            raise ConfigurationError("epochs must be nonnegative")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
-        for name in ("n", "neighbors", "features", "taps", "train", "val",
-                     "test", "graphs", "batch_size"):
+        for name in ("n", "neighbors", "features", "taps", "train", "val", "test", "graphs"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
         if self.neighbors >= self.n:
             raise ConfigurationError(
                 f"need neighbors < n, got neighbors={self.neighbors}, n={self.n}")
-        # the comparisons are False for NaN, so NaN is rejected too
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ConfigurationError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if not 0.0 < self.decay <= 1.0:
-            raise ConfigurationError(f"decay must be in (0, 1], got {self.decay}")
-        if not 0.0 <= self.il_weight < np.inf:
-            raise ConfigurationError(
-                f"il_weight must be finite and nonnegative, got {self.il_weight}")
+        super().validate()
 
     def modes(self) -> tuple[str, ...]:
         return MODES if self.subspace == "all" else (self.subspace,)
@@ -233,14 +223,6 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
     del split
 
     init_seed = int(ss_init.generate_state(1, np.uint64)[0])
-    train_config = TrainConfig(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        decay=config.decay,
-        il_weight=config.il_weight,
-        seed=init_seed,
-    )
 
     # both models start from the same parameters: the GNN is a tanh copy
     linear = init_model(config.features, config.taps, Nonlinearity.identity(), seed=init_seed)
@@ -257,7 +239,7 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
 
     # both models train in lockstep on the same batches: one call, one time
     start = time.perf_counter()
-    results = train(models, s_norm, dataset.train, dataset.val, train_config)
+    results = train(models, s_norm, dataset.train, dataset.val, config, init_seed)
     elapsed = time.perf_counter() - start
 
     trained = dict(zip(MODEL_NAMES, results))

@@ -24,7 +24,7 @@ from .spectral import Spectrum
 def _float64_target(t) -> np.ndarray:
     """t itself, when it is a float64 array that a result can be written over."""
     if not (isinstance(t, np.ndarray) and t.dtype == np.float64):
-        raise ShapeError("overwrite needs a float64 array, got "
+        raise ShapeError("an activation is written over a float64 array, got "
                          f"{getattr(t, 'dtype', type(t).__name__)}")
     return t
 
@@ -35,8 +35,10 @@ class Nonlinearity:
 
     kind is "tanh", "identity", or "leaky_rectifier"; slope only applies to
     the leaky rectifier and must lie in (0, 1) so the function stays
-    strictly monotone. The identity's eval returns its float64 input array
-    itself, not a copy.
+    strictly monotone, and the other kinds take none (a slope other than
+    1.0 raises ConfigurationError). eval and output_derivative write their
+    result over their argument, a float64 array (ShapeError for any other),
+    and return it.
     """
 
     kind: str
@@ -49,6 +51,8 @@ class Nonlinearity:
             raise ConfigurationError(
                 f"leaky rectifier slope must be in (0, 1), got {self.slope}"
             )
+        if self.kind != "leaky_rectifier" and self.slope != 1.0:
+            raise ConfigurationError(f"{self.kind} takes no slope, got {self.slope}")
 
     @classmethod
     def tanh(cls) -> "Nonlinearity":
@@ -62,34 +66,31 @@ class Nonlinearity:
     def leaky_rectifier(cls, slope: float) -> "Nonlinearity":
         return cls(kind="leaky_rectifier", slope=slope)
 
-    def eval(self, t: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """sigma(t) entrywise; with overwrite it is written over t, which
-        must then be a float64 array (ShapeError otherwise)."""
-        if overwrite:
-            out = t = _float64_target(t)
-        else:
-            t, out = np.asarray(t, dtype=np.float64), None
+    def eval(self, t: np.ndarray) -> np.ndarray:
+        """sigma(t) entrywise, written over t."""
+        t = _float64_target(t)
         if self.kind == "tanh":
-            return np.tanh(t, out=out)
+            return np.tanh(t, out=t)
         if self.kind == "identity":
             return t
-        return np.multiply(t, np.where(t >= 0.0, 1.0, self.slope), out=out)
+        return np.multiply(t, np.where(t >= 0.0, 1.0, self.slope), out=t)
 
-    def output_derivative(self, out: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """sigma' at the points where sigma returned out, read off out.
+    def output_derivative(self, out: np.ndarray) -> np.ndarray:
+        """sigma' at the points where sigma returned out, read off out and
+        written over it.
 
         1 - out^2 for tanh, and 1 or the slope by the sign of out for the
-        leaky rectifier, so sigma is never evaluated again. With overwrite,
-        the tanh derivative is written over out instead of a new array, and
-        out must be a float64 array (ShapeError otherwise).
+        leaky rectifier, so sigma is never evaluated again.
         """
-        out = _float64_target(out) if overwrite else np.asarray(out, dtype=np.float64)
+        out = _float64_target(out)
         if self.kind == "tanh":
-            deriv = np.square(out, out=out if overwrite else None)
-            return np.subtract(1.0, deriv, out=deriv)
+            np.square(out, out=out)
+            return np.subtract(1.0, out, out=out)
         if self.kind == "identity":
-            return np.ones_like(out)
-        return np.where(out >= 0.0, 1.0, self.slope)
+            out.fill(1.0)
+            return out
+        out[...] = np.where(out >= 0.0, 1.0, self.slope)
+        return out
 
     def descriptor(self) -> str:
         if self.kind == "leaky_rectifier":

@@ -75,8 +75,9 @@ of the group in that epoch; overflow on the way there raises no warning.
 Each model's result records its best epoch, or -1 when no epoch improved
 on the validation loss of the initial model.
 
-Everything here is deterministic given the seeds in TrainConfig: shuffling,
-initialization, and the optimizer never consult global state.
+Everything here is deterministic given its seeds, init_model's and
+train's: shuffling, initialization, and the optimizer never consult global
+state.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import ConfigurationError, NumericalError, ShapeError
 from .filters import bank_il_constant, contract, il_regularizer, shift_powers
 from .gnn import Nonlinearity, TrainableModel
 from .graphs import SupportMatrix
@@ -116,12 +117,28 @@ BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 @dataclass
 class TrainConfig:
+    """The settings of a train call; experiment.ExperimentConfig inherits them."""
+
     epochs: int = 40
     batch_size: int = 10
     learning_rate: float = 1e-3
     decay: float = 0.9
     il_weight: float = 0.01
-    seed: int = 0
+
+    def validate(self) -> None:
+        if self.epochs < 0:
+            raise ConfigurationError("epochs must be nonnegative")
+        if self.batch_size <= 0:
+            raise ConfigurationError("batch_size must be positive")
+        # the comparisons are False for NaN, so NaN is rejected too
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigurationError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not 0.0 < self.decay <= 1.0:
+            raise ConfigurationError(f"decay must be in (0, 1], got {self.decay}")
+        if not 0.0 <= self.il_weight < np.inf:
+            raise ConfigurationError(
+                f"il_weight must be finite and nonnegative, got {self.il_weight}")
 
 
 @dataclass
@@ -233,7 +250,7 @@ def model_forward(model: TrainableModel, powers: np.ndarray,
     would take the large-matrix kernel), and a last chunk narrower than
     four columns (n < 4)."""
     if out is not None:
-        act = model.sigma.eval(contract(model.taps, powers, out), overwrite=True)
+        act = model.sigma.eval(contract(model.taps, powers, out))
         return contract(model.readout, act)
     by_rows = powers.reshape(powers.shape[0], -1, powers.shape[-1])   # (K+1, B, n)
     n_features, (n_rows, width) = model.taps.shape[0], by_rows.shape[1:]
@@ -243,7 +260,7 @@ def model_forward(model: TrainableModel, powers: np.ndarray,
     for r0 in range(0, n_rows, rows):
         chunk = by_rows[:, r0:r0 + rows]
         chunk_act = contract(model.taps, chunk, act[:n_features * chunk[0].size])
-        contract(model.readout, model.sigma.eval(chunk_act, overwrite=True), pred[r0:r0 + rows])
+        contract(model.readout, model.sigma.eval(chunk_act), pred[r0:r0 + rows])
     return pred.reshape(powers.shape[1:])
 
 
@@ -292,7 +309,7 @@ def model_backward(model: TrainableModel, powers: np.ndarray, target: np.ndarray
         mse, dpred = mse_loss(pred.reshape(powers.shape[1:]), target)
         dpred1d = dpred.reshape(-1)
         np.matmul(act2d, dpred1d, out=grad_readout)
-        deriv = model.sigma.output_derivative(act2d, overwrite=True)
+        deriv = model.sigma.output_derivative(act2d)
         np.matmul(deriv, (powers2d * dpred1d).T, out=grad_taps)
         grad_taps *= model.readout[:, None]
 
@@ -320,9 +337,11 @@ class TrainResult:
 def train(models: list[TrainableModel], s: SupportMatrix,
           train_set: tuple[np.ndarray, np.ndarray],
           val_set: tuple[np.ndarray, np.ndarray],
-          config: TrainConfig) -> list[TrainResult]:
+          config: TrainConfig, seed: int) -> list[TrainResult]:
     """Minibatch Adam with per-epoch learning-rate decay, for a group of
     models with one taps shape, trained in lockstep on the same batches.
+    seed fixes the batches: each epoch's shuffle comes from
+    SeedSequence((seed, 1)).
 
     The labels may be of any numeric dtype (experiment makes them int8):
     each chunk's gathered training labels are cast to float64 once, beside
@@ -341,17 +360,19 @@ def train(models: list[TrainableModel], s: SupportMatrix,
     Returns one result per model, in order: the snapshot with the best
     validation loss, its epoch (-1 for the input model) and the full
     per-epoch history, each the same as training that model alone. With
-    zero epochs the input models are returned as they are. Models of
-    different shapes raise ShapeError before any step. An epoch whose train
-    or validation loss is not finite raises NumericalError naming the epoch
-    and the loss, for the first such model of that epoch.
+    zero epochs the input models are returned as they are. An invalid
+    config (TrainConfig.validate) raises ConfigurationError and models of
+    different shapes raise ShapeError, both before any step. An epoch
+    whose train or validation loss is not finite raises NumericalError
+    naming the epoch and the loss, for the first such model of that epoch.
     """
+    config.validate()
     x_train, y_train = train_set
     x_val, y_val = val_set
     shapes = sorted({(m.taps.shape, m.readout.shape) for m in models})
     if len(shapes) != 1:
         raise ShapeError(f"a training group needs one taps and readout shape, got {shapes}")
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     # Adam steps one (G, P) array, row i holding model i's taps and readout:
     # one update per batch for the whole group, with the same arithmetic
     # per entry as stepping each model apart

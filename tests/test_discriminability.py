@@ -504,11 +504,11 @@ class TestJudgePairs:
                                (getattr(disc, kind),))
         judged, judged_secants = disc.judge_pairs(split, gnn, x, y)
         fx, fy = (bank_forward(gnn.bank, split.spectrum, s) for s in (x, y))
-        gx = gnn.sigma.eval(fx)
-        gnn_diff = gx - gnn.sigma.eval(fy)
+        gx = gnn.sigma.eval(fx.copy())
+        gnn_diff = gx - gnn.sigma.eval(fy.copy())
         diff = fx - fy
         equal = np.abs(diff) < disc.SECANT_EQUAL_POINTS
-        secants = np.where(equal, gnn.sigma.output_derivative(gx),
+        secants = np.where(equal, gnn.sigma.output_derivative(gx.copy()),
                            gnn_diff / np.where(equal, 1.0, diff))
         max_dev = np.max(np.abs(secants - secants.mean(axis=-1, keepdims=True)), axis=-1)
         low_gnn = disc._dot_norms(disc._axis_norms(gnn_diff @ split.v_low))
@@ -616,6 +616,15 @@ class TestDrawPairs:
             disc.draw_pairs(split, normals, 3, (disc.OUTSIDE,))
         # the first pair drawn 100 times: once in the one call, then 99 redraws
         assert normals.sizes == [3 * 2 * N] + [2 * N] * 99
+
+    @pytest.mark.parametrize("kinds", [(), (5,), (0.5,), (-1,), (1.0,), (0, 3)],
+                             ids=["empty", "five", "half", "minus_one", "float_one", "three"])
+    def test_unknown_kinds_raise_before_any_draw(self, split, kinds):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="kinds must be a nonempty cycle"):
+            disc.draw_pairs(split, rng, 4, kinds)
+        assert rng.bit_generator.state == state
 
 
 VERIFIERS = {

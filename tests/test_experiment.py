@@ -362,6 +362,16 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match=field):
             tiny_config(**{field: value}).validate()
 
+    def test_training_settings_are_declared_once(self):
+        # the five training settings are TrainConfig's alone; seed is the
+        # experiment's master seed, and train takes its own as an argument
+        own = set(ExperimentConfig.__annotations__)
+        trained = set(training.TrainConfig.__dataclass_fields__)
+        assert issubclass(ExperimentConfig, training.TrainConfig)
+        assert trained == {"epochs", "batch_size", "learning_rate", "decay", "il_weight"}
+        assert not own & trained
+        assert experiment.CONFIG_KEYS == own | trained and len(experiment.CONFIG_KEYS) == 16
+
     def test_accepts_range_edges(self):
         tiny_config(neighbors=15, decay=1.0, il_weight=0.0, learning_rate=1e-12).validate()
 

@@ -73,10 +73,14 @@ class TestNonlinearity:
 
     @pytest.mark.parametrize("sigma", ALL_SIGMAS, ids=lambda s: s.descriptor())
     def test_overwrite_writes_over_a_float64_array(self, sigma):
+        # eval and output_derivative both return their argument, written over
         t = np.linspace(-2, 2, 6).reshape(2, 3)
-        expected = sigma.eval(t.copy())
-        assert sigma.eval(t, overwrite=True) is t
-        np.testing.assert_array_equal(t, expected)
+        x, tanh = t.copy(), sigma.kind == "tanh"
+        slope = np.where(x >= 0, 1.0, sigma.slope)
+        assert sigma.eval(t) is t
+        np.testing.assert_array_equal(t, np.tanh(x) if tanh else x * slope)
+        assert sigma.output_derivative(t) is t
+        np.testing.assert_array_equal(t, 1.0 - np.tanh(x) ** 2 if tanh else slope)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
     @pytest.mark.parametrize("sigma", ALL_SIGMAS, ids=lambda s: s.descriptor())
@@ -85,15 +89,23 @@ class TestNonlinearity:
         # returned in its place
         t = np.arange(6, dtype=dtype).reshape(2, 3)
         with pytest.raises(ShapeError):
-            sigma.eval(t, overwrite=True)
+            sigma.eval(t)
         with pytest.raises(ShapeError):
-            sigma.output_derivative(t, overwrite=True)
+            sigma.output_derivative(t)
         np.testing.assert_array_equal(t, np.arange(6).reshape(2, 3))
 
     def test_rejects_bad_slope(self):
         for slope in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ConfigurationError):
                 Nonlinearity.leaky_rectifier(slope)
+
+    @pytest.mark.parametrize("kind", ["tanh", "identity"])
+    @pytest.mark.parametrize("slope", [0.3, 0.0, 2.0, float("nan")])
+    def test_slope_on_a_kind_without_one(self, kind, slope):
+        # it would compare unequal to the kind and lose its slope in a model file
+        with pytest.raises(ConfigurationError, match=f"{kind} takes no slope"):
+            Nonlinearity(kind, slope)
+        assert Nonlinearity(kind, 1.0) == Nonlinearity(kind)
 
     def test_descriptor_round_trip(self):
         for sigma in ALL_SIGMAS:
@@ -245,8 +257,8 @@ class TestModelSerialization:
         # read back, it predicts the same bits and trains on as before
         rng = np.random.default_rng(8)
         data = (rng.standard_normal((12, 10)), rng.standard_normal((12, 10)))
-        config = TrainConfig(epochs=2, batch_size=4, seed=5)
-        (result,) = train([init_model(3, 2, sigma, seed=4)], support, data, data, config)
+        config = TrainConfig(epochs=2, batch_size=4)
+        (result,) = train([init_model(3, 2, sigma, seed=4)], support, data, data, config, 5)
         path = tmp_path / "model.txt"
         save_model(result.model, str(path))
         model = load_model(str(path))
@@ -255,7 +267,7 @@ class TestModelSerialization:
         np.testing.assert_array_equal(model.readout, result.model.readout)
         np.testing.assert_array_equal(predict(model, support, data[0]),
                                       predict(result.model, support, data[0]))
-        (again,), (fresh,) = (train([m], support, data, data, config)
+        (again,), (fresh,) = (train([m], support, data, data, config, 5)
                               for m in (model, result.model))
         np.testing.assert_array_equal(again.model.taps, fresh.model.taps)
         np.testing.assert_array_equal(again.model.readout, fresh.model.readout)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from graphdisc import filters, training
-from graphdisc.errors import NumericalError, ShapeError
+from graphdisc.errors import ConfigurationError, NumericalError, ShapeError
 from graphdisc.filters import GRID_POINTS, bank_il_constant, shift_powers
 from graphdisc.gnn import Nonlinearity, TrainableModel
 from graphdisc.graphs import generate_geometric_graph, laplacian, normalize_support
@@ -73,7 +73,7 @@ def einsum_reference_backward(model, s, x, target, il_weight):
         powers.append(powers[-1] @ s.entries.T)
     powers = np.stack(powers)
     pre = np.einsum("fk,kbn->fbn", model.taps, powers)
-    features = model.sigma.eval(pre)
+    features = model.sigma.eval(pre.copy())
     pred = np.einsum("f,fbn->bn", model.readout, features)
     diff = pred - target
     dpred = 2.0 * diff / diff.size
@@ -489,7 +489,7 @@ class TestIdentityStep:
         y = np.sign(x @ support.entries.T)
         model = init_model(4, n_taps, Nonlinearity.identity(), seed=63)
         train([model], support, (x, y), (x[:7], y[:7]),
-              TrainConfig(epochs=2, batch_size=5, seed=6))[0]
+              TrainConfig(epochs=2, batch_size=5), 6)[0]
         monkeypatch.undo()
         return steps, untouched
 
@@ -520,9 +520,32 @@ class TestTrain:
         taps_before = model.taps.copy()
         data = self.make_data(support, 20, 7)
         result = train([model], support, data, data,
-                       TrainConfig(epochs=0, batch_size=5, seed=0))[0]
+                       TrainConfig(epochs=0, batch_size=5), 0)[0]
         np.testing.assert_array_equal(result.model.taps, taps_before)
         assert result.history == []
+
+    @pytest.mark.parametrize("setting, value", [
+        ("batch_size", 0),
+        ("epochs", -3),
+        ("decay", -1.0),
+        ("learning_rate", 0.0),
+        ("learning_rate", -1e-3),
+        ("learning_rate", float("inf")),
+        ("learning_rate", float("nan")),
+        ("il_weight", -0.01),
+        ("il_weight", float("inf")),
+        ("il_weight", float("nan")),
+    ])
+    def test_invalid_config_raises_before_any_step(self, support, monkeypatch, setting, value):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("train made shift powers or a step")
+
+        monkeypatch.setattr(training, "shift_powers", no_pass)
+        monkeypatch.setattr(training, "model_backward", no_pass)
+        data = self.make_data(support, 20, 7)
+        model = init_model(2, 2, Nonlinearity.tanh(), seed=6)
+        with pytest.raises(ConfigurationError, match=setting):
+            train([model], support, data, data, TrainConfig(**{setting: value}), 0)
 
     def test_linear_model_loss_decreases_initially(self, support):
         # linear target on a linear model: effectively least squares
@@ -531,7 +554,7 @@ class TestTrain:
         y = x @ support.entries.T
         model = init_model(2, 2, Nonlinearity.identity(), seed=9)
         result = train([model], support, (x, y), (x[:40], y[:40]),
-                       TrainConfig(epochs=5, batch_size=20, seed=1, il_weight=0.0))[0]
+                       TrainConfig(epochs=5, batch_size=20, il_weight=0.0), 1)[0]
         losses = [rec.train_loss for rec in result.history]
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
@@ -540,7 +563,7 @@ class TestTrain:
         val = self.make_data(support, 30, 11)
         model = init_model(3, 3, Nonlinearity.tanh(), seed=12)
         result = train([model], support, data, val,
-                       TrainConfig(epochs=6, batch_size=10, seed=2))[0]
+                       TrainConfig(epochs=6, batch_size=10), 2)[0]
         assert result.best_val_loss <= result.history[-1].val_loss + 1e-15
         returned_val = mse_loss(predict(result.model, support, val[0]), val[1])[0]
         assert returned_val == pytest.approx(result.best_val_loss, abs=1e-15)
@@ -550,7 +573,7 @@ class TestTrain:
         model = init_model(2, 2, Nonlinearity.tanh(), seed=14)
         result = train([model], support, data, data,
                        TrainConfig(epochs=4, batch_size=10,
-                                   learning_rate=1e-3, decay=0.5, seed=3))[0]
+                                   learning_rate=1e-3, decay=0.5), 3)[0]
         rates = [rec.learning_rate for rec in result.history]
         np.testing.assert_allclose(rates, [1e-3, 5e-4, 2.5e-4, 1.25e-4], rtol=1e-12)
 
@@ -560,7 +583,7 @@ class TestTrain:
         def run():
             model = init_model(2, 3, Nonlinearity.tanh(), seed=16)
             return train([model], support, data, data,
-                         TrainConfig(epochs=3, batch_size=10, seed=4))[0]
+                         TrainConfig(epochs=3, batch_size=10), 4)[0]
 
         a, b = run(), run()
         assert a.history == b.history
@@ -575,7 +598,7 @@ class TestTrain:
         with pytest.raises(NumericalError, match="training diverged in epoch 0: "
                                                  "train loss (nan|inf)"):
             train([model], support, data, data, TrainConfig(epochs=3, batch_size=10,
-                                                            learning_rate=1e200, seed=7))[0]
+                                                            learning_rate=1e200), 7)[0]
 
     def test_regularizer_shrinks_il_constant(self, support):
         # statistical trend: with the penalty on, the trained constant is
@@ -587,8 +610,7 @@ class TestTrain:
             for weight in (0.0, 0.01):
                 model = init_model(4, 3, Nonlinearity.tanh(), seed=seed)
                 result = train([model], support, data, data,
-                               TrainConfig(epochs=8, batch_size=5, seed=seed,
-                                           il_weight=weight))[0]
+                               TrainConfig(epochs=8, batch_size=5, il_weight=weight), seed)[0]
                 constants[weight] = bank_il_constant(result.model.taps)
             wins += constants[0.01] <= constants[0.0]
         assert wins >= 3
@@ -615,12 +637,12 @@ class TestGroup:
         rng = np.random.default_rng(80 + n_taps)
         x = rng.standard_normal((23, 12))
         y = np.sign(x @ support.entries.T)
-        config = TrainConfig(epochs=3, batch_size=5, seed=8, il_weight=il_weight)
+        config = TrainConfig(epochs=3, batch_size=5, il_weight=il_weight)
         bank, gnn = self.bank_and_gnn(n_taps, 81)
-        alone = [self.result_bytes(train([m], support, (x, y), (x[:7], y[:7]), config)[0])
+        alone = [self.result_bytes(train([m], support, (x, y), (x[:7], y[:7]), config, 8)[0])
                  for m in (bank, gnn)]
         for order in ([bank, gnn], [gnn, bank]):
-            got = train(order, support, (x, y), (x[:7], y[:7]), config)
+            got = train(order, support, (x, y), (x[:7], y[:7]), config, 8)
             expected = alone if order[0] is bank else alone[::-1]
             assert [self.result_bytes(r) for r in got] == expected
             assert [r.model.sigma for r in got] == [m.sigma for m in order]
@@ -634,12 +656,12 @@ class TestGroup:
             monkeypatch.setattr(training, "CHUNK_BYTES", chunk_bytes)
         x = np.random.default_rng(84).standard_normal((23, 12))
         labels = np.where(x @ support.entries.T >= 0, 1, -1).astype(np.int8)
-        config = TrainConfig(epochs=3, batch_size=5, seed=9)
+        config = TrainConfig(epochs=3, batch_size=5)
         results = {}
         for dtype in (np.int8, np.float64):
             y = labels.astype(dtype)
             results[dtype] = [self.result_bytes(r) for r in train(
-                self.bank_and_gnn(3, 85), support, (x, y), (x[:7], y[:7]), config)]
+                self.bank_and_gnn(3, 85), support, (x, y), (x[:7], y[:7]), config, 9)]
         assert results[np.int8] == results[np.float64]
 
     def test_one_step_per_member_and_batch(self, support, monkeypatch):
@@ -653,7 +675,7 @@ class TestGroup:
         monkeypatch.setattr(training, "model_backward", spy)
         x = np.random.default_rng(82).standard_normal((23, 12))
         train(self.bank_and_gnn(3, 83), support, (x, x), (x, x),
-              TrainConfig(epochs=2, batch_size=5, seed=9))
+              TrainConfig(epochs=2, batch_size=5), 9)
         assert calls == [(kind, b) for b in [5, 5, 5, 5, 3] * 2
                          for kind in ("identity", "tanh")]
 
@@ -661,7 +683,7 @@ class TestGroup:
         models = self.bank_and_gnn(3, 84)
         kept = [(m.taps.copy(), m.readout.copy()) for m in models]
         x = np.random.default_rng(85).standard_normal((20, 12))
-        train(models, support, (x, x), (x, x), TrainConfig(epochs=2, batch_size=5, seed=1))
+        train(models, support, (x, x), (x, x), TrainConfig(epochs=2, batch_size=5), 1)
         for m, (taps, readout) in zip(models, kept):
             assert m.taps.tobytes() == taps.tobytes()
             assert m.readout.tobytes() == readout.tobytes()
@@ -679,34 +701,52 @@ class TestGroup:
                   for f, k, r in shapes]
         x = np.random.default_rng(87).standard_normal((20, 12))
         with pytest.raises(ShapeError, match="a training group needs one taps and readout shape"):
-            train(models, support, (x, x), (x, x), TrainConfig(epochs=2, batch_size=5))
+            train(models, support, (x, x), (x, x), TrainConfig(epochs=2, batch_size=5), 0)
 
-    @pytest.mark.parametrize("learning_rate, decay", [(1e153, 1.0), (1e-3, 1e30)],
+    @pytest.mark.parametrize("learning_rate, diverge_from", [(1e153, {}),
+                                                             (1e-3, {"tanh": 6, "identity": 5})],
                              ids=["same_epoch", "different_epochs"])
-    def test_first_divergence_in_lockstep_order_raises(self, support, learning_rate, decay):
+    def test_first_divergence_in_lockstep_order_raises(self, support, monkeypatch,
+                                                       learning_rate, diverge_from):
         # alone, the tanh model and the identity model diverge in epoch 0
-        # with an inf and a nan loss (same_epoch), or in epochs 6 and 5
-        # (different_epochs); the group raises the first (epoch, member)
+        # with an inf and a nan loss (same_epoch), or, with their step
+        # losses made inf from epoch 6 and 5 on (4 steps an epoch), in those
+        # epochs (different_epochs); the group raises the first (epoch, member)
         rng = np.random.default_rng(17)
         x = rng.standard_normal((40, 12))
         y = np.sign(x @ support.entries.T)
-        config = TrainConfig(epochs=12, batch_size=10, learning_rate=learning_rate,
-                             decay=decay, seed=7)
+        config = TrainConfig(epochs=12, batch_size=10, learning_rate=learning_rate)
+        steps = dict.fromkeys(("tanh", "identity"), 0)
+        original = training.model_backward
+
+        def diverging(model, powers, target, il_weight, act=None):
+            result = original(model, powers, target, il_weight, act)
+            kind = model.sigma.kind
+            steps[kind] += 1
+            if steps[kind] > 4 * diverge_from.get(kind, np.inf):
+                return result._replace(mse=np.inf)
+            return result
+
+        def train_from_step_0(models):
+            steps.update(dict.fromkeys(steps, 0))
+            with pytest.raises(NumericalError) as info:
+                train(models, support, (x, y), (x, y), config, 7)
+            return str(info.value)
+
+        monkeypatch.setattr(training, "model_backward", diverging)
         gnn, bank = (init_model(2, 3, sigma, seed=18)
                      for sigma in (Nonlinearity.tanh(), Nonlinearity.identity()))
         alone = {}
         for m in (gnn, bank):
-            with pytest.raises(NumericalError) as info:
-                train([m], support, (x, y), (x, y), config)
-            message = str(info.value)
+            message = train_from_step_0([m])
             alone[m.sigma.kind] = (int(message.split()[4].rstrip(":")), message)
         assert alone["tanh"][1] != alone["identity"][1]
+        assert {kind: epoch for kind, (epoch, _) in alone.items()} == {
+            kind: diverge_from.get(kind, 0) for kind in steps}
         for order in ([gnn, bank], [bank, gnn]):
             first = min((alone[m.sigma.kind][0], i) for i, m in enumerate(order))
             expected = alone[order[first[1]].sigma.kind][1]
-            with pytest.raises(NumericalError) as info:
-                train(order, support, (x, y), (x, y), config)
-            assert str(info.value) == expected
+            assert train_from_step_0(order) == expected
             assert expected.startswith(f"training diverged in epoch {first[0]}: train loss ")
 
 
@@ -740,7 +780,7 @@ class TestStepBuffers:
         y = np.sign(x @ support.entries.T)
         model = init_model(4, 3, Nonlinearity.tanh(), seed=31)
         train([model], support, (x, y), (x[:7], y[:7]),
-              TrainConfig(epochs=2, batch_size=batch_size, seed=5))[0]
+              TrainConfig(epochs=2, batch_size=batch_size), 5)[0]
         monkeypatch.undo()
         return calls, buffers, views
 
@@ -845,12 +885,12 @@ class TestStepBuffers:
         rng = np.random.default_rng(36)
         x = rng.standard_normal((23, 12))
         y = np.sign(x @ support.entries.T)
-        config = TrainConfig(epochs=2, batch_size=5, seed=6)
+        config = TrainConfig(epochs=2, batch_size=5)
 
         def histories():
             models = [init_model(4, 3, sigma, seed=37)
                       for sigma in (Nonlinearity.identity(), Nonlinearity.tanh())]
-            return [r.history for r in train(models, support, (x, y), (x[:12], y[:12]), config)]
+            return [r.history for r in train(models, support, (x, y), (x[:12], y[:12]), config, 6)]
 
         in_one_chunk = histories()
         chunk_rows = []
@@ -881,7 +921,7 @@ class TestStepBuffers:
         x = np.random.default_rng(38).standard_normal((23, 12))
         model = init_model(4, 3, Nonlinearity.tanh(), seed=39)
         trained = train([model], support, (x, np.sign(x)), (x[:20], np.sign(x[:20])),
-                        TrainConfig(epochs=2, batch_size=5, seed=7))[0].model
+                        TrainConfig(epochs=2, batch_size=5), 7)[0].model
         assert len(steps) == 10 and len(chunked) == 3
         assert all(np.shares_memory(buf, act) for buf in chunked for act in steps)
         predict(trained, support, x)
@@ -908,7 +948,7 @@ class TestThreads:
         def run(seed):
             model = init_model(8, 3, Nonlinearity.tanh(), seed=seed)
             result = train([model], support, (x, y), (x[:20], y[:20]),
-                           TrainConfig(epochs=3, batch_size=10, seed=seed))[0]
+                           TrainConfig(epochs=3, batch_size=10), seed)[0]
             return result.history, result.model.taps, result.model.readout
 
         seeds = range(4)
@@ -1056,7 +1096,7 @@ class TestMemory:
         # prediction, and the step's activation and a chunk of 20 training
         # rows' powers
         step = self.N_FEATURES * 10 * self.N_NODES * 8 + 3 * 20 * self.N_NODES * 8
-        peak = self.traced_peak(lambda: train(models, s, (x[:20], y[:20]), (x, y), config))
+        peak = self.traced_peak(lambda: train(models, s, (x[:20], y[:20]), (x, y), config, 0))
         assert peak < bound + 2 * prediction + step + self.SLACK
 
     def test_train_peak_at_the_desk_shape(self, data):
@@ -1076,5 +1116,5 @@ class TestMemory:
         act = self.N_FEATURES * 16 * row    # a forward chunk: 16 rows, 50 BLAS blocks
         assert chunk_powers // (3 * row) >= n_val
         peak = self.traced_peak(lambda: train(models, s, (x, labels),
-                                              (x[:n_val], labels[:n_val]), config))
+                                              (x[:n_val], labels[:n_val]), config, 0))
         assert peak < chunk_powers + act + 4 * n_val * row + self.SLACK
