@@ -93,6 +93,7 @@ class ExperimentConfig(TrainConfig):
         return self.n - self.k
 
     def validate(self) -> None:
+        super().validate()   # every field's type, then the training settings' ranges
         if not 0 < self.k < self.n:
             raise ConfigurationError(f"need 0 < k < n, got k={self.k}, n={self.n}")
         if self.subspace not in MODES + ("all",):
@@ -105,7 +106,6 @@ class ExperimentConfig(TrainConfig):
         if self.neighbors >= self.n:
             raise ConfigurationError(
                 f"need neighbors < n, got neighbors={self.neighbors}, n={self.n}")
-        super().validate()
 
     def modes(self) -> tuple[str, ...]:
         return MODES if self.subspace == "all" else (self.subspace,)

@@ -83,7 +83,7 @@ state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -115,6 +115,13 @@ def chunk_rows(row_bytes: int, multiple: int = 1) -> int:
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
+# per annotation of a config field, the types its values may have and
+# their name; a bool is neither a count nor a rate
+FIELD_TYPES = {"int": ((int, np.integer), "an integer"),
+               "float": ((int, float, np.integer, np.floating), "a real number"),
+               "str": ((str,), "a string")}
+
+
 @dataclass
 class TrainConfig:
     """The settings of a train call; experiment.ExperimentConfig inherits them."""
@@ -126,6 +133,14 @@ class TrainConfig:
     il_weight: float = 0.01
 
     def validate(self) -> None:
+        """Raise ConfigurationError naming the first field, of this class
+        or a subclass, whose value has the wrong type, then the first of
+        this class's fields out of range."""
+        for setting in fields(self):
+            value = getattr(self, setting.name)
+            accepted, kind = FIELD_TYPES[setting.type]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigurationError(f"{setting.name} must be {kind}, got {value!r}")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be nonnegative")
         if self.batch_size <= 0:

@@ -317,6 +317,37 @@ class TestVerifyCommand:
             "  trial log: <out>/verify_corollary2.csv (+ 2 probe files)\n"
             "verification passed\n")
 
+    def test_corollary2_probe_files_unchanged(self, tmp_path, capsys, pinned_build):
+        # sha256 of corollary 2's files as written while the probe's coarse
+        # search formed a whole (n, 8001) grid and refined every draw; at 50
+        # nodes about half the draws are inf and the scan spans several blocks
+        code = main(["verify", "--theorem", "cor2", "--graphs", "3", "--trials", "40",
+                     "--seed", "17", "--nodes", "50", "--cutoff", "10",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert digests == {
+            "verify_corollary2.csv":
+                "1a3bfabc2403e49724cd1277fb0da9d508cb7e30f76ac79dccc7334eab5f82fc",
+            "cor2_probe_g0.csv":
+                "82b45acdb65be7115b64efe3587cb8029df42dc5d1d00f30b220798193f89d24",
+            "cor2_probe_g1.csv":
+                "dda9a523bccca41cf5d51eb5ecc289b3d2a686ed56ec00edc56e1808f80e4993",
+            "cor2_probe_g2.csv":
+                "6610a7e8b21281eb9db87cd5bf6f3197b7720378e4701ab5e315cb0384b083f2",
+        }, pinned_build
+        assert capsys.readouterr().out.replace(str(tmp_path), "<out>") == (
+            "== corollary2 (3 graphs x 40 trials) ==\n"
+            "  graph 0: subset violations 0, strictness witnesses 14, "
+            "probe residual > 1e-6 on 100/100 draws\n"
+            "  graph 1: subset violations 0, strictness witnesses 14, "
+            "probe residual > 1e-6 on 100/100 draws\n"
+            "  graph 2: subset violations 0, strictness witnesses 14, "
+            "probe residual > 1e-6 on 100/100 draws\n"
+            "  trial log: <out>/verify_corollary2.csv (+ 3 probe files)\n"
+            "verification passed\n")
+
     @pytest.mark.parametrize("flag, value", [("--graphs", "0"), ("--trials", "-3")])
     def test_rejects_nonpositive_counts(self, tmp_path, capsys, flag, value):
         code = main(["verify", "--theorem", "1", flag, value, "--out", str(tmp_path)])

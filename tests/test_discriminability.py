@@ -361,6 +361,15 @@ class TestVerifyCorollary2:
         assert report.counts["probe_above_threshold"] == 3
         assert np.all(np.isinf(report.probe_residuals))
 
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_rejects_fewer_than_one_probe_draw(self, split, draws):
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(37))
+        rng = np.random.default_rng(38)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match=f"probe_draws must be at least 1, got {draws}"):
+            disc.verify_corollary2(split, gnn, 5, rng, probe_draws=draws)
+        assert rng.bit_generator.state == state
+
     def test_requires_multiple_high_modes(self, split_of):
         split = split_of(generate_geometric_graph(6, 2, seed=43), 5)   # single unprotected mode
         gnn = disc.verifier_gnn(split, Nonlinearity.tanh(),
@@ -713,12 +722,12 @@ class TestTanhSecantOffset:
             assert math.tanh(a) - math.tanh(a - root) - b * root == pytest.approx(
                 0.0, abs=1e-10)
 
-    def test_unreachable_secant_returns_nan(self):
+    def test_unreachable_secant_has_no_offset(self):
         # at a = 2 the largest secant reachable with a nonzero offset stays
         # well below 0.99, while at a = 0.1 the secant 0.99 is reachable
-        roots = disc._tanh_secant_offsets(np.array([2.0, 0.1]), 0.99)
-        assert math.isnan(roots[0])
-        assert not math.isnan(roots[1])
+        assert disc._tanh_secant_offsets(np.array([2.0, 0.1]), 0.99) is None
+        roots = disc._tanh_secant_offsets(np.array([0.1]), 0.99)
+        assert not math.isnan(roots[0])
 
     def test_root_near_zero_offset(self):
         # b just below the derivative 1 - tanh(a)^2 puts a genuine root
@@ -729,6 +738,79 @@ class TestTanhSecantOffset:
         assert 0.0 < abs(root) < 1e-3
         assert math.tanh(a) - math.tanh(a - root) - b * root == pytest.approx(
             0.0, abs=1e-14)
+
+
+def scan_inputs(a, b):
+    """The coarse scan's tanh(a) and floor columns and its grid, as
+    _tanh_secant_offsets forms them."""
+    a = np.asarray(a, dtype=np.float64)[:, None]
+    extent = 2.0 / b + 1.0
+    return (np.tanh(a), -1.0 / (b * np.cosh(a) ** 2),
+            np.linspace(-extent, extent, disc.SECANT_GRID_POINTS))
+
+
+def one_pass_crossings(tanh_a, floor, grid):
+    """Each row's first crossing cell and whether it has one, from the
+    whole (rows, grid) array at once."""
+    value = tanh_a * grid[None, :]
+    value -= np.divide(grid, np.tanh(grid), out=np.ones(grid.shape), where=grid != 0.0)
+    above = value > floor
+    flips = above[:, :-1] != above[:, 1:]
+    cell = np.argmax(flips, axis=1)
+    return cell, flips[np.arange(len(cell)), cell]
+
+
+_SCAN_RNG = np.random.default_rng(48)
+
+
+class TestProbeSearch:
+    @pytest.mark.parametrize("block_bytes", [None, 8 * 7])
+    @pytest.mark.parametrize("a, b", [
+        (_SCAN_RNG.normal(scale=1.5, size=40), float(_SCAN_RNG.uniform())),
+        (_SCAN_RNG.normal(scale=1.5, size=40), float(_SCAN_RNG.uniform())),
+        (_SCAN_RNG.normal(scale=1.5, size=30), 1e-3),
+        # only |a| below about 3e-5 reaches a secant this close to tanh'(0)
+        (_SCAN_RNG.normal(scale=[[1e-5], [1.5]], size=(2, 15)).ravel(), 1.0 - 1e-9),
+        (np.array([2.0, 0.1, -2.5, 0.05, 3.0]), 0.99),   # unreachable at |a| >= 2
+    ], ids=["random", "random2", "b_near_0", "b_near_1", "unreachable"])
+    def test_blocked_scan_matches_one_pass(self, monkeypatch, block_bytes, a, b):
+        # 8 * 7 bytes make each block one cell wide while more than seven
+        # rows are open, so nearly every crossing sits on a block edge
+        if block_bytes is not None:
+            monkeypatch.setattr(disc, "SCAN_BLOCK_BYTES", block_bytes)
+        inputs = scan_inputs(a, b)
+        cell, found = disc._coarse_crossings(*inputs)
+        want_cell, want_found = one_pass_crossings(*inputs)
+        np.testing.assert_array_equal(found, want_found)
+        np.testing.assert_array_equal(cell, want_cell)
+        assert found.any() and (b != 0.99 or not found.all())
+
+    def test_refine_grid_is_linspace(self):
+        rng = np.random.default_rng(49)
+        lo = rng.normal(size=6) * 10.0 ** rng.integers(-12, 3, size=6)
+        hi = lo + rng.uniform(size=6) * 10.0 ** rng.integers(-14, 1, size=6)
+        # a row whose step is 0: lo == hi; and one whose subnormal width
+        # gives a zero step, which linspace's branch then builds another way
+        with_zero_step = (np.append(lo, [0.7, 0.0]), np.append(hi, [0.7, 1e-322]))
+        for lo, hi in ((lo, hi), with_zero_step):
+            got = disc._refine_grid(lo, hi)
+            want = np.linspace(lo, hi, disc.REFINE_POINTS, axis=1)
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_probe_memory_bounded(self, split_of):
+        # a one-pass coarse scan forms a (100, 8001) float64 array: 6.4 MB
+        split = split_of(generate_geometric_graph(100, 5, seed=44), 4)
+        gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(45))
+        rng = np.random.default_rng(46)
+        tracemalloc.start()
+        try:
+            residuals = [disc.overdetermined_probe(split, gnn, 1, rng) for _ in range(8)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert any(math.isfinite(r) for r in residuals)   # at least one draw was refined
+        assert peak <= 1.5e6
 
 
 class TestTrialCsv:

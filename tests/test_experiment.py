@@ -362,6 +362,27 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match=field):
             tiny_config(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("n", 16.0, "an integer"),
+        ("k", "4", "an integer"),
+        ("graphs", True, "an integer"),
+        ("seed", 0.5, "an integer"),
+        ("train", np.float64(40), "an integer"),
+        ("epochs", "2", "an integer"),
+        ("il_weight", "0.01", "a real number"),
+        ("subspace", 1, "a string"),
+        ("subspace", None, "a string"),
+    ])
+    def test_rejects_wrong_type(self, field, value, kind):
+        with pytest.raises(ConfigurationError) as info:
+            tiny_config(**{field: value}).validate()
+        assert str(info.value) == f"{field} must be {kind}, got {value!r}"
+
+    def test_accepts_numpy_and_integer_values(self):
+        tiny_config(n=np.int64(16), k=np.int32(4), graphs=np.int64(1), seed=np.uint8(5),
+                    epochs=np.int64(2), learning_rate=np.float32(1e-3), decay=1,
+                    il_weight=np.int64(0)).validate()
+
     def test_training_settings_are_declared_once(self):
         # the five training settings are TrainConfig's alone; seed is the
         # experiment's master seed, and train takes its own as an argument

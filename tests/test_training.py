@@ -535,6 +535,14 @@ class TestTrain:
         ("il_weight", -0.01),
         ("il_weight", float("inf")),
         ("il_weight", float("nan")),
+        ("epochs", 2.5),
+        ("epochs", "3"),
+        ("epochs", True),
+        ("batch_size", np.float64(10.0)),
+        ("batch_size", None),
+        ("learning_rate", "0.001"),
+        ("decay", True),
+        ("il_weight", [0.01]),
     ])
     def test_invalid_config_raises_before_any_step(self, support, monkeypatch, setting, value):
         def no_pass(*args, **kwargs):
