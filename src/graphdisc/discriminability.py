@@ -22,7 +22,9 @@ deviation) and the (T, F, n) secants themselves. Every product and norm
 in it is taken per signal or per pair, so a pair's numbers carry the same
 bits whether it is judged alone, as a stack of one, or among T. draw_pairs
 draws a stack of pairs with one standard_normal call (plus one per
-rejected pair), in the order drawing them one by one would take.
+rejected pair), in the order drawing them one by one would take. These two
+are the only way a pair is judged or drawn, and Trials is the one per-pair
+record; a single pair is a stack of one.
 
 A verifier walks its trials in blocks of BLOCK_TRIALS pairs: it draws a
 block, judges it, and keeps the block's Trials but not its secants, so its
@@ -99,25 +101,6 @@ SCAN_BLOCK_BYTES = 2 ** 17    # bytes of float64 values in one block of the coar
 REFINE_POINTS = 257           # each refinement narrows a bracket 256-fold
 REFINE_ROUNDS = 6             # 2**-48 of a grid cell: below 1e-14 for b > 1e-3
 BLOCK_TRIALS = 4096           # pairs a verifier draws and judges at once
-
-
-@dataclass(frozen=True)
-class PairVerdict:
-    """Membership evidence for one (x, y) pair."""
-
-    in_d_h: bool
-    in_d_phi: bool
-    residual_low_filter: float  # Frobenius over filters of ||V_low^T (H^f x - H^f y)||
-    residual_low_gnn: float     # same, after the nonlinearity
-
-
-@dataclass(frozen=True)
-class SecantReport:
-    """Per-filter secants of the nonlinearity between the two filter outputs."""
-
-    secants: np.ndarray               # (F, n)
-    max_deviation: np.ndarray         # (F,) max_i |b_i - mean_i b_i|
-    high_response_nonzero: np.ndarray  # (F,) bool
 
 
 class Trials(NamedTuple):
@@ -216,16 +199,6 @@ def _high_response_flags(bank: np.ndarray, k: int,
     return flags
 
 
-# no command calls it or PairVerdict; both stay while perfbench/spans.py traces it
-def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn,
-                  x: np.ndarray, y: np.ndarray) -> PairVerdict:
-    """Full membership verdict for one pair under the GNN."""
-    judged = judge_pairs(split, gnn, [x], [y])[0]
-    return PairVerdict(in_d_h=bool(judged.in_d_h[0]), in_d_phi=bool(judged.in_d_phi[0]),
-                       residual_low_filter=float(judged.residual_low_filter[0]),
-                       residual_low_gnn=float(judged.residual_low_gnn[0]))
-
-
 # kinds of drawn pair; a mixed suite cycles through them in this order
 INSIDE, OUTSIDE, SAME = 0, 1, 2
 MIXED = (INSIDE, OUTSIDE, SAME)
@@ -301,30 +274,20 @@ def _judge_in_blocks(split: SubspaceSplit, gnn: SingleLayerGnn,
     return Trials(*map(np.concatenate, zip(*blocks)))
 
 
-# no command calls it; it stays while perfbench/spans.py traces it
+# these three stay only while perfbench/spans.py traces their names
+def pair_in_d_phi(split: SubspaceSplit, gnn: SingleLayerGnn, x: np.ndarray,
+                  y: np.ndarray) -> Trials:
+    return judge_pairs(split, gnn, [x], [y])[0]
+
+
+def secant_report(split: SubspaceSplit, gnn: SingleLayerGnn, x: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
+    return judge_pairs(split, gnn, [x], [y])[1][0]
+
+
 def sample_pair_in_d_h(split: SubspaceSplit,
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """A pair that is nondiscriminable by construction.
-
-    x is standard normal and y adds a high-subspace perturbation with
-    standard normal coefficients.
-    """
-    x, y = draw_pairs(split, rng, 1, (INSIDE,))
-    return x[0], y[0]
-
-
-# no command calls it or SecantReport; both stay while perfbench/spans.py traces it
-def secant_report(split: SubspaceSplit, gnn: SingleLayerGnn, x: np.ndarray,
-                  y: np.ndarray) -> SecantReport:
-    """Secants of the nonlinearity between the two filter outputs, per node.
-
-    Where the two outputs coincide (within 1e-12) the derivative replaces
-    the secant. As in judge_pairs, a bank that vanishes on a protected mode
-    the pair differs on raises NumericalError.
-    """
-    judged, secants = judge_pairs(split, gnn, [x], [y])
-    return SecantReport(secants[0], judged.max_deviation[0],
-                        _high_response_flags(gnn.bank, split.k))
+    return draw_pairs(split, rng, 1, (INSIDE,))
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +530,11 @@ def verify_corollary2(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
     bank-nondiscriminable, (b) at least one bank-nondiscriminable pair is
     discriminated by the GNN, and (c) the overdetermined constant-secant
     system has residual above 1e-6 on at least 95% of the probe draws.
-    Fewer than one probe draw raises ConfigurationError before any draw.
+    A probe_draws that is not an integer (a bool is not), or is below 1,
+    raises ConfigurationError before any draw.
     """
+    if isinstance(probe_draws, bool) or not isinstance(probe_draws, (int, np.integer)):
+        raise ConfigurationError(f"probe_draws must be an integer, got {probe_draws!r}")
     if probe_draws < 1:
         raise ConfigurationError(f"probe_draws must be at least 1, got {probe_draws}")
     if split.v_high.shape[1] <= 1:

@@ -199,6 +199,7 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
 
     Passing `graph` replaces the generated graph (the RNG streams stay tied
     to the replicate index); init_taps/init_readout warm-start both models.
+    run_experiment checks the graph's node count and the warm-start shapes.
     """
     root = np.random.SeedSequence((config.seed, MODE_INDEX[mode], graph_index))
     ss_graph, ss_data, ss_init = root.spawn(3)
@@ -206,10 +207,6 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
     if graph is None:
         graph_seed = int(ss_graph.generate_state(1, np.uint64)[0])
         graph = generate_geometric_graph(config.n, config.neighbors, graph_seed)
-    elif graph.n != config.n:
-        raise ConfigurationError(
-            f"loaded graph has {graph.n} nodes, config expects {config.n}"
-        )
     s_norm = normalize_support(laplacian(graph))
     split = split_subspace(eig_sym(s_norm), config.split_index)
 
@@ -227,12 +224,8 @@ def run_replicate(config: ExperimentConfig, mode: str, graph_index: int,
     # both models start from the same parameters: the GNN is a tanh copy
     linear = init_model(config.features, config.taps, Nonlinearity.identity(), seed=init_seed)
     for part, init in (("taps", init_taps), ("readout", init_readout)):
-        if init is None:
-            continue
-        shape = getattr(linear, part).shape
-        if init.shape != shape:
-            raise ShapeError(f"warm-start {part} shape {init.shape} != {shape}")
-        setattr(linear, part, init.copy())
+        if init is not None:
+            setattr(linear, part, init.copy())
     gnn = linear.copy()
     gnn.sigma = Nonlinearity.tanh()
     models = [linear, gnn]
@@ -314,13 +307,21 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     with one BLAS thread, or in this process when that is 1; the
     replicates are the same for any jobs.
 
-    A replicate that raises a graphdisc.errors exception aborts the run
-    with an exception of the same type whose message starts with the
-    replicate's subspace and graph index.
+    A fixed graph's node count and the warm-start shapes, (features, taps)
+    and (features,), are checked before any replicate starts. A replicate
+    that raises a graphdisc.errors exception aborts the run with an
+    exception of the same type whose message starts with the replicate's
+    subspace and graph index.
     """
     config.validate()
     if graph is not None and config.graphs != 1:
         raise ConfigurationError("a fixed graph implies exactly one replicate")
+    if graph is not None and graph.n != config.n:
+        raise ConfigurationError(f"loaded graph has {graph.n} nodes, config expects {config.n}")
+    for part, init, shape in (("taps", init_taps, (int(config.features), int(config.taps))),
+                              ("readout", init_readout, (int(config.features),))):
+        if init is not None and init.shape != shape:
+            raise ShapeError(f"warm-start {part} shape {init.shape} != {shape}")
 
     tasks = [(config, mode, g, graph, init_taps, init_readout)
              for mode in config.modes() for g in range(config.graphs)]

@@ -113,11 +113,10 @@ class TestCriterion3Theorem2:
             for _ in range(10):
                 x, y = disc.constant_secant_pair(split, gnn, rng)
                 scale = np.linalg.norm(x - y)
-                verdict = disc.pair_in_d_phi(split, gnn, x, y)
-                assert verdict.in_d_h and verdict.in_d_phi
-                worst = max(worst, verdict.residual_low_gnn / scale)
-                srep = disc.secant_report(split, gnn, x, y)
-                deviations = max(deviations, float(np.max(srep.max_deviation)))
+                judged = disc.judge_pairs(split, gnn, [x], [y])[0]
+                assert judged.in_d_h[0] and judged.in_d_phi[0]
+                worst = max(worst, float(judged.residual_low_gnn[0]) / scale)
+                deviations = max(deviations, float(np.max(judged.max_deviation[0])))
         report("3b (theorem 2, constant-secant pairs)",
                worst <= 1e-9,
                f"worst relative residual {worst:.2e}, "

@@ -18,7 +18,7 @@ from graphdisc.cli import load_config_file, main
 from graphdisc.errors import ConfigurationError
 from graphdisc.filters import load_bank, save_bank
 from graphdisc.gnn import Nonlinearity, TrainableModel, load_model, save_model
-from graphdisc.graphs import load_graph
+from graphdisc.graphs import generate_geometric_graph, load_graph, save_graph
 from graphdisc.spectral import eig_sym
 
 TINY = ["--graphs", "1", "--epochs", "1", "--train", "30", "--val", "10",
@@ -590,16 +590,38 @@ class TestErrorExit:
         err = capsys.readouterr().err
         assert err == f"graphdisc: error: cannot read {path}: No such file or directory\n"
 
+    @staticmethod
+    def refuse_work(monkeypatch):
+        """Make building a dataset or starting a worker pool fail the test."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the inputs were checked")
+
+        monkeypatch.setattr(graphdisc.experiment, "build_dataset", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_bank_of_wrong_shape(self, tmp_path, capsys, jobs):
-        # two replicates, so that --jobs 2 runs them in worker processes
+    def test_bank_of_wrong_shape(self, tmp_path, capsys, monkeypatch, jobs):
+        # two replicates, so that --jobs 2 would run them in worker processes;
+        # the bank is refused before either starts
         path = tmp_path / "bank.txt"
         save_bank(np.eye(2), str(path))
+        self.refuse_work(monkeypatch)
         code = run_tiny(tmp_path / "out", "--load-bank", path, "--graphs", "2", "--jobs", jobs)
         assert code == 2
         err = capsys.readouterr().err
-        assert err == ("graphdisc: error: replicate high graph 0: "
-                       "warm-start taps shape (2, 2) != (32, 3)\n")
+        assert err == "graphdisc: error: warm-start taps shape (2, 2) != (32, 3)\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_graph_of_wrong_size(self, tmp_path, capsys, monkeypatch, jobs):
+        # every subspace, so that --jobs 2 would run three replicates in workers
+        path = tmp_path / "graph.txt"
+        save_graph(generate_geometric_graph(30, 5, seed=2), str(path))
+        self.refuse_work(monkeypatch)
+        code = run_tiny(tmp_path / "out", "--load-graph", path, "--subspace", "all",
+                        "--jobs", jobs)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "graphdisc: error: loaded graph has 30 nodes, config expects 50\n"
 
     def test_load_model_with_load_bank(self, tmp_path, capsys, monkeypatch):
         # a wrong-shape bank next to a valid model: the pair is refused

@@ -108,9 +108,9 @@ class TestPairInDPhi:
         gnn = disc.verifier_gnn(split, Nonlinearity.tanh(),
                                 rng=np.random.default_rng(5))
         x = np.random.default_rng(6).standard_normal(N)
-        verdict = disc.pair_in_d_phi(split, gnn, x, x)
-        assert verdict.in_d_phi and verdict.in_d_h
-        assert verdict.residual_low_gnn <= 1e-12
+        judged = judge_one(split, gnn, x, x)
+        assert judged.in_d_phi[0] and judged.in_d_h[0]
+        assert judged.residual_low_gnn[0] <= 1e-12
 
     def test_identity_sigma_matches_bank_verdict(self, split):
         gnn = disc.verifier_gnn(split, Nonlinearity.identity(),
@@ -118,29 +118,26 @@ class TestPairInDPhi:
         rng = np.random.default_rng(8)
         for trial in range(20):
             if trial % 2 == 0:
-                x, y = disc.sample_pair_in_d_h(split, rng)
+                (x,), (y,) = disc.draw_pairs(split, rng, 1, (disc.INSIDE,))
             else:
                 x, y = rng.standard_normal((2, N))
-            verdict = disc.pair_in_d_phi(split, gnn, x, y)
-            assert verdict.in_d_phi == verdict.in_d_h
+            judged = judge_one(split, gnn, x, y)
+            assert judged.in_d_phi[0] == judged.in_d_h[0]
 
     def test_tanh_discriminates_high_perturbations(self, split):
         gnn = disc.verifier_gnn(split, Nonlinearity.tanh(),
                                 rng=np.random.default_rng(9))
-        rng = np.random.default_rng(10)
-        discriminated = 0
-        for _ in range(50):
-            x, y = disc.sample_pair_in_d_h(split, rng)
-            verdict = disc.pair_in_d_phi(split, gnn, x, y)
-            assert verdict.in_d_h
-            discriminated += not verdict.in_d_phi
-        assert discriminated >= 48
+        # 50 pairs drawn in one stack: the pairs of 50 draws of one
+        x, y = disc.draw_pairs(split, np.random.default_rng(10), 50, (disc.INSIDE,))
+        judged = disc.judge_pairs(split, gnn, x, y)[0]
+        assert judged.in_d_h.all()
+        assert np.count_nonzero(~judged.in_d_phi) >= 48
 
 
 class TestSamplePair:
     def test_difference_in_null_space(self, split):
         rng = np.random.default_rng(11)
-        x, y = disc.sample_pair_in_d_h(split, rng)
+        (x,), (y,) = disc.draw_pairs(split, rng, 1, (disc.INSIDE,))
         flag, residual = nul_vk(split, x - y)
         assert flag and residual <= 1e-10
 
@@ -156,12 +153,17 @@ class TestSamplePair:
                 return out
 
         rec = Recorder()
-        x, y = disc.sample_pair_in_d_h(split, rec)
+        (x,), (y,) = disc.draw_pairs(split, rec, 1, (disc.INSIDE,))
         assert [draw.size for draw in rec.draws] == [2 * N - K]   # x, then delta
         np.testing.assert_array_equal(x, rec.draws[0][:N])
         delta_drawn = rec.draws[0][N:]
         recovered = split.v_high.T @ (y - x)
         np.testing.assert_allclose(recovered, delta_drawn, atol=1e-12)
+
+
+def secants_one(split, gnn, x, y):
+    """judge_pairs's (F, n) secants for the single pair (x, y)."""
+    return disc.judge_pairs(split, gnn, [x], [y])[1][0]
 
 
 class TestSecantReport:
@@ -170,9 +172,9 @@ class TestSecantReport:
                                 rng=np.random.default_rng(14))
         rng = np.random.default_rng(15)
         x, y = rng.standard_normal((2, N))
-        report = disc.secant_report(split, gnn, x, y)
-        np.testing.assert_allclose(report.secants, 1.0, atol=1e-12)
-        np.testing.assert_allclose(report.max_deviation, 0.0, atol=1e-12)
+        judged, secants = disc.judge_pairs(split, gnn, [x], [y])
+        np.testing.assert_allclose(secants[0], 1.0, atol=1e-12)
+        np.testing.assert_allclose(judged.max_deviation[0], 0.0, atol=1e-12)
 
     def test_tanh_symmetric_secant_value(self, split):
         # identity filter maps x to itself, so the secant between +1 and -1
@@ -180,23 +182,17 @@ class TestSecantReport:
         gnn = SingleLayerGnn(bank=np.ones((1, N)), sigma=Nonlinearity.tanh())
         x = np.ones(N)
         y = -np.ones(N)
-        report = disc.secant_report(split, gnn, x, y)
-        np.testing.assert_allclose(report.secants, math.tanh(1.0), atol=1e-9)
+        np.testing.assert_allclose(secants_one(split, gnn, x, y), math.tanh(1.0), atol=1e-9)
         assert math.tanh(1.0) == pytest.approx(0.7615941559, abs=1e-9)
 
     def test_equal_points_use_derivative(self, split):
         gnn = SingleLayerGnn(bank=np.ones((1, N)), sigma=Nonlinearity.tanh())
         x = np.zeros(N)
-        report = disc.secant_report(split, gnn, x, x)
-        np.testing.assert_allclose(report.secants, 1.0, atol=1e-12)
+        np.testing.assert_allclose(secants_one(split, gnn, x, x), 1.0, atol=1e-12)
 
     def test_high_response_flags(self, split):
-        bank = (zero_high_response(split, np.ones(K)), np.ones(N))
-        gnn = SingleLayerGnn(bank=bank, sigma=Nonlinearity.tanh())
-        rng = np.random.default_rng(16)
-        report = disc.secant_report(split, gnn, rng.standard_normal(N),
-                                    rng.standard_normal(N))
-        np.testing.assert_array_equal(report.high_response_nonzero, [False, True])
+        bank = np.array((zero_high_response(split, np.ones(K)), np.ones(N)))
+        np.testing.assert_array_equal(disc._high_response_flags(bank, K), [False, True])
 
     def test_secant_bounds_strictly_monotone(self, split):
         rng = np.random.default_rng(17)
@@ -204,9 +200,9 @@ class TestSecantReport:
             gnn = disc.verifier_gnn(split, sigma, rng=rng)
             for _ in range(10):
                 x, y = rng.standard_normal((2, N))
-                report = disc.secant_report(split, gnn, x, y)
-                assert np.all(report.secants > 0.0)
-                assert np.all(report.secants <= 1.0 + 1e-12)
+                secants = secants_one(split, gnn, x, y)
+                assert np.all(secants > 0.0)
+                assert np.all(secants <= 1.0 + 1e-12)
 
 
 class TestVerifyTheorem1:
@@ -229,8 +225,8 @@ class TestVerifyTheorem1:
         gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng)
         x = rng.standard_normal(N)
         y = x + 0.5 * split.spectrum.eigenvectors[:, 0]
-        verdict = disc.pair_in_d_phi(split, gnn, x, y)
-        assert not verdict.in_d_h and not verdict.in_d_phi
+        judged = judge_one(split, gnn, x, y)
+        assert not judged.in_d_h[0] and not judged.in_d_phi[0]
 
     def test_requires_zero_high_first_filter(self, split):
         gnn = SingleLayerGnn(bank=np.ones((1, N)), sigma=Nonlinearity.tanh())
@@ -287,11 +283,10 @@ class TestVerifyTheorem2:
         gnn = disc.verifier_gnn(split, Nonlinearity.leaky_rectifier(0.1), rng=rng)
         x, y = disc.constant_secant_pair(split, gnn, rng)
         scale = np.linalg.norm(x - y)
-        verdict = disc.pair_in_d_phi(split, gnn, x, y)
-        assert verdict.in_d_h and verdict.in_d_phi
-        assert verdict.residual_low_gnn <= 1e-9 * scale
-        report = disc.secant_report(split, gnn, x, y)
-        np.testing.assert_allclose(report.secants, 1.0, atol=1e-12)
+        judged, secants = disc.judge_pairs(split, gnn, [x], [y])
+        assert judged.in_d_h[0] and judged.in_d_phi[0]
+        assert judged.residual_low_gnn[0] <= 1e-9 * scale
+        np.testing.assert_allclose(secants[0], 1.0, atol=1e-12)
 
     def test_needs_two_filters(self, split):
         gnn = SingleLayerGnn(bank=np.array([zero_high_response(split, np.ones(K))]),
@@ -314,7 +309,7 @@ class TestVerifyCorollary1:
         # for a D_H pair the features of x and y coincide to 1e-12
         rng = np.random.default_rng(28)
         gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=rng, high_gain=0.0)
-        x, y = disc.sample_pair_in_d_h(split, rng)
+        (x,), (y,) = disc.draw_pairs(split, rng, 1, (disc.INSIDE,))
         diff = (gnn.sigma.eval(bank_forward(gnn.bank, split.spectrum, x))
                 - gnn.sigma.eval(bank_forward(gnn.bank, split.spectrum, y)))
         assert np.max(np.abs(diff)) <= 1e-12
@@ -361,13 +356,16 @@ class TestVerifyCorollary2:
         assert report.counts["probe_above_threshold"] == 3
         assert np.all(np.isinf(report.probe_residuals))
 
-    @pytest.mark.parametrize("draws", [0, -3])
+    @pytest.mark.parametrize("draws", [0, -3, 2.5, True])
     def test_rejects_fewer_than_one_probe_draw(self, split, draws):
+        # 2.5 and True pass `< 1`; they too are refused before any draw
         gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(37))
         rng = np.random.default_rng(38)
         state = rng.bit_generator.state
-        with pytest.raises(ConfigurationError, match=f"probe_draws must be at least 1, got {draws}"):
+        with pytest.raises(ConfigurationError) as info:
             disc.verify_corollary2(split, gnn, 5, rng, probe_draws=draws)
+        rule = "be an integer" if isinstance(draws, (bool, float)) else "be at least 1"
+        assert str(info.value) == f"probe_draws must {rule}, got {draws!r}"
         assert rng.bit_generator.state == state
 
     def test_requires_multiple_high_modes(self, split_of):
@@ -386,14 +384,8 @@ def _rows(trials):
 
 
 def _per_pair_rows(split, gnn, pairs):
-    """The trial rows of the per-pair functions, one pair at a time."""
-    rows = []
-    for x, y in pairs:
-        v = disc.pair_in_d_phi(split, gnn, x, y)
-        report = disc.secant_report(split, gnn, x, y)
-        rows.append((v.in_d_h, v.in_d_phi, v.residual_low_filter,
-                     v.residual_low_gnn, float(np.max(report.max_deviation))))
-    return rows
+    """The trial rows judge_pairs gives each pair alone, as a stack of one."""
+    return [row for x, y in pairs for row in _rows(judge_one(split, gnn, x, y))]
 
 
 def _drawn_pairs(split, suite, rng, trials):
@@ -433,8 +425,8 @@ STACKED_CASES = [(suite, sigma) for suite in ("theorem1", "theorem2", "corollary
 
 
 class TestStackedTrials:
-    """A verifier judges all its pairs in one stacked pass; every row must
-    carry the bits the per-pair functions give its pair alone."""
+    """A verifier judges all its pairs in stacked passes; every row must
+    carry the bits judge_pairs gives its pair alone, as a stack of one."""
 
     @pytest.mark.parametrize("suite, sigma", STACKED_CASES)
     def test_rows_equal_per_pair_rows(self, split, suite, sigma):
@@ -454,7 +446,7 @@ class TestStackedTrials:
             agreements, worst = 0, math.inf
             for (x, y), (_, in_d_phi, _, residual_low_gnn, _) in zip(pairs,
                                                                      _rows(report.columns)):
-                considered = disc.secant_report(split, gnn, x, y).max_deviation[high]
+                considered = judge_one(split, gnn, x, y).max_deviation[0, high]
                 agreements += in_d_phi == bool(np.all(considered <= disc.SECANT_TOL))
                 margin_phi = abs(residual_low_gnn / max(float(np.linalg.norm(x - y)),
                                                         disc.SCALE_FLOOR) - disc.MEMBERSHIP_TOL)

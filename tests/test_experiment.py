@@ -1,5 +1,6 @@
 """Input/target generation, dataset construction, replication, reports."""
 
+import concurrent.futures
 import gc
 import tracemalloc
 import weakref
@@ -9,7 +10,7 @@ import pytest
 
 from graphdisc import experiment, training
 from graphdisc.discriminability import judge_pairs
-from graphdisc.errors import ConfigurationError, DegenerateInputError, ShapeError
+from graphdisc.errors import ConfigurationError, DegenerateInputError, NumericalError, ShapeError
 from graphdisc.filters import bank_il_constant, contract, shift_powers
 from graphdisc.experiment import (
     MODEL_NAMES,
@@ -398,11 +399,33 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_replicate_error_keeps_type_and_names_replicate(self, jobs):
-        with pytest.raises(ShapeError) as info:
-            run_experiment(tiny_config(graphs=1, subspace="low"), jobs=jobs,
-                           init_taps=np.zeros((2, 2)))
-        assert str(info.value) == (
-            "replicate low graph 0: warm-start taps shape (2, 2) != (4, 3)")
+        # a diverged loss is raised by a replicate; two of them, so that
+        # --jobs 2 runs them in worker processes
+        with pytest.raises(NumericalError) as info:
+            run_experiment(tiny_config(graphs=2, subspace="low", learning_rate=1e200),
+                           jobs=jobs)
+        assert str(info.value).startswith(
+            "replicate low graph 0: training diverged in epoch 0: ")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("given, error, message", [
+        ({"init_taps": np.zeros((2, 2))}, ShapeError, "warm-start taps shape (2, 2) != (4, 3)"),
+        ({"init_readout": np.ones(3)}, ShapeError, "warm-start readout shape (3,) != (4,)"),
+        ({"graph": generate_geometric_graph(12, 4, seed=1)}, ConfigurationError,
+         "loaded graph has 12 nodes, config expects 16"),
+    ], ids=["taps", "readout", "graph"])
+    def test_input_errors_before_any_dataset(self, monkeypatch, jobs, given, error, message):
+        # the inputs are checked once, before a dataset is built or a worker
+        # starts, and the message names no replicate
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the inputs were checked")
+
+        monkeypatch.setattr(experiment, "build_dataset", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        config = tiny_config(graphs=1 if "graph" in given else 2, subspace="all")
+        with pytest.raises(error) as info:
+            run_experiment(config, jobs=jobs, **given)
+        assert str(info.value) == message
 
 
 class TestRelativeGap:
@@ -470,10 +493,15 @@ class TestRunReplicate:
         run_replicate(tiny_config(graphs=1), "high", 0)
         assert alive == [False]
 
-    def test_warm_start_shape_checked(self):
-        config = tiny_config(graphs=1)
-        with pytest.raises(ShapeError):
-            run_replicate(config, "high", 0, init_taps=np.zeros((2, 2)))
+    def test_warm_start_shape_checked(self, monkeypatch):
+        # run_experiment checks the warm start, so no replicate starts on a
+        # wrong shape
+        def no_replicate(*args):
+            raise AssertionError("a replicate started on a wrong warm-start shape")
+
+        monkeypatch.setattr(experiment, "run_replicate", no_replicate)
+        with pytest.raises(ShapeError, match=r"^warm-start taps shape \(2, 2\) != \(4, 3\)$"):
+            run_experiment(tiny_config(graphs=1), init_taps=np.zeros((2, 2)))
 
 
 class TestEmitReport:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphdisc.errors import ConfigurationError, ShapeError
-from graphdisc.experiment import ExperimentConfig, run_replicate
+from graphdisc.experiment import ExperimentConfig, run_experiment
 from graphdisc.filters import contract, freq_response, save_bank, shift_powers
 from graphdisc.gnn import (Nonlinearity, SingleLayerGnn, TrainableModel, bank_forward, load_model,
                           save_model)
@@ -219,7 +219,7 @@ class TestReadout:
         config = ExperimentConfig(n=12, k=3, neighbors=3, features=4, subspace="high",
                                   train=10, val=5, test=5, graphs=1, epochs=0)
         with pytest.raises(ShapeError, match=r"warm-start readout shape \(3,\) != \(4,\)"):
-            run_replicate(config, "high", 0, init_readout=np.ones(3))
+            run_experiment(config, init_readout=np.ones(3))
 
 
 class TestPipelineEquivariance:
