@@ -57,14 +57,12 @@ The verifiers draw randomized trials and check, statement by statement:
                            solution (overdetermined-system probe)
 
 Corollary 2's probe (overdetermined_probe) solves one secant equation per
-node and draw. _coarse_crossings brackets each node's first root on a grid
-of SECANT_GRID_POINTS, scanned in column blocks of SCAN_BLOCK_BYTES over
-the nodes not yet solved, so the grid never exists as one (n, points)
-array: a probe peaks at 0.34 MB at n = 20 and 0.93 MB at n = 100
-(tracemalloc), where the whole grid took 1.7 and 8.1 MB. A draw with a
-node that has no root is inf at once; the others refine their brackets in
-REFINE_ROUNDS rounds of one (n, REFINE_POINTS) grid with np.linspace's
-bits.
+node and draw: _tanh_secant_offsets runs one Newton solve over the draw's
+n nodes as a vector, from a start left of every root, and each node climbs
+monotonically to its first root. A node whose iterate passes the minimum
+of the convex function it solves, without meeting a root, has none, and
+its draw is inf. A probe keeps a few (n,) vectors; its (n, n - k) normal
+equations set its memory peak.
 
 Every verifier returns one VerifierReport: its named counts, in the order
 its summary line reports them, its verdict `passed`, computed next to the
@@ -96,10 +94,7 @@ SECANT_EQUAL_POINTS = 1e-12   # |x_i - y_i| below this uses the derivative
 ZERO_HIGH_TOL = 1e-10         # a gain above the cutoff counts as zero up to this
 MEMBERSHIP_TOL = 1e-8         # a residual counts as zero up to this times ||x - y||
 SECANT_TOL = 1e-9             # theorem 2: a secant deviation counts as zero up to this
-SECANT_GRID_POINTS = 8001
-SCAN_BLOCK_BYTES = 2 ** 17    # bytes of float64 values in one block of the coarse secant scan
-REFINE_POINTS = 257           # each refinement narrows a bracket 256-fold
-REFINE_ROUNDS = 6             # 2**-48 of a grid cell: below 1e-14 for b > 1e-3
+NEWTON_STEPS = 100            # per probe draw; 19 was the most in 40,000 random draws
 BLOCK_TRIALS = 4096           # pairs a verifier draws and judges at once
 
 
@@ -414,86 +409,53 @@ def verify_corollary1(split: SubspaceSplit, gnn: SingleLayerGnn, trials: int,
                           passed=mismatches == 0, columns=columns)
 
 
-def _secant_flips(tanh_a: np.ndarray, floor: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Per row of tanh_a and floor (each (m, 1)), whether the secant minus b
-    changes sign across each cell of e, a grid row or one grid per row."""
-    value = tanh_a * e
-    value -= np.divide(e, np.tanh(e), out=np.ones(e.shape), where=e != 0.0)
-    above = value > floor
-    return above[:, :-1] != above[:, 1:]
-
-
-def _coarse_crossings(tanh_a: np.ndarray, floor: np.ndarray,
-                      grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of tanh_a and floor, the first cell of the grid where the
-    secant crosses b (0 where none does) and whether one does.
-
-    The grid's columns are scanned in blocks over the rows still open, each
-    SCAN_BLOCK_BYTES // (8 * open rows) cells wide, and at least one. A
-    block spans columns c0 to c1 inclusive and the next starts at c1, so a
-    crossing on a block edge is seen. A row leaves the scan at its first
-    crossing.
-    """
-    cell = np.zeros(len(tanh_a), dtype=np.intp)
-    found = np.zeros(len(tanh_a), dtype=bool)
-    open_ = np.arange(len(tanh_a))
-    c0 = 0
-    while open_.size and c0 < len(grid) - 1:
-        c1 = min(c0 + max(SCAN_BLOCK_BYTES // (8 * open_.size), 1), len(grid) - 1)
-        flips = _secant_flips(tanh_a[open_], floor[open_], grid[c0:c1 + 1])
-        hit = flips.any(axis=1)
-        cell[open_[hit]] = c0 + np.argmax(flips[hit], axis=1)
-        found[open_[hit]] = True
-        open_ = open_[~hit]
-        c0 = c1
-    return cell, found
-
-
-def _refine_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """np.linspace(lo, hi, REFINE_POINTS, axis=1), built row-major with its
-    arithmetic: column k is k * step + lo and the last column is hi, or,
-    when any row's step is 0, every row's column k is
-    (k / (REFINE_POINTS - 1)) * (hi - lo) + lo."""
-    k = np.arange(REFINE_POINTS, dtype=np.float64)
-    delta = (hi - lo)[:, None]
-    step = delta / (REFINE_POINTS - 1)
-    e = (k / (REFINE_POINTS - 1)) * delta if np.any(step == 0.0) else k * step
-    e += lo[:, None]
-    e[:, -1] = hi
-    return e
-
-
 def _tanh_secant_offsets(a: np.ndarray, b: float) -> np.ndarray | None:
-    """Per entry of a, an offset e with tanh(a) - tanh(a - e) = b * e; None
-    when some entry has none.
+    """Per entry of a, the leftmost offset e with tanh(a) - tanh(a - e) = b * e;
+    None when some entry has none.
 
     a holds the filter outputs at the nodes and b is the prescribed secant.
-    The search runs on the secant minus b, which, unlike the defect
-    tanh(a) - tanh(a - e) - b * e, has no trivial root at e = 0. As
-    tanh(a) - tanh(a - e) = tanh(e) sech(a)^2 / (1 - tanh(a) tanh(e)), the
-    secant minus b has the sign of
-    tanh(a) e - e / tanh(e) + sech(a)^2 / b, where e / tanh(e) is 1 at e = 0.
-    Every root has |e| < 2/b: _coarse_crossings brackets the first sign
-    change on a symmetric grid of that extent, and when every entry has one
-    the brackets are narrowed by evaluating a finer grid inside each. Each
-    round builds all entries' finer grids in one _refine_grid call, since
-    np.linspace, whose bits it keeps, picks its zero-step branch per call.
+    As tanh(a) - tanh(a - e) = tanh(e) sech(a)^2 / (1 - tanh(a) tanh(e)),
+    the secant equals b where psi(e) = e coth(e) - u e equals
+    c = sech(a)^2 / b, with u = tanh(a) and psi(0) = 1; unlike the defect
+    tanh(a) - tanh(a - e) - b * e, psi - c has no trivial root at e = 0.
+    psi is convex and, as |u| < 1, grows without bound on both sides. At
+    e0 = -(2/b + 1), psi(e0) >= (2/b + 1)(1 + u) > c, so Newton's method
+    started there climbs to psi's left root monotonically; a step is
+    clamped at 0 so that rounding cannot move it back. An entry whose slope
+    psi' = coth(e) - e csch(e)^2 - u is no longer negative while psi - c
+    is still positive has passed psi's minimum: it has no root. With
+    t = tanh(e) and r = e / t (1 at e = 0), psi = r - u e and
+    psi' = (1 - r) / t + r t - u, csch^2 = (1 - t^2) / t^2 regrouped so that
+    nothing overflows at |e0| ~ 2/b and (1 - r) / t is 0 at e = 0.
+
+    All entries step together, and an entry stops once its step is at most
+    2 ulps of its e, or once its psi - c no longer falls. The second rule
+    is needed: where psi' is small, rounding can hold psi - c a few ulps
+    above 0 and e would creep up 10 ulps a step for hundreds of steps. A
+    solve still moving after NEWTON_STEPS steps raises NumericalError, so a
+    failure to converge is reported, never returned as a root.
     """
-    a = np.asarray(a, dtype=np.float64)[:, None]
-    tanh_a = np.tanh(a)
-    floor = -1.0 / (b * np.cosh(a) ** 2)
-    extent = 2.0 / b + 1.0
-    grid = np.linspace(-extent, extent, SECANT_GRID_POINTS)
-    cell, found = _coarse_crossings(tanh_a, floor, grid)
-    if not found.all():
-        return None
-    nodes = np.arange(a.shape[0])
-    lo, hi = grid[cell], grid[cell + 1]
-    for _ in range(REFINE_ROUNDS):
-        e = _refine_grid(lo, hi)
-        cell = np.argmax(_secant_flips(tanh_a, floor, e), axis=1)
-        lo, hi = e[nodes, cell], e[nodes, cell + 1]
-    return 0.5 * (lo + hi)
+    u = np.tanh(a)
+    c = 1.0 / (b * np.cosh(a) ** 2)
+    e = np.full(u.shape, -(2.0 / b + 1.0))
+    moving, last = np.ones(e.shape, dtype=bool), np.full(e.shape, np.inf)
+    for _ in range(NEWTON_STEPS):
+        t = np.tanh(e)
+        nonzero = e != 0.0
+        r = np.divide(e, t, out=np.ones(e.shape), where=nonzero)
+        excess = r - u * e - c
+        slope = np.divide(1.0 - r, t, out=np.zeros(e.shape), where=nonzero) + r * t - u
+        if np.any((slope >= 0.0) & (excess > 0.0)):
+            return None
+        moving &= excess < last
+        step = np.divide(excess, -slope, out=np.zeros(e.shape), where=moving & (excess > 0.0))
+        e += step
+        moving &= step > 2.0 * np.abs(np.spacing(e))
+        if not moving.any():
+            return e
+        last = excess
+    raise NumericalError(f"the secant solve of a corollary 2 probe draw (b = {b!r}) "
+                         f"did not converge in {NEWTON_STEPS} Newton steps")
 
 
 def overdetermined_probe(split: SubspaceSplit, gnn: SingleLayerGnn, f_idx: int,

@@ -311,7 +311,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     and (features,), are checked before any replicate starts. A replicate
     that raises a graphdisc.errors exception aborts the run with an
     exception of the same type whose message starts with the replicate's
-    subspace and graph index.
+    subspace and graph index. A worker that dies before it returns its
+    replicate, as each does when the main program starts a run unguarded by
+    `if __name__ == "__main__":`, raises ConfigurationError.
     """
     config.validate()
     if graph is not None and config.graphs != 1:
@@ -332,11 +334,18 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
         # only a multi-worker run needs multiprocessing, so only it loads it
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         _check_spawnable_main(workers)
         with _one_blas_thread(), ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            return tuple(pool.map(_replicate_star, tasks))
+            try:
+                return tuple(pool.map(_replicate_star, tasks))
+            except BrokenProcessPool as exc:
+                raise ConfigurationError(
+                    "a worker process died before returning its replicate; each worker "
+                    "re-runs the main program, so a main script that calls graphdisc.cli.main "
+                    "needs an `if __name__ == \"__main__\":` guard") from exc
     return tuple(_replicate_star(t) for t in tasks)
 
 

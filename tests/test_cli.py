@@ -237,7 +237,8 @@ class TestVerifyCommand:
 
     def test_trial_logs_unchanged(self, tmp_path, capsys, pinned_build):
         # sha256 of the trial logs as written before the verifiers judged
-        # their pairs in one stacked pass
+        # their pairs in one stacked pass; the probe file's as written since
+        # the probe's secant equations are solved by Newton's method
         code = main(["verify", "--theorem", "all", "--seed", "0", "--trials", "50",
                      "--out", str(tmp_path)])
         assert code == 0
@@ -255,7 +256,7 @@ class TestVerifyCommand:
             "verify_corollary2.csv":
                 "0e564a3a2be9308b870bbc4937120535bedabcb595fdd241096d402c336895f9",
             "cor2_probe_g0.csv":
-                "998d1ce58477416f79b11074431e6a04e6d9e1a97e7be1e47a7291f51e3b4655",
+                "6c81c7fec9d4773112aac3e83398477c95b2ec09bea9f33759796714a1468af9",
         }, pinned_build
         # the summary lines, as printed before the verifiers returned one report type
         assert capsys.readouterr().out.replace(str(tmp_path), "<out>") == (
@@ -276,7 +277,8 @@ class TestVerifyCommand:
 
     def test_two_graph_trial_logs_unchanged(self, tmp_path, capsys, pinned_build):
         # sha256 of two graphs' trial logs as written while the trial log
-        # and the verifiers' GNN builds each had two code paths
+        # and the verifiers' GNN builds each had two code paths; the probe
+        # files' as written since the probe's Newton solve
         code = main(["verify", "--theorem", "all", "--graphs", "2", "--seed", "5",
                      "--trials", "40", "--out", str(tmp_path)])
         assert code == 0
@@ -292,9 +294,9 @@ class TestVerifyCommand:
             "verify_corollary2.csv":
                 "592ef9cffe1c8fd1c3503451b7d5c79743e00de8d7c9b67d0584b651640afa59",
             "cor2_probe_g0.csv":
-                "3868c6394bbd16bc245fc385678ea88f39ba749e3e7611afbdc57bae09e94ccd",
+                "a6d874d1ba4a6ed6b108a365ab80d4e5f402deb57049abd6e2b4cb71f9c8634f",
             "cor2_probe_g1.csv":
-                "44712aae152be679b12dea936b98d3e284d910bca9ba535702d06ff11fd9e550",
+                "630a2533eb542779b4aa4a9c8b9c7a300e157a9463667bbf048c7fa0c4a9f090",
         }, pinned_build
         assert capsys.readouterr().out.replace(str(tmp_path), "<out>") == (
             "== theorem1 (2 graphs x 40 trials) ==\n"
@@ -318,9 +320,9 @@ class TestVerifyCommand:
             "verification passed\n")
 
     def test_corollary2_probe_files_unchanged(self, tmp_path, capsys, pinned_build):
-        # sha256 of corollary 2's files as written while the probe's coarse
-        # search formed a whole (n, 8001) grid and refined every draw; at 50
-        # nodes about half the draws are inf and the scan spans several blocks
+        # sha256 of corollary 2's trial log, and of its probe files as the
+        # probe's Newton solve writes them; at 50 nodes about half the draws
+        # are inf
         code = main(["verify", "--theorem", "cor2", "--graphs", "3", "--trials", "40",
                      "--seed", "17", "--nodes", "50", "--cutoff", "10",
                      "--out", str(tmp_path)])
@@ -331,11 +333,11 @@ class TestVerifyCommand:
             "verify_corollary2.csv":
                 "1a3bfabc2403e49724cd1277fb0da9d508cb7e30f76ac79dccc7334eab5f82fc",
             "cor2_probe_g0.csv":
-                "82b45acdb65be7115b64efe3587cb8029df42dc5d1d00f30b220798193f89d24",
+                "1fd5b501b99225f5b82044fd5a660f9d2a1927cf321e71b59460dbd67fa0e16b",
             "cor2_probe_g1.csv":
-                "dda9a523bccca41cf5d51eb5ecc289b3d2a686ed56ec00edc56e1808f80e4993",
+                "81404ba04af4a384c8968e4931dd2fa21261fb192882c59611b569ded5723e29",
             "cor2_probe_g2.csv":
-                "6610a7e8b21281eb9db87cd5bf6f3197b7720378e4701ab5e315cb0384b083f2",
+                "a2d0cb3372810d8551424b3064989d691c55ecea6493c24577867e0f45c1829a",
         }, pinned_build
         assert capsys.readouterr().out.replace(str(tmp_path), "<out>") == (
             "== corollary2 (3 graphs x 40 trials) ==\n"
@@ -475,6 +477,25 @@ class TestJobs:
             "one job\n")
         assert not (tmp_path / "out" / "summary.csv").exists()
 
+
+    def test_unguarded_main_script_is_one_error_line(self, tmp_path):
+        # each spawned worker re-runs the script, and its own start of a
+        # pool fails before the worker returns a replicate
+        src = str(Path(graphdisc.cli.__file__).parents[1])
+        script = tmp_path / "unguarded.py"
+        script.write_text("import sys\n"
+                          "from graphdisc.cli import main\n"
+                          f"sys.exit(main(['run', '--subspace', 'high', '--seed', '3', "
+                          f"'--out', {str(tmp_path / 'out')!r}, *{TINY!r}, '--graphs', '2', "
+                          "'--jobs', '2']))\n")
+        probe = subprocess.run([sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=src),
+                               capture_output=True, text=True, timeout=300)
+        assert probe.returncode == 2
+        assert probe.stderr.splitlines()[-1] == (
+            "graphdisc: error: a worker process died before returning its replicate; each "
+            "worker re-runs the main program, so a main script that calls graphdisc.cli.main "
+            'needs an `if __name__ == "__main__":` guard')
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
 def loaded_modules(script: str) -> set[str]:
     """The modules a fresh interpreter holds after running `script`."""

@@ -733,12 +733,11 @@ class TestTanhSecantOffset:
 
 
 def scan_inputs(a, b):
-    """The coarse scan's tanh(a) and floor columns and its grid, as
-    _tanh_secant_offsets forms them."""
+    """A reference search's tanh(a) and floor columns and its grid: 8,001
+    points over the extent 2/b + 1 that bounds every root."""
     a = np.asarray(a, dtype=np.float64)[:, None]
     extent = 2.0 / b + 1.0
-    return (np.tanh(a), -1.0 / (b * np.cosh(a) ** 2),
-            np.linspace(-extent, extent, disc.SECANT_GRID_POINTS))
+    return (np.tanh(a), -1.0 / (b * np.cosh(a) ** 2), np.linspace(-extent, extent, 8001))
 
 
 def one_pass_crossings(tanh_a, floor, grid):
@@ -752,11 +751,30 @@ def one_pass_crossings(tanh_a, floor, grid):
     return cell, flips[np.arange(len(cell)), cell]
 
 
+def psi_minimum(a):
+    """min over e of psi(e) = e coth(e) - tanh(a) e, by bisection on the
+    sign of psi', which rises from -1 - tanh(a) to 1 - tanh(a)."""
+    u = math.tanh(a)
+    lo, hi = -50.0, 50.0
+    for _ in range(200):
+        e = 0.5 * (lo + hi)
+        t = math.tanh(e)
+        slope = (1.0 / t - e * (1.0 - t * t) / (t * t) if e != 0.0 else 0.0) - u
+        lo, hi = (e, hi) if slope < 0.0 else (lo, e)
+    return e / math.tanh(e) - u * e
+
+
+def assert_solves(a, b, roots):
+    """Each root solves tanh(a) - tanh(a - e) = b * e to 1e-12 relative."""
+    defect = np.tanh(a) - np.tanh(a - roots) - b * roots
+    assert np.all(roots != 0.0)
+    assert np.all(np.abs(defect) <= 1e-12 * np.abs(b * roots))
+
+
 _SCAN_RNG = np.random.default_rng(48)
 
 
 class TestProbeSearch:
-    @pytest.mark.parametrize("block_bytes", [None, 8 * 7])
     @pytest.mark.parametrize("a, b", [
         (_SCAN_RNG.normal(scale=1.5, size=40), float(_SCAN_RNG.uniform())),
         (_SCAN_RNG.normal(scale=1.5, size=40), float(_SCAN_RNG.uniform())),
@@ -765,33 +783,48 @@ class TestProbeSearch:
         (_SCAN_RNG.normal(scale=[[1e-5], [1.5]], size=(2, 15)).ravel(), 1.0 - 1e-9),
         (np.array([2.0, 0.1, -2.5, 0.05, 3.0]), 0.99),   # unreachable at |a| >= 2
     ], ids=["random", "random2", "b_near_0", "b_near_1", "unreachable"])
-    def test_blocked_scan_matches_one_pass(self, monkeypatch, block_bytes, a, b):
-        # 8 * 7 bytes make each block one cell wide while more than seven
-        # rows are open, so nearly every crossing sits on a block edge
-        if block_bytes is not None:
-            monkeypatch.setattr(disc, "SCAN_BLOCK_BYTES", block_bytes)
-        inputs = scan_inputs(a, b)
-        cell, found = disc._coarse_crossings(*inputs)
-        want_cell, want_found = one_pass_crossings(*inputs)
-        np.testing.assert_array_equal(found, want_found)
-        np.testing.assert_array_equal(cell, want_cell)
-        assert found.any() and (b != 0.99 or not found.all())
+    def test_roots_in_first_grid_crossing(self, a, b):
+        # the roots a grid search finds: each the first sign change of the
+        # secant minus b on a fine grid, or none for the draw
+        grid = scan_inputs(a, b)[2]
+        cell, found = one_pass_crossings(*scan_inputs(a, b))
+        roots = disc._tanh_secant_offsets(a, b)
+        assert found.any()
+        assert (roots is None) == (not found.all())
+        if roots is not None:
+            assert np.all((grid[cell] <= roots) & (roots <= grid[cell + 1]))
+            assert_solves(a, b, roots)
 
-    def test_refine_grid_is_linspace(self):
-        rng = np.random.default_rng(49)
-        lo = rng.normal(size=6) * 10.0 ** rng.integers(-12, 3, size=6)
-        hi = lo + rng.uniform(size=6) * 10.0 ** rng.integers(-14, 1, size=6)
-        # a row whose step is 0: lo == hi; and one whose subnormal width
-        # gives a zero step, which linspace's branch then builds another way
-        with_zero_step = (np.append(lo, [0.7, 0.0]), np.append(hi, [0.7, 1e-322]))
-        for lo, hi in ((lo, hi), with_zero_step):
-            got = disc._refine_grid(lo, hi)
-            want = np.linspace(lo, hi, disc.REFINE_POINTS, axis=1)
-            assert got.shape == want.shape
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    @pytest.mark.parametrize("a", [-1.3, 0.4, 2.2])
+    def test_near_double_root(self, a):
+        # b sets c = sech(a)^2 / b just above psi's minimum, where the two
+        # roots nearly meet and Newton's method slows to halving steps
+        low = psi_minimum(a)
+        b = (1.0 - math.tanh(a) ** 2) / (low * (1.0 + 1e-12))
+        roots = disc._tanh_secant_offsets(np.array([a]), b)
+        assert roots is not None
+        assert_solves(a, b, roots)
+        # just below the minimum there is no root
+        b = (1.0 - math.tanh(a) ** 2) / (low * (1.0 - 1e-12))
+        assert disc._tanh_secant_offsets(np.array([a]), b) is None
+
+    def test_rounding_floor_stops_the_solve(self):
+        # psi' is about -4.5e-4 at this root, and rounding holds psi - c a
+        # few ulps above 0: stopped on its step size alone, e creeps up 10
+        # ulps a step and the solve takes 205 steps
+        a, b = -4.198128026947755, 0.14578741994172428
+        roots = disc._tanh_secant_offsets(np.array([a]), b)
+        assert roots is not None
+        assert_solves(a, b, roots)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(disc, "NEWTON_STEPS", 1)
+        with pytest.raises(NumericalError, match="did not converge in 1 Newton steps"):
+            disc._tanh_secant_offsets(np.array([0.3, -1.2]), 0.5)
 
     def test_probe_memory_bounded(self, split_of):
-        # a one-pass coarse scan forms a (100, 8001) float64 array: 6.4 MB
+        # a probe draw keeps a few (n,) vectors; its (n, n - k) normal
+        # equations set the peak, about 0.08 MB at n = 100
         split = split_of(generate_geometric_graph(100, 5, seed=44), 4)
         gnn = disc.verifier_gnn(split, Nonlinearity.tanh(), rng=np.random.default_rng(45))
         rng = np.random.default_rng(46)
@@ -801,8 +834,8 @@ class TestProbeSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert any(math.isfinite(r) for r in residuals)   # at least one draw was refined
-        assert peak <= 1.5e6
+        assert any(math.isfinite(r) for r in residuals)   # at least one draw was solved
+        assert peak <= 0.25e6
 
 
 class TestTrialCsv:
