@@ -775,6 +775,7 @@ _SCAN_RNG = np.random.default_rng(48)
 
 
 class TestProbeSearch:
+    @pytest.mark.parametrize("block_bytes", [None, 8 * 7])
     @pytest.mark.parametrize("a, b", [
         (_SCAN_RNG.normal(scale=1.5, size=40), float(_SCAN_RNG.uniform())),
         (_SCAN_RNG.normal(scale=1.5, size=40), float(_SCAN_RNG.uniform())),
@@ -783,12 +784,26 @@ class TestProbeSearch:
         (_SCAN_RNG.normal(scale=[[1e-5], [1.5]], size=(2, 15)).ravel(), 1.0 - 1e-9),
         (np.array([2.0, 0.1, -2.5, 0.05, 3.0]), 0.99),   # unreachable at |a| >= 2
     ], ids=["random", "random2", "b_near_0", "b_near_1", "unreachable"])
-    def test_roots_in_first_grid_crossing(self, a, b):
+    def test_blocked_scan_matches_one_pass(self, block_bytes, a, b):
         # the roots a grid search finds: each the first sign change of the
-        # secant minus b on a fine grid, or none for the draw
+        # secant minus b on a fine grid, or none for the draw. With
+        # block_bytes set, the draw is solved in blocks of that many bytes
+        # of float64 entries, 7 entries for 8 * 7, whose roots must equal
+        # the one-vector solve's bit for bit: every entry steps and stops
+        # on its own
         grid = scan_inputs(a, b)[2]
         cell, found = one_pass_crossings(*scan_inputs(a, b))
-        roots = disc._tanh_secant_offsets(a, b)
+        if block_bytes is None:
+            roots = disc._tanh_secant_offsets(a, b)
+        else:
+            width = block_bytes // 8
+            blocks = [disc._tanh_secant_offsets(a[i:i + width], b)
+                      for i in range(0, len(a), width)]
+            roots = None if any(r is None for r in blocks) else np.concatenate(blocks)
+            whole = disc._tanh_secant_offsets(a, b)
+            assert (roots is None) == (whole is None)
+            if roots is not None:
+                assert roots.tobytes() == whole.tobytes()
         assert found.any()
         assert (roots is None) == (not found.all())
         if roots is not None:
